@@ -116,17 +116,24 @@ class PatchProgram(ABC):
     resilient_input: bool = False
 
     def checkpoint_shared(self) -> tuple[str, ...]:
-        """Names of attributes excluded from checkpoints: immutable
-        topology and resources shared with the host (graphs, solve
-        callbacks writing into global arrays)."""
+        """Names of attributes the default :meth:`checkpoint` leaves
+        out: immutable topology and resources shared with the host
+        (graphs, solve callbacks writing into global arrays)."""
         return ()
 
     def checkpoint(self):
-        """Deep snapshot of the mutable local context.
+        """Snapshot of the mutable local context.
 
-        The default copies every instance attribute not named by
-        :meth:`checkpoint_shared`; override for a leaner snapshot.
+        A program that defines ``state_dict()`` / ``load_state_dict()``
+        is captured through that pair: it names its mutable core, copies
+        it one level deep and rebuilds the rest on load, so in-sim
+        checkpoints, runtime snapshots and resume share one cheap path.
+        The fallback deep-copies every instance attribute not named by
+        :meth:`checkpoint_shared` - always complete, never cheap.
         """
+        capture = getattr(self, "state_dict", None)
+        if capture is not None:
+            return capture()
         shared = set(self.checkpoint_shared())
         return copy.deepcopy(
             {k: v for k, v in self.__dict__.items() if k not in shared}
@@ -136,9 +143,14 @@ class PatchProgram(ABC):
         """Restore local context from a :meth:`checkpoint` snapshot.
 
         The snapshot itself is left untouched (it may be restored again
-        after a second failure).
+        after a second failure); the target is the captured program or
+        a freshly constructed twin over the same shared resources.
         """
-        self.__dict__.update(copy.deepcopy(snapshot))
+        load = getattr(self, "load_state_dict", None)
+        if load is not None:
+            load(snapshot)
+        else:
+            self.__dict__.update(copy.deepcopy(snapshot))
 
     # -- cost-model hooks (all zero-cost by default) -------------------------------
     #

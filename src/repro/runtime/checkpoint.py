@@ -24,8 +24,10 @@ __all__ = ["HostKilled", "SNAPSHOT_VERSION"]
 
 #: Version stamp of the composed runtime snapshot layout (the codec
 #: frames carry their own wire version; this one tracks the *schema*
-#: of the state dict assembled here).
-SNAPSHOT_VERSION = 1
+#: of the state dict assembled here).  Version 2: program contexts are
+#: the programs' own ``state_dict()`` (mutable core only) instead of a
+#: deep copy of their attributes.
+SNAPSHOT_VERSION = 2
 
 
 class HostKilled(ReproError):

@@ -81,7 +81,7 @@ __all__ = ["Checkpoint", "RecoveryManager"]
 class Checkpoint:
     """One program's recovery point."""
 
-    state: object  # PatchProgram.checkpoint() snapshot
+    state: object  # PatchProgram.checkpoint(): alias-free, codec-ready
     inbox: list  # streams delivered but unconsumed at snapshot time
     pending: dict  # uid -> Stream: this program's un-acked sends
 

@@ -107,11 +107,12 @@ class RunState:
     def state_dict(self) -> dict:
         """Codec-ready execution state, program contexts included.
 
-        Each initialized program contributes its ``checkpoint()`` dict
-        (shared topology excluded, exactly like recovery snapshots);
-        never-initialized programs are in their pristine constructed
-        state and need nothing.  ``pids`` rides along purely as a
-        restore-time consistency check.
+        Each initialized program contributes its ``checkpoint()`` -
+        for the sweep programs their ``state_dict()``: the mutable core
+        as flat lists, ``{}`` once spent - exactly like the recovery
+        layer's in-sim checkpoints; never-initialized programs are in
+        their pristine constructed state and contribute ``None``.
+        ``pids`` rides along purely as a restore-time consistency check.
         """
         return {
             "pids": list(self.pids),

@@ -19,7 +19,7 @@ overlap, which the engine's run-atomicity forbids.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from collections.abc import Callable, Sequence
 
@@ -294,6 +294,25 @@ class CoarsenedSweepProgram(PatchProgram):
 
     def vote_to_halt(self) -> bool:
         return not self._heap
+
+    def state_dict(self) -> dict:
+        """The mutable local context as flat copies; the coarsened
+        graph and the constructor arguments are shared, never captured
+        (see :meth:`SweepPatchProgram.state_dict`)."""
+        return {
+            "counts": self._counts[:],
+            "heap": self._heap[:],
+            "solved": self._solved_v,
+            "outstreams": [replace(s) for s in self._outstreams],
+            "last": dict(self._last),
+        }
+
+    def load_state_dict(self, d: dict) -> None:
+        self._counts = d["counts"][:]
+        self._heap = d["heap"][:]
+        self._solved_v = d["solved"]
+        self._outstreams = [replace(s) for s in d["outstreams"]]
+        self._last = dict(d["last"])
 
     def remaining_workload(self) -> int:
         return self.cg.n_vertices - self._solved_v

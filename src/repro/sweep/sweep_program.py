@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from collections.abc import Callable
+from dataclasses import replace
 
 import numpy as np
 
@@ -73,13 +74,15 @@ class SweepPatchProgram(PatchProgram):
 
     # -- Listing 1 interface ------------------------------------------------------
 
-    def init(self) -> None:
+    def _bind_graph(self) -> None:
+        """(Re)build what derives from the shared graph alone: vertex
+        priorities and heap keys.  Static for the program's lifetime, so
+        snapshots leave it out and ``load_state_dict`` rebuilds it."""
         g = self.graph
         n = g.n_local
-        self._counts = g.init_counts.tolist()
         pa = g.vertex_prio
         prio = pa.tolist() if pa is not None else [0.0] * n
-        self._prio = prio
+        self._prio = prio  # repro: transient - graph.vertex_prio as a list
         # Heap keys.  Every priority strategy yields integer-valued
         # float64 (incl. the exact ``_FAR`` sentinel), so the pair
         # ``(prio[v], v)`` orders identically to the single integer
@@ -88,23 +91,30 @@ class SweepPatchProgram(PatchProgram):
         # decode as ``key % n`` (exact for negative priorities too).
         # Non-integer priorities (user-supplied) fall back to prebuilt
         # tuples; both paths push ``keys[v]`` and never allocate.
-        self._n = n
+        self._n = n  # repro: transient - graph.n_local
         vk = g.vertex_keys
         if vk is not None:
-            self._intkeys = True
+            intkeys = True
             keys = vk.tolist()
         elif pa is None:
-            self._intkeys = True
+            intkeys = True
             keys = list(range(n))
         elif bool(np.array_equal(pa, np.trunc(pa))):
-            self._intkeys = True
+            intkeys = True
             keys = (
                 pa.astype(np.int64) * n + np.arange(n, dtype=np.int64)
             ).tolist()
         else:
-            self._intkeys = False
+            intkeys = False
             keys = [(p, v) for v, p in enumerate(prio)]
-        self._keys = keys
+        self._intkeys = intkeys  # repro: transient - a property of the priorities
+        self._keys = keys  # repro: transient - pure function of (_prio, _n)
+
+    def init(self) -> None:
+        self._bind_graph()
+        g = self.graph
+        keys = self._keys
+        self._counts = g.init_counts.tolist()
         self._heap = [keys[v] for v in np.nonzero(g.init_counts == 0)[0]]
         self._heap.sort()
         self._solved = 0
@@ -235,11 +245,51 @@ class SweepPatchProgram(PatchProgram):
 
     # -- runtime hooks --------------------------------------------------------------
 
-    def checkpoint_shared(self) -> tuple[str, ...]:
-        # Immutable topology, the global cell-index map and the solve
-        # callback (which closes over host-owned flux arrays) are shared
-        # with the runtime and must not be deep-copied into snapshots.
-        return ("graph", "cells_global", "solve_fn")
+    def state_dict(self) -> dict:
+        """The mutable local context (Listing 1) as flat copies.
+
+        The graph, the constructor arguments and everything
+        :meth:`_bind_graph` derives from them stay out: a restore
+        target is a program built over the same graph.  Copies are one
+        level deep - heap keys, edge ids and recorded clusters are
+        never mutated once stored - so capture costs a few C-level list
+        copies, and the snapshot shares nothing the program mutates.
+
+        A spent program - whole graph swept, nothing buffered, nothing
+        to remember - is the empty dict: it never runs again, and its
+        context is a function of the graph.
+        """
+        if not (self.remaining_workload() or self._heap or self._outstreams
+                or self._applied or self.clusters or any(self._counts)
+                or any(self._last.values())):
+            return {}
+        return {
+            "counts": self._counts[:],
+            "heap": self._heap[:],
+            "solved": self._solved,
+            "outstreams": [replace(s) for s in self._outstreams],
+            "applied": {p: sorted(e) for p, e in self._applied.items()},
+            "last": dict(self._last),
+            "clusters": self.clusters[:],
+        }
+
+    def load_state_dict(self, d: dict) -> None:
+        """Inverse of :meth:`state_dict`; ``d`` is left untouched (it
+        may be loaded again after a second failure)."""
+        if not d:  # spent: every vertex solved, every counter at zero
+            self.init()
+            self._counts = [0] * self._n
+            self._heap = []
+            self._solved = self._n
+            return
+        self._bind_graph()
+        self._counts = d["counts"][:]
+        self._heap = d["heap"][:]
+        self._solved = d["solved"]
+        self._outstreams = [replace(s) for s in d["outstreams"]]
+        self._applied = {p: set(e) for p, e in d["applied"].items()}
+        self._last = dict(d["last"])
+        self.clusters = d["clusters"][:]
 
     def remaining_workload(self) -> int:
         return self.graph.n_local - self._solved

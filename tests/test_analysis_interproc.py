@@ -30,6 +30,8 @@ INTERPROC_FIXTURES = {
     "persist002_clean.py": set(),
     "persist002_suppressed.py": set(),
     "persist002_transient.py": set(),
+    "persist002_program_bad.py": {"PERSIST002"},
+    "persist002_program_clean.py": set(),
     "proto004_bad.py": {"PROTO004"},
     "proto004_clean.py": set(),
     "proto004_suppressed.py": set(),
@@ -58,6 +60,11 @@ class TestInterprocFixtures:
         vs = _lint("persist002_bad.py")
         phase = [v for v in vs if "Window.phase" in v.message]
         assert phase and any("._tick" in link for link in phase[0].chain)
+
+    def test_persist002_checks_a_program_that_names_its_own_state(self):
+        vs = _lint("persist002_program_bad.py")
+        attrs = {v.message.split("`")[1] for v in vs}
+        assert attrs == {"Program._applied", "Program._keys"}
 
     def test_chain_rides_in_the_finding(self):
         vs = _lint("det001_chain_bad.py")
@@ -269,6 +276,29 @@ class TestEffectsOnShippedRepo:
             "repro.runtime.simulator.Simulator"
         )
         assert {"_wd_horizon", "_wd_snapshot", "_wd_kinds"} <= transient
+
+
+    @pytest.mark.parametrize("qname, core, rebuilt", [
+        ("repro.sweep.sweep_program.SweepPatchProgram",
+         {"_counts", "_heap", "_solved", "_outstreams", "_applied", "_last",
+          "clusters"},
+         {"_prio", "_keys", "_n", "_intkeys"}),
+        ("repro.sweep.coarsened.CoarsenedSweepProgram",
+         {"_counts", "_heap", "_solved_v", "_outstreams", "_last"}, set()),
+    ])
+    def test_sweep_programs_are_checked_state_dict_owners(
+        self, src_db, qname, core, rebuilt
+    ):
+        """An explicit ``state_dict`` gives up "copies every attribute":
+        PERSIST002 owns that guarantee now.  The mutable core is
+        covered, the rebuilt attributes are transient, nothing else is
+        assigned outside ``__init__``."""
+        assert src_db.program.classes[qname].has_state_dict
+        covered = src_db.class_covered(qname)
+        transient = src_db.class_transient(qname)
+        assert core <= covered
+        assert rebuilt <= transient
+        assert set(src_db.class_swrites(qname)) == core | rebuilt
 
 
 # -- meta: the shipped repo is clean under the interprocedural rules -------------

@@ -98,6 +98,48 @@ class TestCGExecution:
         _run(progs)
         assert all(p.remaining_workload() == 0 for p in progs)
 
+    def test_capture_restores_on_fresh_twins(self, cube_cgs):
+        """``state_dict`` holds the counters, never the coarsened graph;
+        twins loaded from it (through the codec) finish identically."""
+        from repro.persist import decode, encode
+
+        s, cgs = cube_cgs
+
+        def rounds(progs, pending, n):
+            index = {p.id: i for i, p in enumerate(progs)}
+            trace = []
+            for _ in range(n):
+                for i, p in enumerate(progs):
+                    box, pending[i] = pending[i], []
+                    for stream in box:
+                        p.input(stream)
+                    p.compute()
+                    for o in p.drain_outputs():
+                        pending[index[o.dst]].append(o)
+                        trace.append((i, o.dst, o.payload.tolist(), o.items))
+                    trace.append(
+                        (i, p.last_run_counters(), p.remaining_workload()))
+            return trace
+
+        progs, _ = s.build_coarsened_programs(cgs, compute=False)
+        for p in progs:
+            p.init()
+        pending = [[] for _ in progs]
+        rounds(progs, pending, 2)
+        assert any(p.remaining_workload() for p in progs)  # a real cut
+        snaps = [p.checkpoint() for p in progs]
+        assert all(set(d) == {"counts", "heap", "solved", "outstreams", "last"}
+                   for d in snaps)
+        frozen = encode(snaps)
+        at_cut = [list(b) for b in pending]
+        want = rounds(progs, pending, 12)
+        assert all(p.remaining_workload() == 0 for p in progs)
+        twins, _ = s.build_coarsened_programs(cgs, compute=False)
+        for t, d in zip(twins, decode(frozen)):
+            t.restore(d)
+        assert rounds(twins, at_cut, 12) == want
+        assert encode(snaps) == frozen
+
     def test_stream_bytes_preserved(self, cube_cgs):
         """Coarsening saves bookkeeping, not bandwidth: total stream
         bytes equal the DAG sweep's."""

@@ -20,6 +20,7 @@ once per cell and cached for the module.
 """
 
 import collections
+import functools
 
 import pytest
 
@@ -209,6 +210,135 @@ def test_snapshot_rejects_foreign_configuration(tmp_path):
     other = DataDrivenRuntime(8, machine=machine, mode="mpi_only")
     with pytest.raises(ReproError, match="different runtime configuration"):
         other.restore(progs2, pset2.patch_proc, state)
+
+
+def test_v1_runtime_snapshot_is_refused():
+    """Schema version 1 held deep-copied program attributes; a snapshot
+    stamped with it is refused up front, never half-loaded."""
+    from repro._util import ReproError
+    from repro.runtime import SNAPSHOT_VERSION
+
+    assert SNAPSHOT_VERSION == 2
+    f = _factory("structured-hybrid-clean")
+    rt, progs, pp, _app = f()
+    with pytest.raises(ReproError, match="unsupported snapshot version 1"):
+        rt.restore(progs, pp, {"version": 1})
+
+
+# -- capture cost: counted, not timed ---------------------------------------------
+
+#: ``_encode_into`` calls allowed per program context or stream in a
+#: snapshot (measured 31; the per-element path took 180).
+ENCODE_CALLS_PER_ITEM = 48
+#: Snapshot bytes allowed per program and generation (measured 695 on
+#: the smoke reactor; deep-copied contexts took 2252).
+SNAPSHOT_BYTES_PER_PROGRAM = 1024
+
+
+def test_state_capture_costs_o1_calls_per_program(tmp_path, monkeypatch):
+    """A snapshot copies flat lists and packs them: no ``deepcopy``, a
+    bounded number of codec calls per program or stream (never one per
+    counter), and a generation within a bytes-per-program budget."""
+    import copy
+
+    from repro import JSNTU
+    from repro.core.stream import Stream
+    from repro.persist import codec
+
+    machine = Machine(cores_per_proc=12)
+    app = JSNTU.reactor(8, total_cores=48, machine=machine, patch_size=60,
+                        grain=64, groups=1)
+    programs, _ = app.solver.build_programs(compute=False)
+    calls = collections.Counter()
+    encode_into = codec._encode_into
+
+    def counting(buf, obj):
+        calls["encode"] += 1
+        calls["streams"] += type(obj) is Stream
+        encode_into(buf, obj)
+
+    def no_deepcopy(*args, **kw):
+        raise AssertionError("deepcopy on the state-capture path")
+
+    monkeypatch.setattr(codec, "_encode_into", counting)
+    monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
+    rep = DataDrivenRuntime(48, machine=machine).run(
+        programs, app.pset.patch_proc,
+        persist=SnapshotManager(tmp_path, every=600, fsync=False),
+    )
+    assert rep.snapshots >= 3
+    contexts = rep.snapshots * len(programs)
+    assert calls["encode"] <= ENCODE_CALLS_PER_ITEM * (contexts + calls["streams"])
+    assert rep.snapshot_bytes <= SNAPSHOT_BYTES_PER_PROGRAM * contexts
+
+
+# -- elastic membership armed: incarnation tags survive the snapshot -------------
+
+
+def test_stream_incarnation_survives_the_codec():
+    """A stale-incarnation stream that was in flight at the cut is
+    still fenced after the round trip (the v1 record dropped ``inc``,
+    which read as "membership off" and let it through)."""
+    from repro.persist import decode, encode
+    from tests.test_membership import _mtransport
+    from repro.core.stream import ProgramId, Stream
+
+    _, router, tr = _mtransport()
+    s = Stream(src=ProgramId(0, 0), dst=ProgramId(1, 0), nbytes=64)
+    tr.send(s, s.src, 0, 0.0, 0, 1)
+    back = decode(encode(s))
+    assert back == s and back.inc == (0, 0)
+    router.fence(0)  # the sender's old life is fenced off
+    assert not tr.receive(back, 1, 1e-6)
+    assert tr.report.fenced_messages == 1
+
+
+def _membership_factory():
+    """Crash -> restart -> rejoin -> second crash of rank 1 (the
+    ``ChaosSpace.flapping`` shape) under heartbeat detection."""
+    from repro.runtime import (
+        CrashFault, FaultPlan, MembershipConfig, RecoveryConfig,
+    )
+    from tests.test_chaos import CORES, _setup
+
+    plan = FaultPlan(crashes=(
+        CrashFault(1, 120e-6, restart_after=350e-6),
+        CrashFault(1, 700e-6),
+    ), p_drop=0.03, seed=7)
+
+    def factory():
+        machine, pset, s = _setup()
+        progs, faces = s.build_programs(resilient=True)
+        rt = DataDrivenRuntime(
+            CORES, machine=machine, faults=plan,
+            recovery=RecoveryConfig(membership=MembershipConfig.all_on()),
+        )
+        factory.extra = (s, faces)
+        return rt, progs, pset.patch_proc, FluxArrayState(faces)
+
+    return factory
+
+
+@functools.cache
+def _membership_reference():
+    f = _membership_factory()
+    rt, progs, pp, _app = f()
+    ref = rt.run(progs, pp)
+    assert ref.membership_summary()["restarts"] == 1
+    return _fingerprint(f, ref), ref.events, ref.membership_summary()
+
+
+@pytest.mark.parametrize("frac", (0.2, 0.4, 0.6, 0.8))
+def test_membership_armed_kill_resume_is_bitwise_exact(frac, tmp_path):
+    ref_fp, events, summary = _membership_reference()
+    f = _membership_factory()
+    rep, _mgr, killed = kill_and_resume(
+        f, kill_at=int(frac * events), every=max(20, events // 12),
+        workdir=tmp_path,
+    )
+    assert killed
+    assert _fingerprint(f, rep) == ref_fp
+    assert rep.membership_summary() == summary
 
 
 # -- service WAL: mid-campaign kill, torn tail, exactly-once ---------------------
