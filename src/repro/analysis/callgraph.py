@@ -351,12 +351,14 @@ def _const_str(node: ast.expr) -> str | None:
 
 
 def _push_kind(node: ast.Call) -> tuple[str | None, bool]:
-    """(kind, interned) of a push(t, kind, ...) / kind_id(kind) call.
+    """(kind, interned) of a push(t, kind, ...) / kind_id(kind) /
+    KindRow(kind, handler, ...) call.
 
-    ``interned`` marks ``kind_id`` interning sites: a module interning
-    a kind participates in that kind's protocol from *either* side
-    (transport interns to push via ``push_id``, fastloop interns to
-    dispatch), so PROTO004 counts those toward both sets.
+    ``interned`` marks ``kind_id`` interning sites and kind-table
+    registrations: such a module participates in that kind's protocol
+    from *either* side (transport interns to push via ``push_id``, the
+    loop dispatches the owner's ``KindRow``), so PROTO004 counts those
+    toward both sets.
     """
     fname = None
     if isinstance(node.func, ast.Attribute):
@@ -365,7 +367,7 @@ def _push_kind(node: ast.Call) -> tuple[str | None, bool]:
         fname = node.func.id
     if fname in _PUSH_NAMES and len(node.args) >= 2:
         return _const_str(node.args[1]), False
-    if fname == "kind_id" and len(node.args) >= 1:
+    if fname in ("kind_id", "KindRow") and len(node.args) >= 1:
         return _const_str(node.args[0]), True
     if fname in _PUSH_NAMES:
         for kw in node.keywords:
@@ -643,9 +645,7 @@ class _FunctionScanner:
         if bname is not None and tgt.attr in COUNTER_OWNERS:
             rbase = bname.rsplit(".", 1)[0]
             if rbase in _REPORT_BASES:
-                owner = COUNTER_OWNERS[tgt.attr]
-                owners = (owner,) if isinstance(owner, str) else owner
-                if self.mod.module not in owners:
+                if self.mod.module != COUNTER_OWNERS[tgt.attr]:
                     self._emit(("counter", tgt.attr), line, "PROTO002")
 
     def _scan_pop_bind(self, tgt: ast.Tuple, value: ast.expr) -> None:

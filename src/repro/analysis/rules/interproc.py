@@ -188,18 +188,12 @@ class TransitiveCounterRule(TransitiveEffectRule):
     kind = "counter"
 
     def applies(self, mod: ModuleInfo, qname: str, eff: Effect) -> bool:
-        owner = COUNTER_OWNERS.get(eff.atom[1])
-        if owner is None:
-            return True
-        owners = (owner,) if isinstance(owner, str) else owner
-        return mod.module not in owners
+        return mod.module != COUNTER_OWNERS.get(eff.atom[1])
 
     def describe(self, eff: Effect) -> str:
-        owner = COUNTER_OWNERS.get(eff.atom[1], "?")
-        owners = (owner,) if isinstance(owner, str) else owner
         return (
             f"call writes counter `{eff.atom[1]}` (owned by "
-            f"{' / '.join(owners)}) through the chain below"
+            f"{COUNTER_OWNERS.get(eff.atom[1], '?')}) through the chain below"
         )
 
 
@@ -326,18 +320,13 @@ class SnapshotCompletenessRule(Rule):
                 )
 
 
-#: Event kinds that terminate a run rather than being dispatched: the
-#: loops compare them via interning (fastloop) which already lands them
-#: in both sets; nothing extra needed today, kept for future escapes.
-_PROTO004_EXEMPT_KINDS: frozenset[str] = frozenset()
-
-
 class EventProtocolRule(Rule):
     """PROTO004: event-kind and hb-record exhaustiveness.
 
     Program-wide: every event kind pushed into a simulator/service
     heap must have a dispatch branch somewhere (a pop-bound ``kind ==
-    "x"`` comparison or a ``kind_id`` interning site), and vice versa;
+    "x"`` comparison, a ``kind_id`` interning site or a ``KindRow``
+    registration), and vice versa;
     every ``hb_*`` record kind emitted via ``note()`` must be one the
     HB checker (``*HbChecker._on_<suffix>``) understands.  A pushed
     kind nobody handles sits in the heap forever (or dies in a default
@@ -361,7 +350,7 @@ class EventProtocolRule(Rule):
     def check_program(self, program) -> Iterator[Violation]:
         pushed = program.pushed_kinds()
         handled = program.handled_kinds()
-        for kind in sorted(set(pushed) - set(handled) - _PROTO004_EXEMPT_KINDS):
+        for kind in sorted(set(pushed) - set(handled)):
             path, line = min(pushed[kind])
             yield Violation(
                 rule=self.id, path=path, line=line, col=0,
@@ -371,7 +360,7 @@ class EventProtocolRule(Rule):
                 ),
                 hint=self.hint,
             )
-        for kind in sorted(set(handled) - set(pushed) - _PROTO004_EXEMPT_KINDS):
+        for kind in sorted(set(handled) - set(pushed)):
             path, line = min(handled[kind])
             yield Violation(
                 rule=self.id, path=path, line=line, col=0,

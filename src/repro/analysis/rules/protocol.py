@@ -85,7 +85,7 @@ class TransportBypassRule(Rule):
 #: layering violation: a counter written from two layers can no longer
 #: be reconciled against that layer's invariants (e.g. retries vs
 #: timeouts, crashes vs failover_time).
-COUNTER_OWNERS: dict[str, str | tuple[str, ...]] = {
+COUNTER_OWNERS: dict[str, str] = {
     # transport-owned: the wire plane
     "messages": "repro.runtime.transport",
     "message_bytes": "repro.runtime.transport",
@@ -114,6 +114,7 @@ COUNTER_OWNERS: dict[str, str | tuple[str, ...]] = {
     "crashes": "repro.runtime.recovery",
     "failover_time": "repro.runtime.recovery",
     "demotions": "repro.runtime.recovery",
+    "cascade_crashes": "repro.runtime.recovery",
     # recovery-owned: the elastic-membership plane (DESIGN.md §14)
     "heartbeats": "repro.runtime.recovery",
     "suspicions": "repro.runtime.recovery",
@@ -124,14 +125,13 @@ COUNTER_OWNERS: dict[str, str | tuple[str, ...]] = {
     "rebalanced_patches": "repro.runtime.recovery",
     # transport-owned: incarnation fencing happens on the receive path
     "fenced_messages": "repro.runtime.transport",
-    # engine-owned: the composition root and its event loops (the
-    # master loop lives in generalloop, composed by engine_des)
-    "events": ("repro.runtime.engine_des", "repro.runtime.generalloop"),
-    "cascade_crashes": ("repro.runtime.engine_des", "repro.runtime.generalloop"),
+    # loop-owned: the master loop counts what it dispatches
+    "events": "repro.runtime.loop",
+    # engine-owned: the composition root's final accounting
     "sanitizer_checks": "repro.runtime.engine_des",
     "termination_hops": "repro.runtime.engine_des",
     "termination_time": "repro.runtime.engine_des",
-    "makespan": ("repro.runtime.engine_des", "repro.runtime.generalloop"),
+    "makespan": "repro.runtime.engine_des",
     # checkpoint-owned: the durability plane (DESIGN.md §13)
     "snapshots": "repro.runtime.checkpoint",
     "snapshot_bytes": "repro.runtime.checkpoint",
@@ -178,15 +178,14 @@ class CounterOwnershipRule(Rule):
                 owner = COUNTER_OWNERS.get(tgt.attr)
                 if owner is None:
                     continue
-                owners = (owner,) if isinstance(owner, str) else owner
-                if mod.module in owners:
+                if mod.module == owner:
                     continue
                 base = dotted_name(tgt.value)
                 if base not in _REPORT_BASES:
                     continue
                 yield self.violation(
                     mod, tgt,
-                    f"counter `{tgt.attr}` is owned by {' / '.join(owners)}, "
+                    f"counter `{tgt.attr}` is owned by {owner}, "
                     f"written from {mod.module or mod.path}",
                 )
 

@@ -12,7 +12,10 @@ of wedging the resume.
 
 The manager doubles as the duck-typed persistence hook the engine's
 event loop consumes: ``every`` (snapshot cadence in popped events),
-``kill_at`` (crash-injection point for the durability harness), an
+``kill_at`` (crash-injection point for the durability harness) - both
+counted in popped events and honoured at the first same-timestamp
+batch boundary at or past the mark, so a cut always falls between two
+handler executions (``state["popped"]`` records where it fell) - an
 optional ``app_state`` adapter for host-owned arrays the simulated
 programs write through closures (the solver's per-angle flux arrays),
 and ``save()``.

@@ -10,7 +10,9 @@ above it): :mod:`~repro.runtime.simulator` (DES core) <
 :mod:`~repro.runtime.transport` (reliable delivery) <
 :mod:`~repro.runtime.scheduler` (dispatch policies, worker pools) <
 :mod:`~repro.runtime.recovery` (checkpoints, failover) <
-:mod:`~repro.runtime.engine_des` (composition root).
+:mod:`~repro.runtime.engine_des` (composition root), which hands the
+composed stack to the one master event loop in
+:mod:`~repro.runtime.loop`.
 """
 
 from .cluster import TIANHE2, Layout, Machine

@@ -35,9 +35,10 @@ class HostKilled(ReproError):
 
     Raised by ``DataDrivenRuntime.run`` when a snapshot manager with a
     ``kill_at`` event index was supplied (the durability harness's
-    fault injection).  Nothing of the run survives in the process -
-    recovery goes through the on-disk snapshots via
-    ``DataDrivenRuntime.resume``.
+    fault injection): the loop dies at the first batch boundary at or
+    past that index, and ``popped`` is the actual cut.  Nothing of the
+    run survives in the process - recovery goes through the on-disk
+    snapshots via ``DataDrivenRuntime.resume``.
     """
 
     def __init__(self, popped: int):
@@ -82,7 +83,6 @@ def assemble_state(rt, ctx: SimpleNamespace) -> dict:
         "version": SNAPSHOT_VERSION,
         "config": config_digest(rt, len(ctx.st.progs)),
         "popped": ctx.popped,
-        "cascaded": sorted(ctx.cascaded),
         "sim": ctx.sim.state_dict(),
         "router": ctx.router.state_dict(),
         "transport": ctx.transport.state_dict(),
@@ -125,17 +125,6 @@ def restore_into(rt, programs, patch_proc, state, persist) -> SimpleNamespace:
             f"composition is {want!r})"
         )
     ctx.sim.load_state_dict(state["sim"])
-    # Defensive: re-intern the layers' cached kind ids against the
-    # loaded kind table (its prefix is composition-deterministic, so
-    # these are no-ops unless the schema ever changes).
-    t, sch, sim = ctx.transport, ctx.sched, ctx.sim
-    t._k_msg_arrive = sim.kind_id("msg_arrive")
-    t._k_ack = sim.kind_id("ack")
-    t._k_nack = sim.kind_id("nack")
-    t._k_timer = sim.kind_id("timer")
-    sch._k_run_start = sim.kind_id("run_start")
-    sch._k_run_end = sim.kind_id("run_end")
-    sch._k_deliver = sim.kind_id("deliver")
     ctx.router.load_state_dict(state["router"])
     ctx.transport.load_state_dict(state["transport"])
     ctx.sched.load_state_dict(state["scheduler"])
@@ -146,12 +135,7 @@ def restore_into(rt, programs, patch_proc, state, persist) -> SimpleNamespace:
     ctx.report.load_state_dict(state["report"])
     if ctx.inj is not None and state["injector"] is not None:
         ctx.inj.load_state_dict(state["injector"])
-    ctx.cascaded = set(state["cascaded"])
     ctx.popped = int(state["popped"])
-    ctx.next_snap = (
-        ctx.popped + persist.every if persist is not None else 0
-    )
-    ctx.resumed = True
     if state["app"] is not None:
         if persist is None or persist.app_state is None:
             raise ReproError(

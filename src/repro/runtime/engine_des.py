@@ -8,12 +8,12 @@ algorithm runs, every schedule-level phenomenon of the paper emerges
 rather than being modeled; only the time axis is synthetic (DESIGN.md).
 The machinery lives in layers, each documented in its own module:
 ``simulator`` < ``router`` < ``transport`` < ``scheduler`` <
-``recovery``, with the event loops in ``fastloop`` (batched clean
-runs) and ``generalloop`` (everything else) and the snapshot schema in
-``checkpoint`` (DESIGN.md §13).
+``recovery``, with the one master event loop in ``loop`` and the
+snapshot schema in ``checkpoint`` (DESIGN.md §13).
 
 :class:`DataDrivenRuntime` validates the run, wires the layers
-together, drives the master event loop (Alg. 1), and negotiates
+together, collects each layer's rows of the event-kind table, hands
+the composition to the master event loop (Alg. 1), and negotiates
 termination.  With ``trace=True`` every processed event is recorded on
 ``RunReport.trace_events`` (exportable via ``to_chrome_trace``).
 """
@@ -32,11 +32,10 @@ from .checkpoint import (
 )
 from .cluster import Machine, TIANHE2
 from .costmodel import CostModel
-from .fastloop import clean_loop
 from .faults import (
     AdaptiveConfig, FaultInjector, FaultPlan, RecoveryConfig, arm_recovery,
 )
-from .generalloop import general_loop
+from .loop import run_loop
 from .metrics import Breakdown, DeadlineExceeded, RunReport, trace_fields
 from .recovery import RecoveryManager
 from .router import Router
@@ -46,10 +45,6 @@ from .simulator import Simulator
 from .transport import Transport
 
 __all__ = ["DataDrivenRuntime", "DeadlineExceeded", "HostKilled", "SNAPSHOT_VERSION"]
-
-#: Forward-progress kinds (outstanding count = quiescence detector).
-_PROGRESS = frozenset(("run_start", "run_end", "msg_arrive", "deliver", "failover", "requeue"))
-
 
 class DataDrivenRuntime:
     """DES executor for patch-programs on a simulated cluster."""
@@ -79,6 +74,7 @@ class DataDrivenRuntime:
         self.recovery = arm_recovery(faults, recovery, adaptive)
         self.trace = trace
         self.sanitize = sanitize  # live invariant checks (chaos harness)
+        self._ctx: SimpleNamespace | None = None  # the driving run, if any
 
     def run(
         self,
@@ -98,12 +94,7 @@ class DataDrivenRuntime:
         check_persist(self, persist)
         ctx = self._compose(programs, patch_proc, persist)
         self._seed(ctx)
-        self._ctx = ctx
-        try:
-            self._drive(ctx, deadline)
-        finally:
-            self._ctx = None
-        return self._finish(ctx)
+        return self._drive(ctx, deadline)
 
     # -- composition ---------------------------------------------------------------
 
@@ -128,7 +119,6 @@ class DataDrivenRuntime:
         bd = Breakdown()
         report = RunReport(makespan=0.0, breakdown=bd, total_cores=lay.total_cores)
         sim = Simulator(
-            _PROGRESS,
             trace_hook=report.trace_events.append if self.trace else None,
             trace_fields=lambda k, d: trace_fields(k, d, router.pids),
             note_hook=report.hb_events.append if self.trace else None,
@@ -155,14 +145,16 @@ class DataDrivenRuntime:
         ) if ft else None
         if ft and rcfg.watchdog_horizon > 0:
             sim.arm_watchdog(rcfg.watchdog_horizon, transport.stall_snapshot)
+        # One row per event kind, read off the layer *instances* (bound
+        # handlers pick up class-level instrumentation in force).
+        layers = (sched, transport, rec) if ft else (sched, transport)
+        table = sim.declare(row for layer in layers for row in layer.kinds())
         return SimpleNamespace(
-            router=router, plan=plan, rcfg=rcfg, inj=inj, ft=ft,
+            router=router, plan=plan, inj=inj, ft=ft,
             bd=bd, report=report, sim=sim, st=st, tracker=tracker,
-            slow=slow, san=san, transport=transport, sched=sched, rec=rec,
-            cascaded=set(),  # procs whose crash was cascade-induced
+            san=san, transport=transport, sched=sched, rec=rec,
             popped=0,  # events popped (the snapshot/kill coordinate)
-            next_snap=persist.every if persist is not None else 0,
-            persist=persist, resumed=False,
+            persist=persist, table=table,
         )
 
     def _seed(self, ctx: SimpleNamespace) -> None:
@@ -177,29 +169,29 @@ class DataDrivenRuntime:
         if ctx.ft:
             ctx.rec.arm()
 
-    # -- the master event loop (Alg. 1) --------------------------------------------
+    # -- the master event loop (Alg. 1, see the loop module) ------------------------
 
-    def _drive(self, ctx: SimpleNamespace, deadline: float | None) -> None:
-        if not ctx.ft and deadline is None and ctx.persist is None and not ctx.resumed:
-            # Fault-free, unbudgeted, unsnapshotted fresh runs see
-            # only the four data-plane kinds: take the batched lean
-            # loop (crashes always arm recovery).
-            ctx.report.events = clean_loop(
-                ctx.sim, ctx.sched, ctx.transport, ctx.st, ctx.router,
-                self.cost, ctx.slow, ctx.bd, unit=ctx.inj is None,
+    def _drive(self, ctx: SimpleNamespace, deadline: float | None) -> RunReport:
+        """Run the one master loop over a seeded or restored context."""
+        self._ctx = ctx
+        try:
+            late = run_loop(self, ctx, deadline)
+        finally:
+            self._ctx = None
+        if late is not None:
+            raise DeadlineExceeded(
+                deadline, late, self._account(ctx, ctx.sim.makespan)
             )
-            return
-        general_loop(self, ctx, deadline)
+        return self._finish(ctx)
 
     # -- durability (snapshot/restore/resume, see checkpoint module) ---------------
 
     def snapshot(self) -> dict:
         """The state dict of the currently-driving run (tests/tools);
         raises when no run is active."""
-        ctx = getattr(self, "_ctx", None)
-        if ctx is None:
+        if self._ctx is None:
             raise ReproError("no active run to snapshot")
-        return assemble_state(self, ctx)
+        return assemble_state(self, self._ctx)
 
     def restore(
         self,
@@ -228,21 +220,16 @@ class DataDrivenRuntime:
         and flux are bitwise-identical to a never-interrupted run.
         """
         ctx = self.restore(programs, patch_proc, state, persist=persist)
-        self._ctx = ctx
-        try:
-            self._drive(ctx, deadline)
-        finally:
-            self._ctx = None
-        return self._finish(ctx)
+        return self._drive(ctx, deadline)
 
     def _finish(self, ctx: SimpleNamespace) -> RunReport:
         """Post-run checks, termination negotiation, final accounting."""
-        sim, st, report, bd = ctx.sim, ctx.st, ctx.report, ctx.bd
+        st, report = ctx.st, ctx.report
         verify_quiescent(st.pids, st.progs, st.state, ctx.tracker)
         if ctx.san is not None:
             ctx.san.check_final(dict(zip(st.pids, st.progs)))
             report.sanitizer_checks = ctx.san.checks
-        makespan = sim.makespan
+        makespan = ctx.sim.makespan
         if self.termination == "consensus":
             hops = MisraMarkerRing.all_idle_hops(
                 ctx.router.nprocs - len(ctx.router.dead)
@@ -250,9 +237,15 @@ class DataDrivenRuntime:
             report.termination_hops = hops
             report.termination_time = hops * self.machine.latency_inter
             makespan += report.termination_time
+        return self._account(ctx, makespan)
 
+    @staticmethod
+    def _account(ctx: SimpleNamespace, makespan: float) -> RunReport:
+        """Stamp the accounting every ended run owes - complete or
+        cancelled at its deadline: makespan, idle time, perf counters."""
+        report = ctx.report
         report.makespan = makespan
-        report.peak_heap = sim.peak_heap
-        report.event_counts = sim.event_counts()
-        bd.finalize_idle(makespan, ctx.sched.cores())
+        report.peak_heap = ctx.sim.peak_heap
+        report.event_counts = ctx.sim.event_counts()
+        ctx.bd.finalize_idle(makespan, ctx.sched.cores())
         return report

@@ -68,7 +68,7 @@ from .faults import RecoveryConfig
 from .metrics import Breakdown, RunReport
 from .router import Router
 from .scheduler import RunState, Scheduler
-from .simulator import Simulator
+from .simulator import KindRow, Simulator
 from .transport import RttEstimator, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -118,6 +118,7 @@ class RecoveryManager:
         self.dlog: dict[ProgramId, list[Stream]] = {pid: [] for pid in st.pids}
         self.dirty: set[ProgramId] = set()  # changed since last snapshot
         self.crash_time: dict[int, float] = {}
+        self.cascaded: set[int] = set()  # procs whose crash was cascade-induced
         self._strikes: dict[int, int] = {}  # proc -> consecutive flags
         # Elastic membership state (DESIGN.md §14; all inert when off).
         m = rcfg.membership
@@ -142,6 +143,22 @@ class RecoveryManager:
                         "(build the solver with resilient=True)"
                     )
         scheduler.recovery = self  # completed runs mark themselves dirty
+
+    def kinds(self) -> list[KindRow]:
+        """The resilience plane's rows of the event-kind table.  The
+        membership plane (DESIGN.md §14) is control traffic whose
+        handlers gate on quiescence themselves: a heartbeat tick must
+        keep running while an undetected crash or pending restart
+        holds work."""
+        return [
+            KindRow("crash", self.on_crash, stale=self.inert),
+            KindRow("failover", self.on_failover, progress=True),
+            KindRow("ckpt", self.on_ckpt, stale=self.inert),
+            KindRow("health", self.on_health, stale=self.inert),
+            KindRow("hbeat", self.on_hbeat, control=True),
+            KindRow("hback", self.on_hback, control=True),
+            KindRow("restart", self.on_restart, control=True),
+        ]
 
     def arm(self) -> None:
         """Schedule the first per-process checkpoint round (and the
@@ -170,6 +187,11 @@ class RecoveryManager:
         and no un-acked sends (crash/checkpoint events are then inert)."""
         return self.sim.live == 0 and not self.transport.pending
 
+    def inert(self, proc: int | None, now: float) -> bool:
+        """Filter a crash/checkpoint/health event that no longer
+        matters: a double fault on one proc, or the job already done."""
+        return proc in self.router.dead or self.quiescent()
+
     # -- durability (snapshot/restore) ---------------------------------------------
 
     def state_dict(self) -> dict:
@@ -194,6 +216,7 @@ class RecoveryManager:
             "dlog": {pid: list(v) for pid, v in self.dlog.items()},
             "dirty": sorted(self.dirty),
             "crash_time": dict(self.crash_time),
+            "cascaded": sorted(self.cascaded),
             "strikes": dict(self._strikes),
             "last_heard": dict(self._last_heard),
             "hb_rtt": {
@@ -217,6 +240,7 @@ class RecoveryManager:
         self.dlog = {pid: list(v) for pid, v in d["dlog"].items()}
         self.dirty = set(d["dirty"])
         self.crash_time = {int(p): float(t) for p, t in d["crash_time"].items()}
+        self.cascaded = set(d["cascaded"])
         self._strikes = {int(p): int(n) for p, n in d["strikes"].items()}
         self._last_heard = {
             int(p): float(t) for p, t in d.get("last_heard", {}).items()
@@ -252,6 +276,25 @@ class RecoveryManager:
             # No oracle: the crash is discovered only when the victim's
             # heartbeat replies stop arriving (missed-probe suspicion).
             self._undetected.add(proc)
+        inj = self.transport.inj
+        if proc in self.cascaded:
+            self.report.cascade_crashes += 1
+        elif inj is not None:
+            # A planned flapping crash schedules its comeback (cascade
+            # followers carry no fault object and never restart; the
+            # lookup key (proc, time) is exact).  The pending count
+            # keeps the heartbeat plane alive across the down window.
+            ra = inj.plan.restart_delay(proc, now)
+            if ra > 0:
+                self._pending_restart += 1
+                self.sim.push(now + ra, "restart", proc)
+        if inj is not None:
+            # Correlated failure: seeded survivors follow suit.
+            dead = self.router.dead
+            alive = [q for q in range(self.router.nprocs) if q not in dead]
+            for q, t_q in inj.cascade_after(proc, alive, now):
+                self.cascaded.add(q)
+                self.sim.push(t_q, "crash", q)
 
     def on_failover(self, proc: int, now: float) -> None:
         moved = self.router.reassign(proc)
@@ -311,7 +354,7 @@ class RecoveryManager:
         self.transport.rearm_after_failover(moved_set, self.ckpt, now)
         return install_end
 
-    def on_health(self, now: float) -> None:
+    def on_health(self, _data: None, now: float) -> None:
         """Periodic health probe: demote a persistently-slow live proc.
 
         Reads the scheduler's per-process slowdown EWMA.  A process
@@ -375,7 +418,7 @@ class RecoveryManager:
             rto = m.min_timeout
         return m.heartbeat_interval + rto
 
-    def on_hbeat(self, now: float) -> None:
+    def on_hbeat(self, _data: None, now: float) -> None:
         """One heartbeat tick: probe every live proc, sweep for silence.
 
         Control-plane only - probes and replies never advance the
@@ -486,11 +529,6 @@ class RecoveryManager:
         if moved:
             self.report.rebalanced_patches += len({pid.patch for pid in moved})
             self._migrate(moved, srcs, now)
-
-    def expect_restart(self) -> None:
-        """A restart event was scheduled (keeps the heartbeat plane
-        alive across the down window)."""
-        self._pending_restart += 1
 
     def on_restart(self, p: int, now: float) -> None:
         """A planned rank restart: announce a new incarnation, catch up

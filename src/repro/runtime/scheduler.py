@@ -55,7 +55,7 @@ from .cluster import Layout
 from .costmodel import CostModel
 from .metrics import Breakdown, RunReport
 from .router import Router
-from .simulator import Resource, Simulator
+from .simulator import KindRow, Resource, Simulator
 from .transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -255,6 +255,16 @@ class Scheduler:
         self._k_run_end = sim.kind_id("run_end")
         self._k_deliver = sim.kind_id("deliver")
 
+    def kinds(self) -> list[KindRow]:
+        """The data plane's rows of the event-kind table (Alg. 1)."""
+        return [
+            KindRow("run_start", self.execute, progress=True, stale=self.stale_run),
+            KindRow("run_end", self.complete, progress=True, stale=self.stale_run),
+            KindRow("msg_arrive", self.arrive, progress=True, stale=self.dead_receiver),
+            KindRow("deliver", self.deliver, progress=True),
+            KindRow("requeue", self.requeue, progress=True, stale=self.stale_requeue),
+        ]
+
     # -- queueing and dispatch -----------------------------------------------------
 
     def enqueue(self, i: int) -> None:
@@ -324,6 +334,64 @@ class Scheduler:
                 self.release(p, w, now)
             return True
         return False
+
+    def dead_receiver(self, data: tuple, now: float) -> bool:
+        """Filter arrivals at a crashed process (the sender retries)."""
+        return data[0] in self.router.dead
+
+    def stale_requeue(self, data: tuple, now: float) -> bool:
+        """Filter a requeue a later migration or crash superseded."""
+        pid, ep = data
+        st, router = self.st, self.router
+        return ep != st.epoch[st.index[pid]] or router.proc_of[pid] in router.dead
+
+    # -- master-side routing (Alg. 1 outer loop) -----------------------------------
+
+    def arrive(self, data: tuple, now: float) -> None:
+        """A remote stream reached its process: the master verifies,
+        acks and unpacks it, then hands it to the program."""
+        p, s, wid = data
+        if not self.transport.receive(s, p, now, wid):
+            self.sim.retract_progress()  # nothing was delivered
+            return
+        dur = self.cm.unpack_cost(1, s.items)
+        if not self.unit_slow:
+            dur *= self.slow(p, now)
+        master = self.masters[p]
+        _, end = master.book(now, dur)
+        self.bd.add(master.core, "unpack", dur)
+        di = s.dsti if s.dsti >= 0 else self.router.index_of[s.dst]
+        self.sim.push_id(end, self._k_deliver, (di, s))
+
+    def deliver(self, data: tuple, now: float) -> None:
+        """Append a routed stream to its program's inbox and activate
+        the program (Fig. 7: inactive -> active on input)."""
+        i, s = data
+        st = self.st
+        st.inbox[i].append(s)
+        if self.recovery is not None:
+            self.recovery.log_delivery(st.pids[i], s)
+        if st.state[i] is not ProgramState.ACTIVE:
+            st.state[i] = ProgramState.ACTIVE
+        if i in self.running:
+            return
+        p = self.router.proc_idx[i]
+        idle = self.idle_workers[p]
+        if idle and not self.pq[p] and p not in self.router.dead:
+            # Queue bypass (see complete): dispatch would pop exactly
+            # this program onto exactly this worker; skipping the queue
+            # round trip only renumbers sequence ticks, never reorders.
+            self.running.add(i)
+            self.sim.push_id(now, self._k_run_start, (p, idle.pop(), i, st.epoch[i]))
+        else:
+            self.enqueue(i)
+            self.dispatch(p, now)
+
+    def requeue(self, data: tuple, now: float) -> None:
+        """A migrated program finished installing at its new owner."""
+        i = self.st.index[data[0]]
+        self.enqueue(i)
+        self.dispatch(self.router.proc_idx[i], now)
 
     # -- worker-side execution (Alg. 1 inner loop) ---------------------------------
 

@@ -16,18 +16,27 @@ the heap.  The one sequence counter is shared between the event heap
 and any external priority queues (via :meth:`Simulator.next_seq`), so
 tie-breaking is globally deterministic across all queues of a run.
 
-The optional trace hook fires once per popped event with a structured
-:class:`TraceEvent`; the ``trace_fields`` callable (supplied by the
-layer that defines the event vocabulary) extracts the proc/core/
+Every kind is interned to a dense id.  A composed run declares its
+whole vocabulary up front (each layer above describes the kinds it
+owns as :class:`KindRow` rows) and the simulator then refuses kinds
+nobody declared.  The master loop (:mod:`repro.runtime.loop`) drains
+same-timestamp batches with :meth:`Simulator.pop_batch` and dispatches
+by id; :meth:`Simulator.pop` is the one-event-at-a-time API of the
+BSP/KBA baselines and of the reference interpreters in the tests.
+
+The optional trace hook fires once per dispatched event with a
+structured :class:`TraceEvent`; the ``trace_fields`` callable (supplied
+by the layer that defines the event vocabulary) extracts the proc/core/
 program fields from each event's opaque data.
 """
 
 from __future__ import annotations
 
 import heapq
+from heapq import heappop as _heappop
 from dataclasses import dataclass
-from collections.abc import Callable
-from typing import Any
+from collections.abc import Callable, Iterable
+from typing import Any, NamedTuple
 
 from .._util import ReproError
 
@@ -36,6 +45,7 @@ __all__ = [
     "ResourceBank",
     "BankedResource",
     "Simulator",
+    "KindRow",
     "TraceEvent",
     "WaitEdge",
     "StallReport",
@@ -179,7 +189,9 @@ class StallReport:
     now: float  # virtual time of detection
     last_progress: float  # virtual time of the last progress event
     horizon: float  # configured no-progress horizon
-    pending_events: int  # events still on the heap at detection
+    #: events still on the heap at detection (same-timestamp siblings
+    #: of the tripping timer are in flight, not counted)
+    pending_events: int
     waiting: tuple[WaitEdge, ...] = ()
     lost: tuple[WaitEdge, ...] = ()  # edges that can never be satisfied
     cycle: tuple[str, ...] = ()  # program ids forming a wait cycle
@@ -246,32 +258,48 @@ class StallError(ReproError):
         super().__init__("liveness watchdog: " + report.describe())
 
 
+#: The control kind the liveness watchdog listens to (retransmit timers).
+_WATCHED_KIND = "timer"
+
+
+class KindRow(NamedTuple):
+    """One row of the event-kind table, handed over by the owning layer."""
+
+    kind: str
+    handler: Callable[[Any, float], None]  # handler(data, now)
+    progress: bool = False  # counts toward the quiescence detector
+    control: bool = False  # control plane: never advances makespan/events
+    #: ``(data, now) -> bool`` filter consulted at dispatch; True drops
+    #: the event uncounted (only faults ever make one stale).
+    stale: Callable[[Any, float], bool] | None = None
+
+
 class Simulator:
     """Event heap + virtual clock + quiescence counter.
 
     ``progress_kinds`` names the event kinds that represent actual
-    forward progress of a run; :attr:`live` counts how many of them are
+    forward progress of a run (a composed run sets them through
+    :meth:`declare`); :attr:`live` counts how many of them are
     outstanding, which lets higher layers recognize quiescence (e.g.
     checkpoint/crash events scheduled after a job finished are inert).
 
     :meth:`arm_watchdog` adds a virtual-time liveness check on top of
-    the same counters: when a watched control event (a retransmit
-    timer) pops with *zero* progress events outstanding and more than
-    ``horizon`` virtual seconds since the last progress event was
-    processed, the run has stopped doing useful work while the control
-    plane keeps spinning - the watchdog asks the owning layer for a
-    wait-for snapshot and raises :class:`StallError` if the snapshot
-    confirms a genuine stall (a ``None`` snapshot means the timers are
-    stale and the heap will drain; the watchdog stays quiet).
+    the same counters: when a retransmit ``timer`` is dispatched with
+    *zero* progress events outstanding and more than ``horizon``
+    virtual seconds since the last progress event was processed, the
+    run has stopped doing useful work while the control plane keeps
+    spinning - the watchdog asks the owning layer for a wait-for
+    snapshot and raises :class:`StallError` if the snapshot confirms a
+    genuine stall (a ``None`` snapshot means the timers are stale and
+    the heap will drain; the watchdog stays quiet).
     """
 
     __slots__ = ("_events", "_seq", "live", "makespan", "_progress",
                  "trace_hook", "trace_fields", "note_hook",
                  "last_progress", "_prev_progress", "_wd_horizon",
-                 "_wd_snapshot", "_wd_kinds",
-                 "_slab_time", "_slab_seq", "_slab_kind", "_slab_data",
+                 "_wd_snapshot", "_slab_kind", "_slab_data",
                  "_free", "_kind_ids", "_kind_names", "_progress_mask",
-                 "_wd_mask", "_pop_counts", "peak_heap",
+                 "_wd_mask", "_pop_counts", "peak_heap", "_sealed",
                  "_turn_t", "_turn_batch")
 
     def __init__(
@@ -289,19 +317,16 @@ class Simulator:
         self.trace_hook = trace_hook
         self.trace_fields = trace_fields
         self.note_hook = note_hook
-        self.last_progress = 0.0  # virtual time of last progress pop
-        self._prev_progress = 0.0  # pre-pop value (for retraction)
+        self.last_progress = 0.0  # virtual time of last progress event
+        self._prev_progress = 0.0  # previous value (for retraction)
         self._wd_horizon = 0.0  # 0 = watchdog disarmed
         self._wd_snapshot: Callable[[float], StallReport | None] | None = None
-        self._wd_kinds: frozenset = frozenset()
         # Slab storage: heap entries are scalar 3-tuples (t, seq, slot);
         # kind/data live in struct-of-arrays slabs indexed by slot, and
         # popped slots are recycled through the free list.  Event kinds
-        # are interned to dense integer ids; the progress / watchdog
-        # frozensets are projected onto per-id masks so the hot loop
-        # tests a list index instead of a set membership.
-        self._slab_time: list[float] = []
-        self._slab_seq: list[int] = []
+        # are interned to dense integer ids, and everything known per
+        # kind (progress / watchdog masks, counts) is a list indexed
+        # by that id.
         self._slab_kind: list[int] = []
         self._slab_data: list[Any] = []
         self._free: list[int] = []
@@ -310,11 +335,12 @@ class Simulator:
         self._progress_mask: list[bool] = []
         self._wd_mask: list[bool] = []
         self._pop_counts: list[int] = []
+        self._sealed = False  # True: the kind vocabulary is closed
         self.peak_heap = 0  # high-water heap occupancy (perf_summary)
-        # Same-time turnaround (armed by pop_batch, cleared by its
-        # callers): while the batch for timestamp ``_turn_t`` is being
-        # processed the heap holds no events at that time, so a push
-        # at exactly ``_turn_t`` would be popped next in push order
+        # Same-time turnaround (armed by pop_batch, cleared by
+        # end_batch): while the batch for timestamp ``_turn_t`` is
+        # being dispatched the heap holds no events at that time, so a
+        # push at exactly ``_turn_t`` would be popped next in push order
         # anyway - it joins the in-flight batch without touching the
         # heap or the slab.
         self._turn_t = -1.0
@@ -324,7 +350,6 @@ class Simulator:
         self,
         horizon: float,
         snapshot: Callable[[float], StallReport | None],
-        watch_kinds: frozenset = frozenset(("timer",)),
     ) -> None:
         """Arm the no-progress detector.
 
@@ -337,25 +362,61 @@ class Simulator:
         # bound callback and cannot round-trip through a codec anyway.
         self._wd_horizon = horizon  # repro: transient
         self._wd_snapshot = snapshot  # repro: transient
-        self._wd_kinds = frozenset(watch_kinds)  # repro: transient
-        self._wd_mask = [k in self._wd_kinds for k in self._kind_names]
 
     def kind_id(self, kind: str) -> int:
         """Intern an event kind, minting a dense id on first sight.
 
-        Ids are stable for the simulator's lifetime; the progress and
-        watchdog masks are extended in lock-step so id-indexed checks
-        agree with the string-set semantics of :meth:`push`/:meth:`pop`.
+        Ids are stable for the simulator's lifetime; every per-kind
+        column is extended in lock-step.  Once the vocabulary is sealed
+        an unknown kind is an error: nothing could ever dispatch it.
         """
         kid = self._kind_ids.get(kind)
         if kid is None:
+            if self._sealed:
+                raise ReproError(
+                    f"event kind {kind!r} has no registered handler"
+                )
             kid = len(self._kind_names)
             self._kind_ids[kind] = kid
             self._kind_names.append(kind)
             self._progress_mask.append(kind in self._progress)
-            self._wd_mask.append(kind in self._wd_kinds)
+            self._wd_mask.append(kind == _WATCHED_KIND)
             self._pop_counts.append(0)
         return kid
+
+    def declare(self, rows: Iterable[KindRow]) -> tuple[list, list, list]:
+        """Close the vocabulary to exactly the kinds of ``rows``
+        (composition time, before the first push) and return their
+        ``(handlers, control, stale)`` columns indexed by kind id.
+        A kind with two rows, or interned by some layer (to push it)
+        but owned by none, is an error naming it; one minted later
+        fails at its push.  The columns are the caller's to hold: bound
+        handlers stored here would tie the stack into a reference
+        cycle only the cyclic collector frees."""
+        table: dict[str, KindRow] = {}
+        for row in rows:
+            if row.kind in table:
+                raise ReproError(f"event kind {row.kind!r} is registered twice")
+            table[row.kind] = row
+        orphans = [k for k in self._kind_names if k not in table]
+        if orphans:
+            raise ReproError(
+                f"event kind(s) {orphans!r} are pushed but no layer "
+                "registered a handler"
+            )
+        for kind in table:
+            self.kind_id(kind)
+        # Re-established by the composition root on every compose,
+        # restore included, like the watchdog arming above.
+        self._progress = frozenset(k for k, r in table.items() if r.progress)  # repro: transient
+        self._progress_mask = [k in self._progress for k in self._kind_names]
+        self._sealed = True  # repro: transient
+        ordered = [table[k] for k in self._kind_names]
+        return (
+            [r.handler for r in ordered],
+            [r.control for r in ordered],
+            [r.stale for r in ordered],
+        )
 
     def note(self, t: float, kind: str, detail: tuple) -> None:
         """Record one out-of-band structured note (e.g. an ``hb_*``
@@ -387,56 +448,89 @@ class Simulator:
         Callers that push the same kind repeatedly intern it once via
         :meth:`kind_id` and skip the per-push dict lookup.
         """
+        if self._progress_mask[kid]:
+            self.live += 1
         if t == self._turn_t:
             # Turnaround: join the in-flight same-timestamp batch in
             # push order (== the order heap tie-breaking would yield;
             # skipping a sequence tick renumbers but never reorders).
-            # Push/pop quiescence accounting cancels; pop accounting
-            # (counts, progress clock, trace) runs here instead.
             self._pop_counts[kid] += 1
-            if self._progress_mask[kid]:
-                self._prev_progress = self.last_progress
-                self.last_progress = t
-            if self.trace_hook is not None:
-                proc = core = program = None
-                kind = self._kind_names[kid]
-                if self.trace_fields is not None:
-                    proc, core, program = self.trace_fields(kind, data)
-                self.trace_hook(TraceEvent(t, kind, proc, core, program))
             self._turn_batch.append((kid, data))
             return
         self._seq += 1
         seq = self._seq
-        if self._progress_mask[kid]:
-            self.live += 1
         free = self._free
         if free:
             slot = free.pop()
-            self._slab_time[slot] = t
-            self._slab_seq[slot] = seq
             self._slab_kind[slot] = kid
             self._slab_data[slot] = data
         else:
             slot = len(self._slab_kind)
-            self._slab_time.append(t)
-            self._slab_seq.append(seq)
             self._slab_kind.append(kid)
             self._slab_data.append(data)
         heapq.heappush(self._events, (t, seq, slot))
 
     def pop(self) -> tuple[float, str, Any]:
-        """Pop the earliest event; fires the trace hook when armed."""
+        """Pop and account the earliest event (one-at-a-time API)."""
         events = self._events
         n = len(events)
         if n > self.peak_heap:
             self.peak_heap = n
-        t, _, slot = heapq.heappop(events)
+        t, _, slot = _heappop(events)
         kid = self._slab_kind[slot]
         data = self._slab_data[slot]
         self._slab_data[slot] = None
         self._free.append(slot)
         self._pop_counts[kid] += 1
-        kind = self._kind_names[kid]
+        self.account(t, kid, data)
+        return t, self._kind_names[kid], data
+
+    def pop_batch(self) -> tuple[float, list[tuple[int, Any]]]:
+        """Drain every event sharing the earliest timestamp (hot path).
+
+        Returns ``(t, [(kind_id, data), ...])`` in exact pop order and
+        arms the same-time turnaround: until :meth:`end_batch`, a push
+        at exactly ``t`` is appended to the returned list.  Safe to
+        batch because events pushed while the batch is being
+        *dispatched* carry strictly larger sequence numbers, so they
+        sort after every event already drained here even at the same
+        timestamp - the interleaving is identical to one-at-a-time
+        :meth:`pop`.  Only pop counts are taken here; the caller
+        accounts each event as it dispatches it (:meth:`account`, or
+        :meth:`settle` in bulk).
+        """
+        events = self._events
+        n = len(events)
+        if n > self.peak_heap:
+            self.peak_heap = n
+        slab_data = self._slab_data
+        counts = self._pop_counts
+        t0, _, slot = _heappop(events)
+        batch: list[tuple[int, Any]] = []
+        while True:
+            kid = self._slab_kind[slot]
+            counts[kid] += 1
+            batch.append((kid, slab_data[slot]))
+            slab_data[slot] = None
+            self._free.append(slot)
+            if not events or events[0][0] != t0:
+                break
+            _, _, slot = _heappop(events)
+        self._turn_t = t0
+        self._turn_batch = batch
+        return t0, batch
+
+    def end_batch(self) -> None:
+        """Disarm the turnaround (the in-flight batch is dispatched)."""
+        self._turn_t = -1.0
+        self._turn_batch = None
+
+    def account(self, t: float, kid: int, data: Any) -> None:
+        """Account one popped event as it is dispatched, in pop order:
+        quiescence counter and progress clock (or, for a ``timer``, the
+        liveness check), then the trace hook - so handlers, staleness
+        filters and the watchdog observe what one-at-a-time popping
+        would show them, however the event left the heap."""
         if self._progress_mask[kid]:
             self.live -= 1
             self._prev_progress = self.last_progress
@@ -454,78 +548,18 @@ class Simulator:
                 raise StallError(report)
         if self.trace_hook is not None:
             proc = core = program = None
+            kind = self._kind_names[kid]
             if self.trace_fields is not None:
                 proc, core, program = self.trace_fields(kind, data)
             self.trace_hook(TraceEvent(t, kind, proc, core, program))
-        return t, kind, data
 
-    def pop_batch(self) -> tuple[float, list[tuple[int, Any]]]:
-        """Drain every event sharing the earliest timestamp (hot path).
-
-        Returns ``(t, [(kind_id, data), ...])`` in exact pop order.
-        Safe to batch because events pushed while the batch is being
-        *processed* carry strictly larger sequence numbers, so they
-        sort after every event already drained here even at the same
-        timestamp - the interleaving is identical to one-at-a-time
-        :meth:`pop`.  Per-event accounting (progress clock, quiescence
-        counter, watchdog, trace hook, pop counts) runs per drained
-        event, in pop order, exactly as :meth:`pop` would.  The batch
-        also advances the makespan high-water mark to ``t``, replacing
-        the caller's per-event :meth:`observe`.
-        """
-        events = self._events
-        n = len(events)
-        if n > self.peak_heap:
-            self.peak_heap = n
-        heappop = heapq.heappop
-        slab_kind = self._slab_kind
-        slab_data = self._slab_data
-        free = self._free
-        append_free = free.append
-        counts = self._pop_counts
-        pmask = self._progress_mask
-        trace = self.trace_hook
-        wd = self._wd_horizon > 0.0
-        t0, _, slot = heappop(events)
-        batch: list[tuple[int, Any]] = []
-        append_batch = batch.append
-        nprog = 0
-        while True:
-            kid = slab_kind[slot]
-            data = slab_data[slot]
-            slab_data[slot] = None
-            append_free(slot)
-            counts[kid] += 1
-            if pmask[kid]:
-                nprog += 1
-            elif (
-                wd
-                and self._wd_mask[kid]
-                and self.live - nprog == 0
-                and t0 - (t0 if nprog else self.last_progress) > self._wd_horizon
-            ):
-                report = self._wd_snapshot(t0)
-                if report is not None:
-                    raise StallError(report)
-            if trace is not None:
-                proc = core = program = None
-                kind = self._kind_names[kid]
-                if self.trace_fields is not None:
-                    proc, core, program = self.trace_fields(kind, data)
-                trace(TraceEvent(t0, kind, proc, core, program))
-            append_batch((kid, data))
-            if not events or events[0][0] != t0:
-                break
-            _, _, slot = heappop(events)
-        if nprog:
-            self.live -= nprog
-            self._prev_progress = t0 if nprog > 1 else self.last_progress
-            self.last_progress = t0
-        if t0 > self.makespan:
-            self.makespan = t0
-        self._turn_t = t0
-        self._turn_batch = batch
-        return t0, batch
+    def settle(self, t: float, n: int) -> None:
+        """Bulk :meth:`account` of ``n`` dispatched *progress* events,
+        for runs where nothing observes the counters mid-batch and only
+        progress kinds fire (no recovery layer, no trace hook)."""
+        self.live -= n
+        self._prev_progress = t if n > 1 else self.last_progress
+        self.last_progress = t
 
     def peek_time(self) -> float:
         """Virtual time of the earliest pending event (heap non-empty)."""
@@ -541,7 +575,7 @@ class Simulator:
         restoring them re-establishes the exact pop order, tie-break
         sequences included.  ``kind_names`` is the id mapping itself -
         its order must round-trip bit-for-bit.  Only taken between
-        events (the turnaround scratch is always idle then).
+        batches (the turnaround scratch is always idle then).
         """
         return {
             "events": list(self._events),
@@ -550,8 +584,6 @@ class Simulator:
             "makespan": self.makespan,
             "last_progress": self.last_progress,
             "prev_progress": self._prev_progress,
-            "slab_time": list(self._slab_time),
-            "slab_seq": list(self._slab_seq),
             "slab_kind": list(self._slab_kind),
             "slab_data": list(self._slab_data),
             "free": list(self._free),
@@ -562,20 +594,25 @@ class Simulator:
 
     def load_state_dict(self, d: dict) -> None:
         """Restore :meth:`state_dict`; derived masks are rebuilt from
-        the progress/watchdog kind sets armed at composition."""
+        the progress kinds armed at composition.  Once the vocabulary
+        is closed its kind ids index the composed handler table, so
+        the snapshot's id mapping must be the composed one."""
         names = list(d["kind_names"])
+        if self._sealed and names != self._kind_names:
+            raise ReproError(
+                "snapshot event-kind table does not match this "
+                f"composition ({names!r} vs {self._kind_names!r})"
+            )
         self._kind_names = names
         self._kind_ids = {k: i for i, k in enumerate(names)}
         self._progress_mask = [k in self._progress for k in names]
-        self._wd_mask = [k in self._wd_kinds for k in names]
+        self._wd_mask = [k == _WATCHED_KIND for k in names]
         self._events = list(d["events"])
         self._seq = d["seq"]
         self.live = d["live"]
         self.makespan = d["makespan"]
         self.last_progress = d["last_progress"]
         self._prev_progress = d["prev_progress"]
-        self._slab_time = list(d["slab_time"])
-        self._slab_seq = list(d["slab_seq"])
         self._slab_kind = list(d["slab_kind"])
         self._slab_data = list(d["slab_data"])
         self._free = list(d["free"])
@@ -593,9 +630,9 @@ class Simulator:
         }
 
     def retract_progress(self) -> None:
-        """Undo the last pop's progress stamp.
+        """Undo the last accounted event's progress stamp.
 
-        Called by the owning layer when a popped progress-kind event
+        Called by the owning layer when a dispatched progress-kind event
         turns out to be no progress at all - a duplicate, corrupted or
         mis-routed delivery that was discarded.  Without the retraction
         a livelock (e.g. retransmissions endlessly re-delivering an

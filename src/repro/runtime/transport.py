@@ -74,7 +74,7 @@ from .cluster import Layout, Machine
 from .faults import FaultInjector, RecoveryConfig
 from .metrics import RunReport
 from .router import Router
-from .simulator import Simulator, StallReport, WaitEdge
+from .simulator import KindRow, Simulator, StallReport, WaitEdge
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .sanitizer import InvariantSanitizer
@@ -219,6 +219,16 @@ class Transport:
     @property
     def reliable(self) -> bool:
         return self.rcfg is not None
+
+    def kinds(self) -> list[KindRow]:
+        """The reliable-delivery control plane's rows of the kind table
+        (``msg_arrive`` is pushed here but owned by the scheduler)."""
+        return [
+            KindRow("ack", self.on_ack, control=True),
+            KindRow("nack", self.on_nack, control=True),
+            KindRow("timer", self.on_timer, control=True),
+            KindRow("hedge", self.on_hedge, control=True),
+        ]
 
     def _initial_rto(self, src_proc: int, dst_proc: int) -> float:
         """First-arm timeout of a fresh send: the link's estimated RTO

@@ -1,5 +1,8 @@
 # repro: module=repro.runtime.goodproto
-"""Clean: push and dispatch sides agree, hb kinds are known."""
+"""Clean: push and dispatch sides agree - by a compare branch or by a
+kind-table registration - and hb kinds are known."""
+
+from repro.runtime.simulator import KindRow
 
 
 class MiniSim:
@@ -27,3 +30,17 @@ def loop(sim):
     if kind == "tick":
         sim.note(now, "hb_send")
     return data
+
+
+class Layer:
+    """Owns ``tock``: dispatched through its registered row, no
+    ``kind ==`` branch anywhere."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def kinds(self):
+        return [KindRow("tock", self.on_tock, progress=True)]
+
+    def on_tock(self, data, now):
+        self.sim.push(now + 1.0, "tock", data)

@@ -35,6 +35,7 @@ INTERPROC_FIXTURES = {
     "proto004_bad.py": {"PROTO004"},
     "proto004_clean.py": set(),
     "proto004_suppressed.py": set(),
+    "proto004_unregistered_bad.py": {"PROTO004"},
     "det001_chain_bad.py": {"DET001"},
     "det001_chain_suppressed.py": set(),
     "des001_chain_bad.py": {"DES001"},
@@ -81,6 +82,13 @@ class TestInterprocFixtures:
         assert any("pushed but no dispatch" in m for m in msgs)
         assert any("but nothing pushes" in m for m in msgs)
         assert any("unknown to the HB checker" in m for m in msgs)
+
+    def test_proto004_follows_the_kind_table(self):
+        """A KindRow registration is the dispatch side: the registered
+        kind is clean, the pushed-but-unregistered one is flagged."""
+        msgs = [v.message for v in _lint("proto004_unregistered_bad.py")]
+        assert len(msgs) == 1 and "'tack'" in msgs[0]
+        assert "pushed but no dispatch" in msgs[0]
 
     def test_counter_laundering_names_the_owner(self):
         vs = _lint("proto002_launder_bad.py")
@@ -275,7 +283,7 @@ class TestEffectsOnShippedRepo:
         transient = src_db.class_transient(
             "repro.runtime.simulator.Simulator"
         )
-        assert {"_wd_horizon", "_wd_snapshot", "_wd_kinds"} <= transient
+        assert {"_wd_horizon", "_wd_snapshot", "_sealed"} <= transient
 
 
     @pytest.mark.parametrize("qname, core, rebuilt", [

@@ -2,7 +2,8 @@
 
 The durability contract of ``repro.persist``:
 
-* a run cut dead at *any* popped-event index and restarted from disk
+* a run cut dead at *any* popped-event index (honoured at the first
+  same-timestamp batch boundary at or past it) and restarted from disk
   finishes **bitwise-identical** to the uninterrupted run (makespan,
   breakdown, every fault counter, and the host-owned flux arrays);
 * a snapshot generation torn by the crash falls back to the previous
@@ -125,7 +126,7 @@ def test_kill_resume_is_bitwise_exact(cell, frac, tmp_path):
 
 def test_snapshot_armed_run_matches_unsnapshotted(tmp_path):
     """Arming the snapshot hook (without killing) must not perturb the
-    simulation: the general loop with persist on equals the reference."""
+    simulation: the loop with persist on equals the reference."""
     cell = "structured-hybrid-faulty"
     ref_fp, events = _reference(cell)
     f = _factory(cell)
@@ -135,6 +136,42 @@ def test_snapshot_armed_run_matches_unsnapshotted(tmp_path):
     )
     rep = rt.run(progs, pp, persist=mgr)
     assert rep.snapshots >= 2 and rep.snapshot_bytes > 0
+    assert _fingerprint(f, rep) == ref_fp
+
+
+def test_kill_strictly_inside_a_batch_cuts_at_its_boundary(tmp_path):
+    """``every``/``kill_at`` count popped events but are honoured
+    between same-timestamp batches: a mark strictly inside a batch
+    fires once, at the batch's end, and ``HostKilled.popped`` /
+    ``state["popped"]`` report the actual cut."""
+    cell = "structured-hybrid-faulty"
+    ref_fp, _ = _reference(cell)
+    f = _factory(cell)
+    rt, progs, pp, _app = f()
+    rt.trace = True  # one trace record per popped event, in pop order
+    times = [e.time for e in rt.run(progs, pp).trace_events]
+    n = len(times)
+    boundaries = [
+        j for j in range(n + 1) if j in (0, n) or times[j - 1] != times[j]
+    ]
+    kill_at = next(j for j in range(n // 2, n) if times[j - 1] == times[j])
+    cut = min(b for b in boundaries if b >= kill_at)
+    assert cut > kill_at and cut - boundaries[boundaries.index(cut) - 1] > 1
+    every = kill_at // 3
+
+    rt, progs, pp, app = f()
+    mgr = SnapshotManager(
+        tmp_path, every=every, kill_at=kill_at, app_state=app, fsync=False
+    )
+    with pytest.raises(HostKilled) as ei:
+        rt.run(progs, pp, persist=mgr)
+    assert ei.value.popped == cut
+
+    rt, progs, pp, app = f()
+    mgr = SnapshotManager(tmp_path, every=every, app_state=app, fsync=False)
+    state = mgr.load_latest()
+    assert state["popped"] in boundaries and every <= state["popped"] <= cut
+    rep = rt.resume(progs, pp, state, persist=mgr)
     assert _fingerprint(f, rep) == ref_fp
 
 
