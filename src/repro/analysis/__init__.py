@@ -13,9 +13,14 @@ on two properties the dynamic test tiers can only sample:
 This package enforces both statically:
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` - a
-  custom AST lint engine with repo-specific determinism (DET), DES
-  and protocol (PROTO) rules, ``# repro: allow[RULE]`` suppressions
-  and machine-readable output;
+  custom lint engine with repo-specific determinism (DET), DES,
+  protocol (PROTO) and durability (PERSIST) rules, one class per id,
+  ``# repro: allow[RULE]`` suppressions and machine-readable output.
+  Every lint is whole-program: :mod:`repro.analysis.callgraph`
+  summarizes and links what it is given (a single file is a
+  one-module program), :mod:`repro.analysis.effects` infers each
+  function's transitive effects, and a rule reports the direct site
+  and every call site that reaches one;
 * :mod:`repro.analysis.hb` - a vector-clock happens-before checker
   over the structured event trace the simulator emits, flagging
   commit/migration/speculation races the runtime sanitizer's

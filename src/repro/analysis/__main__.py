@@ -2,16 +2,17 @@
 
 Subcommands::
 
-    lint [PATHS...] [--json | --sarif] [--rules] [--interprocedural]
-         [--cache FILE]
-        Run the determinism/DES/protocol lint rules over Python
-        sources (default: src/).  ``--interprocedural`` links the
-        whole-program call graph, runs fixed-point effect inference
-        and enables the transitive DET/DES/PROTO re-hosts plus
-        PERSIST002 (snapshot completeness) and PROTO004 (event-kind
-        exhaustiveness).  ``--cache FILE`` keeps a content-hash
-        incremental cache: unchanged modules are neither re-parsed
-        nor re-checked.  Exit 1 on findings.
+    lint [PATHS...] [--json | --sarif] [--rules] [--cache FILE]
+        Run the determinism/DES/protocol/durability lint rules over
+        Python sources (default: src/).  Everything named is linked
+        into one program (a single file is a one-module program):
+        call graph, fixed-point effect inference, then one rule per
+        id reporting the direct sites and every call site that
+        reaches one, with the chain.  ``--cache FILE`` keeps a
+        content-hash incremental cache: unchanged modules are neither
+        re-parsed nor re-checked.  Exit 1 on findings, 2 on a missing
+        path or a source that cannot be parsed
+        (``path:line: cannot parse: ...`` on stderr).
 
     effects NAME... [--json] [--dump FILE]
         Explain a function's inferred effect set: direct and
@@ -33,14 +34,14 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import render, render_sarif
+from .engine import SourceError, render, render_sarif
 from .hb import check_trace, load_hb_json
-from .rules import rule_table, rules_for
+from .rules import rule_table
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     if args.rules:
-        rows = rule_table(interprocedural=True)
+        rows = rule_table()
         if args.json:
             print(json.dumps({"rules": rows}, indent=1))
         else:
@@ -49,20 +50,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
     from .engine import lint_paths
 
-    rules = rules_for(args.interprocedural)
     paths = args.paths or ["src"]
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
         print(f"no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    violations = lint_paths(
-        paths,
-        rules=rules,
-        interprocedural=args.interprocedural,
-        cache=args.cache,
-    )
+    violations = lint_paths(paths, cache=args.cache)
     if args.sarif:
-        print(render_sarif(violations, rules=rules))
+        print(render_sarif(violations))
     else:
         print(render(violations, as_json=args.json))
     return 1 if violations else 0
@@ -72,8 +67,7 @@ def _cmd_effects(args: argparse.Namespace) -> int:
     from .effects import effect_db
     from .engine import LintEngine
 
-    engine = LintEngine(rules=[], interprocedural=True)
-    mods = engine.load_modules(args.paths or ["src"])
+    mods = LintEngine(rules=[]).load_modules(args.paths or ["src"])
     if not mods:
         print("no modules found", file=sys.stderr)
         return 1
@@ -179,10 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         "--rules", action="store_true", help="list the shipped rules"
     )
     p_lint.add_argument(
-        "--interprocedural", action="store_true",
-        help="whole-program call graph + effect inference rules",
-    )
-    p_lint.add_argument(
         "--cache", metavar="FILE", default=None,
         help="content-hash incremental cache file",
     )
@@ -216,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except SourceError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout went away mid-print (e.g. piped into `head`): exit
         # quietly instead of dumping a traceback.

@@ -1,9 +1,9 @@
 """Content-hash incremental cache for the lint engine.
 
-The interprocedural pass parses and summarizes every module in
-``src/repro``; on a pre-commit hook or a blocking CI job that cost is
-paid on every run even though almost nothing changed.  This cache
-makes the common case cheap without ever changing the answer:
+The lint parses and summarizes every module in ``src/repro``; on a
+pre-commit hook or a blocking CI job that cost is paid on every run
+even though almost nothing changed.  This cache makes the common
+case cheap without ever changing the answer:
 
 * Each module's cache entry is keyed by the sha256 **digest of its
   source text** and stores its phase-1
@@ -23,7 +23,11 @@ makes the common case cheap without ever changing the answer:
   changed - cross-module findings may land outside the cone - and
   reused verbatim on a full hit.
 * The cache self-invalidates on a version bump or a different rule
-  set/mode, and a corrupt or unreadable file degrades to a cold run.
+  set, and a corrupt or unreadable file degrades to a cold run.  A
+  source that does not parse raises before anything is written.
+
+Everything between the lookup and the write-back is the engine's own
+driver (:meth:`LintEngine.lint_files`), handed the reusable entries.
 
 Warm results are byte-identical to a cold run - pinned by
 ``tests/test_analysis_cache.py``.
@@ -36,17 +40,17 @@ import json
 import os
 from pathlib import Path
 
-from .engine import LintEngine, ModuleInfo, Violation, _sort_key, load_module
+from .callgraph import ModuleSummary
+from .engine import LintEngine, Violation, _sort_key
 
 __all__ = ["cached_lint", "CACHE_VERSION"]
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2  # 2: effect sites carry (line, col, note)
 
 
-def _signature(rules, interprocedural: bool) -> dict:
+def _signature(rules) -> dict:
     return {
         "version": CACHE_VERSION,
-        "interprocedural": bool(interprocedural),
         "rules": sorted({f"{r.id}:{type(r).__name__}" for r in rules}),
     }
 
@@ -81,23 +85,14 @@ def _chain_paths(entry: dict) -> set[str]:
     return out
 
 
-def cached_lint(
-    paths,
-    cache_path,
-    rules=None,
-    interprocedural: bool = False,
-) -> list[Violation]:
+def cached_lint(paths, cache_path, rules=None) -> list[Violation]:
     """Lint ``paths`` through the incremental cache at ``cache_path``."""
-    from .rules import rules_for
-
-    if rules is None:
-        rules = rules_for(interprocedural)
-    engine = LintEngine(rules, interprocedural=interprocedural)
+    engine = LintEngine(rules)
     cache_file = Path(cache_path)
     files = [str(f) for f in engine.collect_files(list(paths))]
     current = set(files)
 
-    sig = _signature(rules, interprocedural)
+    sig = _signature(engine.rules)
     data = _load(cache_file)
     if data is not None and data.get("signature") != sig:
         data = None
@@ -115,7 +110,7 @@ def cached_lint(
         out = [
             Violation.from_dict(v)
             for p in files
-            for v in cached[p].get("findings", ())
+            for v in cached[p]["findings"]
         ]
         out.extend(
             Violation.from_dict(v)
@@ -124,59 +119,24 @@ def cached_lint(
         out.sort(key=_sort_key)
         return out
 
-    cone = _cone(changed, removed, cached, current, interprocedural)
-
-    mods: list[ModuleInfo] = [load_module(p) for p in files if p in cone]
-    summaries = []
-    if interprocedural:
-        from .callgraph import ModuleSummary, Program, extract_summary
-
-        for mod in mods:
-            mod.summary = extract_summary(mod)
-        summaries = [m.summary for m in mods] + [
-            ModuleSummary.from_dict(cached[p]["summary"])
-            for p in files
-            if p not in cone and cached[p].get("summary")
-        ]
-        program = Program(summaries)
-        for mod in mods:
-            mod.program = program
-
-    findings: dict[str, list[Violation]] = {}
-    for mod in mods:
-        findings[mod.path] = engine.lint_module(mod)
-    for p in files:
-        if p not in cone:
-            findings[p] = [
-                Violation.from_dict(v)
-                for v in cached[p].get("findings", ())
-            ]
-
-    program_findings: list[Violation] = []
-    if interprocedural and summaries:
-        by_path = {s.path: s for s in summaries}
-        for rule in engine.rules:
-            if getattr(rule, "scope", "module") != "program":
-                continue
-            for v in rule.check_program(program):
-                owner = by_path.get(v.path)
-                if owner is None or not owner.suppressed(v.rule, v.line):
-                    program_findings.append(v)
-        program_findings.sort(key=_sort_key)
+    cone = _cone(changed, removed, cached, current)
+    mods, findings, program_findings = engine.lint_files(files, {
+        p: (
+            ModuleSummary.from_dict(cached[p]["summary"]),
+            [Violation.from_dict(v) for v in cached[p]["findings"]],
+        )
+        for p in files
+        if p not in cone
+    })
 
     # Write back: fresh entries for the cone, carried-over for the rest.
-    entries: dict[str, dict] = {}
-    by_mod = {m.path: m for m in mods}
-    for p in files:
-        if p in cone:
-            m = by_mod[p]
-            entries[p] = {
-                "digest": m.digest,
-                "summary": m.summary.to_dict() if m.summary else None,
-                "findings": [v.to_dict() for v in findings[p]],
-            }
-        else:
-            entries[p] = cached[p]
+    entries = {p: cached[p] for p in files if p not in cone}
+    for m in mods:
+        entries[m.path] = {
+            "digest": m.digest,
+            "summary": m.summary.to_dict(),
+            "findings": [v.to_dict() for v in findings[m.path]],
+        }
     _store(cache_file, {
         "signature": sig,
         "modules": entries,
@@ -192,8 +152,8 @@ def cached_lint(
 def _digest(path: str) -> str:
     try:
         source = Path(path).read_text()
-    except OSError:
-        return ""
+    except (OSError, UnicodeDecodeError):
+        return ""  # never equals a stored digest: load_module reports it
     return hashlib.sha256(source.encode()).hexdigest()
 
 
@@ -202,22 +162,12 @@ def _cone(
     removed: set[str],
     cached: dict[str, dict],
     current: set[str],
-    interprocedural: bool,
 ) -> set[str]:
-    """Paths whose findings must be recomputed.
-
-    Single-file mode: just the edited files.  Interprocedural mode:
-    the reverse-import closure of the edited/removed modules, plus any
-    module whose cached finding chains pass through an edited file.
-    """
+    """Paths whose findings must be recomputed: the reverse-import
+    closure of the edited/removed modules, plus any module whose
+    cached finding chains pass through an edited file."""
     cone = set(changed)
-    if not interprocedural:
-        return cone
-    name_of = {
-        p: e["summary"]["module"]
-        for p, e in cached.items()
-        if e.get("summary")
-    }
+    name_of = {p: e["summary"]["module"] for p, e in cached.items()}
     dirty_names = {
         name_of[p] for p in (changed | removed) if p in name_of
     }
@@ -228,12 +178,12 @@ def _cone(
         for p, e in cached.items():
             if p in cone or p not in current:
                 continue
-            summary = e.get("summary")
-            deps = set(summary["deps"]) if summary else set()
-            if deps & dirty_names or _chain_paths(e) & dirty_paths:
+            if (
+                set(e["summary"]["deps"]) & dirty_names
+                or _chain_paths(e) & dirty_paths
+            ):
                 cone.add(p)
-                if p in name_of:
-                    dirty_names.add(name_of[p])
+                dirty_names.add(name_of[p])
                 dirty_paths.add(p)
                 grew = True
     return cone

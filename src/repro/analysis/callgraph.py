@@ -1,21 +1,24 @@
 """Whole-program module summaries and the call graph (phase 1 + link).
 
-The interprocedural rules (DESIGN.md §15) need to see past a single
-file: determinism sinks reached through helpers, counter writes
-laundered through methods, snapshot coverage resolved through the
-methods a ``state_dict`` actually calls.  This module supplies that
-view in two phases:
+The lint rules (DESIGN.md §10.1) need to see past a single file:
+determinism sinks reached through helpers, counter writes laundered
+through methods, snapshot coverage resolved through the methods a
+``state_dict`` actually calls.  This module is the one detector of
+every effect site and supplies the whole-program view in two phases:
 
 **Phase 1 - per-module extraction** (:func:`extract_summary`): each
 :class:`~repro.analysis.engine.ModuleInfo` is reduced to a
 JSON-serializable :class:`ModuleSummary` - function definitions with
-their *direct* effect atoms and raw call descriptors, class
+their *direct* effect sites and raw call descriptors, class
 definitions with their base refs, attribute types and method sets,
 plus the event-kind pushes / pop-dispatch comparisons and ``hb_*``
-emissions the protocol rules consume.  Everything cross-module is
-left symbolic (absolute dotted refs resolved from the import table);
-nothing in a summary depends on any other module, which is what makes
-summaries cacheable per content digest.
+emissions the protocol rules consume.  Statements outside every
+scanned function (module level, class bodies, methods of nested
+classes) belong to a ``<module>`` pseudo-function, so a top-level
+``t = time.time()`` is a site like any other.  Everything
+cross-module is left symbolic (absolute dotted refs resolved from the
+import table); nothing in a summary depends on any other module,
+which is what makes summaries cacheable per content digest.
 
 **Link phase** (:class:`Program`): all summaries are joined into one
 program - class hierarchy (linearized base-class order), def-site
@@ -42,6 +45,10 @@ Direct effect atoms (the vocabulary the fixed-point engine in
     ("sread", attr)        read of self.<attr>
     ("pwrite", i, attr)    assignment to <param i>.<attr>
 
+Every occurrence is kept as a :class:`Site` (atom, line, column): the
+rules report each direct site from this list, while the effect
+database de-duplicates to one effect per ``(function, atom)``.
+
 Atoms whose direct site carries the matching ``# repro: allow[RULE]``
 suppression are *not* generated: a blessed site does not propagate,
 so one suppression at the source silences the whole caller cone.
@@ -50,17 +57,36 @@ so one suppression at the source silences the whole caller cone.
 from __future__ import annotations
 
 import ast
+from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import ModuleInfo
 from .rules.base import dotted_name
 from .rules.des import _BLOCKING_DOTTED, _BLOCKING_NAMES
-from .rules.determinism import _EVENT_SINKS, _GLOBAL_RANDOM, _NUMPY_GLOBAL, _WALL_CLOCK
-from .rules.protocol import _REPORT_BASES, _TRANSPORT_MODULE, _WIRE_KINDS, COUNTER_OWNERS
+from .rules.determinism import (
+    _EVENT_SINKS,
+    _GLOBAL_RANDOM,
+    _NUMPY_GLOBAL,
+    _SEEDABLE,
+    _WALL_CLOCK,
+)
+from .rules.protocol import (
+    _EXEMPT_MODULES,
+    _REPORT_BASES,
+    _TRANSPORT_MODULE,
+    _WIRE_KINDS,
+    COUNTER_OWNERS,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from .effects import EffectDB
 
 __all__ = [
     "DYNAMIC_FALLBACK_BOUND",
     "CallSite",
+    "Site",
     "FunctionSummary",
     "ClassSummary",
     "ModuleSummary",
@@ -72,15 +98,10 @@ __all__ = [
 DYNAMIC_FALLBACK_BOUND = 3
 
 #: Call-capable push entry points whose second argument is the kind.
-_PUSH_NAMES = {"push", "_push"}
+_PUSH_NAMES = {"push", "_push", "heappush"}
 
-#: Seedable RNG constructors: only the no-argument form is unseeded.
-_SEEDABLE = {
-    "numpy.random.default_rng",
-    "numpy.random.RandomState",
-    "numpy.random.Generator",
-    "random.Random",
-}
+#: Name of the pseudo-function owning statements outside every def.
+MODULE_SCOPE = "<module>"
 
 
 @dataclass(frozen=True)
@@ -115,18 +136,31 @@ class CallSite:
         )
 
 
+class Site(NamedTuple):
+    """One direct occurrence of an effect atom."""
+
+    atom: tuple
+    line: int
+    col: int
+    #: what the detector saw beyond the atom, for the direct finding's
+    #: wording: the RNG flavor ("seedless" / "global" / "legacy") on
+    #: ``rng`` sites, the enclosing callback's flavor ("now" / "on",
+    #: empty outside a simulated callback) on ``io`` sites.
+    note: str = ""
+
+
 @dataclass
 class FunctionSummary:
     """One function/method: params, direct effects, raw call sites."""
 
-    name: str  # "func" or "Class.meth"
+    name: str  # "func", "Class.meth" or MODULE_SCOPE
     module: str
     path: str
     line: int
     params: tuple[str, ...]
     is_callback: bool  # has a `now` parameter or is an on_* handler
-    #: direct effect atoms with their source line: [(atom, line), ...]
-    atoms: list[tuple[tuple, int]] = field(default_factory=list)
+    #: every direct effect site, in walk order (not de-duplicated)
+    atoms: list[Site] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
 
     @property
@@ -139,7 +173,7 @@ class FunctionSummary:
             "line": self.line,
             "params": list(self.params),
             "is_callback": self.is_callback,
-            "atoms": [[list(a), ln] for a, ln in self.atoms],
+            "atoms": [[list(s.atom), *s[1:]] for s in self.atoms],
             "calls": [c.to_list() for c in self.calls],
         }
 
@@ -148,7 +182,7 @@ class FunctionSummary:
         return FunctionSummary(
             name=d["name"], module=module, path=path, line=d["line"],
             params=tuple(d["params"]), is_callback=d["is_callback"],
-            atoms=[(tuple(a), ln) for a, ln in d["atoms"]],
+            atoms=[Site(tuple(a), *rest) for a, *rest in d["atoms"]],
             calls=[CallSite.from_list(c) for c in d["calls"]],
         )
 
@@ -365,28 +399,46 @@ def _push_kind(node: ast.Call) -> tuple[str | None, bool]:
         fname = node.func.attr
     elif isinstance(node.func, ast.Name):
         fname = node.func.id
-    if fname in _PUSH_NAMES and len(node.args) >= 2:
-        return _const_str(node.args[1]), False
     if fname in ("kind_id", "KindRow") and len(node.args) >= 1:
         return _const_str(node.args[0]), True
     if fname in _PUSH_NAMES:
+        kind = _const_str(node.args[1]) if len(node.args) >= 2 else None
         for kw in node.keywords:
-            if kw.arg == "kind":
-                return _const_str(kw.value), False
+            if kind is None and kw.arg == "kind":
+                kind = _const_str(kw.value)
+        return kind, False
     return None, False
 
 
+def _walk_outside(root: ast.AST, skip: Set[int]) -> list[ast.AST]:
+    """``ast.walk(root)`` minus the subtrees whose root id is in ``skip``."""
+    out: list[ast.AST] = []
+    todo = deque([root])
+    while todo:
+        node = todo.popleft()
+        out.append(node)
+        todo.extend(
+            c for c in ast.iter_child_nodes(node) if id(c) not in skip
+        )
+    return out
+
+
 class _FunctionScanner:
-    """Extract one function's atoms, calls and protocol facts."""
+    """Extract one scope's sites, calls and protocol facts.
+
+    ``fn`` is a function/method, or None for the ``<module>`` scope:
+    every statement outside the separately scanned defs (``skip``).
+    """
 
     def __init__(
         self,
         mod: ModuleInfo,
         imports: _Imports,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
+        fn: ast.FunctionDef | ast.AsyncFunctionDef | None,
         cls: ast.ClassDef | None,
         toplevel: set[str],
         local_classes: set[str],
+        skip: Set[int] = frozenset(),
     ):
         self.mod = mod
         self.imports = imports
@@ -394,20 +446,28 @@ class _FunctionScanner:
         self.cls = cls
         self.toplevel = toplevel
         self.local_classes = local_classes
-        args = fn.args
-        self.params = tuple(
-            a.arg
-            for a in list(args.posonlyargs) + list(args.args)
-        )
+        self.skip = skip
+        positional: list[ast.arg] = []
+        kwonly: list[ast.arg] = []
+        if fn is not None:
+            positional = [*fn.args.posonlyargs, *fn.args.args]
+            kwonly = fn.args.kwonlyargs
+        self.params = tuple(a.arg for a in positional)
         self.param_index = {p: i for i, p in enumerate(self.params)}
-        self.kwonly = {a.arg for a in args.kwonlyargs}
+        #: "now" (takes the virtual-time stamp), "on" (an on_* event
+        #: handler) or "" (not a simulated callback)
+        self.callback = ""
+        if any(a.arg == "now" for a in positional + kwonly):
+            self.callback = "now"
+        elif fn is not None and fn.name.startswith("on_"):
+            self.callback = "on"
         #: local var -> class ref (receiver typing inside the body)
         self.var_types: dict[str, str] = {}
-        for a in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
+        for a in positional + kwonly:
             ref = self._annotation_ref(a.annotation)
             if ref is not None:
                 self.var_types[a.arg] = ref
-        self.atoms: list[tuple[tuple, int]] = []
+        self.atoms: list[Site] = []
         self.calls: list[CallSite] = []
         self.pushed: list[tuple[str, int]] = []
         self.hb_emits: list[tuple[str, int]] = []
@@ -448,22 +508,26 @@ class _FunctionScanner:
     def _suppressed(self, rule: str, line: int) -> bool:
         return self.mod.suppressed(rule, line)
 
-    def _emit(self, atom: tuple, line: int, rule: str | None) -> None:
-        if rule is not None and self._suppressed(rule, line):
+    def _emit(
+        self, atom: tuple, node: ast.AST, rule: str | None, note: str = ""
+    ) -> None:
+        if rule is not None and self._suppressed(rule, node.lineno):
             return
-        self.atoms.append((atom, line))
+        self.atoms.append(Site(atom, node.lineno, node.col_offset, note))
 
     # -- the walk -------------------------------------------------------------------
 
     def scan(self) -> FunctionSummary:
+        nodes = (
+            list(ast.walk(self.fn)) if self.fn is not None
+            else _walk_outside(self.mod.tree, self.skip)
+        )
         # `self.meth(...)` is a call edge, not a state read: skip the
         # func position of every Call when collecting sread atoms.
         func_nodes = {
-            id(node.func)
-            for node in ast.walk(self.fn)
-            if isinstance(node, ast.Call)
+            id(node.func) for node in nodes if isinstance(node, ast.Call)
         }
-        for node in ast.walk(self.fn):
+        for node in nodes:
             if isinstance(node, ast.Call):
                 self._scan_call(node)
             elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -473,25 +537,22 @@ class _FunctionScanner:
             ) and id(node) not in func_nodes:
                 base = node.value
                 if isinstance(base, ast.Name) and base.id == "self":
-                    self._emit(("sread", node.attr), node.lineno, None)
+                    self._emit(("sread", node.attr), node, None)
             elif isinstance(node, ast.Compare):
                 self._scan_compare(node)
-        is_callback = (
-            "now" in self.params
-            or "now" in self.kwonly
-            or self.fn.name.startswith("on_")
-        )
-        name = (
-            f"{self.cls.name}.{self.fn.name}" if self.cls is not None
-            else self.fn.name
-        )
+        if self.fn is None:
+            name, line = MODULE_SCOPE, 1
+        else:
+            name, line = self.fn.name, self.fn.lineno
+            if self.cls is not None:
+                name = f"{self.cls.name}.{name}"
         return FunctionSummary(
             name=name,
             module=self.mod.module,
             path=self.mod.path,
-            line=self.fn.lineno,
+            line=line,
             params=self.params,
-            is_callback=is_callback,
+            is_callback=bool(self.callback),
             atoms=self.atoms,
             calls=self.calls,
         )
@@ -502,35 +563,37 @@ class _FunctionScanner:
         # Direct external effects (DET001/DET002/DES001 vocabularies).
         if name is not None:
             if name in _WALL_CLOCK:
-                self._emit(("wall", name), line, "DET001")
+                self._emit(("wall", name), node, "DET001")
             norm = name.replace("np.", "numpy.", 1)
-            if norm in _SEEDABLE and not node.args and not node.keywords:
-                self._emit(("rng", name), line, "DET002")
+            if norm in _SEEDABLE:
+                # Seedable constructors: only the no-argument form.
+                if not node.args and not node.keywords:
+                    self._emit(("rng", name), node, "DET002", "seedless")
             elif name.startswith("random.") and (
                 name.split(".", 1)[1] in _GLOBAL_RANDOM
             ):
-                self._emit(("rng", name), line, "DET002")
+                self._emit(("rng", name), node, "DET002", "global")
             elif norm.startswith("numpy.random.") and (
                 norm.rsplit(".", 1)[1] in _NUMPY_GLOBAL
             ):
-                self._emit(("rng", name), line, "DET002")
+                self._emit(("rng", name), node, "DET002", "legacy")
             if name in _BLOCKING_DOTTED:
-                self._emit(("io", name), line, "DES001")
+                self._emit(("io", name), node, "DES001", self.callback)
         if isinstance(node.func, ast.Name) and node.func.id in _BLOCKING_NAMES:
-            self._emit(("io", node.func.id), line, "DES001")
+            self._emit(("io", node.func.id), node, "DES001", self.callback)
         # Event machinery: sink pushes, wire kinds, protocol facts.
         attr = node.func.attr if isinstance(node.func, ast.Attribute) else (
             node.func.id if isinstance(node.func, ast.Name) else None
         )
         if attr in _EVENT_SINKS:
-            self._emit(("sink", attr), line, "DET003")
+            self._emit(("sink", attr), node, "DET003")
         kind, interned = _push_kind(node)
         if kind is not None:
             self.pushed.append((kind, line))
             if interned:
                 self.handled.append((kind, line))
             elif kind in _WIRE_KINDS and self.mod.module != _TRANSPORT_MODULE:
-                self._emit(("wire", kind), line, "PROTO001")
+                self._emit(("wire", kind), node, "PROTO001")
         if attr == "note" and len(node.args) >= 2:
             nkind = _const_str(node.args[1])
             if nkind is not None and nkind.startswith("hb_"):
@@ -600,17 +663,16 @@ class _FunctionScanner:
         targets = (
             node.targets if isinstance(node, ast.Assign) else [node.target]
         )
-        line = node.lineno
         value = getattr(node, "value", None)
         for tgt in targets:
             if isinstance(tgt, ast.Tuple):
                 # Tuple unpack: record attr writes + pop-bound names.
                 for el in tgt.elts:
-                    self._assign_target(el, None, line)
+                    self._assign_target(el)
                 if value is not None:
                     self._scan_pop_bind(tgt, value)
             else:
-                self._assign_target(tgt, value, line)
+                self._assign_target(tgt)
         # Receiver typing from plain local binds: v = ClassName(...).
         if (
             isinstance(node, ast.Assign)
@@ -624,29 +686,28 @@ class _FunctionScanner:
                 if ref is not None:
                     self.var_types[node.targets[0].id] = ref
 
-    def _assign_target(
-        self, tgt: ast.expr, value: ast.expr | None, line: int
-    ) -> None:
+    def _assign_target(self, tgt: ast.expr) -> None:
         if not isinstance(tgt, ast.Attribute):
             return
         base = tgt.value
         if isinstance(base, ast.Name) and base.id == "self":
-            self._emit(("swrite", tgt.attr), line, None)
+            self._emit(("swrite", tgt.attr), tgt, None)
         elif isinstance(base, ast.Name) and base.id in self.param_index:
             self._emit(
-                ("pwrite", self.param_index[base.id], tgt.attr), line, None
+                ("pwrite", self.param_index[base.id], tgt.attr), tgt, None
             )
             if tgt.attr in COUNTER_OWNERS:
                 self._emit(
                     ("cparam", self.param_index[base.id], tgt.attr),
-                    line, "PROTO002",
+                    tgt, "PROTO002",
                 )
-        bname = dotted_name(tgt)
-        if bname is not None and tgt.attr in COUNTER_OWNERS:
-            rbase = bname.rsplit(".", 1)[0]
-            if rbase in _REPORT_BASES:
-                if self.mod.module != COUNTER_OWNERS[tgt.attr]:
-                    self._emit(("counter", tgt.attr), line, "PROTO002")
+        if (
+            tgt.attr in COUNTER_OWNERS
+            and dotted_name(base) in _REPORT_BASES
+            and self.mod.module != COUNTER_OWNERS[tgt.attr]
+            and self.mod.module not in _EXEMPT_MODULES
+        ):
+            self._emit(("counter", tgt.attr), tgt, "PROTO002")
 
     def _scan_pop_bind(self, tgt: ast.Tuple, value: ast.expr) -> None:
         """Record names tuple-bound from an event-pop expression."""
@@ -759,21 +820,25 @@ def extract_summary(mod: ModuleInfo) -> ModuleSummary:
     )
 
     module_transient: set[str] = set()
+    scanned: set[int] = set()  # ids of the defs that got their own scope
 
     def scan_fn(fn, cls):
+        if fn is not None:
+            scanned.add(id(fn))
         sc = _FunctionScanner(
-            mod, imports, fn, cls, toplevel, local_classes
+            mod, imports, fn, cls, toplevel, local_classes, scanned
         )
         fs = sc.scan()
-        summary.functions[fs.name] = fs
+        if fn is not None or fs.atoms or fs.calls:
+            summary.functions[fs.name] = fs
         summary.pushed.extend(sc.pushed)
         summary.handled.extend(sc.handled)
         summary.hb_emits.extend(sc.hb_emits)
-        for atom, line in fs.atoms:
-            if atom[0] in ("swrite", "pwrite") and (
-                line in mod.transient_lines
+        for site in fs.atoms:
+            if site.atom[0] in ("swrite", "pwrite") and (
+                site.line in mod.transient_lines
             ):
-                module_transient.add(atom[-1])
+                module_transient.add(site.atom[-1])
         return sc
 
     for node in mod.tree.body:
@@ -782,17 +847,15 @@ def extract_summary(mod: ModuleInfo) -> ModuleSummary:
         elif isinstance(node, ast.ClassDef):
             methods = []
             transient: set[str] = set()
-            scanners = {}
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     sc = scan_fn(sub, node)
-                    scanners[sub.name] = sc
                     methods.append(sub.name)
-                    for atom, line in sc.atoms:
-                        if atom[0] == "swrite" and (
-                            line in mod.transient_lines
+                    for site in sc.atoms:
+                        if site.atom[0] == "swrite" and (
+                            site.line in mod.transient_lines
                         ):
-                            transient.add(atom[1])
+                            transient.add(site.atom[1])
                 elif (
                     isinstance(sub, ast.AnnAssign)
                     and isinstance(sub.target, ast.Name)
@@ -832,6 +895,7 @@ def extract_summary(mod: ModuleInfo) -> ModuleSummary:
                 transient_attrs=tuple(sorted(transient)),
                 has_state_dict="state_dict" in methods,
             )
+    scan_fn(None, None)  # what is left: the <module> scope
     summary.transient_attrs = tuple(sorted(module_transient))
     return summary
 
@@ -866,6 +930,8 @@ class Program:
         #: (path, line) -> target qnames (AST-side lookups, e.g. DET003)
         self.calls_at: dict[tuple[str, int], list[str]] = {}
         self.unresolved_dynamic = 0
+        #: the fixed-point effect database (see effects.effect_db)
+        self.effects: EffectDB | None = None
         for f in self.functions.values():
             edges = []
             for site in f.calls:

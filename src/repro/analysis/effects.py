@@ -22,7 +22,7 @@ function carries the effects of everything it can reach:
 
 Every inferred effect carries a provenance chain - the call path from
 the carrying function down to the direct site - rendered by the
-``effects`` CLI command and embedded in interprocedural findings.
+``effects`` CLI command and embedded in every propagated finding.
 
 Termination: the atom space is finite (direct atoms, plus param
 remappings bounded by each function's arity), effects only grow, and
@@ -75,25 +75,23 @@ class Effect:
     def direct(self) -> bool:
         return len(self.chain) == 1
 
+    @property
+    def origin(self) -> tuple[str, int]:
+        """(path, line) of the direct site at the bottom of the chain."""
+        loc = self.chain[-1].rsplit(" (", 1)[1].rstrip(")")
+        path, _, line = loc.rpartition(":")
+        return path, int(line)
+
 
 def _entry(fn: FunctionSummary, line: int) -> str:
     return f"{fn.qname} ({fn.path}:{line})"
 
 
-def origin_site(eff: Effect) -> tuple[str, int]:
-    """(path, line) of the direct site at the bottom of the chain."""
-    loc = eff.chain[-1].rsplit(" (", 1)[1].rstrip(")")
-    path, _, line = loc.rpartition(":")
-    return path, int(line)
-
-
 def effect_db(program: Program) -> EffectDB:
     """The program's effect database, computed once and memoized."""
-    db = getattr(program, "_effectdb", None)
-    if db is None:
-        db = EffectDB(program)
-        program._effectdb = db
-    return db
+    if program.effects is None:
+        program.effects = EffectDB(program)
+    return program.effects
 
 
 def _is_method(fn: FunctionSummary) -> bool:
@@ -123,9 +121,11 @@ class EffectDB:
         worklist: list[str] = []
         for q, fn in self.program.functions.items():
             table = self.effects[q]
-            for atom, line in fn.atoms:
-                if atom not in table:
-                    table[atom] = Effect(atom, line, (_entry(fn, line),))
+            for site in fn.atoms:
+                if site.atom not in table:
+                    table[site.atom] = Effect(
+                        site.atom, site.line, (_entry(fn, site.line),)
+                    )
             if table:
                 worklist.append(q)
         while worklist:

@@ -2,16 +2,17 @@
 
 The engine is deliberately small: it turns each Python file into a
 :class:`ModuleInfo` (source, AST, comment-level suppressions, logical
-module name, and a one-hop function index), hands it to every rule,
-and filters the returned :class:`Violation`\\ s against the
+module name), summarizes and links everything it was given into one
+program - call graph plus fixed-point effect database, see
+:mod:`repro.analysis.callgraph` / :mod:`repro.analysis.effects`; a
+single file is a one-module program - hands each module to every
+rule, and filters the returned :class:`Violation`\\ s against the
 ``# repro: allow[RULE]`` suppressions.  Rules live in
 :mod:`repro.analysis.rules` and know nothing about files or comments.
 
 Every file is parsed exactly once per run: the engine loads all
-:class:`ModuleInfo` objects up front and shares the AST (and, in
-interprocedural mode, the whole-program call graph and effect
-database, see :mod:`repro.analysis.callgraph` /
-:mod:`repro.analysis.effects`) across all rules.
+:class:`ModuleInfo` objects up front and shares the AST and the
+linked program across all rules.
 
 Suppression syntax::
 
@@ -42,9 +43,12 @@ import io
 import json
 import re
 import tokenize
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
+
+from .._util import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .callgraph import ModuleSummary, Program
@@ -53,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "Violation",
     "ModuleInfo",
+    "SourceError",
     "LintEngine",
     "lint_paths",
     "load_module",
@@ -77,9 +82,10 @@ def parse_count() -> int:
 class Violation:
     """One rule finding, with enough context to act on it.
 
-    ``chain`` is only populated by the interprocedural rules: the
-    call-propagation path from the flagged call site down to the
-    direct effect site (each entry ``"qualified.name (file:line)"``).
+    ``chain`` is populated when the finding is a call site an effect
+    propagated to: the path from the flagged call down to the direct
+    effect site (each entry ``"qualified.name (file:line)"``).  A
+    finding at the direct site itself has an empty chain.
     """
 
     rule: str
@@ -141,14 +147,12 @@ class ModuleInfo:
     )
     #: lines carrying a ``# repro: transient`` pragma (PERSIST002).
     transient_lines: frozenset[int] = frozenset()
-    #: "name" and "Class.name" -> FunctionDef, for one-hop call lookup.
-    functions: dict[str, ast.FunctionDef] = field(default_factory=dict)
     #: sha256 of the source text (incremental-cache identity).
     digest: str = ""
-    #: whole-program context, set by the engine in interprocedural
-    #: mode; None under the classic per-file run.
+    #: the program this module was linked into, set by the engine
+    #: before any rule runs (None only on a bare ``load_module``).
     program: "Program | None" = None
-    #: this module's phase-1 summary (interprocedural mode only).
+    #: this module's phase-1 summary, set together with ``program``.
     summary: "ModuleSummary | None" = None
 
     def suppressed(self, rule: str, line: int) -> bool:
@@ -249,29 +253,32 @@ def _suppression_blocks(
     return blocks
 
 
-def _index_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
-    """Map plain and class-qualified names to their FunctionDefs."""
-    index: dict[str, ast.FunctionDef] = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            index[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, ast.FunctionDef):
-                    index[f"{node.name}.{sub.name}"] = sub
-                    # Unqualified fallback: one-hop `self.foo()` lookup
-                    # does not track the receiver's class.
-                    index.setdefault(sub.name, sub)
-    return index
+class SourceError(ReproError):
+    """A source file that cannot be read, decoded or parsed."""
+
+    def __init__(self, path: str, line: int, message: str):
+        super().__init__(f"{path}:{line}: cannot parse: {message}")
+        self.path = path
+        self.line = line
+        self.message = message
 
 
 def load_module(path: str | Path) -> ModuleInfo:
-    """Parse one file into a :class:`ModuleInfo` (raises SyntaxError)."""
+    """Parse one file into a :class:`ModuleInfo`.
+
+    Raises :class:`SourceError` when the file is unreadable, is not
+    valid text in the default encoding, or does not parse.
+    """
     global _parse_count
     p = Path(path)
-    source = p.read_text()
-    _parse_count += 1
-    tree = ast.parse(source, filename=str(p))
+    try:
+        source = p.read_text()
+        _parse_count += 1
+        tree = ast.parse(source, filename=str(p))
+    except SyntaxError as exc:
+        raise SourceError(str(p), exc.lineno or 1, exc.msg) from exc
+    except (OSError, ValueError) as exc:  # ValueError: bad bytes, NULs
+        raise SourceError(str(p), 1, str(exc)) from exc
     suppressions, pragma, transient = _scan_comments(source)
     return ModuleInfo(
         path=str(p),
@@ -281,7 +288,6 @@ def load_module(path: str | Path) -> ModuleInfo:
         suppressions=suppressions,
         suppression_blocks=_suppression_blocks(tree, suppressions),
         transient_lines=transient,
-        functions=_index_functions(tree),
         digest=hashlib.sha256(source.encode()).hexdigest(),
     )
 
@@ -293,24 +299,19 @@ def _sort_key(v: Violation) -> tuple:
 class LintEngine:
     """Run a rule set over files and directories.
 
-    ``interprocedural=True`` additionally links all loaded modules into
-    a whole-program :class:`~repro.analysis.callgraph.Program`, runs
-    fixed-point effect inference over its call graph, and enables the
-    interprocedural rules (multi-hop DET/DES/PROTO re-hosts, PERSIST002
-    snapshot completeness, PROTO004 event-protocol exhaustiveness).
+    One driver, :meth:`lint_files`: parse, summarize, link everything
+    into one :class:`~repro.analysis.callgraph.Program`, run fixed-point
+    effect inference over its call graph, then the module-scope and
+    program-scope rules.  The incremental cache calls the same driver
+    with the summaries and findings it wants reused.
     """
 
-    def __init__(
-        self,
-        rules: "list[Rule] | None" = None,
-        interprocedural: bool = False,
-    ):
+    def __init__(self, rules: "list[Rule] | None" = None):
         if rules is None:
-            from .rules import rules_for
+            from .rules import ALL_RULES
 
-            rules = rules_for(interprocedural)
+            rules = ALL_RULES
         self.rules = list(rules)
-        self.interprocedural = interprocedural
 
     def collect_files(self, paths: list[str | Path]) -> list[Path]:
         files: list[Path] = []
@@ -328,20 +329,26 @@ class LintEngine:
     # -- loading / program linkage ---------------------------------------------------
 
     def load_modules(self, paths: list[str | Path]) -> list[ModuleInfo]:
-        """Parse every file once; link the program when interprocedural."""
+        """Parse every file once and link them into one program."""
         mods = [load_module(f) for f in self.collect_files(paths)]
-        if self.interprocedural:
-            self.link_program(mods)
+        self.link_program(mods)
         return mods
 
-    def link_program(self, mods: list[ModuleInfo]) -> "Program":
-        """Summarize + link ``mods`` into a Program, attach it to each."""
+    def link_program(
+        self,
+        mods: list[ModuleInfo],
+        reused: "Iterable[ModuleSummary]" = (),
+    ) -> "Program":
+        """Summarize ``mods``, link them (plus the ``reused`` summaries
+        of modules not re-parsed) into a Program with its effect
+        database, and attach it to each module."""
         from .callgraph import Program, extract_summary
+        from .effects import effect_db
 
         for mod in mods:
-            if mod.summary is None:
-                mod.summary = extract_summary(mod)
-        program = Program([m.summary for m in mods])
+            mod.summary = extract_summary(mod)
+        program = Program([m.summary for m in mods] + list(reused))
+        effect_db(program)
         for mod in mods:
             mod.program = program
         return program
@@ -352,10 +359,10 @@ class LintEngine:
         return self.lint_paths([path])
 
     def lint_module(self, mod: ModuleInfo) -> list[Violation]:
-        """Per-module rule pass (program-scope rules excluded)."""
+        """Module-scope rule pass over one linked module."""
         out: list[Violation] = []
         for rule in self.rules:
-            if getattr(rule, "scope", "module") != "module":
+            if rule.scope != "module":
                 continue
             for v in rule.check(mod):
                 if not mod.suppressed(v.rule, v.line):
@@ -363,15 +370,12 @@ class LintEngine:
         out.sort(key=_sort_key)
         return out
 
-    def lint_program(self, mods: list[ModuleInfo]) -> list[Violation]:
+    def lint_program(self, program: "Program") -> list[Violation]:
         """Program-scope rule pass (PROTO004-style whole-program checks)."""
-        if not self.interprocedural or not mods:
-            return []
-        program = mods[0].program
-        by_path = {m.path: m for m in mods}
+        by_path = {s.path: s for s in program.modules.values()}
         out: list[Violation] = []
         for rule in self.rules:
-            if getattr(rule, "scope", "module") != "program":
+            if rule.scope != "program":
                 continue
             for v in rule.check_program(program):
                 owner = by_path.get(v.path)
@@ -380,12 +384,29 @@ class LintEngine:
         out.sort(key=_sort_key)
         return out
 
-    def lint_paths(self, paths: list[str | Path]) -> list[Violation]:
-        mods = self.load_modules(paths)
-        out: list[Violation] = []
+    def lint_files(
+        self,
+        files: Iterable[str | Path],
+        reuse: "dict[str, tuple[ModuleSummary, list[Violation]]] | None" = None,
+    ) -> tuple[list[ModuleInfo], dict[str, list[Violation]], list[Violation]]:
+        """The driver: ``(parsed modules, findings by path, program
+        findings)`` for ``files``.
+
+        A file whose path is in ``reuse`` is not parsed: its summary
+        joins the program link and its findings are taken verbatim.
+        """
+        reuse = reuse or {}
+        mods = [load_module(f) for f in files if str(f) not in reuse]
+        program = self.link_program(mods, [s for s, _ in reuse.values()])
+        findings = {p: vs for p, (_, vs) in reuse.items()}
         for mod in mods:
-            out.extend(self.lint_module(mod))
-        out.extend(self.lint_program(mods))
+            findings[mod.path] = self.lint_module(mod)
+        return mods, findings, self.lint_program(program)
+
+    def lint_paths(self, paths: list[str | Path]) -> list[Violation]:
+        _, findings, out = self.lint_files(self.collect_files(paths))
+        for vs in findings.values():
+            out.extend(vs)
         out.sort(key=_sort_key)
         return out
 
@@ -393,7 +414,6 @@ class LintEngine:
 def lint_paths(
     paths: list[str | Path],
     rules: "list[Rule] | None" = None,
-    interprocedural: bool = False,
     cache: "str | Path | None" = None,
 ) -> list[Violation]:
     """Convenience wrapper: lint ``paths`` with ``rules`` (default all).
@@ -406,10 +426,8 @@ def lint_paths(
     if cache is not None:
         from .cache import cached_lint
 
-        return cached_lint(
-            paths, cache, rules=rules, interprocedural=interprocedural
-        )
-    return LintEngine(rules, interprocedural=interprocedural).lint_paths(paths)
+        return cached_lint(paths, cache, rules=rules)
+    return LintEngine(rules).lint_paths(paths)
 
 
 def render(violations: list[Violation], as_json: bool = False) -> str:

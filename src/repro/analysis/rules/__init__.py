@@ -1,93 +1,63 @@
-"""Rule registry: every shipped lint rule, in id order.
+"""Rule registry: every shipped lint rule, one class per id.
 
 Adding a rule: subclass :class:`~repro.analysis.rules.base.Rule` in a
-module here, give it an ``id``/``title``/``hint``, and append an
-instance to :data:`ALL_RULES`.  Fixture coverage is enforced by
-``tests/test_analysis_lint.py`` - each rule must ship a triggering
-fixture, a clean fixture, and a suppression fixture.
+module here, give it an ``id``/``title``/``hint``, and append one
+instance to :data:`ALL_RULES`.  A rule about an *effect* (something a
+function does and its callers inherit) is written once: teach the
+summary scanner in :mod:`repro.analysis.callgraph` the new atom, then
+subclass :class:`~repro.analysis.rules.base.EffectRule` with the
+atom's ``kind`` - direct sites and every propagated call site are
+reported by the same object.  Fixture coverage is enforced by
+``tests/test_analysis_lint.py`` - each rule ships one triple: a
+triggering fixture, a clean fixture, and a suppression fixture.
 """
 
 from __future__ import annotations
 
-from .base import Rule
-from .des import RealWorldCallbackRule
+from .base import EffectRule, Rule
+from .des import CallbackIoRule
 from .determinism import (
+    ClockReadRule,
     IdentitySortKeyRule,
+    RngDrawRule,
     SetIterationOrderRule,
-    UnseededRngRule,
-    WallClockRule,
 )
-from .interproc import (
-    EventProtocolRule,
-    SnapshotCompletenessRule,
-    TransitiveCallbackIoRule,
-    TransitiveCounterRule,
-    TransitiveRngRule,
-    TransitiveSetIterationRule,
-    TransitiveWallClockRule,
-    TransitiveWireRule,
-)
-from .persist import SnapshotCodecRule
+from .persist import SnapshotCodecRule, SnapshotCompletenessRule
 from .protocol import (
     COUNTER_OWNERS,
     SERVICE_FACADE_ALLOWED,
-    CounterOwnershipRule,
+    CounterWriteRule,
+    EventProtocolRule,
     ServiceFacadeRule,
-    TransportBypassRule,
+    WireBypassRule,
 )
 
 __all__ = [
     "ALL_RULES",
-    "INTERPROC_RULES",
     "COUNTER_OWNERS",
     "SERVICE_FACADE_ALLOWED",
+    "EffectRule",
     "Rule",
     "rule_table",
-    "rules_for",
 ]
 
 ALL_RULES: list[Rule] = [
-    WallClockRule(),
-    UnseededRngRule(),
+    ClockReadRule(),
+    RngDrawRule(),
     SetIterationOrderRule(),
     IdentitySortKeyRule(),
-    RealWorldCallbackRule(),
-    TransportBypassRule(),
-    CounterOwnershipRule(),
+    CallbackIoRule(),
+    WireBypassRule(),
+    CounterWriteRule(),
     ServiceFacadeRule(),
-    SnapshotCodecRule(),
-]
-
-#: Whole-program rules, active only under ``lint --interprocedural``:
-#: the effect-inference re-hosts of DET/DES/PROTO (same ids, deeper
-#: reach) plus the two program-only families.
-INTERPROC_RULES: list[Rule] = [
-    TransitiveWallClockRule(),
-    TransitiveRngRule(),
-    TransitiveSetIterationRule(),
-    TransitiveCallbackIoRule(),
-    TransitiveWireRule(),
-    TransitiveCounterRule(),
-    SnapshotCompletenessRule(),
     EventProtocolRule(),
+    SnapshotCodecRule(),
+    SnapshotCompletenessRule(),
 ]
 
 
-def rules_for(interprocedural: bool = False) -> list[Rule]:
-    """The active rule set for a lint run."""
-    if interprocedural:
-        return ALL_RULES + INTERPROC_RULES
-    return list(ALL_RULES)
-
-
-def rule_table(interprocedural: bool = False) -> list[dict]:
+def rule_table() -> list[dict]:
     """The shipped rules as rows (docs and ``--rules`` output)."""
-    seen: set[tuple[str, str]] = set()
-    rows = []
-    for r in rules_for(interprocedural):
-        key = (r.id, r.title)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append({"id": r.id, "title": r.title, "hint": r.hint})
-    return rows
+    return [
+        {"id": r.id, "title": r.title, "hint": r.hint} for r in ALL_RULES
+    ]

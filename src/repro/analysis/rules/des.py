@@ -7,18 +7,15 @@ clock without advancing the virtual one, and its effects are invisible
 to checkpoint/replay.  A "simulated callback" is recognized by the
 repo's own convention: any function that takes a ``now`` parameter
 (the virtual-time stamp handed down from the event loop) or whose name
-is an ``on_<event>`` handler.
+is an ``on_<event>`` handler.  A callback is flagged both for I/O in
+its own body and for each call through which it reaches I/O elsewhere.
 """
 
 from __future__ import annotations
 
-import ast
-from collections.abc import Iterator
+from .base import EffectRule
 
-from ..engine import ModuleInfo, Violation
-from .base import Rule, dotted_name, walk_functions
-
-__all__ = ["RealWorldCallbackRule"]
+__all__ = ["CallbackIoRule"]
 
 _BLOCKING_NAMES = {"open", "input", "print", "breakpoint", "exec", "eval"}
 
@@ -45,53 +42,38 @@ _BLOCKING_DOTTED = {
 }
 
 
-class RealWorldCallbackRule(Rule):
-    """DES001: real I/O or blocking calls inside simulated callbacks."""
+class CallbackIoRule(EffectRule):
+    """DES001: real I/O or blocking calls in (or reached from)
+    simulated callbacks."""
 
     id = "DES001"
     title = "real I/O in a simulated callback"
     hint = (
         "simulated callbacks run in virtual time: book the cost on a "
         "Resource timeline and record outcomes on the RunReport; do "
-        "file/console I/O in the driver after `run()` returns"
+        "file/console I/O in the driver after `run()` returns - or "
+        "bless the direct site with `# repro: allow[DES001]` if the "
+        "I/O is the layer's contract (e.g. the durability WAL)"
     )
+    kind = "io"
 
-    def check(self, mod: ModuleInfo) -> Iterator[Violation]:
-        for fn, cls in walk_functions(mod.tree):
-            if not self._is_callback(fn):
-                continue
-            where = f"{cls}.{fn.name}" if cls else fn.name
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                offender = self._blocking(node)
-                if offender is not None:
-                    yield self.violation(
-                        mod, node,
-                        f"`{offender}` inside simulated callback "
-                        f"`{where}` (has a virtual-time `now` "
-                        "parameter)" if self._has_now(fn) else
-                        f"`{offender}` inside simulated callback "
-                        f"`{where}` (an `on_*` event handler)",
-                    )
+    def direct(self, mod, fn, site):
+        if not site.note:
+            return None  # not inside a callback: only callers can matter
+        flavor = (
+            "has a virtual-time `now` parameter" if site.note == "now"
+            else "an `on_*` event handler"
+        )
+        return (
+            f"`{site.atom[1]}()` inside simulated callback "
+            f"`{fn.name}` ({flavor})"
+        )
 
-    @staticmethod
-    def _has_now(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-        args = list(fn.args.args) + list(fn.args.kwonlyargs)
-        return any(a.arg == "now" for a in args)
+    def applies(self, mod, fn, eff):
+        return fn.is_callback
 
-    def _is_callback(
-        self, fn: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> bool:
-        return self._has_now(fn) or fn.name.startswith("on_")
-
-    @staticmethod
-    def _blocking(node: ast.Call) -> str | None:
-        if isinstance(node.func, ast.Name):
-            if node.func.id in _BLOCKING_NAMES:
-                return f"{node.func.id}()"
-            return None
-        name = dotted_name(node.func)
-        if name in _BLOCKING_DOTTED:
-            return f"{name}()"
-        return None
+    def reached(self, eff):
+        return (
+            f"simulated callback reaches `{eff.atom[1]}` "
+            f"({len(eff.chain) - 1} hop(s) away)"
+        )

@@ -5,6 +5,10 @@ These encode the repo's core contract: a run is a pure function of
 (wall clock, process hash seed, object addresses, global RNG state)
 leak into event ordering or numerics breaks golden fingerprints,
 chaos-campaign replay, and bitwise-exact recovery.
+
+DET001-DET003 read the whole-program effect database: each flags the
+direct site and every call site that reaches one through helpers,
+with the chain.  DET004 has no effect atom and stays a plain AST walk.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ import ast
 from collections.abc import Iterator
 
 from ..engine import ModuleInfo, Violation
-from .base import Rule, called_functions, dotted_name, walk_functions
+from .base import EffectRule, Rule, dotted_name, walk_functions
 
 __all__ = [
-    "WallClockRule",
-    "UnseededRngRule",
+    "ClockReadRule",
+    "RngDrawRule",
     "SetIterationOrderRule",
     "IdentitySortKeyRule",
 ]
@@ -44,7 +48,7 @@ _WALL_CLOCK = {
 }
 
 
-class WallClockRule(Rule):
+class ClockReadRule(EffectRule):
     """DET001: wall-clock reads inside the simulation package."""
 
     id = "DET001"
@@ -53,17 +57,19 @@ class WallClockRule(Rule):
         "virtual time comes from the Simulator's event clock; pass `now` "
         "down from the event loop instead of reading the host clock "
         "(timestamps for reports belong in the caller, outside src/repro)"
+        " - a deliberate read is blessed once, at the direct site, with "
+        "`# repro: allow[DET001]`, which clears every caller"
     )
+    kind = "wall"
 
-    def check(self, mod: ModuleInfo) -> Iterator[Violation]:
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name in _WALL_CLOCK:
-                yield self.violation(
-                    mod, node, f"wall-clock read `{name}()`"
-                )
+    def direct(self, mod, fn, site):
+        return f"wall-clock read `{site.atom[1]}()`"
+
+    def reached(self, eff):
+        return (
+            f"call reaches wall-clock read `{eff.atom[1]}()` "
+            f"({len(eff.chain) - 1} hop(s) away)"
+        )
 
 
 #: Module-level RNG entry points of `random` (global, unseeded state).
@@ -82,7 +88,16 @@ _NUMPY_GLOBAL = {
 }
 
 
-class UnseededRngRule(Rule):
+#: Seedable RNG constructors: only the no-argument form is unseeded.
+_SEEDABLE = {
+    "numpy.random.default_rng",
+    "numpy.random.RandomState",
+    "numpy.random.Generator",
+    "random.Random",
+}
+
+
+class RngDrawRule(EffectRule):
     """DET002: RNG draws that do not flow from an explicit seed."""
 
     id = "DET002"
@@ -92,44 +107,21 @@ class UnseededRngRule(Rule):
         "`rng = np.random.default_rng(seed)` threaded through as a "
         "parameter (see FaultInjector / random_fault_plan)"
     )
+    kind = "rng"
 
-    def check(self, mod: ModuleInfo) -> Iterator[Violation]:
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            norm = name.replace("np.", "numpy.", 1)
-            # Seedable constructors: flag only the no-argument form.
-            if norm in (
-                "numpy.random.default_rng",
-                "numpy.random.RandomState",
-                "numpy.random.Generator",
-                "random.Random",
-            ):
-                if not node.args and not node.keywords:
-                    yield self.violation(
-                        mod, node,
-                        f"`{name}()` without a seed draws entropy from "
-                        "the OS",
-                    )
-                continue
-            # Global-state draws are unseeded by construction.
-            if name.startswith("random.") and (
-                name.split(".", 1)[1] in _GLOBAL_RANDOM
-            ):
-                yield self.violation(
-                    mod, node,
-                    f"global-state RNG call `{name}()`",
-                )
-            elif norm.startswith("numpy.random.") and (
-                norm.rsplit(".", 1)[1] in _NUMPY_GLOBAL
-            ):
-                yield self.violation(
-                    mod, node,
-                    f"legacy numpy global RNG call `{name}()`",
-                )
+    def direct(self, mod, fn, site):
+        api = site.atom[1]
+        if site.note == "seedless":
+            return f"`{api}()` without a seed draws entropy from the OS"
+        if site.note == "global":
+            return f"global-state RNG call `{api}()`"
+        return f"legacy numpy global RNG call `{api}()`"
+
+    def reached(self, eff):
+        return (
+            f"call reaches unseeded RNG `{eff.atom[1]}()` "
+            f"({len(eff.chain) - 1} hop(s) away)"
+        )
 
 
 #: Call names that feed the event-ordered machinery: the simulator
@@ -258,10 +250,11 @@ class SetIterationOrderRule(Rule):
     of str-bearing keys depend on ``PYTHONHASHSEED``: a loop over a
     set whose body schedules events, sends messages, or pushes onto
     shared queues makes *event order* a function of the interpreter's
-    hash seed.  The check is interprocedural over one call hop: a loop
-    body that calls a same-module function reaching a sink is flagged
-    too.  Wrapping the iterable in ``sorted(...)`` normalizes the
-    order and silences the rule.
+    hash seed.  The loop body is searched for a sink site first, then
+    each call in it is resolved through the program call graph and the
+    effect database is asked whether the target reaches one.  Wrapping
+    the iterable in ``sorted(...)`` normalizes the order and silences
+    the rule.
     """
 
     id = "DET003"
@@ -273,8 +266,14 @@ class SetIterationOrderRule(Rule):
     )
 
     def check(self, mod: ModuleInfo) -> Iterator[Violation]:
+        sinks = sorted(
+            (site.line, site.col, site.atom[1])
+            for fn in mod.summary.functions.values()
+            for site in fn.atoms
+            if site.atom[0] == "sink"
+        )
         set_attrs = _collect_set_attrs(mod.tree)
-        for fn, _cls in walk_functions(mod.tree):
+        for fn in walk_functions(mod.tree):
             set_names = _collect_set_names(fn)
             for node in ast.walk(fn):
                 if not isinstance(node, (ast.For, ast.AsyncFor)):
@@ -284,42 +283,43 @@ class SetIterationOrderRule(Rule):
                 why = _set_expr(node.iter, set_names, set_attrs)
                 if why is None:
                     continue
-                sink = self._find_sink(node.body, mod)
-                if sink is None:
+                hit = self._reach(node.body, mod, sinks)
+                if hit is None:
                     continue
-                yield self.violation(
-                    mod, node,
+                sink, chain = hit
+                yield Violation(
+                    self.id, mod.path, node.lineno, node.col_offset,
                     f"iteration over {why} reaches event sink "
                     f"`{sink}` - event order now depends on "
                     "PYTHONHASHSEED",
+                    self.hint, chain=chain,
                 )
 
-    def _find_sink(
-        self, body: list[ast.stmt], mod: ModuleInfo
-    ) -> str | None:
-        direct = self._sink_in(body)
-        if direct is not None:
-            return direct
-        for fn in called_functions(body, mod):
-            hop = self._sink_in(fn.body)
-            if hop is not None:
-                return f"{fn.name}() -> {hop}"
-        return None
-
     @staticmethod
-    def _sink_in(body: list[ast.stmt]) -> str | None:
+    def _reach(
+        body: list[ast.stmt],
+        mod: ModuleInfo,
+        sinks: list[tuple[int, int, str]],
+    ) -> tuple[str, tuple[str, ...]] | None:
+        """How ``body`` reaches a sink: (description, chain) or None."""
+        lo = (body[0].lineno, body[0].col_offset)
+        hi = (body[-1].end_lineno, body[-1].end_col_offset)
+        for line, col, name in sinks:
+            if lo <= (line, col) < hi:
+                return name, ()
+        program = mod.program
         for stmt in body:
             for node in ast.walk(stmt):
                 if not isinstance(node, ast.Call):
                     continue
-                if isinstance(node.func, ast.Attribute):
-                    if node.func.attr in _EVENT_SINKS:
-                        return node.func.attr
-                elif (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id in _EVENT_SINKS
+                for target in program.calls_at.get(
+                    (mod.path, node.lineno), ()
                 ):
-                    return node.func.id
+                    for eff in program.effects.with_kind(target, "sink"):
+                        if eff.direct:  # one hop: name it inline
+                            short = target.rpartition(".")[2]
+                            return f"{short}() -> {eff.atom[1]}", ()
+                        return f"{eff.atom[1]}` through `{target}", eff.chain
         return None
 
 

@@ -1,4 +1,4 @@
-"""Durability rule: PERSIST001.
+"""Durability rules: PERSIST001 (codec purity), PERSIST002 (coverage).
 
 Snapshot bytes must be a pure function of runtime state: the resumed
 run's bitwise-identity guarantee rests on every snapshot of the same
@@ -12,9 +12,14 @@ state encoding to the same bytes.  Two things break that silently:
   between hosts (DET003's sibling, scoped to serialization instead of
   event machinery).
 
-Scope: every module under ``repro.persist``, plus every
+PERSIST001's scope: every module under ``repro.persist``, plus every
 ``state_dict`` / ``load_state_dict`` implementation anywhere (they
 feed the snapshot stream by contract).
+
+PERSIST002 asks the complementary question - is every piece of
+run-time state *in* the stream? - and answers it from the effect
+database: a class's transitive ``self.*`` writes against what its
+``state_dict`` / ``load_state_dict`` pair covers.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .determinism import (
     _set_expr,
 )
 
-__all__ = ["SnapshotCodecRule"]
+__all__ = ["SnapshotCodecRule", "SnapshotCompletenessRule"]
 
 #: Serializers whose bytes are not a pure function of the value.
 _BANNED_SERIALIZERS = {
@@ -67,7 +72,7 @@ class SnapshotCodecRule(Rule):
                                   iterations=False),
                 seen,
             )
-        for fn, _cls in walk_functions(mod.tree):
+        for fn in walk_functions(mod.tree):
             if not (in_persist or fn.name in _STATE_FNS):
                 continue
             yield from self._dedup(
@@ -138,3 +143,54 @@ class SnapshotCodecRule(Rule):
                 f"iteration over {why} serializes in hash order - "
                 "snapshot bytes now depend on PYTHONHASHSEED",
             )
+
+
+class SnapshotCompletenessRule(Rule):
+    """PERSIST002: mutable state outside the state_dict round trip.
+
+    For every class shipping ``state_dict``, each ``self.*`` attribute
+    assigned in any (hierarchy- and call-graph-resolved) method body
+    outside ``__init__`` must be read by ``state_dict`` or written by
+    ``load_state_dict`` - or carry a ``# repro: transient`` pragma on
+    an assignment line.  Anything else is run-time state a PR 8
+    kill-resume silently drops.
+    """
+
+    id = "PERSIST002"
+    title = "mutable state missing from state_dict"
+    hint = (
+        "persist the attribute in state_dict()/load_state_dict(), or "
+        "mark an assignment with `# repro: transient` if it is rebuilt "
+        "at composition time (caches, bound callbacks, masks derived "
+        "from persisted state)"
+    )
+
+    def check(self, mod: ModuleInfo) -> Iterator[Violation]:
+        db = mod.program.effects
+        for cls in mod.summary.classes.values():
+            if not cls.has_state_dict:
+                continue
+            covered = db.class_covered(cls.qname)
+            transient = db.class_transient(cls.qname)
+            writes = db.class_swrites(cls.qname)
+            for attr in sorted(writes):
+                if attr in covered or attr in transient:
+                    continue
+                if attr.startswith("__"):
+                    continue  # name-mangled internals: not restorable state
+                eff = writes[attr]
+                path, line = eff.origin
+                anchored_here = path == mod.path
+                yield Violation(
+                    rule=self.id,
+                    path=mod.path,
+                    line=line if anchored_here else cls.line,
+                    col=0,
+                    message=(
+                        f"`{cls.name}.{attr}` is assigned outside __init__ "
+                        "but not covered by state_dict/load_state_dict"
+                    ),
+                    hint=self.hint,
+                    chain=eff.chain if not eff.direct or not anchored_here
+                    else (),
+                )

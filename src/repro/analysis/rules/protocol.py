@@ -1,11 +1,15 @@
-"""Protocol rules: PROTO001-PROTO003 - layer-ownership contracts.
+"""Protocol rules: PROTO001-PROTO004 - layer-ownership contracts.
 
 The layered runtime's guarantees are positional: reliable delivery
 holds because *every* remote stream passes through the transport's
 seq/ack/retransmit path, and the report's counters mean what they say
 because exactly one layer writes each of them.  These rules pin both
 contracts - and the service layer's facade boundary - to the module
-graph.
+graph.  PROTO001/PROTO002 read the effect database (direct site plus
+every call site a raw wire push or a counter write is laundered
+through); PROTO003 is an import walk; PROTO004 is the one
+program-scope rule: it balances the pushed and dispatched event kinds
+of everything linted together.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ import ast
 from collections.abc import Iterator
 
 from ..engine import ModuleInfo, Violation
-from .base import Rule, dotted_name
+from .base import EffectRule, Rule
 
 __all__ = [
-    "TransportBypassRule",
-    "CounterOwnershipRule",
+    "WireBypassRule",
+    "CounterWriteRule",
     "ServiceFacadeRule",
+    "EventProtocolRule",
 ]
 
 #: The only module allowed to put streams on the wire.
@@ -31,7 +36,7 @@ _TRANSPORT_MODULE = "repro.runtime.transport"
 _WIRE_KINDS = {"msg_arrive"}
 
 
-class TransportBypassRule(Rule):
+class WireBypassRule(EffectRule):
     """PROTO001: wire events scheduled outside the transport layer."""
 
     id = "PROTO001"
@@ -42,42 +47,19 @@ class TransportBypassRule(Rule):
         "checksum and applies the fault-injection hook; a raw "
         "`sim.push(.., 'msg_arrive', ..)` is invisible to all of that"
     )
+    kind = "wire"
 
-    def check(self, mod: ModuleInfo) -> Iterator[Violation]:
-        if mod.module == _TRANSPORT_MODULE:
-            return
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "push"
-            ) and not (
-                isinstance(node.func, ast.Name)
-                and node.func.id == "heappush"
-            ):
-                continue
-            kind = self._event_kind(node)
-            if kind in _WIRE_KINDS:
-                yield self.violation(
-                    mod, node,
-                    f"`{kind!r}` event scheduled outside "
-                    f"{_TRANSPORT_MODULE} bypasses the seq/ack path",
-                )
+    def direct(self, mod, fn, site):
+        return (
+            f"`{site.atom[1]!r}` event scheduled outside "
+            f"{_TRANSPORT_MODULE} bypasses the seq/ack path"
+        )
 
-    @staticmethod
-    def _event_kind(node: ast.Call) -> str | None:
-        # Simulator.push(t, kind, data): kind is the second positional.
-        if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant):
-            v = node.args[1].value
-            if isinstance(v, str):
-                return v
-        for kw in node.keywords:
-            if kw.arg == "kind" and isinstance(kw.value, ast.Constant):
-                v = kw.value.value
-                if isinstance(v, str):
-                    return v
-        return None
+    def reached(self, eff):
+        return (
+            f"call reaches a `{eff.atom[1]!r}` push outside the "
+            f"transport ({len(eff.chain) - 1} hop(s) away)"
+        )
 
 
 #: RunReport counter -> the one module allowed to write it.  The
@@ -150,44 +132,37 @@ _EXEMPT_MODULES = {"repro.runtime.metrics"}
 _REPORT_BASES = {"report", "rep", "self.report", "run_report"}
 
 
-class CounterOwnershipRule(Rule):
-    """PROTO002: RunReport counter writes outside the owning layer."""
+class CounterWriteRule(EffectRule):
+    """PROTO002: RunReport counter writes outside the owning layer -
+    written in place, or laundered: the caller hands its RunReport to a
+    helper that writes a counter the caller's layer does not own."""
 
     id = "PROTO002"
     title = "counter write outside owning layer"
     hint = (
         "each RunReport counter is written by exactly one layer (see "
         "COUNTER_OWNERS in repro/analysis/rules/protocol.py); expose a "
-        "method on the owning layer or add a new counter it owns"
+        "method on the owning layer or add a new counter it owns - "
+        "passing the RunReport into a helper that writes the counter "
+        "makes the *caller* the writing layer"
     )
+    kind = "counter"
 
-    def check(self, mod: ModuleInfo) -> Iterator[Violation]:
-        if mod.module in _EXEMPT_MODULES:
-            return
-        for node in ast.walk(mod.tree):
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            else:
-                continue
-            for tgt in targets:
-                if not isinstance(tgt, ast.Attribute):
-                    continue
-                owner = COUNTER_OWNERS.get(tgt.attr)
-                if owner is None:
-                    continue
-                if mod.module == owner:
-                    continue
-                base = dotted_name(tgt.value)
-                if base not in _REPORT_BASES:
-                    continue
-                yield self.violation(
-                    mod, tgt,
-                    f"counter `{tgt.attr}` is owned by {owner}, "
-                    f"written from {mod.module or mod.path}",
-                )
+    def direct(self, mod, fn, site):
+        name = site.atom[1]
+        return (
+            f"counter `{name}` is owned by {COUNTER_OWNERS[name]}, "
+            f"written from {mod.module or mod.path}"
+        )
+
+    def applies(self, mod, fn, eff):
+        return mod.module != COUNTER_OWNERS.get(eff.atom[1])
+
+    def reached(self, eff):
+        return (
+            f"call writes counter `{eff.atom[1]}` (owned by "
+            f"{COUNTER_OWNERS.get(eff.atom[1], '?')}) through the chain below"
+        )
 
 
 #: The service layer and the runtime facade it is confined to.
@@ -291,3 +266,71 @@ class ServiceFacadeRule(Rule):
                                 "the service may only use facade entry "
                                 "points and pure data types",
                             )
+
+
+class EventProtocolRule(Rule):
+    """PROTO004: event-kind and hb-record exhaustiveness.
+
+    Program-wide: every event kind pushed into a simulator/service
+    heap must have a dispatch branch somewhere (a pop-bound ``kind ==
+    "x"`` comparison, a ``kind_id`` interning site or a ``KindRow``
+    registration), and vice versa;
+    every ``hb_*`` record kind emitted via ``note()`` must be one the
+    HB checker (``*HbChecker._on_<suffix>``) understands.  A pushed
+    kind nobody handles sits in the heap forever (or dies in a default
+    branch); a handled kind nobody pushes is dead protocol; an unknown
+    hb kind silently skips race checking.
+
+    "Nobody handles it" and "unknown to the checker" are closed-world
+    claims, so each is made only when the linted set contains the
+    other side at all: no dispatch site anywhere (a lone pusher module
+    linted by itself) or no HB checker means nothing to check.
+    """
+
+    id = "PROTO004"
+    title = "event-protocol exhaustiveness"
+    hint = (
+        "align the push and dispatch sides of the event protocol: add "
+        "the missing handler branch, delete the dead one, or teach the "
+        "HB checker the new record kind (HbChecker._on_<suffix>)"
+    )
+    scope = "program"
+
+    def check_program(self, program) -> Iterator[Violation]:
+        pushed = program.pushed_kinds()
+        handled = program.handled_kinds()
+        unhandled = set(pushed) - set(handled) if handled else ()
+        for kind in sorted(unhandled):
+            path, line = min(pushed[kind])
+            yield Violation(
+                rule=self.id, path=path, line=line, col=0,
+                message=(
+                    f"event kind `{kind!r}` is pushed but no dispatch "
+                    "branch handles it"
+                ),
+                hint=self.hint,
+            )
+        for kind in sorted(set(handled) - set(pushed)):
+            path, line = min(handled[kind])
+            yield Violation(
+                rule=self.id, path=path, line=line, col=0,
+                message=(
+                    f"dispatch branch handles event kind `{kind!r}` "
+                    "but nothing pushes it"
+                ),
+                hint=self.hint,
+            )
+        known_hb = program.hb_known_kinds()
+        if not known_hb:
+            return
+        for summary in program.modules.values():
+            for kind, line in sorted(set(summary.hb_emits)):
+                if kind not in known_hb:
+                    yield Violation(
+                        rule=self.id, path=summary.path, line=line, col=0,
+                        message=(
+                            f"hb record kind `{kind!r}` is emitted but "
+                            "unknown to the HB checker"
+                        ),
+                        hint=self.hint,
+                    )

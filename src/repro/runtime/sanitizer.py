@@ -160,13 +160,12 @@ class InvariantSanitizer:
             if not getattr(prog, "resilient_input", False):
                 continue
             graph = getattr(prog, "graph", None)
-            if graph is None or not hasattr(graph, "adjacency_lists"):
+            if graph is None or not hasattr(graph, "dr_patch"):
                 continue
-            _, remote_adj = graph.adjacency_lists()
+            # Remote edge id = position in the graph's remote CSR.
             per_dst: dict[int, set[int]] = {}
-            for targets in remote_adj:
-                for dp, _dl, eid in targets:
-                    per_dst.setdefault(dp, set()).add(eid)
+            for eid, dp in enumerate(graph.dr_patch.tolist()):
+                per_dst.setdefault(dp, set()).add(eid)
             for dp, eids in per_dst.items():
                 self.checks += 1
                 dst = progs.get(ProgramId(dp, pid.task))

@@ -42,8 +42,6 @@ from .._util import ReproError
 
 __all__ = [
     "Resource",
-    "ResourceBank",
-    "BankedResource",
     "Simulator",
     "KindRow",
     "TraceEvent",
@@ -66,61 +64,6 @@ class Resource:
         start = max(now, self.free)
         end = start + duration
         self.free = end
-        return start, end
-
-
-class ResourceBank:
-    """Struct-of-arrays backing store for a family of serial timelines.
-
-    One bank per run holds every core's free-time in a flat array
-    (``free[slot]``) with the core label alongside; :class:`
-    BankedResource` views share the storage, so two views of the same
-    slot alias one timeline (how ``mpi_only`` shares a core between
-    master duties and the worker).  Standalone :class:`Resource`
-    remains for callers that need a single detached timeline.
-    """
-
-    __slots__ = ("free", "cores")
-
-    def __init__(self):
-        self.free: list[float] = []
-        self.cores: list[tuple] = []
-
-    def add(self, core: tuple) -> int:
-        """Reserve one timeline slot; returns its index."""
-        slot = len(self.free)
-        self.free.append(0.0)
-        self.cores.append(core)
-        return slot
-
-    def view(self, slot: int) -> "BankedResource":
-        return BankedResource(self, slot)
-
-
-class BankedResource:
-    """A serial server whose timeline lives in a shared ResourceBank.
-
-    Same contract as :class:`Resource` (``book``, ``free``, ``core``);
-    booking arithmetic is kept textually identical so swapping the
-    backing store cannot perturb virtual times.
-    """
-
-    __slots__ = ("bank", "slot", "core")
-
-    def __init__(self, bank: ResourceBank, slot: int):
-        self.bank = bank
-        self.slot = slot
-        self.core = bank.cores[slot]
-
-    @property
-    def free(self) -> float:
-        return self.bank.free[self.slot]
-
-    def book(self, now: float, duration: float) -> tuple[float, float]:
-        free = self.bank.free
-        start = max(now, free[self.slot])
-        end = start + duration
-        free[self.slot] = end
         return start, end
 
 

@@ -195,7 +195,6 @@ class PatchAngleGraph:
 
     # Lazily-built Python-list adjacency (hot-loop form, cached because
     # the topology is reused across iterations, groups and runs).
-    _adj_cache: tuple | None = field(default=None, repr=False)
     _flat_cache: tuple | None = field(default=None, repr=False)
 
     @property
@@ -215,51 +214,18 @@ class PatchAngleGraph:
         deg = np.diff(self.dr_indptr)
         return np.nonzero(deg > 0)[0]
 
-    def adjacency_lists(self):
-        """(local_targets, remote_targets) as Python lists per vertex.
-
-        ``remote_targets[v]`` is a list of ``(dst_patch, dst_local,
-        edge_id)`` where ``edge_id`` is the edge's stable position in
-        this graph's remote CSR - unique per source program and
-        identical across re-executions, which is what lets a receiver
-        discard duplicate dependency notifications exactly (the
-        fault-tolerant runtime's idempotent-delivery contract).  This
-        is the form the sweep program's collect loop consumes; it is
-        cached on the graph because topology outlives any one sweep.
-        """
-        if self._adj_cache is None:
-            # One whole-array tolist per CSR array plus Python-list
-            # slicing: identical contents to a per-vertex numpy
-            # slice-and-convert, at a fraction of the build cost
-            # (per-vertex ndarray views and .tolist() calls dominate on
-            # million-edge topologies).
-            lptr = self.dl_indptr.tolist()
-            ltgt = self.dl_target.tolist()
-            local = [
-                ltgt[lptr[i] : lptr[i + 1]] for i in range(self.n_local)
-            ]
-            rptr = self.dr_indptr.tolist()
-            rows = list(
-                zip(
-                    self.dr_patch.tolist(),
-                    self.dr_local.tolist(),
-                    range(len(self.dr_local)),
-                )
-            )
-            remote = [
-                rows[rptr[i] : rptr[i + 1]] for i in range(self.n_local)
-            ]
-            self._adj_cache = (local, remote)
-        return self._adj_cache
-
     def adjacency_flat(self):
         """Flat-CSR adjacency as plain Python lists (the collect loop's
         working form): ``(lptr, ltgt, rptr, rpat, rloc)``.
 
-        Identical content to :meth:`adjacency_lists` without
-        materializing a list/tuple per vertex: the collect loop slices
-        ``ltgt[lptr[v]:lptr[v + 1]]`` lazily and reads remote edges by
-        CSR position, whose index *is* the stable ``edge_id``.
+        No list/tuple is materialized per vertex: the collect loop
+        slices ``ltgt[lptr[v]:lptr[v + 1]]`` lazily and reads remote
+        edges by CSR position, whose index *is* the stable ``edge_id``
+        - unique per source program and identical across
+        re-executions, which is what lets a receiver discard duplicate
+        dependency notifications exactly (the fault-tolerant runtime's
+        idempotent-delivery contract).  Cached on the graph because
+        topology outlives any one sweep.
         """
         if self._flat_cache is None:
             self._flat_cache = (

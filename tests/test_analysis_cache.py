@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.cache import cached_lint
 from repro.analysis.engine import lint_paths, parse_count
+from repro.analysis.rules import ALL_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 
@@ -54,7 +55,7 @@ def tree(tmp_path):
 
 
 def _run(tmp_path, cache):
-    return cached_lint([tmp_path], cache, interprocedural=True)
+    return cached_lint([tmp_path], cache)
 
 
 class TestCacheHit:
@@ -71,7 +72,7 @@ class TestCacheHit:
     def test_cached_equals_uncached(self, tmp_path, tree):
         cache = tmp_path / "cache.json"
         cached = _run(tmp_path, cache)
-        plain = lint_paths([tmp_path], interprocedural=True)
+        plain = lint_paths([tmp_path])
         assert [v.to_dict() for v in cached] == [v.to_dict() for v in plain]
 
     def test_fixture_findings_survive_the_cache_verbatim(self, tmp_path):
@@ -161,13 +162,13 @@ class TestSignature:
         _run(tmp_path, cache)
 
         before = parse_count()
-        # Single-file mode has a different signature: full re-run.
-        cached_lint([tmp_path], cache, interprocedural=False)
+        # A different rule list has a different signature: full re-run.
+        cached_lint([tmp_path], cache, rules=ALL_RULES[:-1])
         assert parse_count() - before == 4
 
     def test_corrupt_cache_falls_back_to_cold(self, tmp_path, tree):
         cache = tmp_path / "cache.json"
         cache.write_text("{not json")
         vs = _run(tmp_path, cache)
-        plain = lint_paths([tmp_path], interprocedural=True)
+        plain = lint_paths([tmp_path])
         assert [v.to_dict() for v in vs] == [v.to_dict() for v in plain]

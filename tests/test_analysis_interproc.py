@@ -1,8 +1,8 @@
 """Whole-program analysis: call graph, effect inference, the
-interprocedural rules (transitive DET/DES/PROTO re-hosts, PERSIST002
-snapshot completeness, PROTO004 event-protocol exhaustiveness), the
+propagated half of the DET/DES/PROTO rules, PERSIST002 snapshot
+completeness, PROTO004 event-protocol exhaustiveness, the
 single-parse engine contract, and the meta-check that the shipped
-repo is clean under the full interprocedural rule set."""
+repo is clean cold and through the cache."""
 
 import json
 from pathlib import Path
@@ -13,18 +13,17 @@ from repro.analysis import LintEngine
 from repro.analysis.callgraph import Program, extract_summary
 from repro.analysis.effects import EffectDB, effect_db
 from repro.analysis.engine import load_module, parse_count, render_sarif
-from repro.analysis.rules import ALL_RULES, INTERPROC_RULES, rules_for
+from repro.analysis.rules import ALL_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
 
 def _lint(name: str):
-    eng = LintEngine(interprocedural=True)
-    return eng.lint_paths([FIXTURES / name])
+    return LintEngine().lint_paths([FIXTURES / name])
 
 
-#: fixture -> exactly the rule ids it must fire interprocedurally.
+#: fixture -> exactly the rule ids it must fire.
 INTERPROC_FIXTURES = {
     "persist002_bad.py": {"PERSIST002"},
     "persist002_clean.py": set(),
@@ -77,6 +76,20 @@ class TestInterprocFixtures:
     def test_blessing_the_direct_site_clears_the_cone(self):
         assert _lint("det001_chain_suppressed.py") == []
 
+    def test_call_site_allow_silences_that_site_only(self, tmp_path):
+        f = tmp_path / "m.py"
+        f.write_text(
+            "import time\n"
+            "def stamp():\n"
+            "    return time.time()\n"
+            "def blessed():\n"
+            "    return stamp()  # repro: allow[DET001]\n"
+            "def other():\n"
+            "    return stamp()\n"
+        )
+        vs = LintEngine().lint_file(f)
+        assert [(v.line, len(v.chain)) for v in vs] == [(3, 0), (7, 2)]
+
     def test_proto004_reports_all_three_hole_kinds(self):
         msgs = [v.message for v in _lint("proto004_bad.py")]
         assert any("pushed but no dispatch" in m for m in msgs)
@@ -96,13 +109,12 @@ class TestInterprocFixtures:
         assert "retries" in vs[0].message
         assert "repro.runtime.transport" in vs[0].message
 
-    def test_det003_two_hops_past_the_single_file_rule(self):
+    def test_det003_two_hops_past_the_loop_body(self):
         vs = _lint("det003_deep_bad.py")
         assert len(vs) == 1 and vs[0].rule == "DET003"
-        # The single-file rule must NOT fire on this fixture by itself.
-        assert LintEngine(ALL_RULES).lint_paths(
-            [FIXTURES / "det003_deep_bad.py"]
-        ) == []
+        # Not in the loop body, not one call away: found through the
+        # call graph, with the chain down to the push.
+        assert len(vs[0].chain) == 2 and "_emit" in vs[0].chain[-1]
 
 
 # -- call graph mechanics --------------------------------------------------------
@@ -184,7 +196,7 @@ class TestCallGraph:
 
 
 class TestEngineContracts:
-    def test_single_parse_per_file_interprocedural(self, tmp_path):
+    def test_single_parse_per_file(self, tmp_path):
         """One lint run parses each file exactly once, even with the
         call graph, effect inference, and every rule enabled."""
         for i in range(3):
@@ -194,7 +206,7 @@ class TestEngineContracts:
                 "    return 0\n"
             )
         before = parse_count()
-        LintEngine(interprocedural=True).lint_paths([tmp_path])
+        LintEngine().lint_paths([tmp_path])
         assert parse_count() - before == 3
 
     def test_allow_on_decorated_def_header_covers_body(self, tmp_path):
@@ -222,9 +234,8 @@ class TestEngineContracts:
         assert LintEngine().lint_paths([f]) == []
 
     def test_sarif_rendering(self):
-        eng = LintEngine(interprocedural=True)
-        vs = eng.lint_paths([FIXTURES / "det001_chain_bad.py"])
-        doc = json.loads(render_sarif(vs, rules=rules_for(True)))
+        vs = _lint("det001_chain_bad.py")
+        doc = json.loads(render_sarif(vs))
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro.analysis"
@@ -238,13 +249,13 @@ class TestEngineContracts:
             region = r["locations"][0]["physicalLocation"]["region"]
             assert region["startLine"] >= 1 and region["startColumn"] >= 1
 
-    def test_interproc_rules_have_distinct_registry(self):
-        assert {r.id for r in INTERPROC_RULES} == {
+    def test_registry_has_one_class_per_id(self):
+        assert {r.id for r in ALL_RULES} >= {
             "DET001", "DET002", "DET003", "DES001",
             "PROTO001", "PROTO002", "PERSIST002", "PROTO004",
         }
-        assert rules_for(False) == ALL_RULES
-        assert rules_for(True) == ALL_RULES + INTERPROC_RULES
+        assert len({r.id for r in ALL_RULES}) == len(ALL_RULES)
+        assert len({type(r) for r in ALL_RULES}) == len(ALL_RULES)
 
 
 # -- the effects explain command on the real repo --------------------------------
@@ -252,8 +263,7 @@ class TestEngineContracts:
 
 @pytest.fixture(scope="module")
 def src_db():
-    eng = LintEngine(rules=[], interprocedural=True)
-    mods = eng.load_modules([SRC])
+    mods = LintEngine(rules=[]).load_modules([SRC])
     return effect_db(mods[0].program)
 
 
@@ -309,14 +319,19 @@ class TestEffectsOnShippedRepo:
         assert set(src_db.class_swrites(qname)) == core | rebuilt
 
 
-# -- meta: the shipped repo is clean under the interprocedural rules -------------
+# -- meta: the shipped repo is clean, cold and warm (the pre-commit path) --------
 
 
-def test_shipped_repo_clean_interprocedural():
+def test_shipped_repo_clean_through_the_cache(tmp_path):
+    from repro.analysis.cache import cached_lint
     from repro.analysis.engine import render
 
-    vs = LintEngine(interprocedural=True).lint_paths([SRC])
-    assert vs == [], "\n" + render(vs)
+    cache = tmp_path / "cache.json"
+    cold = cached_lint([SRC], cache)
+    assert cold == [], "\n" + render(cold)
+    before = parse_count()
+    assert cached_lint([SRC], cache) == cold
+    assert parse_count() == before, "a full hit parses nothing"
 
 
 def test_effects_cli_explains_a_real_chain(capsys):

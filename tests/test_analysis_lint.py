@@ -1,5 +1,6 @@
-"""The lint engine: every rule demonstrated on golden fixtures, the
-suppression syntax, the module pragma, and the meta-check that the
+"""The lint engine: every rule demonstrated on golden fixtures (and
+every fixture's findings pinned row by row), the suppression syntax,
+the module pragma, unparsable sources, and the meta-check that the
 shipped repo itself lints clean."""
 
 import json
@@ -7,8 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintEngine, Violation, lint_paths
-from repro.analysis.engine import load_module, render
+from repro.analysis import LintEngine, Violation
+from repro.analysis.engine import (
+    SourceError,
+    load_module,
+    render,
+    render_sarif,
+)
 from repro.analysis.rules import ALL_RULES, rule_table
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
@@ -26,7 +32,9 @@ FIXTURE_STEM = {
     "PROTO001": "proto001",
     "PROTO002": "proto002",
     "PROTO003": "proto003",
+    "PROTO004": "proto004",
     "PERSIST001": "persist001",
+    "PERSIST002": "persist002",
 }
 
 
@@ -71,6 +79,89 @@ class TestRulesTrigger:
         for v in vs:
             assert v.line > 0 and v.hint
             assert str(FIXTURES / "det001_bad.py") == v.path
+
+
+# -- same findings as the two lint hostings this engine replaced -----------------
+
+#: Pusher-only fixtures: linted alone they contain no dispatch site, so
+#: PROTO004's closed-world "pushed but unhandled" half has nothing to
+#: check.  expected_findings.json was recorded from the old engine
+#: (union of its single-file and whole-program passes) with exactly
+#: these files' PROTO004 rows dropped.
+PUSHER_ONLY = {
+    "det003_bad.py", "det003_clean.py", "det003_hop_bad.py",
+    "det003_suppressed.py", "proto001_bad.py", "proto001_clean.py",
+    "proto001_suppressed.py",
+}
+
+EXPECTED = json.loads((FIXTURES / "expected_findings.json").read_text())
+
+
+class TestSameFindings:
+    def test_every_fixture_is_pinned(self):
+        assert sorted(EXPECTED) == sorted(
+            f.name for f in FIXTURES.glob("*.py")
+        )
+        assert PUSHER_ONLY <= set(EXPECTED)
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_fixture_findings_reproduced_exactly(self, name):
+        got = sorted(
+            [v.rule, v.line, v.col, v.message, len(v.chain)]
+            for v in _lint(name)
+        )
+        assert got == EXPECTED[name]
+
+    @pytest.mark.parametrize("name", sorted(PUSHER_ONLY))
+    def test_pusher_only_fixture_has_no_proto004(self, name):
+        assert "PROTO004" not in {v.rule for v in _lint(name)}
+
+    def test_module_and_class_body_sites_are_seen(self, tmp_path):
+        f = tmp_path / "top.py"
+        f.write_text(
+            "import time\n"
+            "T0 = time.time()\n"
+            "class Stamped:\n"
+            "    born = time.time()\n"
+        )
+        vs = LintEngine().lint_file(f)
+        assert [(v.rule, v.line, v.col) for v in vs] == [
+            ("DET001", 2, 5), ("DET001", 4, 11),
+        ]
+
+    def test_every_site_is_reported_not_one_per_function(self, tmp_path):
+        f = tmp_path / "twice.py"
+        f.write_text(
+            "import time\n"
+            "def span():\n"
+            "    a = time.time()\n"
+            "    return time.time() - a\n"
+        )
+        assert [v.line for v in LintEngine().lint_file(f)] == [3, 4]
+
+    def test_direct_site_and_caller_come_from_one_rule(self, tmp_path):
+        f = tmp_path / "pair.py"
+        f.write_text(
+            "import time\n"
+            "def stamp():\n"
+            "    return time.time()\n"
+            "def caller():\n"
+            "    return stamp()\n"
+        )
+        rules = [r for r in ALL_RULES if r.id == "DET001"]
+        assert len(rules) == 1
+        vs = LintEngine(rules).lint_file(f)
+        assert [(v.line, len(v.chain)) for v in vs] == [(3, 0), (5, 2)]
+        assert vs[0].col == 11 and "1 hop(s) away" in vs[1].message
+
+    def test_sarif_default_table_indexes_every_result(self):
+        vs = [v for name in EXPECTED for v in _lint(name)]
+        assert {v.rule for v in vs} == set(RULE_IDS)
+        doc = json.loads(render_sarif(vs))
+        table = doc["runs"][0]["tool"]["driver"]["rules"]
+        for r in doc["runs"][0]["results"]:
+            assert r["ruleIndex"] >= 0
+            assert table[r["ruleIndex"]]["id"] == r["ruleId"]
 
 
 # -- engine mechanics ------------------------------------------------------------
@@ -120,6 +211,7 @@ class TestEngine:
 
     def test_rule_table_covers_all_rules(self):
         assert [row["id"] for row in rule_table()] == RULE_IDS
+        assert len(set(RULE_IDS)) == len(RULE_IDS)
 
 
 # -- the CLI ---------------------------------------------------------------------
@@ -140,10 +232,76 @@ class TestCli:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["count"] == 0
 
+    def test_rules_listing_names_each_id_once(self, capsys):
+        from repro.analysis.__main__ import main
+
+        assert main(["lint", "--rules"]) == 0
+        listed = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()]
+        assert listed == RULE_IDS
+
+
+# -- sources that cannot be parsed -----------------------------------------------
+
+UNPARSABLE = {
+    "syntax": (b"x = 1\ndef broken(:\n    pass\n", 2),
+    "bytes": (b"\xff\xfe", 1),
+}
+
+
+class TestUnparsableSource:
+    @pytest.mark.parametrize("case", sorted(UNPARSABLE))
+    def test_engine_raises_a_structured_error(self, tmp_path, case):
+        blob, line = UNPARSABLE[case]
+        f = tmp_path / "bad.py"
+        f.write_bytes(blob)
+        with pytest.raises(SourceError) as err:
+            LintEngine().lint_paths([f])
+        assert (err.value.path, err.value.line) == (str(f), line)
+        assert err.value.message
+        assert str(err.value).startswith(f"{f}:{line}: cannot parse: ")
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("case", sorted(UNPARSABLE))
+    def test_cli_exits_2_with_one_line(self, tmp_path, capsys, case, cached):
+        from repro.analysis.__main__ import main
+
+        blob, line = UNPARSABLE[case]
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        f = tmp_path / "bad.py"
+        f.write_bytes(blob)
+        cache = tmp_path / "cache.json"
+        argv = ["lint", str(tmp_path)]
+        if cached:
+            argv += ["--cache", str(cache)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"{f}:{line}: cannot parse: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not cache.exists(), "no cache entry for an unparsable run"
+
+    def test_unparsable_edit_keeps_the_previous_cache(self, tmp_path):
+        from repro.analysis.__main__ import main
+
+        f = tmp_path / "m.py"
+        f.write_text("x = 1\n")
+        cache = tmp_path / "cache.json"
+        assert main(["lint", str(f), "--cache", str(cache)]) == 0
+        before = cache.read_text()
+        f.write_text("x = (\n")
+        assert main(["lint", str(f), "--cache", str(cache)]) == 2
+        assert cache.read_text() == before
+
 
 # -- the shipped repo lints clean (the CI gate, in-process) ----------------------
 
 
 def test_shipped_repo_lints_clean():
-    vs = lint_paths([SRC])
+    """Clean, and not by way of new pragmas: the comment-level
+    suppressions and transient marks in ``src`` are counted."""
+    eng = LintEngine()
+    mods, by_path, vs = eng.lint_files(eng.collect_files([SRC]))
+    vs = vs + [v for found in by_path.values() for v in found]
     assert vs == [], "\n" + render(vs)
+    assert sum(len(m.suppressions) for m in mods) == 2
+    assert sum(len(m.transient_lines) for m in mods) == 11

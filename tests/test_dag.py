@@ -133,10 +133,10 @@ class TestSweepTopology:
         for a in range(topo.num_angles):
             assert len(topo.patch_dag[a]) > 0
 
-    def test_adjacency_lists_cached(self, topo):
+    def test_adjacency_flat_cached(self, topo):
         g = topo.graphs[(0, 0)]
-        l1 = g.adjacency_lists()
-        l2 = g.adjacency_lists()
+        l1 = g.adjacency_flat()
+        l2 = g.adjacency_flat()
         assert l1 is l2
 
     def test_boundary_vertices(self, topo):
