@@ -31,6 +31,9 @@ __all__ = [
     "directed_edges",
     "check_acyclic",
     "break_cycles",
+    "multi_slice",
+    "csr_by_source",
+    "kahn_fronts",
     "topological_levels",
     "PatchAngleGraph",
     "SweepTopology",
@@ -58,25 +61,12 @@ def directed_edges(
 
 
 def check_acyclic(num_vertices: int, u: np.ndarray, v: np.ndarray) -> bool:
-    """Kahn's algorithm: True iff the edge set is a DAG."""
-    indeg = np.bincount(v, minlength=num_vertices)
-    order = np.argsort(u, kind="stable")
-    us, vs = u[order], v[order]
-    indptr = np.searchsorted(us, np.arange(num_vertices + 1))
-    q = deque(np.nonzero(indeg == 0)[0].tolist())
-    seen = 0
-    indeg = indeg.tolist()
-    vs_list = vs.tolist()
-    indptr_list = indptr.tolist()
-    while q:
-        x = q.popleft()
-        seen += 1
-        for i in range(indptr_list[x], indptr_list[x + 1]):
-            w = vs_list[i]
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                q.append(w)
-    return seen == num_vertices
+    """True iff the edge set is a DAG (the Kahn peel reaches every vertex)."""
+    try:
+        topological_levels(num_vertices, u, v)
+    except ReproError:
+        return False
+    return True
 
 
 def break_cycles(
@@ -142,36 +132,65 @@ def break_cycles(
     return keep
 
 
+def multi_slice(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices of the concatenation of ``[s, s+c)`` ranges (CSR gather)."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    ends = np.cumsum(counts)
+    base = np.repeat(starts - np.concatenate(([0], ends[:-1])), counts)
+    return base + np.arange(total, dtype=np.int64)
+
+
+def kahn_fronts(
+    num_vertices: int, indptr: np.ndarray, target: np.ndarray, what: str
+) -> tuple[np.ndarray, int]:
+    """Kahn front index of every vertex of the CSR digraph, and the
+    number of fronts; every predecessor of a front-``L`` vertex sits in
+    a front ``< L``.  One vectorized peel per front.  Raises
+    ``"<what> is cyclic"`` when the peel cannot reach every vertex.
+    """
+    n = num_vertices
+    deg = np.diff(indptr)
+    indeg = np.bincount(target, minlength=n)
+    front_of = np.zeros(n, dtype=np.int64)
+    ready = np.zeros(n, dtype=bool)
+    cur = np.nonzero(indeg == 0)[0]
+    seen, front = 0, 0
+    while cur.size:
+        front_of[cur] = front
+        seen += cur.size
+        t = target[multi_slice(indptr[cur], deg[cur])]
+        if t.size == 0:
+            break
+        indeg -= np.bincount(t, minlength=n)
+        # Flag-array dedup: same ascending-unique front as
+        # ``np.unique(...)`` without the per-front sort.
+        ready[t[indeg[t] == 0]] = True
+        cur = np.nonzero(ready)[0]
+        ready[cur] = False
+        front += 1
+    if seen != n:
+        raise ReproError(f"{what} is cyclic")
+    return front_of, front + 1 if n else 0
+
+
 def topological_levels(
     num_vertices: int, u: np.ndarray, v: np.ndarray
 ) -> list[np.ndarray]:
-    """Partition vertices into dependency levels (Kahn fronts).
+    """Partition vertices into dependency levels (Kahn fronts), each an
+    ascending id array.
 
     All vertices within one level are mutually independent, which is
     what the level-vectorized kernel path exploits.  Raises on cycles.
     """
-    indeg = np.bincount(v, minlength=num_vertices)
-    order = np.argsort(u, kind="stable")
-    us, vs = u[order], v[order]
-    indptr = np.searchsorted(us, np.arange(num_vertices + 1))
-    levels = []
-    current = np.nonzero(indeg == 0)[0]
-    seen = 0
-    indeg = indeg.copy()
-    while len(current):
-        levels.append(current)
-        seen += len(current)
-        nxt = []
-        for x in current:
-            for i in range(indptr[x], indptr[x + 1]):
-                w = vs[i]
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    nxt.append(w)
-        current = np.asarray(sorted(nxt), dtype=np.int64)
-    if seen != num_vertices:
-        raise ReproError("topological_levels: graph is cyclic")
-    return levels
+    indptr, target = csr_by_source(u, num_vertices, v)
+    front_of, nfronts = kahn_fronts(
+        num_vertices, indptr, target, "topological_levels: graph"
+    )
+    order = np.argsort(front_of, kind="stable")
+    bounds = np.searchsorted(front_of[order], np.arange(nfronts + 1))
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -238,7 +257,7 @@ class PatchAngleGraph:
         return self._flat_cache
 
 
-def _csr_by_source(
+def csr_by_source(
     src_local: np.ndarray, n_local: int, *payloads: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Group edge arrays by source-local index into CSR form."""
@@ -304,7 +323,7 @@ class SweepTopology:
         # (patch, local) key replaces a pair of per-patch argsorts:
         # sorting by ``pu * stride + lu`` with a stable kind yields
         # exactly the (patch, src_local, original-order) edge order the
-        # old per-patch ``_csr_by_source`` produced, so every CSR array
+        # old per-patch ``csr_by_source`` produced, so every CSR array
         # is bitwise identical.
         stride = int(patch_sizes.max()) + 1 if npat else 1
 

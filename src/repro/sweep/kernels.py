@@ -14,19 +14,24 @@ Two discretizations of the one-angle transport balance
 A kernel instance is specific to one direction and caches the per-cell
 incoming/outgoing face tables; it is reused across source iterations
 and energy groups.  Face fluxes live in one array with a slot per
-interior interface plus a slot per boundary face.
+interior interface plus a slot per boundary face.  :class:`SweepPlan`
+compiles the tables of the kernels that share them (an *angle set*)
+into per-level slices, so the level-vectorized sweep gathers nothing
+it could have precomputed.
 """
 
 from __future__ import annotations
 
+import hashlib
 
 import numpy as np
 
 from .._util import ReproError
 from ..framework.connectivity import BoundaryTable, InterfaceTable
 from ..mesh.structured import StructuredMesh
+from .dag import csr_by_source, multi_slice
 
-__all__ = ["AngleKernel"]
+__all__ = ["AngleKernel", "SweepPlan"]
 
 _TOL = 1e-12
 
@@ -55,11 +60,6 @@ class AngleKernel:
         self.num_interfaces = interfaces.num_interfaces
         self.num_bfaces = boundary.num_faces
         self.num_slots = self.num_interfaces + self.num_bfaces
-        self.volumes = (
-            mesh.cell_volumes
-            if hasattr(mesh, "cell_volumes")
-            else np.full(ncells, mesh.cell_volume)
-        )
 
         # --- interior interfaces: upwind/downwind per direction ---
         # 2-D meshes: only the (x, y) ordinate components see geometry.
@@ -84,7 +84,6 @@ class AngleKernel:
 
         # Incoming boundary slots (set by boundary conditions).
         self.inflow_slots = b_slot[~b_out]
-        self.inflow_cells = b_cell[~b_out]
         self.inflow_rows = b_idx[~b_out]  # rows into the BoundaryTable
         self.inflow_axes = b_axis[~b_out]
         self.inflow_centroids = (
@@ -93,36 +92,30 @@ class AngleKernel:
             else None
         )
         self.outflow_slots = b_slot[b_out]
-        self.outflow_cells = b_cell[b_out]
         self.outflow_rows = b_idx[b_out]
         self.outflow_coeff = b_coeff[b_out]
 
-        # --- per-cell CSR tables ---
+        # --- per-cell CSR tables (the composite ``cell * 3 + axis`` keys
+        # ride along only to pair the DD faces) ---
         in_cell = np.concatenate([down, b_cell[~b_out]])
         in_slot = np.concatenate([idx, b_slot[~b_out]])
         in_coeff = np.concatenate([coeff, b_coeff[~b_out]])
-        in_axis = np.concatenate([axis, b_axis[~b_out]])
-        (
-            self.in_indptr,
-            self.in_slot,
-            self.in_coeff,
-            self.in_axis,
-        ) = _csr(in_cell, ncells, in_slot, in_coeff, in_axis)
+        in_key = in_cell * 3 + np.concatenate([axis, b_axis[~b_out]])
+        self.in_indptr, self.in_slot, self.in_coeff, in_key = csr_by_source(
+            in_cell, ncells, in_slot, in_coeff, in_key
+        )
 
         out_cell = np.concatenate([up, b_cell[b_out]])
         out_slot = np.concatenate([idx, b_slot[b_out]])
         out_coeff = np.concatenate([coeff, b_coeff[b_out]])
-        out_axis = np.concatenate([axis, b_axis[b_out]])
-        (
-            self.out_indptr,
-            self.out_slot,
-            self.out_coeff,
-            self.out_axis,
-        ) = _csr(out_cell, ncells, out_slot, out_coeff, out_axis)
+        out_key = out_cell * 3 + np.concatenate([axis, b_axis[b_out]])
+        self.out_indptr, self.out_slot, self.out_coeff, out_key = csr_by_source(
+            out_cell, ncells, out_slot, out_coeff, out_key
+        )
 
         self.out_pair = None
         if scheme == "dd":
-            self.out_pair = self._pair_faces(ncells)
+            self.out_pair = self._pair_faces(in_key, out_key)
 
         # Per-cell outgoing-coefficient sums (removal denominators),
         # used by both the scalar loop and the level-vectorized path.
@@ -133,23 +126,17 @@ class AngleKernel:
             self.out_coeff,
         )
 
-    def _pair_faces(self, ncells: int) -> np.ndarray:
-        """DD pairing: for every outflow face, the same-axis inflow slot."""
-        pair = np.full(len(self.out_slot), -1, dtype=np.int64)
-        for c in range(ncells):
-            ilo, ihi = self.in_indptr[c], self.in_indptr[c + 1]
-            in_by_axis = {}
-            for k in range(ilo, ihi):
-                ax = int(self.in_axis[k])
-                if ax in in_by_axis:
-                    raise ReproError("DD: cell has two inflow faces on one axis")
-                in_by_axis[ax] = int(self.in_slot[k])
-            olo, ohi = self.out_indptr[c], self.out_indptr[c + 1]
-            for k in range(olo, ohi):
-                ax = int(self.out_axis[k])
-                if ax not in in_by_axis:
-                    raise ReproError("DD: outflow face without paired inflow")
-                pair[k] = in_by_axis[ax]
+    def _pair_faces(self, in_key: np.ndarray, out_key: np.ndarray) -> np.ndarray:
+        """DD pairing: for every outflow face, the same-axis inflow slot
+        of its cell, by one lookup on the composite ``cell * 3 + axis``
+        keys (aligned with ``in_slot`` / ``out_slot``)."""
+        slot_of = np.full(3 * self.mesh.num_cells, -1, dtype=np.int64)
+        slot_of[in_key] = self.in_slot
+        if np.count_nonzero(slot_of >= 0) != len(in_key):
+            raise ReproError("DD: cell has two inflow faces on one axis")
+        pair = slot_of[out_key]
+        if np.any(pair < 0):
+            raise ReproError("DD: outflow face without paired inflow")
         return pair
 
     # -- runtime API ----------------------------------------------------------------
@@ -181,10 +168,9 @@ class AngleKernel:
         """Solve ``cells`` in the given (topological) order.
 
         ``src_v[c]`` must be the cell-integrated per-angle source
-        ``s * V`` and ``sigma_t_v[c]`` the cell-integrated removal
-        ``sigma_t * V`` (both shaped ``(ncells, groups)`` /
-        ``(ncells,)`` respectively... ``sigma_t_v`` is (ncells,) for
-        one-material-per-cell cross sections or (ncells, groups)).
+        ``s * V``, shaped ``(ncells, groups)``, and ``sigma_t_v[c]`` the
+        cell-integrated removal ``sigma_t * V``, shaped ``(ncells,)``
+        (one value per cell for all groups) or ``(ncells, groups)``.
         Updates ``psi_cell`` and the outgoing rows of ``psi_faces``.
         """
         dd = self.scheme == "dd"
@@ -215,60 +201,46 @@ class AngleKernel:
 
     def solve_level(
         self,
-        cells: np.ndarray,
-        src_v: np.ndarray,
-        sigma_t_v: np.ndarray,
+        plan: "SweepPlan",
+        level: int,
+        src_p: np.ndarray,
+        den_p: np.ndarray,
         psi_faces: np.ndarray,
-        psi_cell: np.ndarray,
+        psi_p: np.ndarray,
     ) -> None:
-        """Vectorized solve of one set of *mutually independent* cells.
+        """Vectorized solve of one dependency level of ``plan`` for all
+        ``m`` angles of its set (``self`` is the set's first kernel; the
+        per-level entry point lives here so it stays a traced kernel call).
 
-        All ``cells`` must belong to the same topological level of the
-        sweep DAG (no cell's inflow face is another's outflow face);
-        :func:`repro.sweep.dag.topological_levels` produces such sets.
-        Identical arithmetic to :meth:`solve_cells` (same summation
-        order), vectorized across the level with NumPy group-bys -
-        the 'vectorize the loops' optimization the HPC guides call for.
+        ``src_p`` ``(ncells, ng)`` and ``den_p`` / ``psi_p``
+        ``(m, ncells, ng)`` are in plan cell order (see
+        :meth:`SweepPlan.sweep`); ``psi_faces`` is ``(m, slots, ng)``.
+        Identical arithmetic to :meth:`solve_cells`: each in-degree
+        group's batched ``(1,k) @ (k,ng)`` matmul runs the same BLAS
+        dot per cell as ``in_coeff @ psi_faces[isl]``, so the sum order
+        - and the result - is bitwise identical (verified by
+        tests/test_kernels_level.py).
         """
-        cells = np.asarray(cells, dtype=np.int64)
-        if cells.size == 0:
-            return
+        c0, c1, groups, o0, o1 = plan.levels[level]
+        m, _, ng = psi_faces.shape
         two = 2.0 if self.scheme == "dd" else 1.0
+        acc = np.zeros((m, c1 - c0, ng))
+        for a, b, k, s0, s1 in groups:
+            flux = psi_faces.take(plan.slots[s0:s1], axis=1)
+            acc[:, a:b] = np.matmul(
+                plan.coeff[:, s0:s1].reshape(m, b - a, 1, k),
+                flux.reshape(m, b - a, k, ng),
+            )[:, :, 0]
+        psi = (src_p[c0:c1] + two * acc) / den_p[:, c0:c1]
+        psi_p[:, c0:c1] = psi
 
-        starts = self.in_indptr[cells]
-        lens = self.in_indptr[cells + 1] - starts
-        ng = psi_faces.shape[1]
-        # Inflow accumulation, grouped by in-degree: each group's
-        # batched ``(1,k) @ (k,ng)`` matmul runs the same BLAS dot per
-        # cell as ``solve_cells``'s ``in_coeff @ psi_faces[isl]``, so
-        # the sum order - and the result - is bitwise identical
-        # (verified by tests/test_kernels_level.py).
-        acc = np.zeros((len(cells), ng))
-        for k in np.unique(lens):
-            if k == 0:
-                continue
-            sel = np.nonzero(lens == k)[0]
-            pos = starts[sel, None] + np.arange(k)
-            coeff = self.in_coeff[pos]
-            flux = psi_faces[self.in_slot[pos]]
-            acc[sel] = np.matmul(coeff[:, None, :], flux)[:, 0]
-        num = src_v[cells] + two * acc
-        den = sigma_t_v[cells] + two * self.out_coeff_sum[cells, None]
-        psi = num / den
-        psi_cell[cells] = psi
-
-        ostarts = self.out_indptr[cells]
-        olens = self.out_indptr[cells + 1] - ostarts
-        opos = np.repeat(ostarts, olens) + _ragged_arange(olens)
-        oseg = np.repeat(np.arange(len(cells)), olens)
-        osl = self.out_slot[opos]
+        out_flux = psi.take(plan.oseg[o0:o1], axis=1)
         if self.scheme == "dd":
-            out_flux = 2.0 * psi[oseg] - psi_faces[self.out_pair[opos]]
+            out_flux *= 2.0
+            out_flux -= psi_faces.take(plan.pair[o0:o1], axis=1)
             if self.fixup:
                 np.maximum(out_flux, 0.0, out=out_flux)
-            psi_faces[osl] = out_flux
-        else:
-            psi_faces[osl] = psi[oseg]
+        psi_faces[:, plan.osl[o0:o1]] = out_flux
 
     def leakage(self, psi_faces: np.ndarray) -> np.ndarray:
         """Outgoing partial current through the domain boundary (per group)."""
@@ -277,17 +249,102 @@ class AngleKernel:
         return self.outflow_coeff @ psi_faces[self.outflow_slots]
 
 
-def _ragged_arange(lens: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(l)`` for every l in ``lens`` (vectorized)."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.cumsum(lens) - lens
-    return np.arange(total, dtype=np.int64) - np.repeat(offsets, lens)
+class SweepPlan:
+    """Level tables of one *angle set*, compiled once and reused by
+    every sweep (meshtaichi ``Patcher`` layout: flat value arrays plus
+    one offset table, no per-level arrays).
 
+    An angle set is the angles whose kernels hold byte-identical CSR
+    index tables (see :meth:`key`); they share the ``int32`` tables
 
-def _csr(cell: np.ndarray, ncells: int, *payloads: np.ndarray):
-    order = np.argsort(cell, kind="stable")
-    cs = cell[order]
-    indptr = np.searchsorted(cs, np.arange(ncells + 1)).astype(np.int64)
-    return (indptr, *(p[order] for p in payloads))
+    * ``cells`` - cells level-major and, inside a level, by in-degree,
+      so every in-degree group of a level is a slice;
+    * ``slots`` - the inflow slots of ``cells``, concatenated;
+    * ``osl`` / ``oseg`` / ``pair`` - per outflow face of ``cells`` its
+      slot, its cell's position inside the level and (DD) the paired
+      inflow slot;
+
+    and differ only in the ``float64`` rows ``coeff[i]`` (aligned with
+    ``slots``) and ``den2[i]`` (``2 * out_coeff_sum``, ``1 *`` for
+    step, aligned with ``cells``).  ``levels[l]`` is ``(c0, c1,
+    [(a, b, k, s0, s1), ...], o0, o1)``: the level's range of
+    ``cells``, per in-degree ``k > 0`` the level-relative cell range
+    and its range of ``slots``, and the level's range of ``osl``.
+    """
+
+    def __init__(self, kernels: list, angles: list, levels: list):
+        self.kernels, self.angles = kernels, angles
+        k0 = kernels[0]
+        dd = k0.scheme == "dd"
+        cstart = np.concatenate(([0], np.cumsum([len(lv) for lv in levels])))
+        level_of = np.repeat(np.arange(len(levels)), np.diff(cstart))
+        cells = np.concatenate(levels)
+        indeg = np.diff(k0.in_indptr)[cells]
+        order = np.argsort(level_of * (indeg.max() + 1) + indeg, kind="stable")
+        cells, indeg = cells[order], indeg[order]
+        outdeg = np.diff(k0.out_indptr)[cells]
+        ipos = multi_slice(k0.in_indptr[cells], indeg)
+        opos = multi_slice(k0.out_indptr[cells], outdeg)
+        in_level = np.arange(len(cells)) - cstart[level_of]
+        self.cells = cells.astype(np.int32)
+        self.slots = k0.in_slot[ipos].astype(np.int32)
+        self.osl = k0.out_slot[opos].astype(np.int32)
+        self.oseg = np.repeat(in_level, outdeg).astype(np.int32)
+        self.pair = k0.out_pair[opos].astype(np.int32) if dd else None
+        self.coeff = np.stack([k.in_coeff[ipos] for k in kernels])
+        self.den2 = (2.0 if dd else 1.0) * np.stack(
+            [k.out_coeff_sum[cells] for k in kernels]
+        )
+
+        ioff = np.concatenate(([0], np.cumsum(indeg)))
+        ooff = np.concatenate(([0], np.cumsum(outdeg)))[cstart].tolist()
+        cstart = cstart.tolist()
+        self.levels = [
+            (c0, c1, [], o0, o1)
+            for c0, c1, o0, o1 in zip(cstart, cstart[1:], ooff, ooff[1:])
+        ]
+        # An in-degree group starts where the level or the in-degree changes.
+        start = np.nonzero(
+            np.diff(level_of, prepend=-1) | np.diff(indeg, prepend=-1)
+        )[0]
+        end = np.append(start[1:], len(cells))
+        for lv, a, b, k, s0, s1 in zip(
+            level_of[start].tolist(), in_level[start].tolist(),
+            (in_level[end - 1] + 1).tolist(), indeg[start].tolist(),
+            ioff[start].tolist(), ioff[end].tolist(),
+        ):
+            if k:
+                self.levels[lv][2].append((a, b, k, s0, s1))
+
+    @staticmethod
+    def key(kernel: AngleKernel) -> bytes:
+        """Digest of the kernel's CSR index tables: equal for two
+        kernels iff their plans' index tables are."""
+        digest = hashlib.blake2b()
+        for table in (kernel.in_indptr, kernel.in_slot,
+                      kernel.out_indptr, kernel.out_slot):
+            digest.update(table)
+        return digest.digest()
+
+    def sweep(
+        self,
+        src_v: np.ndarray,
+        sigma_t_v: np.ndarray,
+        psi_faces: np.ndarray,
+        psi_cell: np.ndarray,
+    ) -> None:
+        """Solve every level for the whole set: ``psi_faces``
+        ``(m, slots, ng)`` holds the boundary conditions and receives
+        the face fluxes, ``psi_cell`` ``(m, ncells, ng)`` the cell
+        fluxes.  ``sigma_t_v`` is ``(ncells,)`` or ``(ncells, ng)``.
+        """
+        if sigma_t_v.ndim == 1:
+            sigma_t_v = sigma_t_v[:, None]
+        cells = self.cells
+        src_p = src_v[cells]
+        den_p = sigma_t_v[cells] + self.den2[:, :, None]
+        psi_p = np.empty(psi_cell.shape)
+        solve_level = self.kernels[0].solve_level
+        for level in range(len(self.levels)):
+            solve_level(self, level, src_p, den_p, psi_faces, psi_p)
+        psi_cell[:, cells] = psi_p

@@ -34,7 +34,7 @@ import networkx as nx
 import numpy as np
 
 from .._util import ReproError
-from .dag import PatchAngleGraph, SweepTopology
+from .dag import PatchAngleGraph, SweepTopology, kahn_fronts
 
 __all__ = [
     "PriorityStrategy",
@@ -159,16 +159,6 @@ def vertex_priorities(graph: PatchAngleGraph, strategy: str) -> np.ndarray:
     raise ReproError(f"unknown vertex strategy {strategy!r}")
 
 
-def _multi_slice(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices of the concatenation of ``[s, s+c)`` ranges (CSR gather)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    base = np.repeat(starts - np.concatenate(([0], ends[:-1])), counts)
-    return base + np.arange(total, dtype=np.int64)
-
-
 def batched_vertex_priorities(
     graphs: list[PatchAngleGraph], strategy: str
 ) -> None:
@@ -210,27 +200,9 @@ def batched_vertex_priorities(
     np.cumsum(deg, out=indptr[1:])
 
     # Kahn fronts, peeled across every graph simultaneously.
-    indeg = np.bincount(tgt, minlength=n)
-    front_of = np.zeros(n, dtype=np.int64)
-    cur = np.nonzero(indeg == 0)[0]
-    ready = np.zeros(n, dtype=bool)
-    seen, lvl = 0, 0
-    while cur.size:
-        front_of[cur] = lvl
-        seen += cur.size
-        t = tgt[_multi_slice(indptr[cur], deg[cur])]
-        if t.size == 0:
-            break
-        indeg -= np.bincount(t, minlength=n)
-        # Flag-array dedup: same ascending-unique front as
-        # ``np.unique(...)`` without the per-level sort.
-        ready[t[indeg[t] == 0]] = True
-        cur = np.nonzero(ready)[0]
-        ready[cur] = False
-        lvl += 1
-    if seen != n:
-        raise ReproError("patch-local sweep subgraph is cyclic")
-    nfronts = lvl + 1
+    front_of, nfronts = kahn_fronts(
+        n, indptr, tgt, "patch-local sweep subgraph"
+    )
 
     # Edges grouped by their source's front.
     esrc = np.repeat(np.arange(n, dtype=np.int64), deg)

@@ -29,8 +29,8 @@ from ..core.engine import EngineStats, SerialEngine
 from ..framework.connectivity import build_boundary, build_interfaces
 from ..framework.patch import PatchSet
 from ..mesh.structured import StructuredMesh
-from .dag import SweepTopology, directed_edges
-from .kernels import AngleKernel
+from .dag import SweepTopology, directed_edges, topological_levels
+from .kernels import AngleKernel, SweepPlan
 from .materials import MaterialMap
 from .priorities import PriorityStrategy, apply_priorities
 from .quadrature import Quadrature
@@ -107,7 +107,7 @@ class SnSolver:
 
         self._kernels: dict[int, AngleKernel] = {}
         self._topo_orders: dict[int, np.ndarray] = {}
-        self._topo_levels: dict[int, list] = {}
+        self._plans: list[SweepPlan] | None = None
         self._topology: SweepTopology | None = None
         self._static_prio: dict[tuple[int, int], float] | None = None
 
@@ -239,19 +239,25 @@ class SnSolver:
             self._topo_orders[angle] = np.asarray(topo, dtype=np.int64)
         return self._topo_orders[angle]
 
-    def topo_levels(self, angle: int) -> list[np.ndarray]:
-        """Dependency levels of the global sweep graph for one angle
-        (cached), for the level-vectorized fast path."""
-        if angle not in self._topo_levels:
-            from .dag import topological_levels
-
-            u, v = directed_edges(
-                self.interfaces, self.quadrature.directions[angle]
-            )
-            self._topo_levels[angle] = topological_levels(
-                self.mesh.num_cells, u, v
-            )
-        return self._topo_levels[angle]
+    def sweep_plans(self) -> list[SweepPlan]:
+        """The compiled level tables of the ``fast-level`` path, one
+        :class:`SweepPlan` per angle set (angles whose kernels share
+        their index tables, e.g. one octant of a structured mesh);
+        built at the first call, then reused by every sweep."""
+        if self._plans is None:
+            sets: dict[bytes, list[int]] = {}
+            for a in range(self.quadrature.num_angles):
+                sets.setdefault(SweepPlan.key(self.kernel(a)), []).append(a)
+            self._plans = []
+            for angles in sets.values():
+                u, v = directed_edges(
+                    self.interfaces, self.quadrature.directions[angles[0]]
+                )
+                levels = topological_levels(self.mesh.num_cells, u, v)
+                self._plans.append(
+                    SweepPlan([self.kernel(a) for a in angles], angles, levels)
+                )
+        return self._plans
 
     # -- single sweep -----------------------------------------------------------------
 
@@ -292,33 +298,42 @@ class SnSolver:
         """One full sweep of all angles; returns ``(phi, leakage, stats)``.
 
         ``stats`` is the :class:`EngineStats` of engine mode, or None.
-        The default ``fast-level`` mode vectorizes each wavefront level
-        with batched-BLAS kernels; it is bitwise identical to the
-        scalar ``fast`` mode (enforced by tests/test_kernels_level.py).
+        The default ``fast-level`` mode sweeps each wavefront level of
+        an angle set with batched-BLAS kernels over the compiled
+        :meth:`sweep_plans`; it is bitwise identical to the scalar
+        ``fast`` mode (enforced by tests/test_kernels_level.py).
         """
         ng = self.num_groups
         ncells = self.mesh.num_cells
         if scatter is None:
             scatter = np.zeros((ncells, ng))
         src_v = self._angle_source_v(scatter)
-        phi = np.zeros((ncells, ng))
-        leakage = np.zeros(ng)
-        if mode in ("fast", "fast-level"):
+        if mode == "fast-level":
+            # Angle sets sweep in plan order; ``accumulate`` then sums
+            # in ascending angle order, the float sums of ``fast``.
+            faces = {}
+            for plan in self.sweep_plans():
+                m = len(plan.angles)
+                psi_faces = np.zeros((m, plan.kernels[0].num_slots, ng))
+                for k, a, pf in zip(plan.kernels, plan.angles, psi_faces):
+                    self._apply_bc(k, pf, a)
+                psi_cell = np.empty((m, ncells, ng))
+                plan.sweep(src_v, self.sigma_t_v, psi_faces, psi_cell)
+                faces.update(zip(plan.angles, zip(psi_faces, psi_cell)))
+            phi, leakage = self.accumulate(dict(sorted(faces.items())))
+            return phi, leakage, None
+        if mode == "fast":
+            phi = np.zeros((ncells, ng))
+            leakage = np.zeros(ng)
             psi_cell = np.zeros((ncells, ng))
             for a in range(self.quadrature.num_angles):
                 k = self.kernel(a)
                 psi_faces = k.new_face_array(ng)
                 self._apply_bc(k, psi_faces, a)
-                if mode == "fast-level":
-                    for level in self.topo_levels(a):
-                        k.solve_level(
-                            level, src_v, self.sigma_t_v, psi_faces, psi_cell
-                        )
-                else:
-                    k.solve_cells(
-                        self.topo_order(a), src_v, self.sigma_t_v,
-                        psi_faces, psi_cell,
-                    )
+                k.solve_cells(
+                    self.topo_order(a), src_v, self.sigma_t_v,
+                    psi_faces, psi_cell,
+                )
                 self._capture_outgoing(a, psi_faces)
                 w = self.quadrature.weights[a]
                 phi += w * psi_cell

@@ -71,6 +71,42 @@ def test_break_cycles_always_yields_dag(n, m, seed):
     assert check_acyclic(n, u[keep], v[keep])
 
 
+def _levels_by_scalar_peel(n, u, v):
+    """The per-vertex Kahn loop ``topological_levels`` used to be."""
+    indeg = np.bincount(v, minlength=n).tolist()
+    succ = [[] for _ in range(n)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        succ[a].append(b)
+    current = [x for x in range(n) if indeg[x] == 0]
+    levels = []
+    while current:
+        levels.append(current)
+        nxt = []
+        for x in current:
+            for w in succ[x]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    nxt.append(w)
+        current = sorted(nxt)
+    return levels
+
+
+@given(n=st.integers(0, 25), m=st.integers(0, 80), seed=st.integers(0, 500))
+@settings(max_examples=60, deadline=None)
+def test_levels_equal_the_scalar_peel_on_random_dags(n, m, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, max(n, 1), m if n > 1 else 0)
+    b = rng.integers(0, max(n, 1), len(a))
+    rank = rng.permutation(n)  # edges (repeats allowed) follow a hidden order
+    keep = a != b
+    a, b = a[keep], b[keep]
+    forward = rank[a] < rank[b]
+    u, v = np.where(forward, a, b), np.where(forward, b, a)
+    levels = topological_levels(n, u, v)
+    assert [l.tolist() for l in levels] == _levels_by_scalar_peel(n, u, v)
+    assert all(l.dtype == np.int64 for l in levels)
+
+
 class TestTopologicalLevels:
     def test_chain(self):
         u = np.array([0, 1, 2])
@@ -106,8 +142,14 @@ class TestTopologicalLevels:
     def test_cycle_raises(self):
         u = np.array([0, 1])
         v = np.array([1, 0])
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="topological_levels: graph is cyclic"):
             topological_levels(2, u, v)
+
+    def test_cycle_behind_a_dag_prefix_raises(self):
+        u = np.array([0, 1, 2])
+        v = np.array([1, 2, 1])
+        with pytest.raises(ReproError, match="topological_levels: graph is cyclic"):
+            topological_levels(3, u, v)
 
 
 class TestFastLevelMode:
@@ -155,25 +197,3 @@ class TestFastLevelMode:
                      scheme="dd", fixup=True)
         phi, _, _ = s.sweep_once(mode="fast-level")
         assert phi.min() >= 0
-
-    def test_levels_cached(self, cube8):
-        pset = PatchSet.single_patch(cube8)
-        mm = MaterialMap.uniform(Material.isotropic(1.0), cube8.num_cells)
-        s = SnSolver(pset, level_symmetric(2), mm,
-                     np.ones((cube8.num_cells, 1)))
-        l1 = s.topo_levels(0)
-        l2 = s.topo_levels(0)
-        assert l1 is l2
-
-    def test_empty_level_call_is_noop(self, cube8):
-        pset = PatchSet.single_patch(cube8)
-        mm = MaterialMap.uniform(Material.isotropic(1.0), cube8.num_cells)
-        s = SnSolver(pset, level_symmetric(2), mm,
-                     np.ones((cube8.num_cells, 1)))
-        k = s.kernel(0)
-        pf = k.new_face_array(1)
-        pc = np.zeros((cube8.num_cells, 1))
-        k.solve_level(np.zeros(0, dtype=np.int64),
-                      s._angle_source_v(np.zeros((cube8.num_cells, 1))),
-                      s.sigma_t_v, pf, pc)
-        assert pc.sum() == 0

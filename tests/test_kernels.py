@@ -145,6 +145,32 @@ class TestKernelStructure:
         assert k.out_pair is not None
         assert np.all(k.out_pair >= 0)
 
+    def test_pairing_rejects_two_inflow_faces_on_one_axis(self, cube8):
+        it = build_interfaces(cube8)
+        bt = build_boundary(cube8)
+        d = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
+        k = AngleKernel(cube8, it, bt, d, scheme="dd")
+        cell = np.repeat(np.arange(cube8.num_cells), 3)
+        axes = np.tile(np.arange(3), cube8.num_cells)
+        squashed = np.minimum(axes, 1)  # axes 1 and 2 collide
+        with pytest.raises(ReproError, match="two inflow faces on one axis"):
+            k._pair_faces(cell * 3 + squashed, cell * 3 + axes)
+
+    def test_pairing_rejects_an_outflow_face_without_inflow(self, cube8):
+        it = build_interfaces(cube8)
+        bt = build_boundary(cube8)
+        k = AngleKernel(cube8, it, bt, np.array([1.0, 0.0, 0.0]), scheme="dd")
+        cell = np.arange(cube8.num_cells)  # one face in, one out: the x axis
+        assert np.array_equal(k._pair_faces(cell * 3, cell * 3), k.out_pair)
+        with pytest.raises(ReproError, match="outflow face without paired inflow"):
+            k._pair_faces(cell * 3, cell * 3 + 1)
+
+    def test_kernel_keeps_no_construction_only_axis_tables(self, cube8):
+        it = build_interfaces(cube8)
+        bt = build_boundary(cube8)
+        k = AngleKernel(cube8, it, bt, np.array([1.0, 0.0, 0.0]), scheme="dd")
+        assert not hasattr(k, "in_axis") and not hasattr(k, "out_axis")
+
     def test_axis_direction_single_face(self, cube8):
         it = build_interfaces(cube8)
         bt = build_boundary(cube8)

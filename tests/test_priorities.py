@@ -15,6 +15,8 @@ from repro.sweep import (
     patch_priorities,
     vertex_priorities,
 )
+from repro.sweep.dag import PatchAngleGraph
+from repro.sweep.priorities import batched_vertex_priorities
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,32 @@ class TestVertexPriorities:
     def test_unknown_strategy(self, topo):
         with pytest.raises(ReproError):
             vertex_priorities(topo.graphs[(0, 0)], "xxx")
+
+    @pytest.mark.parametrize("strategy", ["fifo", "bfs", "ldcp", "slbd"])
+    def test_batched_pass_equals_the_per_graph_loops(
+        self, topo, disk_topo, strategy
+    ):
+        """One Kahn-front peel over the union of all subgraphs sets
+        what the scalar per-graph recurrences compute, bit for bit."""
+        for t in (topo, disk_topo):
+            graphs = list(t.graphs.values())
+            batched_vertex_priorities(graphs, strategy)
+            for g in graphs:
+                want = vertex_priorities(g, strategy)
+                assert np.array_equal(g.vertex_prio, want)
+                keys = want.astype(np.int64) * g.n_local + np.arange(g.n_local)
+                assert np.array_equal(g.vertex_keys, keys)
+
+    def test_batched_pass_rejects_a_cyclic_subgraph(self):
+        loop = PatchAngleGraph(
+            patch=0, angle=0, n_local=2, init_counts=np.array([1, 1]),
+            dl_indptr=np.array([0, 1, 2]), dl_target=np.array([1, 0]),
+            dr_indptr=np.zeros(3, dtype=np.int64),
+            dr_patch=np.zeros(0, dtype=np.int64),
+            dr_local=np.zeros(0, dtype=np.int64),
+        )
+        with pytest.raises(ReproError, match="patch-local sweep subgraph is cyclic"):
+            batched_vertex_priorities([loop], "bfs")
 
 
 class TestPatchPriorities:
