@@ -17,6 +17,7 @@ sweep iteration, energy group and runtime backend.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -212,9 +213,16 @@ class PatchAngleGraph:
     # alongside ``vertex_prio`` by the batched priority pass.
     vertex_keys: np.ndarray | None = None
 
+    # Shared by the topology's graphs: recorded whole-patch tasks keyed
+    # ``(task_key(), resilient)``, and this angle's interned stream
+    # destinations ``{patch: ProgramId}`` (see SweepPatchProgram.compute).
+    tasks: dict = field(default_factory=dict, repr=False)
+    dst_ids: dict = field(default_factory=dict, repr=False)
+
     # Lazily-built Python-list adjacency (hot-loop form, cached because
     # the topology is reused across iterations, groups and runs).
     _flat_cache: tuple | None = field(default=None, repr=False)
+    _task_key: bytes | None = field(default=None, repr=False)
 
     @property
     def num_local_edges(self) -> int:
@@ -256,6 +264,22 @@ class PatchAngleGraph:
             )
         return self._flat_cache
 
+    def task_key(self) -> bytes:
+        """Digest of everything the pop order of a whole-patch task
+        depends on - the downwind tables and the vertex priorities /
+        keys, each length-prefixed: equal for two graphs iff they pop
+        and emit identically.  Cached; the priority pass resets it."""
+        if self._task_key is None:
+            digest = hashlib.blake2b()
+            for table in (self.dl_indptr, self.dl_target, self.dr_indptr,
+                          self.dr_patch, self.dr_local,
+                          self.vertex_prio, self.vertex_keys):
+                raw = b"" if table is None else table.tobytes()
+                digest.update(len(raw).to_bytes(8, "little"))
+                digest.update(raw)
+            self._task_key = digest.digest()
+        return self._task_key
+
 
 def csr_by_source(
     src_local: np.ndarray, n_local: int, *payloads: np.ndarray
@@ -295,6 +319,7 @@ class SweepTopology:
         self.broken_edges = 0  # dependencies severed by cycle breaking
         self.graphs: dict[tuple[int, int], PatchAngleGraph] = {}
         self.patch_dag: dict[int, np.ndarray] = {}  # angle -> (m, 2) patch edges
+        self.tasks: dict[tuple[bytes, bool], tuple] = {}  # whole-patch tasks
         self._build(tol, validate)
 
     @property
@@ -328,6 +353,7 @@ class SweepTopology:
         stride = int(patch_sizes.max()) + 1 if npat else 1
 
         for a in range(self.num_angles):
+            dst_ids: dict = {}
             u, v = directed_edges(
                 self.interfaces, self.quadrature.directions[a], tol
             )
@@ -400,4 +426,6 @@ class SweepTopology:
                     ).astype(np.int64),
                     dr_patch=r_pv[rs:re],
                     dr_local=r_lv[rs:re],
+                    tasks=self.tasks,
+                    dst_ids=dst_ids,
                 )

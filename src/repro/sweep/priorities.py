@@ -178,6 +178,8 @@ def batched_vertex_priorities(
         raise ReproError(f"unknown vertex strategy {strategy!r}")
     if not graphs:
         return
+    for g in graphs:
+        g._task_key = None  # new keys, new pop order: drop the cached digest
     ns = np.array([g.n_local for g in graphs], dtype=np.int64)
     offs = np.zeros(len(ns) + 1, dtype=np.int64)
     np.cumsum(ns, out=offs[1:])

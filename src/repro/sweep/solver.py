@@ -41,6 +41,15 @@ __all__ = ["SnSolver", "SweepResult", "FOUR_PI"]
 FOUR_PI = 4.0 * np.pi
 
 
+def _check_grain(grain: int) -> int:
+    """The clustering grain, refused where it enters the solver."""
+    if grain <= 0:
+        raise ReproError(
+            f"clustering grain must be positive; got grain={grain!r}"
+        )
+    return grain
+
+
 @dataclass
 class SweepResult:
     """Converged (or best-effort) solution of a source iteration."""
@@ -88,7 +97,7 @@ class SnSolver:
         self.scheme = scheme
         self.fixup = fixup
         self.boundary_flux = boundary_flux
-        self.grain = grain
+        self.grain = _check_grain(grain)
         self.strategy = (
             PriorityStrategy.parse(strategy)
             if isinstance(strategy, str)
@@ -374,6 +383,7 @@ class SnSolver:
         (edge-id dedup), required to run them under a fault plan with
         process crashes - see :mod:`repro.runtime.faults`.
         """
+        grain = _check_grain(grain if grain is not None else self.grain)
         topo = self.topology
         ng = self.num_groups
         ncells = self.mesh.num_cells
@@ -381,7 +391,6 @@ class SnSolver:
             if scatter is None:
                 scatter = np.zeros((ncells, ng))
             src_v = self._angle_source_v(scatter)
-        grain = grain if grain is not None else self.grain
 
         faces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         solve_fns: dict[int, object] = {}

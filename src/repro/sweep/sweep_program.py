@@ -75,14 +75,12 @@ class SweepPatchProgram(PatchProgram):
     # -- Listing 1 interface ------------------------------------------------------
 
     def _bind_graph(self) -> None:
-        """(Re)build what derives from the shared graph alone: vertex
-        priorities and heap keys.  Static for the program's lifetime, so
-        snapshots leave it out and ``load_state_dict`` rebuilds it."""
+        """(Re)build what derives from the shared graph alone: the
+        heap keys.  Static for the program's lifetime, so snapshots
+        leave it out and ``load_state_dict`` rebuilds it."""
         g = self.graph
         n = g.n_local
         pa = g.vertex_prio
-        prio = pa.tolist() if pa is not None else [0.0] * n
-        self._prio = prio  # repro: transient - graph.vertex_prio as a list
         # Heap keys.  Every priority strategy yields integer-valued
         # float64 (incl. the exact ``_FAR`` sentinel), so the pair
         # ``(prio[v], v)`` orders identically to the single integer
@@ -106,9 +104,9 @@ class SweepPatchProgram(PatchProgram):
             ).tolist()
         else:
             intkeys = False
-            keys = [(p, v) for v, p in enumerate(prio)]
+            keys = [(p, v) for v, p in enumerate(pa.tolist())]
         self._intkeys = intkeys  # repro: transient - a property of the priorities
-        self._keys = keys  # repro: transient - pure function of (_prio, _n)
+        self._keys = keys  # repro: transient - pure function of the graph
 
     def init(self) -> None:
         self._bind_graph()
@@ -157,17 +155,75 @@ class SweepPatchProgram(PatchProgram):
                           "input_items": self._last["input_items"],
                           "streams": 0}
             return
+        g = self.graph
+        n = self._n
+        # Whole-patch task (DESIGN.md 12.3): nothing solved, the whole
+        # patch fits the grain and only the local in-degrees are left on
+        # the counters, so this run pops every vertex in an order the
+        # graph's tables and keys fix.  The first such run records its
+        # outcome under the graph's digest; every later one replays it.
+        key = task = None
+        if (not self._solved and n <= self.grain
+                and sum(self._counts) == g.num_local_edges):
+            key = (g.task_key(), self.resilient_input)
+            task = g.tasks.get(key)
+        if task is None:
+            popped, outs, edges, remote_items = self._collect()
+            if key is not None:
+                for _, payload in outs:
+                    payload.flags.writeable = False  # shared from here on
+                g.tasks[key] = (np.asarray(popped, dtype=np.int32), outs,
+                                edges, remote_items)
+        else:
+            popped, outs, edges, remote_items = task
+            self._counts = [0] * n  # the pop loop's end state
+            self._heap = []
+
+        angle = g.angle
+        if self.solve_fn is not None:
+            self.solve_fn(self.cells_global[popped], angle)
+        self._solved += len(popped)
+        if self.record_clusters:
+            self.clusters.append(
+                popped if isinstance(popped, list) else popped.tolist()
+            )
+
+        ids = g.dst_ids
+        src = self.id
+        per_item = self.bytes_per_item
+        outstreams = self._outstreams
+        for dp, payload in outs:
+            dst = ids.get(dp)
+            if dst is None:
+                dst = ids[dp] = ProgramId(dp, angle)
+            items = len(payload)
+            outstreams.append(
+                Stream(src=src, dst=dst, payload=payload, items=items,
+                       nbytes=items * per_item)
+            )
+        self._last = {
+            "vertices": len(popped),
+            "edges": edges,
+            "remote_items": remote_items,
+            "input_items": self._last["input_items"],
+            "streams": len(outs),
+        }
+
+    def _collect(self) -> tuple:
+        """Listing 1's collect loop: pop up to ``grain`` ready vertices.
+        Returns ``(popped, [(target patch, payload)...], edges,
+        remote_items)``, targets in first-encounter order."""
+        heap = self._heap
         lptr, ltgt, rptr, rpat, rloc = self.graph.adjacency_flat()
         counts = self._counts
         keys = self._keys
-        grain = self.grain
         popped: list[int] = []
         append = popped.append
         out: dict[int, list[int]] = {}
         edges = 0
         remote_items = 0
         mod = self._n if self._intkeys else 0
-        budget = grain
+        budget = self.grain
         while heap and budget:
             budget -= 1
             k = heappop(heap)
@@ -202,31 +258,9 @@ class SweepPatchProgram(PatchProgram):
                 items.append((rloc[j], j) if resilient else rloc[j])
             edges += re - rs
             remote_items += re - rs
-
-        if self.solve_fn is not None:
-            self.solve_fn(self.cells_global[popped], self.graph.angle)
-        self._solved += len(popped)
-        if self.record_clusters:
-            self.clusters.append(popped)
-
-        angle = self.graph.angle
-        for dp, items in out.items():
-            self._outstreams.append(
-                Stream(
-                    src=self.id,
-                    dst=ProgramId(dp, angle),
-                    payload=np.asarray(items, dtype=np.int64),
-                    items=len(items),
-                    nbytes=len(items) * self.bytes_per_item,
-                )
-            )
-        self._last = {
-            "vertices": len(popped),
-            "edges": edges,
-            "remote_items": remote_items,
-            "input_items": self._last["input_items"],
-            "streams": len(out),
-        }
+        outs = [(p, np.asarray(items, dtype=np.int64))
+                for p, items in out.items()]
+        return popped, outs, edges, remote_items
 
     def output(self) -> Stream | None:
         if self._outstreams:
@@ -300,7 +334,10 @@ class SweepPatchProgram(PatchProgram):
             # Prefer programs whose best ready vertex is most urgent
             # (smallest vertex key); scaled to act as a tie-breaker only.
             k = self._heap[0]
-            p -= 1e-3 * (self._prio[k % self._n] if self._intkeys else k[0])
+            if not self._intkeys:
+                p -= 1e-3 * k[0]
+            elif self.graph.vertex_prio is not None:
+                p -= 1e-3 * self.graph.vertex_prio.item(k % self._n)
         return p
 
     def last_run_counters(self) -> dict[str, int]:

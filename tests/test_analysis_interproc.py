@@ -300,7 +300,7 @@ class TestEffectsOnShippedRepo:
         ("repro.sweep.sweep_program.SweepPatchProgram",
          {"_counts", "_heap", "_solved", "_outstreams", "_applied", "_last",
           "clusters"},
-         {"_prio", "_keys", "_n", "_intkeys"}),
+         {"_keys", "_n", "_intkeys"}),
         ("repro.sweep.coarsened.CoarsenedSweepProgram",
          {"_counts", "_heap", "_solved_v", "_outstreams", "_last"}, set()),
     ])

@@ -100,6 +100,31 @@ class TestSolverValidation:
         with pytest.raises(ReproError):
             cube_solver.sweep_once(mode="warp")
 
+    # A non-positive grain is refused where it enters, as a ReproError
+    # naming the argument and its value - not as the bare ValueError of
+    # SweepPatchProgram.__init__ after the topology has been built.
+
+    def test_grain_refused_by_constructor(self, cube8_patches):
+        with pytest.raises(ReproError, match=r"grain=0\b"):
+            make_solver(cube8_patches, grain=0)
+
+    def test_grain_refused_by_build_programs(self, cube_solver):
+        with pytest.raises(ReproError, match=r"grain=-3\b"):
+            cube_solver.build_programs(compute=False, grain=-3)
+        assert cube_solver._topology is None  # refused before any work
+
+    def test_grain_refused_by_record_coarsened(self, cube_solver):
+        with pytest.raises(ReproError, match=r"grain=0\b"):
+            cube_solver.record_coarsened(grain=0)
+
+    @pytest.mark.parametrize("coarsened", [False, True])
+    def test_grain_refused_by_sweep_report(self, coarsened):
+        from repro.apps import JSNTS
+
+        app = JSNTS.kobayashi(6, total_cores=12, patch_shape=(3, 3, 3))
+        with pytest.raises(ReproError, match=r"grain=0\b"):
+            app.sweep_report(12, grain=0, coarsened=coarsened)
+
     def test_strategy_object_accepted(self, cube8_patches):
         s = make_solver(cube8_patches, strategy=PriorityStrategy("bfs", "slbd"))
         assert s.strategy.patch == "bfs"
