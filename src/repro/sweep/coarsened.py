@@ -18,7 +18,6 @@ overlap, which the engine's run-atomicity forbids.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from collections.abc import Callable, Sequence
@@ -28,7 +27,7 @@ import numpy as np
 from .._util import ReproError
 from ..core.patch_program import PatchProgram
 from ..core.stream import ProgramId, Stream
-from .dag import SweepTopology
+from .dag import SweepTopology, check_acyclic
 from .sweep_program import SweepPatchProgram
 
 __all__ = [
@@ -146,35 +145,25 @@ def build_coarsened(
 
 
 def coarsened_is_acyclic(cgs: dict[tuple[int, int], CoarsenedPatchGraph]) -> bool:
-    """Kahn's check of Theorem 1 on the global coarse graph (per angle)."""
-    # Global coarse vertex ids: (patch, angle, cv) -> index.
-    index: dict[tuple[int, int, int], int] = {}
+    """Theorem 1 checked on the global coarse graph (per angle) by the
+    one Kahn peel, :func:`repro.sweep.dag.check_acyclic`."""
+    # Global coarse vertex ids: first id of every (patch, angle).
+    base: dict[tuple[int, int], int] = {}
+    n = 0
+    for key, cg in cgs.items():
+        base[key] = n
+        n += cg.n_cv
+    src, dst = [], []  # coarse edges, by global id
     for (p, a), cg in cgs.items():
-        for c in range(cg.n_cv):
-            index[(p, a, c)] = len(index)
-    n = len(index)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for (p, a), cg in cgs.items():
+        first = base[(p, a)]
         for cu in range(cg.n_cv):
-            u = index[(p, a, cu)]
-            for cw in cg.local_adj[cu]:
-                adj[u].append(index[(p, a, cw)])
-            for q, dcv, _ in cg.remote_adj[cu]:
-                adj[u].append(index[(q, a, dcv)])
-    for u in range(n):
-        for w in adj[u]:
-            indeg[w] += 1
-    q = deque(i for i in range(n) if indeg[i] == 0)
-    seen = 0
-    while q:
-        u = q.popleft()
-        seen += 1
-        for w in adj[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                q.append(w)
-    return seen == n
+            targets = [first + cw for cw in cg.local_adj[cu]] + [
+                base[(q, a)] + dcv for q, dcv, _ in cg.remote_adj[cu]]
+            src += [first + cu] * len(targets)
+            dst += targets
+    return check_acyclic(
+        n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    )
 
 
 class CoarsenedSweepProgram(PatchProgram):

@@ -3,7 +3,8 @@
 For every ordinate direction, the upwind/downwind relation between
 face-adjacent cells induces a directed acyclic graph whose vertices are
 ``(cell, angle)`` pairs; a sweep is a topological traversal of that
-graph.  This module builds, per ``(patch, angle)``, the structures of
+graph.  This module builds, per patch and *angle set* (the angles whose
+upwind relation is the same, :func:`angle_sets`), the structures of
 Listing 1's local context:
 
 * initial in-degree counts (number of upwind neighbours per vertex),
@@ -12,12 +13,11 @@ Listing 1's local context:
 
 all derived with vectorized NumPy group-bys so million-edge topologies
 build in seconds.  The structures are immutable and shared by every
-sweep iteration, energy group and runtime backend.
+angle of the set, sweep iteration, energy group and runtime backend.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -30,6 +30,7 @@ from .quadrature import Quadrature
 
 __all__ = [
     "directed_edges",
+    "angle_sets",
     "check_acyclic",
     "break_cycles",
     "multi_slice",
@@ -59,6 +60,27 @@ def directed_edges(
     u = np.concatenate([interfaces.cell_a[fwd], interfaces.cell_b[bwd]])
     v = np.concatenate([interfaces.cell_b[fwd], interfaces.cell_a[bwd]])
     return u, v
+
+
+def angle_sets(
+    directions: np.ndarray, *normals: np.ndarray, tol: float
+) -> list[list[int]]:
+    """Angles grouped by the sign pattern of ``normal . direction``
+    (``> tol`` / ``< -tol`` / parallel, as :func:`directed_edges`) over
+    every face of ``normals``; sets in first-angle order.
+
+    The dependency edges, every :class:`PatchAngleGraph` table, the
+    patch digraph, the priorities and a kernel's index tables are
+    functions of that pattern alone, so one set shares one copy of
+    each - and this is the only place that decides which angles do.
+    """
+    sets: dict[bytes, list[int]] = {}
+    for a, d in enumerate(np.asarray(directions, dtype=np.float64)):
+        # One product per table, as its consumers form it: bit-equal dots.
+        dot = np.concatenate([n @ d[: n.shape[1]] for n in normals])
+        code = (dot > tol).astype(np.int8) - (dot < -tol)
+        sets.setdefault(code.tobytes(), []).append(a)
+    return list(sets.values())
 
 
 def check_acyclic(num_vertices: int, u: np.ndarray, v: np.ndarray) -> bool:
@@ -196,10 +218,11 @@ def topological_levels(
 
 @dataclass
 class PatchAngleGraph:
-    """Dependency subgraph of one (patch, angle): Listing 1's topology."""
+    """Dependency subgraph of one (patch, angle set): Listing 1's
+    topology.  A topology maps every ``(patch, angle)`` of the set to
+    this one object, so its tables are read-only."""
 
     patch: int
-    angle: int
     n_local: int
     init_counts: np.ndarray  # (n_local,) upwind-neighbour counts
     dl_indptr: np.ndarray  # local downwind CSR
@@ -213,16 +236,16 @@ class PatchAngleGraph:
     # alongside ``vertex_prio`` by the batched priority pass.
     vertex_keys: np.ndarray | None = None
 
-    # Shared by the topology's graphs: recorded whole-patch tasks keyed
-    # ``(task_key(), resilient)``, and this angle's interned stream
-    # destinations ``{patch: ProgramId}`` (see SweepPatchProgram.compute).
-    tasks: dict = field(default_factory=dict, repr=False)
+    # The topology's interned stream destinations, one ``{patch:
+    # ProgramId}`` table per angle (see SweepPatchProgram.compute).
     dst_ids: dict = field(default_factory=dict, repr=False)
 
-    # Lazily-built Python-list adjacency (hot-loop form, cached because
-    # the topology is reused across iterations, groups and runs).
-    _flat_cache: tuple | None = field(default=None, repr=False)
-    _task_key: bytes | None = field(default=None, repr=False)
+    # Derived from the tables above, so never carried over by
+    # ``dataclasses.replace``: the recorded whole-patch task per
+    # ``resilient`` flag (DESIGN.md 12.3; the priority pass clears it)
+    # and the lazily-built Python-list adjacency (hot-loop form).
+    tasks: dict = field(default_factory=dict, init=False, repr=False)
+    _flat_cache: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def num_local_edges(self) -> int:
@@ -264,22 +287,6 @@ class PatchAngleGraph:
             )
         return self._flat_cache
 
-    def task_key(self) -> bytes:
-        """Digest of everything the pop order of a whole-patch task
-        depends on - the downwind tables and the vertex priorities /
-        keys, each length-prefixed: equal for two graphs iff they pop
-        and emit identically.  Cached; the priority pass resets it."""
-        if self._task_key is None:
-            digest = hashlib.blake2b()
-            for table in (self.dl_indptr, self.dl_target, self.dr_indptr,
-                          self.dr_patch, self.dr_local,
-                          self.vertex_prio, self.vertex_keys):
-                raw = b"" if table is None else table.tobytes()
-                digest.update(len(raw).to_bytes(8, "little"))
-                digest.update(raw)
-            self._task_key = digest.digest()
-        return self._task_key
-
 
 def csr_by_source(
     src_local: np.ndarray, n_local: int, *payloads: np.ndarray
@@ -294,9 +301,11 @@ def csr_by_source(
 class SweepTopology:
     """All per-(patch, angle) sweep graphs for a patch set + quadrature.
 
-    ``graphs[(p, a)]`` is the :class:`PatchAngleGraph`; ``patch_dag[a]``
-    the cross-patch dependency digraph (possibly cyclic - Fig. 4's
-    zig-zag - which is exactly why patch-programs must be reentrant).
+    ``graphs[(p, a)]`` is the :class:`PatchAngleGraph` - one object per
+    (patch, angle set), shared by the set's angles (``angle_sets``, from
+    :func:`angle_sets`); ``patch_dag[a]`` the cross-patch dependency
+    digraph (possibly cyclic - Fig. 4's zig-zag - which is exactly why
+    patch-programs must be reentrant), one array per set.
     """
 
     def __init__(
@@ -319,7 +328,8 @@ class SweepTopology:
         self.broken_edges = 0  # dependencies severed by cycle breaking
         self.graphs: dict[tuple[int, int], PatchAngleGraph] = {}
         self.patch_dag: dict[int, np.ndarray] = {}  # angle -> (m, 2) patch edges
-        self.tasks: dict[tuple[bytes, bool], tuple] = {}  # whole-patch tasks
+        # angle -> {patch: ProgramId}: interned stream destinations.
+        self.dst_ids: dict[int, dict] = {}
         self._build(tol, validate)
 
     @property
@@ -331,11 +341,12 @@ class SweepTopology:
         return self.pset.mesh.num_cells * self.num_angles
 
     def graph(self, patch: int, angle: int) -> PatchAngleGraph:
+        if (patch, angle) not in self.graphs:
+            raise ReproError(
+                f"no sweep graph for patch {patch!r}, angle {angle!r}: patches are "
+                f"0..{self.pset.num_patches - 1}, angles 0..{self.num_angles - 1}"
+            )
         return self.graphs[(patch, angle)]
-
-    def total_workload(self) -> int:
-        """Global number of (cell, angle) vertices to solve."""
-        return self.num_vertices
 
     def _build(self, tol: float, validate: bool) -> None:
         pset = self.pset
@@ -344,7 +355,7 @@ class SweepTopology:
         cell_local = pset.cell_local
         patch_sizes = np.array([p.num_cells for p in pset.patches])
         npat = pset.num_patches
-        # One global stable sort per angle on the composite
+        # One global stable sort per angle set on the composite
         # (patch, local) key replaces a pair of per-patch argsorts:
         # sorting by ``pu * stride + lu`` with a stable kind yields
         # exactly the (patch, src_local, original-order) edge order the
@@ -352,10 +363,17 @@ class SweepTopology:
         # is bitwise identical.
         stride = int(patch_sizes.max()) + 1 if npat else 1
 
-        for a in range(self.num_angles):
-            dst_ids: dict = {}
+        # Keys go in in angle order, then the sets fill them: the order
+        # of ``graphs`` is the order programs are built in.
+        na = range(self.num_angles)
+        self.patch_dag = dict.fromkeys(na)
+        self.graphs = dict.fromkeys((p, a) for a in na for p in range(npat))
+        self.angle_sets = angle_sets(
+            self.quadrature.directions, self.interfaces.normal, tol=tol
+        )
+        for angles in self.angle_sets:
             u, v = directed_edges(
-                self.interfaces, self.quadrature.directions[a], tol
+                self.interfaces, self.quadrature.directions[angles[0]], tol
             )
             if (validate or self.on_cycle == "break") and not check_acyclic(
                 ncells, u, v
@@ -365,12 +383,12 @@ class SweepTopology:
                     # feedback edge set; the severed dependencies are
                     # treated with lagged flux by the iteration.
                     keep = break_cycles(ncells, u, v)
-                    self.broken_edges += int((~keep).sum())
+                    self.broken_edges += int((~keep).sum()) * len(angles)
                     u, v = u[keep], v[keep]
                 else:
                     raise ReproError(
-                        f"sweep graph for angle {a} is cyclic; mesh is too "
-                        "distorted for a single-direction sweep (pass "
+                        f"sweep graph for angles {angles} is cyclic; mesh is "
+                        "too distorted for a single-direction sweep (pass "
                         "on_cycle='break' to sever feedback edges)"
                     )
             pu, pv = cell_patch[u], cell_patch[v]
@@ -387,7 +405,7 @@ class SweepTopology:
                 pairs = np.stack([uk // npat, uk % npat], axis=1)
             else:
                 pairs = np.zeros((0, 2), dtype=np.int64)
-            self.patch_dag[a] = pairs
+            self.patch_dag.update(dict.fromkeys(angles, pairs))  # one per set
 
             # In-degree counts of every patch in one global bincount.
             counts_all = np.bincount(
@@ -412,9 +430,8 @@ class SweepTopology:
                 counts = counts_all[p * stride : p * stride + nloc].copy()
                 ls, le = lb[p], lb[p + 1]
                 rs, re = rb[p], rb[p + 1]
-                self.graphs[(p, a)] = PatchAngleGraph(
+                g = PatchAngleGraph(
                     patch=p,
-                    angle=a,
                     n_local=nloc,
                     init_counts=counts,
                     dl_indptr=np.searchsorted(
@@ -426,6 +443,10 @@ class SweepTopology:
                     ).astype(np.int64),
                     dr_patch=r_pv[rs:re],
                     dr_local=r_lv[rs:re],
-                    tasks=self.tasks,
-                    dst_ids=dst_ids,
+                    dst_ids=self.dst_ids,
                 )
+                for table in (g.init_counts, g.dl_indptr, g.dl_target,
+                              g.dr_indptr, g.dr_patch, g.dr_local):
+                    table.flags.writeable = False  # shared by the set's angles
+                for a in angles:
+                    self.graphs[(p, a)] = g

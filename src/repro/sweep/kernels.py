@@ -22,8 +22,6 @@ it could have precomputed.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .._util import ReproError
@@ -254,8 +252,9 @@ class SweepPlan:
     every sweep (meshtaichi ``Patcher`` layout: flat value arrays plus
     one offset table, no per-level arrays).
 
-    An angle set is the angles whose kernels hold byte-identical CSR
-    index tables (see :meth:`key`); they share the ``int32`` tables
+    An angle set (:func:`repro.sweep.dag.angle_sets` over the interior
+    and boundary faces) is the angles whose kernels hold byte-identical
+    CSR index tables; they share the ``int32`` tables
 
     * ``cells`` - cells level-major and, inside a level, by in-degree,
       so every in-degree group of a level is a slice;
@@ -315,16 +314,6 @@ class SweepPlan:
         ):
             if k:
                 self.levels[lv][2].append((a, b, k, s0, s1))
-
-    @staticmethod
-    def key(kernel: AngleKernel) -> bytes:
-        """Digest of the kernel's CSR index tables: equal for two
-        kernels iff their plans' index tables are."""
-        digest = hashlib.blake2b()
-        for table in (kernel.in_indptr, kernel.in_slot,
-                      kernel.out_indptr, kernel.out_slot):
-            digest.update(table)
-        return digest.digest()
 
     def sweep(
         self,

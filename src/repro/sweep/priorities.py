@@ -162,7 +162,9 @@ def vertex_priorities(graph: PatchAngleGraph, strategy: str) -> np.ndarray:
 def batched_vertex_priorities(
     graphs: list[PatchAngleGraph], strategy: str
 ) -> None:
-    """Set ``vertex_prio`` on every graph in one vectorized pass.
+    """Set ``vertex_prio`` / ``vertex_keys`` (read-only: a graph is
+    shared by its angle set) on every graph in one vectorized pass, and
+    clear the whole-patch tasks recorded under the old keys.
 
     The per-graph propagation loops of :func:`vertex_priorities` become
     a single level-synchronous relaxation over the *disjoint union* of
@@ -176,10 +178,12 @@ def batched_vertex_priorities(
     """
     if strategy not in STRATEGIES:
         raise ReproError(f"unknown vertex strategy {strategy!r}")
+    # The angles of a set share one graph object: relax it once.
+    graphs = list({id(g): g for g in graphs}.values())
     if not graphs:
         return
     for g in graphs:
-        g._task_key = None  # new keys, new pop order: drop the cached digest
+        g.tasks.clear()  # new keys, new pop order
     ns = np.array([g.n_local for g in graphs], dtype=np.int64)
     offs = np.zeros(len(ns) + 1, dtype=np.int64)
     np.cumsum(ns, out=offs[1:])
@@ -189,6 +193,7 @@ def batched_vertex_priorities(
     varr = np.arange(n, dtype=np.int64) - np.repeat(offs[:-1], ns)
     if strategy == "fifo":
         zeros = np.zeros(n)
+        zeros.flags.writeable = varr.flags.writeable = False
         for g, a, b in zip(graphs, offs[:-1], offs[1:]):
             g.vertex_prio = zeros[a:b]
             g.vertex_keys = varr[a:b]
@@ -235,6 +240,7 @@ def batched_vertex_priorities(
     # Every strategy above yields integer-valued float64 (incl. the
     # exact ``_FAR`` sentinel), so the encoded heap key is exact.
     keys = val.astype(np.int64) * np.repeat(ns, ns) + varr
+    val.flags.writeable = keys.flags.writeable = False
     for g, a, b in zip(graphs, offs[:-1], offs[1:]):
         g.vertex_prio = val[a:b]
         g.vertex_keys = keys[a:b]
@@ -250,40 +256,41 @@ def patch_priorities(
 
     The patch-level digraph can be cyclic (interleaved dependencies,
     Fig. 4), so levels/heights are computed on its strongly-connected-
-    component condensation.
+    component condensation - once per angle set, which shares it.
     """
     out: dict[tuple[int, int], float] = {}
     npatches = topology.pset.num_patches
-    for a in range(topology.num_angles):
-        if strategy in ("fifo", "slbd"):
-            # SLBD is dynamic at the patch level (see SweepPatchProgram).
-            for p in range(npatches):
-                out[(p, a)] = 0.0
-            continue
-        edges = topology.patch_dag[a]
-        g = nx.DiGraph()
-        g.add_nodes_from(range(npatches))
-        g.add_edges_from(map(tuple, edges.tolist()))
-        cond = nx.condensation(g)
-        topo = list(nx.topological_sort(cond))
-        if strategy == "bfs":
-            level = {c: 0 for c in cond.nodes}
-            for c in topo:
-                for d in cond.successors(c):
-                    level[d] = max(level[d], level[c] + 1)
-            for c in cond.nodes:
-                for p in cond.nodes[c]["members"]:
-                    out[(p, a)] = -float(level[c])
-        elif strategy == "ldcp":
-            height = {c: 0 for c in cond.nodes}
-            for c in reversed(topo):
-                for d in cond.successors(c):
-                    height[c] = max(height[c], height[d] + 1)
-            for c in cond.nodes:
-                for p in cond.nodes[c]["members"]:
-                    out[(p, a)] = float(height[c])
-        else:
-            raise ReproError(f"unknown patch strategy {strategy!r}")
+    for angles in topology.angle_sets:
+        # SLBD is dynamic at the patch level (see SweepPatchProgram).
+        term = dict.fromkeys(range(npatches), 0.0)
+        if strategy not in ("fifo", "slbd"):
+            edges = topology.patch_dag[angles[0]]
+            g = nx.DiGraph()
+            g.add_nodes_from(range(npatches))
+            g.add_edges_from(map(tuple, edges.tolist()))
+            cond = nx.condensation(g)
+            topo = list(nx.topological_sort(cond))
+            if strategy == "bfs":
+                level = {c: 0 for c in cond.nodes}
+                for c in topo:
+                    for d in cond.successors(c):
+                        level[d] = max(level[d], level[c] + 1)
+                for c in cond.nodes:
+                    for p in cond.nodes[c]["members"]:
+                        term[p] = -float(level[c])
+            elif strategy == "ldcp":
+                height = {c: 0 for c in cond.nodes}
+                for c in reversed(topo):
+                    for d in cond.successors(c):
+                        height[c] = max(height[c], height[d] + 1)
+                for c in cond.nodes:
+                    for p in cond.nodes[c]["members"]:
+                        term[p] = float(height[c])
+            else:
+                raise ReproError(f"unknown patch strategy {strategy!r}")
+        for a in angles:
+            for p, prior_p in term.items():
+                out[(p, a)] = prior_p
     return out
 
 

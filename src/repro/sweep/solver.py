@@ -29,8 +29,8 @@ from ..core.engine import EngineStats, SerialEngine
 from ..framework.connectivity import build_boundary, build_interfaces
 from ..framework.patch import PatchSet
 from ..mesh.structured import StructuredMesh
-from .dag import SweepTopology, directed_edges, topological_levels
-from .kernels import AngleKernel, SweepPlan
+from .dag import SweepTopology, angle_sets, directed_edges, topological_levels
+from .kernels import _TOL, AngleKernel, SweepPlan
 from .materials import MaterialMap
 from .priorities import PriorityStrategy, apply_priorities
 from .quadrature import Quadrature
@@ -250,15 +250,16 @@ class SnSolver:
 
     def sweep_plans(self) -> list[SweepPlan]:
         """The compiled level tables of the ``fast-level`` path, one
-        :class:`SweepPlan` per angle set (angles whose kernels share
-        their index tables, e.g. one octant of a structured mesh);
-        built at the first call, then reused by every sweep."""
+        :class:`SweepPlan` per angle set (:func:`angle_sets` over the
+        interior and boundary faces: its kernels share their index
+        tables, e.g. one octant of a structured mesh); built at the
+        first call, then reused by every sweep."""
         if self._plans is None:
-            sets: dict[bytes, list[int]] = {}
-            for a in range(self.quadrature.num_angles):
-                sets.setdefault(SweepPlan.key(self.kernel(a)), []).append(a)
             self._plans = []
-            for angles in sets.values():
+            for angles in angle_sets(
+                self.quadrature.directions, self.interfaces.normal,
+                self.boundary.normal, tol=_TOL,
+            ):
                 u, v = directed_edges(
                     self.interfaces, self.quadrature.directions[angles[0]]
                 )
@@ -385,20 +386,10 @@ class SnSolver:
         """
         grain = _check_grain(grain if grain is not None else self.grain)
         topo = self.topology
-        ng = self.num_groups
-        ncells = self.mesh.num_cells
-        if src_v is None:
-            if scatter is None:
-                scatter = np.zeros((ncells, ng))
-            src_v = self._angle_source_v(scatter)
-
-        faces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        solve_fns: dict[int, object] = {}
-        if compute:
-            faces, solve_fns = self._make_face_solvers(src_v)
-
+        faces, solve_fns = self._make_face_solvers(src_v, scatter, compute)
         programs = []
         dynamic = self.strategy.patch == "slbd"
+        per_item = 8 * self.num_groups
         for (p, a), graph in topo.graphs.items():
             prog = SweepPatchProgram(
                 graph,
@@ -407,19 +398,30 @@ class SnSolver:
                 solve_fn=solve_fns.get(a),
                 static_priority=self.static_priorities[(p, a)],
                 dynamic_priority=dynamic,
-                bytes_per_item=8 * ng,
+                bytes_per_item=per_item,
                 record_clusters=record_clusters,
                 resilient=resilient,
+                angle=a,
             )
             programs.append(prog)
         return programs, faces
 
-    def _make_face_solvers(self, src_v: np.ndarray):
-        """Per-angle (psi_faces, psi_cell) arrays plus solve callbacks."""
-        ng = self.num_groups
-        ncells = self.mesh.num_cells
+    def _make_face_solvers(
+        self, src_v: np.ndarray | None, scatter: np.ndarray | None, compute: bool
+    ):
+        """Per-angle (psi_faces, psi_cell) arrays plus solve callbacks
+        over ``src_v`` (default: the source of ``scatter``, default
+        zero); both empty for a scheduling-only build."""
         faces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         solve_fns: dict[int, object] = {}
+        if not compute:
+            return faces, solve_fns
+        ng = self.num_groups
+        ncells = self.mesh.num_cells
+        if src_v is None:
+            if scatter is None:
+                scatter = np.zeros((ncells, ng))
+            src_v = self._angle_source_v(scatter)
         for a in range(self.quadrature.num_angles):
             k = self.kernel(a)
             pf = k.new_face_array(ng)
@@ -436,7 +438,6 @@ class SnSolver:
     def record_coarsened(self, grain: int | None = None):
         """One scheduling-only engine sweep that records clusters, then
         builds the coarsened graph (Sec. V-E).  Returns ``cgs``."""
-        from ..core.engine import SerialEngine
         from .coarsened import build_coarsened
 
         programs, _ = self.build_programs(
@@ -458,16 +459,7 @@ class SnSolver:
         """Instantiate CoarsenedSweepProgram per (patch, angle) from ``cgs``."""
         from .coarsened import CoarsenedSweepProgram
 
-        ng = self.num_groups
-        ncells = self.mesh.num_cells
-        if src_v is None:
-            if scatter is None:
-                scatter = np.zeros((ncells, ng))
-            src_v = self._angle_source_v(scatter)
-        faces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        solve_fns: dict[int, object] = {}
-        if compute:
-            faces, solve_fns = self._make_face_solvers(src_v)
+        faces, solve_fns = self._make_face_solvers(src_v, scatter, compute)
         programs = []
         for (p, a), cg in cgs.items():
             programs.append(
@@ -476,7 +468,7 @@ class SnSolver:
                     cells_global=self.pset.patches[p].cells,
                     solve_fn=solve_fns.get(a),
                     static_priority=self.static_priorities[(p, a)],
-                    bytes_per_item=8 * ng,
+                    bytes_per_item=8 * self.num_groups,
                 )
             )
         return programs, faces

@@ -42,11 +42,14 @@ class SweepPatchProgram(PatchProgram):
         bytes_per_item: int = 8,
         record_clusters: bool = False,
         resilient: bool = False,
+        *,
+        angle: int,
     ):
-        super().__init__(graph.patch, graph.angle)
+        super().__init__(graph.patch, angle)
         if grain <= 0:
             raise ValueError("clustering grain must be positive")
-        self.graph = graph
+        self.graph = graph  # shared by the angles of its set
+        self._dst_ids = graph.dst_ids.setdefault(angle, {})
         self.cells_global = cells_global
         self.grain = grain
         self.solve_fn = solve_fn
@@ -161,25 +164,24 @@ class SweepPatchProgram(PatchProgram):
         # patch fits the grain and only the local in-degrees are left on
         # the counters, so this run pops every vertex in an order the
         # graph's tables and keys fix.  The first such run records its
-        # outcome under the graph's digest; every later one replays it.
-        key = task = None
-        if (not self._solved and n <= self.grain
-                and sum(self._counts) == g.num_local_edges):
-            key = (g.task_key(), self.resilient_input)
-            task = g.tasks.get(key)
+        # outcome on the graph; every later one - of any angle of the
+        # graph's set - replays it.
+        whole = (not self._solved and n <= self.grain
+                 and sum(self._counts) == g.num_local_edges)
+        task = g.tasks.get(self.resilient_input) if whole else None
         if task is None:
             popped, outs, edges, remote_items = self._collect()
-            if key is not None:
+            if whole:
                 for _, payload in outs:
                     payload.flags.writeable = False  # shared from here on
-                g.tasks[key] = (np.asarray(popped, dtype=np.int32), outs,
-                                edges, remote_items)
+                g.tasks[self.resilient_input] = (
+                    np.asarray(popped, dtype=np.int32), outs, edges, remote_items)
         else:
             popped, outs, edges, remote_items = task
             self._counts = [0] * n  # the pop loop's end state
             self._heap = []
 
-        angle = g.angle
+        angle = self.id.task
         if self.solve_fn is not None:
             self.solve_fn(self.cells_global[popped], angle)
         self._solved += len(popped)
@@ -188,7 +190,7 @@ class SweepPatchProgram(PatchProgram):
                 popped if isinstance(popped, list) else popped.tolist()
             )
 
-        ids = g.dst_ids
+        ids = self._dst_ids
         src = self.id
         per_item = self.bytes_per_item
         outstreams = self._outstreams

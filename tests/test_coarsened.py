@@ -9,7 +9,11 @@ from repro._util import ReproError
 from repro.core import SerialEngine
 from repro.framework import PatchSet
 from repro.mesh import disk_tri_mesh
-from repro.sweep.coarsened import build_coarsened, coarsened_is_acyclic
+from repro.sweep.coarsened import (
+    CoarsenedPatchGraph,
+    build_coarsened,
+    coarsened_is_acyclic,
+)
 from tests.conftest import make_solver
 
 
@@ -37,6 +41,28 @@ class TestBuild:
     def test_theorem1_acyclic(self, cube_cgs):
         _, cgs = cube_cgs
         assert coarsened_is_acyclic(cgs)
+
+    def test_hand_built_two_cluster_cycles_are_rejected(self):
+        """The negative case of Theorem 1's check: two clusters that
+        wait on each other, inside one patch and across two."""
+        def cg(patch, local_adj, remote_adj):
+            n_cv = len(local_adj)
+            return CoarsenedPatchGraph(
+                patch=patch, angle=0,
+                clusters=[np.array([c]) for c in range(n_cv)],
+                init_counts=np.zeros(n_cv, dtype=np.int64),
+                local_adj=local_adj, remote_adj=remote_adj,
+            )
+
+        chain = {(0, 0): cg(0, [[1], []], [[], [(1, 0, 1)]]),
+                 (1, 0): cg(1, [[]], [[]])}
+        local = {(0, 0): cg(0, [[1], [0]], [[], []])}
+        across = {(0, 0): cg(0, [[]], [[(1, 0, 1)]]),
+                  (1, 0): cg(1, [[]], [[(0, 0, 1)]])}
+        assert coarsened_is_acyclic(chain)
+        assert not coarsened_is_acyclic(local)
+        assert not coarsened_is_acyclic(across)
+        assert coarsened_is_acyclic({})
 
     def test_coarsening_reduces_vertices(self, cube_cgs):
         s, cgs = cube_cgs

@@ -67,7 +67,7 @@ def test_any_configuration_sweeps_to_completion(cfg):
     topo = SweepTopology(pset, level_symmetric(2))
     apply_priorities(topo, strategy)
     progs = [
-        SweepPatchProgram(g, pset.patches[p].cells, grain=grain)
+        SweepPatchProgram(g, pset.patches[p].cells, grain=grain, angle=a)
         for (p, a), g in topo.graphs.items()
     ]
     eng = SerialEngine()
@@ -111,7 +111,7 @@ def test_des_conserves_messages(grain, seed):
     topo = SweepTopology(pset, level_symmetric(2))
     apply_priorities(topo, "slbd+slbd")
     progs = [
-        SweepPatchProgram(g, pset.patches[p].cells, grain=grain)
+        SweepPatchProgram(g, pset.patches[p].cells, grain=grain, angle=a)
         for (p, a), g in topo.graphs.items()
     ]
     rep = DataDrivenRuntime(8, machine=MACHINE).run(progs, pset.patch_proc)

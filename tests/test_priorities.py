@@ -106,7 +106,7 @@ class TestVertexPriorities:
 
     def test_batched_pass_rejects_a_cyclic_subgraph(self):
         loop = PatchAngleGraph(
-            patch=0, angle=0, n_local=2, init_counts=np.array([1, 1]),
+            patch=0, n_local=2, init_counts=np.array([1, 1]),
             dl_indptr=np.array([0, 1, 2]), dl_target=np.array([1, 0]),
             dr_indptr=np.zeros(3, dtype=np.int64),
             dr_patch=np.zeros(0, dtype=np.int64),

@@ -21,6 +21,7 @@ def _programs(pset, quad, grain, record=False, strategy="fifo+fifo"):
                 grain=grain,
                 static_priority=static[(p, a)],
                 record_clusters=record,
+                angle=a,
             )
         )
     return topo, progs
@@ -140,6 +141,7 @@ class TestClusterValidity:
                     cells_global=small_pset.patches[p].cells,
                     grain=9,
                     solve_fn=solve,
+                    angle=a,
                 )
             )
         _run(progs)
@@ -155,7 +157,7 @@ class TestProgramMechanics:
         topo = SweepTopology(small_pset, level_symmetric(2))
         g = topo.graphs[(0, 0)]
         with pytest.raises(ValueError):
-            SweepPatchProgram(g, small_pset.patches[0].cells, grain=0)
+            SweepPatchProgram(g, small_pset.patches[0].cells, grain=0, angle=0)
 
     def test_counters_reported_once(self, small_pset):
         topo, progs = _programs(small_pset, level_symmetric(2), grain=1000)
@@ -177,10 +179,12 @@ class TestProgramMechanics:
             grain=4,
             static_priority=10.0,
             dynamic_priority=True,
+            angle=0,
         )
         prog.init()
         base = SweepPatchProgram(
-            g, small_pset.patches[0].cells, grain=4, static_priority=10.0
+            g, small_pset.patches[0].cells, grain=4, static_priority=10.0,
+            angle=0,
         )
         base.init()
         assert prog.priority() != base.priority() or not prog._heap

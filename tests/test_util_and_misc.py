@@ -114,7 +114,7 @@ class TestOnCyclePolicy:
         for (p, a), g in topo.graphs.items():
             eng.add_program(
                 SweepPatchProgram(
-                    g, disk_patches.patches[p].cells, grain=32
+                    g, disk_patches.patches[p].cells, grain=32, angle=a
                 )
             )
         eng.run()  # termination check inside validates full workload
