@@ -3,10 +3,13 @@
 Not a paper figure - this benchmarks the reproduction's own reference
 numerics, following the HPC guides' vectorize-the-loops prescription:
 the ``fast`` mode solves cells one by one in topological order, while
-``fast-level`` sweeps each dependency level of an angle set through
-the solver's compiled ``SweepPlan`` tables.
+``fast-level`` advances every angle together, one dependency level per
+``AngleKernel.solve_level`` call, through the solver's one compiled
+``SweepPlan`` - as many calls per sweep as the deepest angle has levels.
 Both paths are bitwise-tested elsewhere; here pytest-benchmark measures
-real wall time and asserts the vectorized path wins.
+real wall time, asserts the vectorized path wins and prints the call
+count next to the two times (the count itself is guarded by
+``tests/test_kernels_level.py``, which CI runs beside this file).
 """
 
 import numpy as np
@@ -26,9 +29,9 @@ def solver():
     )
     s = SnSolver(ps, level_symmetric(4), mm, np.ones((mesh.num_cells, 2)))
     # Warm the caches so the benchmark measures the kernels, not setup:
-    # the scalar path's topological orders, the vectorized path's plans.
+    # the scalar path's topological orders, the vectorized path's plan.
     s.sweep_once(mode="fast")
-    s.sweep_plans()
+    s.sweep_plan()
     s.sweep_once(mode="fast-level")
     return s
 
@@ -61,5 +64,6 @@ def test_vectorized_is_faster(benchmark, solver):
     t_vec = time.perf_counter() - t0
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print(f"\nscalar={t_scalar:.3f}s  vectorized={t_vec:.3f}s  "
-          f"speedup={t_scalar / t_vec:.1f}x")
+          f"speedup={t_scalar / t_vec:.1f}x  "
+          f"solve_level calls/sweep={len(solver.sweep_plan().levels)}")
     assert t_vec < t_scalar

@@ -15,9 +15,10 @@ A kernel instance is specific to one direction and caches the per-cell
 incoming/outgoing face tables; it is reused across source iterations
 and energy groups.  Face fluxes live in one array with a slot per
 interior interface plus a slot per boundary face.  :class:`SweepPlan`
-compiles the tables of the kernels that share them (an *angle set*)
-into per-level slices, so the level-vectorized sweep gathers nothing
-it could have precomputed.
+compiles the tables of every angle's kernel into per-level slices of
+one ``(angle, cell)`` vertex list, so the level-vectorized sweep
+advances all angles at once and gathers nothing it could have
+precomputed.
 """
 
 from __future__ import annotations
@@ -155,47 +156,52 @@ class AngleKernel:
             v = v[:, None]
         psi_faces[self.inflow_slots] = v
 
+    def removal(self, sigma_t_v: np.ndarray) -> np.ndarray:
+        """Per-cell removal denominators ``sigma_t_v + two *
+        out_coeff_sum`` (``two`` is 2 for DD, 1 for step), shaped
+        ``(ncells, groups)``; ``sigma_t_v`` is the cell-integrated
+        ``sigma_t * V``, ``(ncells,)`` or ``(ncells, groups)``.  Constant
+        over a sweep: form it once per angle, not per cluster."""
+        if sigma_t_v.ndim == 1:
+            sigma_t_v = sigma_t_v[:, None]
+        two = 2.0 if self.scheme == "dd" else 1.0
+        return sigma_t_v + two * self.out_coeff_sum[:, None]
+
     def solve_cells(
         self,
         cells: np.ndarray,
         src_v: np.ndarray,
-        sigma_t_v: np.ndarray,
+        den: np.ndarray,
         psi_faces: np.ndarray,
         psi_cell: np.ndarray,
     ) -> None:
         """Solve ``cells`` in the given (topological) order.
 
         ``src_v[c]`` must be the cell-integrated per-angle source
-        ``s * V``, shaped ``(ncells, groups)``, and ``sigma_t_v[c]`` the
-        cell-integrated removal ``sigma_t * V``, shaped ``(ncells,)``
-        (one value per cell for all groups) or ``(ncells, groups)``.
-        Updates ``psi_cell`` and the outgoing rows of ``psi_faces``.
+        ``s * V``, shaped ``(ncells, groups)``, and ``den`` this
+        kernel's :meth:`removal`.  Updates ``psi_cell`` and the outgoing
+        rows of ``psi_faces``; the loop keeps only what depends on the
+        upwind flux.
         """
-        dd = self.scheme == "dd"
+        dd, fixup = self.scheme == "dd", self.fixup
         two = 2.0 if dd else 1.0
         in_indptr, in_slot, in_coeff = self.in_indptr, self.in_slot, self.in_coeff
-        out_indptr, out_slot, out_coeff = (
-            self.out_indptr,
-            self.out_slot,
-            self.out_coeff,
-        )
-        pair = self.out_pair
+        out_indptr, out_slot, pair = self.out_indptr, self.out_slot, self.out_pair
+        take = psi_faces.take
         for c in cells:
             ilo, ihi = in_indptr[c], in_indptr[c + 1]
             olo, ohi = out_indptr[c], out_indptr[c + 1]
-            isl = in_slot[ilo:ihi]
-            num = src_v[c] + two * (in_coeff[ilo:ihi] @ psi_faces[isl])
-            den = sigma_t_v[c] + two * out_coeff[olo:ohi].sum()
-            psi = num / den
+            psi = (
+                src_v[c] + two * (in_coeff[ilo:ihi] @ take(in_slot[ilo:ihi], axis=0))
+            ) / den[c]
             psi_cell[c] = psi
-            osl = out_slot[olo:ohi]
             if dd:
-                out_flux = 2.0 * psi - psi_faces[pair[olo:ohi]]
-                if self.fixup:
+                out_flux = 2.0 * psi - take(pair[olo:ohi], axis=0)
+                if fixup:
                     np.maximum(out_flux, 0.0, out=out_flux)
-                psi_faces[osl] = out_flux
+                psi_faces[out_slot[olo:ohi]] = out_flux
             else:
-                psi_faces[osl] = psi
+                psi_faces[out_slot[olo:ohi]] = psi
 
     def solve_level(
         self,
@@ -206,39 +212,40 @@ class AngleKernel:
         psi_faces: np.ndarray,
         psi_p: np.ndarray,
     ) -> None:
-        """Vectorized solve of one dependency level of ``plan`` for all
-        ``m`` angles of its set (``self`` is the set's first kernel; the
-        per-level entry point lives here so it stays a traced kernel call).
+        """Vectorized solve of one dependency level of ``plan``: level
+        ``level`` of every angle that is that deep (``self`` is the
+        plan's first kernel; the per-level entry point lives here so it
+        stays a traced kernel call).
 
-        ``src_p`` ``(ncells, ng)`` and ``den_p`` / ``psi_p``
-        ``(m, ncells, ng)`` are in plan cell order (see
-        :meth:`SweepPlan.sweep`); ``psi_faces`` is ``(m, slots, ng)``.
+        ``src_p`` / ``den_p`` / ``psi_p`` are ``(vertices, ng)`` in plan
+        vertex order and ``psi_faces`` the ``(angles * slots, ng)`` view
+        of every angle's face array (see :meth:`SweepPlan.sweep`).
         Identical arithmetic to :meth:`solve_cells`: each in-degree
         group's batched ``(1,k) @ (k,ng)`` matmul runs the same BLAS
-        dot per cell as ``in_coeff @ psi_faces[isl]``, so the sum order
-        - and the result - is bitwise identical (verified by
+        dot per vertex as ``in_coeff @ psi_faces[isl]``, so the sum
+        order - and the result - is bitwise identical (verified by
         tests/test_kernels_level.py).
         """
         c0, c1, groups, o0, o1 = plan.levels[level]
-        m, _, ng = psi_faces.shape
+        ng = psi_faces.shape[1]
         two = 2.0 if self.scheme == "dd" else 1.0
-        acc = np.zeros((m, c1 - c0, ng))
+        acc = np.zeros((c1 - c0, ng))
         for a, b, k, s0, s1 in groups:
-            flux = psi_faces.take(plan.slots[s0:s1], axis=1)
-            acc[:, a:b] = np.matmul(
-                plan.coeff[:, s0:s1].reshape(m, b - a, 1, k),
-                flux.reshape(m, b - a, k, ng),
-            )[:, :, 0]
-        psi = (src_p[c0:c1] + two * acc) / den_p[:, c0:c1]
-        psi_p[:, c0:c1] = psi
+            flux = psi_faces.take(plan.slots[s0:s1], axis=0)
+            acc[a:b] = np.matmul(
+                plan.coeff[s0:s1].reshape(b - a, 1, k),
+                flux.reshape(b - a, k, ng),
+            )[:, 0]
+        psi = (src_p[c0:c1] + two * acc) / den_p[c0:c1]
+        psi_p[c0:c1] = psi
 
-        out_flux = psi.take(plan.oseg[o0:o1], axis=1)
+        out_flux = psi.take(plan.oseg[o0:o1], axis=0)
         if self.scheme == "dd":
             out_flux *= 2.0
-            out_flux -= psi_faces.take(plan.pair[o0:o1], axis=1)
+            out_flux -= psi_faces.take(plan.pair[o0:o1], axis=0)
             if self.fixup:
                 np.maximum(out_flux, 0.0, out=out_flux)
-        psi_faces[:, plan.osl[o0:o1]] = out_flux
+        psi_faces[plan.osl[o0:o1]] = out_flux
 
     def leakage(self, psi_faces: np.ndarray) -> np.ndarray:
         """Outgoing partial current through the domain boundary (per group)."""
@@ -248,55 +255,79 @@ class AngleKernel:
 
 
 class SweepPlan:
-    """Level tables of one *angle set*, compiled once and reused by
-    every sweep (meshtaichi ``Patcher`` layout: flat value arrays plus
-    one offset table, no per-level arrays).
+    """Level tables of the *whole quadrature*, compiled once and reused
+    by every sweep (meshtaichi ``Patcher`` layout: flat value arrays
+    plus one offset table, no per-level arrays).
 
-    An angle set (:func:`repro.sweep.dag.angle_sets` over the interior
-    and boundary faces) is the angles whose kernels hold byte-identical
-    CSR index tables; they share the ``int32`` tables
+    The sweeps of the angles are independent DAGs, so level ``l`` of the
+    plan holds level ``l`` of every angle that is that deep and a sweep
+    costs ``max over angles of levels`` kernel calls.  ``kernels[a]``
+    and ``levels[a]`` (:func:`repro.sweep.dag.topological_levels`; the
+    angles of a set share one result) describe angle ``a``; vertex
+    ``(a, cell)`` reads and writes face slots ``a * num_slots + slot``.
+    The ``int32`` tables are
 
-    * ``cells`` - cells level-major and, inside a level, by in-degree,
-      so every in-degree group of a level is a slice;
-    * ``slots`` - the inflow slots of ``cells``, concatenated;
-    * ``osl`` / ``oseg`` / ``pair`` - per outflow face of ``cells`` its
-      slot, its cell's position inside the level and (DD) the paired
-      inflow slot;
+    * ``vertex`` / ``cell`` - ``a * ncells + cell`` and ``cell`` of the
+      vertices, level-major and, inside a level, by in-degree, so every
+      in-degree group of a level is a slice;
+    * ``slots`` - the inflow slots of the vertices, concatenated;
+    * ``osl`` / ``oseg`` / ``pair`` - per outflow face of the vertices
+      its slot, its vertex's position inside the level and (DD) the
+      paired inflow slot;
 
-    and differ only in the ``float64`` rows ``coeff[i]`` (aligned with
-    ``slots``) and ``den2[i]`` (``2 * out_coeff_sum``, ``1 *`` for
-    step, aligned with ``cells``).  ``levels[l]`` is ``(c0, c1,
-    [(a, b, k, s0, s1), ...], o0, o1)``: the level's range of
-    ``cells``, per in-degree ``k > 0`` the level-relative cell range
-    and its range of ``slots``, and the level's range of ``osl``.
+    beside the ``float64`` ``coeff`` (aligned with ``slots``) and
+    ``den2`` (``2 * out_coeff_sum``, ``1 *`` for step, aligned with
+    ``vertex``).  ``levels[l]`` is ``(c0, c1, [(a, b, k, s0, s1), ...],
+    o0, o1)``: the level's range of ``vertex``, per in-degree ``k > 0``
+    the level-relative vertex range and its range of ``slots``, and the
+    level's range of ``osl``.
     """
 
-    def __init__(self, kernels: list, angles: list, levels: list):
-        self.kernels, self.angles = kernels, angles
+    def __init__(self, kernels: list, levels: list):
+        self.kernels = kernels
         k0 = kernels[0]
         dd = k0.scheme == "dd"
-        cstart = np.concatenate(([0], np.cumsum([len(lv) for lv in levels])))
-        level_of = np.repeat(np.arange(len(levels)), np.diff(cstart))
-        cells = np.concatenate(levels)
-        indeg = np.diff(k0.in_indptr)[cells]
+        ncells, nslots = k0.mesh.num_cells, k0.num_slots
+        # Vertex a * ncells + c, angle by angle: its level and degrees.
+        level_of = np.empty((len(kernels), ncells), dtype=np.int64)
+        for row, lv in zip(level_of, levels):
+            for level, cells in enumerate(lv):
+                row[cells] = level
+        level_of = level_of.ravel()
+        indeg = np.concatenate([np.diff(k.in_indptr) for k in kernels])
+        outdeg = np.concatenate([np.diff(k.out_indptr) for k in kernels])
         order = np.argsort(level_of * (indeg.max() + 1) + indeg, kind="stable")
-        cells, indeg = cells[order], indeg[order]
-        outdeg = np.diff(k0.out_indptr)[cells]
-        ipos = multi_slice(k0.in_indptr[cells], indeg)
-        opos = multi_slice(k0.out_indptr[cells], outdeg)
-        in_level = np.arange(len(cells)) - cstart[level_of]
-        self.cells = cells.astype(np.int32)
-        self.slots = k0.in_slot[ipos].astype(np.int32)
-        self.osl = k0.out_slot[opos].astype(np.int32)
-        self.oseg = np.repeat(in_level, outdeg).astype(np.int32)
-        self.pair = k0.out_pair[opos].astype(np.int32) if dd else None
-        self.coeff = np.stack([k.in_coeff[ipos] for k in kernels])
-        self.den2 = (2.0 if dd else 1.0) * np.stack(
-            [k.out_coeff_sum[cells] for k in kernels]
-        )
-
+        level_of, indeg, outdeg = level_of[order], indeg[order], outdeg[order]
+        per_level = np.bincount(level_of, minlength=max(map(len, levels)))
+        cstart = np.concatenate(([0], np.cumsum(per_level)))
+        in_level = np.arange(len(order)) - cstart[level_of]
         ioff = np.concatenate(([0], np.cumsum(indeg)))
-        ooff = np.concatenate(([0], np.cumsum(outdeg)))[cstart].tolist()
+        ooff = np.concatenate(([0], np.cumsum(outdeg)))
+        self.vertex = order.astype(np.int32)
+        self.cell = (order % ncells).astype(np.int32)
+        self.oseg = np.repeat(in_level.astype(np.int32), outdeg)
+        self.den2 = (2.0 if dd else 1.0) * np.concatenate(
+            [k.out_coeff_sum for k in kernels]
+        )[order]
+        # A kernel's CSR rows are in cell order: scatter them, one angle
+        # at a time, to where the plan put that angle's vertices.
+        self.slots = np.empty(ioff[-1], dtype=np.int32)
+        self.coeff = np.empty(ioff[-1])
+        self.osl = np.empty(ooff[-1], dtype=np.int32)
+        self.pair = np.empty(ooff[-1], dtype=np.int32) if dd else None
+        pos = np.empty(len(order), dtype=np.int64)
+        pos[order] = np.arange(len(order))
+        for a, k in enumerate(kernels):
+            at = pos[a * ncells : (a + 1) * ncells]
+            rows = multi_slice(ioff[at], indeg[at])
+            self.slots[rows] = k.in_slot + a * nslots
+            self.coeff[rows] = k.in_coeff
+            rows = multi_slice(ooff[at], outdeg[at])
+            self.osl[rows] = k.out_slot + a * nslots
+            if dd:
+                self.pair[rows] = k.out_pair + a * nslots
+
+        ooff = ooff[cstart].tolist()
         cstart = cstart.tolist()
         self.levels = [
             (c0, c1, [], o0, o1)
@@ -306,7 +337,7 @@ class SweepPlan:
         start = np.nonzero(
             np.diff(level_of, prepend=-1) | np.diff(indeg, prepend=-1)
         )[0]
-        end = np.append(start[1:], len(cells))
+        end = np.append(start[1:], len(order))
         for lv, a, b, k, s0, s1 in zip(
             level_of[start].tolist(), in_level[start].tolist(),
             (in_level[end - 1] + 1).tolist(), indeg[start].tolist(),
@@ -322,18 +353,20 @@ class SweepPlan:
         psi_faces: np.ndarray,
         psi_cell: np.ndarray,
     ) -> None:
-        """Solve every level for the whole set: ``psi_faces``
-        ``(m, slots, ng)`` holds the boundary conditions and receives
-        the face fluxes, ``psi_cell`` ``(m, ncells, ng)`` the cell
-        fluxes.  ``sigma_t_v`` is ``(ncells,)`` or ``(ncells, ng)``.
+        """Solve every level for every angle: the C-contiguous
+        ``psi_faces`` ``(angles, slots, ng)`` holds the boundary
+        conditions and receives the face fluxes, ``psi_cell``
+        ``(angles, ncells, ng)`` the cell fluxes.  ``sigma_t_v`` is
+        ``(ncells,)`` or ``(ncells, ng)``.
         """
         if sigma_t_v.ndim == 1:
             sigma_t_v = sigma_t_v[:, None]
-        cells = self.cells
-        src_p = src_v[cells]
-        den_p = sigma_t_v[cells] + self.den2[:, :, None]
-        psi_p = np.empty(psi_cell.shape)
+        ng = src_v.shape[1]
+        src_p = src_v[self.cell]
+        den_p = sigma_t_v[self.cell] + self.den2[:, None]
+        psi_p = np.empty((len(self.cell), ng))
+        flat_faces = psi_faces.reshape(-1, ng)
         solve_level = self.kernels[0].solve_level
         for level in range(len(self.levels)):
-            solve_level(self, level, src_p, den_p, psi_faces, psi_p)
-        psi_cell[:, cells] = psi_p
+            solve_level(self, level, src_p, den_p, flat_faces, psi_p)
+        psi_cell.reshape(-1, ng)[self.vertex] = psi_p

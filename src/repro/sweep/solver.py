@@ -116,7 +116,7 @@ class SnSolver:
 
         self._kernels: dict[int, AngleKernel] = {}
         self._topo_orders: dict[int, np.ndarray] = {}
-        self._plans: list[SweepPlan] | None = None
+        self._plan: SweepPlan | None = None
         self._topology: SweepTopology | None = None
         self._static_prio: dict[tuple[int, int], float] | None = None
 
@@ -194,6 +194,9 @@ class SnSolver:
 
     def kernel(self, angle: int) -> AngleKernel:
         if angle not in self._kernels:
+            na = self.quadrature.num_angles
+            if not 0 <= angle < na:
+                raise ReproError(f"no kernel for angle {angle!r}: angles are 0..{na - 1}")
             self._kernels[angle] = AngleKernel(
                 self.mesh,
                 self.interfaces,
@@ -248,26 +251,24 @@ class SnSolver:
             self._topo_orders[angle] = np.asarray(topo, dtype=np.int64)
         return self._topo_orders[angle]
 
-    def sweep_plans(self) -> list[SweepPlan]:
-        """The compiled level tables of the ``fast-level`` path, one
-        :class:`SweepPlan` per angle set (:func:`angle_sets` over the
-        interior and boundary faces: its kernels share their index
-        tables, e.g. one octant of a structured mesh); built at the
-        first call, then reused by every sweep."""
-        if self._plans is None:
-            self._plans = []
+    def sweep_plan(self) -> SweepPlan:
+        """The compiled level tables of the ``fast-level`` path: one
+        :class:`SweepPlan` over every (angle, cell) vertex, the Kahn
+        peel run once per angle set (:func:`angle_sets` over the
+        interior and boundary faces, e.g. one octant of a structured
+        mesh); built at the first call, then reused by every sweep."""
+        if self._plan is None:
+            dirs = self.quadrature.directions
+            levels: list = [None] * len(dirs)
             for angles in angle_sets(
-                self.quadrature.directions, self.interfaces.normal,
-                self.boundary.normal, tol=_TOL,
+                dirs, self.interfaces.normal, self.boundary.normal, tol=_TOL
             ):
-                u, v = directed_edges(
-                    self.interfaces, self.quadrature.directions[angles[0]]
-                )
-                levels = topological_levels(self.mesh.num_cells, u, v)
-                self._plans.append(
-                    SweepPlan([self.kernel(a) for a in angles], angles, levels)
-                )
-        return self._plans
+                u, v = directed_edges(self.interfaces, dirs[angles[0]])
+                shared = topological_levels(self.mesh.num_cells, u, v)
+                for a in angles:
+                    levels[a] = shared
+            self._plan = SweepPlan([self.kernel(a) for a in range(len(dirs))], levels)
+        return self._plan
 
     # -- single sweep -----------------------------------------------------------------
 
@@ -309,8 +310,8 @@ class SnSolver:
 
         ``stats`` is the :class:`EngineStats` of engine mode, or None.
         The default ``fast-level`` mode sweeps each wavefront level of
-        an angle set with batched-BLAS kernels over the compiled
-        :meth:`sweep_plans`; it is bitwise identical to the scalar
+        all angles at once with batched-BLAS kernels over the compiled
+        :meth:`sweep_plan`; it is bitwise identical to the scalar
         ``fast`` mode (enforced by tests/test_kernels_level.py).
         """
         ng = self.num_groups
@@ -319,18 +320,16 @@ class SnSolver:
             scatter = np.zeros((ncells, ng))
         src_v = self._angle_source_v(scatter)
         if mode == "fast-level":
-            # Angle sets sweep in plan order; ``accumulate`` then sums
-            # in ascending angle order, the float sums of ``fast``.
-            faces = {}
-            for plan in self.sweep_plans():
-                m = len(plan.angles)
-                psi_faces = np.zeros((m, plan.kernels[0].num_slots, ng))
-                for k, a, pf in zip(plan.kernels, plan.angles, psi_faces):
-                    self._apply_bc(k, pf, a)
-                psi_cell = np.empty((m, ncells, ng))
-                plan.sweep(src_v, self.sigma_t_v, psi_faces, psi_cell)
-                faces.update(zip(plan.angles, zip(psi_faces, psi_cell)))
-            phi, leakage = self.accumulate(dict(sorted(faces.items())))
+            # The angles advance together, one slab each; ``accumulate``
+            # then sums in ascending angle order, the float sums of ``fast``.
+            plan = self.sweep_plan()
+            na = len(plan.kernels)
+            psi_faces = np.zeros((na, plan.kernels[0].num_slots, ng))
+            for a, (k, pf) in enumerate(zip(plan.kernels, psi_faces)):
+                self._apply_bc(k, pf, a)
+            psi_cell = np.empty((na, ncells, ng))
+            plan.sweep(src_v, self.sigma_t_v, psi_faces, psi_cell)
+            phi, leakage = self.accumulate(dict(enumerate(zip(psi_faces, psi_cell))))
             return phi, leakage, None
         if mode == "fast":
             phi = np.zeros((ncells, ng))
@@ -341,7 +340,7 @@ class SnSolver:
                 psi_faces = k.new_face_array(ng)
                 self._apply_bc(k, psi_faces, a)
                 k.solve_cells(
-                    self.topo_order(a), src_v, self.sigma_t_v,
+                    self.topo_order(a), src_v, k.removal(self.sigma_t_v),
                     psi_faces, psi_cell,
                 )
                 self._capture_outgoing(a, psi_faces)
@@ -389,14 +388,14 @@ class SnSolver:
         faces, solve_fns = self._make_face_solvers(src_v, scatter, compute)
         programs = []
         dynamic = self.strategy.patch == "slbd"
-        per_item = 8 * self.num_groups
+        prio, per_item = self.static_priorities, 8 * self.num_groups
         for (p, a), graph in topo.graphs.items():
             prog = SweepPatchProgram(
                 graph,
                 cells_global=self.pset.patches[p].cells,
                 grain=grain,
                 solve_fn=solve_fns.get(a),
-                static_priority=self.static_priorities[(p, a)],
+                static_priority=prio[(p, a)],
                 dynamic_priority=dynamic,
                 bytes_per_item=per_item,
                 record_clusters=record_clusters,
@@ -428,9 +427,10 @@ class SnSolver:
             self._apply_bc(k, pf, a)
             pc = np.zeros((ncells, ng))
             faces[a] = (pf, pc)
+            den = k.removal(self.sigma_t_v)  # once per angle, not per cluster
 
-            def solve(cells, angle, _k=k, _pf=pf, _pc=pc):
-                _k.solve_cells(cells, src_v, self.sigma_t_v, _pf, _pc)
+            def solve(cells, angle, _k=k, _den=den, _pf=pf, _pc=pc):
+                _k.solve_cells(cells, src_v, _den, _pf, _pc)
 
             solve_fns[a] = solve
         return faces, solve_fns
@@ -461,14 +461,15 @@ class SnSolver:
 
         faces, solve_fns = self._make_face_solvers(src_v, scatter, compute)
         programs = []
+        prio, per_item = self.static_priorities, 8 * self.num_groups
         for (p, a), cg in cgs.items():
             programs.append(
                 CoarsenedSweepProgram(
                     cg,
                     cells_global=self.pset.patches[p].cells,
                     solve_fn=solve_fns.get(a),
-                    static_priority=self.static_priorities[(p, a)],
-                    bytes_per_item=8 * self.num_groups,
+                    static_priority=prio[(p, a)],
+                    bytes_per_item=per_item,
                 )
             )
         return programs, faces

@@ -4,8 +4,8 @@ read-only graph per (patch, set).
 
 The oracle is the build the sets replaced - one single-angle topology
 per angle: every table, count, patch digraph and priority of the shared
-graph must equal it (a), the sets must be maximal (b), the solver's
-plan sets must be what hashing kernel tables used to give (c), broken
+graph must equal it (a), the sets must be maximal (b), the sets the
+solver's plan peels once must be what hashing kernel tables gives (c), broken
 cycles must add up per angle (d), the object counts must show the
 sharing (e), and what is shared must refuse writes while everything
 that reads it still runs (f).
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro.sweep.dag as dagmod
+import repro.sweep.solver as solver_module
 from repro._util import ReproError
 from repro.apps import JSNTS, JSNTU
 from repro.framework import PatchSet
@@ -151,7 +152,9 @@ def test_angles_share_a_set_iff_their_single_angle_tables_agree(case):
 # -- (c) the solver's plan sets -------------------------------------------------------
 
 
-def test_plan_sets_are_the_kernels_grouped_by_index_tables(case):
+def test_plan_sets_are_the_kernels_grouped_by_index_tables(case, monkeypatch):
+    """``angle_sets`` over interior + boundary normals - what
+    ``sweep_plan`` peels once per - against the kernels themselves."""
     s, _, _ = case
     by_tables: dict[tuple, list[int]] = {}
     for a in range(s.quadrature.num_angles):
@@ -159,7 +162,25 @@ def test_plan_sets_are_the_kernels_grouped_by_index_tables(case):
         key = tuple(t.tobytes() for t in (k.in_indptr, k.in_slot,
                                           k.out_indptr, k.out_slot))
         by_tables.setdefault(key, []).append(a)
-    assert [plan.angles for plan in s.sweep_plans()] == list(by_tables.values())
+    sets = dagmod.angle_sets(
+        s.quadrature.directions, s.interfaces.normal, s.boundary.normal,
+        tol=1e-12,
+    )
+    assert sets == list(by_tables.values())
+    # ... and the plan runs one Kahn peel per such set, shared by its angles.
+    peels = []
+    real = solver_module.topological_levels
+
+    def recorded(*args):
+        peels.append(real(*args))
+        return peels[-1]
+
+    monkeypatch.setattr(solver_module, "topological_levels", recorded)
+    fresh = SnSolver(s.pset, s.quadrature, s.materials, s.source,
+                     scheme=s.scheme)
+    plan = fresh.sweep_plan()
+    assert len(peels) == len(sets)
+    assert len(plan.levels) == max(len(lv) for lv in peels)
 
 
 # -- (d) cycle breaking counts per angle ----------------------------------------------

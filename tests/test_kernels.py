@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import DataDrivenRuntime
 from repro._util import ReproError
 from repro.framework import PatchSet, build_boundary, build_interfaces
 from repro.mesh import box_structured, cube_structured
+from repro.runtime import Machine
 from repro.sweep import (
     AngleKernel,
     Material,
@@ -67,6 +69,70 @@ class TestDiscreteRecurrences:
             got = phi[mesh.linear_index((i, 1, 1)), 0] / (4 * np.pi)
             assert got == pytest.approx(cell, rel=1e-12)
             face = 2 * cell - face
+
+    @pytest.mark.parametrize("mode", ["fast", "fast-level", "des"])
+    @pytest.mark.parametrize("scheme", ["step", "dd"])
+    def test_pure_absorber_ray_matches_the_closed_forms(self, scheme, mode):
+        """An oracle that is not our own fingerprint: one ordinate along
+        +x through a pure absorber with unit incident flux.  Every face
+        ``i`` cells downstream carries ``r**i`` with ``r = 1 / (1 + tau)``
+        (step) or ``(2 - tau) / (2 + tau)`` (DD; ``tau = sigma_t * dx <
+        2`` keeps the fixup idle), the cell fluxes and the leakage the
+        matching closed forms - in every sweep path."""
+        n, length, sigma = 8, 4.0, 1.3
+        mesh = cube_structured(n, length=length)
+        pset = PatchSet.from_structured(mesh, (4, 4, 4), nprocs=2)
+        mm = MaterialMap.uniform(Material.isotropic(sigma, 0.0), mesh.num_cells)
+        weight = 4 * np.pi
+        s = SnSolver(
+            pset, Quadrature([[1.0, 0.0, 0.0]], [weight]), mm,
+            np.zeros((mesh.num_cells, 1)), scheme=scheme, boundary_flux=1.0,
+            grain=8,
+        )
+        dx = length / n
+        tau = sigma * dx
+        assert tau < 2
+        r = 1 / (1 + tau) if scheme == "step" else (2 - tau) / (2 + tau)
+        to_cell = 1 / (1 + tau) if scheme == "step" else 2 / (2 + tau)
+
+        k = s.kernel(0)
+        if mode == "des":
+            programs, faces = s.build_programs(compute=True)
+            DataDrivenRuntime(8, machine=Machine(cores_per_proc=4)).run(
+                programs, pset.patch_proc
+            )
+            psi_faces, psi_cell = faces[0]
+            phi, leakage = s.accumulate(faces)
+        else:
+            phi, leakage, _ = s.sweep_once(mode=mode)
+            psi_faces, psi_cell = k.new_face_array(1), np.zeros((mesh.num_cells, 1))
+            s._apply_bc(k, psi_faces, 0)
+            src_v = s._angle_source_v(np.zeros((mesh.num_cells, 1)))
+            if mode == "fast":
+                k.solve_cells(s.topo_order(0), src_v, k.removal(s.sigma_t_v),
+                              psi_faces, psi_cell)
+            else:
+                s.sweep_plan().sweep(src_v, s.sigma_t_v, psi_faces[None],
+                                     psi_cell[None])
+
+        ix = np.rint(mesh.cell_centers()[:, 0] / dx - 0.5).astype(int)
+        rtol = 1e-12
+        assert np.allclose(psi_cell[:, 0], to_cell * r ** ix, rtol=rtol, atol=0)
+        assert np.allclose(phi, weight * psi_cell, rtol=rtol, atol=0)
+        # Faces: x-normal interfaces carry their upwind cell's outflow,
+        # the others are parallel to the ray and stay untouched.
+        it, bd = s.interfaces, s.boundary
+        along = np.abs(it.normal[:, 0]) > 0.5
+        upwind = np.where(it.normal[:, 0] > 0, it.cell_a, it.cell_b)
+        want = np.where(along, r ** (ix[upwind] + 1), 0.0)
+        assert np.allclose(psi_faces[: it.num_interfaces, 0], want,
+                           rtol=rtol, atol=0)
+        want = np.select(
+            [bd.normal[:, 0] < -0.5, bd.normal[:, 0] > 0.5], [1.0, r ** n], 0.0
+        )
+        assert np.allclose(psi_faces[it.num_interfaces :, 0], want,
+                           rtol=rtol, atol=0)
+        assert leakage[0] == pytest.approx(weight * length**2 * r ** n, rel=rtol)
 
     def test_dd_converges_to_exponential(self):
         """DD is 2nd order: halving h reduces the attenuation error ~4x."""

@@ -1,10 +1,10 @@
-"""fast-level regression: the compiled sweep plans are bitwise-identical
+"""fast-level regression: the compiled sweep plan is bitwise-identical
 to the scalar ``fast`` sweep on every mesh family and boundary kind.
 
-``AngleKernel.solve_level`` batches each dependency level of an angle
-set through one ``(m,c,1,k) @ (m,c,k,ng)`` matmul per in-degree group,
-which runs the same BLAS dot per cell as ``solve_cells``'s
-``in_coeff @ psi_faces[isl]``.  These tests pin that equivalence -
+``AngleKernel.solve_level`` batches one dependency level of *every*
+angle through one ``(c,1,k) @ (c,k,ng)`` matmul per in-degree group,
+which runs the same BLAS dot per vertex as ``solve_cells``'s
+``in_coeff @ psi_faces.take(isl)``.  These tests pin that equivalence -
 ``np.array_equal``, no tolerance - because ``fast-level`` is the
 default ``sweep_once`` mode and any float-order drift would silently
 change every solver result.
@@ -14,15 +14,17 @@ import numpy as np
 import pytest
 
 from repro import DataDrivenRuntime
+from repro._util import ReproError
 from repro.apps import JSNTS, JSNTU
 from repro.framework import PatchSet
-from repro.mesh import cube_structured
+from repro.mesh import cube_structured, warped_quad_mesh
 from repro.runtime import Machine
 from repro.sweep import (
     Material, MaterialMap, Quadrature, SnSolver, level_symmetric,
     product_quadrature,
 )
-from repro.sweep.kernels import SweepPlan
+from repro.sweep.dag import angle_sets, directed_edges, topological_levels
+from repro.sweep.kernels import _TOL, AngleKernel, SweepPlan
 
 
 def _koba(**kw):
@@ -66,6 +68,44 @@ def _incident(centroids, direction):
     return 1.0 + np.abs(centroids @ direction)
 
 
+def _koba12():
+    """The ledger's Kobayashi solve: 8 octants of 3 angles, 34 levels each."""
+    return JSNTS.kobayashi(
+        12, total_cores=24, quadrature=product_quadrature(2, 12),
+        patch_shape=(3, 3, 3),
+    ).solver
+
+
+def _warped():
+    mesh = warped_quad_mesh((10, 10))
+    mm = MaterialMap.uniform(Material.isotropic(1.0, 0.3), mesh.num_cells)
+    return SnSolver(
+        PatchSet.from_unstructured(mesh, 25, nprocs=2), level_symmetric(4), mm,
+        np.ones((mesh.num_cells, 1)), scheme="step",
+    )
+
+
+def _sets(s):
+    """The solver's angle sets, as ``sweep_plan`` derives them."""
+    return angle_sets(
+        s.quadrature.directions, s.interfaces.normal, s.boundary.normal, tol=_TOL
+    )
+
+
+def _degrees(plan, indptr):
+    """In- or out-degree of every plan vertex, from its angle's kernel."""
+    by_id = np.concatenate([np.diff(getattr(k, indptr)) for k in plan.kernels])
+    return by_id[plan.vertex]
+
+
+def _angle_levels(s):
+    """Per angle, its own Kahn peel (not shared through a set)."""
+    return [
+        topological_levels(s.mesh.num_cells, *directed_edges(s.interfaces, d))
+        for d in s.quadrature.directions
+    ]
+
+
 #: name -> (fresh solver, sizes of its angle sets).  On a 2-D mesh the
 #: +z / -z twins of an ordinate see the same geometry and pair up.
 SOLVERS = {
@@ -104,7 +144,9 @@ def test_fast_level_is_bitwise_fast(name):
             fast.sweep_once(sc, mode="fast"),
             level.sweep_once(sc, mode="fast-level"),
         )
-    assert {len(p.angles) for p in level.sweep_plans()} == set_sizes
+    assert {len(angles) for angles in _sets(level)} == set_sizes
+    depths = [len(lv) for lv in _angle_levels(level)]
+    assert len(level.sweep_plan().levels) == max(depths)
 
 
 def test_des_accumulate_is_bitwise_fast_level():
@@ -141,68 +183,150 @@ def test_source_iteration_default_is_fast_level():
 
 
 def test_batched_matmul_matches_blas_dot():
-    # The micro-fact the kernel relies on: a stacked (m,c,1,k)@(m,c,k,ng)
-    # matmul reproduces the per-cell 1-D @ 2-D dot bit for bit.
+    # The micro-fact the kernel relies on: a stacked (c,1,k)@(c,k,ng)
+    # matmul reproduces the per-row 1-D @ 2-D dot bit for bit.
     rng = np.random.default_rng(3)
     for k in range(1, 8):
-        coeff = rng.standard_normal((3, 64, k))
-        flux = rng.standard_normal((3, 64, k, 4))
-        batched = np.matmul(coeff[:, :, None, :], flux)[:, :, 0]
-        for a in range(3):
-            for i in range(64):
-                assert np.array_equal(batched[a, i], coeff[a, i] @ flux[a, i])
+        coeff = rng.standard_normal((192, k))
+        flux = rng.standard_normal((192, k, 4))
+        batched = np.matmul(coeff[:, None, :], flux)[:, 0]
+        for i in range(192):
+            assert np.array_equal(batched[i], coeff[i] @ flux[i])
+
+
+@pytest.mark.parametrize(
+    "make", [_koba, lambda: _koba(scheme="step"), _ball, _reactor, _warped],
+    ids=["cube-dd", "cube-step", "ball-step", "reactor-step", "warped-step"],
+)
+def test_removal_is_bitwise_the_per_cell_sum(make):
+    """The equality the ``solve_cells`` hoist rests on, for every cell
+    of every mesh family and both schemes."""
+    s = make()
+    two = 2.0 if s.scheme == "dd" else 1.0
+    for a in range(s.quadrature.num_angles):
+        k = s.kernel(a)
+        den = k.removal(s.sigma_t_v)
+        assert den.shape == s.sigma_t_v.shape
+        for c in range(s.mesh.num_cells):
+            olo, ohi = k.out_indptr[c], k.out_indptr[c + 1]
+            want = s.sigma_t_v[c] + two * k.out_coeff[olo:ohi].sum()
+            assert np.array_equal(den[c], want)
+        assert np.array_equal(k.removal(s.sigma_t_v[:, 0].copy()), den[:, :1])
+
+
+@pytest.mark.parametrize("angle", [-1, 24])
+def test_kernel_of_an_unknown_angle_is_a_structured_error(angle):
+    """Below the range (once silently a duplicate of the last angle's
+    kernel, cached under -1) and above it (once a bare IndexError)."""
+    s = _cube()
+    with pytest.raises(ReproError, match=r"0\.\.23") as err:
+        s.kernel(angle)
+    assert repr(angle) in str(err.value)
+    assert angle not in s._kernels
+    assert s.kernel(23) is s.kernel(23)
+
+
+@pytest.mark.parametrize("make, calls", [(_koba12, 34), (_ball, None)],
+                         ids=["koba12", "ball"])
+def test_solve_level_calls_per_sweep_are_the_deepest_angles_levels(
+    monkeypatch, make, calls
+):
+    """Count guard: a sweep costs ``max over angles of levels`` kernel
+    calls, not their sum - on the ball although its angles differ in
+    depth (levels past an angle's depth hold none of its vertices)."""
+    s = make()
+    depths = [len(lv) for lv in _angle_levels(s)]
+    plan = s.sweep_plan()
+    assert len(plan.levels) == max(depths)
+    if calls is None:
+        assert len(set(depths)) > 1
+    else:
+        assert set(depths) == {calls}
+    na, ncells = s.quadrature.num_angles, s.mesh.num_cells
+    for l, (c0, c1, *_rest) in enumerate(plan.levels):
+        present = np.unique(plan.vertex[c0:c1] // ncells).tolist()
+        assert present == [a for a in range(na) if depths[a] > l]
+    seen = []
+    real = AngleKernel.solve_level
+
+    def counted(self, plan, level, *args):
+        seen.append(level)
+        return real(self, plan, level, *args)
+
+    monkeypatch.setattr(AngleKernel, "solve_level", counted)
+    for _ in range(2):
+        seen.clear()
+        s.sweep_once(mode="fast-level")
+        assert seen == list(range(len(plan.levels)))
 
 
 class TestPlanStructure:
     def test_tables_are_int32_and_shared_by_the_octant(self):
+        """One plan; every (angle, cell) vertex once; and what an octant
+        still shares - its angles' Kahn levels, hence the cell sequence
+        of each of its angles inside the plan."""
         s = _koba()
-        plans = s.sweep_plans()
-        assert len(plans) == 8
-        for p in plans:
-            assert len({s.quadrature.octant_of(a) for a in p.angles}) == 1
-            for table in (p.cells, p.slots, p.osl, p.oseg, p.pair):
-                assert table.dtype == np.int32
-            assert p.coeff.shape == (3, len(p.slots))
-            assert p.den2.shape == (3, s.mesh.num_cells)
-        plan_of = {a: p for p in plans for a in p.angles}
-        # S4 angles a, a + 8, a + 16 share an octant, hence the tables.
-        assert plan_of[0].slots is plan_of[8].slots is plan_of[16].slots
-        assert sorted(plan_of) == list(range(24))
+        p = s.sweep_plan()
+        assert s.sweep_plan() is p
+        na, ncells = s.quadrature.num_angles, s.mesh.num_cells
+        for table in (p.vertex, p.cell, p.slots, p.osl, p.oseg, p.pair):
+            assert table.dtype == np.int32 and table.ndim == 1
+        assert p.coeff.shape == p.slots.shape and p.coeff.dtype == np.float64
+        assert p.den2.shape == p.vertex.shape == (na * ncells,)
+        assert np.array_equal(np.sort(p.vertex), np.arange(na * ncells))
+        assert np.array_equal(p.cell, p.vertex % ncells)
+        angle = p.vertex // ncells
+        # Face slots of angle a live in slab a of the flat face array.
+        nslots = s.kernel(0).num_slots
+        assert np.array_equal(
+            p.slots // nslots, np.repeat(angle, _degrees(p, "in_indptr"))
+        )
+        # S4 angles a, a + 8, a + 16 share an octant.
+        for a in range(8):
+            assert len({s.quadrature.octant_of(b) for b in (a, a + 8, a + 16)}) == 1
+            mine = p.cell[angle == a]
+            assert np.array_equal(mine, p.cell[angle == a + 8])
+            assert np.array_equal(mine, p.cell[angle == a + 16])
 
     def test_unstructured_angles_are_singletons_without_pairs(self):
         s = _ball()
-        plans = s.sweep_plans()
-        assert [p.angles for p in plans] == [[a] for a in range(len(plans))]
-        assert all(p.pair is None for p in plans)
+        assert _sets(s) == [[a] for a in range(s.quadrature.num_angles)]
+        assert s.sweep_plan().pair is None
 
     def test_levels_tile_the_tables(self):
         for s in (_koba(), _ball(), _reactor_axial()):
-            for p in s.sweep_plans():
-                k = p.kernels[0]
-                assert sorted(p.cells.tolist()) == list(range(s.mesh.num_cells))
-                indeg = np.diff(k.in_indptr)[p.cells]
-                c_end = s_end = o_end = 0
-                for c0, c1, groups, o0, o1 in p.levels:
-                    assert (c0, o0) == (c_end, o_end)
-                    for a, b, deg, s0, s1 in groups:
-                        assert np.all(indeg[c0 + a : c0 + b] == deg) and deg > 0
-                        assert (s0, s1 - s0) == (s_end, (b - a) * deg)
-                        s_end = s1
-                    covered = sum(b - a for a, b, *_ in groups)
-                    assert covered == np.count_nonzero(indeg[c0:c1])
-                    assert np.all(p.oseg[o0:o1] < c1 - c0)
-                    c_end, o_end = c1, o1
-                assert (c_end, s_end, o_end) == (
-                    len(p.cells), len(p.slots), len(p.osl)
-                )
+            p = s.sweep_plan()
+            ncells = s.mesh.num_cells
+            indeg = _degrees(p, "in_indptr")
+            outdeg = _degrees(p, "out_indptr")
+            c_end = s_end = o_end = 0
+            for c0, c1, groups, o0, o1 in p.levels:
+                assert (c0, o0) == (c_end, o_end)
+                s_lo = s_end
+                for a, b, deg, s0, s1 in groups:
+                    assert np.all(indeg[c0 + a : c0 + b] == deg) and deg > 0
+                    assert (s0, s1 - s0) == (s_end, (b - a) * deg)
+                    s_end = s1
+                covered = sum(b - a for a, b, *_ in groups)
+                assert covered == np.count_nonzero(indeg[c0:c1])
+                assert o1 - o0 == outdeg[c0:c1].sum()
+                assert np.all(p.oseg[o0:o1] < c1 - c0)
+                # No vertex's upwind neighbour sits beside it: the slots
+                # a level reads were all written by earlier levels.
+                assert not np.intersect1d(p.slots[s_lo:s_end], p.osl[o0:o1]).size
+                c_end, o_end = c1, o1
+            assert (c_end, s_end, o_end) == (
+                len(p.vertex), len(p.slots), len(p.osl)
+            )
+            assert len(p.cell) == ncells * s.quadrature.num_angles
 
     def test_second_sweep_rebuilds_nothing(self, monkeypatch):
         import repro.sweep.solver as solver_module
 
         s = _cube()
         s.sweep_once()
-        plans = s.sweep_plans()
-        tables = [p.slots for p in plans]
+        plan = s.sweep_plan()
+        tables = (plan.vertex, plan.slots, plan.coeff)
 
         def boom(*a, **kw):
             raise AssertionError("plan rebuilt")
@@ -211,18 +335,20 @@ class TestPlanStructure:
         monkeypatch.setattr(solver_module, "SweepPlan", boom)
         s.sweep_once()
         s.source_iteration(max_iterations=2)
-        assert s.sweep_plans() is plans
-        assert all(p.slots is t for p, t in zip(plans, tables))
+        assert s.sweep_plan() is plan
+        assert all(
+            now is then
+            for now, then in zip((plan.vertex, plan.slots, plan.coeff), tables)
+        )
 
     def test_plans_are_smaller_than_the_kernels_csr(self):
         def nbytes(obj, names):
             tables = [getattr(obj, n) for n in names.split()]
             return sum(t.nbytes for t in tables if t is not None)
 
-        for s in (_koba(), _ball()):
-            plan = sum(
-                nbytes(p, "cells slots osl oseg pair coeff den2")
-                for p in s.sweep_plans()
+        for s in (_koba(), _ball(), _koba12()):
+            plan = nbytes(
+                s.sweep_plan(), "vertex cell slots osl oseg pair coeff den2"
             )
             csr = sum(
                 nbytes(s.kernel(a), "in_indptr in_slot in_coeff out_indptr "
@@ -233,19 +359,20 @@ class TestPlanStructure:
 
     def test_empty_level_is_a_noop(self):
         s = _cube()
-        (plan, *_rest) = s.sweep_plans()
-        order = plan.cells.astype(np.int64)
-        levels = [np.sort(order[c0:c1]) for c0, c1, *_ in plan.levels]
+        plan = s.sweep_plan()
+        na = s.quadrature.num_angles
         empty = np.zeros(0, dtype=np.int64)
-        padded = SweepPlan(
-            plan.kernels, plan.angles, [empty, *levels[:2], empty, *levels[2:], empty]
-        )
+        padded_levels = []
+        for lv in _angle_levels(s):
+            padded_levels.append([empty, *lv[:2], empty, *lv[2:], empty])
+        padded = SweepPlan(plan.kernels, padded_levels)
         assert len(padded.levels) == len(plan.levels) + 3
+        assert [c1 - c0 for c0, c1, *_ in padded.levels].count(0) == 3
         src_v = s._angle_source_v(np.zeros((s.mesh.num_cells, 1)))
         out = []
         for p in (plan, padded):
-            psi_faces = np.ones((3, p.kernels[0].num_slots, 1))
-            psi_cell = np.zeros((3, s.mesh.num_cells, 1))
+            psi_faces = np.ones((na, p.kernels[0].num_slots, 1))
+            psi_cell = np.zeros((na, s.mesh.num_cells, 1))
             p.sweep(src_v, s.sigma_t_v, psi_faces, psi_cell)
             out.append((psi_faces, psi_cell))
         _parts_equal(out[0], out[1])
