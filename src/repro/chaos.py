@@ -308,7 +308,7 @@ def run_case(
         _scenario if _scenario is not None else build_scenario(kind, mode, size)
     )
     if _reference is None:
-        _reference, _, _ = solver.sweep_once(mode="fast")
+        _reference, _, _ = solver.sweep_once()
     nprocs = machine.layout(cores, mode).nprocs
     plan = random_fault_plan(seed, nprocs, space)
     res = CaseResult(kind=kind, mode=mode, seed=seed, ok=False, exact=False,
@@ -425,7 +425,7 @@ def run_campaign(
     for kind in kinds:
         for mode in modes:
             scenario = build_scenario(kind, mode, size)
-            reference, _, _ = scenario[3].sweep_once(mode="fast")
+            reference, _, _ = scenario[3].sweep_once()
             for seed in seeds:
                 case = run_case(
                     kind, mode, int(seed), space, size, sanitize, adaptive,

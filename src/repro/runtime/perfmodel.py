@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .._util import ReproError
-from ..sweep.dag import SweepTopology
+from ..sweep.dag import SweepTopology, condensation_fronts
 from .cluster import Machine, TIANHE2
 from .costmodel import CostModel
 
@@ -71,32 +70,24 @@ class SweepPerformanceModel:
         """(hops, weighted cells) of the longest patch chain, maximized
         over angles.  Computed on the SCC condensation so interleaved
         patch dependencies (Fig. 4) are handled."""
-        pset = self.topology.pset
-        sizes = np.array([p.num_cells for p in pset.patches], dtype=float)
+        topo = self.topology
+        npatches = topo.pset.num_patches
+        sizes = np.array([p.num_cells for p in topo.pset.patches], dtype=float)
         best_hops, best_cells = 0, 0.0
-        for a, edges in self.topology.patch_dag.items():
-            g = nx.DiGraph()
-            g.add_nodes_from(range(pset.num_patches))
-            g.add_edges_from(map(tuple, edges.tolist()))
-            cond = nx.condensation(g)
-            hops: dict[int, int] = {}
-            cells: dict[int, float] = {}
-            for c in nx.topological_sort(cond):
-                members = cond.nodes[c]["members"]
-                own = float(sizes[list(members)].sum()) / max(1, len(members))
-                h0, c0 = 0, 0.0
-                for p_ in cond.predecessors(c):
-                    if hops[p_] + 1 > h0:
-                        h0 = hops[p_] + 1
-                    if cells[p_] > c0:
-                        c0 = cells[p_]
-                hops[c] = h0
-                cells[c] = c0 + own
-            if hops:
-                h = max(hops.values()) + 1
-                w = max(cells.values())
-                if w > best_cells:
-                    best_hops, best_cells = h, w
+        for angles in topo.angle_sets:
+            comp, front, cedges = condensation_fronts(npatches, topo.patch_dag[angles[0]])
+            # A component weighs the mean of its members.
+            own = np.bincount(comp, sizes) / np.bincount(comp)
+            cells = own.copy()
+            # Relax front by front: every predecessor is settled first.
+            order = np.argsort(front[cedges[:, 0]], kind="stable")
+            src, dst = cedges[order].T
+            hops = int(front.max()) + 1
+            bounds = np.searchsorted(front[src], np.arange(hops + 1))
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                np.maximum.at(cells, dst[s:e], cells[src[s:e]] + own[dst[s:e]])
+            if cells.max() > best_cells:  # the first set wins a tie
+                best_hops, best_cells = hops, float(cells.max())
         return best_hops, best_cells
 
     def predict(self, total_cores: int, mode: str = "hybrid") -> SweepModelPrediction:

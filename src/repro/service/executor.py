@@ -132,7 +132,7 @@ class JobExecutor:
         solver = SnSolver(
             pset, level_symmetric(spec.sn), mm, q, grain=spec.grain
         )
-        phi, _, _ = solver.sweep_once(mode="fast")
+        phi, _, _ = solver.sweep_once()
         ref = np.ascontiguousarray(phi).tobytes()
         return _Scenario(
             machine=machine, cores=cores, pset=pset, solver=solver,

@@ -18,16 +18,16 @@ overlap, which the engine's run-atomicity forbids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from heapq import heappop, heappush
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .._util import ReproError
-from ..core.patch_program import PatchProgram
-from ..core.stream import ProgramId, Stream
-from .dag import SweepTopology, check_acyclic
+from .dag import (
+    PatchAngleGraph, SweepTopology, check_acyclic, csr_by_source, multi_slice,
+)
 from .sweep_program import SweepPatchProgram
 
 __all__ = [
@@ -38,24 +38,21 @@ __all__ = [
 ]
 
 
-@dataclass
-class CoarsenedPatchGraph:
-    """CG restricted to one (patch, angle): clusters and coarse edges."""
+@dataclass(kw_only=True)
+class CoarsenedPatchGraph(PatchAngleGraph):
+    """CG restricted to one (patch, angle): a :class:`PatchAngleGraph`
+    whose ``n_local`` vertices are the clusters and whose CSR tables
+    hold the distinct coarse edges, targets ascending (``dr_local`` is
+    the target's coarse vertex in patch ``dr_patch``)."""
 
-    patch: int
     angle: int
-    clusters: list[np.ndarray]  # ordered DAG vertices per coarse vertex
-    init_counts: np.ndarray  # (n_cv,) distinct upwind coarse edges
-    local_adj: list[list[int]]  # cv -> target cvs in this patch
-    remote_adj: list[list[tuple[int, int, int]]]  # cv -> (dst_patch, dst_cv, items)
-
-    @property
-    def n_cv(self) -> int:
-        return len(self.clusters)
+    cluster_ptr: np.ndarray  # (n_local + 1,) offsets into cluster_cells
+    cluster_cells: np.ndarray  # DAG vertices, cluster by cluster, in sweep order
+    dr_items: np.ndarray  # DAG edges bundled by each remote coarse edge
 
     @property
     def n_vertices(self) -> int:
-        return int(sum(len(c) for c in self.clusters))
+        return len(self.cluster_cells)
 
 
 def build_coarsened(
@@ -66,81 +63,67 @@ def build_coarsened(
     ``programs`` must have been run with ``record_clusters=True`` and
     must have swept every vertex of their (patch, angle) subgraph.
     """
-    cv_of: dict[tuple[int, int], np.ndarray] = {}
-    clusters_of: dict[tuple[int, int], list[np.ndarray]] = {}
+    cv_of: dict[tuple[int, int], np.ndarray] = {}  # DAG vertex -> coarse vertex
+    layout: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for prog in programs:
         key = (prog.patch, prog.task)
-        g = topology.graphs[key]
-        cv = np.full(g.n_local, -1, dtype=np.int64)
-        clusters = []
-        for ci, cluster in enumerate(prog.clusters):
-            if not cluster:
-                continue
-            cv[cluster] = len(clusters)
-            clusters.append(np.asarray(cluster, dtype=np.int64))
+        sizes = np.array([len(c) for c in prog.clusters if c], dtype=np.int64)
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        cells = np.fromiter(chain.from_iterable(prog.clusters), np.int64, ptr[-1])
+        cv = np.full(topology.graphs[key].n_local, -1, dtype=np.int64)
+        cv[cells] = np.repeat(np.arange(len(sizes)), sizes)
         if np.any(cv < 0):
             raise ReproError(
                 f"program {key} did not sweep all vertices; cannot coarsen"
             )
         cv_of[key] = cv
-        clusters_of[key] = clusters
+        layout[key] = ptr, cells
     if set(cv_of) != set(topology.graphs):
         raise ReproError("clusters recorded for a different topology")
 
+    npat = topology.pset.num_patches
+    first = np.concatenate(([0], np.cumsum([p.num_cells for p in topology.pset.patches])))
+    cv_all = {a: np.concatenate([cv_of[(p, a)] for p in range(npat)])
+              for a in range(topology.num_angles)}
+    stride = max(len(ptr) for ptr, _ in layout.values())  # > every n_cv
     out: dict[tuple[int, int], CoarsenedPatchGraph] = {}
-    incoming: dict[tuple[int, int], set] = {}  # (patch,angle) -> {(src, dst_cv)}
+    incoming: dict[tuple[int, int], list[np.ndarray]] = {}
     for key, g in topology.graphs.items():
         p, a = key
         cv = cv_of[key]
-        n_cv = len(clusters_of[key])
+        ptr, cells = layout[key]
+        n_cv = len(ptr) - 1
 
-        # Local coarse edges (vectorized group-by over the CSR edges).
-        src = np.repeat(np.arange(g.n_local), np.diff(g.dl_indptr))
-        cu_l = cv[src]
-        cw_l = cv[g.dl_target]
-        cross = cu_l != cw_l
-        local_adj: list[list[int]] = [[] for _ in range(n_cv)]
-        counts = np.zeros(n_cv, dtype=np.int64)
-        if np.any(cross):
-            pairs = np.unique(
-                np.stack([cu_l[cross], cw_l[cross]], axis=1), axis=0
-            )
-            for cu, cw in pairs.tolist():
-                local_adj[cu].append(cw)
-                counts[cw] += 1
+        # Distinct local coarse edges: unique over the scalar (cu, cw) key.
+        cu = np.repeat(cv, np.diff(g.dl_indptr))
+        cw = cv[g.dl_target]
+        lk = np.unique((cu * n_cv + cw)[cu != cw])
+        dl_indptr, dl_target = csr_by_source(lk // n_cv, n_cv, lk % n_cv)
 
-        # Remote coarse edges with underlying-item multiplicities.
-        rsrc = np.repeat(np.arange(g.n_local), np.diff(g.dr_indptr))
-        remote_adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n_cv)]
-        if len(rsrc):
-            cu_r = cv[rsrc]
-            q_r = g.dr_patch
-            # Destination coarse vertex, looked up per target patch.
-            dcv_r = np.empty(len(rsrc), dtype=np.int64)
-            for q in np.unique(q_r):
-                m = q_r == q
-                dcv_r[m] = cv_of[(int(q), a)][g.dr_local[m]]
-            triples, items = np.unique(
-                np.stack([cu_r, q_r, dcv_r], axis=1), axis=0,
-                return_counts=True,
-            )
-            for (cu, q, dcv), n_items in zip(triples.tolist(), items.tolist()):
-                remote_adj[cu].append((q, dcv, n_items))
-                incoming.setdefault((q, a), set()).add(((p, cu), dcv))
+        # Distinct remote coarse edges (cu, target patch, target coarse
+        # vertex), each bundling its DAG edges.
+        dcv = cv_all[a][first[g.dr_patch] + g.dr_local]
+        rk, items = np.unique(
+            (np.repeat(cv, np.diff(g.dr_indptr)) * npat + g.dr_patch) * stride + dcv,
+            return_counts=True,
+        )
+        dr_indptr, dr_patch, dr_local, dr_items = csr_by_source(
+            rk // (npat * stride), n_cv, rk // stride % npat, rk % stride, items
+        )
+        for q in np.unique(dr_patch).tolist():
+            incoming.setdefault((q, a), []).append(dr_local[dr_patch == q])
 
         out[key] = CoarsenedPatchGraph(
-            patch=p,
-            angle=a,
-            clusters=clusters_of[key],
-            init_counts=counts,
-            local_adj=local_adj,
-            remote_adj=remote_adj,
+            patch=p, n_local=n_cv, angle=a,
+            init_counts=np.bincount(dl_target, minlength=n_cv),
+            dl_indptr=dl_indptr, dl_target=dl_target,
+            dr_indptr=dr_indptr, dr_patch=dr_patch, dr_local=dr_local,
+            dr_items=dr_items, cluster_ptr=ptr, cluster_cells=cells,
+            dst_ids=topology.dst_ids,
         )
-    # Add remote coarse edges to the targets' initial counts.
-    for key, edges in incoming.items():
-        cg = out[key]
-        for _, dcv in edges:
-            cg.init_counts[dcv] += 1
+    # Every remote coarse edge is one more upwind edge of its target.
+    for key, targets in incoming.items():
+        np.add.at(out[key].init_counts, np.concatenate(targets), 1)
     return out
 
 
@@ -148,33 +131,35 @@ def coarsened_is_acyclic(cgs: dict[tuple[int, int], CoarsenedPatchGraph]) -> boo
     """Theorem 1 checked on the global coarse graph (per angle) by the
     one Kahn peel, :func:`repro.sweep.dag.check_acyclic`."""
     # Global coarse vertex ids: first id of every (patch, angle).
-    base: dict[tuple[int, int], int] = {}
-    n = 0
-    for key, cg in cgs.items():
-        base[key] = n
-        n += cg.n_cv
-    src, dst = [], []  # coarse edges, by global id
+    firsts = np.cumsum([0] + [cg.n_local for cg in cgs.values()]).tolist()
+    base = dict(zip(cgs, firsts))
+    src = [np.zeros(0, dtype=np.int64)]
+    dst = [np.zeros(0, dtype=np.int64)]
     for (p, a), cg in cgs.items():
-        first = base[(p, a)]
-        for cu in range(cg.n_cv):
-            targets = [first + cw for cw in cg.local_adj[cu]] + [
-                base[(q, a)] + dcv for q, dcv, _ in cg.remote_adj[cu]]
-            src += [first + cu] * len(targets)
-            dst += targets
-    return check_acyclic(
-        n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-    )
+        ids = base[(p, a)] + np.arange(cg.n_local)
+        patches, inverse = np.unique(cg.dr_patch, return_inverse=True)
+        targets = [base.get((q, a)) for q in patches.tolist()]
+        if None in targets:
+            raise ReproError(
+                f"coarsened graph of patch {p}, angle {a} points at patch "
+                f"{patches[targets.index(None)]}, which has no coarsened graph"
+            )
+        src += [np.repeat(ids, np.diff(cg.dl_indptr)), np.repeat(ids, np.diff(cg.dr_indptr))]
+        dst += [base[(p, a)] + cg.dl_target,
+                np.asarray(targets, dtype=np.int64)[inverse] + cg.dr_local]
+    return check_acyclic(firsts[-1], np.concatenate(src), np.concatenate(dst))
 
 
-class CoarsenedSweepProgram(PatchProgram):
+class CoarsenedSweepProgram(SweepPatchProgram):
     """Sweep of one (patch, angle) over its coarsened graph.
 
-    Identical physics to :class:`SweepPatchProgram` (clusters replay
-    their recorded vertex order), but bookkeeping is per coarse vertex:
-    ready-queue operations, counter updates and stream payloads all
-    shrink by the mean cluster size.  Stream byte counts still reflect
-    the underlying data volume - coarsening saves bookkeeping, not
-    bandwidth.
+    The same Listing-1 program over a graph whose vertices are
+    clusters: identical physics (clusters replay their recorded vertex
+    order), but ready-queue operations, counter updates and stream
+    payloads all shrink by the mean cluster size.  Stream item and byte
+    counts still reflect the underlying data volume - coarsening saves
+    bookkeeping, not bandwidth.  Overridden is only what a vertex being
+    a run of cells changes.
     """
 
     def __init__(
@@ -186,133 +171,39 @@ class CoarsenedSweepProgram(PatchProgram):
         cv_grain: int = 1_000_000_000,
         bytes_per_item: int = 8,
     ):
-        super().__init__(cg.patch, cg.angle)
-        self.cg = cg
-        self.cells_global = cells_global
-        self.solve_fn = solve_fn
-        self.static_priority = static_priority
-        self.cv_grain = cv_grain
-        self.bytes_per_item = bytes_per_item
-        self._counts: list[int] = []
-        self._heap: list[int] = []
-        self._outstreams: list[Stream] = []
-        self._solved_v = 0
-        self._last = {"vertices": 0, "edges": 0, "remote_items": 0,
-                      "input_items": 0, "streams": 0}
+        super().__init__(
+            cg, cells_global, grain=cv_grain, solve_fn=solve_fn,
+            static_priority=static_priority, bytes_per_item=bytes_per_item,
+            angle=cg.angle,
+        )
+        self._pops = 0
 
-    def init(self) -> None:
-        cg = self.cg
-        self._counts = cg.init_counts.tolist()
-        self._heap = [c for c in range(cg.n_cv) if self._counts[c] == 0]
-        self._heap.sort()
-        self._solved_v = 0
-        self._outstreams = []
-
-    def input(self, stream: Stream) -> None:
-        counts = self._counts
-        heap = self._heap
-        n = 0
-        for c in stream.payload:
-            counts[c] -= 1
-            if counts[c] == 0:
-                heappush(heap, c)
-            n += 1
-        self._last["input_items"] += n
-
-    def compute(self) -> None:
-        heap = self._heap
-        if not heap:
-            self._last = {"vertices": 0, "edges": 0, "remote_items": 0,
-                          "input_items": self._last["input_items"], "streams": 0}
-            return
-        cg = self.cg
-        counts = self._counts
-        popped: list[int] = []
-        out: dict[int, list[int]] = {}
-        out_items: dict[int, int] = {}
-        edges = 0
-        nverts = 0
-        while heap and len(popped) < self.cv_grain:
-            c = heappop(heap)
-            popped.append(c)
-            nverts += len(cg.clusters[c])
-            for cw in cg.local_adj[c]:
-                counts[cw] -= 1
-                edges += 1
-                if counts[cw] == 0:
-                    heappush(heap, cw)
-            for q, dcv, items in cg.remote_adj[c]:
-                out.setdefault(q, []).append(dcv)
-                out_items[q] = out_items.get(q, 0) + items
-                edges += 1
-
+    def _solve(self, popped, angle: int) -> int:
+        g = self.graph
+        self._pops = len(popped)  # repro: transient - read back within the same execution
+        starts = g.cluster_ptr[popped]
+        sizes = g.cluster_ptr[1:][popped] - starts
         if self.solve_fn is not None:
-            cells = np.concatenate([cg.clusters[c] for c in popped])
-            self.solve_fn(self.cells_global[cells], cg.angle)
-        self._solved_v += nverts
+            cells = g.cluster_cells[multi_slice(starts, sizes)]
+            self.solve_fn(self.cells_global[cells], angle)
+        return int(sizes.sum())
 
-        angle = cg.angle
-        remote_items = 0
-        for q, cvs in out.items():
-            items = out_items[q]
-            remote_items += items
-            self._outstreams.append(
-                Stream(
-                    src=self.id,
-                    dst=ProgramId(q, angle),
-                    payload=np.asarray(cvs, dtype=np.int64),
-                    items=items,
-                    nbytes=items * self.bytes_per_item,
-                )
-            )
-        self._last = {
-            "vertices": nverts,
-            # Bookkeeping is per coarse pop/edge: this is the saving.
-            "edges": edges,
-            "remote_items": remote_items,
-            "input_items": self._last["input_items"],
-            "streams": len(out),
-        }
-        # Report pops at coarse granularity through a dedicated counter.
-        self._last["pops"] = len(popped)
-
-    def output(self) -> Stream | None:
-        if self._outstreams:
-            return self._outstreams.pop(0)
-        return None
-
-    def vote_to_halt(self) -> bool:
-        return not self._heap
-
-    def state_dict(self) -> dict:
-        """The mutable local context as flat copies; the coarsened
-        graph and the constructor arguments are shared, never captured
-        (see :meth:`SweepPatchProgram.state_dict`)."""
-        return {
-            "counts": self._counts[:],
-            "heap": self._heap[:],
-            "solved": self._solved_v,
-            "outstreams": [replace(s) for s in self._outstreams],
-            "last": dict(self._last),
-        }
-
-    def load_state_dict(self, d: dict) -> None:
-        self._counts = d["counts"][:]
-        self._heap = d["heap"][:]
-        self._solved_v = d["solved"]
-        self._outstreams = [replace(s) for s in d["outstreams"]]
-        self._last = dict(d["last"])
+    def _collect(self) -> tuple:
+        """A stream carries the DAG edges its coarse edges bundle."""
+        popped, outs, edges, _ = super()._collect()
+        g = self.graph
+        starts = g.dr_indptr[popped]
+        j = multi_slice(starts, g.dr_indptr[1:][popped] - starts)
+        items = np.bincount(g.dr_patch[j], g.dr_items[j]).astype(np.int64)
+        outs = [(q, payload, items.item(q)) for q, payload, _ in outs]
+        return popped, outs, edges, int(items.sum())
 
     def remaining_workload(self) -> int:
-        return self.cg.n_vertices - self._solved_v
-
-    def priority(self) -> float:
-        return self.static_priority
+        return self.graph.n_vertices - self._solved
 
     def last_run_counters(self) -> dict[str, int]:
-        # Hand the live dict over (see SweepPatchProgram): the caller
-        # reads it before the next input/compute can touch ``_last``.
-        out = self._last
-        self._last = {"vertices": 0, "edges": 0, "remote_items": 0,
-                      "input_items": 0, "streams": 0}
+        out = super().last_run_counters()
+        if out["vertices"]:
+            # Bookkeeping is per coarse pop: this is the saving.
+            out["pops"] = self._pops
         return out

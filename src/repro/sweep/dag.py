@@ -22,6 +22,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .._util import ReproError
 from ..framework.connectivity import InterfaceTable, build_interfaces
@@ -37,6 +39,8 @@ __all__ = [
     "csr_by_source",
     "kahn_fronts",
     "topological_levels",
+    "condensation_fronts",
+    "heap_keys",
     "PatchAngleGraph",
     "SweepTopology",
 ]
@@ -214,6 +218,45 @@ def topological_levels(
     order = np.argsort(front_of, kind="stable")
     bounds = np.searchsorted(front_of[order], np.arange(nfronts + 1))
     return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def condensation_fronts(
+    num_vertices: int, edges: np.ndarray, reverse: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strongly connected components of a (possibly cyclic) digraph and
+    the Kahn fronts of its condensation: ``(comp, front, cedges)`` with
+    ``comp[v]`` the component of vertex ``v``, ``front[c]`` component
+    ``c``'s longest distance from a source (from a sink with
+    ``reverse``) and ``cedges`` the distinct ``(m, 2)`` component edges.
+    """
+    u, v = edges[:, 0], edges[:, 1]
+    ncomp, comp = connected_components(
+        csr_matrix((np.ones(len(u)), (u, v)), shape=(num_vertices, num_vertices)),
+        connection="strong",
+    )
+    cu, cv = comp[u], comp[v]
+    cross = cu != cv
+    ck = np.unique(cu[cross].astype(np.int64) * ncomp + cv[cross])
+    cedges = np.stack([ck // ncomp, ck % ncomp], axis=1)
+    src, dst = (cedges[:, 1], cedges[:, 0]) if reverse else (cedges[:, 0], cedges[:, 1])
+    front, _ = kahn_fronts(ncomp, *csr_by_source(src, ncomp, dst), "condensation")
+    return comp, front, cedges
+
+
+def heap_keys(prio: np.ndarray | None, n: int) -> np.ndarray:
+    """Ready-heap keys of ``n`` vertices: integers that order as the
+    pair ``(prio[v], v)`` and decode as ``key % n`` (exact for negative
+    priorities too).  Integer-valued priorities - every strategy's,
+    incl. the exact ``_FAR`` sentinel - encode as ``int(prio[v]) * n +
+    v``; any others by their rank."""
+    v = np.arange(n, dtype=np.int64)
+    if prio is None:
+        return v
+    if not np.array_equal(prio, np.trunc(prio)):
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.lexsort((v, prio))] = v
+        prio = rank
+    return prio.astype(np.int64) * n + v
 
 
 @dataclass

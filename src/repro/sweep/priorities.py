@@ -30,11 +30,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .._util import ReproError
-from .dag import PatchAngleGraph, SweepTopology, kahn_fronts
+from .dag import PatchAngleGraph, SweepTopology, condensation_fronts, kahn_fronts
 
 __all__ = [
     "PriorityStrategy",
@@ -262,34 +261,19 @@ def patch_priorities(
     npatches = topology.pset.num_patches
     for angles in topology.angle_sets:
         # SLBD is dynamic at the patch level (see SweepPatchProgram).
-        term = dict.fromkeys(range(npatches), 0.0)
-        if strategy not in ("fifo", "slbd"):
-            edges = topology.patch_dag[angles[0]]
-            g = nx.DiGraph()
-            g.add_nodes_from(range(npatches))
-            g.add_edges_from(map(tuple, edges.tolist()))
-            cond = nx.condensation(g)
-            topo = list(nx.topological_sort(cond))
-            if strategy == "bfs":
-                level = {c: 0 for c in cond.nodes}
-                for c in topo:
-                    for d in cond.successors(c):
-                        level[d] = max(level[d], level[c] + 1)
-                for c in cond.nodes:
-                    for p in cond.nodes[c]["members"]:
-                        term[p] = -float(level[c])
-            elif strategy == "ldcp":
-                height = {c: 0 for c in cond.nodes}
-                for c in reversed(topo):
-                    for d in cond.successors(c):
-                        height[c] = max(height[c], height[d] + 1)
-                for c in cond.nodes:
-                    for p in cond.nodes[c]["members"]:
-                        term[p] = float(height[c])
-            else:
-                raise ReproError(f"unknown patch strategy {strategy!r}")
+        term = [0.0] * npatches
+        if strategy in ("bfs", "ldcp"):
+            # bfs: shallow components first (minus the distance from a
+            # source); ldcp: the longest downstream chain first.
+            ldcp = strategy == "ldcp"
+            comp, front, _ = condensation_fronts(
+                npatches, topology.patch_dag[angles[0]], reverse=ldcp)
+            depth = front[comp].astype(float)
+            term = (depth if ldcp else -depth).tolist()
+        elif strategy not in ("fifo", "slbd"):
+            raise ReproError(f"unknown patch strategy {strategy!r}")
         for a in angles:
-            for p, prior_p in term.items():
+            for p, prior_p in enumerate(term):
                 out[(p, a)] = prior_p
     return out
 

@@ -19,7 +19,6 @@ data-driven machinery must not change the physics.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,25 +229,9 @@ class SnSolver:
             u, v = directed_edges(
                 self.interfaces, self.quadrature.directions[angle]
             )
-            n = self.mesh.num_cells
-            indeg = np.bincount(v, minlength=n).tolist()
-            order_e = np.argsort(u, kind="stable")
-            us, vs = u[order_e], v[order_e]
-            indptr = np.searchsorted(us, np.arange(n + 1)).tolist()
-            vs = vs.tolist()
-            q = deque(i for i in range(n) if indeg[i] == 0)
-            topo = []
-            while q:
-                x = q.popleft()
-                topo.append(x)
-                for i in range(indptr[x], indptr[x + 1]):
-                    w = vs[i]
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        q.append(w)
-            if len(topo) != n:
-                raise ReproError(f"sweep graph for angle {angle} is cyclic")
-            self._topo_orders[angle] = np.asarray(topo, dtype=np.int64)
+            self._topo_orders[angle] = np.concatenate(
+                topological_levels(self.mesh.num_cells, u, v)
+            )
         return self._topo_orders[angle]
 
     def sweep_plan(self) -> SweepPlan:

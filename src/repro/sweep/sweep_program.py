@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core.patch_program import PatchProgram
 from ..core.stream import ProgramId, Stream
-from .dag import PatchAngleGraph
+from .dag import PatchAngleGraph, heap_keys
 
 __all__ = ["SweepPatchProgram"]
 
@@ -79,37 +79,15 @@ class SweepPatchProgram(PatchProgram):
 
     def _bind_graph(self) -> None:
         """(Re)build what derives from the shared graph alone: the
-        heap keys.  Static for the program's lifetime, so snapshots
-        leave it out and ``load_state_dict`` rebuilds it."""
+        heap keys (:func:`heap_keys` - small ints, far cheaper to sift
+        than ``(prio, v)`` pairs; pushing ``keys[v]`` never allocates).
+        Static for the program's lifetime, so snapshots leave them out
+        and ``load_state_dict`` rebuilds them."""
         g = self.graph
-        n = g.n_local
-        pa = g.vertex_prio
-        # Heap keys.  Every priority strategy yields integer-valued
-        # float64 (incl. the exact ``_FAR`` sentinel), so the pair
-        # ``(prio[v], v)`` orders identically to the single integer
-        # ``int(prio[v]) * n + v`` - and a heap of small ints is far
-        # cheaper to sift than one of (float, int) tuples.  Vertices
-        # decode as ``key % n`` (exact for negative priorities too).
-        # Non-integer priorities (user-supplied) fall back to prebuilt
-        # tuples; both paths push ``keys[v]`` and never allocate.
-        self._n = n  # repro: transient - graph.n_local
-        vk = g.vertex_keys
-        if vk is not None:
-            intkeys = True
-            keys = vk.tolist()
-        elif pa is None:
-            intkeys = True
-            keys = list(range(n))
-        elif bool(np.array_equal(pa, np.trunc(pa))):
-            intkeys = True
-            keys = (
-                pa.astype(np.int64) * n + np.arange(n, dtype=np.int64)
-            ).tolist()
-        else:
-            intkeys = False
-            keys = [(p, v) for v, p in enumerate(pa.tolist())]
-        self._intkeys = intkeys  # repro: transient - a property of the priorities
-        self._keys = keys  # repro: transient - pure function of the graph
+        keys = g.vertex_keys
+        if keys is None:
+            keys = heap_keys(g.vertex_prio, g.n_local)
+        self._keys = keys.tolist()  # repro: transient - pure function of the graph
 
     def init(self) -> None:
         self._bind_graph()
@@ -159,7 +137,7 @@ class SweepPatchProgram(PatchProgram):
                           "streams": 0}
             return
         g = self.graph
-        n = self._n
+        n = g.n_local
         # Whole-patch task (DESIGN.md 12.3): nothing solved, the whole
         # patch fits the grain and only the local in-degrees are left on
         # the counters, so this run pops every vertex in an order the
@@ -172,7 +150,7 @@ class SweepPatchProgram(PatchProgram):
         if task is None:
             popped, outs, edges, remote_items = self._collect()
             if whole:
-                for _, payload in outs:
+                for _, payload, _ in outs:
                     payload.flags.writeable = False  # shared from here on
                 g.tasks[self.resilient_input] = (
                     np.asarray(popped, dtype=np.int32), outs, edges, remote_items)
@@ -182,9 +160,8 @@ class SweepPatchProgram(PatchProgram):
             self._heap = []
 
         angle = self.id.task
-        if self.solve_fn is not None:
-            self.solve_fn(self.cells_global[popped], angle)
-        self._solved += len(popped)
+        nverts = self._solve(popped, angle)
+        self._solved += nverts
         if self.record_clusters:
             self.clusters.append(
                 popped if isinstance(popped, list) else popped.tolist()
@@ -194,26 +171,32 @@ class SweepPatchProgram(PatchProgram):
         src = self.id
         per_item = self.bytes_per_item
         outstreams = self._outstreams
-        for dp, payload in outs:
+        for dp, payload, items in outs:
             dst = ids.get(dp)
             if dst is None:
                 dst = ids[dp] = ProgramId(dp, angle)
-            items = len(payload)
             outstreams.append(
                 Stream(src=src, dst=dst, payload=payload, items=items,
                        nbytes=items * per_item)
             )
         self._last = {
-            "vertices": len(popped),
+            "vertices": nverts,
             "edges": edges,
             "remote_items": remote_items,
             "input_items": self._last["input_items"],
             "streams": len(outs),
         }
 
+    def _solve(self, popped, angle: int) -> int:
+        """Hand one run's vertices to the solve callback, in pop order;
+        returns how many cells that solved."""
+        if self.solve_fn is not None:
+            self.solve_fn(self.cells_global[popped], angle)
+        return len(popped)
+
     def _collect(self) -> tuple:
         """Listing 1's collect loop: pop up to ``grain`` ready vertices.
-        Returns ``(popped, [(target patch, payload)...], edges,
+        Returns ``(popped, [(target patch, payload, items)...], edges,
         remote_items)``, targets in first-encounter order."""
         heap = self._heap
         lptr, ltgt, rptr, rpat, rloc = self.graph.adjacency_flat()
@@ -224,12 +207,12 @@ class SweepPatchProgram(PatchProgram):
         out: dict[int, list[int]] = {}
         edges = 0
         remote_items = 0
-        mod = self._n if self._intkeys else 0
+        n = self.graph.n_local
         budget = self.grain
         while heap and budget:
             budget -= 1
             k = heappop(heap)
-            v = k % mod if mod else k[1]
+            v = k % n
             append(v)
             s, e = lptr[v], lptr[v + 1]
             edges += e - s
@@ -260,7 +243,7 @@ class SweepPatchProgram(PatchProgram):
                 items.append((rloc[j], j) if resilient else rloc[j])
             edges += re - rs
             remote_items += re - rs
-        outs = [(p, np.asarray(items, dtype=np.int64))
+        outs = [(p, np.asarray(items, dtype=np.int64), len(items))
                 for p, items in out.items()]
         return popped, outs, edges, remote_items
 
@@ -314,9 +297,9 @@ class SweepPatchProgram(PatchProgram):
         may be loaded again after a second failure)."""
         if not d:  # spent: every vertex solved, every counter at zero
             self.init()
-            self._counts = [0] * self._n
+            self._counts = [0] * self.graph.n_local
             self._heap = []
-            self._solved = self._n
+            self._solved = self.remaining_workload()  # of a fresh program: all
             return
         self._bind_graph()
         self._counts = d["counts"][:]
@@ -335,11 +318,9 @@ class SweepPatchProgram(PatchProgram):
         if self.dynamic_priority and self._heap:
             # Prefer programs whose best ready vertex is most urgent
             # (smallest vertex key); scaled to act as a tie-breaker only.
-            k = self._heap[0]
-            if not self._intkeys:
-                p -= 1e-3 * k[0]
-            elif self.graph.vertex_prio is not None:
-                p -= 1e-3 * self.graph.vertex_prio.item(k % self._n)
+            g = self.graph
+            if g.vertex_prio is not None:
+                p -= 1e-3 * g.vertex_prio.item(self._heap[0] % g.n_local)
         return p
 
     def last_run_counters(self) -> dict[str, int]:

@@ -300,9 +300,13 @@ class TestEffectsOnShippedRepo:
         ("repro.sweep.sweep_program.SweepPatchProgram",
          {"_counts", "_heap", "_solved", "_outstreams", "_applied", "_last",
           "clusters"},
-         {"_keys", "_n", "_intkeys"}),
+         {"_keys"}),
+        # The coarse program inherits its capture; its one attribute
+        # of its own is per-execution scratch.
         ("repro.sweep.coarsened.CoarsenedSweepProgram",
-         {"_counts", "_heap", "_solved_v", "_outstreams", "_last"}, set()),
+         {"_counts", "_heap", "_solved", "_outstreams", "_applied", "_last",
+          "clusters"},
+         {"_keys", "_pops"}),
     ])
     def test_sweep_programs_are_checked_state_dict_owners(
         self, src_db, qname, core, rebuilt
@@ -311,7 +315,8 @@ class TestEffectsOnShippedRepo:
         PERSIST002 owns that guarantee now.  The mutable core is
         covered, the rebuilt attributes are transient, nothing else is
         assigned outside ``__init__``."""
-        assert src_db.program.classes[qname].has_state_dict
+        owner = src_db.program.resolve_method(qname, "state_dict")
+        assert owner == "repro.sweep.sweep_program.SweepPatchProgram.state_dict"
         covered = src_db.class_covered(qname)
         transient = src_db.class_transient(qname)
         assert core <= covered

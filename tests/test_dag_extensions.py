@@ -15,7 +15,12 @@ from repro.sweep import (
     directed_edges,
     level_symmetric,
 )
-from repro.sweep.dag import break_cycles, topological_levels
+from repro.sweep.dag import (
+    break_cycles,
+    condensation_fronts,
+    heap_keys,
+    topological_levels,
+)
 
 
 class TestBreakCycles:
@@ -150,6 +155,42 @@ class TestTopologicalLevels:
         v = np.array([1, 2, 1])
         with pytest.raises(ReproError, match="topological_levels: graph is cyclic"):
             topological_levels(3, u, v)
+
+
+class TestCondensationFronts:
+    # 0 -> {1 <-> 2} -> 3 -> 5, 0 -> 3, 4 alone.
+    EDGES = np.array([[0, 1], [1, 2], [2, 1], [2, 3], [0, 3], [3, 5]])
+
+    def test_hand_checked_fronts_from_the_sources_and_from_the_sinks(self):
+        comp, front, cedges = condensation_fronts(6, self.EDGES)
+        assert comp[1] == comp[2] and len(set(comp.tolist())) == 5
+        assert front[comp].tolist() == [0, 1, 1, 2, 0, 3]
+        pairs = {(int(comp[u]), int(comp[v])) for u, v in self.EDGES.tolist()
+                 if comp[u] != comp[v]}
+        assert set(map(tuple, cedges.tolist())) == pairs and len(cedges) == 4
+        comp_r, back, _ = condensation_fronts(6, self.EDGES, reverse=True)
+        assert back[comp_r].tolist() == [3, 2, 2, 1, 0, 0]
+
+    def test_edgeless_graph_is_one_front(self):
+        comp, front, cedges = condensation_fronts(3, np.zeros((0, 2), dtype=np.int64))
+        assert sorted(comp.tolist()) == [0, 1, 2] and not front.any()
+        assert cedges.shape == (0, 2)
+
+
+class TestHeapKeys:
+    @pytest.mark.parametrize("prio", [
+        None, [3.0, -2.0, 3.0, 0.0, -2.0], [0.5, -0.25, 0.5, 1e9, -0.25],
+    ])
+    def test_keys_order_as_prio_then_vertex_and_decode(self, prio):
+        n = 5
+        keys = heap_keys(None if prio is None else np.asarray(prio), n)
+        assert keys.dtype == np.int64 and (keys % n).tolist() == list(range(n))
+        want = sorted(range(n), key=lambda v: (0.0 if prio is None else prio[v], v))
+        assert np.argsort(keys).tolist() == want
+
+    def test_integer_priorities_keep_their_encoding(self):
+        prio = np.array([3.0, -2.0, 1e9])
+        assert heap_keys(prio, 3).tolist() == [9, -5, 3 * 10**9 + 2]
 
 
 class TestFastLevelMode:

@@ -212,3 +212,24 @@ class TestWarpedMesh:
         pf, _, _ = s.sweep_once(mode="fast")
         pe, _, _ = s.sweep_once(mode="engine")
         np.testing.assert_array_equal(pf, pe)
+
+
+@pytest.mark.parametrize("mesh_fixture, patch", [
+    ("cube8", None), ("ball", 60), ("warped", 25),
+])
+def test_topo_order_puts_every_upwind_cell_first(mesh_fixture, patch, request):
+    """The scalar oracle's order checked without a peel: for every
+    directed edge ``u -> v``, ``u`` precedes ``v``."""
+    from repro.sweep.dag import directed_edges
+
+    mesh = request.getfixturevalue(mesh_fixture)
+    pset = (PatchSet.from_structured(mesh, (4, 4, 4), nprocs=2) if patch is None
+            else PatchSet.from_unstructured(mesh, patch, nprocs=2))
+    s = make_solver(pset, sn=2)
+    for a, direction in enumerate(s.quadrature.directions):
+        order = s.topo_order(a)
+        assert sorted(order.tolist()) == list(range(mesh.num_cells))
+        position = np.empty(mesh.num_cells, dtype=np.int64)
+        position[order] = np.arange(mesh.num_cells)
+        u, v = directed_edges(s.interfaces, direction)
+        assert len(u) and np.all(position[u] < position[v])

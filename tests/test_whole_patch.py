@@ -88,7 +88,7 @@ def _graph(sc) -> PatchAngleGraph:
         dr_indptr=dr_indptr, dr_patch=dr_patch, dr_local=dr_local,
     )
     vals = np.asarray(sc["vals"], dtype=np.float64)
-    if sc["prio"] == "tuple":  # non-integer: (prio, vertex) tuple keys
+    if sc["prio"] == "tuple":  # non-integer: keyed by the rank of (prio, vertex)
         g.vertex_prio = vals / 4 + 0.125
     elif sc["prio"] != "none":
         g.vertex_prio = vals
@@ -428,9 +428,11 @@ def test_tasks_are_small_beside_the_csr_tables():
     tasks = _recorded(topo)
     assert len(tasks) == 2 * 8 * 8
     task_bytes = sum(
-        order.nbytes + sum(payload.nbytes for _, payload in outs)
+        order.nbytes + sum(payload.nbytes for _, payload, _ in outs)
         for order, outs, _, _ in tasks.values()
     )
+    assert all(items == len(payload) for _, outs, _, _ in tasks.values()
+               for _, payload, items in outs)  # a fine edge is one item
     per_key = sum(map(_table_bytes, topo.graphs.values()))
     held = sum(_table_bytes(topo.graph(p, a))
                for p, a in {key[:2] for key in tasks})
