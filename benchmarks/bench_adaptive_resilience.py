@@ -1,7 +1,7 @@
 """Adaptive resilience: does adaptivity buy virtual time? (robustness)
 
 Head-to-head on identical seeded fault plans: the fixed-RTO baseline
-(every retransmit timer at ``RecoveryConfig.ack_timeout``) vs the
+(every retransmit timer at ``faults.ACK_TIMEOUT``) vs the
 adaptive stack in two doses - RTT-estimated RTO with hedged
 retransmits, then that plus speculative straggler re-execution.  Two
 plan families stress the two mechanisms:
@@ -99,7 +99,7 @@ def run_matrix(trace_dir: str | None = None, hb=None) -> list[dict]:
                 progs, faces = solver.build_programs(resilient=True)
                 rt = DataDrivenRuntime(
                     cores, machine=machine, mode=mode, faults=plan,
-                    recovery=RecoveryConfig(), adaptive=acfg,
+                    recovery=RecoveryConfig(adaptive=acfg),
                     trace=trace_dir is not None or hb is not None,
                 )
                 rep = rt.run(progs, pset.patch_proc)

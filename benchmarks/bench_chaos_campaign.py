@@ -34,7 +34,7 @@ check-trace``).
 """
 
 from repro.chaos import KINDS, MODES, ChaosSpace, run_campaign
-from repro.runtime import AdaptiveConfig, MembershipConfig
+from repro.runtime import AdaptiveConfig
 
 from _common import bench_args, print_series
 
@@ -54,7 +54,7 @@ def run_chaos_campaign(seeds: int = FULL_SEEDS, intensity: float = 0.5,
         space=ChaosSpace(intensity=intensity, flapping=flapping),
         size=size,
         adaptive=ADAPTIVE if adaptive else None, hb=hb,
-        membership=MembershipConfig.all_on() if membership else None,
+        membership=membership,
     )
 
 

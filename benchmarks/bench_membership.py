@@ -41,7 +41,6 @@ from repro.runtime import (
     CrashFault,
     DataDrivenRuntime,
     FaultPlan,
-    MembershipConfig,
     RecoveryConfig,
 )
 
@@ -52,8 +51,6 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 
 #: Virtual-time window the fault plans land in (the chaos horizon).
 HZ = 1e-3
-
-MCFG = MembershipConfig.all_on()
 
 
 def restart_heavy_plan(nprocs: int, seed: int = 31) -> FaultPlan:
@@ -118,7 +115,7 @@ def run_matrix(trace_dir: str | None = None, hb=None) -> list[dict]:
             progs, faces = solver.build_programs(resilient=True)
             rt = DataDrivenRuntime(
                 cores, machine=machine, mode=mode, faults=plan,
-                recovery=RecoveryConfig(membership=MCFG),
+                recovery=RecoveryConfig(membership=True),
                 trace=True,
             )
             rep = rt.run(progs, pset.patch_proc)

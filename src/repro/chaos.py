@@ -48,7 +48,6 @@ from .runtime import (
     FaultPlan,
     LinkPartition,
     Machine,
-    MembershipConfig,
     RecoveryConfig,
     StallError,
     StragglerWindow,
@@ -287,7 +286,7 @@ def run_case(
     sanitize: bool = True,
     adaptive: AdaptiveConfig | None = None,
     hb=None,
-    membership: MembershipConfig | None = None,
+    membership: bool = False,
     _scenario=None,
     _reference=None,
 ) -> CaseResult:
@@ -316,10 +315,10 @@ def run_case(
     progs, faces = solver.build_programs(resilient=True)
     rt = DataDrivenRuntime(
         cores, machine=machine, mode=mode, faults=plan,
-        adaptive=adaptive, sanitize=sanitize, trace=hb is not None,
+        sanitize=sanitize, trace=hb is not None,
         recovery=(
-            RecoveryConfig(membership=membership)
-            if membership is not None else None
+            RecoveryConfig(adaptive=adaptive, membership=membership)
+            if adaptive is not None or membership else None
         ),
     )
     try:
@@ -346,7 +345,7 @@ def run_case(
     res.faults = rep.fault_summary()
     if adaptive is not None:
         res.adaptive = rep.adaptive_summary()
-    if membership is not None:
+    if membership:
         res.membership = rep.membership_summary()
     return res
 
@@ -408,7 +407,7 @@ def run_campaign(
     sanitize: bool = True,
     adaptive: AdaptiveConfig | None = None,
     hb=None,
-    membership: MembershipConfig | None = None,
+    membership: bool = False,
     progress=None,
 ) -> CampaignResult:
     """Run the full (kind, mode, seed) matrix; never raises on a case.

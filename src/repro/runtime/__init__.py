@@ -29,7 +29,6 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     LinkPartition,
-    MembershipConfig,
     RecoveryConfig,
     StragglerWindow,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "FaultInjector",
     "RecoveryConfig",
     "AdaptiveConfig",
-    "MembershipConfig",
     "SweepPerformanceModel",
     "SweepModelPrediction",
     "Simulator",

@@ -32,9 +32,7 @@ from .checkpoint import (
 )
 from .cluster import Machine, TIANHE2
 from .costmodel import CostModel
-from .faults import (
-    AdaptiveConfig, FaultInjector, FaultPlan, RecoveryConfig, arm_recovery,
-)
+from .faults import FaultInjector, FaultPlan, RecoveryConfig
 from .loop import run_loop
 from .metrics import Breakdown, DeadlineExceeded, RunReport, trace_fields
 from .recovery import RecoveryManager
@@ -58,7 +56,6 @@ class DataDrivenRuntime:
         termination: str = "workload",
         faults: FaultPlan | None = None,
         recovery: RecoveryConfig | None = None,
-        adaptive: AdaptiveConfig | None = None,
         trace: bool = False,
         sanitize: bool = False,
     ):
@@ -70,8 +67,9 @@ class DataDrivenRuntime:
         self.mode = mode
         self.termination = termination
         self.faults = faults
-        # Armed explicitly, by a lossy plan, or by an adaptive config.
-        self.recovery = arm_recovery(faults, recovery, adaptive)
+        # Armed explicitly, or by a plan that can lose work.
+        lossy = faults is not None and faults.needs_recovery()
+        self.recovery = recovery or (RecoveryConfig() if lossy else None)
         self.trace = trace
         self.sanitize = sanitize  # live invariant checks (chaos harness)
         self._ctx: SimpleNamespace | None = None  # the driving run, if any
@@ -110,12 +108,21 @@ class DataDrivenRuntime:
         plan, rcfg = self.faults, self.recovery
         if plan is not None:
             wd = rcfg.watchdog_horizon if rcfg is not None else None
-            plan.validate(lay.nprocs, programs, horizon=wd)
+            plan.validate(lay.nprocs, horizon=wd)
         inj = FaultInjector(plan) if plan is not None else None
         ft = rcfg is not None  # ack/retry + checkpoint/failover machinery on
         acfg = rcfg.adaptive if ft else None
-        if acfg is not None:
-            acfg.validate_programs(programs)
+        # Failover, demotion and rejoin replay streams into migrated
+        # programs: with any of them armed, input must be idempotent.
+        need = ("crash recovery" if plan is not None and plan.crashes else
+                "degraded-mode demotion" if acfg is not None and acfg.demotion
+                else "elastic membership" if ft and rcfg.membership else None)
+        bad = [p for p in programs if not p.resilient_input] if need else []
+        if bad:
+            raise ReproError(
+                f"{need} replays streams from checkpoints and requires "
+                f"resilient programs: {bad[0].id!r} does not set "
+                "resilient_input (build sweep programs with resilient=True)")
         bd = Breakdown()
         report = RunReport(makespan=0.0, breakdown=bd, total_cores=lay.total_cores)
         sim = Simulator(
@@ -131,7 +138,7 @@ class DataDrivenRuntime:
         san = InvariantSanitizer(router) if self.sanitize else None
         transport = Transport(
             sim, router, self.machine, lay, report,
-            injector=inj, rcfg=rcfg if ft else None, sanitizer=san,
+            injector=inj, rcfg=rcfg, sanitizer=san,
         )
         sched = Scheduler(
             sim, router, make_policy(self.mode), lay, st,

@@ -8,11 +8,12 @@ process crashes at virtual times - optionally cascading to a seeded
 subset of surviving neighbours - transient straggler windows, timed
 directed network partitions, message drop/duplication/corruption
 probabilities), a :class:`FaultInjector` realizes the plan
-deterministically from a seed, and a :class:`RecoveryConfig`
-parameterizes the runtime's countermeasures (per-message acks with
-timeout/backoff retransmission, per-stream checksums with NACK-driven
-retransmit, periodic lightweight checkpoints, crash detection and
-dynamic owner re-assignment, and the no-progress liveness watchdog).
+deterministically from a seed, and a :class:`RecoveryConfig` arms
+the runtime's countermeasures (per-message acks with timeout/backoff
+retransmission, per-stream checksums with NACK-driven retransmit,
+periodic lightweight checkpoints, crash detection and dynamic owner
+re-assignment, and the no-progress liveness watchdog).  Their tuning
+values have one value each and are the named module constants below.
 
 Everything is expressed in *virtual* seconds of the simulated cluster,
 and every random draw comes from one seeded generator consumed in
@@ -22,10 +23,8 @@ bit-identical, which is what makes fault scenarios regression-testable.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +38,7 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "AdaptiveConfig",
-    "MembershipConfig",
     "RecoveryConfig",
-    "arm_recovery",
 ]
 
 
@@ -245,22 +242,19 @@ class FaultPlan:
             c.cascade_max for c in self.crashes if c.cascades()
         )
 
-    def validate(
-        self,
-        nprocs: int,
-        programs: Sequence,
-        horizon: float | None = None,
-    ) -> None:
-        """Reject plans inconsistent with the layout or program set.
+    def validate(self, nprocs: int, horizon: float | None = None) -> None:
+        """Reject plans inconsistent with the layout.
 
-        ``horizon``, when given, is the run's armed watchdog horizon: a
-        straggler or partition window that only *starts* at or beyond
-        it is almost certainly a misconfigured plan - the run either
-        quiesces or is declared stalled before the fault ever fires, so
-        the scenario silently tests nothing.  Such windows draw a
-        :class:`UserWarning` (not an error: a long run that keeps
-        progressing past the horizon can still legitimately reach
-        them).
+        Whether the programs can survive the plan's crashes is checked
+        by ``DataDrivenRuntime._compose`` (every armed migration needs
+        resilient programs).  ``horizon``, when given, is the run's
+        armed watchdog horizon: a straggler or partition window that
+        only *starts* at or beyond it is almost certainly a
+        misconfigured plan - the run either quiesces or is declared
+        stalled before the fault ever fires, so the scenario silently
+        tests nothing.  Such windows draw a :class:`UserWarning` (not
+        an error: a long run that keeps progressing past the horizon
+        can still legitimately reach them).
         """
         for w in self.stragglers:
             if w.proc >= nprocs:
@@ -304,13 +298,6 @@ class FaultPlan:
                     "fault plan permanently crashes every process; total "
                     "loss is unrecoverable (no survivors to fail over to)"
                 )
-            for prog in programs:
-                if not getattr(prog, "resilient_input", False):
-                    raise ReproError(
-                        "crash recovery requires idempotent programs: "
-                        f"{prog.id!r} does not set resilient_input "
-                        "(build sweep programs with resilient=True)"
-                    )
 
 
 class FaultInjector:
@@ -437,115 +424,93 @@ class FaultInjector:
         return victims
 
 
+# -- resilience constants ----------------------------------------------------------
+# Each tuning value of the recovery, adaptive and membership machinery
+# has one value in use (DESIGN.md §7 tabulates them).
+
+# retransmit
+ACK_TIMEOUT = 120e-6  # s, first retransmit timeout of a fresh send
+BACKOFF = 2.0  # timeout multiplier per retry
+MAX_RTO = 10e-3  # s, cap on any backed-off or estimated timeout
+MAX_RETRIES = 10  # retries per message; the next timeout raises
+# adaptive RTO (Jacobson/Karn, RFC 6298 shape)
+SRTT_GAIN = 0.125  # alpha: SRTT update weight
+RTTVAR_GAIN = 0.25  # beta: RTTVAR update weight
+RTO_K = 4.0  # RTO = SRTT + RTO_K * RTTVAR (also the suspicion timeout's K)
+MIN_RTO = 20e-6  # s, estimated-RTO floor (spurious-retransmit guard)
+# hedging
+HEDGE_FACTOR = 0.75  # one hedge copy after this fraction of the RTO
+# speculation
+SPEC_PERCENTILE = 90.0  # straggler = beyond this percentile of recent runs...
+SPEC_FACTOR = 2.0  # ...by at least this multiple
+SPEC_MIN_SAMPLES = 16  # runs observed before speculating
+# checkpoints
+CHECKPOINT_INTERVAL = 200e-6  # s, per-process checkpoint period
+T_CHECKPOINT_FIXED = 2.0e-6  # s, master cost per checkpoint event
+T_CHECKPOINT_PROGRAM = 0.5e-6  # s, + per program snapshotted
+# failover
+DETECTION_DELAY = 100e-6  # s, crash -> failover start (membership off)
+T_FAILOVER_PROGRAM = 5.0e-6  # s, master cost to install one migrant
+# demotion
+DEMOTION_INTERVAL = 250e-6  # s, health-check period
+DEMOTION_FACTOR = 2.0  # slow = this multiple of the median slowdown
+DEMOTION_PATIENCE = 2  # consecutive unhealthy checks to demote
+DEMOTION_MAX = 1  # demotions per run
+# membership
+HEARTBEAT_INTERVAL = 60e-6  # s, probe period
+MIN_TIMEOUT = 250e-6  # s, suspicion-timeout floor
+MAX_TIMEOUT = 5e-3  # s, suspicion-timeout cap
+PROBE_COST = 8e-6  # s, per-reply cost on the probed rank
+REJOIN_PROBES = 2  # healthy-probe streak to rejoin / re-promote
+REBALANCE_BUDGET = 8  # patches pulled back per rejoin
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Opt-in adaptive resilience features (all off by default).
 
     PRs 1-3 built a runtime that *survives* degraded conditions; this
-    config makes it *adapt* to them.  Four independent mechanisms, each
+    config makes it *adapt* to them.  Five independent switches, each
     rng-neutral when off (the golden fingerprints are unchanged):
 
     * **adaptive RTO** - per-link Jacobson RTT estimation (SRTT/RTTVAR
       with Karn's rule: no sample from retransmitted or hedged
-      messages) replacing the fixed ``RecoveryConfig.ack_timeout``
-      with ``clamp(SRTT + rto_k * RTTVAR, min_rto, max_rto)``;
+      messages) replacing the fixed ``ACK_TIMEOUT`` with
+      ``clamp(SRTT + RTO_K * RTTVAR, MIN_RTO, MAX_RTO)``;
     * **hedging** - a single speculative extra copy of a message still
-      unacked after ``hedge_factor`` of its RTO (tail-latency cut;
+      unacked after ``HEDGE_FACTOR`` of its RTO (tail-latency cut;
       receiver-side dedup makes the copy invisible);
     * **speculation** - straggler detection from the percentile of
-      recent run durations, with a backup execution of a stalled
-      patch-program booked on the fastest other process; first
+      recent run durations (``SPEC_*``), with a backup execution of a
+      stalled patch-program booked on the fastest other process; first
       completion wins, the loser is discarded through the epoch-keyed
       run-dedup, so numerics stay bitwise-exact;
     * **backpressure** - credit-based flow control bounding each
-      process's in-flight inbound messages to ``inbox_credits``;
-      excess sends park until a credit frees, and the stall time is
-      booked under the ``backpressure`` breakdown category;
-    * **demotion** - periodic health checks over per-process observed
-      slowdown; a persistently-slow-but-alive process has its patches
-      rebalanced away through the crash-failover path without being
-      declared dead (it keeps routing/forwarding its in-flight
-      traffic).  Requires resilient programs, like crash recovery.
+      process's in-flight inbound messages to ``inbox_credits`` (the
+      one tuning value with two values in use); excess sends park
+      until a credit frees, and the stall time is booked under the
+      ``backpressure`` breakdown category;
+    * **demotion** - periodic health checks (``DEMOTION_*``) over
+      per-process observed slowdown; a persistently-slow-but-alive
+      process has its patches rebalanced away through the
+      crash-failover path without being declared dead (it keeps
+      routing/forwarding its in-flight traffic).  Requires resilient
+      programs, like crash recovery.
 
-    All times are virtual seconds; every detection input is observed
-    runtime behavior (RTT samples, booked durations), never the fault
-    plan itself.
+    Every detection input is observed runtime behavior (RTT samples,
+    booked durations), never the fault plan itself.
     """
 
-    # -- adaptive RTO (Jacobson/Karn, RFC 6298 shape)
     adaptive_rto: bool = False
-    srtt_gain: float = 0.125  # alpha: SRTT update weight
-    rttvar_gain: float = 0.25  # beta: RTTVAR update weight
-    rto_k: float = 4.0  # RTO = SRTT + k * RTTVAR
-    min_rto: float = 20e-6  # RTO floor (spurious-retransmit guard)
-    # -- hedged retransmits
     hedging: bool = False
-    hedge_factor: float = 0.75  # hedge after this fraction of the RTO
-    # -- speculative straggler re-execution
     speculation: bool = False
-    spec_percentile: float = 90.0  # straggler = beyond this percentile...
-    spec_factor: float = 2.0  # ...by at least this multiple
-    spec_min_samples: int = 16  # warm-up before speculating
-    # -- credit-based flow control
     backpressure: bool = False
     inbox_credits: int = 32  # max in-flight inbound messages per process
-    # -- degraded-mode demotion
     demotion: bool = False
-    demotion_interval: float = 250e-6  # health-check period
-    demotion_factor: float = 2.0  # slow = this multiple of the median
-    demotion_patience: int = 2  # consecutive unhealthy checks to demote
-    demotion_max: int = 1  # demotion budget per run
 
     def __post_init__(self):
-        if not (0.0 < self.srtt_gain < 1.0) or not (0.0 < self.rttvar_gain < 1.0):
-            raise ReproError("estimator gains must be in (0, 1)")
-        if self.rto_k <= 0:
-            raise ReproError("rto_k must be positive")
-        if self.min_rto <= 0:
-            raise ReproError("min_rto must be positive")
-        if not (0.0 < self.hedge_factor < 1.0):
-            # At >= 1 the ack timer always beats the hedge timer and
-            # the hedge can never fire.
-            raise ReproError("hedge_factor must be in (0, 1)")
-        if not (0.0 < self.spec_percentile <= 100.0):
-            raise ReproError("spec_percentile must be in (0, 100]")
-        if self.spec_factor < 1.0:
-            raise ReproError("spec_factor must be >= 1")
-        if self.spec_min_samples < 1:
-            raise ReproError("spec_min_samples must be >= 1")
         if self.inbox_credits < 1:
             raise ReproError("inbox_credits must be >= 1")
-        if self.demotion_interval <= 0:
-            raise ReproError("demotion_interval must be positive")
-        if self.demotion_factor <= 1.0:
-            raise ReproError("demotion_factor must be > 1")
-        if self.demotion_patience < 1:
-            raise ReproError("demotion_patience must be >= 1")
-        if self.demotion_max < 0:
-            raise ReproError("demotion_max must be non-negative")
-
-    def any_enabled(self) -> bool:
-        return (
-            self.adaptive_rto
-            or self.hedging
-            or self.speculation
-            or self.backpressure
-            or self.demotion
-        )
-
-    def validate_programs(self, programs: Sequence) -> None:
-        """Demotion replays migrated programs from checkpoints, so
-        (exactly like crash failover) it needs idempotent input
-        handling on every program."""
-        if not self.demotion:
-            return
-        for prog in programs:
-            if not getattr(prog, "resilient_input", False):
-                raise ReproError(
-                    "degraded-mode demotion replays streams from "
-                    "checkpoints and requires resilient programs "
-                    "(build the solver with resilient=True)"
-                )
 
     @classmethod
     def all_on(cls, **overrides) -> "AdaptiveConfig":
@@ -557,86 +522,14 @@ class AdaptiveConfig:
 
 
 @dataclass(frozen=True)
-class MembershipConfig:
-    """Elastic membership: heartbeat failure detection, incarnation
-    fencing, and rank restart/rejoin (DESIGN.md §14).  Off by default.
-
-    With ``heartbeat_interval > 0`` the recovery layer probes every
-    process each interval on the control plane and replaces the
-    ``RecoveryConfig.detection_delay`` oracle: a crash is *discovered*
-    only when the victim's probe replies stop arriving.  The suspicion
-    timeout adapts per process through the transport's Jacobson/Karn
-    :class:`~repro.runtime.transport.RttEstimator` -
-    ``clamp(SRTT + suspicion_k * RTTVAR, min_timeout, max_timeout)``
-    plus one heartbeat period of tick slack - so persistently slow
-    ranks raise their own bar instead of flapping.
-
-    False suspicion is safe by construction: a suspected proc is
-    *fenced* (incarnation pre-bumped, patches drained through the
-    failover path) but keeps routing; when its probes come back
-    healthy ``rejoin_probes`` times in a row it rejoins with the new
-    incarnation and pulls up to ``rebalance_budget`` patches back.
-    Demoted procs re-promote through the same healthy-probe streak.
-
-    Every probe reply costs ``probe_cost`` virtual seconds on the
-    probed rank (scaled by active straggler windows), which is what
-    makes a hard straggler's replies late enough to suspect.
-
-    All detection inputs are observed behavior (probe reply arrival
-    times), never the fault plan; all machinery is event-free and
-    draw-free when off, so golden fingerprints are unchanged.
-    """
-
-    heartbeat_interval: float = 0.0  # probe period; 0 = membership off
-    suspicion_k: float = 4.0  # timeout = SRTT + k * RTTVAR (clamped)
-    min_timeout: float = 250e-6  # suspicion-timeout floor
-    max_timeout: float = 5e-3  # suspicion-timeout cap
-    probe_cost: float = 8e-6  # per-reply cost on the probed rank
-    rejoin_probes: int = 2  # healthy-probe streak to rejoin/re-promote
-    rebalance_budget: int = 8  # max patches pulled back per rejoin
-
-    def __post_init__(self):
-        if self.heartbeat_interval < 0:
-            raise ReproError("heartbeat_interval must be non-negative")
-        if not self.enabled:
-            return
-        if self.suspicion_k <= 0:
-            raise ReproError("suspicion_k must be positive")
-        if not (0 < self.min_timeout <= self.max_timeout):
-            raise ReproError(
-                "suspicion timeouts must satisfy 0 < min_timeout <= max_timeout"
-            )
-        if self.min_timeout <= self.heartbeat_interval:
-            raise ReproError(
-                "min_timeout must exceed heartbeat_interval: a suspicion "
-                "bar below one probe period suspects every healthy rank"
-            )
-        if self.probe_cost < 0:
-            raise ReproError("probe_cost must be non-negative")
-        if self.rejoin_probes < 1:
-            raise ReproError("rejoin_probes must be >= 1")
-        if self.rebalance_budget < 0:
-            raise ReproError("rebalance_budget must be non-negative")
-
-    @property
-    def enabled(self) -> bool:
-        return self.heartbeat_interval > 0
-
-    @classmethod
-    def all_on(cls, **overrides) -> "MembershipConfig":
-        """Membership armed with campaign-friendly defaults."""
-        on = dict(heartbeat_interval=60e-6)
-        on.update(overrides)
-        return cls(**on)
-
-
-@dataclass(frozen=True)
 class RecoveryConfig:
-    """Parameters of the runtime's fault-tolerance machinery.
+    """Switches of the runtime's fault-tolerance machinery.
 
-    All times are virtual seconds.  The virtual costs (``t_*``) are
-    booked under the ``recovery`` breakdown category, so the overhead
-    of resilience is visible in the Fig. 16-style accounting.
+    An armed config turns on per-message acks with retransmission,
+    incremental checkpoints and crash failover, tuned by the module
+    constants above.  Their virtual costs (``T_*``) are booked under
+    the ``recovery`` breakdown category, so the overhead of resilience
+    is visible in the Fig. 16-style accounting.
 
     ``watchdog_horizon`` arms the liveness watchdog: if retransmit
     timers are still circulating but no progress event has been
@@ -644,68 +537,43 @@ class RecoveryConfig:
     structured :class:`~repro.runtime.simulator.StallError` naming the
     blocked dependencies instead of spinning.  Must comfortably exceed
     any expected partition-heal window; 0 disables the watchdog.
+
+    ``adaptive`` opts into the :class:`AdaptiveConfig` features.
+
+    ``membership`` arms elastic membership (DESIGN.md §14): heartbeat
+    failure detection, incarnation fencing and rank restart/rejoin.
+    The recovery layer probes every process each ``HEARTBEAT_INTERVAL``
+    on the control plane and retires the ``DETECTION_DELAY`` oracle: a
+    crash is *discovered* only when the victim's probe replies stop
+    arriving.  The suspicion timeout adapts per process through the
+    transport's Jacobson/Karn
+    :class:`~repro.runtime.transport.RttEstimator` - ``clamp(SRTT +
+    RTO_K * RTTVAR, MIN_TIMEOUT, MAX_TIMEOUT)`` plus one heartbeat
+    period of tick slack - so persistently slow ranks raise their own
+    bar instead of flapping.  False suspicion is safe by construction:
+    a suspected proc is *fenced* (incarnation pre-bumped, patches
+    drained through the failover path) but keeps routing; when its
+    probes come back healthy ``REJOIN_PROBES`` times in a row it
+    rejoins with the new incarnation and pulls up to
+    ``REBALANCE_BUDGET`` patches back.  Demoted procs re-promote
+    through the same healthy-probe streak.  Every probe reply costs
+    ``PROBE_COST`` on the probed rank (scaled by active straggler
+    windows), which is what makes a hard straggler's replies late
+    enough to suspect.  Detection reads observed behavior (probe reply
+    times), never the fault plan; with membership off the machinery is
+    event-free and draw-free, so golden fingerprints are unchanged.
     """
 
-    ack_timeout: float = 120e-6  # first retransmission timeout
-    backoff: float = 2.0  # timeout multiplier per retry
-    max_rto: float = 10e-3  # hard cap on any (backed-off) timeout
-    max_retries: int = 10  # per message; exceeded -> ReproError
-    checkpoint_interval: float = 200e-6  # per-process checkpoint period
-    detection_delay: float = 100e-6  # crash -> failover start
-    t_checkpoint_fixed: float = 2.0e-6  # master cost per checkpoint event
-    t_checkpoint_program: float = 0.5e-6  # + per program snapshotted
-    t_failover_program: float = 5.0e-6  # master cost to install a migrant
     watchdog_horizon: float = 20e-3  # no-progress stall horizon; 0 = off
     adaptive: AdaptiveConfig | None = None  # opt-in adaptive features
-    membership: MembershipConfig | None = None  # elastic membership (§14)
+    membership: bool = False  # elastic membership (§14)
 
     def __post_init__(self):
-        if self.ack_timeout <= 0 or self.checkpoint_interval <= 0:
-            raise ReproError("timeouts and intervals must be positive")
-        if self.backoff < 1.0:
-            raise ReproError("backoff must be >= 1")
-        if self.max_rto < self.ack_timeout:
-            raise ReproError(
-                "max_rto must be >= ack_timeout (the cap bounds backoff "
-                "escalation, it cannot undercut the first timeout)"
-            )
-        if self.adaptive is not None and self.adaptive.adaptive_rto \
-                and self.adaptive.min_rto > self.max_rto:
-            raise ReproError("adaptive min_rto must not exceed max_rto")
-        if self.max_retries < 1:
-            raise ReproError("max_retries must be >= 1")
-        if self.detection_delay < 0:
-            raise ReproError("detection_delay must be non-negative")
         if self.watchdog_horizon < 0:
             raise ReproError("watchdog_horizon must be non-negative")
-        m = self.membership
-        if m is not None and m.enabled and self.watchdog_horizon > 0 \
-                and self.watchdog_horizon <= m.max_timeout:
+        if self.membership and 0 < self.watchdog_horizon <= MAX_TIMEOUT:
             raise ReproError(
-                "watchdog_horizon must exceed the membership "
-                "max_timeout: heartbeat detection needs room to fire "
-                "before the run is declared stalled"
+                "watchdog_horizon must exceed the membership suspicion "
+                f"cap MAX_TIMEOUT={MAX_TIMEOUT}s: heartbeat detection "
+                "needs room to fire before the run is declared stalled"
             )
-
-
-def arm_recovery(
-    faults: FaultPlan | None,
-    recovery: RecoveryConfig | None,
-    adaptive: AdaptiveConfig | None,
-) -> RecoveryConfig | None:
-    """Resolve the effective recovery configuration of a run.
-
-    Recovery is armed explicitly, or whenever the fault plan can lose
-    work (a straggler-only plan needs none), or whenever adaptive
-    features are requested - they ride on the reliable-delivery stack.
-    A supplied ``adaptive`` config is merged into the recovery config
-    (re-validating the pair).
-    """
-    if recovery is None and faults is not None and faults.needs_recovery():
-        recovery = RecoveryConfig()
-    if adaptive is not None:
-        recovery = (
-            RecoveryConfig(adaptive=adaptive) if recovery is None
-            else dataclasses.replace(recovery, adaptive=adaptive)
-        )
-    return recovery

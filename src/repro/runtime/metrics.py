@@ -190,7 +190,7 @@ class RunReport:
     snapshots: int = 0  # crash-consistent runtime snapshots written
     snapshot_bytes: int = 0  # total bytes published to snapshot files
 
-    # -- elastic-membership counters (zero when MembershipConfig off) -----
+    # -- elastic-membership counters (zero when membership is off) --------
     heartbeats: int = 0  # probe replies scheduled by the heartbeat plane
     suspicions: int = 0  # procs suspected after a missed-probe timeout
     false_suspicions: int = 0  # suspicions of slow-but-alive stragglers

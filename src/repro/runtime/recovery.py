@@ -26,16 +26,16 @@ Degraded-mode demotion (opt-in via :class:`~repro.runtime.faults.
 AdaptiveConfig.demotion`) reuses the same migration machinery without
 declaring a crash: a periodic health probe compares each live owning
 process's observed-slowdown EWMA (fed by the scheduler) against the
-median of its peers; a process exceeding ``demotion_factor`` times the
-median for ``demotion_patience`` consecutive probes is demoted - its
+median of its peers; a process exceeding ``DEMOTION_FACTOR`` times the
+median for ``DEMOTION_PATIENCE`` consecutive probes is demoted - its
 patches migrate to healthy survivors through the identical
 checkpoint-restore + delivery-log-replay + send-re-arm path, while the
 process itself stays alive to ack, forward in-flight streams, and
 serve as a target of last resort.
 
-Elastic membership (opt-in via :class:`~repro.runtime.faults.
-MembershipConfig`; DESIGN.md §14) replaces the ``detection_delay``
-oracle with virtual-time heartbeat failure detection: every heartbeat
+Elastic membership (opt-in via :attr:`~repro.runtime.faults.
+RecoveryConfig.membership`; DESIGN.md §14) replaces the
+``DETECTION_DELAY`` oracle with virtual-time heartbeat failure detection: every heartbeat
 interval the recovery layer probes each live process on the control
 plane and sweeps for silence; a process unheard-from past its adaptive
 suspicion timeout (a per-process Jacobson/Karn
@@ -64,7 +64,13 @@ from typing import TYPE_CHECKING
 from .._util import ReproError
 from ..core.patch_program import ProgramState
 from ..core.stream import ProgramId, Stream
-from .faults import RecoveryConfig
+from .faults import (
+    CHECKPOINT_INTERVAL, DEMOTION_FACTOR, DEMOTION_INTERVAL, DEMOTION_MAX,
+    DEMOTION_PATIENCE, DETECTION_DELAY, HEARTBEAT_INTERVAL, MAX_TIMEOUT,
+    MIN_TIMEOUT, PROBE_COST, REBALANCE_BUDGET, REJOIN_PROBES,
+    T_CHECKPOINT_FIXED, T_CHECKPOINT_PROGRAM, T_FAILOVER_PROGRAM,
+    RecoveryConfig,
+)
 from .metrics import Breakdown, RunReport
 from .router import Router
 from .scheduler import RunState, Scheduler
@@ -121,8 +127,7 @@ class RecoveryManager:
         self.cascaded: set[int] = set()  # procs whose crash was cascade-induced
         self._strikes: dict[int, int] = {}  # proc -> consecutive flags
         # Elastic membership state (DESIGN.md §14; all inert when off).
-        m = rcfg.membership
-        self.mcfg = m if m is not None and m.enabled else None
+        self.membership = rcfg.membership
         self._last_heard: dict[int, float] = {
             p: 0.0 for p in range(router.nprocs)
         }
@@ -131,17 +136,6 @@ class RecoveryManager:
         self._probes: dict[int, int] = {}  # healthy-probe streaks
         self._undetected: set[int] = set()  # crashed, suspicion not yet fired
         self._pending_restart = 0  # restart events in flight
-        if self.mcfg is not None:
-            # Rejoin replays migrated programs from checkpoints, so
-            # (exactly like crash failover) it needs idempotent input
-            # handling on every program.
-            for prog in st.progs:
-                if not getattr(prog, "resilient_input", False):
-                    raise ReproError(
-                        "elastic membership replays streams from "
-                        "checkpoints and requires resilient programs "
-                        "(build the solver with resilient=True)"
-                    )
         scheduler.recovery = self  # completed runs mark themselves dirty
 
     def kinds(self) -> list[KindRow]:
@@ -165,12 +159,12 @@ class RecoveryManager:
         health probe, when degraded-mode demotion is on; and the first
         heartbeat tick, when elastic membership is on)."""
         for p in range(self.router.nprocs):
-            self.sim.push(self.rcfg.checkpoint_interval, "ckpt", p)
+            self.sim.push(CHECKPOINT_INTERVAL, "ckpt", p)
         a = self.rcfg.adaptive
         if a is not None and a.demotion:
-            self.sim.push(a.demotion_interval, "health", None)
-        if self.mcfg is not None:
-            self.sim.push(self.mcfg.heartbeat_interval, "hbeat", None)
+            self.sim.push(DEMOTION_INTERVAL, "health", None)
+        if self.membership:
+            self.sim.push(HEARTBEAT_INTERVAL, "hbeat", None)
 
     # -- bookkeeping hooks ---------------------------------------------------------
 
@@ -219,10 +213,7 @@ class RecoveryManager:
             "cascaded": sorted(self.cascaded),
             "strikes": dict(self._strikes),
             "last_heard": dict(self._last_heard),
-            "hb_rtt": {
-                p: (e.srtt, e.rttvar, e.samples)
-                for p, e in self._hb_rtt.items()
-            },
+            "hb_rtt": {p: e.state() for p, e in self._hb_rtt.items()},
             "suspected": sorted(self._suspected),
             "probes": dict(self._probes),
             "undetected": sorted(self._undetected),
@@ -245,14 +236,10 @@ class RecoveryManager:
         self._last_heard = {
             int(p): float(t) for p, t in d.get("last_heard", {}).items()
         } or {p: 0.0 for p in range(self.router.nprocs)}
-        hb_rtt: dict[int, RttEstimator] = {}
-        for p, (srtt, rttvar, samples) in d.get("hb_rtt", {}).items():
-            est = RttEstimator()
-            est.srtt = srtt
-            est.rttvar = rttvar
-            est.samples = samples
-            hb_rtt[int(p)] = est
-        self._hb_rtt = hb_rtt
+        self._hb_rtt = {
+            int(p): RttEstimator.from_state(s)
+            for p, s in d.get("hb_rtt", {}).items()
+        }
         self._suspected = set(d.get("suspected", ()))
         self._probes = {int(p): int(n) for p, n in d.get("probes", {}).items()}
         self._undetected = set(d.get("undetected", ()))
@@ -267,11 +254,11 @@ class RecoveryManager:
         self.crash_time[proc] = now
         if len(self.router.dead) >= self.router.nprocs:
             raise ReproError("all processes crashed; no survivors")
-        if self.mcfg is None:
+        if not self.membership:
             # Workers of the dead process stop mid-run (their run_end
             # events are now stale); detection is modeled as a fixed
             # delay before survivors take over.
-            self.sim.push(now + self.rcfg.detection_delay, "failover", proc)
+            self.sim.push(now + DETECTION_DELAY, "failover", proc)
         else:
             # No oracle: the crash is discovered only when the victim's
             # heartbeat replies stop arriving (missed-probe suspicion).
@@ -343,7 +330,7 @@ class RecoveryManager:
             st.state[i] = ProgramState.ACTIVE
             if self.san is not None:
                 self.san.on_failover(pid, st.inbox[i])
-            dur = self.rcfg.t_failover_program * self.slow(new_p, now)
+            dur = T_FAILOVER_PROGRAM * self.slow(new_p, now)
             master = self.scheduler.masters[new_p]
             start, end = master.book(now, dur)
             if self.san is not None:
@@ -358,14 +345,13 @@ class RecoveryManager:
         """Periodic health probe: demote a persistently-slow live proc.
 
         Reads the scheduler's per-process slowdown EWMA.  A process
-        whose EWMA exceeds ``demotion_factor`` times the median of all
-        live owning processes collects a strike; ``demotion_patience``
-        consecutive strikes demote it (capped at ``demotion_max``
+        whose EWMA exceeds ``DEMOTION_FACTOR`` times the median of all
+        live owning processes collects a strike; ``DEMOTION_PATIENCE``
+        consecutive strikes demote it (capped at ``DEMOTION_MAX``
         demotions per run, and never below two owning survivors).  Any
         probe that does not flag a process clears its strikes, so
         transient blips never trigger a migration.
         """
-        a = self.rcfg.adaptive
         ewma = self.scheduler.proc_slow_ewma
         candidates = [
             p for p in range(self.router.nprocs)
@@ -376,19 +362,19 @@ class RecoveryManager:
         flagged = None
         if (
             len(candidates) >= 2
-            and len(self.router.demoted) < a.demotion_max
+            and len(self.router.demoted) < DEMOTION_MAX
         ):
             med = sorted(ewma[p] for p in candidates)[len(candidates) // 2]
             worst = max(candidates, key=lambda p: (ewma[p], -p))
-            if ewma[worst] > a.demotion_factor * med:
+            if ewma[worst] > DEMOTION_FACTOR * med:
                 flagged = worst
                 self._strikes[worst] = self._strikes.get(worst, 0) + 1
-                if self._strikes[worst] >= a.demotion_patience:
+                if self._strikes[worst] >= DEMOTION_PATIENCE:
                     self.demote(worst, now)
         for p in list(self._strikes):
             if p != flagged:
                 del self._strikes[p]
-        self.sim.push(now + a.demotion_interval, "health", None)
+        self.sim.push(now + DEMOTION_INTERVAL, "health", None)
 
     def demote(self, proc: int, now: float) -> None:
         """Rebalance ownership away from a slow-but-alive process.
@@ -409,14 +395,13 @@ class RecoveryManager:
     def _suspicion_timeout(self, p: int) -> float:
         """Adaptive silence bar for proc ``p``: one heartbeat period of
         tick slack plus the probe-reply RTO (estimator-driven once
-        warmed up, the configured floor before the first sample)."""
-        m = self.mcfg
+        warmed up, the ``MIN_TIMEOUT`` floor before the first sample)."""
         est = self._hb_rtt.get(p)
         if est is not None and est.srtt is not None:
-            rto = est.rto(m.suspicion_k, m.min_timeout, m.max_timeout)
+            rto = est.rto(MIN_TIMEOUT, MAX_TIMEOUT)
         else:
-            rto = m.min_timeout
-        return m.heartbeat_interval + rto
+            rto = MIN_TIMEOUT
+        return HEARTBEAT_INTERVAL + rto
 
     def on_hbeat(self, _data: None, now: float) -> None:
         """One heartbeat tick: probe every live proc, sweep for silence.
@@ -427,7 +412,6 @@ class RecoveryManager:
         in flight (quiescence can look true while a dead proc holds
         work); once the job is done the plane drains.
         """
-        m = self.mcfg
         if (self.quiescent() and not self._undetected
                 and self._pending_restart == 0):
             return  # job done and every crash accounted for: drain
@@ -440,14 +424,14 @@ class RecoveryManager:
                 # Reply delay = wire latency + the rank's response cost,
                 # scaled by any active straggler window (deterministic:
                 # no rng draw, so fault-plan draws are unperturbed).
-                delay = lat + m.probe_cost * self.slow(p, now)
+                delay = lat + PROBE_COST * self.slow(p, now)
                 self.report.heartbeats += 1
                 self.sim.push(now + delay, "hback", (p, now))
             if p in self._suspected or p in self.router.fenced:
                 continue
             if now - self._last_heard[p] > self._suspicion_timeout(p):
                 self._suspect(p, now)
-        self.sim.push(now + m.heartbeat_interval, "hbeat", None)
+        self.sim.push(now + HEARTBEAT_INTERVAL, "hbeat", None)
 
     def _suspect(self, p: int, now: float) -> None:
         """Silence past the timeout: fence ``p`` and drain its patches.
@@ -473,22 +457,21 @@ class RecoveryManager:
     def on_hback(self, data: tuple, now: float) -> None:
         """A probe reply: feed the estimator, advance rejoin streaks."""
         p, sent_at = data
-        m = self.mcfg
         self._last_heard[p] = now
         r = now - sent_at
         est = self._hb_rtt.get(p)
         if est is None:
             est = self._hb_rtt[p] = RttEstimator()
-        est.sample(r, 0.125, 0.25)
+        est.sample(r)
         if self.quiescent():
             return  # job finished: keep liveness fresh, skip rejoins
         if p in self.router.dead:
             return  # died after replying; the silence will out
         if p in self.router.fenced or p in self.router.demoted:
             self._probes[p] = (
-                self._probes.get(p, 0) + 1 if r <= m.min_timeout else 0
+                self._probes.get(p, 0) + 1 if r <= MIN_TIMEOUT else 0
             )
-            if self._probes[p] >= m.rejoin_probes:
+            if self._probes[p] >= REJOIN_PROBES:
                 if p in self.router.fenced:
                     self._rejoin(p, now)
                 else:
@@ -525,7 +508,7 @@ class RecoveryManager:
 
     def _rebalance(self, p: int, now: float) -> None:
         """Pull patches back to a re-admitted rank (bounded budget)."""
-        moved, srcs = self.router.rebalance_to(p, self.mcfg.rebalance_budget)
+        moved, srcs = self.router.rebalance_to(p, REBALANCE_BUDGET)
         if moved:
             self.report.rebalanced_patches += len({pid.patch for pid in moved})
             self._migrate(moved, srcs, now)
@@ -534,7 +517,7 @@ class RecoveryManager:
         """A planned rank restart: announce a new incarnation, catch up
         via state transfer, rebalance back."""
         self._pending_restart -= 1
-        if self.mcfg is None:
+        if not self.membership:
             # Oracle path: there is no rejoin protocol - the failover
             # already rehomed the proc's work for good, so a planned
             # restart is absorbed as a no-op.
@@ -562,8 +545,7 @@ class RecoveryManager:
         ]
         if own:
             dur = (
-                self.rcfg.t_checkpoint_fixed
-                + len(own) * self.rcfg.t_checkpoint_program
+                T_CHECKPOINT_FIXED + len(own) * T_CHECKPOINT_PROGRAM
             ) * self.slow(p, now)
             master = self.scheduler.masters[p]
             start, end = master.book(now, dur)
@@ -581,4 +563,4 @@ class RecoveryManager:
                 self.dlog[pid] = []
                 self.dirty.discard(pid)
                 self.report.checkpoints += 1
-        self.sim.push(now + self.rcfg.checkpoint_interval, "ckpt", p)
+        self.sim.push(now + CHECKPOINT_INTERVAL, "ckpt", p)

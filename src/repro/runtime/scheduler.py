@@ -30,8 +30,8 @@ completed runs are marked dirty for incremental checkpointing.
 
 Straggler mitigation (opt-in via :class:`~repro.runtime.faults.
 AdaptiveConfig.speculation`): every booked run's scaled duration feeds
-a sliding window; a run whose duration exceeds ``spec_factor`` times
-the window's ``spec_percentile`` is treated as straggling and a backup
+a sliding window; a run whose duration exceeds ``SPEC_FACTOR`` times
+the window's ``SPEC_PERCENTILE`` is treated as straggling and a backup
 execution is booked on the fastest other process with an idle worker.
 Both completions carry the same *serial*; the first to finish commits
 (through the epoch-keyed idempotent machinery) and the loser is
@@ -53,6 +53,7 @@ from ..core.termination import WorkloadTracker
 from .._util import ReproError
 from .cluster import Layout
 from .costmodel import CostModel
+from .faults import SPEC_FACTOR, SPEC_MIN_SAMPLES, SPEC_PERCENTILE
 from .metrics import Breakdown, RunReport
 from .router import Router
 from .simulator import KindRow, Resource, Simulator
@@ -480,12 +481,9 @@ class Scheduler:
         idle worker, but only when the backup's projected finish beats
         the primary's.  First completion wins (see :meth:`complete`).
         """
-        a = self.acfg
-        if len(self._recent) < a.spec_min_samples:
+        if len(self._recent) < SPEC_MIN_SAMPLES:
             return
-        if scaled <= a.spec_factor * _percentile(
-            self._recent, a.spec_percentile
-        ):
+        if scaled <= SPEC_FACTOR * _percentile(self._recent, SPEC_PERCENTILE):
             return
         best = None
         for q in range(self.router.nprocs):

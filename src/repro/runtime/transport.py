@@ -34,8 +34,8 @@ AdaptiveConfig`, all rng-neutral when off):
 * **per-link RTT estimation** - every clean ack (never a retransmitted
   or hedged message: Karn's rule) feeds a Jacobson SRTT/RTTVAR
   estimator for its ``(src proc, dst proc)`` link, and new sends arm
-  ``clamp(SRTT + k*RTTVAR, min_rto, max_rto)`` instead of the fixed
-  ``ack_timeout``;
+  ``clamp(SRTT + RTO_K*RTTVAR, MIN_RTO, MAX_RTO)`` instead of the fixed
+  ``ACK_TIMEOUT``;
 * **hedged retransmits** - a message still unacked after a fraction of
   its RTO gets one speculative extra copy (receiver dedup makes it
   invisible; tail latency is cut without waiting for the full timer);
@@ -50,7 +50,7 @@ AdaptiveConfig`, all rng-neutral when off):
   final arrival.
 
 Whether fixed or adaptive, a retransmit timeout never escalates past
-``RecoveryConfig.max_rto``: unbounded exponential backoff would let a
+``MAX_RTO``: unbounded exponential backoff would let a
 long partition push a single timer past the watchdog horizon.
 
 Sits above :mod:`repro.runtime.simulator` (events, timers) and
@@ -71,7 +71,10 @@ import numpy as np
 from .._util import ReproError
 from ..core.stream import ProgramId, Stream
 from .cluster import Layout, Machine
-from .faults import FaultInjector, RecoveryConfig
+from .faults import (
+    ACK_TIMEOUT, BACKOFF, HEDGE_FACTOR, MAX_RETRIES, MAX_RTO, MIN_RTO,
+    RTO_K, RTTVAR_GAIN, SRTT_GAIN, FaultInjector, RecoveryConfig,
+)
 from .metrics import RunReport
 from .router import Router
 from .simulator import KindRow, Simulator, StallReport, WaitEdge
@@ -103,11 +106,12 @@ def stream_checksum(s: Stream) -> int:
 
 
 class RttEstimator:
-    """Jacobson SRTT/RTTVAR estimator for one directed proc link.
+    """Jacobson SRTT/RTTVAR estimator for one directed proc link (or,
+    in the membership plane, one probed process).
 
     RFC 6298 shape: the first sample seeds ``SRTT = R, RTTVAR = R/2``;
-    subsequent samples blend with gains ``srtt_gain`` (alpha) and
-    ``rttvar_gain`` (beta).  Karn's rule is enforced by the *caller*:
+    subsequent samples blend with gains ``SRTT_GAIN`` (alpha) and
+    ``RTTVAR_GAIN`` (beta).  Karn's rule is enforced by the *caller*:
     only acks of never-retransmitted, never-hedged messages may be
     sampled, since an ack of an ambiguous send cannot be matched to a
     transmission.
@@ -120,7 +124,7 @@ class RttEstimator:
         self.rttvar = 0.0
         self.samples = 0
 
-    def sample(self, r: float, srtt_gain: float, rttvar_gain: float) -> None:
+    def sample(self, r: float) -> None:
         if r < 0:
             raise ReproError("negative RTT sample")
         if self.srtt is None:
@@ -128,17 +132,28 @@ class RttEstimator:
             self.rttvar = r / 2.0
         else:
             self.rttvar = (
-                (1.0 - rttvar_gain) * self.rttvar
-                + rttvar_gain * abs(self.srtt - r)
+                (1.0 - RTTVAR_GAIN) * self.rttvar
+                + RTTVAR_GAIN * abs(self.srtt - r)
             )
-            self.srtt = (1.0 - srtt_gain) * self.srtt + srtt_gain * r
+            self.srtt = (1.0 - SRTT_GAIN) * self.srtt + SRTT_GAIN * r
         self.samples += 1
 
-    def rto(self, k: float, min_rto: float, max_rto: float) -> float:
-        """``clamp(SRTT + k * RTTVAR, min_rto, max_rto)``."""
+    def rto(self, lo: float, hi: float) -> float:
+        """``clamp(SRTT + RTO_K * RTTVAR, lo, hi)``."""
         if self.srtt is None:
             raise ReproError("RTO requested before any RTT sample")
-        return min(max(self.srtt + k * self.rttvar, min_rto), max_rto)
+        return min(max(self.srtt + RTO_K * self.rttvar, lo), hi)
+
+    def state(self) -> tuple:
+        """Codec-ready snapshot form: ``(srtt, rttvar, samples)``."""
+        return (self.srtt, self.rttvar, self.samples)
+
+    @classmethod
+    def from_state(cls, state) -> RttEstimator:
+        """Rebuild an estimator from :meth:`state`'s tuple."""
+        est = cls()
+        est.srtt, est.rttvar, est.samples = state
+        return est
 
 
 class PendingSend:
@@ -187,8 +202,7 @@ class Transport:
         # Elastic membership (DESIGN.md §14): when armed, every
         # reliable send is tagged (sender proc, incarnation) and
         # receivers fence traffic from a previous life.
-        m = rcfg.membership if rcfg is not None else None
-        self.mcfg = m if m is not None and m.enabled else None
+        self.membership = rcfg is not None and rcfg.membership
         # Next seq per sending program, keyed by the router's interned
         # program index (minted at route-table build) - a flat array
         # instead of a ProgramId-keyed dict on the reliable send path.
@@ -232,15 +246,14 @@ class Transport:
 
     def _initial_rto(self, src_proc: int, dst_proc: int) -> float:
         """First-arm timeout of a fresh send: the link's estimated RTO
-        when adaptive and warmed up, the fixed ``ack_timeout`` otherwise
-        (``max_rto`` caps both; config validation guarantees
-        ``ack_timeout <= max_rto``)."""
+        when adaptive and warmed up, the fixed ``ACK_TIMEOUT`` otherwise
+        (``MAX_RTO`` caps both; ``ACK_TIMEOUT <= MAX_RTO``)."""
         a = self.acfg
         if a is not None and a.adaptive_rto:
             est = self.rtt.get((src_proc, dst_proc))
             if est is not None and est.srtt is not None:
-                return est.rto(a.rto_k, a.min_rto, self.rcfg.max_rto)
-        return self.rcfg.ack_timeout
+                return est.rto(MIN_RTO, MAX_RTO)
+        return ACK_TIMEOUT
 
     # -- send path ----------------------------------------------------------------
 
@@ -286,7 +299,7 @@ class Transport:
         s.seq = self.out_seq[idx]
         self.out_seq[idx] = s.seq + 1
         s.epoch = ep
-        if self.mcfg is not None:
+        if self.membership:
             s.inc = (src_proc, self.router.inc[src_proc])
         s.checksum = stream_checksum(s)
         ps = PendingSend(s, src_pid, self._initial_rto(src_proc, dst_proc))
@@ -324,7 +337,7 @@ class Transport:
         self.sim.push_id(now + ps.timeout, self._k_timer, (s.uid, ps.attempt))
         if a is not None and a.hedging:
             self.sim.push(
-                now + a.hedge_factor * ps.timeout,
+                now + HEDGE_FACTOR * ps.timeout,
                 "hedge", (s.uid, ps.attempt),
             )
 
@@ -400,7 +413,7 @@ class Transport:
             est = self.rtt.get(ps.link)
             if est is None:
                 est = self.rtt[ps.link] = RttEstimator()
-            est.sample(now - ps.sent_at, a.srtt_gain, a.rttvar_gain)
+            est.sample(now - ps.sent_at)
             self.report.rtt_samples += 1
 
     def on_hedge(self, data: tuple, now: float) -> None:
@@ -445,10 +458,9 @@ class Transport:
             ps.attempt += 1
             self.sim.push_id(now + ps.timeout, self._k_timer, (uid, ps.attempt))
             return
-        if ps.retries >= self.rcfg.max_retries:
+        if ps.retries >= MAX_RETRIES:
             raise ReproError(
-                f"message {uid!r} undeliverable after "
-                f"{self.rcfg.max_retries} retries"
+                f"message {uid!r} undeliverable after {MAX_RETRIES} retries"
             )
         ps.retries += 1
         ps.attempt += 1
@@ -457,7 +469,7 @@ class Transport:
         # Exponential backoff, capped: an uncapped doubling under a
         # long partition would arm a timer beyond the watchdog horizon
         # and the run would be declared stalled instead of recovering.
-        ps.timeout = min(ps.timeout * self.rcfg.backoff, self.rcfg.max_rto)
+        ps.timeout = min(ps.timeout * BACKOFF, MAX_RTO)
         self.sim.push_id(now + ps.timeout, self._k_timer, (uid, ps.attempt))
 
     def on_nack(self, uid: tuple, now: float) -> None:
@@ -534,7 +546,7 @@ class Transport:
         # sending process is stale - its send was either dropped at
         # failover or re-armed under the live incarnation, so this copy
         # is rejected silently (no ack, never marked seen).
-        if self.mcfg is not None and s.inc is not None \
+        if self.membership and s.inc is not None \
                 and s.inc[1] < self.router.inc[s.inc[0]]:
             self.report.fenced_messages += 1
             self._note_recv(now, wid, proc, False, uid)
@@ -631,7 +643,7 @@ class Transport:
                 ps.attempt += 1
                 ps.sent_at = None  # Karn: a re-armed send is ambiguous
                 ps.parked = None  # failover overrides flow control
-                if self.mcfg is not None:
+                if self.membership:
                     # Restamp under the new owner's live incarnation:
                     # left stale, every retransmit would be fenced at
                     # the receiver and the retry budget would burn out.
@@ -669,10 +681,7 @@ class Transport:
                 for uid, ps in self.pending.items()
             },
             "seen": sorted(self.seen),
-            "rtt": {
-                link: (est.srtt, est.rttvar, est.samples)
-                for link, est in self.rtt.items()
-            },
+            "rtt": {link: est.state() for link, est in self.rtt.items()},
             "credit_used": dict(self._credit_used),
             "charged": dict(self._charged),
             "parked": list(self._parked),
@@ -693,14 +702,9 @@ class Transport:
             pending[uid] = ps
         self.pending = pending
         self.seen = set(d["seen"])
-        rtt: dict[tuple[int, int], RttEstimator] = {}
-        for link, (srtt, rttvar, samples) in d["rtt"].items():
-            est = RttEstimator()
-            est.srtt = srtt
-            est.rttvar = rttvar
-            est.samples = samples
-            rtt[link] = est
-        self.rtt = rtt
+        self.rtt = {
+            link: RttEstimator.from_state(s) for link, s in d["rtt"].items()
+        }
         self._credit_used = dict(d["credit_used"])
         self._charged = dict(d["charged"])
         self._parked = list(d["parked"])

@@ -11,6 +11,8 @@ neutrality test pins the opt-in contract: an all-off
 at all.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,9 @@ from repro.runtime import (
     Simulator,
     StragglerWindow,
     Transport,
+)
+from repro.runtime.faults import (
+    ACK_TIMEOUT, BACKOFF, MAX_RETRIES, MAX_RTO, MIN_RTO,
 )
 from repro.runtime.metrics import Breakdown
 from repro.runtime.scheduler import _percentile
@@ -69,28 +74,40 @@ ADAPTIVE_RTO = AdaptiveConfig(adaptive_rto=True)
 # -- estimator properties --------------------------------------------------------
 
 
-@given(
-    samples=st.lists(st.floats(1e-7, 1e-2), min_size=1, max_size=40),
-    k=st.floats(1.0, 8.0),
-)
+@given(samples=st.lists(st.floats(1e-7, 1e-2), min_size=1, max_size=40))
 @settings(max_examples=100, deadline=None)
-def test_rto_always_within_configured_bounds(samples, k):
-    min_rto, max_rto = 20e-6, 10e-3
+def test_rto_always_within_configured_bounds(samples):
     est = RttEstimator()
     for r in samples:
-        est.sample(r, 0.125, 0.25)
-        assert min_rto <= est.rto(k, min_rto, max_rto) <= max_rto
+        est.sample(r)
+        assert MIN_RTO <= est.rto(MIN_RTO, MAX_RTO) <= MAX_RTO
         # SRTT is a convex combination of the samples seen so far.
         assert min(samples) <= est.srtt <= max(samples)
 
 
 def test_first_sample_seeds_rfc6298(rtt=4e-6):
     est = RttEstimator()
-    est.sample(rtt, 0.125, 0.25)
+    est.sample(rtt)
     assert est.srtt == rtt
     assert est.rttvar == rtt / 2
     with pytest.raises(ReproError):
-        RttEstimator().rto(4.0, 0.0, 1.0)
+        RttEstimator().rto(0.0, 1.0)
+
+
+def test_estimator_state_round_trips():
+    """``state()`` is the snapshot form both the transport and the
+    membership plane store; ``from_state`` rebuilds a twin that keeps
+    sampling identically."""
+    assert RttEstimator().state() == (None, 0.0, 0)
+    est = RttEstimator()
+    for r in (5e-6, 9e-6, 4e-6):
+        est.sample(r)
+    twin = RttEstimator.from_state(list(est.state()))  # codec may list it
+    assert twin.state() == est.state()
+    est.sample(7e-6)
+    twin.sample(7e-6)
+    assert twin.state() == est.state()
+    assert twin.rto(MIN_RTO, MAX_RTO) == est.rto(MIN_RTO, MAX_RTO)
 
 
 @given(
@@ -133,53 +150,43 @@ def test_failover_rearm_is_karn_ambiguous():
 def test_warmed_estimator_arms_new_sends():
     _, tr = _transport(RecoveryConfig(adaptive=ADAPTIVE_RTO))
     s = _send(tr)
-    tr.on_ack(s.uid, 5e-6)  # SRTT=5us, RTTVAR=2.5us -> RTO=min_rto clamp
-    a = ADAPTIVE_RTO
-    expect = tr.rtt[(0, 1)].rto(a.rto_k, a.min_rto, tr.rcfg.max_rto)
+    tr.on_ack(s.uid, 5e-6)  # SRTT=5us, RTTVAR=2.5us -> RTO=MIN_RTO clamp
+    expect = tr.rtt[(0, 1)].rto(MIN_RTO, MAX_RTO)
     s2 = _send(tr)
     assert tr.pending[s2.uid].timeout == expect
-    assert expect == a.min_rto  # 15us raw estimate clamps up to min_rto
+    assert expect == MIN_RTO  # 15us raw estimate clamps up to MIN_RTO
 
 
-@given(
-    backoff=st.floats(1.1, 8.0),
-    ack_timeout=st.floats(1e-5, 1e-3),
-    factor=st.floats(1.0, 50.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_backoff_never_escalates_past_max_rto(backoff, ack_timeout, factor):
-    rcfg = RecoveryConfig(
-        ack_timeout=ack_timeout, backoff=backoff,
-        max_rto=ack_timeout * factor,
-    )
-    _, tr = _transport(rcfg)
+def test_backoff_never_escalates_past_max_rto():
+    """The fixed timer's whole schedule: MAX_RETRIES retransmits, the
+    k-th re-arming ``min(ACK_TIMEOUT * BACKOFF**k, MAX_RTO)``, then the
+    next expiry declares the message undeliverable, naming it."""
+    _, tr = _transport(RecoveryConfig())
     s = _send(tr)
     ps = tr.pending[s.uid]
-    for _ in range(rcfg.max_retries):
-        tr.on_timer((s.uid, ps.attempt), ps.timeout)
-        assert ps.timeout <= rcfg.max_rto
+    assert ps.timeout == ACK_TIMEOUT
+    now = 0.0
+    for k in range(1, MAX_RETRIES + 1):
+        now += ps.timeout
+        tr.on_timer((s.uid, ps.attempt), now)
+        assert ps.timeout == min(ACK_TIMEOUT * BACKOFF**k, MAX_RTO)
+    assert ps.timeout == MAX_RTO  # the cap was reached, not just approached
+    assert tr.report.retries == MAX_RETRIES
+    with pytest.raises(ReproError, match=re.escape(
+        f"message {s.uid!r} undeliverable after {MAX_RETRIES} retries"
+    )):
+        tr.on_timer((s.uid, ps.attempt), now + ps.timeout)
 
 
 # -- config validation -----------------------------------------------------------
 
 
 def test_config_validation():
-    with pytest.raises(ReproError, match="max_rto"):
-        RecoveryConfig(ack_timeout=1e-3, max_rto=1e-4)
-    with pytest.raises(ReproError, match="min_rto"):
-        RecoveryConfig(
-            adaptive=AdaptiveConfig(adaptive_rto=True, min_rto=1.0)
-        )
-    with pytest.raises(ReproError):
-        AdaptiveConfig(hedge_factor=1.5)
-    with pytest.raises(ReproError):
-        AdaptiveConfig(spec_percentile=101.0)
-    with pytest.raises(ReproError):
+    with pytest.raises(ReproError, match="inbox_credits"):
         AdaptiveConfig(inbox_credits=0)
-    with pytest.raises(ReproError):
-        AdaptiveConfig(demotion_patience=0)
-    assert not AdaptiveConfig().any_enabled()
-    assert AdaptiveConfig.all_on().any_enabled()
+    on = AdaptiveConfig.all_on(inbox_credits=4)
+    assert on.adaptive_rto and on.hedging and on.speculation
+    assert on.backpressure and on.demotion and on.inbox_credits == 4
 
 
 def test_demotion_requires_resilient_programs():
@@ -188,7 +195,8 @@ def test_demotion_requires_resilient_programs():
     machine, pset, solver = _setup()
     progs, _ = solver.build_programs(resilient=False)
     rt = DataDrivenRuntime(
-        16, machine=machine, adaptive=AdaptiveConfig(demotion=True),
+        16, machine=machine,
+        recovery=RecoveryConfig(adaptive=AdaptiveConfig(demotion=True)),
     )
     with pytest.raises(ReproError, match="resilient"):
         rt.run(progs, pset.patch_proc)
@@ -224,7 +232,7 @@ def test_speculation_fires_and_wins_on_stragglers():
         p_drop=0.05, seed=7,
     )
     acfg = AdaptiveConfig(adaptive_rto=True, hedging=True, speculation=True)
-    rep, phi = _run(plan, recovery=RecoveryConfig(), adaptive=acfg)
+    rep, phi = _run(plan, recovery=RecoveryConfig(adaptive=acfg))
     a = rep.adaptive_summary()
     assert a["rtt_samples"] > 0
     assert a["hedged_sends"] > 0
@@ -238,7 +246,7 @@ def test_backpressure_stalls_are_booked():
     acfg = AdaptiveConfig(backpressure=True, inbox_credits=1)
     rep, phi = _run(
         FaultPlan(p_drop=0.02, seed=3),
-        recovery=RecoveryConfig(), adaptive=acfg,
+        recovery=RecoveryConfig(adaptive=acfg),
     )
     a = rep.adaptive_summary()
     assert a["backpressure_stalls"] > 0
@@ -282,7 +290,9 @@ def test_all_off_config_is_event_identical_to_none():
 
     plan = FaultPlan(p_drop=0.05, p_duplicate=0.03, seed=11)
     rep_none, phi_none = _run(plan)
-    rep_off, phi_off = _run(plan, adaptive=AdaptiveConfig())
+    rep_off, phi_off = _run(
+        plan, recovery=RecoveryConfig(adaptive=AdaptiveConfig())
+    )
     assert rep_off.makespan == rep_none.makespan
     assert rep_off.events == rep_none.events
     assert all(v == 0 for v in rep_off.adaptive_summary().values())

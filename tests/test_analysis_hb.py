@@ -81,7 +81,7 @@ def test_adaptive_speculation_run_is_race_free():
         p_drop=0.05, seed=7,
     )
     acfg = AdaptiveConfig(adaptive_rto=True, hedging=True, speculation=True)
-    rep, _ = _run(plan, recovery=RecoveryConfig(), adaptive=acfg, trace=True)
+    rep, _ = _run(plan, recovery=RecoveryConfig(adaptive=acfg), trace=True)
     assert rep.adaptive_summary()["speculative_wins"] > 0
     races = check_report(rep)
     assert races == [], "\n".join(r.format() for r in races)
@@ -98,7 +98,7 @@ def test_adaptive_all_on_run_is_race_free():
         p_drop=0.03, seed=3,
     )
     acfg = AdaptiveConfig.all_on(inbox_credits=2)
-    rep, _ = _run(plan, recovery=RecoveryConfig(), adaptive=acfg, trace=True)
+    rep, _ = _run(plan, recovery=RecoveryConfig(adaptive=acfg), trace=True)
     races = check_report(rep)
     assert races == [], "\n".join(r.format() for r in races)
     assert rep.hb_events

@@ -42,6 +42,7 @@ from repro.runtime import (
     Transport,
     stream_checksum,
 )
+from repro.runtime.faults import ACK_TIMEOUT
 from repro.runtime.metrics import Breakdown
 from repro.runtime.recovery import Checkpoint
 from tests.conftest import make_solver
@@ -428,7 +429,7 @@ class TestRearmAfterFailover:
         tr.rearm_after_failover({pid}, ck, now=1e-3)
         assert s.uid in tr.pending
         assert ps.retries == 0  # retry budget restarts with the new owner
-        assert ps.timeout == RecoveryConfig().ack_timeout  # backoff reset
+        assert ps.timeout == ACK_TIMEOUT  # backoff reset
         assert ps.attempt == attempt + 1  # stale timers lazily cancelled
         assert len(sim) == events_before + 2  # fresh msg_arrive + timer
 
@@ -502,7 +503,7 @@ class TestChaosCampaign:
             for seed in range(60):
                 plan = random_fault_plan(seed, nprocs, space)
                 assert plan.max_casualties() < nprocs
-                plan.validate(nprocs, [])  # no crashes -> programs unused
+                plan.validate(nprocs)
 
     def test_generated_plans_cover_every_fault_class(self):
         space = ChaosSpace(intensity=1.0)

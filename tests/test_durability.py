@@ -28,7 +28,7 @@ import pytest
 from repro.persist import SnapshotManager, kill_and_resume, report_fingerprint
 from repro.persist.snapshot import FluxArrayState
 from repro.runtime import (
-    AdaptiveConfig, DataDrivenRuntime, HostKilled, Machine,
+    AdaptiveConfig, DataDrivenRuntime, HostKilled, Machine, RecoveryConfig,
 )
 from repro.runtime.metrics import Breakdown, RunReport
 from repro.service import (
@@ -73,7 +73,10 @@ def _factory(name):
         progs, faces = s.build_programs(resilient=faulty)
         rt = DataDrivenRuntime(
             cores, machine=machine, mode=mode, faults=plan,
-            adaptive=AdaptiveConfig.all_on() if adaptive else None,
+            recovery=(
+                RecoveryConfig(adaptive=AdaptiveConfig.all_on())
+                if adaptive else None
+            ),
         )
         factory.extra = (s, faces)
         return rt, progs, pset.patch_proc, FluxArrayState(faces)
@@ -333,9 +336,7 @@ def test_stream_incarnation_survives_the_codec():
 def _membership_factory():
     """Crash -> restart -> rejoin -> second crash of rank 1 (the
     ``ChaosSpace.flapping`` shape) under heartbeat detection."""
-    from repro.runtime import (
-        CrashFault, FaultPlan, MembershipConfig, RecoveryConfig,
-    )
+    from repro.runtime import CrashFault, FaultPlan
     from tests.test_chaos import CORES, _setup
 
     plan = FaultPlan(crashes=(
@@ -348,7 +349,7 @@ def _membership_factory():
         progs, faces = s.build_programs(resilient=True)
         rt = DataDrivenRuntime(
             CORES, machine=machine, faults=plan,
-            recovery=RecoveryConfig(membership=MembershipConfig.all_on()),
+            recovery=RecoveryConfig(membership=True),
         )
         factory.extra = (s, faces)
         return rt, progs, pset.patch_proc, FluxArrayState(faces)

@@ -7,6 +7,8 @@ the recovery machinery armed stays within the checkpoint overhead
 budget of the fault-free makespan.
 """
 
+import dataclasses
+import inspect
 import warnings
 
 import pytest
@@ -16,6 +18,7 @@ from repro._util import ReproError
 from repro.framework import PatchSet
 from repro.mesh import cube_structured
 from repro.runtime import (
+    AdaptiveConfig,
     CrashFault,
     DataDrivenRuntime,
     FaultInjector,
@@ -24,6 +27,7 @@ from repro.runtime import (
     Machine,
     RecoveryConfig,
     StragglerWindow,
+    faults,
 )
 from tests.conftest import make_solver
 
@@ -97,7 +101,7 @@ class TestFaultPlan:
         )
         with pytest.warns(UserWarning, match="straggler window"):
             with pytest.warns(UserWarning, match="partition of link"):
-                late.validate(4, [], horizon=1.0)
+                late.validate(4, horizon=1.0)
         # Windows inside the horizon - or no horizon armed at all -
         # must stay silent.
         early = FaultPlan(
@@ -106,8 +110,8 @@ class TestFaultPlan:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            early.validate(4, [], horizon=1.0)
-            late.validate(4, [])
+            early.validate(4, horizon=1.0)
+            late.validate(4)
 
 
 class TestFaultInjector:
@@ -142,16 +146,72 @@ class TestFaultInjector:
 
 class TestRecoveryConfig:
     def test_validation(self):
-        with pytest.raises(ReproError):
-            RecoveryConfig(ack_timeout=0.0)
-        with pytest.raises(ReproError):
-            RecoveryConfig(checkpoint_interval=-1.0)
-        with pytest.raises(ReproError):
-            RecoveryConfig(backoff=0.5)
-        with pytest.raises(ReproError):
-            RecoveryConfig(max_retries=0)
-        with pytest.raises(ReproError):
-            RecoveryConfig(detection_delay=-1e-6)
+        with pytest.raises(ReproError, match="watchdog_horizon"):
+            RecoveryConfig(watchdog_horizon=-1e-6)
+        with pytest.raises(ReproError, match="inbox_credits"):
+            AdaptiveConfig(inbox_credits=0)
+        RecoveryConfig(watchdog_horizon=0.0)  # 0 = watchdog off
+
+    def test_constants_keep_the_deleted_invariants(self):
+        """What the deleted config validators enforced, now a property
+        of the constants that replaced the fields."""
+        assert 0 < faults.ACK_TIMEOUT <= faults.MAX_RTO
+        assert 0 < faults.MIN_RTO <= faults.MAX_RTO
+        # At >= 1 the ack timer always beats the hedge timer.
+        assert 0 < faults.HEDGE_FACTOR < 1
+        # A suspicion bar below one probe period suspects every rank.
+        assert (0 < faults.HEARTBEAT_INTERVAL < faults.MIN_TIMEOUT
+                <= faults.MAX_TIMEOUT)
+        assert faults.BACKOFF >= 1 and faults.MAX_RETRIES >= 1
+        assert 0 < faults.SRTT_GAIN < 1 and 0 < faults.RTTVAR_GAIN < 1
+        assert faults.RTO_K > 0
+        assert 0 < faults.SPEC_PERCENTILE <= 100
+        assert faults.SPEC_FACTOR >= 1 and faults.SPEC_MIN_SAMPLES >= 1
+        assert faults.CHECKPOINT_INTERVAL > 0 and faults.DETECTION_DELAY >= 0
+        assert faults.DEMOTION_INTERVAL > 0 and faults.DEMOTION_FACTOR > 1
+        assert faults.DEMOTION_PATIENCE >= 1 and faults.DEMOTION_MAX >= 0
+        assert faults.PROBE_COST >= 0 and faults.REJOIN_PROBES >= 1
+        assert faults.REBALANCE_BUDGET >= 0
+
+    def test_settable_surface(self):
+        """Nine settable values: three recovery fields, six adaptive
+        ones, and no second way into the adaptive config."""
+        assert [f.name for f in dataclasses.fields(RecoveryConfig)] == [
+            "watchdog_horizon", "adaptive", "membership",
+        ]
+        assert [f.name for f in dataclasses.fields(AdaptiveConfig)] == [
+            "adaptive_rto", "hedging", "speculation", "backpressure",
+            "inbox_credits", "demotion",
+        ]
+        params = inspect.signature(DataDrivenRuntime.__init__).parameters
+        assert "adaptive" not in params
+        assert "recovery" in params
+
+    @pytest.mark.parametrize("mechanism,kw", [
+        ("crash recovery",
+         {"faults": FaultPlan(crashes=(CrashFault(1, 1e-4),))}),
+        ("degraded-mode demotion",
+         {"recovery": RecoveryConfig(adaptive=AdaptiveConfig(demotion=True))}),
+        ("elastic membership", {"recovery": RecoveryConfig(membership=True)}),
+    ], ids=["crash", "demotion", "membership"])
+    def test_migrations_name_the_first_non_resilient_program(
+        self, mechanism, kw
+    ):
+        """One precondition for every mechanism that migrates programs:
+        the error names the mechanism and the first offending program."""
+        machine, pset, s = _setup()
+        progs, _ = s.build_programs(compute=False, resilient=True)
+        for p in (progs[5], progs[9]):
+            p.resilient_input = False
+        with pytest.raises(ReproError) as err:
+            DataDrivenRuntime(CORES, machine=machine, **kw).run(
+                progs, pset.patch_proc
+            )
+        msg = str(err.value)
+        assert msg.startswith(f"{mechanism} replays streams")
+        assert repr(progs[5].id) in msg
+        assert repr(progs[9].id) not in msg
+        assert "resilient=True" in msg
 
 
 # -- program checkpoint/restore --------------------------------------------------

@@ -20,7 +20,6 @@ from repro.runtime import (
     AdaptiveConfig,
     DataDrivenRuntime,
     DeadlineExceeded,
-    MembershipConfig,
     RecoveryConfig,
     Simulator,
     StallError,
@@ -72,12 +71,12 @@ VARIANTS = {
     ),
     "flapping": (
         ChaosSpace(flapping=True),
-        {"recovery": RecoveryConfig(membership=MembershipConfig.all_on())},
+        {"recovery": RecoveryConfig(membership=True)},
     ),
     "speculation": (
         ChaosSpace(),
-        {"adaptive": AdaptiveConfig(
-            adaptive_rto=True, hedging=True, speculation=True)},
+        {"recovery": RecoveryConfig(adaptive=AdaptiveConfig(
+            adaptive_rto=True, hedging=True, speculation=True))},
     ),
 }
 

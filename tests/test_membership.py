@@ -24,7 +24,6 @@ from repro.runtime import (
     FaultPlan,
     InvariantSanitizer,
     Machine,
-    MembershipConfig,
     RecoveryConfig,
     Router,
     RunReport,
@@ -40,54 +39,36 @@ from tests.test_chaos import _reference_phi, _run, _setup
 
 CORES = 16  # 4 procs x (1 master + 3 workers) on the small machine
 
-MCFG = MembershipConfig.all_on()
 
-
-def _mrun(plan, mcfg=MCFG, **kw):
-    return _run(plan, recovery=RecoveryConfig(membership=mcfg), **kw)
+def _mrun(plan, **kw):
+    return _run(plan, recovery=RecoveryConfig(membership=True), **kw)
 
 
 # -- config and plan validation --------------------------------------------------
 
 
-class TestMembershipConfig:
+class TestMembershipFlag:
     def test_defaults_off(self):
-        m = MembershipConfig()
-        assert not m.enabled
-        assert RecoveryConfig().membership is None
+        assert RecoveryConfig().membership is False
+        _, _, tr = _mtransport(membership=False)
+        assert not tr.membership
 
     def test_all_on_enables(self):
-        assert MCFG.enabled
-        assert MCFG.heartbeat_interval > 0
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            MembershipConfig(heartbeat_interval=-1e-6)
-        with pytest.raises(ReproError):
-            MembershipConfig.all_on(min_timeout=0.0)
-        with pytest.raises(ReproError):
-            MembershipConfig.all_on(min_timeout=1e-3, max_timeout=1e-4)
-        with pytest.raises(ReproError):
-            MembershipConfig.all_on(rejoin_probes=0)
-        with pytest.raises(ReproError):
-            MembershipConfig.all_on(rebalance_budget=-1)
-        with pytest.raises(ReproError):
-            # A timeout shorter than the probe period always fires.
-            MembershipConfig(heartbeat_interval=1e-3, min_timeout=1e-4)
+        assert RecoveryConfig(membership=True).membership is True
+        _, _, tr = _mtransport()
+        assert tr.membership
 
     def test_watchdog_must_outlast_suspicion(self):
         with pytest.raises(ReproError, match="watchdog"):
-            RecoveryConfig(
-                watchdog_horizon=1e-3,
-                membership=MembershipConfig.all_on(max_timeout=2e-3),
-            )
+            RecoveryConfig(watchdog_horizon=1e-3, membership=True)
+        RecoveryConfig(watchdog_horizon=0.0, membership=True)  # off: fine
 
     def test_membership_requires_resilient_programs(self):
         machine, pset, solver = _setup()
         progs, _ = solver.build_programs(resilient=False)
         rt = DataDrivenRuntime(
             CORES, machine=machine,
-            recovery=RecoveryConfig(membership=MCFG),
+            recovery=RecoveryConfig(membership=True),
             faults=FaultPlan(seed=1),
         )
         with pytest.raises(ReproError, match="resilient"):
@@ -126,11 +107,11 @@ class TestRestartPlanValidation:
             CrashFault(1, 1.0),
         ))
         assert plan.permanent_procs() == {1}
-        plan.validate(2, [])
+        plan.validate(2)
         with pytest.raises(ReproError, match="every process"):
             FaultPlan(crashes=(
                 CrashFault(0, 1.0), CrashFault(1, 1.0),
-            )).validate(2, [])
+            )).validate(2)
 
 
 # -- incarnation fencing (transport + sanitizer units) ---------------------------
@@ -145,7 +126,7 @@ def _mini_router(nprocs=2):
     return Router(progs, np.arange(nprocs), nprocs)
 
 
-def _mtransport():
+def _mtransport(membership=True):
     machine = Machine(cores_per_proc=4)
     layout = machine.layout(8, "hybrid")  # 2 procs
     sim = Simulator(frozenset({"msg_arrive"}))
@@ -153,7 +134,7 @@ def _mtransport():
     router = _mini_router()
     tr = Transport(
         sim, router, machine, layout, report,
-        rcfg=RecoveryConfig(membership=MCFG),
+        rcfg=RecoveryConfig(membership=membership),
     )
     return sim, router, tr
 
@@ -368,10 +349,10 @@ class TestRestartRejoin:
         plan = FaultPlan(
             stragglers=(StragglerWindow(2, 30e-6, 300e-6, 8.0),), seed=5
         )
-        acfg = AdaptiveConfig(
-            demotion=True, demotion_factor=2.0, demotion_patience=2
+        rcfg = RecoveryConfig(
+            membership=True, adaptive=AdaptiveConfig(demotion=True)
         )
-        rep, phi = _mrun(plan, adaptive=acfg, trace=True)
+        rep, phi = _run(plan, recovery=rcfg, trace=True)
         assert_array_equal(phi, ref)
         m = rep.membership_summary()
         if rep.demotions:  # the probe cadence decides; when it fires:
@@ -418,13 +399,9 @@ class TestWatchdogRearm:
         plan = FaultPlan(
             stragglers=(StragglerWindow(0, 0.0, 1.2e-3, 12.0),), seed=9
         )
-        acfg = AdaptiveConfig(
-            demotion=True, demotion_factor=2.0, demotion_patience=2
-        )
-        rep, phi = _run(
-            plan, recovery=RecoveryConfig(watchdog_horizon=1.5e-3),
-            adaptive=acfg,
-        )
+        rep, phi = _run(plan, recovery=RecoveryConfig(
+            watchdog_horizon=1.5e-3, adaptive=AdaptiveConfig(demotion=True),
+        ))
         assert_array_equal(phi, ref)
 
 
@@ -448,12 +425,12 @@ class TestFlappingCampaign:
             assert {(c.proc, c.time) for c in base.crashes} <= {
                 (c.proc, c.time) for c in flap.crashes
             }
-            flap.validate(4, [])
+            flap.validate(4)
 
     def test_flapping_campaign_20_seeds_exact_and_race_free(self):
         res = run_campaign(
             seeds=range(20), kinds=("structured",), modes=("hybrid",),
-            space=ChaosSpace(flapping=True), membership=MCFG, hb=True,
+            space=ChaosSpace(flapping=True), membership=True, hb=True,
         )
         bad = res.failures()
         assert not bad, "; ".join(

@@ -155,13 +155,9 @@ def test_hedge_after_retransmit_does_not_fire():
 # -- estimator stability under a steady link -------------------------------------
 
 
-@given(
-    r=st.floats(1e-6, 1e-3),
-    n=st.integers(2, 30),
-    k=st.floats(1.0, 8.0),
-)
+@given(r=st.floats(1e-6, 1e-3), n=st.integers(2, 30))
 @settings(max_examples=60, deadline=None)
-def test_constant_rtt_stream_converges_monotonically(r, n, k):
+def test_constant_rtt_stream_converges_monotonically(r, n):
     """A steady link must never destabilise the timer: with identical
     samples SRTT stays pinned at the sample and the RTO sequence is
     nonincreasing (RTTVAR only decays)."""
@@ -170,9 +166,9 @@ def test_constant_rtt_stream_converges_monotonically(r, n, k):
     est = RttEstimator()
     prev = None
     for _ in range(n):
-        est.sample(r, 0.125, 0.25)
+        est.sample(r)
         assert est.srtt == r
-        rto = est.rto(k, 0.0, float("inf"))
+        rto = est.rto(0.0, float("inf"))
         if prev is not None:
             assert rto <= prev
         prev = rto
