@@ -178,14 +178,14 @@ class CoarsenedSweepProgram(SweepPatchProgram):
         )
         self._pops = 0
 
-    def _solve(self, popped, angle: int) -> int:
+    def _solve(self, popped, angle: int, whole: bool) -> int:
         g = self.graph
         self._pops = len(popped)  # repro: transient - read back within the same execution
         starts = g.cluster_ptr[popped]
         sizes = g.cluster_ptr[1:][popped] - starts
         if self.solve_fn is not None:
-            cells = g.cluster_cells[multi_slice(starts, sizes)]
-            self.solve_fn(self.cells_global[cells], angle)
+            # A whole-graph run solves the whole patch: the same route.
+            super()._solve(g.cluster_cells[multi_slice(starts, sizes)], angle, whole)
         return int(sizes.sum())
 
     def _collect(self) -> tuple:

@@ -18,10 +18,13 @@ interior interface plus a slot per boundary face.  :class:`SweepPlan`
 compiles the tables of every angle's kernel into per-level slices of
 one ``(angle, cell)`` vertex list, so the level-vectorized sweep
 advances all angles at once and gathers nothing it could have
-precomputed.
+precomputed; the same layout, one angle and patch-local levels, solves
+the whole-patch runs of the data-driven programs.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -345,6 +348,22 @@ class SweepPlan:
         ):
             if k:
                 self.levels[lv][2].append((a, b, k, s0, s1))
+
+    def twin(self, kernel: AngleKernel) -> "SweepPlan":
+        """This one-angle plan for ``kernel``, an angle whose kernel's
+        index tables equal this plan's kernel's (one angle set of
+        :func:`repro.sweep.dag.angle_sets` over the interior and boundary
+        faces): every index table and ``levels`` shared, only ``coeff``
+        and ``den2`` its own.  ``coeff`` is gathered by slot - a face
+        slot is the inflow of at most one cell of an angle."""
+        twin = copy.copy(self)
+        twin.kernels = [kernel]
+        by_slot = np.empty(kernel.num_slots)
+        by_slot[kernel.in_slot] = kernel.in_coeff
+        twin.coeff = by_slot[self.slots]
+        two = 2.0 if kernel.scheme == "dd" else 1.0
+        twin.den2 = two * kernel.out_coeff_sum[self.vertex]
+        return twin
 
     def sweep(
         self,

@@ -5,13 +5,17 @@ materials, spatial kernel, sweep DAG topology and priorities.  A
 *source iteration* repeatedly sweeps all angles with the scattering
 source lagged, which is the solver structure of JSNT-S / JSNT-U.
 
-Two sweep execution modes produce identical numerics:
+Three sweep execution modes produce identical numerics:
 
-* ``fast``   - direct per-angle topological traversal (no patch
-  machinery); the reference and the quickest way to converge a flux.
+* ``fast-level`` - the default: every dependency level of every angle
+  at once, through the compiled :meth:`SnSolver.sweep_plan`; the
+  quickest way to converge a flux.
+* ``fast``   - direct per-angle topological traversal, cell by cell
+  (no patch machinery); the scalar reference.
 * ``engine`` - the patch-centric data-driven execution of Listing 1 via
   :class:`repro.core.SerialEngine`; exercises exactly the program that
-  the DES runtime schedules.
+  the DES runtime schedules.  Whole-patch runs solve level-batched
+  through :meth:`SnSolver.patch_plan`, partial runs cell by cell.
 
 Bitwise agreement between modes is part of the test suite: the
 data-driven machinery must not change the physics.
@@ -28,25 +32,56 @@ from ..core.engine import EngineStats, SerialEngine
 from ..framework.connectivity import build_boundary, build_interfaces
 from ..framework.patch import PatchSet
 from ..mesh.structured import StructuredMesh
-from .dag import SweepTopology, angle_sets, directed_edges, topological_levels
+from .dag import (
+    SweepTopology, angle_sets, csr_by_source, directed_edges, kahn_fronts,
+    topological_levels,
+)
 from .kernels import _TOL, AngleKernel, SweepPlan
 from .materials import MaterialMap
 from .priorities import PriorityStrategy, apply_priorities
 from .quadrature import Quadrature
-from .sweep_program import SweepPatchProgram
+from .sweep_program import SweepPatchProgram, check_grain
 
 __all__ = ["SnSolver", "SweepResult", "FOUR_PI"]
 
 FOUR_PI = 4.0 * np.pi
 
 
-def _check_grain(grain: int) -> int:
-    """The clustering grain, refused where it enters the solver."""
-    if grain <= 0:
-        raise ReproError(
-            f"clustering grain must be positive; got grain={grain!r}"
-        )
-    return grain
+class _AngleSolve:
+    """The solve callback of one angle's programs over one source.
+
+    Called as ``(cells, angle)`` - a partial run - it solves the cells
+    one by one (:meth:`AngleKernel.solve_cells`).  A whole-patch run
+    calls :meth:`solve_patch` instead: the patch's levels of the angle's
+    :meth:`SnSolver.patch_plan`, one batched ``solve_level`` each, on
+    source and denominators gathered into plan order at the angle's
+    first whole-patch run.
+    """
+
+    __slots__ = ("solver", "angle", "kernel", "src_v", "den", "pf", "pc", "_plan")
+
+    def __init__(self, solver, angle, src_v, den, pf, pc):
+        self.solver = solver
+        self.angle = angle
+        self.kernel = solver.kernel(angle)
+        self.src_v, self.den, self.pf, self.pc = src_v, den, pf, pc
+        self._plan = None
+
+    def __call__(self, cells, angle):
+        self.kernel.solve_cells(cells, self.src_v, self.den, self.pf, self.pc)
+
+    def solve_patch(self, patch: int) -> None:
+        if self._plan is None:
+            plan, first = self.solver.patch_plan(self.angle)
+            src_p, den_p = self.src_v[plan.cell], self.den[plan.cell]
+            self._plan = plan, first, src_p, den_p, np.empty_like(src_p)
+        plan, first, src_p, den_p, psi_p = self._plan
+        lo, hi = first[patch], first[patch + 1]
+        solve_level, pf = self.kernel.solve_level, self.pf
+        for level in range(lo, hi):
+            solve_level(plan, level, src_p, den_p, pf, psi_p)
+        c0, c1 = plan.levels[lo][0], plan.levels[hi - 1][1]
+        self.pc[plan.cell[c0:c1]] = psi_p[c0:c1]
 
 
 @dataclass
@@ -96,7 +131,7 @@ class SnSolver:
         self.scheme = scheme
         self.fixup = fixup
         self.boundary_flux = boundary_flux
-        self.grain = _check_grain(grain)
+        self.grain = check_grain(grain)
         self.strategy = (
             PriorityStrategy.parse(strategy)
             if isinstance(strategy, str)
@@ -116,6 +151,8 @@ class SnSolver:
         self._kernels: dict[int, AngleKernel] = {}
         self._topo_orders: dict[int, np.ndarray] = {}
         self._plan: SweepPlan | None = None
+        self._sets: list[list[int]] | None = None
+        self._patch_plans: dict[int, tuple[SweepPlan, list[int]]] = {}
         self._topology: SweepTopology | None = None
         self._static_prio: dict[tuple[int, int], float] | None = None
 
@@ -234,24 +271,74 @@ class SnSolver:
             )
         return self._topo_orders[angle]
 
+    def _angle_sets(self) -> list[list[int]]:
+        """:func:`angle_sets` over the interior and boundary faces: the
+        angles whose kernels have equal index tables (e.g. one octant
+        of a structured mesh)."""
+        if self._sets is None:
+            self._sets = angle_sets(
+                self.quadrature.directions, self.interfaces.normal,
+                self.boundary.normal, tol=_TOL,
+            )
+        return self._sets
+
     def sweep_plan(self) -> SweepPlan:
         """The compiled level tables of the ``fast-level`` path: one
         :class:`SweepPlan` over every (angle, cell) vertex, the Kahn
-        peel run once per angle set (:func:`angle_sets` over the
-        interior and boundary faces, e.g. one octant of a structured
-        mesh); built at the first call, then reused by every sweep."""
+        peel run once per angle set (:meth:`_angle_sets`); built at the
+        first call, then reused by every sweep."""
         if self._plan is None:
             dirs = self.quadrature.directions
             levels: list = [None] * len(dirs)
-            for angles in angle_sets(
-                dirs, self.interfaces.normal, self.boundary.normal, tol=_TOL
-            ):
+            for angles in self._angle_sets():
                 u, v = directed_edges(self.interfaces, dirs[angles[0]])
                 shared = topological_levels(self.mesh.num_cells, u, v)
                 for a in angles:
                     levels[a] = shared
             self._plan = SweepPlan([self.kernel(a) for a in range(len(dirs))], levels)
         return self._plan
+
+    def patch_plan(self, angle: int) -> tuple[SweepPlan, list[int]]:
+        """The compiled level tables of whole-patch runs of ``angle``:
+        ``(plan, first)``, a one-angle :class:`SweepPlan` over every
+        cell whose levels are, patch after patch, the patch-local Kahn
+        fronts (meshtaichi ``Patcher`` layout: patch ``p`` owns levels
+        ``first[p]:first[p + 1]``).  A whole-patch run finds every
+        upwind face from another patch written, so those levels are its
+        whole dependency order - and only its: the plan is solved patch
+        by patch, never by :meth:`SweepPlan.sweep`.  Built for an angle
+        set at the first whole-patch run of one of its angles; the
+        set's other angles get a :meth:`SweepPlan.twin` sharing every
+        index table and level, with only their coefficients their own."""
+        got = self._patch_plans.get(angle)
+        if got is None:
+            kernel = self.kernel(angle)  # refuses an unknown angle
+            lead = next(s for s in self._angle_sets() if angle in s)[0]
+            if lead not in self._patch_plans:
+                self._patch_plans[lead] = self._compile_patch_plan(lead)
+            plan, first = self._patch_plans[lead]
+            if angle != lead:
+                plan = plan.twin(kernel)
+            got = self._patch_plans[angle] = plan, first
+        return got
+
+    def _compile_patch_plan(self, angle: int) -> tuple[SweepPlan, list[int]]:
+        """One Kahn peel of the union of the patches' local sweep
+        graphs: its fronts are the patch-local ones."""
+        ncells, cp = self.mesh.num_cells, self.pset.cell_patch
+        u, v = directed_edges(self.interfaces, self.quadrature.directions[angle])
+        local = cp[u] == cp[v]
+        front, _ = kahn_fronts(
+            ncells, *csr_by_source(u[local], ncells, v[local]), "patch sweep graph"
+        )
+        depth = np.zeros(self.pset.num_patches, dtype=np.int64)
+        np.maximum.at(depth, cp, front + 1)
+        first = np.concatenate(([0], np.cumsum(depth)))
+        level_of = first[cp] + front
+        order = np.argsort(level_of, kind="stable")
+        bounds = np.searchsorted(level_of[order], np.arange(first[-1] + 1)).tolist()
+        levels = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        return SweepPlan([self.kernel(angle)], [levels]), first.tolist()
 
     # -- single sweep -----------------------------------------------------------------
 
@@ -366,7 +453,7 @@ class SnSolver:
         (edge-id dedup), required to run them under a fault plan with
         process crashes - see :mod:`repro.runtime.faults`.
         """
-        grain = _check_grain(grain if grain is not None else self.grain)
+        grain = check_grain(grain if grain is not None else self.grain)
         topo = self.topology
         faces, solve_fns = self._make_face_solvers(src_v, scatter, compute)
         programs = []
@@ -392,8 +479,9 @@ class SnSolver:
         self, src_v: np.ndarray | None, scatter: np.ndarray | None, compute: bool
     ):
         """Per-angle (psi_faces, psi_cell) arrays plus solve callbacks
-        over ``src_v`` (default: the source of ``scatter``, default
-        zero); both empty for a scheduling-only build."""
+        (:class:`_AngleSolve`) over ``src_v`` (default: the source of
+        ``scatter``, default zero); both empty for a scheduling-only
+        build."""
         faces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         solve_fns: dict[int, object] = {}
         if not compute:
@@ -411,11 +499,7 @@ class SnSolver:
             pc = np.zeros((ncells, ng))
             faces[a] = (pf, pc)
             den = k.removal(self.sigma_t_v)  # once per angle, not per cluster
-
-            def solve(cells, angle, _k=k, _den=den, _pf=pf, _pc=pc):
-                _k.solve_cells(cells, src_v, _den, _pf, _pc)
-
-            solve_fns[a] = solve
+            solve_fns[a] = _AngleSolve(self, a, src_v, den, pf, pc)
         return faces, solve_fns
 
     def record_coarsened(self, grain: int | None = None):

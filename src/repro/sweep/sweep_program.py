@@ -21,11 +21,21 @@ from dataclasses import replace
 
 import numpy as np
 
+from .._util import ReproError
 from ..core.patch_program import PatchProgram
 from ..core.stream import ProgramId, Stream
 from .dag import PatchAngleGraph, heap_keys
 
-__all__ = ["SweepPatchProgram"]
+__all__ = ["SweepPatchProgram", "check_grain"]
+
+
+def check_grain(grain: int) -> int:
+    """The clustering grain, refused where it enters a program or solver."""
+    if grain <= 0:
+        raise ReproError(
+            f"clustering grain must be positive; got grain={grain!r}"
+        )
+    return grain
 
 
 class SweepPatchProgram(PatchProgram):
@@ -46,12 +56,10 @@ class SweepPatchProgram(PatchProgram):
         angle: int,
     ):
         super().__init__(graph.patch, angle)
-        if grain <= 0:
-            raise ValueError("clustering grain must be positive")
+        self.grain = check_grain(grain)
         self.graph = graph  # shared by the angles of its set
         self._dst_ids = graph.dst_ids.setdefault(angle, {})
         self.cells_global = cells_global
-        self.grain = grain
         self.solve_fn = solve_fn
         self.static_priority = static_priority
         self.dynamic_priority = dynamic_priority
@@ -160,7 +168,7 @@ class SweepPatchProgram(PatchProgram):
             self._heap = []
 
         angle = self.id.task
-        nverts = self._solve(popped, angle)
+        nverts = self._solve(popped, angle, whole)
         self._solved += nverts
         if self.record_clusters:
             self.clusters.append(
@@ -187,11 +195,17 @@ class SweepPatchProgram(PatchProgram):
             "streams": len(outs),
         }
 
-    def _solve(self, popped, angle: int) -> int:
-        """Hand one run's vertices to the solve callback, in pop order;
-        returns how many cells that solved."""
-        if self.solve_fn is not None:
-            self.solve_fn(self.cells_global[popped], angle)
+    def _solve(self, popped, angle: int, whole: bool) -> int:
+        """Hand one run's vertices to the solve callback, in pop order -
+        or, for a whole-patch run, just the patch to the callback's
+        ``solve_patch(patch)`` if it has one (the solver's level-batched
+        path, DESIGN.md 12.4); returns how many cells that solved."""
+        fn = self.solve_fn
+        if fn is not None:
+            if whole and hasattr(fn, "solve_patch"):
+                fn.solve_patch(self.id.patch)
+            else:
+                fn(self.cells_global[popped], angle)
         return len(popped)
 
     def _collect(self) -> tuple:

@@ -237,7 +237,7 @@ def test_edge_into_a_patch_without_a_coarsened_graph_is_named(cube_cgs):
 def test_zero_cluster_grain_is_refused(cube_cgs):
     _, cgs = cube_cgs
     cg = next(iter(cgs.values()))
-    with pytest.raises(ValueError, match="grain must be positive"):
+    with pytest.raises(ReproError, match="grain must be positive"):
         CoarsenedSweepProgram(cg, np.arange(cg.n_vertices), cv_grain=0)
 
 

@@ -13,9 +13,10 @@ change every solver result.
 import numpy as np
 import pytest
 
-from repro import DataDrivenRuntime
+from repro import CrashFault, DataDrivenRuntime, FaultPlan
 from repro._util import ReproError
 from repro.apps import JSNTS, JSNTU
+from repro.core import SerialEngine
 from repro.framework import PatchSet
 from repro.mesh import cube_structured, warped_quad_mesh
 from repro.runtime import Machine
@@ -23,7 +24,9 @@ from repro.sweep import (
     Material, MaterialMap, Quadrature, SnSolver, level_symmetric,
     product_quadrature,
 )
-from repro.sweep.dag import angle_sets, directed_edges, topological_levels
+from repro.sweep.dag import (
+    angle_sets, directed_edges, kahn_fronts, topological_levels,
+)
 from repro.sweep.kernels import _TOL, AngleKernel, SweepPlan
 
 
@@ -149,20 +152,179 @@ def test_fast_level_is_bitwise_fast(name):
     assert len(level.sweep_plan().levels) == max(depths)
 
 
-def test_des_accumulate_is_bitwise_fast_level():
-    s = _cube()
-    s = SnSolver(
-        PatchSet.from_structured(s.mesh, (3, 3, 3), nprocs=2), s.quadrature,
-        s.materials, s.source, grain=8,
+_MACHINE = Machine(cores_per_proc=4)
+
+
+def _des_solver(structured, grain, mode="hybrid"):
+    """Structured: 8 patches of 27 cells, so from grain 27 on every run
+    is a whole-patch run (a patch cannot start before its corner cell's
+    upwind faces are in).  Unstructured: 9 patches of 16 warped quads,
+    whose runs from grain 16 on are whole or partial, as the upwind
+    patches' streams arrive; below it all partial."""
+    nprocs = _MACHINE.layout(8, mode).nprocs
+    if structured:
+        base = _cube()
+        pset = PatchSet.from_structured(base.mesh, (3, 3, 3), nprocs=nprocs)
+        return SnSolver(pset, base.quadrature, base.materials, base.source,
+                        grain=grain)
+    mesh = warped_quad_mesh((12, 12))
+    mm = MaterialMap.uniform(Material.isotropic(1.0, 0.3), mesh.num_cells)
+    return SnSolver(
+        PatchSet.from_unstructured(mesh, 16, nprocs=nprocs), level_symmetric(4),
+        mm, np.ones((mesh.num_cells, 1)), scheme="step", grain=grain,
     )
-    reference, leakage, _ = s.sweep_once(mode="fast-level")
-    programs, faces = s.build_programs(compute=True)
-    DataDrivenRuntime(8, machine=Machine(cores_per_proc=4)).run(
-        programs, s.pset.patch_proc
-    )
-    phi, leak = s.accumulate(faces)
+
+
+def _des_run(s, mode="hybrid", crash=False):
+    """One compute=True DES sweep; with ``crash``, process 1 crashes a
+    third into the clean makespan and resilient programs recover."""
+    faults = None
+    if crash:
+        clean, _ = s.build_programs(compute=False)
+        makespan = DataDrivenRuntime(8, machine=_MACHINE, mode=mode).run(
+            clean, s.pset.patch_proc).makespan
+        faults = FaultPlan(crashes=(CrashFault(proc=1, time=makespan / 3),))
+    programs, faces = s.build_programs(resilient=crash)
+    rep = DataDrivenRuntime(8, machine=_MACHINE, mode=mode, faults=faults).run(
+        programs, s.pset.patch_proc)
+    assert rep.crashes == int(crash)
+    return s.accumulate(faces)
+
+
+def _coarsened_run(s):
+    programs, faces = s.build_coarsened_programs(s.record_coarsened())
+    DataDrivenRuntime(8, machine=_MACHINE).run(programs, s.pset.patch_proc)
+    return s.accumulate(faces)
+
+
+RUNS = {
+    "des": _des_run,
+    "crash": lambda s, mode: _des_run(s, mode, crash=True),
+    "engine": lambda s, mode: s.sweep_once(mode="engine")[:2],
+    "coarsened": lambda s, mode: _coarsened_run(s),
+}
+
+#: id -> (structured, grain, mode, run, the kernel paths that must run,
+#: 1-D ``sigma_t_v``).  ``cube-partial`` is where this test began.
+DES_CASES = {
+    "cube-partial": (True, 8, "hybrid", "des", {"cells"}, False),
+    "cube-whole": (True, 27, "hybrid", "des", {"level"}, False),
+    "warped-partial": (False, 4, "hybrid", "des", {"cells"}, False),
+    "warped-mixed": (False, 64, "hybrid", "des", {"cells", "level"}, False),
+    "cube-whole-mpi_only": (True, 27, "mpi_only", "des", {"level"}, False),
+    "warped-mixed-mpi_only": (False, 64, "mpi_only", "des", {"cells", "level"}, False),
+    "cube-whole-crash": (True, 27, "hybrid", "crash", {"level"}, False),
+    "warped-mixed-crash": (False, 64, "hybrid", "crash", {"cells", "level"}, False),
+    "cube-whole-engine": (True, 27, "hybrid", "engine", {"level"}, False),
+    "warped-partial-engine": (False, 4, "hybrid", "engine", {"cells"}, False),
+    "cube-whole-sigma1d": (True, 27, "hybrid", "des", {"level"}, True),
+    "warped-mixed-sigma1d": (False, 64, "hybrid", "des", {"cells", "level"}, True),
+    "cube-coarsened": (True, 27, "hybrid", "coarsened", {"level"}, False),
+    "warped-coarsened": (False, 64, "hybrid", "coarsened", {"cells", "level"}, False),
+}
+
+
+def _count_kernel_calls(monkeypatch):
+    """``{"cells": solve_cells calls, "level": solve_level calls}``, live."""
+    calls = {"cells": 0, "level": 0}
+    for key, name in (("cells", "solve_cells"), ("level", "solve_level")):
+        real = getattr(AngleKernel, name)
+
+        def counted(*args, _key=key, _real=real):
+            calls[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(AngleKernel, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", DES_CASES)
+def test_des_accumulate_is_bitwise_fast_level(monkeypatch, case):
+    """Every program-driven sweep - whole-patch runs through the patch
+    plans, partial runs through ``solve_cells``, on both mesh families,
+    both runtime modes, under a crash, serially and coarsened - gives
+    the flux and leakage of ``sweep_once()`` bit for bit."""
+    structured, grain, mode, run, paths, sigma_1d = DES_CASES[case]
+    s = _des_solver(structured, grain, mode)
+    if sigma_1d:
+        s.sigma_t_v = s.sigma_t_v[:, 0].copy()
+    reference, leakage, _ = s.sweep_once()
+    calls = _count_kernel_calls(monkeypatch)
+    phi, leak = RUNS[run](s, mode)
     assert np.array_equal(phi, reference)
     assert np.array_equal(leak, leakage)
+    assert {path for path, n in calls.items() if n} == paths
+
+
+def test_whole_patch_run_makes_one_solve_level_call_per_patch_level(monkeypatch):
+    """Call structure, no timing: a whole-patch run is one batched
+    ``solve_level`` per patch-local Kahn front of its patch and no
+    ``solve_cells``; a partial run is one ``solve_cells`` call."""
+    calls = _count_kernel_calls(monkeypatch)
+    for grain, whole in ((27, True), (8, False)):
+        s = _des_solver(True, grain)
+        programs, _ = s.build_programs()
+        # The programs of the patch without upwind patches (one corner
+        # patch per angle): their first run has nothing to wait for.
+        checked = 0
+        for prog in programs:
+            g = prog.graph
+            if int(g.init_counts.sum()) != g.num_local_edges:
+                continue
+            _, fronts = kahn_fronts(g.n_local, g.dl_indptr, g.dl_target, "patch")
+            prog.init()
+            calls.update(cells=0, level=0)
+            prog.compute()
+            checked += 1
+            if whole:
+                assert prog.remaining_workload() == 0
+                assert calls == {"cells": 0, "level": fronts}
+                _, first = s.patch_plan(prog.task)
+                assert first[prog.patch + 1] - first[prog.patch] == fronts
+            else:
+                assert prog.remaining_workload() == g.n_local - grain
+                assert calls == {"cells": 1, "level": 0}
+        assert checked == s.quadrature.num_angles
+
+
+def test_engine_sweep_kernel_calls_are_the_patch_levels(monkeypatch):
+    """Over a whole sweep - the recording one and a replaying one - and
+    over coarsened programs, every run of the 27-cell patches is whole:
+    ``solve_level`` calls add up to every (patch, angle)'s local fronts
+    (7 for a 3x3x3 patch) and ``solve_cells`` never runs."""
+    s = _des_solver(True, 27)
+    npat, na = s.pset.num_patches, s.quadrature.num_angles
+    calls = _count_kernel_calls(monkeypatch)
+    for _ in range(2):
+        calls.update(cells=0, level=0)
+        s.sweep_once(mode="engine")
+        assert calls == {"cells": 0, "level": npat * na * 7}
+    programs, _ = s.build_coarsened_programs(s.record_coarsened())
+    calls.update(cells=0, level=0)
+    engine = SerialEngine()
+    for prog in programs:
+        engine.add_program(prog)
+    engine.run()
+    assert calls == {"cells": 0, "level": npat * na * 7}
+
+
+def test_patch_plans_share_index_tables_within_an_angle_set():
+    """One compiled plan per angle set; its other angles are twins that
+    share every index table and level and own only their coefficients,
+    which equal what compiling the angle on its own gives."""
+    s = _des_solver(True, 27)
+    for angles in _sets(s):
+        lead, first = s.patch_plan(angles[0])
+        for a in angles:
+            plan, f = s.patch_plan(a)
+            assert s.patch_plan(a)[0] is plan and f is first
+            assert plan.kernels == [s.kernel(a)]
+            for name in ("vertex", "cell", "slots", "osl", "oseg", "pair", "levels"):
+                assert getattr(plan, name) is getattr(lead, name)
+            alone = s._compile_patch_plan(a)[0]
+            assert np.array_equal(plan.coeff, alone.coeff)
+            assert np.array_equal(plan.den2, alone.den2)
+            assert (a == angles[0]) == (plan is lead)
 
 
 def test_sigma_t_v_may_be_one_value_per_cell():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro._util import ReproError
 from repro.core import SerialEngine
 from repro.framework import PatchSet
 from repro.mesh import cube_structured, disk_tri_mesh
@@ -156,7 +157,8 @@ class TestProgramMechanics:
     def test_invalid_grain(self, small_pset):
         topo = SweepTopology(small_pset, level_symmetric(2))
         g = topo.graphs[(0, 0)]
-        with pytest.raises(ValueError):
+        # The same structured error as SnSolver(grain=0): one check.
+        with pytest.raises(ReproError, match="grain=0"):
             SweepPatchProgram(g, small_pset.patches[0].cells, grain=0, angle=0)
 
     def test_counters_reported_once(self, small_pset):
