@@ -21,10 +21,12 @@ This package enforces both statically:
   one-module program), :mod:`repro.analysis.effects` infers each
   function's transitive effects, and a rule reports the direct site
   and every call site that reaches one;
-* :mod:`repro.analysis.hb` - a vector-clock happens-before checker
-  over the structured event trace the simulator emits, flagging
-  commit/migration/speculation races the runtime sanitizer's
-  exactly-once checks cannot see.
+* :mod:`repro.analysis.hb` - offline replay of recorded ``hb_*``
+  traces through the runtime's one run checker
+  (:class:`repro.runtime.checker.HbChecker`, a vector-clock
+  happens-before checker whose online mode is the ``sanitize=True``
+  invariant sanitizer), collecting every commit/migration/speculation
+  race instead of raising at the first.
 
 Run both from the CLI::
 

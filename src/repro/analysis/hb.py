@@ -1,372 +1,29 @@
-"""Vector-clock happens-before checker over the runtime's event trace.
+"""Offline happens-before checking of recorded runtime traces.
 
-The dynamic sanitizer (S20) checks *values*: exactly-once uids,
-monotone counters, balanced edge sets.  What it cannot see is
-*ordering*: a commit that lands with the right value but without a
-causal path from the events that justify it is a race that only
-happened to go well under this schedule.  This checker rebuilds
-causality from the structured ``hb_*`` records the runtime emits when
-tracing is armed (see :meth:`repro.runtime.simulator.Simulator.note`)
-and verifies that every state transition is anchored by a
-happens-before edge:
-
-* a delivered message has a matching send, and each stamped uid is
-  delivered at most once (``orphan-delivery`` / ``duplicate-delivery``);
-* a workload commit in a post-failover epoch happens-after the
-  migration that installed that epoch (``unanchored-epoch-commit`` /
-  ``commit-not-after-migration``);
-* a migration happens-after the crash, demotion or suspicion of the
-  process it drains - or targets a process whose rejoin justifies
-  pulling work from healthy donors (``migration-without-cause``);
-* a rejoin happens-after the state transfer that caught the process
-  up, and every commit on a rejoined rank is causally anchored to
-  that transfer - i.e. to the new incarnation, never the old life
-  (``rejoin-without-transfer`` / ``commit-not-after-rejoin``);
-* a restart announcement names a process that actually crashed
-  (``restart-without-crash``);
-* two same-epoch commits to one program from different processes are
-  happens-before ordered unless they are the two legs of a
-  speculative first-completion-wins pair (``concurrent-commit``);
-* a speculated serial commits at most once, and the commit is the
-  trace-first completion (``double-commit`` / ``late-commit``).
-
-The happens-before model: every simulated process is a node, plus one
-``"ctl"`` node for the failure-control plane (crash detection,
-failover orchestration, health probes).  Each record ticks its node's
-clock component; ``hb_recv`` joins the sender's clock at send time,
-``hb_requeue`` joins the control plane's clock at migration time, and
-a backup completion joins the primary's clock at speculation-launch
-time.  Record vocabulary (all fields JSON-scalar)::
-
-    hb_send     (wid, src_proc, dst_proc, uid)   physical copy launched
-    hb_recv     (wid, proc, delivered, uid)      arrival processed
-    hb_spec     (serial, src_proc, dst_proc)     backup execution booked
-    hb_complete (pid, proc, serial, is_backup, committed)
-    hb_commit   (pid, proc, epoch, serial)       workload commit offered
-    hb_crash    (proc,)                          crash detected   [ctl]
-    hb_demote   (proc,)                          demotion decided [ctl]
-    hb_migrate  (pid, old_proc, new_proc, epoch) program re-homed [ctl]
-    hb_requeue  (pid, proc, epoch)               re-install done (optional:
-                                                 the runtime folds this into
-                                                 hb_migrate's eager join)
-    hb_suspect  (proc, inc)                      fenced on missed beats [ctl]
-    hb_restart  (proc,)                          crashed proc came back [ctl]
-    hb_xfer     (proc, inc, nprogs)              state transfer begun   [ctl]
-    hb_rejoin   (proc, inc)                      incarnation live again [ctl]
-    hb_promote  (proc,)                          demotion reversed      [ctl]
+The checker itself lives in the runtime as
+:class:`repro.runtime.checker.HbChecker` (its online mode is the
+``sanitize=True`` invariant sanitizer; the record vocabulary and race
+kinds are documented there).  This module feeds it traces after the
+fact - a ``RunReport``'s ``hb_events`` or a JSON dump - and collects
+every race instead of raising at the first.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+
+from ..runtime.checker import CTL, HbChecker, HbRace, SanitizerError
 
 __all__ = [
+    "CTL",
     "HbRace",
     "HbChecker",
+    "SanitizerError",
     "check_trace",
     "check_report",
     "dump_hb_json",
     "load_hb_json",
 ]
-
-#: Node id of the failure-control plane in the vector clocks.
-CTL = "ctl"
-
-Clock = dict  # node -> int
-
-
-def _leq(a: Clock, b: Clock) -> bool:
-    """``a`` happens-before-or-equals ``b`` componentwise."""
-    return all(v <= b.get(k, 0) for k, v in a.items())
-
-
-@dataclass(frozen=True)
-class HbRace:
-    """One happens-before violation (a race or a broken anchor)."""
-
-    kind: str  # e.g. "concurrent-commit"
-    time: float  # virtual time of the offending record
-    subject: str  # what the race is about (program id, uid, ...)
-    message: str  # full human diagnosis, names the offending commit
-
-    def format(self) -> str:
-        return f"[{self.kind}] t={self.time:.6g} {self.subject}: {self.message}"
-
-
-@dataclass
-class _Commit:
-    pid: str
-    proc: Any
-    epoch: int
-    serial: int
-    time: float
-    vc: Clock
-
-
-class HbChecker:
-    """Feed ``(time, kind, detail)`` records, then :meth:`finish`."""
-
-    def __init__(self) -> None:
-        self._clocks: dict[Any, Clock] = {}
-        self._sends: dict[Any, tuple[Clock, Any, float]] = {}
-        self._delivered_uids: dict[Any, float] = {}
-        #: serial -> (launcher clock snapshot, launching proc)
-        self._spec: dict[Any, tuple[Clock, Any]] = {}
-        self._migrations: dict[tuple[str, int], tuple[Clock, float]] = {}
-        self._failed_procs: set[Any] = set()  # crashed, demoted or suspected
-        self._rejoined: set[Any] = set()  # rebalance targets (rejoin/promote)
-        #: (proc, inc) -> (state-transfer clock, time)
-        self._xfers: dict[tuple[Any, int], tuple[Clock, float]] = {}
-        #: proc -> (transfer clock, time, inc) of the latest rejoin
-        self._rejoin_anchor: dict[Any, tuple[Clock, float, int]] = {}
-        #: (pid, epoch) -> {proc: last commit} for concurrency checks
-        self._last_commit: dict[tuple[str, int], dict[Any, _Commit]] = {}
-        #: serial -> list of (time, committed, pid, proc, is_backup)
-        self._completes: dict[Any, list[tuple]] = {}
-        self.races: list[HbRace] = []
-        self.records = 0
-
-    # -- clock plumbing -------------------------------------------------------------
-
-    def _tick(self, node: Any) -> Clock:
-        c = self._clocks.setdefault(node, {})
-        c[node] = c.get(node, 0) + 1
-        return c
-
-    def _join(self, node: Any, other: Clock) -> None:
-        c = self._clocks.setdefault(node, {})
-        for k, v in other.items():
-            if v > c.get(k, 0):
-                c[k] = v
-
-    def _snap(self, node: Any) -> Clock:
-        return dict(self._clocks.get(node, {}))
-
-    # -- record ingestion -----------------------------------------------------------
-
-    def feed(self, time: float, kind: str, detail: tuple) -> None:
-        handler = getattr(self, "_on_" + kind[3:], None) if kind.startswith(
-            "hb_"
-        ) else None
-        if handler is None:
-            return  # not an HB record: ignore
-        self.records += 1
-        handler(time, *detail)
-
-    def _on_send(self, t: float, wid, src_proc, dst_proc, uid=None) -> None:
-        self._tick(src_proc)
-        self._sends[wid] = (self._snap(src_proc), uid, t)
-
-    def _on_recv(self, t: float, wid, proc, delivered, uid=None) -> None:
-        self._tick(proc)
-        sent = self._sends.get(wid)
-        if sent is None:
-            self.races.append(HbRace(
-                "orphan-delivery", t, f"wid={wid!r}",
-                f"message copy {wid!r} processed on proc {proc} with no "
-                "recorded send: the delivery is not anchored by any "
-                "happens-before edge",
-            ))
-        else:
-            # Any physical arrival is a causal edge - even a copy the
-            # receiver discards (duplicate, corrupted, forwarded on)
-            # was read by ``proc``; ``delivered`` only gates the
-            # exactly-once accounting below.
-            self._join(proc, sent[0])
-        if delivered and uid is not None:
-            first = self._delivered_uids.get(uid)
-            if first is not None:
-                self.races.append(HbRace(
-                    "duplicate-delivery", t, f"uid={uid!r}",
-                    f"uid {uid!r} delivered twice (first at t={first:.6g}, "
-                    f"again on proc {proc}): exactly-once broken upstream "
-                    "of the sanitizer",
-                ))
-            else:
-                self._delivered_uids[uid] = t
-
-    def _on_spec(self, t: float, serial, src_proc, dst_proc) -> None:
-        self._tick(src_proc)
-        self._spec[serial] = (self._snap(src_proc), src_proc)
-
-    def _on_complete(
-        self, t: float, pid, proc, serial, is_backup, committed
-    ) -> None:
-        launch = self._spec.get(serial)
-        if is_backup and launch is not None:
-            # The backup inherited the primary's inputs at launch time.
-            self._join(proc, launch[0])
-        self._tick(proc)
-        if is_backup and committed and launch is not None:
-            # First-completion-wins handoff: the owning (launching)
-            # process observes the backup's result - the program is
-            # requeued on the owner, so later runs there happen-after
-            # this completion.
-            self._join(launch[1], self._snap(proc))
-        self._completes.setdefault(serial, []).append(
-            (t, bool(committed), pid, proc, bool(is_backup))
-        )
-
-    def _on_commit(self, t: float, pid, proc, epoch, serial) -> None:
-        self._tick(proc)
-        vc = self._snap(proc)
-        launch = self._spec.get(serial)
-        if launch is not None and launch[1] != proc:
-            # A winning backup's commit is part of the result handoff:
-            # the owner observes it before re-running the program.
-            self._join(launch[1], vc)
-        commit = _Commit(pid, proc, int(epoch), serial, t, vc)
-        anchor = self._rejoin_anchor.get(proc)
-        if anchor is not None and not _leq(anchor[0], vc):
-            self.races.append(HbRace(
-                "commit-not-after-rejoin", t, pid,
-                f"commit of {pid} on rejoined proc {proc} (serial "
-                f"{serial}, t={t:.6g}) is concurrent with the state "
-                f"transfer that installed incarnation {anchor[2]} "
-                f"(t={anchor[1]:.6g}): the commit is anchored to the "
-                "old life, not the new incarnation",
-            ))
-        if commit.epoch > 0:
-            mig = self._migrations.get((pid, commit.epoch))
-            if mig is None:
-                self.races.append(HbRace(
-                    "unanchored-epoch-commit", t, pid,
-                    f"commit of {pid} on proc {proc} in epoch "
-                    f"{commit.epoch} (serial {serial}) has no recorded "
-                    "migration installing that epoch",
-                ))
-            elif not _leq(mig[0], vc):
-                self.races.append(HbRace(
-                    "commit-not-after-migration", t, pid,
-                    f"commit of {pid} on proc {proc} in epoch "
-                    f"{commit.epoch} (serial {serial}, t={t:.6g}) is "
-                    "concurrent with the migration that installed epoch "
-                    f"{commit.epoch} (t={mig[1]:.6g}): the committing "
-                    "execution never observed the re-install",
-                ))
-        peers = self._last_commit.setdefault((pid, commit.epoch), {})
-        for other_proc, prev in peers.items():
-            if other_proc == proc or prev.serial == serial:
-                continue  # same node is trace-ordered; same serial is
-                # the speculative pair, policed by first-wins below
-            if not _leq(prev.vc, vc):
-                self.races.append(HbRace(
-                    "concurrent-commit", t, pid,
-                    f"commit of {pid} in epoch {commit.epoch} on proc "
-                    f"{proc} (serial {serial}, t={t:.6g}) is concurrent "
-                    f"with the commit on proc {prev.proc} (serial "
-                    f"{prev.serial}, t={prev.time:.6g}): same-epoch "
-                    "writes to one program state with no delivery edge "
-                    "between them",
-                ))
-        peers[proc] = commit
-
-    def _on_crash(self, t: float, proc) -> None:
-        self._tick(CTL)
-        self._failed_procs.add(proc)
-
-    def _on_demote(self, t: float, proc) -> None:
-        self._tick(CTL)
-        self._failed_procs.add(proc)
-
-    def _on_migrate(self, t: float, pid, old_proc, new_proc, epoch) -> None:
-        self._tick(CTL)
-        if (
-            old_proc not in self._failed_procs
-            and new_proc not in self._rejoined
-        ):
-            self.races.append(HbRace(
-                "migration-without-cause", t, pid,
-                f"migration of {pid} from proc {old_proc} to proc "
-                f"{new_proc} (epoch {epoch}) precedes any crash, "
-                f"demotion or suspicion of proc {old_proc} and proc "
-                f"{new_proc} never rejoined",
-            ))
-        self._migrations[(pid, int(epoch))] = (self._snap(CTL), t)
-        # The install runs synchronously on the new owner's master
-        # timeline, so the new owner observes the migration here - not
-        # only at the requeue event (a delivery can reactivate the
-        # program before the requeue pops).
-        self._join(new_proc, self._snap(CTL))
-
-    def _on_requeue(self, t: float, pid, proc, epoch) -> None:
-        mig = self._migrations.get((pid, int(epoch)))
-        if mig is not None:
-            self._join(proc, mig[0])
-        self._tick(proc)
-
-    # -- membership plane (DESIGN.md §14) -------------------------------------------
-
-    def _on_suspect(self, t: float, proc, inc) -> None:
-        # Fencing is the control plane deciding the proc failed: it
-        # justifies draining migrations exactly like a crash does.
-        self._tick(CTL)
-        self._failed_procs.add(proc)
-
-    def _on_restart(self, t: float, proc) -> None:
-        self._tick(CTL)
-        if proc not in self._failed_procs:
-            self.races.append(HbRace(
-                "restart-without-crash", t, f"proc={proc}",
-                f"restart announcement for proc {proc} precedes any "
-                "recorded crash or suspicion of it",
-            ))
-
-    def _on_xfer(self, t: float, proc, inc, nprogs) -> None:
-        self._tick(CTL)
-        self._xfers[(proc, int(inc))] = (self._snap(CTL), t)
-
-    def _on_rejoin(self, t: float, proc, inc) -> None:
-        self._tick(CTL)
-        xfer = self._xfers.get((proc, int(inc)))
-        if xfer is None:
-            self.races.append(HbRace(
-                "rejoin-without-transfer", t, f"proc={proc}",
-                f"proc {proc} rejoined as incarnation {inc} with no "
-                "recorded state transfer for that incarnation: the new "
-                "life is not anchored to the checkpoint/delivery-log "
-                "catch-up",
-            ))
-        else:
-            self._rejoin_anchor[proc] = (xfer[0], t, int(inc))
-        self._rejoined.add(proc)
-        self._failed_procs.discard(proc)
-
-    def _on_promote(self, t: float, proc) -> None:
-        # A promoted proc never lost state: no transfer anchor, but it
-        # becomes a legitimate rebalance target and is healthy again.
-        self._tick(CTL)
-        self._rejoined.add(proc)
-        self._failed_procs.discard(proc)
-
-    # -- end-of-trace checks --------------------------------------------------------
-
-    def finish(self) -> list[HbRace]:
-        for serial, comps in self._completes.items():
-            if len(comps) < 2 and serial not in self._spec:
-                continue
-            committed = [c for c in comps if c[1]]
-            if len(committed) > 1:
-                t, _, pid, proc, _ = committed[1]
-                self.races.append(HbRace(
-                    "double-commit", t, pid,
-                    f"speculated serial {serial} of {pid} committed "
-                    f"{len(committed)} times (second on proc {proc}): "
-                    "first-completion-wins broken",
-                ))
-            if committed and comps and committed[0] is not comps[0]:
-                t, _, pid, proc, is_backup = committed[0]
-                leg = "backup" if is_backup else "primary"
-                self.races.append(HbRace(
-                    "late-commit", t, pid,
-                    f"speculated serial {serial} of {pid}: the {leg} "
-                    f"completion on proc {proc} committed at t={t:.6g} "
-                    "although it was not the first completion - "
-                    "first-completion-wins resolved the race backwards",
-                ))
-        return self.races
 
 
 def _normalize(events) -> list[tuple[float, str, tuple]]:

@@ -172,7 +172,7 @@ _RUNTIME_PACKAGE = "repro.runtime"
 #: Facade exports the service may import: the runtime entry point, its
 #: structured exceptions, and pure data/config types.  Everything else
 #: the facade re-exports (Simulator, Transport, Router, Scheduler,
-#: FaultInjector, policies, sanitizer, ...) is an internal layer: a
+#: FaultInjector, policies, run checker, ...) is an internal layer: a
 #: service module that touches one can corrupt invariants the
 #: DataDrivenRuntime composition root is responsible for.
 SERVICE_FACADE_ALLOWED = frozenset({

@@ -34,8 +34,8 @@ from .faults import (
 )
 from .metrics import Breakdown, RunReport
 from .perfmodel import SweepModelPrediction, SweepPerformanceModel
+from .checker import SanitizerError
 from .router import Router
-from .sanitizer import InvariantSanitizer, SanitizerError
 from .scheduler import HybridPolicy, MpiOnlyPolicy, Scheduler, SchedulerPolicy
 from .simulator import (
     Resource,
@@ -74,7 +74,6 @@ __all__ = [
     "WaitEdge",
     "StallReport",
     "StallError",
-    "InvariantSanitizer",
     "SanitizerError",
     "Router",
     "Transport",

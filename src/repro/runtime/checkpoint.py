@@ -53,7 +53,7 @@ def check_persist(rt, persist) -> None:
     if persist is not None and (rt.trace or rt.sanitize):
         raise ReproError(
             "snapshotting is incompatible with trace/sanitize runs: "
-            "trace buffers and sanitizer shadow state are not part "
+            "trace buffers and run-checker books are not part "
             "of the snapshot schema"
         )
 
@@ -116,6 +116,9 @@ def restore_into(rt, programs, patch_proc, state, persist) -> SimpleNamespace:
             f"unsupported snapshot version {state.get('version')!r} "
             f"(this runtime writes version {SNAPSHOT_VERSION})"
         )
+    if rt.sanitize:
+        raise ReproError("a restored run cannot be sanitized: the run "
+                         "checker never saw the snapshotted prefix")
     ctx = rt._compose(programs, patch_proc, persist)
     want = config_digest(rt, len(ctx.st.progs))
     if state.get("config") != want:

@@ -22,7 +22,11 @@ self-consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
+
+from .._util import ReproError
 
 __all__ = ["CostModel", "CATEGORIES"]
 
@@ -47,6 +51,15 @@ class CostModel:
     t_route: float = 0.2e-6  # master routing of one local stream
     t_exec_fixed: float = 1.5e-6  # per-run fixed overhead on the worker
     groups: int = 1  # energy groups swept together
+
+    def __post_init__(self):
+        # Every booked duration is built from these coefficients, so
+        # finite, >= 0 ones keep each core timeline well-formed and monotone.
+        for name in (f.name for f in fields(self) if f.name != "groups"):
+            if not (math.isfinite(v := getattr(self, name)) and v >= 0):
+                raise ReproError(f"cost model {name}={v!r} must be finite and >= 0")
+        if not (isinstance(self.groups, numbers.Integral) and self.groups >= 1):
+            raise ReproError(f"cost model groups={self.groups!r} must be an int >= 1")
 
     def run_cost_parts(
         self, counters: dict[str, int], remote_streams: int, remote_items: int

@@ -30,6 +30,7 @@ from ..core.termination import MisraMarkerRing, WorkloadTracker, verify_quiescen
 from .checkpoint import (
     SNAPSHOT_VERSION, HostKilled, assemble_state, check_persist, restore_into,
 )
+from .checker import HbChecker
 from .cluster import Machine, TIANHE2
 from .costmodel import CostModel
 from .faults import FaultInjector, FaultPlan, RecoveryConfig
@@ -37,7 +38,6 @@ from .loop import run_loop
 from .metrics import Breakdown, DeadlineExceeded, RunReport, trace_fields
 from .recovery import RecoveryManager
 from .router import Router
-from .sanitizer import InvariantSanitizer
 from .scheduler import RunState, Scheduler, make_policy
 from .simulator import Simulator
 from .transport import Transport
@@ -71,7 +71,7 @@ class DataDrivenRuntime:
         lossy = faults is not None and faults.needs_recovery()
         self.recovery = recovery or (RecoveryConfig() if lossy else None)
         self.trace = trace
-        self.sanitize = sanitize  # live invariant checks (chaos harness)
+        self.sanitize = sanitize  # online run checker (chaos harness)
         self._ctx: SimpleNamespace | None = None  # the driving run, if any
 
     def run(
@@ -125,30 +125,30 @@ class DataDrivenRuntime:
                 "resilient_input (build sweep programs with resilient=True)")
         bd = Breakdown()
         report = RunReport(makespan=0.0, breakdown=bd, total_cores=lay.total_cores)
-        sim = Simulator(
-            trace_hook=report.trace_events.append if self.trace else None,
-            trace_fields=lambda k, d: trace_fields(k, d, router.pids),
-            note_hook=report.hb_events.append if self.trace else None,
-        )
         st = RunState()
         for prog in programs:
             st.add(prog)
+        # One note hook: the trace buffer, the online run checker, or both.
+        checker = HbChecker(run=(router, st)) if self.sanitize else None
+        hooks = [h for h in (report.hb_events.append if self.trace else None,
+                             checker and checker.observe) if h]
+        sim = Simulator(
+            trace_hook=report.trace_events.append if self.trace else None,
+            trace_fields=lambda k, d: trace_fields(k, d, router.pids),
+            note_hook=(hooks[0] if len(hooks) == 1 else
+                       (lambda ev: [h(ev) for h in hooks]) if hooks else None),
+        )
         tracker = WorkloadTracker()
         slow = inj.slowdown if inj is not None else (lambda p, now: 1.0)
-        san = InvariantSanitizer(router) if self.sanitize else None
-        transport = Transport(
-            sim, router, self.machine, lay, report,
-            injector=inj, rcfg=rcfg, sanitizer=san,
-        )
+        transport = Transport(sim, router, self.machine, lay, report, injector=inj, rcfg=rcfg)
         sched = Scheduler(
             sim, router, make_policy(self.mode), lay, st,
-            self.cost, report, bd, slow, transport, tracker,
-            sanitizer=san, adaptive=acfg,
+            self.cost, report, bd, slow, transport, tracker, adaptive=acfg,
         )
         # No injector: slowdown hook is 1.0; skip per-run calls/scalings.
         sched.unit_slow = inj is None
         rec = RecoveryManager(
-            sim, router, transport, sched, rcfg, report, bd, st, slow, sanitizer=san
+            sim, router, transport, sched, rcfg, report, bd, st, slow
         ) if ft else None
         if ft and rcfg.watchdog_horizon > 0:
             sim.arm_watchdog(rcfg.watchdog_horizon, transport.stall_snapshot)
@@ -159,7 +159,7 @@ class DataDrivenRuntime:
         return SimpleNamespace(
             router=router, plan=plan, inj=inj, ft=ft,
             bd=bd, report=report, sim=sim, st=st, tracker=tracker,
-            san=san, transport=transport, sched=sched, rec=rec,
+            checker=checker, transport=transport, sched=sched, rec=rec,
             popped=0,  # events popped (the snapshot/kill coordinate)
             persist=persist, table=table,
         )
@@ -233,9 +233,9 @@ class DataDrivenRuntime:
         """Post-run checks, termination negotiation, final accounting."""
         st, report = ctx.st, ctx.report
         verify_quiescent(st.pids, st.progs, st.state, ctx.tracker)
-        if ctx.san is not None:
-            ctx.san.check_final(dict(zip(st.pids, st.progs)))
-            report.sanitizer_checks = ctx.san.checks
+        if ctx.checker is not None:
+            ctx.checker.finish()
+            report.sanitizer_checks = ctx.checker.records
         makespan = ctx.sim.makespan
         if self.termination == "consensus":
             hops = MisraMarkerRing.all_idle_hops(

@@ -115,7 +115,7 @@ class StragglerWindow:
             raise ReproError("straggler proc must be non-negative")
         if not (0 <= self.start < self.end):
             raise ReproError("straggler window must satisfy 0 <= start < end")
-        if self.factor < 1.0:
+        if not (math.isfinite(self.factor) and self.factor >= 1.0):
             raise ReproError("straggler factor must be >= 1")
 
 

@@ -174,7 +174,7 @@ class RunReport:
     corruptions: int = 0  # payloads bit-flipped in flight
     nacks: int = 0  # checksum-mismatch rejections (fast retransmit)
     cascade_crashes: int = 0  # crashes induced by a cascading CrashFault
-    sanitizer_checks: int = 0  # invariant assertions evaluated (sanitize=True)
+    sanitizer_checks: int = 0  # hb records the online checker consumed (sanitize=True)
 
     # -- adaptive-resilience counters (all zero when AdaptiveConfig off) --
     rtt_samples: int = 0  # clean (Karn-admissible) RTT measurements

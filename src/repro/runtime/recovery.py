@@ -59,7 +59,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .._util import ReproError
 from ..core.patch_program import ProgramState
@@ -76,9 +75,6 @@ from .router import Router
 from .scheduler import RunState, Scheduler
 from .simulator import KindRow, Simulator
 from .transport import RttEstimator, Transport
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .sanitizer import InvariantSanitizer
 
 __all__ = ["Checkpoint", "RecoveryManager"]
 
@@ -106,7 +102,6 @@ class RecoveryManager:
         bd: Breakdown,
         st: RunState,
         slow: Callable[[int, float], float],
-        sanitizer: InvariantSanitizer | None = None,
     ) -> None:
         self.sim = sim
         self.router = router
@@ -117,7 +112,6 @@ class RecoveryManager:
         self.bd = bd
         self.st = st
         self.slow = slow
-        self.san = sanitizer
         self.ckpt: dict[ProgramId, Checkpoint | None] = {
             pid: None for pid in st.pids
         }
@@ -308,11 +302,6 @@ class RecoveryManager:
             i = st.index[pid]
             new_p = self.router.proc_of[pid]
             st.epoch[i] += 1
-            self.sim.note(
-                now, "hb_migrate",
-                (str(pid), src[pid] if isinstance(src, dict) else src,
-                 new_p, st.epoch[i]),
-            )
             self.scheduler.drop(i)
             prog = st.progs[i]
             ck = self.ckpt[pid]
@@ -328,13 +317,14 @@ class RecoveryManager:
             base = list(ck.inbox) if ck is not None else []
             st.inbox[i] = base + list(self.dlog[pid])
             st.state[i] = ProgramState.ACTIVE
-            if self.san is not None:
-                self.san.on_failover(pid, st.inbox[i])
+            self.sim.note(
+                now, "hb_migrate",
+                (str(pid), src[pid] if isinstance(src, dict) else src,
+                 new_p, st.epoch[i]),
+            )
             dur = T_FAILOVER_PROGRAM * self.slow(new_p, now)
             master = self.scheduler.masters[new_p]
-            start, end = master.book(now, dur)
-            if self.san is not None:
-                self.san.on_booking(master.core, start, end)
+            _, end = master.book(now, dur)
             self.bd.add(master.core, "recovery", dur)
             self.sim.push(end, "requeue", (pid, st.epoch[i]))
             install_end = max(install_end, end)
@@ -548,9 +538,7 @@ class RecoveryManager:
                 T_CHECKPOINT_FIXED + len(own) * T_CHECKPOINT_PROGRAM
             ) * self.slow(p, now)
             master = self.scheduler.masters[p]
-            start, end = master.book(now, dur)
-            if self.san is not None:
-                self.san.on_booking(master.core, start, end)
+            _, end = master.book(now, dur)
             self.bd.add(master.core, "recovery", dur)
             self.sim.observe(end)
             for pid in own:

@@ -61,7 +61,6 @@ from .transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from .faults import AdaptiveConfig
-    from .sanitizer import InvariantSanitizer
 
 __all__ = [
     "RunState",
@@ -212,7 +211,6 @@ class Scheduler:
         slow: Callable[[int, float], float],
         transport: Transport,
         tracker: WorkloadTracker,
-        sanitizer: InvariantSanitizer | None = None,
         adaptive: AdaptiveConfig | None = None,
     ) -> None:
         self.sim = sim
@@ -225,7 +223,6 @@ class Scheduler:
         self.slow = slow
         self.transport = transport
         self.tracker = tracker
-        self.san = sanitizer
         self.recovery = None  # attached by the recovery layer when armed
         nprocs = router.nprocs
         self.masters, self.workers = policy.build_resources(nprocs, layout)
@@ -441,14 +438,10 @@ class Scheduler:
         wres = self.workers[p][w]
         core = wres.core
         if unit:
-            start, end = wres.book(now, duration)
-            if self.san is not None:
-                self.san.on_booking(core, start, end)
+            _, end = wres.book(now, duration)
             self.bd.add_run(core, kernel, graph_op + fixed, pack, t_sched)
         else:
-            start, end = wres.book(now, duration * sf)
-            if self.san is not None:
-                self.san.on_booking(core, start, end)
+            _, end = wres.book(now, duration * sf)
             self.bd.add_run(
                 core, kernel * sf, (graph_op + fixed) * sf, pack * sf,
                 t_sched * sf,
@@ -501,9 +494,7 @@ class Scheduler:
         if max(now, wres.free) + duration * sf_q >= end:
             return  # the backup would not finish before the primary
         w_q = self.idle_workers[q].pop()
-        start, end_q = wres.book(now, duration * sf_q)
-        if self.san is not None:
-            self.san.on_booking(wres.core, start, end_q)
+        _, end_q = wres.book(now, duration * sf_q)
         self.bd.add(wres.core, "speculation", duration * sf_q)
         self.report.speculative_launches += 1
         self._spec.add(serial)
@@ -557,9 +548,7 @@ class Scheduler:
                     self.cm.t_route if unit
                     else self.cm.t_route * self.slow(p, now)
                 )
-                start, end = master.book(now, dur)
-                if self.san is not None:
-                    self.san.on_booking(master.core, start, end)
+                _, end = master.book(now, dur)
                 self.bd.add(master.core, "comm", dur)
                 self.report.local_streams += 1
                 self.sim.push_id(end, self._k_deliver, (s.dsti, s))
@@ -573,11 +562,9 @@ class Scheduler:
             # Workload-commit fast path; epoch-keyed so a stale
             # execution cannot overwrite a migrated program's fresher
             # commit.  Tracker keys are the dense indices.
-            if self.san is not None:
-                self.san.on_commit(st.pids[i], rem, ep)
             if note:
                 self.sim.note(
-                    now, "hb_commit", (str(st.pids[i]), p, ep, serial)
+                    now, "hb_commit", (str(st.pids[i]), p, ep, serial, rem)
                 )
             self.tracker.commit(i, rem, epoch=ep)
         if prog.vote_to_halt() and not st.inbox[i]:

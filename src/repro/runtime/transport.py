@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -78,9 +77,6 @@ from .faults import (
 from .metrics import RunReport
 from .router import Router
 from .simulator import KindRow, Simulator, StallReport, WaitEdge
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .sanitizer import InvariantSanitizer
 
 __all__ = ["PendingSend", "RttEstimator", "Transport", "stream_checksum"]
 
@@ -188,7 +184,6 @@ class Transport:
         report: RunReport,
         injector: FaultInjector | None = None,
         rcfg: RecoveryConfig | None = None,
-        sanitizer: InvariantSanitizer | None = None,
     ) -> None:
         self.sim = sim
         self.router = router
@@ -197,7 +192,6 @@ class Transport:
         self.report = report
         self.inj = injector
         self.rcfg = rcfg
-        self.san = sanitizer
         self.acfg = rcfg.adaptive if rcfg is not None else None
         # Elastic membership (DESIGN.md §14): when armed, every
         # reliable send is tagged (sender proc, incarnation) and
@@ -493,17 +487,21 @@ class Transport:
     # -- receive path --------------------------------------------------------------
 
     def _note_recv(self, now: float, wid: int | None, proc: int,
-                   delivered: bool, uid: tuple | None) -> None:
+                   delivered: bool, s: Stream) -> None:
         """Emit the ``hb_recv`` record for one processed arrival.
 
         ``delivered`` marks app-level delivery (the exactly-once axis);
         the checker draws the causal edge from any paired send, since
-        even a discarded copy was physically read by ``proc``.
+        even a discarded copy was physically read by ``proc``.  The
+        trailing destination index and sender incarnation let the
+        online checker hold a delivery to its owner and life.
         """
         if self.sim.note_hook is not None and wid is not None:
+            uid = s.uid
             self.sim.note(now, "hb_recv", (
                 wid, proc, delivered,
                 str(uid) if uid is not None else None,
+                s.dsti, *(s.inc or (None, None)),
             ))
 
     def receive(
@@ -523,12 +521,12 @@ class Transport:
         """
         uid = s.uid
         if uid is None:
-            self._note_recv(now, wid, proc, True, None)
+            self._note_recv(now, wid, proc, True, s)
             return True
         src_proc = self.router.proc_of[s.src]
         if s.checksum is not None and stream_checksum(s) != s.checksum:
             self.report.nacks += 1
-            self._note_recv(now, wid, proc, False, uid)
+            self._note_recv(now, wid, proc, False, s)
             if self.inj is not None and self.inj.link_cut(proc, src_proc, now):
                 self.report.partition_drops += 1  # NACK black-holed too
             else:
@@ -549,7 +547,7 @@ class Transport:
         if self.membership and s.inc is not None \
                 and s.inc[1] < self.router.inc[s.inc[0]]:
             self.report.fenced_messages += 1
-            self._note_recv(now, wid, proc, False, uid)
+            self._note_recv(now, wid, proc, False, s)
             return False
         owner = self.router.proc_of[s.dst]
         if owner != proc and uid not in self.seen:
@@ -558,7 +556,7 @@ class Transport:
             # current owner and stay silent - the ack travels only from
             # the final arrival, so the sender keeps retrying until the
             # stream truly lands.
-            self._note_recv(now, wid, proc, False, uid)
+            self._note_recv(now, wid, proc, False, s)
             if owner not in self.router.dead:
                 self.report.forwards += 1
                 wire = self.machine.message_time(
@@ -572,12 +570,10 @@ class Transport:
             ack_t = self.machine.control_time(proc, src_proc, self.layout)
             self.sim.push_id(now + ack_t, self._k_ack, uid)
         if uid in self.seen:
-            self._note_recv(now, wid, proc, False, uid)
+            self._note_recv(now, wid, proc, False, s)
             return False
-        if self.san is not None:
-            self.san.on_delivery(s, proc)
         self.seen.add(uid)
-        self._note_recv(now, wid, proc, True, uid)
+        self._note_recv(now, wid, proc, True, s)
         return True
 
     def _drain_parked(self, now: float) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import check_report, check_trace, dump_hb_json, load_hb_json
-from repro.analysis.hb import CTL, HbChecker, _leq
+from repro.runtime.checker import CTL, HbChecker, _leq
 from repro.runtime import DataDrivenRuntime
 from tests.test_golden_fixtures import (
     RUNTIME_SCENARIOS,

@@ -1,5 +1,5 @@
 """Chaos-engine tests: partitions, corruption, cascades, watchdog,
-sanitizer, and the seeded campaign driver.
+the online run checker (sanitizer), and the seeded campaign driver.
 
 The oracle everywhere is the strongest one available: a recoverable
 faulty run must produce *bitwise-identical* flux to the fault-free
@@ -9,9 +9,12 @@ silently drop work.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_array_equal
 
 from repro._util import ReproError
@@ -24,15 +27,18 @@ from repro.chaos import (
 from repro.core.stream import ProgramId, Stream
 from repro.framework import PatchSet
 from repro.mesh import cube_structured
+from repro.persist.killer import report_fingerprint
 from repro.runtime import (
+    CostModel,
     CrashFault,
     DataDrivenRuntime,
     FaultInjector,
     FaultPlan,
-    InvariantSanitizer,
     LinkPartition,
     Machine,
     RecoveryConfig,
+    SNAPSHOT_VERSION,
+    Resource,
     Router,
     RunReport,
     SanitizerError,
@@ -42,9 +48,12 @@ from repro.runtime import (
     Transport,
     stream_checksum,
 )
+from repro.runtime.checker import HbChecker
 from repro.runtime.faults import ACK_TIMEOUT
 from repro.runtime.metrics import Breakdown
-from repro.runtime.recovery import Checkpoint
+from repro.runtime.recovery import Checkpoint, RecoveryManager
+from repro.runtime.scheduler import RunState
+from repro.sweep.sweep_program import SweepPatchProgram
 from tests.conftest import make_solver
 
 CORES = 16  # 4 procs x (1 master + 3 workers) on the small machine
@@ -325,7 +334,7 @@ class TestWatchdog:
         )
 
 
-# -- invariant sanitizer ---------------------------------------------------------
+# -- online run checker (the sanitizer) -----------------------------------------
 
 
 def _mini_router(nprocs=2):
@@ -337,59 +346,91 @@ def _mini_router(nprocs=2):
     return Router(progs, np.arange(nprocs), nprocs)
 
 
+def online_checker(router):
+    """The sanitizer over a mini run: an HbChecker fed ``hb_*`` records
+    by hand, checking them against ``router`` and a RunState."""
+    st = RunState()
+    for pid in router.pids:
+        st.add(SimpleNamespace(id=pid, resilient_input=False))
+    return HbChecker(run=(router, st)), st
+
+
+def deliver(chk, proc, wid=1, uid="((0,0), 0)", dsti=1, inc=(None, None)):
+    """Feed one send/arrival pair: ``uid`` reaches program ``dsti`` on
+    ``proc``, stamped with sender incarnation ``inc``."""
+    chk.feed(wid * 1e-6, "hb_send", (wid, 0, proc, uid))
+    chk.feed(wid * 1e-6 + 5e-7, "hb_recv", (wid, proc, True, uid, dsti, *inc))
+
+
 class TestSanitizer:
     def test_duplicate_delivery_caught(self):
-        san = InvariantSanitizer(_mini_router())
-        s = Stream(src=ProgramId(0, 0), dst=ProgramId(1, 0), seq=0)
-        san.on_delivery(s, 1)
+        chk, _ = online_checker(_mini_router())
+        deliver(chk, 1, wid=1)
         with pytest.raises(SanitizerError, match="exactly-once"):
-            san.on_delivery(s, 1)
+            deliver(chk, 1, wid=2)  # a second copy of the same uid
 
     def test_delivery_to_dead_proc_caught(self):
         router = _mini_router()
-        san = InvariantSanitizer(router)
+        chk, _ = online_checker(router)
         router.mark_dead(1)
-        s = Stream(src=ProgramId(0, 0), dst=ProgramId(1, 0), seq=0)
         with pytest.raises(SanitizerError, match="dead"):
-            san.on_delivery(s, 1)
+            deliver(chk, 1)
 
     def test_delivery_to_wrong_owner_caught(self):
-        san = InvariantSanitizer(_mini_router())
-        s = Stream(src=ProgramId(0, 0), dst=ProgramId(1, 0), seq=0)
+        chk, _ = online_checker(_mini_router())
         with pytest.raises(SanitizerError, match="owner"):
-            san.on_delivery(s, 0)
+            deliver(chk, 0)  # program (1,0) is owned by proc 1
 
     def test_workload_regression_caught(self):
-        san = InvariantSanitizer(_mini_router())
-        pid = ProgramId(0, 0)
-        san.on_commit(pid, 10, 0)
-        san.on_commit(pid, 4, 0)  # fine: monotone within the epoch
+        chk, _ = online_checker(_mini_router())
+        chk.feed(1e-6, "hb_commit", ("(0,0)", 0, 0, 1, 10))
+        chk.feed(2e-6, "hb_commit", ("(0,0)", 0, 0, 2, 4))  # monotone: fine
         with pytest.raises(SanitizerError, match="regressed"):
-            san.on_commit(pid, 7, 0)
+            chk.feed(3e-6, "hb_commit", ("(0,0)", 0, 0, 3, 7))
 
     def test_workload_reset_allowed_on_new_epoch(self):
-        san = InvariantSanitizer(_mini_router())
-        pid = ProgramId(0, 0)
-        san.on_commit(pid, 4, 0)
-        san.on_commit(pid, 9, 1)  # failover re-execution starts higher
-        san.on_commit(pid, 5, 0)  # stale epoch: ignored, like the tracker
+        chk, _ = online_checker(_mini_router())
+        chk.feed(1e-6, "hb_commit", ("(0,0)", 0, 0, 1, 4))
+        chk.feed(2e-6, "hb_crash", (0,))
+        chk.feed(3e-6, "hb_migrate", ("(0,0)", 0, 1, 1))
+        chk.feed(4e-6, "hb_commit", ("(0,0)", 1, 1, 2, 9))  # re-execution
+        chk.feed(5e-6, "hb_commit", ("(0,0)", 0, 0, 3, 5))  # stale: ignored
+        assert chk.finish() == []
 
-    def test_backwards_timeline_caught(self):
-        san = InvariantSanitizer(_mini_router())
-        san.on_booking(("w", 0, 0), 0.0, 2.0)
-        with pytest.raises(SanitizerError, match="backwards"):
-            san.on_booking(("w", 0, 0), 0.5, 1.0)
+    @settings(max_examples=60, deadline=None)
+    @given(hst.lists(hst.tuples(
+        hst.floats(0.0, 1e-3), hst.floats(0.0, 1e-3),
+    ), max_size=40))
+    def test_backwards_timeline_caught(self, bookings):
+        """No check is needed: over finite non-negative durations a core
+        timeline is well-formed and its ends never go backwards."""
+        core = Resource(("w", 0, 0))
+        now = last = 0.0
+        for gap, dur in bookings:
+            now += gap
+            start, end = core.book(now, dur)
+            assert 0.0 <= now <= start <= end < math.inf
+            assert end >= last
+            last = end
 
     def test_malformed_interval_caught(self):
-        san = InvariantSanitizer(_mini_router())
-        with pytest.raises(SanitizerError, match="malformed"):
-            san.on_booking(("w", 0, 0), 2.0, 1.0)
+        """Every booked duration is a cost coefficient, scaled by
+        straggler factors: each source refuses a negative or
+        non-finite value at construction."""
+        for bad in (-1e-6, math.inf, math.nan):
+            with pytest.raises(ReproError, match="finite and >= 0"):
+                CostModel(t_route=bad)
+        for bad in (0.5, math.inf, math.nan):
+            with pytest.raises(ReproError, match="factor must be >= 1"):
+                StragglerWindow(0, 0.0, 1.0, bad)
 
     def test_failover_inbox_duplicates_caught(self):
-        san = InvariantSanitizer(_mini_router())
+        chk, st = online_checker(_mini_router())
         s = Stream(src=ProgramId(0, 0), dst=ProgramId(1, 0), seq=3)
+        st.inbox[1] = [s, s]
+        chk.feed(1e-6, "hb_crash", (1,))
         with pytest.raises(SanitizerError, match="duplicate"):
-            san.on_failover(ProgramId(1, 0), [s, s])
+            chk.feed(2e-6, "hb_migrate", ("(1,0)", 1, 0, 1))
 
     def test_sanitized_faulty_run_passes(self):
         ref = _reference_phi()
@@ -401,6 +442,103 @@ class TestSanitizer:
         rep, phi = _run(plan, sanitize=True)
         assert_array_equal(phi, ref)
         assert rep.sanitizer_checks > 0  # checks really ran
+
+
+@pytest.mark.parametrize("field", [
+    f for f in CostModel.__dataclass_fields__ if f.startswith("t_")
+])
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_cost_model_refuses_negative_or_nonfinite(field, bad):
+    with pytest.raises(ReproError, match=field):
+        CostModel(**{field: bad})
+
+
+@pytest.mark.parametrize("groups", [0, -2, 1.5])
+def test_cost_model_refuses_bad_groups(groups):
+    with pytest.raises(ReproError, match="groups"):
+        CostModel(groups=groups)
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf])
+def test_straggler_factor_must_be_finite(factor):
+    with pytest.raises(ReproError, match="factor must be >= 1"):
+        StragglerWindow(0, 0.0, 1.0, factor)
+
+
+class _Forgetful(set):
+    """A transport ``seen`` set that never remembers (dedup skipped)."""
+
+    def __contains__(self, uid):
+        return False
+
+
+def _skip_dedup(monkeypatch):
+    init = Transport.__init__
+
+    def forgetful(self, *a, **kw):
+        init(self, *a, **kw)
+        self.seen = _Forgetful()
+
+    monkeypatch.setattr(Transport, "__init__", forgetful)
+    return FaultPlan(p_duplicate=0.1, seed=7)
+
+
+def _double_dlog(monkeypatch):
+    migrate = RecoveryManager._migrate
+
+    def doubled(self, moved, src, now):
+        for pid in moved:
+            self.dlog[pid] = self.dlog[pid] * 2
+        return migrate(self, moved, src, now)
+
+    monkeypatch.setattr(RecoveryManager, "_migrate", doubled)
+    return FaultPlan(crashes=(CrashFault(1, 150e-6),))
+
+
+def _inflate_commits(monkeypatch):
+    remaining = SweepPatchProgram.remaining_workload
+
+    def inflated(self):
+        # Every second commit of a program reports 1000 extra vertices
+        # while work remains; the run still ends at zero.
+        self._commits = getattr(self, "_commits", 0) + 1
+        rem = remaining(self)
+        return rem + 1000 if rem and self._commits % 2 == 0 else rem
+
+    monkeypatch.setattr(SweepPatchProgram, "remaining_workload", inflated)
+    return None  # fault-free: no checkpoint or restore reads the count
+
+
+@pytest.mark.parametrize("breaker,word", [
+    (_skip_dedup, "exactly-once"),
+    (_double_dlog, "duplicate"),
+    (_inflate_commits, "regressed"),
+], ids=["transport-dedup", "failover-dlog", "commit-regression"])
+def test_record_stream_carries_every_checked_fact(monkeypatch, breaker, word):
+    """A layer that breaks an invariant is caught from the ``hb_*``
+    records alone; the same broken run completes unsanitized."""
+    plan = breaker(monkeypatch)
+    with pytest.raises(SanitizerError, match=word):
+        _run(plan, sanitize=True)
+    _run(plan, sanitize=False)
+
+
+def test_sanitize_leaves_the_run_bitwise_unchanged():
+    plan = FaultPlan(
+        crashes=(CrashFault(1, 150e-6),),
+        partitions=(LinkPartition(0, 2, 80e-6, 300e-6),),
+        p_drop=0.05, p_duplicate=0.05, p_corrupt=0.03, seed=7,
+    )
+    prints = {report_fingerprint(*_run(plan, sanitize=on)) for on in (False, True)}
+    assert len(prints) == 1
+
+
+def test_restored_run_cannot_be_sanitized():
+    """The checker never saw the snapshotted prefix: a resumed run's
+    arrivals would have no recorded send."""
+    rt = DataDrivenRuntime(CORES, machine=Machine(cores_per_proc=4), sanitize=True)
+    with pytest.raises(ReproError, match="cannot be sanitized"):
+        rt.restore([], np.zeros(0, dtype=int), {"version": SNAPSHOT_VERSION})
 
 
 # -- transport: rearm after failover ---------------------------------------------

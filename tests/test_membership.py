@@ -22,7 +22,6 @@ from repro.runtime import (
     CrashFault,
     DataDrivenRuntime,
     FaultPlan,
-    InvariantSanitizer,
     Machine,
     RecoveryConfig,
     Router,
@@ -35,7 +34,7 @@ from repro.runtime import (
     Transport,
 )
 from repro.runtime.metrics import Breakdown
-from tests.test_chaos import _reference_phi, _run, _setup
+from tests.test_chaos import _reference_phi, _run, _setup, deliver, online_checker
 
 CORES = 16  # 4 procs x (1 master + 3 workers) on the small machine
 
@@ -186,23 +185,17 @@ class TestIncarnationFencing:
 
     def test_sanitizer_rejects_stale_incarnation_delivery(self):
         router = _mini_router()
-        san = InvariantSanitizer(router)
-        s = Stream(src=ProgramId(0, 0), dst=ProgramId(1, 0), nbytes=64)
-        s.seq = 0
-        s.inc = (0, 0)
+        chk, _ = online_checker(router)
         router.fence(0)
         with pytest.raises(SanitizerError, match="stale incarnation"):
-            san.on_delivery(s, 1)
+            deliver(chk, 1, inc=(0, 0))  # sender 0 now lives as inc 1
 
     def test_sanitizer_rejects_delivery_on_fenced_proc(self):
         router = _mini_router()
-        san = InvariantSanitizer(router)
+        chk, _ = online_checker(router)
         router.fence(1)
-        s = Stream(src=ProgramId(0, 0), dst=ProgramId(1, 0), nbytes=64)
-        s.seq = 0
-        s.inc = (0, router.inc[0])
         with pytest.raises(SanitizerError, match="fenced proc"):
-            san.on_delivery(s, 1)
+            deliver(chk, 1, inc=(0, router.inc[0]))
 
 
 # -- rebalance unit --------------------------------------------------------------
