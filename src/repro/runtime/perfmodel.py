@@ -11,9 +11,9 @@ time from two competing terms:
   message.
 
 This module provides that closed-form estimate for any PatchSet +
-quadrature, which serves three purposes: sanity-checking the DES
-(trend agreement is tested), extrapolating to core counts too large to
-simulate, and locating the strong-scaling knee analytically.
+quadrature, which serves two purposes: sanity-checking the DES (trend
+agreement is tested) and extrapolating to core counts too large to
+simulate.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import ReproError
 from ..sweep.dag import SweepTopology, condensation_fronts
 from .cluster import Machine, TIANHE2
 from .costmodel import CostModel
@@ -113,13 +112,3 @@ class SweepPerformanceModel:
             critical_path_patches=hops,
             total_vertices=v_total,
         )
-
-    def knee_cores(self, mode: str = "hybrid", max_cores: int = 10**7) -> int:
-        """Smallest core count at which the pipeline term dominates -
-        the analytic strong-scaling knee."""
-        cores = self.machine.cores_per_proc if mode == "hybrid" else 1
-        while cores < max_cores:
-            if self.predict(cores, mode).pipeline_bound:
-                return cores
-            cores *= 2
-        raise ReproError("no knee below max_cores")

@@ -19,7 +19,9 @@ compiles the tables of every angle's kernel into per-level slices of
 one ``(angle, cell)`` vertex list, so the level-vectorized sweep
 advances all angles at once and gathers nothing it could have
 precomputed; the same layout, one angle and patch-local levels, solves
-the whole-patch runs of the data-driven programs.
+the whole-patch runs of the data-driven programs.  A plan's launch table
+holds the per-level slot and coefficient views a level solve reads, so
+no call rebuilds them.
 """
 
 from __future__ import annotations
@@ -116,6 +118,7 @@ class AngleKernel:
         )
 
         self.out_pair = None
+        self._offsets: tuple[list, list] | None = None  # solve_cells' int CSR offsets
         if scheme == "dd":
             self.out_pair = self._pair_faces(in_key, out_key)
 
@@ -172,39 +175,49 @@ class AngleKernel:
 
     def solve_cells(
         self,
-        cells: np.ndarray,
+        cells,
         src_v: np.ndarray,
         den: np.ndarray,
         psi_faces: np.ndarray,
         psi_cell: np.ndarray,
     ) -> None:
-        """Solve ``cells`` in the given (topological) order.
+        """Solve ``cells`` (ids, a list or an array) in the given
+        (topological) order.
 
         ``src_v[c]`` must be the cell-integrated per-angle source
         ``s * V``, shaped ``(ncells, groups)``, and ``den`` this
         kernel's :meth:`removal`.  Updates ``psi_cell`` and the outgoing
         rows of ``psi_faces``; the loop keeps only what depends on the
-        upwind flux.
+        upwind flux, and reads its CSR offsets from int lists built at
+        the kernel's first call (a list read by an int is a fraction of
+        an array read by a numpy scalar).
         """
-        dd, fixup = self.scheme == "dd", self.fixup
-        two = 2.0 if dd else 1.0
-        in_indptr, in_slot, in_coeff = self.in_indptr, self.in_slot, self.in_coeff
-        out_indptr, out_slot, pair = self.out_indptr, self.out_slot, self.out_pair
+        if self._offsets is None:
+            self._offsets = self.in_indptr.tolist(), self.out_indptr.tolist()
+        in_ptr, out_ptr = self._offsets
+        if isinstance(cells, np.ndarray):
+            cells = cells.tolist()
+        in_slot, in_coeff, out_slot = self.in_slot, self.in_coeff, self.out_slot
         take = psi_faces.take
+        if self.scheme == "step":
+            for c in cells:
+                ilo, ihi = in_ptr[c], in_ptr[c + 1]
+                psi = (src_v[c] + in_coeff[ilo:ihi] @ take(in_slot[ilo:ihi], axis=0)) / den[c]
+                psi_cell[c] = psi
+                psi_faces[out_slot[out_ptr[c] : out_ptr[c + 1]]] = psi
+            return
+        pair, fixup = self.out_pair, self.fixup
         for c in cells:
-            ilo, ihi = in_indptr[c], in_indptr[c + 1]
-            olo, ohi = out_indptr[c], out_indptr[c + 1]
+            ilo, ihi = in_ptr[c], in_ptr[c + 1]
+            olo, ohi = out_ptr[c], out_ptr[c + 1]
             psi = (
-                src_v[c] + two * (in_coeff[ilo:ihi] @ take(in_slot[ilo:ihi], axis=0))
+                src_v[c] + 2.0 * (in_coeff[ilo:ihi] @ take(in_slot[ilo:ihi], axis=0))
             ) / den[c]
             psi_cell[c] = psi
-            if dd:
-                out_flux = 2.0 * psi - take(pair[olo:ohi], axis=0)
-                if fixup:
-                    np.maximum(out_flux, 0.0, out=out_flux)
-                psi_faces[out_slot[olo:ohi]] = out_flux
-            else:
-                psi_faces[out_slot[olo:ohi]] = psi
+            out_flux = 2.0 * psi - take(pair[olo:ohi], axis=0)
+            if fixup:
+                np.maximum(out_flux, 0.0, out=out_flux)
+            psi_faces[out_slot[olo:ohi]] = out_flux
 
     def solve_level(
         self,
@@ -227,27 +240,32 @@ class AngleKernel:
         group's batched ``(1,k) @ (k,ng)`` matmul runs the same BLAS
         dot per vertex as ``in_coeff @ psi_faces[isl]``, so the sum
         order - and the result - is bitwise identical (verified by
-        tests/test_kernels_level.py).
+        tests/test_kernels_level.py).  The level's slot and coefficient
+        views come from the plan's :meth:`SweepPlan.launch_table`, so a
+        call reshapes nothing.
         """
-        c0, c1, groups, o0, o1 = plan.levels[level]
-        ng = psi_faces.shape[1]
-        two = 2.0 if self.scheme == "dd" else 1.0
-        acc = np.zeros((c1 - c0, ng))
-        for a, b, k, s0, s1 in groups:
-            flux = psi_faces.take(plan.slots[s0:s1], axis=0)
-            acc[a:b] = np.matmul(
-                plan.coeff[s0:s1].reshape(b - a, 1, k),
-                flux.reshape(b - a, k, ng),
-            )[:, 0]
-        psi = (src_p[c0:c1] + two * acc) / den_p[c0:c1]
+        index, coeffs = plan._launch or plan.launch_table()
+        c0, c1, _, o0, o1 = plan.levels[level]
+        slots, coeff = index[level], coeffs[level]
+        take = psi_faces.take
+        if not isinstance(slots, tuple):  # one in-degree group spans the level
+            acc = np.matmul(coeff, take(slots, axis=0))[:, 0]
+        else:
+            acc = np.zeros((c1 - c0, psi_faces.shape[1]))
+            for (a, b, group_slots), cf in zip(slots, coeff):
+                acc[a:b] = np.matmul(cf, take(group_slots, axis=0))[:, 0]
+        if self.scheme == "step":
+            psi = (src_p[c0:c1] + acc) / den_p[c0:c1]
+            psi_p[c0:c1] = psi
+            psi_faces[plan.osl[o0:o1]] = psi.take(plan.oseg[o0:o1], axis=0)
+            return
+        psi = (src_p[c0:c1] + 2.0 * acc) / den_p[c0:c1]
         psi_p[c0:c1] = psi
-
         out_flux = psi.take(plan.oseg[o0:o1], axis=0)
-        if self.scheme == "dd":
-            out_flux *= 2.0
-            out_flux -= psi_faces.take(plan.pair[o0:o1], axis=0)
-            if self.fixup:
-                np.maximum(out_flux, 0.0, out=out_flux)
+        out_flux *= 2.0
+        out_flux -= take(plan.pair[o0:o1], axis=0)
+        if self.fixup:
+            np.maximum(out_flux, 0.0, out=out_flux)
         psi_faces[plan.osl[o0:o1]] = out_flux
 
     def leakage(self, psi_faces: np.ndarray) -> np.ndarray:
@@ -268,7 +286,10 @@ class SweepPlan:
     and ``levels[a]`` (:func:`repro.sweep.dag.topological_levels`; the
     angles of a set share one result) describe angle ``a``; vertex
     ``(a, cell)`` reads and writes face slots ``a * num_slots + slot``.
-    The ``int32`` tables are
+    The index tables are ``int32`` in a plan of several angles and
+    ``intp`` in a one-angle plan (a patch plan, solved a few cells per
+    call: numpy converts ``int32`` indices before every gather and
+    scatter, a fixed cost that a 3-cell level cannot amortize):
 
     * ``vertex`` / ``cell`` - ``a * ncells + cell`` and ``cell`` of the
       vertices, level-major and, inside a level, by in-degree, so every
@@ -280,7 +301,7 @@ class SweepPlan:
 
     beside the ``float64`` ``coeff`` (aligned with ``slots``) and
     ``den2`` (``2 * out_coeff_sum``, ``1 *`` for step, aligned with
-    ``vertex``).  ``levels[l]`` is ``(c0, c1, [(a, b, k, s0, s1), ...],
+    ``vertex``).  ``levels[l]`` is ``(c0, c1, ((a, b, k, s0, s1), ...),
     o0, o1)``: the level's range of ``vertex``, per in-degree ``k > 0``
     the level-relative vertex range and its range of ``slots``, and the
     level's range of ``osl``.
@@ -306,18 +327,19 @@ class SweepPlan:
         in_level = np.arange(len(order)) - cstart[level_of]
         ioff = np.concatenate(([0], np.cumsum(indeg)))
         ooff = np.concatenate(([0], np.cumsum(outdeg)))
-        self.vertex = order.astype(np.int32)
-        self.cell = (order % ncells).astype(np.int32)
-        self.oseg = np.repeat(in_level.astype(np.int32), outdeg)
+        index = np.int32 if len(kernels) > 1 else np.intp
+        self.vertex = order.astype(index)
+        self.cell = (order % ncells).astype(index)
+        self.oseg = np.repeat(in_level.astype(index), outdeg)
         self.den2 = (2.0 if dd else 1.0) * np.concatenate(
             [k.out_coeff_sum for k in kernels]
         )[order]
         # A kernel's CSR rows are in cell order: scatter them, one angle
         # at a time, to where the plan put that angle's vertices.
-        self.slots = np.empty(ioff[-1], dtype=np.int32)
+        self.slots = np.empty(ioff[-1], dtype=index)
         self.coeff = np.empty(ioff[-1])
-        self.osl = np.empty(ooff[-1], dtype=np.int32)
-        self.pair = np.empty(ooff[-1], dtype=np.int32) if dd else None
+        self.osl = np.empty(ooff[-1], dtype=index)
+        self.pair = np.empty(ooff[-1], dtype=index) if dd else None
         pos = np.empty(len(order), dtype=np.int64)
         pos[order] = np.arange(len(order))
         for a, k in enumerate(kernels):
@@ -348,6 +370,47 @@ class SweepPlan:
         ):
             if k:
                 self.levels[lv][2].append((a, b, k, s0, s1))
+        self.levels = [(c0, c1, tuple(g), o0, o1) for c0, c1, g, o0, o1 in self.levels]
+        self._index: list = []  # launch-table index part, shared with the twins
+        self._launch: tuple[list, list] | None = None
+
+    def launch_table(self) -> tuple[list, list]:
+        """``(index, coeffs)``, per level the views
+        :meth:`AngleKernel.solve_level` reads, built at the plan's first
+        call and then reused.
+
+        When one in-degree group spans level ``l`` - the one-group form,
+        every level on a structured mesh - ``index[l]`` is the ``(n, k)``
+        inflow-slot view of its vertices and ``coeffs[l]`` their ``(n,
+        1, k)`` coefficient view; otherwise ``index[l]`` is a tuple of
+        ``(a, b, slots)`` per group and ``coeffs[l]`` one coefficient
+        view per group.  The level's ranges come from ``levels``, and
+        ``osl`` / ``oseg`` / ``pair`` are sliced per call: views of them
+        would cost more resident memory than their slicing costs time.
+        ``index`` is filled in place, so the plan's twins - made before
+        or after - share it; ``coeffs`` is this plan's own.
+        """
+        if self._launch is None:
+            if not self._index:
+                self._index.extend(self._launch_index())
+            coeff = self.coeff
+            coeffs = []
+            for (_, _, groups, _, _), slots in zip(self.levels, self._index):
+                views = tuple(
+                    coeff[s0:s1].reshape(b - a, 1, k) for a, b, k, s0, s1 in groups
+                )
+                coeffs.append(views if isinstance(slots, tuple) else views[0])
+            self._launch = self._index, coeffs
+        return self._launch
+
+    def _launch_index(self) -> list:
+        out = []
+        for c0, c1, groups, _, _ in self.levels:
+            rows = tuple((a, b, self.slots[s0:s1].reshape(b - a, k))
+                         for a, b, k, s0, s1 in groups)
+            one = len(rows) == 1 and rows[0][:2] == (0, c1 - c0)
+            out.append(rows[0][2] if one else rows)
+        return out
 
     def twin(self, kernel: AngleKernel) -> "SweepPlan":
         """This one-angle plan for ``kernel``, an angle whose kernel's
@@ -356,8 +419,9 @@ class SweepPlan:
         faces): every index table and ``levels`` shared, only ``coeff``
         and ``den2`` its own.  ``coeff`` is gathered by slot - a face
         slot is the inflow of at most one cell of an angle."""
-        twin = copy.copy(self)
+        twin = copy.copy(self)  # ``_index`` shared, filled by whichever solves first
         twin.kernels = [kernel]
+        twin._launch = None
         by_slot = np.empty(kernel.num_slots)
         by_slot[kernel.in_slot] = kernel.in_coeff
         twin.coeff = by_slot[self.slots]

@@ -50,25 +50,35 @@ FOUR_PI = 4.0 * np.pi
 class _AngleSolve:
     """The solve callback of one angle's programs over one source.
 
-    Called as ``(cells, angle)`` - a partial run - it solves the cells
-    one by one (:meth:`AngleKernel.solve_cells`).  A whole-patch run
-    calls :meth:`solve_patch` instead: the patch's levels of the angle's
+    A partial run calls :meth:`solve_run` with its patch-local ids: the
+    kernel solves the cells one by one (:meth:`AngleKernel.solve_cells`),
+    their global ids read as ints from ``cell_ids``, one list per patch
+    shared by the build's callbacks.  A whole-patch run calls
+    :meth:`solve_patch` instead: the patch's levels of the angle's
     :meth:`SnSolver.patch_plan`, one batched ``solve_level`` each, on
     source and denominators gathered into plan order at the angle's
-    first whole-patch run.
+    first whole-patch run.  Programs recognise it by ``solve_patch``
+    and never call it with ``(cells, angle)`` as they call a user's.
     """
 
-    __slots__ = ("solver", "angle", "kernel", "src_v", "den", "pf", "pc", "_plan")
+    __slots__ = ("solver", "angle", "kernel", "src_v", "den", "pf", "pc",
+                 "cell_ids", "_plan")
 
-    def __init__(self, solver, angle, src_v, den, pf, pc):
+    def __init__(self, solver, angle, src_v, den, pf, pc, cell_ids):
         self.solver = solver
         self.angle = angle
         self.kernel = solver.kernel(angle)
         self.src_v, self.den, self.pf, self.pc = src_v, den, pf, pc
+        self.cell_ids = cell_ids
         self._plan = None
 
-    def __call__(self, cells, angle):
-        self.kernel.solve_cells(cells, self.src_v, self.den, self.pf, self.pc)
+    def solve_run(self, patch: int, local) -> None:
+        ids = self.cell_ids.get(patch)
+        if ids is None:
+            ids = self.cell_ids[patch] = self.solver.pset.patches[patch].cells.tolist()
+        self.kernel.solve_cells(
+            [ids[v] for v in local], self.src_v, self.den, self.pf, self.pc
+        )
 
     def solve_patch(self, patch: int) -> None:
         if self._plan is None:
@@ -492,6 +502,7 @@ class SnSolver:
             if scatter is None:
                 scatter = np.zeros((ncells, ng))
             src_v = self._angle_source_v(scatter)
+        cell_ids: dict[int, list[int]] = {}
         for a in range(self.quadrature.num_angles):
             k = self.kernel(a)
             pf = k.new_face_array(ng)
@@ -499,7 +510,7 @@ class SnSolver:
             pc = np.zeros((ncells, ng))
             faces[a] = (pf, pc)
             den = k.removal(self.sigma_t_v)  # once per angle, not per cluster
-            solve_fns[a] = _AngleSolve(self, a, src_v, den, pf, pc)
+            solve_fns[a] = _AngleSolve(self, a, src_v, den, pf, pc, cell_ids)
         return faces, solve_fns
 
     def record_coarsened(self, grain: int | None = None):

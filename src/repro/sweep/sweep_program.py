@@ -196,16 +196,20 @@ class SweepPatchProgram(PatchProgram):
         }
 
     def _solve(self, popped, angle: int, whole: bool) -> int:
-        """Hand one run's vertices to the solve callback, in pop order -
-        or, for a whole-patch run, just the patch to the callback's
-        ``solve_patch(patch)`` if it has one (the solver's level-batched
-        path, DESIGN.md 12.4); returns how many cells that solved."""
+        """Hand one run's vertices to the solve callback, in pop order,
+        as global cell ids; returns how many cells that solved.  The
+        solver's callback (it has ``solve_patch``, DESIGN.md 12.4) takes
+        the patch instead: all of it for a whole-patch run (the
+        level-batched path), else with the popped patch-local ints, so
+        no run builds an id array."""
         fn = self.solve_fn
         if fn is not None:
-            if whole and hasattr(fn, "solve_patch"):
+            if not hasattr(fn, "solve_patch"):
+                fn(self.cells_global[popped], angle)
+            elif whole:
                 fn.solve_patch(self.id.patch)
             else:
-                fn(self.cells_global[popped], angle)
+                fn.solve_run(self.id.patch, popped)
         return len(popped)
 
     def _collect(self) -> tuple:

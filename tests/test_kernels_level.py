@@ -155,23 +155,24 @@ def test_fast_level_is_bitwise_fast(name):
 _MACHINE = Machine(cores_per_proc=4)
 
 
-def _des_solver(structured, grain, mode="hybrid"):
+def _des_solver(structured, grain, mode="hybrid", groups=1, **kw):
     """Structured: 8 patches of 27 cells, so from grain 27 on every run
     is a whole-patch run (a patch cannot start before its corner cell's
     upwind faces are in).  Unstructured: 9 patches of 16 warped quads,
     whose runs from grain 16 on are whole or partial, as the upwind
-    patches' streams arrive; below it all partial."""
+    patches' streams arrive; below it all partial.  ``kw`` (``scheme``,
+    ``fixup``) goes to the solver."""
     nprocs = _MACHINE.layout(8, mode).nprocs
     if structured:
-        base = _cube()
+        base = _cube(groups=groups)
         pset = PatchSet.from_structured(base.mesh, (3, 3, 3), nprocs=nprocs)
         return SnSolver(pset, base.quadrature, base.materials, base.source,
-                        grain=grain)
+                        grain=grain, **kw)
     mesh = warped_quad_mesh((12, 12))
-    mm = MaterialMap.uniform(Material.isotropic(1.0, 0.3), mesh.num_cells)
+    mm = MaterialMap.uniform(Material.isotropic(1.0, 0.3, groups=groups), mesh.num_cells)
     return SnSolver(
         PatchSet.from_unstructured(mesh, 16, nprocs=nprocs), level_symmetric(4),
-        mm, np.ones((mesh.num_cells, 1)), scheme="step", grain=grain,
+        mm, np.ones((mesh.num_cells, groups)), scheme="step", grain=grain, **kw,
     )
 
 
@@ -204,23 +205,39 @@ RUNS = {
     "coarsened": lambda s, mode: _coarsened_run(s),
 }
 
+
+def _case(structured, grain, run, paths, mode="hybrid", sigma_1d=False, **kw):
+    return structured, grain, mode, run, paths, sigma_1d, kw
+
+
 #: id -> (structured, grain, mode, run, the kernel paths that must run,
-#: 1-D ``sigma_t_v``).  ``cube-partial`` is where this test began.
+#: 1-D ``sigma_t_v``, solver options).  ``cube-partial`` is where this
+#: test began.  The last cases reach the branches the launch tables and
+#: ``solve_cells`` specialise on - several energy groups, DD without the
+#: fixup, the step scheme on a structured mesh - through partial runs
+#: and whole runs each.
 DES_CASES = {
-    "cube-partial": (True, 8, "hybrid", "des", {"cells"}, False),
-    "cube-whole": (True, 27, "hybrid", "des", {"level"}, False),
-    "warped-partial": (False, 4, "hybrid", "des", {"cells"}, False),
-    "warped-mixed": (False, 64, "hybrid", "des", {"cells", "level"}, False),
-    "cube-whole-mpi_only": (True, 27, "mpi_only", "des", {"level"}, False),
-    "warped-mixed-mpi_only": (False, 64, "mpi_only", "des", {"cells", "level"}, False),
-    "cube-whole-crash": (True, 27, "hybrid", "crash", {"level"}, False),
-    "warped-mixed-crash": (False, 64, "hybrid", "crash", {"cells", "level"}, False),
-    "cube-whole-engine": (True, 27, "hybrid", "engine", {"level"}, False),
-    "warped-partial-engine": (False, 4, "hybrid", "engine", {"cells"}, False),
-    "cube-whole-sigma1d": (True, 27, "hybrid", "des", {"level"}, True),
-    "warped-mixed-sigma1d": (False, 64, "hybrid", "des", {"cells", "level"}, True),
-    "cube-coarsened": (True, 27, "hybrid", "coarsened", {"level"}, False),
-    "warped-coarsened": (False, 64, "hybrid", "coarsened", {"cells", "level"}, False),
+    "cube-partial": _case(True, 8, "des", {"cells"}),
+    "cube-whole": _case(True, 27, "des", {"level"}),
+    "warped-partial": _case(False, 4, "des", {"cells"}),
+    "warped-mixed": _case(False, 64, "des", {"cells", "level"}),
+    "cube-whole-mpi_only": _case(True, 27, "des", {"level"}, mode="mpi_only"),
+    "warped-mixed-mpi_only": _case(False, 64, "des", {"cells", "level"}, mode="mpi_only"),
+    "cube-whole-crash": _case(True, 27, "crash", {"level"}),
+    "warped-mixed-crash": _case(False, 64, "crash", {"cells", "level"}),
+    "cube-whole-engine": _case(True, 27, "engine", {"level"}),
+    "warped-partial-engine": _case(False, 4, "engine", {"cells"}),
+    "cube-whole-sigma1d": _case(True, 27, "des", {"level"}, sigma_1d=True),
+    "warped-mixed-sigma1d": _case(False, 64, "des", {"cells", "level"}, sigma_1d=True),
+    "cube-coarsened": _case(True, 27, "coarsened", {"level"}),
+    "warped-coarsened": _case(False, 64, "coarsened", {"cells", "level"}),
+    "cube-partial-4g": _case(True, 8, "des", {"cells"}, groups=4),
+    "cube-whole-4g": _case(True, 27, "des", {"level"}, groups=4),
+    "warped-mixed-4g": _case(False, 64, "des", {"cells", "level"}, groups=4),
+    "cube-partial-nofixup": _case(True, 8, "des", {"cells"}, fixup=False),
+    "cube-whole-nofixup": _case(True, 27, "des", {"level"}, fixup=False),
+    "cube-partial-step": _case(True, 8, "des", {"cells"}, scheme="step"),
+    "cube-whole-step": _case(True, 27, "des", {"level"}, scheme="step"),
 }
 
 
@@ -244,8 +261,8 @@ def test_des_accumulate_is_bitwise_fast_level(monkeypatch, case):
     plans, partial runs through ``solve_cells``, on both mesh families,
     both runtime modes, under a crash, serially and coarsened - gives
     the flux and leakage of ``sweep_once()`` bit for bit."""
-    structured, grain, mode, run, paths, sigma_1d = DES_CASES[case]
-    s = _des_solver(structured, grain, mode)
+    structured, grain, mode, run, paths, sigma_1d, kw = DES_CASES[case]
+    s = _des_solver(structured, grain, mode, **kw)
     if sigma_1d:
         s.sigma_t_v = s.sigma_t_v[:, 0].copy()
     reference, leakage, _ = s.sweep_once()
@@ -325,6 +342,116 @@ def test_patch_plans_share_index_tables_within_an_angle_set():
             assert np.array_equal(plan.coeff, alone.coeff)
             assert np.array_equal(plan.den2, alone.den2)
             assert (a == angles[0]) == (plan is lead)
+
+
+def _solve_patch_levels(s, plan, angle):
+    """Every level of a patch plan through ``solve_level`` on fresh
+    arrays (what the whole-patch runs of ``angle`` do, patch by patch)."""
+    k = s.kernel(angle)
+    src_v = s._angle_source_v(np.zeros((s.mesh.num_cells, s.num_groups)))
+    src_p = src_v[plan.cell]
+    den_p = k.removal(s.sigma_t_v)[plan.cell]
+    psi_faces = k.new_face_array(s.num_groups)
+    s._apply_bc(k, psi_faces, angle)
+    psi_p = np.empty_like(src_p)
+    for level in range(len(plan.levels)):
+        k.solve_level(plan, level, src_p, den_p, psi_faces, psi_p)
+    return psi_faces, psi_p
+
+
+def test_launch_tables_are_built_once(monkeypatch):
+    """The first ``solve_level`` of a plan builds its launch table; no
+    later sweep, recording or replaying, builds it again - and the
+    index part is built once per angle set, not per angle."""
+    built = []
+    real = SweepPlan._launch_index
+
+    def counted(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(SweepPlan, "_launch_index", counted)
+    s = _des_solver(True, 27)
+    s.sweep_once(mode="engine")
+    plans = [s.patch_plan(a)[0] for a in range(s.quadrature.num_angles)]
+    tables = [p._launch for p in plans]
+    assert all(t is not None for t in tables)
+    assert len(built) == len(_sets(s))
+    for _ in range(2):
+        s.sweep_once(mode="engine")
+    assert len(built) == len(_sets(s))
+    assert all(p._launch is t for p, t in zip(plans, tables))
+    assert all(p.launch_table() is t for p, t in zip(plans, tables))
+
+
+def test_twins_share_the_launch_index_and_own_their_coefficients():
+    """A plan and its twins hold one index part (the same list, the same
+    views); each angle's coefficient views are its own and view its own
+    ``coeff``."""
+    s = _des_solver(True, 27)
+    for angles in _sets(s):
+        lead = s.patch_plan(angles[0])[0]
+        assert lead.slots.dtype == np.intp  # one-angle plans index without converting
+        index, coeffs = lead.launch_table()
+        for a in angles[1:]:
+            twin = s.patch_plan(a)[0]
+            t_index, t_coeffs = twin.launch_table()
+            assert t_index is index
+            assert t_coeffs is not coeffs
+            for mine, theirs in zip(t_coeffs, coeffs):
+                assert mine is not theirs
+                assert np.shares_memory(mine, twin.coeff)
+                assert not np.shares_memory(mine, lead.coeff)
+
+
+def test_twin_made_after_its_leads_table_solves_with_its_own_coefficients():
+    """Regression guard: ``twin``'s shallow copy must not carry the
+    lead's cached table, or a twin made after its lead had solved would
+    sweep with the lead's coefficients."""
+    s = _des_solver(True, 27)
+    lead_angle, a = _sets(s)[0][:2]
+    lead = s.patch_plan(lead_angle)[0]
+    _solve_patch_levels(s, lead, lead_angle)  # the lead's table exists
+    assert lead._launch is not None
+    twin = lead.twin(s.kernel(a))
+    assert twin._launch is None
+    alone = s._compile_patch_plan(a)[0]
+    _parts_equal(_solve_patch_levels(s, twin, a), _solve_patch_levels(s, alone, a))
+    assert twin.launch_table()[0] is lead.launch_table()[0]
+
+
+@pytest.mark.parametrize("make", [_koba, lambda: _koba(scheme="step"), _ball],
+                         ids=["cube-dd", "cube-step", "ball-step-4g"])
+def test_solve_cells_takes_an_array_or_a_list_of_ids(make):
+    """Identical bits whether the ids come as an ndarray or as ints."""
+    s = make()
+    rng = np.random.default_rng(5)
+    ng = s.num_groups
+    src_v = s._angle_source_v(rng.random((s.mesh.num_cells, ng)))
+    for a in (0, s.quadrature.num_angles - 1):
+        k = s.kernel(a)
+        den = k.removal(s.sigma_t_v)
+        order = s.topo_order(a)
+        out = []
+        for cells in (np.asarray(order), np.asarray(order).tolist()):
+            psi_faces = k.new_face_array(ng)
+            s._apply_bc(k, psi_faces, a)
+            psi_cell = np.zeros((s.mesh.num_cells, ng))
+            k.solve_cells(cells, src_v, den, psi_faces, psi_cell)
+            out.append((psi_faces, psi_cell))
+        _parts_equal(out[0], out[1])
+
+
+def test_solve_cells_of_no_cells_is_a_noop():
+    s = _cube(groups=2)
+    k = s.kernel(0)
+    src_v = s._angle_source_v(np.zeros((s.mesh.num_cells, 2)))
+    psi_faces = np.random.default_rng(1).random((k.num_slots, 2))
+    psi_cell = np.full((s.mesh.num_cells, 2), 7.0)
+    faces, cells = psi_faces.copy(), psi_cell.copy()
+    for empty in ([], np.zeros(0, dtype=np.int64)):
+        k.solve_cells(empty, src_v, k.removal(s.sigma_t_v), psi_faces, psi_cell)
+    _parts_equal((psi_faces, psi_cell), (faces, cells))
 
 
 def test_sigma_t_v_may_be_one_value_per_cell():

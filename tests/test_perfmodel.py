@@ -47,13 +47,6 @@ class TestModelStructure:
             model.predict(64).pipeline_term
         )
 
-    def test_knee_exists_and_is_consistent(self):
-        _, s = _solver(2)
-        model = SweepPerformanceModel(s.topology, machine=MACHINE)
-        knee = model.knee_cores()
-        assert model.predict(knee).pipeline_bound
-        assert not model.predict(max(4, knee // 4)).pipeline_bound
-
     def test_unstructured_supported(self, disk_patches):
         from tests.conftest import make_solver
 
