@@ -56,10 +56,10 @@ def main() -> None:
     print(f"particle balance residual: {solver.balance_residual(result):.2e}")
 
     # --- 4. the same sweep on the simulated parallel runtime ----------
-    programs, faces = solver.build_programs()  # compute=True: real numerics
+    programs, record = solver.build_programs()  # compute=True: stamps the order
     runtime = DataDrivenRuntime(total_cores, machine=machine)
     report = runtime.run(programs, pset.patch_proc)
-    phi_parallel, _ = solver.accumulate(faces)
+    phi_parallel, _ = solver.accumulate(record)  # checks the order, sweeps once
     ref, _, _ = solver.sweep_once(mode="fast")
     assert np.array_equal(phi_parallel, ref), "parallel schedule changed physics!"
 

@@ -55,7 +55,6 @@ class JSNTApp:
         mode: str = "hybrid",
         cost: CostModel | None = None,
         coarsened: bool = False,
-        compute: bool = False,
         grain: int | None = None,
         termination: str = "workload",
         trace: bool = False,
@@ -80,13 +79,9 @@ class JSNTApp:
             )
         if coarsened:
             cgs = self.solver.record_coarsened(grain=grain)
-            programs, _ = self.solver.build_coarsened_programs(
-                cgs, compute=compute
-            )
+            programs, _ = self.solver.build_coarsened_programs(cgs, compute=False)
         else:
-            programs, _ = self.solver.build_programs(
-                compute=compute, grain=grain
-            )
+            programs, _ = self.solver.build_programs(compute=False, grain=grain)
         rt = DataDrivenRuntime(
             total_cores,
             machine=self.machine,

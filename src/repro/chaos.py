@@ -11,8 +11,10 @@ mixing *every* fault type (crashes with cascades, stragglers, timed
 link partitions, drop / duplicate / corrupt), run each over the
 {structured, unstructured} x {hybrid, mpi_only} scenario matrix with
 the invariant sanitizer armed, and hold every run to the strongest
-available oracle: **bitwise-identical flux** to the fault-free
-reference plus watchdog-clean termination.
+available oracles: an **exact sweep order** (every cell solved, each
+after its upwind cells - :meth:`~repro.sweep.SnSolver.accumulate`),
+**bitwise-identical flux** to the fault-free reference and
+watchdog-clean termination.
 
 Seed-reproducibility contract: the plan for campaign cell ``(seed,
 nprocs)`` is a pure function of those two integers -
@@ -290,7 +292,8 @@ def run_case(
     _scenario=None,
     _reference=None,
 ) -> CaseResult:
-    """Run one campaign cell against the bitwise-exactness oracle.
+    """Run one campaign cell against the order check and the
+    bitwise-exactness oracle; an order violation fails the cell.
 
     ``adaptive`` arms the adaptive-resilience layer for the run - the
     oracle is unchanged (the whole point: adaptivity must not cost
@@ -312,7 +315,7 @@ def run_case(
     plan = random_fault_plan(seed, nprocs, space)
     res = CaseResult(kind=kind, mode=mode, seed=seed, ok=False, exact=False,
                      stalled=False, plan=_plan_shape(plan))
-    progs, faces = solver.build_programs(resilient=True)
+    progs, record = solver.build_programs(resilient=True)
     rt = DataDrivenRuntime(
         cores, machine=machine, mode=mode, faults=plan,
         sanitize=sanitize, trace=hb is not None,
@@ -323,6 +326,7 @@ def run_case(
     )
     try:
         rep = rt.run(progs, pset.patch_proc)
+        phi, _ = solver.accumulate(record)  # refuses an out-of-order sweep
     except StallError as e:
         res.stalled = True
         res.error = str(e)
@@ -330,7 +334,6 @@ def run_case(
     except ReproError as e:
         res.error = str(e)
         return res
-    phi, _ = solver.accumulate(faces)
     res.exact = bool(
         phi.shape == _reference.shape
         and phi.tobytes() == np.ascontiguousarray(_reference).tobytes()

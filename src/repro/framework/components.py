@@ -7,10 +7,10 @@ kernel (Sec. II-B).  This module provides the patterns the paper names
 BSP super-steps: all patches compute with previous-step data, then a
 halo exchange updates remote copies.
 
-These components serve two roles in the reproduction: they demonstrate
-the framework the data-driven abstraction extends, and they are the
-substrate of the BSP sweep baseline the motivation section argues
-against.
+These components demonstrate the framework the data-driven abstraction
+extends.  The BSP sweep baseline the motivation section argues against
+(:mod:`repro.sweep.baselines`) does not use them: it runs its
+super-steps on the runtime's simulator core.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ completely fresh composition restarts from whatever made it to disk
 and must finish bitwise-identical to the uninterrupted run.
 
 ``factory`` rebuilds the world from scratch - runtime, programs,
-patch map, and the host-owned flux arrays - exactly as a restarted
+patch map, and the host-owned order record - exactly as a restarted
 process would re-execute its setup code.  It is called once for the
 doomed run and once for the resumed one, so no Python object survives
 the "crash".

@@ -17,8 +17,8 @@ counted in popped events and honoured at the first same-timestamp
 batch boundary at or past the mark, so a cut always falls between two
 handler executions (``state["popped"]`` records where it fell) - an
 optional ``app_state`` adapter for host-owned arrays the simulated
-programs write through closures (the solver's per-angle flux arrays),
-and ``save()``.
+programs write through closures (the solver's order record), and
+``save()``.
 """
 
 from __future__ import annotations
@@ -38,31 +38,26 @@ _SNAP_RE = re.compile(r"^snap-(\d{8})\.rsnap$")
 
 
 class FluxArrayState:
-    """App-state adapter for the solver's host-owned flux arrays.
+    """App-state adapter for the solver's host-owned order record.
 
-    ``SnSolver.build_programs`` returns ``faces[a] = (psi_faces,
-    psi_cell)`` pairs that program solve callbacks write *through
-    closures*: the arrays live outside every runtime layer, so the
-    runtime snapshot cannot see them.  This adapter captures copies at
-    snapshot time and restores them **in place** into the freshly built
-    arrays of the resumed process, so the closures keep pointing at the
-    right storage.
+    ``SnSolver.build_programs`` returns an
+    :class:`~repro.sweep.solver.OrderRecord` whose stamps and clock the
+    programs' solve callback writes: the record lives outside every
+    runtime layer, so the runtime snapshot cannot see it.  This adapter
+    captures a copy at snapshot time and restores it **in place** into
+    the freshly built record of the resumed process, whose programs
+    already hold its callback.
     """
 
-    def __init__(self, faces: dict):
-        self.faces = faces
+    def __init__(self, record):
+        self.record = record
 
     def capture(self) -> dict:
-        return {
-            int(a): (pf.copy(), pc.copy())
-            for a, (pf, pc) in self.faces.items()
-        }
+        return {"first": self.record.first.copy(), "clock": self.record.clock}
 
     def restore(self, saved: dict) -> None:
-        for a, (pf, pc) in self.faces.items():
-            sf, sc = saved[int(a)]
-            np.copyto(pf, sf)
-            np.copyto(pc, sc)
+        np.copyto(self.record.first, saved["first"])
+        self.record.clock = saved["clock"]
 
 
 class SnapshotManager:

@@ -146,7 +146,8 @@ class JobExecutor:
 
         Classifies every outcome: a clean run yields ``ok`` with the
         flux checksum and the exactness verdict against the fault-free
-        reference; a budget overrun yields ``deadline`` with the
+        reference (a run that solved out of order is ``ok`` and not
+        exact, the violation its detail); a budget overrun yields ``deadline`` with the
         consumed slice; a watchdog stall yields ``stall`` with the
         serialized :class:`~repro.runtime.StallReport`; any other
         structured runtime failure yields ``error``.
@@ -163,7 +164,7 @@ class JobExecutor:
             if faulty else None
         )
         try:
-            progs, faces = sc.solver.build_programs(resilient=faulty)
+            progs, record = sc.solver.build_programs(resilient=faulty)
             rt = DataDrivenRuntime(
                 sc.cores, machine=sc.machine, mode=spec.mode,
                 faults=spec.faults, recovery=recovery,
@@ -194,7 +195,15 @@ class JobExecutor:
             )
         if self.on_report is not None:
             self.on_report(spec, rep)
-        phi, _ = sc.solver.accumulate(faces)
+        counters = rep.fault_summary() if faulty else {}
+        try:
+            phi, _ = sc.solver.accumulate(record)
+        except ReproError as e:
+            # The run finished but solved out of order: no flux to trust.
+            return AttemptOutcome(
+                status="ok", duration=rep.makespan, makespan=rep.makespan,
+                exact=False, detail=str(e), counters=counters,
+            )
         blob = np.ascontiguousarray(phi).tobytes()
         return AttemptOutcome(
             status="ok",
@@ -202,5 +211,5 @@ class JobExecutor:
             makespan=rep.makespan,
             flux_crc=zlib.crc32(blob),
             exact=blob == sc.reference,
-            counters=rep.fault_summary() if faulty else {},
+            counters=counters,
         )

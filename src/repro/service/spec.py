@@ -24,6 +24,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .._util import ReproError
+from ..sweep.sweep_program import check_grain
 
 __all__ = [
     "JobSpec",
@@ -104,8 +105,7 @@ class JobSpec:
             raise ReproError("mesh size must be >= 2")
         if self.patch < 1:
             raise ReproError("patch parameter must be >= 1")
-        if self.grain < 1:
-            raise ReproError("clustering grain must be >= 1")
+        check_grain(self.grain)
         if self.sn < 2 or self.sn % 2:
             raise ReproError("sn must be a positive even quadrature order")
         if self.deadline is not None and self.deadline <= 0:

@@ -178,14 +178,13 @@ class CoarsenedSweepProgram(SweepPatchProgram):
         )
         self._pops = 0
 
-    def _solve(self, popped, angle: int, whole: bool) -> int:
+    def _solve(self, popped, angle: int) -> int:
         g = self.graph
         self._pops = len(popped)  # repro: transient - read back within the same execution
         starts = g.cluster_ptr[popped]
         sizes = g.cluster_ptr[1:][popped] - starts
         if self.solve_fn is not None:
-            # A whole-graph run solves the whole patch: the same route.
-            super()._solve(g.cluster_cells[multi_slice(starts, sizes)], angle, whole)
+            super()._solve(g.cluster_cells[multi_slice(starts, sizes)], angle)
         return int(sizes.sum())
 
     def _collect(self) -> tuple:

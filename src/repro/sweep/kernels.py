@@ -18,15 +18,14 @@ interior interface plus a slot per boundary face.  :class:`SweepPlan`
 compiles the tables of every angle's kernel into per-level slices of
 one ``(angle, cell)`` vertex list, so the level-vectorized sweep
 advances all angles at once and gathers nothing it could have
-precomputed; the same layout, one angle and patch-local levels, solves
-the whole-patch runs of the data-driven programs.  A plan's launch table
-holds the per-level slot and coefficient views a level solve reads, so
-no call rebuilds them.
+precomputed.  A plan's launch table holds the per-level slot and
+coefficient views a level solve reads, so no call rebuilds them.
+:meth:`AngleKernel.solve_cells` is the scalar ``fast`` oracle the plan
+is checked against; the data-driven programs solve nothing in their
+runs (they stamp the sweep order, see :mod:`repro.sweep.solver`).
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -286,10 +285,7 @@ class SweepPlan:
     and ``levels[a]`` (:func:`repro.sweep.dag.topological_levels`; the
     angles of a set share one result) describe angle ``a``; vertex
     ``(a, cell)`` reads and writes face slots ``a * num_slots + slot``.
-    The index tables are ``int32`` in a plan of several angles and
-    ``intp`` in a one-angle plan (a patch plan, solved a few cells per
-    call: numpy converts ``int32`` indices before every gather and
-    scatter, a fixed cost that a 3-cell level cannot amortize):
+    The ``int32`` index tables are:
 
     * ``vertex`` / ``cell`` - ``a * ncells + cell`` and ``cell`` of the
       vertices, level-major and, inside a level, by in-degree, so every
@@ -327,19 +323,18 @@ class SweepPlan:
         in_level = np.arange(len(order)) - cstart[level_of]
         ioff = np.concatenate(([0], np.cumsum(indeg)))
         ooff = np.concatenate(([0], np.cumsum(outdeg)))
-        index = np.int32 if len(kernels) > 1 else np.intp
-        self.vertex = order.astype(index)
-        self.cell = (order % ncells).astype(index)
-        self.oseg = np.repeat(in_level.astype(index), outdeg)
+        self.vertex = order.astype(np.int32)
+        self.cell = (order % ncells).astype(np.int32)
+        self.oseg = np.repeat(in_level.astype(np.int32), outdeg)
         self.den2 = (2.0 if dd else 1.0) * np.concatenate(
             [k.out_coeff_sum for k in kernels]
         )[order]
         # A kernel's CSR rows are in cell order: scatter them, one angle
         # at a time, to where the plan put that angle's vertices.
-        self.slots = np.empty(ioff[-1], dtype=index)
+        self.slots = np.empty(ioff[-1], dtype=np.int32)
         self.coeff = np.empty(ioff[-1])
-        self.osl = np.empty(ooff[-1], dtype=index)
-        self.pair = np.empty(ooff[-1], dtype=index) if dd else None
+        self.osl = np.empty(ooff[-1], dtype=np.int32)
+        self.pair = np.empty(ooff[-1], dtype=np.int32) if dd else None
         pos = np.empty(len(order), dtype=np.int64)
         pos[order] = np.arange(len(order))
         for a, k in enumerate(kernels):
@@ -371,7 +366,6 @@ class SweepPlan:
             if k:
                 self.levels[lv][2].append((a, b, k, s0, s1))
         self.levels = [(c0, c1, tuple(g), o0, o1) for c0, c1, g, o0, o1 in self.levels]
-        self._index: list = []  # launch-table index part, shared with the twins
         self._launch: tuple[list, list] | None = None
 
     def launch_table(self) -> tuple[list, list]:
@@ -387,47 +381,20 @@ class SweepPlan:
         view per group.  The level's ranges come from ``levels``, and
         ``osl`` / ``oseg`` / ``pair`` are sliced per call: views of them
         would cost more resident memory than their slicing costs time.
-        ``index`` is filled in place, so the plan's twins - made before
-        or after - share it; ``coeffs`` is this plan's own.
         """
         if self._launch is None:
-            if not self._index:
-                self._index.extend(self._launch_index())
-            coeff = self.coeff
-            coeffs = []
-            for (_, _, groups, _, _), slots in zip(self.levels, self._index):
-                views = tuple(
-                    coeff[s0:s1].reshape(b - a, 1, k) for a, b, k, s0, s1 in groups
-                )
-                coeffs.append(views if isinstance(slots, tuple) else views[0])
-            self._launch = self._index, coeffs
+            index, coeffs = [], []
+            for c0, c1, groups, _, _ in self.levels:
+                rows = tuple((a, b, self.slots[s0:s1].reshape(b - a, k))
+                             for a, b, k, s0, s1 in groups)
+                views = tuple(self.coeff[s0:s1].reshape(b - a, 1, k)
+                              for a, b, k, s0, s1 in groups)
+                if len(rows) == 1 and rows[0][:2] == (0, c1 - c0):
+                    rows, views = rows[0][2], views[0]
+                index.append(rows)
+                coeffs.append(views)
+            self._launch = index, coeffs
         return self._launch
-
-    def _launch_index(self) -> list:
-        out = []
-        for c0, c1, groups, _, _ in self.levels:
-            rows = tuple((a, b, self.slots[s0:s1].reshape(b - a, k))
-                         for a, b, k, s0, s1 in groups)
-            one = len(rows) == 1 and rows[0][:2] == (0, c1 - c0)
-            out.append(rows[0][2] if one else rows)
-        return out
-
-    def twin(self, kernel: AngleKernel) -> "SweepPlan":
-        """This one-angle plan for ``kernel``, an angle whose kernel's
-        index tables equal this plan's kernel's (one angle set of
-        :func:`repro.sweep.dag.angle_sets` over the interior and boundary
-        faces): every index table and ``levels`` shared, only ``coeff``
-        and ``den2`` its own.  ``coeff`` is gathered by slot - a face
-        slot is the inflow of at most one cell of an angle."""
-        twin = copy.copy(self)  # ``_index`` shared, filled by whichever solves first
-        twin.kernels = [kernel]
-        twin._launch = None
-        by_slot = np.empty(kernel.num_slots)
-        by_slot[kernel.in_slot] = kernel.in_coeff
-        twin.coeff = by_slot[self.slots]
-        two = 2.0 if kernel.scheme == "dd" else 1.0
-        twin.den2 = two * kernel.out_coeff_sum[self.vertex]
-        return twin
 
     def sweep(
         self,

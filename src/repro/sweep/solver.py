@@ -14,11 +14,15 @@ Three sweep execution modes produce identical numerics:
   (no patch machinery); the scalar reference.
 * ``engine`` - the patch-centric data-driven execution of Listing 1 via
   :class:`repro.core.SerialEngine`; exercises exactly the program that
-  the DES runtime schedules.  Whole-patch runs solve level-batched
-  through :meth:`SnSolver.patch_plan`, partial runs cell by cell.
+  the DES runtime schedules.
 
-Bitwise agreement between modes is part of the test suite: the
-data-driven machinery must not change the physics.
+A solver-built program set computes no flux in its runs.  Its solve
+callback stamps the order the runs solve the cells in
+(:class:`OrderRecord`), and :meth:`SnSolver.accumulate` checks that
+order against every angle's DAG, exactly, before it sweeps the source
+once, ``fast-level``.  The stream payloads carry vertex ids, not flux,
+so the order is all a run decides.  ``fast`` and ``fast-level`` agree
+bitwise, which is part of the test suite.
 """
 
 from __future__ import annotations
@@ -32,66 +36,47 @@ from ..core.engine import EngineStats, SerialEngine
 from ..framework.connectivity import build_boundary, build_interfaces
 from ..framework.patch import PatchSet
 from ..mesh.structured import StructuredMesh
-from .dag import (
-    SweepTopology, angle_sets, csr_by_source, directed_edges, kahn_fronts,
-    topological_levels,
-)
+from .dag import SweepTopology, angle_sets, directed_edges, topological_levels
 from .kernels import _TOL, AngleKernel, SweepPlan
 from .materials import MaterialMap
 from .priorities import PriorityStrategy, apply_priorities
 from .quadrature import Quadrature
 from .sweep_program import SweepPatchProgram, check_grain
 
-__all__ = ["SnSolver", "SweepResult", "FOUR_PI"]
+__all__ = ["SnSolver", "SweepResult", "OrderRecord", "FOUR_PI"]
 
 FOUR_PI = 4.0 * np.pi
 
 
-class _AngleSolve:
-    """The solve callback of one angle's programs over one source.
+class OrderRecord:
+    """What a solver-built program set leaves behind: the order in which
+    its runs solved the cells, and the source that sweep is for.
 
-    A partial run calls :meth:`solve_run` with its patch-local ids: the
-    kernel solves the cells one by one (:meth:`AngleKernel.solve_cells`),
-    their global ids read as ints from ``cell_ids``, one list per patch
-    shared by the build's callbacks.  A whole-patch run calls
-    :meth:`solve_patch` instead: the patch's levels of the angle's
-    :meth:`SnSolver.patch_plan`, one batched ``solve_level`` each, on
-    source and denominators gathered into plan order at the angle's
-    first whole-patch run.  Programs recognise it by ``solve_patch``
-    and never call it with ``(cells, angle)`` as they call a user's.
+    ``first[a, c]`` is the global solve sequence number of cell ``c``'s
+    first solve in angle ``a`` (-1 until then).  :meth:`stamp` is the
+    programs' Listing-1 solve callback: it numbers a run's cells in pop
+    order, from ``clock`` on, and never renumbers a cell - a re-execution
+    after failover solves again, but the first solve is the one that
+    released the downwind cells.  The record lives beside the programs,
+    not in their state, so an in-run restore leaves it alone;
+    :class:`repro.persist.FluxArrayState` saves and restores it across a
+    process restart.  :meth:`SnSolver.accumulate` checks the order and
+    sweeps ``src_v`` once.
     """
 
-    __slots__ = ("solver", "angle", "kernel", "src_v", "den", "pf", "pc",
-                 "cell_ids", "_plan")
+    __slots__ = ("first", "clock", "src_v")
 
-    def __init__(self, solver, angle, src_v, den, pf, pc, cell_ids):
-        self.solver = solver
-        self.angle = angle
-        self.kernel = solver.kernel(angle)
-        self.src_v, self.den, self.pf, self.pc = src_v, den, pf, pc
-        self.cell_ids = cell_ids
-        self._plan = None
+    def __init__(self, num_angles: int, src_v: np.ndarray):
+        self.first = np.full((num_angles, len(src_v)), -1, dtype=np.int64)
+        self.clock = 0
+        self.src_v = src_v
 
-    def solve_run(self, patch: int, local) -> None:
-        ids = self.cell_ids.get(patch)
-        if ids is None:
-            ids = self.cell_ids[patch] = self.solver.pset.patches[patch].cells.tolist()
-        self.kernel.solve_cells(
-            [ids[v] for v in local], self.src_v, self.den, self.pf, self.pc
-        )
-
-    def solve_patch(self, patch: int) -> None:
-        if self._plan is None:
-            plan, first = self.solver.patch_plan(self.angle)
-            src_p, den_p = self.src_v[plan.cell], self.den[plan.cell]
-            self._plan = plan, first, src_p, den_p, np.empty_like(src_p)
-        plan, first, src_p, den_p, psi_p = self._plan
-        lo, hi = first[patch], first[patch + 1]
-        solve_level, pf = self.kernel.solve_level, self.pf
-        for level in range(lo, hi):
-            solve_level(plan, level, src_p, den_p, pf, psi_p)
-        c0, c1 = plan.levels[lo][0], plan.levels[hi - 1][1]
-        self.pc[plan.cell[c0:c1]] = psi_p[c0:c1]
+    def stamp(self, cells: np.ndarray, angle: int) -> None:
+        row = self.first[angle]
+        fresh = cells[row[cells] < 0]
+        n = len(fresh)
+        row[fresh] = np.arange(self.clock, self.clock + n)
+        self.clock += n
 
 
 @dataclass
@@ -161,8 +146,7 @@ class SnSolver:
         self._kernels: dict[int, AngleKernel] = {}
         self._topo_orders: dict[int, np.ndarray] = {}
         self._plan: SweepPlan | None = None
-        self._sets: list[list[int]] | None = None
-        self._patch_plans: dict[int, tuple[SweepPlan, list[int]]] = {}
+        self._edges: list | None = None
         self._topology: SweepTopology | None = None
         self._static_prio: dict[tuple[int, int], float] | None = None
 
@@ -217,21 +201,6 @@ class SnSolver:
         self._bnd_out_prev = np.zeros(shape)
         self._bnd_out_next = np.zeros(shape)
 
-    def _capture_outgoing(self, angle: int, psi_faces: np.ndarray) -> None:
-        """Record this sweep's outgoing boundary fluxes for the lag."""
-        if not self.reflecting:
-            return
-        k = self.kernel(angle)
-        self._bnd_out_next[angle, k.outflow_rows] = psi_faces[k.outflow_slots]
-
-    def finish_reflection_sweep(self) -> None:
-        """Swap the lagged boundary store after a full sweep."""
-        if self.reflecting:
-            self._bnd_out_prev, self._bnd_out_next = (
-                self._bnd_out_next,
-                self._bnd_out_prev,
-            )
-
     # -- cached structures ---------------------------------------------------------
 
     @property
@@ -281,74 +250,35 @@ class SnSolver:
             )
         return self._topo_orders[angle]
 
-    def _angle_sets(self) -> list[list[int]]:
-        """:func:`angle_sets` over the interior and boundary faces: the
-        angles whose kernels have equal index tables (e.g. one octant
-        of a structured mesh)."""
-        if self._sets is None:
-            self._sets = angle_sets(
-                self.quadrature.directions, self.interfaces.normal,
-                self.boundary.normal, tol=_TOL,
-            )
-        return self._sets
+    def _angle_edges(self) -> list:
+        """``(angles, u, v)`` per :func:`angle_sets` set over the
+        interior and boundary faces - the angles whose kernels have
+        equal index tables (e.g. one octant of a structured mesh) - and
+        its sweep DAG's edges ``u -> v``, derived once."""
+        if self._edges is None:
+            dirs = self.quadrature.directions
+            self._edges = [
+                (angles, *directed_edges(self.interfaces, dirs[angles[0]]))
+                for angles in angle_sets(
+                    dirs, self.interfaces.normal, self.boundary.normal, tol=_TOL
+                )
+            ]
+        return self._edges
 
     def sweep_plan(self) -> SweepPlan:
         """The compiled level tables of the ``fast-level`` path: one
         :class:`SweepPlan` over every (angle, cell) vertex, the Kahn
-        peel run once per angle set (:meth:`_angle_sets`); built at the
+        peel run once per angle set (:meth:`_angle_edges`); built at the
         first call, then reused by every sweep."""
         if self._plan is None:
-            dirs = self.quadrature.directions
-            levels: list = [None] * len(dirs)
-            for angles in self._angle_sets():
-                u, v = directed_edges(self.interfaces, dirs[angles[0]])
+            na = self.quadrature.num_angles
+            levels: list = [None] * na
+            for angles, u, v in self._angle_edges():
                 shared = topological_levels(self.mesh.num_cells, u, v)
                 for a in angles:
                     levels[a] = shared
-            self._plan = SweepPlan([self.kernel(a) for a in range(len(dirs))], levels)
+            self._plan = SweepPlan([self.kernel(a) for a in range(na)], levels)
         return self._plan
-
-    def patch_plan(self, angle: int) -> tuple[SweepPlan, list[int]]:
-        """The compiled level tables of whole-patch runs of ``angle``:
-        ``(plan, first)``, a one-angle :class:`SweepPlan` over every
-        cell whose levels are, patch after patch, the patch-local Kahn
-        fronts (meshtaichi ``Patcher`` layout: patch ``p`` owns levels
-        ``first[p]:first[p + 1]``).  A whole-patch run finds every
-        upwind face from another patch written, so those levels are its
-        whole dependency order - and only its: the plan is solved patch
-        by patch, never by :meth:`SweepPlan.sweep`.  Built for an angle
-        set at the first whole-patch run of one of its angles; the
-        set's other angles get a :meth:`SweepPlan.twin` sharing every
-        index table and level, with only their coefficients their own."""
-        got = self._patch_plans.get(angle)
-        if got is None:
-            kernel = self.kernel(angle)  # refuses an unknown angle
-            lead = next(s for s in self._angle_sets() if angle in s)[0]
-            if lead not in self._patch_plans:
-                self._patch_plans[lead] = self._compile_patch_plan(lead)
-            plan, first = self._patch_plans[lead]
-            if angle != lead:
-                plan = plan.twin(kernel)
-            got = self._patch_plans[angle] = plan, first
-        return got
-
-    def _compile_patch_plan(self, angle: int) -> tuple[SweepPlan, list[int]]:
-        """One Kahn peel of the union of the patches' local sweep
-        graphs: its fronts are the patch-local ones."""
-        ncells, cp = self.mesh.num_cells, self.pset.cell_patch
-        u, v = directed_edges(self.interfaces, self.quadrature.directions[angle])
-        local = cp[u] == cp[v]
-        front, _ = kahn_fronts(
-            ncells, *csr_by_source(u[local], ncells, v[local]), "patch sweep graph"
-        )
-        depth = np.zeros(self.pset.num_patches, dtype=np.int64)
-        np.maximum.at(depth, cp, front + 1)
-        first = np.concatenate(([0], np.cumsum(depth)))
-        level_of = first[cp] + front
-        order = np.argsort(level_of, kind="stable")
-        bounds = np.searchsorted(level_of[order], np.arange(first[-1] + 1)).tolist()
-        levels = [order[a:b] for a, b in zip(bounds, bounds[1:])]
-        return SweepPlan([self.kernel(angle)], [levels]), first.tolist()
 
     # -- single sweep -----------------------------------------------------------------
 
@@ -400,46 +330,60 @@ class SnSolver:
             scatter = np.zeros((ncells, ng))
         src_v = self._angle_source_v(scatter)
         if mode == "fast-level":
-            # The angles advance together, one slab each; ``accumulate``
-            # then sums in ascending angle order, the float sums of ``fast``.
-            plan = self.sweep_plan()
-            na = len(plan.kernels)
-            psi_faces = np.zeros((na, plan.kernels[0].num_slots, ng))
-            for a, (k, pf) in enumerate(zip(plan.kernels, psi_faces)):
-                self._apply_bc(k, pf, a)
-            psi_cell = np.empty((na, ncells, ng))
-            plan.sweep(src_v, self.sigma_t_v, psi_faces, psi_cell)
-            phi, leakage = self.accumulate(dict(enumerate(zip(psi_faces, psi_cell))))
-            return phi, leakage, None
+            return (*self._sweep_level(src_v), None)
         if mode == "fast":
-            phi = np.zeros((ncells, ng))
-            leakage = np.zeros(ng)
-            psi_cell = np.zeros((ncells, ng))
-            for a in range(self.quadrature.num_angles):
+            psi_faces = self._face_arrays()
+            psi_cell = np.zeros((len(psi_faces), ncells, ng))
+            for a, (pf, pc) in enumerate(zip(psi_faces, psi_cell)):
                 k = self.kernel(a)
-                psi_faces = k.new_face_array(ng)
-                self._apply_bc(k, psi_faces, a)
-                k.solve_cells(
-                    self.topo_order(a), src_v, k.removal(self.sigma_t_v),
-                    psi_faces, psi_cell,
-                )
-                self._capture_outgoing(a, psi_faces)
-                w = self.quadrature.weights[a]
-                phi += w * psi_cell
-                leakage += w * k.leakage(psi_faces)
-            self.finish_reflection_sweep()
-            return phi, leakage, None
+                k.solve_cells(self.topo_order(a), src_v, k.removal(self.sigma_t_v), pf, pc)
+            return (*self._flux(psi_faces, psi_cell), None)
         if mode == "engine":
-            programs, faces = self.build_programs(
+            programs, record = self.build_programs(
                 src_v, record_clusters=record_clusters
             )
             engine = SerialEngine()
             for prog in programs:
                 engine.add_program(prog)
             stats = engine.run()
-            phi, leakage = self.accumulate(faces)
+            phi, leakage = self.accumulate(record)
             return phi, leakage, stats
         raise ReproError(f"unknown sweep mode {mode!r}")
+
+    def _sweep_level(self, src_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(phi, leakage)`` of one ``fast-level`` sweep of ``src_v``: the
+        angles advance together, one slab each."""
+        psi_faces = self._face_arrays()
+        psi_cell = np.empty((len(psi_faces), self.mesh.num_cells, self.num_groups))
+        self.sweep_plan().sweep(src_v, self.sigma_t_v, psi_faces, psi_cell)
+        return self._flux(psi_faces, psi_cell)
+
+    def _face_arrays(self) -> np.ndarray:
+        """``(angles, slots, groups)`` face fluxes holding every angle's
+        boundary condition."""
+        na = self.quadrature.num_angles
+        psi_faces = np.zeros((na, self.kernel(0).num_slots, self.num_groups))
+        for a, pf in enumerate(psi_faces):
+            self._apply_bc(self.kernel(a), pf, a)
+        return psi_faces
+
+    def _flux(self, psi_faces, psi_cell) -> tuple[np.ndarray, np.ndarray]:
+        """Scalar flux and leakage of a full sweep's per-angle fluxes,
+        summed in ascending angle order (the same float sums whichever
+        mode swept).  With reflecting boundaries, records the sweep's
+        outgoing boundary fluxes and swaps the lagged store."""
+        phi = np.zeros(psi_cell.shape[1:])
+        leakage = np.zeros(self.num_groups)
+        for a, (pf, pc) in enumerate(zip(psi_faces, psi_cell)):
+            k = self.kernel(a)
+            if self.reflecting:
+                self._bnd_out_next[a, k.outflow_rows] = pf[k.outflow_slots]
+            w = self.quadrature.weights[a]
+            phi += w * pc
+            leakage += w * k.leakage(pf)
+        if self.reflecting:
+            self._bnd_out_prev, self._bnd_out_next = self._bnd_out_next, self._bnd_out_prev
+        return phi, leakage
 
     # -- data-driven program construction (shared with the DES runtime) ---------------
 
@@ -454,10 +398,12 @@ class SnSolver:
     ):
         """Instantiate one SweepPatchProgram per (patch, angle).
 
-        Returns ``(programs, face_arrays)`` where ``face_arrays[a]`` is
-        the per-angle ``(psi_faces, psi_cell)`` pair written by the
-        programs' solve callbacks (None entries when ``compute`` is
-        False - scheduling-only runs used by the performance studies).
+        Returns ``(programs, record)``: the :class:`OrderRecord` the
+        programs' solve callback stamps, for the source ``src_v``
+        (default: the source of ``scatter``, default zero) - hand it to
+        :meth:`accumulate` after the run.  ``record`` is None when
+        ``compute`` is False: scheduling-only runs, used by the
+        performance studies, call no solve callback.
 
         ``resilient`` builds programs with idempotent stream delivery
         (edge-id dedup), required to run them under a fault plan with
@@ -465,7 +411,7 @@ class SnSolver:
         """
         grain = check_grain(grain if grain is not None else self.grain)
         topo = self.topology
-        faces, solve_fns = self._make_face_solvers(src_v, scatter, compute)
+        record = self._order_record(src_v, scatter, compute)
         programs = []
         dynamic = self.strategy.patch == "slbd"
         prio, per_item = self.static_priorities, 8 * self.num_groups
@@ -474,7 +420,7 @@ class SnSolver:
                 graph,
                 cells_global=self.pset.patches[p].cells,
                 grain=grain,
-                solve_fn=solve_fns.get(a),
+                solve_fn=record and record.stamp,
                 static_priority=prio[(p, a)],
                 dynamic_priority=dynamic,
                 bytes_per_item=per_item,
@@ -483,35 +429,16 @@ class SnSolver:
                 angle=a,
             )
             programs.append(prog)
-        return programs, faces
+        return programs, record
 
-    def _make_face_solvers(
-        self, src_v: np.ndarray | None, scatter: np.ndarray | None, compute: bool
-    ):
-        """Per-angle (psi_faces, psi_cell) arrays plus solve callbacks
-        (:class:`_AngleSolve`) over ``src_v`` (default: the source of
-        ``scatter``, default zero); both empty for a scheduling-only
-        build."""
-        faces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        solve_fns: dict[int, object] = {}
+    def _order_record(self, src_v, scatter, compute: bool) -> OrderRecord | None:
         if not compute:
-            return faces, solve_fns
-        ng = self.num_groups
-        ncells = self.mesh.num_cells
+            return None
         if src_v is None:
             if scatter is None:
-                scatter = np.zeros((ncells, ng))
+                scatter = np.zeros((self.mesh.num_cells, self.num_groups))
             src_v = self._angle_source_v(scatter)
-        cell_ids: dict[int, list[int]] = {}
-        for a in range(self.quadrature.num_angles):
-            k = self.kernel(a)
-            pf = k.new_face_array(ng)
-            self._apply_bc(k, pf, a)
-            pc = np.zeros((ncells, ng))
-            faces[a] = (pf, pc)
-            den = k.removal(self.sigma_t_v)  # once per angle, not per cluster
-            solve_fns[a] = _AngleSolve(self, a, src_v, den, pf, pc, cell_ids)
-        return faces, solve_fns
+        return OrderRecord(self.quadrature.num_angles, src_v)
 
     def record_coarsened(self, grain: int | None = None):
         """One scheduling-only engine sweep that records clusters, then
@@ -534,10 +461,11 @@ class SnSolver:
         scatter: np.ndarray | None = None,
         compute: bool = True,
     ):
-        """Instantiate CoarsenedSweepProgram per (patch, angle) from ``cgs``."""
+        """Instantiate CoarsenedSweepProgram per (patch, angle) from
+        ``cgs``; returns ``(programs, record)`` as :meth:`build_programs`."""
         from .coarsened import CoarsenedSweepProgram
 
-        faces, solve_fns = self._make_face_solvers(src_v, scatter, compute)
+        record = self._order_record(src_v, scatter, compute)
         programs = []
         prio, per_item = self.static_priorities, 8 * self.num_groups
         for (p, a), cg in cgs.items():
@@ -545,25 +473,39 @@ class SnSolver:
                 CoarsenedSweepProgram(
                     cg,
                     cells_global=self.pset.patches[p].cells,
-                    solve_fn=solve_fns.get(a),
+                    solve_fn=record and record.stamp,
                     static_priority=prio[(p, a)],
                     bytes_per_item=per_item,
                 )
             )
-        return programs, faces
+        return programs, record
 
-    def accumulate(self, faces) -> tuple[np.ndarray, np.ndarray]:
-        """Scalar flux and leakage from per-angle arrays of a program run."""
-        ng = self.num_groups
-        phi = np.zeros((self.mesh.num_cells, ng))
-        leakage = np.zeros(ng)
-        for a, (pf, pc) in faces.items():
-            self._capture_outgoing(a, pf)
-            w = self.quadrature.weights[a]
-            phi += w * pc
-            leakage += w * self.kernel(a).leakage(pf)
-        self.finish_reflection_sweep()
-        return phi, leakage
+    def check_order(self, first: np.ndarray) -> None:
+        """Refuse a solve order that is not a topological order of every
+        angle's sweep DAG: ``first`` (an :attr:`OrderRecord.first`) must
+        stamp every cell, and every edge ``u -> v`` must have
+        ``first[u] < first[v]``.  One vectorized comparison per edge;
+        the error names the angle, the edge and both stamps."""
+        if first.min() < 0:
+            a, c = np.argwhere(first < 0)[0].tolist()
+            raise ReproError(f"sweep order: angle {a}: cell {c} was never solved")
+        for angles, u, v in self._angle_edges():
+            f = first[angles]
+            late = f[:, u] >= f[:, v]
+            if late.any():
+                i, e = np.argwhere(late)[0].tolist()
+                cu, cv = int(u[e]), int(v[e])
+                raise ReproError(
+                    f"sweep order: angle {angles[i]}: edge {cu} -> {cv} was solved "
+                    f"out of order (first[{cu}] = {f[i, cu]} >= first[{cv}] = {f[i, cv]})"
+                )
+
+    def accumulate(self, record: OrderRecord) -> tuple[np.ndarray, np.ndarray]:
+        """Scalar flux and leakage of a program run: :meth:`check_order`
+        on ``record``, then one ``fast-level`` sweep of its source (the
+        reflecting-boundary lag advances as after any sweep)."""
+        self.check_order(record.first)
+        return self._sweep_level(record.src_v)
 
     # -- source iteration ------------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from collections.abc import Callable
 from dataclasses import replace
+from numbers import Integral
 
 import numpy as np
 
@@ -30,10 +31,12 @@ __all__ = ["SweepPatchProgram", "check_grain"]
 
 
 def check_grain(grain: int) -> int:
-    """The clustering grain, refused where it enters a program or solver."""
-    if grain <= 0:
+    """The clustering grain, refused where it enters a program or solver:
+    a positive integer (not a bool - a run pops ``grain`` vertices, and
+    a fractional budget never counts down to zero)."""
+    if isinstance(grain, bool) or not isinstance(grain, Integral) or grain <= 0:
         raise ReproError(
-            f"clustering grain must be positive; got grain={grain!r}"
+            f"clustering grain must be positive and integral; got grain={grain!r}"
         )
     return grain
 
@@ -168,7 +171,7 @@ class SweepPatchProgram(PatchProgram):
             self._heap = []
 
         angle = self.id.task
-        nverts = self._solve(popped, angle, whole)
+        nverts = self._solve(popped, angle)
         self._solved += nverts
         if self.record_clusters:
             self.clusters.append(
@@ -195,21 +198,11 @@ class SweepPatchProgram(PatchProgram):
             "streams": len(outs),
         }
 
-    def _solve(self, popped, angle: int, whole: bool) -> int:
+    def _solve(self, popped, angle: int) -> int:
         """Hand one run's vertices to the solve callback, in pop order,
-        as global cell ids; returns how many cells that solved.  The
-        solver's callback (it has ``solve_patch``, DESIGN.md 12.4) takes
-        the patch instead: all of it for a whole-patch run (the
-        level-batched path), else with the popped patch-local ints, so
-        no run builds an id array."""
-        fn = self.solve_fn
-        if fn is not None:
-            if not hasattr(fn, "solve_patch"):
-                fn(self.cells_global[popped], angle)
-            elif whole:
-                fn.solve_patch(self.id.patch)
-            else:
-                fn.solve_run(self.id.patch, popped)
+        as global cell ids; returns how many cells that solved."""
+        if self.solve_fn is not None:
+            self.solve_fn(self.cells_global[popped], angle)
         return len(popped)
 
     def _collect(self) -> tuple:

@@ -53,6 +53,7 @@ from repro.runtime.faults import ACK_TIMEOUT
 from repro.runtime.metrics import Breakdown
 from repro.runtime.recovery import Checkpoint, RecoveryManager
 from repro.runtime.scheduler import RunState
+from repro.sweep.solver import OrderRecord
 from repro.sweep.sweep_program import SweepPatchProgram
 from tests.conftest import make_solver
 
@@ -682,3 +683,14 @@ class TestChaosCampaign:
         case = run_case("structured", "hybrid", 0)
         assert case.stalled and not case.ok
         assert "partitioned" in case.error
+
+    def test_run_case_reports_an_order_violation_instead_of_raising(self, monkeypatch):
+        """A run whose order record breaks the sweep DAG (every run stamps
+        its cells in reverse pop order) is a failed case naming the
+        violation, not an exception out of the campaign."""
+        real = OrderRecord.stamp
+        monkeypatch.setattr(OrderRecord, "stamp",
+                            lambda self, cells, angle: real(self, cells[::-1], angle))
+        case = run_case("structured", "hybrid", 0)
+        assert not case.ok and not case.exact and not case.stalled
+        assert "sweep order" in case.error

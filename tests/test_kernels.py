@@ -97,23 +97,24 @@ class TestDiscreteRecurrences:
 
         k = s.kernel(0)
         if mode == "des":
-            programs, faces = s.build_programs(compute=True)
+            programs, record = s.build_programs(compute=True)
             DataDrivenRuntime(8, machine=Machine(cores_per_proc=4)).run(
                 programs, pset.patch_proc
             )
-            psi_faces, psi_cell = faces[0]
-            phi, leakage = s.accumulate(faces)
+            phi, leakage = s.accumulate(record)
         else:
             phi, leakage, _ = s.sweep_once(mode=mode)
-            psi_faces, psi_cell = k.new_face_array(1), np.zeros((mesh.num_cells, 1))
-            s._apply_bc(k, psi_faces, 0)
-            src_v = s._angle_source_v(np.zeros((mesh.num_cells, 1)))
-            if mode == "fast":
-                k.solve_cells(s.topo_order(0), src_v, k.removal(s.sigma_t_v),
-                              psi_faces, psi_cell)
-            else:
-                s.sweep_plan().sweep(src_v, s.sigma_t_v, psi_faces[None],
-                                     psi_cell[None])
+        # The face and cell fluxes of the sweep behind ``phi``: a DES
+        # run's flux is the plan's sweep of its (checked) order record.
+        psi_faces, psi_cell = k.new_face_array(1), np.zeros((mesh.num_cells, 1))
+        s._apply_bc(k, psi_faces, 0)
+        src_v = s._angle_source_v(np.zeros((mesh.num_cells, 1)))
+        if mode == "fast":
+            k.solve_cells(s.topo_order(0), src_v, k.removal(s.sigma_t_v),
+                          psi_faces, psi_cell)
+        else:
+            s.sweep_plan().sweep(src_v, s.sigma_t_v, psi_faces[None],
+                                 psi_cell[None])
 
         ix = np.rint(mesh.cell_centers()[:, 0] / dx - 0.5).astype(int)
         rtol = 1e-12

@@ -10,6 +10,8 @@ default ``sweep_once`` mode and any float-order drift would silently
 change every solver result.
 """
 
+from heapq import heappush
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,10 @@ from repro.sweep import (
     Material, MaterialMap, Quadrature, SnSolver, level_symmetric,
     product_quadrature,
 )
-from repro.sweep.dag import (
-    angle_sets, directed_edges, kahn_fronts, topological_levels,
-)
+from repro.sweep.dag import angle_sets, directed_edges, topological_levels
+from repro.sweep.coarsened import CoarsenedSweepProgram
 from repro.sweep.kernels import _TOL, AngleKernel, SweepPlan
+from repro.sweep.sweep_program import SweepPatchProgram
 
 
 def _koba(**kw):
@@ -176,26 +178,29 @@ def _des_solver(structured, grain, mode="hybrid", groups=1, **kw):
     )
 
 
+def _crash_plan(s, mode):
+    """Process 1 crashes a third into the clean makespan."""
+    clean, _ = s.build_programs(compute=False)
+    makespan = DataDrivenRuntime(8, machine=_MACHINE, mode=mode).run(
+        clean, s.pset.patch_proc).makespan
+    return FaultPlan(crashes=(CrashFault(proc=1, time=makespan / 3),))
+
+
 def _des_run(s, mode="hybrid", crash=False):
     """One compute=True DES sweep; with ``crash``, process 1 crashes a
     third into the clean makespan and resilient programs recover."""
-    faults = None
-    if crash:
-        clean, _ = s.build_programs(compute=False)
-        makespan = DataDrivenRuntime(8, machine=_MACHINE, mode=mode).run(
-            clean, s.pset.patch_proc).makespan
-        faults = FaultPlan(crashes=(CrashFault(proc=1, time=makespan / 3),))
-    programs, faces = s.build_programs(resilient=crash)
+    faults = _crash_plan(s, mode) if crash else None
+    programs, record = s.build_programs(resilient=crash)
     rep = DataDrivenRuntime(8, machine=_MACHINE, mode=mode, faults=faults).run(
         programs, s.pset.patch_proc)
     assert rep.crashes == int(crash)
-    return s.accumulate(faces)
+    return s.accumulate(record)
 
 
 def _coarsened_run(s):
-    programs, faces = s.build_coarsened_programs(s.record_coarsened())
+    programs, record = s.build_coarsened_programs(s.record_coarsened())
     DataDrivenRuntime(8, machine=_MACHINE).run(programs, s.pset.patch_proc)
-    return s.accumulate(faces)
+    return s.accumulate(record)
 
 
 RUNS = {
@@ -206,38 +211,36 @@ RUNS = {
 }
 
 
-def _case(structured, grain, run, paths, mode="hybrid", sigma_1d=False, **kw):
-    return structured, grain, mode, run, paths, sigma_1d, kw
+def _case(structured, grain, run, mode="hybrid", sigma_1d=False, **kw):
+    return structured, grain, mode, run, sigma_1d, kw
 
 
-#: id -> (structured, grain, mode, run, the kernel paths that must run,
-#: 1-D ``sigma_t_v``, solver options).  ``cube-partial`` is where this
-#: test began.  The last cases reach the branches the launch tables and
-#: ``solve_cells`` specialise on - several energy groups, DD without the
-#: fixup, the step scheme on a structured mesh - through partial runs
-#: and whole runs each.
+#: id -> (structured, grain, mode, run, 1-D ``sigma_t_v``, solver
+#: options).  ``cube-partial`` is where this test began.  Grain 27 makes
+#: every structured run whole-patch, grain 8 every one partial; the
+#: warped mesh mixes both from grain 16 on.
 DES_CASES = {
-    "cube-partial": _case(True, 8, "des", {"cells"}),
-    "cube-whole": _case(True, 27, "des", {"level"}),
-    "warped-partial": _case(False, 4, "des", {"cells"}),
-    "warped-mixed": _case(False, 64, "des", {"cells", "level"}),
-    "cube-whole-mpi_only": _case(True, 27, "des", {"level"}, mode="mpi_only"),
-    "warped-mixed-mpi_only": _case(False, 64, "des", {"cells", "level"}, mode="mpi_only"),
-    "cube-whole-crash": _case(True, 27, "crash", {"level"}),
-    "warped-mixed-crash": _case(False, 64, "crash", {"cells", "level"}),
-    "cube-whole-engine": _case(True, 27, "engine", {"level"}),
-    "warped-partial-engine": _case(False, 4, "engine", {"cells"}),
-    "cube-whole-sigma1d": _case(True, 27, "des", {"level"}, sigma_1d=True),
-    "warped-mixed-sigma1d": _case(False, 64, "des", {"cells", "level"}, sigma_1d=True),
-    "cube-coarsened": _case(True, 27, "coarsened", {"level"}),
-    "warped-coarsened": _case(False, 64, "coarsened", {"cells", "level"}),
-    "cube-partial-4g": _case(True, 8, "des", {"cells"}, groups=4),
-    "cube-whole-4g": _case(True, 27, "des", {"level"}, groups=4),
-    "warped-mixed-4g": _case(False, 64, "des", {"cells", "level"}, groups=4),
-    "cube-partial-nofixup": _case(True, 8, "des", {"cells"}, fixup=False),
-    "cube-whole-nofixup": _case(True, 27, "des", {"level"}, fixup=False),
-    "cube-partial-step": _case(True, 8, "des", {"cells"}, scheme="step"),
-    "cube-whole-step": _case(True, 27, "des", {"level"}, scheme="step"),
+    "cube-partial": _case(True, 8, "des"),
+    "cube-whole": _case(True, 27, "des"),
+    "warped-partial": _case(False, 4, "des"),
+    "warped-mixed": _case(False, 64, "des"),
+    "cube-whole-mpi_only": _case(True, 27, "des", mode="mpi_only"),
+    "warped-mixed-mpi_only": _case(False, 64, "des", mode="mpi_only"),
+    "cube-whole-crash": _case(True, 27, "crash"),
+    "warped-mixed-crash": _case(False, 64, "crash"),
+    "cube-whole-engine": _case(True, 27, "engine"),
+    "warped-partial-engine": _case(False, 4, "engine"),
+    "cube-whole-sigma1d": _case(True, 27, "des", sigma_1d=True),
+    "warped-mixed-sigma1d": _case(False, 64, "des", sigma_1d=True),
+    "cube-coarsened": _case(True, 27, "coarsened"),
+    "warped-coarsened": _case(False, 64, "coarsened"),
+    "cube-partial-4g": _case(True, 8, "des", groups=4),
+    "cube-whole-4g": _case(True, 27, "des", groups=4),
+    "warped-mixed-4g": _case(False, 64, "des", groups=4),
+    "cube-partial-nofixup": _case(True, 8, "des", fixup=False),
+    "cube-whole-nofixup": _case(True, 27, "des", fixup=False),
+    "cube-partial-step": _case(True, 8, "des", scheme="step"),
+    "cube-whole-step": _case(True, 27, "des", scheme="step"),
 }
 
 
@@ -257,11 +260,12 @@ def _count_kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize("case", DES_CASES)
 def test_des_accumulate_is_bitwise_fast_level(monkeypatch, case):
-    """Every program-driven sweep - whole-patch runs through the patch
-    plans, partial runs through ``solve_cells``, on both mesh families,
-    both runtime modes, under a crash, serially and coarsened - gives
-    the flux and leakage of ``sweep_once()`` bit for bit."""
-    structured, grain, mode, run, paths, sigma_1d, kw = DES_CASES[case]
+    """Every program-driven sweep - whole-patch and partial runs, on
+    both mesh families, both runtime modes, under a crash, serially and
+    coarsened - passes the order check and gives the flux and leakage
+    of ``sweep_once()`` bit for bit, through one batched sweep: the
+    runs themselves call no kernel."""
+    structured, grain, mode, run, sigma_1d, kw = DES_CASES[case]
     s = _des_solver(structured, grain, mode, **kw)
     if sigma_1d:
         s.sigma_t_v = s.sigma_t_v[:, 0].copy()
@@ -270,17 +274,17 @@ def test_des_accumulate_is_bitwise_fast_level(monkeypatch, case):
     phi, leak = RUNS[run](s, mode)
     assert np.array_equal(phi, reference)
     assert np.array_equal(leak, leakage)
-    assert {path for path, n in calls.items() if n} == paths
+    assert calls == {"cells": 0, "level": len(s.sweep_plan().levels)}
 
 
-def test_whole_patch_run_makes_one_solve_level_call_per_patch_level(monkeypatch):
-    """Call structure, no timing: a whole-patch run is one batched
-    ``solve_level`` per patch-local Kahn front of its patch and no
-    ``solve_cells``; a partial run is one ``solve_cells`` call."""
+def test_program_runs_stamp_the_order_and_call_no_kernel(monkeypatch):
+    """A run of a solver-built program numbers its cells in pop order,
+    from the record's clock on, and calls no kernel: a whole-patch run
+    stamps its patch, a partial run ``grain`` cells."""
     calls = _count_kernel_calls(monkeypatch)
     for grain, whole in ((27, True), (8, False)):
         s = _des_solver(True, grain)
-        programs, _ = s.build_programs()
+        programs, record = s.build_programs()
         # The programs of the patch without upwind patches (one corner
         # patch per angle): their first run has nothing to wait for.
         checked = 0
@@ -288,136 +292,198 @@ def test_whole_patch_run_makes_one_solve_level_call_per_patch_level(monkeypatch)
             g = prog.graph
             if int(g.init_counts.sum()) != g.num_local_edges:
                 continue
-            _, fronts = kahn_fronts(g.n_local, g.dl_indptr, g.dl_target, "patch")
             prog.init()
-            calls.update(cells=0, level=0)
+            clock = record.clock
             prog.compute()
             checked += 1
-            if whole:
-                assert prog.remaining_workload() == 0
-                assert calls == {"cells": 0, "level": fronts}
-                _, first = s.patch_plan(prog.task)
-                assert first[prog.patch + 1] - first[prog.patch] == fronts
-            else:
-                assert prog.remaining_workload() == g.n_local - grain
-                assert calls == {"cells": 1, "level": 0}
+            solved = g.n_local if whole else grain
+            assert prog.remaining_workload() == g.n_local - solved
+            assert record.clock == clock + solved
+            row = record.first[prog.task]
+            stamped = np.flatnonzero(row >= clock)
+            assert len(stamped) == solved
+            assert set(stamped.tolist()) <= set(prog.cells_global.tolist())
         assert checked == s.quadrature.num_angles
+        assert calls == {"cells": 0, "level": 0}
 
 
-def test_engine_sweep_kernel_calls_are_the_patch_levels(monkeypatch):
+def test_engine_sweep_kernel_calls_are_one_batched_sweep(monkeypatch):
     """Over a whole sweep - the recording one and a replaying one - and
-    over coarsened programs, every run of the 27-cell patches is whole:
-    ``solve_level`` calls add up to every (patch, angle)'s local fronts
-    (7 for a 3x3x3 patch) and ``solve_cells`` never runs."""
+    over coarsened programs, the kernel calls are the one ``fast-level``
+    sweep of the accumulation: one ``solve_level`` per plan level, no
+    ``solve_cells``."""
     s = _des_solver(True, 27)
-    npat, na = s.pset.num_patches, s.quadrature.num_angles
+    levels = len(s.sweep_plan().levels)
     calls = _count_kernel_calls(monkeypatch)
     for _ in range(2):
         calls.update(cells=0, level=0)
         s.sweep_once(mode="engine")
-        assert calls == {"cells": 0, "level": npat * na * 7}
-    programs, _ = s.build_coarsened_programs(s.record_coarsened())
+        assert calls == {"cells": 0, "level": levels}
+    programs, record = s.build_coarsened_programs(s.record_coarsened())
     calls.update(cells=0, level=0)
     engine = SerialEngine()
     for prog in programs:
         engine.add_program(prog)
     engine.run()
-    assert calls == {"cells": 0, "level": npat * na * 7}
+    assert calls == {"cells": 0, "level": 0}
+    s.accumulate(record)
+    assert calls == {"cells": 0, "level": levels}
 
 
-def test_patch_plans_share_index_tables_within_an_angle_set():
-    """One compiled plan per angle set; its other angles are twins that
-    share every index table and level and own only their coefficients,
-    which equal what compiling the angle on its own gives."""
-    s = _des_solver(True, 27)
-    for angles in _sets(s):
-        lead, first = s.patch_plan(angles[0])
-        for a in angles:
-            plan, f = s.patch_plan(a)
-            assert s.patch_plan(a)[0] is plan and f is first
-            assert plan.kernels == [s.kernel(a)]
-            for name in ("vertex", "cell", "slots", "osl", "oseg", "pair", "levels"):
-                assert getattr(plan, name) is getattr(lead, name)
-            alone = s._compile_patch_plan(a)[0]
-            assert np.array_equal(plan.coeff, alone.coeff)
-            assert np.array_equal(plan.den2, alone.den2)
-            assert (a == angles[0]) == (plan is lead)
-
-
-def _solve_patch_levels(s, plan, angle):
-    """Every level of a patch plan through ``solve_level`` on fresh
-    arrays (what the whole-patch runs of ``angle`` do, patch by patch)."""
-    k = s.kernel(angle)
-    src_v = s._angle_source_v(np.zeros((s.mesh.num_cells, s.num_groups)))
-    src_p = src_v[plan.cell]
-    den_p = k.removal(s.sigma_t_v)[plan.cell]
-    psi_faces = k.new_face_array(s.num_groups)
-    s._apply_bc(k, psi_faces, angle)
-    psi_p = np.empty_like(src_p)
-    for level in range(len(plan.levels)):
-        k.solve_level(plan, level, src_p, den_p, psi_faces, psi_p)
-    return psi_faces, psi_p
-
-
-def test_launch_tables_are_built_once(monkeypatch):
-    """The first ``solve_level`` of a plan builds its launch table; no
-    later sweep, recording or replaying, builds it again - and the
-    index part is built once per angle set, not per angle."""
-    built = []
-    real = SweepPlan._launch_index
-
-    def counted(self):
-        built.append(self)
-        return real(self)
-
-    monkeypatch.setattr(SweepPlan, "_launch_index", counted)
+def test_launch_tables_are_built_once():
+    """The first ``solve_level`` of the sweep plan builds its launch
+    table; no later sweep - ``fast-level`` or a program run's
+    accumulation - builds it again."""
     s = _des_solver(True, 27)
     s.sweep_once(mode="engine")
-    plans = [s.patch_plan(a)[0] for a in range(s.quadrature.num_angles)]
-    tables = [p._launch for p in plans]
-    assert all(t is not None for t in tables)
-    assert len(built) == len(_sets(s))
-    for _ in range(2):
-        s.sweep_once(mode="engine")
-    assert len(built) == len(_sets(s))
-    assert all(p._launch is t for p, t in zip(plans, tables))
-    assert all(p.launch_table() is t for p, t in zip(plans, tables))
+    plan = s.sweep_plan()
+    table = plan._launch
+    assert table is not None
+    for mode in ("engine", "fast-level", "engine"):
+        s.sweep_once(mode=mode)
+    assert s.sweep_plan() is plan
+    assert plan._launch is table and plan.launch_table() is table
 
 
-def test_twins_share_the_launch_index_and_own_their_coefficients():
-    """A plan and its twins hold one index part (the same list, the same
-    views); each angle's coefficient views are its own and view its own
-    ``coeff``."""
-    s = _des_solver(True, 27)
-    for angles in _sets(s):
-        lead = s.patch_plan(angles[0])[0]
-        assert lead.slots.dtype == np.intp  # one-angle plans index without converting
-        index, coeffs = lead.launch_table()
-        for a in angles[1:]:
-            twin = s.patch_plan(a)[0]
-            t_index, t_coeffs = twin.launch_table()
-            assert t_index is index
-            assert t_coeffs is not coeffs
-            for mine, theirs in zip(t_coeffs, coeffs):
-                assert mine is not theirs
-                assert np.shares_memory(mine, twin.coeff)
-                assert not np.shares_memory(mine, lead.coeff)
+# -- the order check ---------------------------------------------------------------
 
 
-def test_twin_made_after_its_leads_table_solves_with_its_own_coefficients():
-    """Regression guard: ``twin``'s shallow copy must not carry the
-    lead's cached table, or a twin made after its lead had solved would
-    sweep with the lead's coefficients."""
-    s = _des_solver(True, 27)
-    lead_angle, a = _sets(s)[0][:2]
-    lead = s.patch_plan(lead_angle)[0]
-    _solve_patch_levels(s, lead, lead_angle)  # the lead's table exists
-    assert lead._launch is not None
-    twin = lead.twin(s.kernel(a))
-    assert twin._launch is None
-    alone = s._compile_patch_plan(a)[0]
-    _parts_equal(_solve_patch_levels(s, twin, a), _solve_patch_levels(s, alone, a))
-    assert twin.launch_table()[0] is lead.launch_table()[0]
+def _stamped(s, build=None, resilient=False, faults=None):
+    """The order record of one DES run of ``build(s)`` (default: the
+    solver's programs)."""
+    if build is None:
+        programs, record = s.build_programs(resilient=resilient)
+    else:
+        programs, record = build(s)
+    DataDrivenRuntime(8, machine=_MACHINE, faults=faults).run(programs, s.pset.patch_proc)
+    return record
+
+
+def _an_adjacent_edge(s, first, angle):
+    """A DAG edge of ``angle`` whose cells were solved one after the
+    other: swapping their stamps inverts that edge and no other."""
+    u, v = directed_edges(s.interfaces, s.quadrature.directions[angle])
+    e = np.flatnonzero(first[angle][v] - first[angle][u] == 1)[0]
+    return int(u[e]), int(v[e])
+
+
+def _coarsened_build(s):
+    return s.build_coarsened_programs(s.record_coarsened())
+
+
+@pytest.mark.parametrize("structured", [True, False], ids=["cube", "warped"])
+@pytest.mark.parametrize("build", [None, _coarsened_build], ids=["programs", "coarsened"])
+def test_order_check_names_a_hand_inverted_edge(structured, build):
+    """Swapping the stamps of one DAG edge's cells is refused, naming
+    the angle, the edge and both stamps; the true record passes."""
+    s = _des_solver(structured, 16)
+    record = _stamped(s, build)
+    s.check_order(record.first)
+    angle = s.quadrature.num_angles - 1
+    u, v = _an_adjacent_edge(s, record.first, angle)
+    row = record.first[angle]
+    row[u], row[v] = row[v], row[u]
+    with pytest.raises(ReproError) as err:
+        s.accumulate(record)
+    msg = str(err.value)
+    assert f"angle {angle}" in msg and f"{u} -> {v}" in msg
+    assert f"first[{u}] = {row[u]}" in msg and f"first[{v}] = {row[v]}" in msg
+
+
+def test_order_check_refuses_an_unstamped_cell():
+    s = _des_solver(False, 16)
+    record = _stamped(s)
+    record.first[2, 17] = -1
+    with pytest.raises(ReproError, match="angle 2: cell 17 was never solved"):
+        s.accumulate(record)
+
+
+@pytest.mark.parametrize("structured", [True, False], ids=["cube", "warped"])
+def test_order_record_of_a_crash_run_keeps_first_solves(structured):
+    """Resilient programs under a crash re-execute lost runs; the record
+    keeps each cell's first solve (the clock counts cells, not solves)
+    and passes the check."""
+    s = _des_solver(structured, 16)
+    programs, record = s.build_programs(resilient=True)
+    rep = DataDrivenRuntime(8, machine=_MACHINE, faults=_crash_plan(s, "hybrid")).run(
+        programs, s.pset.patch_proc)
+    assert rep.crashes == 1 and rep.reexecutions > 0
+    assert rep.vertices_solved > record.first.size == record.clock
+    s.check_order(record.first)
+
+
+@pytest.mark.parametrize("resilient", [False, True], ids=["plain", "crash"])
+def test_order_check_catches_a_vertex_released_one_edge_early(monkeypatch, resilient):
+    """The mutation the value oracle cannot always see (a stale read of
+    a face that still holds its initial value): each program's first
+    waiting vertex is released one in-edge early.  Here the source is
+    zero, so every flux is zero and bitwise "exact" - and the order
+    check still refuses the run."""
+    real = SweepPatchProgram.init
+
+    def early(self):
+        real(self)
+        waiting = [v for v, c in enumerate(self._counts) if c > 0]
+        if waiting:
+            self._counts[waiting[0]] -= 1
+            if not self._counts[waiting[0]]:
+                heappush(self._heap, self._keys[waiting[0]])
+
+    s = _des_solver(True, 16)
+    s.source = np.zeros_like(s.source)
+    faults = _crash_plan(s, "hybrid") if resilient else None
+    monkeypatch.setattr(SweepPatchProgram, "init", early)
+    record = _stamped(s, resilient=resilient, faults=faults)
+    assert not np.any(s._sweep_level(record.src_v)[0])  # the values cannot tell
+    with pytest.raises(ReproError, match="solved out of order"):
+        s.accumulate(record)
+
+
+def _user_solve(s):
+    """A user's Listing-1 ``(cells, angle)`` callback that solves in its
+    runs, and what it leaves: ``(solve, phi_of)``."""
+    ng = s.num_groups
+    src_v = s._angle_source_v(np.zeros((s.mesh.num_cells, ng)))
+    arrays = {}
+    for a in range(s.quadrature.num_angles):
+        k = s.kernel(a)
+        pf = k.new_face_array(ng)
+        s._apply_bc(k, pf, a)
+        arrays[a] = (k, k.removal(s.sigma_t_v), pf, np.zeros((s.mesh.num_cells, ng)))
+
+    def solve(cells, angle):
+        k, den, pf, pc = arrays[angle]
+        k.solve_cells(cells, src_v, den, pf, pc)
+
+    def phi_of():
+        phi = np.zeros((s.mesh.num_cells, ng))
+        for a, (_, _, _, pc) in arrays.items():
+            phi += s.quadrature.weights[a] * pc
+        return phi
+
+    return solve, phi_of
+
+
+@pytest.mark.parametrize("structured", [True, False], ids=["cube", "warped"])
+@pytest.mark.parametrize("coarsened", [False, True], ids=["programs", "coarsened"])
+def test_user_solve_fn_still_solves_in_its_runs(monkeypatch, structured, coarsened):
+    """The Listing-1 contract is unchanged for a user callback: it gets
+    every run's cells in pop order and solves them there, and the flux
+    it builds equals ``sweep_once()``'s bit for bit."""
+    s = _des_solver(structured, 16)
+    reference = s.sweep_once()[0]
+    solve, phi_of = _user_solve(s)
+    cells = {p: s.pset.patches[p].cells for p in range(s.pset.num_patches)}
+    if coarsened:
+        programs = [CoarsenedSweepProgram(cg, cells[p], solve_fn=solve)
+                    for (p, _), cg in s.record_coarsened().items()]
+    else:
+        programs = [SweepPatchProgram(g, cells[p], grain=s.grain, solve_fn=solve, angle=a)
+                    for (p, a), g in s.topology.graphs.items()]
+    calls = _count_kernel_calls(monkeypatch)
+    DataDrivenRuntime(8, machine=_MACHINE).run(programs, s.pset.patch_proc)
+    assert calls["cells"] >= len(programs) and calls["level"] == 0
+    assert np.array_equal(phi_of(), reference)
 
 
 @pytest.mark.parametrize("make", [_koba, lambda: _koba(scheme="step"), _ball],

@@ -27,6 +27,7 @@ from repro.service import (
     SweepService,
 )
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.sweep.solver import OrderRecord
 
 
 def _spec(tenant="t", **kw):
@@ -68,6 +69,14 @@ class TestJobSpec:
             JobSpec(tenant="t", sn=3)
         with pytest.raises(ReproError, match="deadline"):
             JobSpec(tenant="t", deadline=0.0)
+
+    @pytest.mark.parametrize("grain", [1.5, 0.5, True, False])
+    def test_grain_must_be_a_positive_integer(self, grain):
+        """A fractional grain never counts a run's pop budget down to
+        zero, so every run would pop its whole ready heap; a bool is no
+        count.  Refused at the spec, not deep in a run."""
+        with pytest.raises(ReproError, match="grain"):
+            JobSpec(tenant="t", grain=grain)
 
     def test_key_ignores_tenant_and_deadline(self):
         a = _spec("alice", deadline=1e-3)
@@ -188,6 +197,18 @@ class TestExecutor:
         assert o.status == "deadline"
         assert o.duration == full / 2  # the whole budget was consumed
         assert "cancelled" in o.detail
+
+    def test_out_of_order_run_is_an_inexact_attempt(self, executor, monkeypatch):
+        """A run whose order record breaks the sweep DAG (here every run
+        stamps its cells in reverse pop order) is a finished, non-exact
+        attempt naming the violation - not an exception out of the
+        service."""
+        real = OrderRecord.stamp
+        monkeypatch.setattr(OrderRecord, "stamp",
+                            lambda self, cells, angle: real(self, cells[::-1], angle))
+        o = executor.execute(_spec(), None)
+        assert o.status == "ok" and o.exact is False and o.flux_crc is None
+        assert "sweep order" in o.detail and o.duration == o.makespan > 0
 
     def test_stall_attaches_structured_report(self, executor):
         o = executor.execute(_spec(faults=_poison()), None)

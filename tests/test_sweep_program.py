@@ -7,7 +7,7 @@ from repro.core import SerialEngine
 from repro.framework import PatchSet
 from repro.mesh import cube_structured, disk_tri_mesh
 from repro.sweep import SweepTopology, apply_priorities, level_symmetric
-from repro.sweep.sweep_program import SweepPatchProgram
+from repro.sweep.sweep_program import SweepPatchProgram, check_grain
 
 
 def _programs(pset, quad, grain, record=False, strategy="fifo+fifo"):
@@ -160,6 +160,18 @@ class TestProgramMechanics:
         # The same structured error as SnSolver(grain=0): one check.
         with pytest.raises(ReproError, match="grain=0"):
             SweepPatchProgram(g, small_pset.patches[0].cells, grain=0, angle=0)
+
+    @pytest.mark.parametrize("grain", [1.5, 0.5, True, False, 16.0])
+    def test_fractional_or_bool_grain_is_refused(self, small_pset, grain):
+        """A run pops ``grain`` vertices: a fractional budget never
+        counts down to zero (so a run would pop the whole ready heap)
+        and a bool is no count.  Refused where the grain enters."""
+        topo = SweepTopology(small_pset, level_symmetric(2))
+        g = topo.graphs[(0, 0)]
+        with pytest.raises(ReproError, match=f"grain={grain!r}"):
+            SweepPatchProgram(g, small_pset.patches[0].cells, grain=grain, angle=0)
+        with pytest.raises(ReproError, match="integral"):
+            check_grain(grain)
 
     def test_counters_reported_once(self, small_pset):
         topo, progs = _programs(small_pset, level_symmetric(2), grain=1000)
