@@ -5,7 +5,7 @@ The package implements the paper's full stack in Python:
 
 * :mod:`repro.mesh`      - structured & unstructured meshes + generators
 * :mod:`repro.partition` - SFC / RCB / multilevel graph decomposition
-* :mod:`repro.framework` - patch-based application framework (JAxMIN)
+* :mod:`repro.framework` - patches, patch sets and face tables (JAxMIN)
 * :mod:`repro.core`      - the patch-centric data-driven abstraction
 * :mod:`repro.runtime`   - DES-simulated MPI+threads cluster runtime
 * :mod:`repro.sweep`     - Sn sweeps: quadrature, DAGs, kernels,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
+from numbers import Integral
 
 import numpy as np
 
@@ -11,6 +12,7 @@ __all__ = [
     "as_int_array",
     "as_float_array",
     "check",
+    "check_count",
     "pairwise",
     "prod",
     "ReproError",
@@ -25,6 +27,21 @@ def check(cond: bool, msg: str) -> None:
     """Raise :class:`ReproError` with ``msg`` unless ``cond`` holds."""
     if not cond:
         raise ReproError(msg)
+
+
+def check_count(name: str, value, what: str):
+    """Return ``value`` if it is a positive integer, else raise
+    :class:`ReproError` naming ``what`` and ``name=value``.
+
+    numpy integers pass; a ``bool`` or a float (even ``2.0``) does not.
+    Counts are refused where they enter, not deep in the code that
+    loops over, rounds or hashes them.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value <= 0:
+        raise ReproError(
+            f"{what} must be positive and integral; got {name}={value!r}"
+        )
+    return value
 
 
 def as_int_array(a, ndim: int | None = None) -> np.ndarray:

@@ -969,12 +969,6 @@ class Program:
                 return f"{cls.qname}.{meth}"
         return None
 
-    def subclasses(self, classref: str) -> list[ClassSummary]:
-        return [
-            c for c in self.classes.values()
-            if classref in {b.qname for b in self.mro(c.qname)[1:]}
-        ]
-
     # -- call resolution ------------------------------------------------------------
 
     def _resolve(

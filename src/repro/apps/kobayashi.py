@@ -19,8 +19,6 @@ published ones up to the domain truncation noted in each builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .._util import ReproError
@@ -96,13 +94,6 @@ def kobayashi_source(mesh: StructuredMesh) -> np.ndarray:
     q = np.zeros((mesh.num_cells, 1))
     q[mesh.material_flat() == MAT_SOURCE, 0] = 1.0
     return q
-
-
-@dataclass
-class _KobayashiSetup:
-    mesh: StructuredMesh
-    pset: PatchSet
-    solver: SnSolver
 
 
 def make_kobayashi_solver(

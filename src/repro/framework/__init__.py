@@ -1,40 +1,18 @@
-"""Patch-based application framework (JAxMIN analogue, systems S5-S6)."""
+"""Patches, patch sets and connectivity tables (system S5)."""
 
-from .components import (
-    BSPExecutor,
-    BSPReport,
-    InitializeComponent,
-    NumericalComponent,
-    ReductionComponent,
-)
 from .connectivity import (
     BoundaryTable,
     InterfaceTable,
     build_boundary,
     build_interfaces,
-    ghost_maps,
-    patch_adjacency,
 )
-from .halo import HaloStats, halo_exchange
 from .patch import Patch, PatchSet
-from .patch_data import CellField, PatchField
 
 __all__ = [
     "Patch",
     "PatchSet",
-    "CellField",
-    "PatchField",
     "InterfaceTable",
     "BoundaryTable",
     "build_interfaces",
     "build_boundary",
-    "patch_adjacency",
-    "ghost_maps",
-    "HaloStats",
-    "halo_exchange",
-    "InitializeComponent",
-    "NumericalComponent",
-    "ReductionComponent",
-    "BSPExecutor",
-    "BSPReport",
 ]

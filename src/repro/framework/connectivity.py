@@ -4,8 +4,8 @@ Provides a mesh-family-independent *interface table*: one row per
 interior face with the two adjacent global cells, the unit normal
 (oriented a -> b) and the face area.  Structured and unstructured
 meshes reduce to the same table, which is what allows one sweep-DAG
-builder and one halo-exchange implementation to serve both - the crux
-of the patch abstraction's "hide the mesh family" promise.
+builder and one set of transport kernels to serve both - the crux of
+the patch abstraction's "hide the mesh family" promise.
 """
 
 from __future__ import annotations
@@ -17,15 +17,12 @@ import numpy as np
 from .._util import ReproError
 from ..mesh.structured import StructuredMesh
 from ..mesh.unstructured import UnstructuredMesh
-from .patch import PatchSet
 
 __all__ = [
     "InterfaceTable",
     "BoundaryTable",
     "build_interfaces",
     "build_boundary",
-    "patch_adjacency",
-    "ghost_maps",
 ]
 
 
@@ -174,52 +171,3 @@ def _unstructured_boundary(mesh: UnstructuredMesh) -> BoundaryTable:
         face_id=bnd,
     )
 
-
-# -- patch-level connectivity -------------------------------------------------------
-
-
-def patch_adjacency(
-    pset: PatchSet, interfaces: InterfaceTable | None = None
-) -> dict[int, np.ndarray]:
-    """Neighbour patch ids per patch (patches sharing at least one face)."""
-    if interfaces is None:
-        interfaces = build_interfaces(pset.mesh)
-    pa = pset.cell_patch[interfaces.cell_a]
-    pb = pset.cell_patch[interfaces.cell_b]
-    cross = pa != pb
-    pairs = np.stack([pa[cross], pb[cross]], axis=1)
-    out: dict[int, set] = {p.id: set() for p in pset.patches}
-    for x, y in np.unique(pairs, axis=0) if len(pairs) else []:
-        out[int(x)].add(int(y))
-        out[int(y)].add(int(x))
-    return {k: np.array(sorted(v), dtype=np.int64) for k, v in out.items()}
-
-
-def ghost_maps(
-    pset: PatchSet, interfaces: InterfaceTable | None = None
-) -> dict[int, dict[int, np.ndarray]]:
-    """Ghost-cell maps: ``ghost_maps(ps)[p][q]`` = global cells owned by
-    patch ``q`` that patch ``p`` needs as ghosts (face-adjacent halo)."""
-    if interfaces is None:
-        interfaces = build_interfaces(pset.mesh)
-    pa = pset.cell_patch[interfaces.cell_a]
-    pb = pset.cell_patch[interfaces.cell_b]
-    cross = pa != pb
-    # Directed needs: (needer, owner, owned cell)
-    needer = np.concatenate([pa[cross], pb[cross]])
-    owner = np.concatenate([pb[cross], pa[cross]])
-    cell = np.concatenate(
-        [interfaces.cell_b[cross], interfaces.cell_a[cross]]
-    )
-    out: dict[int, dict[int, np.ndarray]] = {p.id: {} for p in pset.patches}
-    if len(needer) == 0:
-        return out
-    order = np.lexsort((cell, owner, needer))
-    needer, owner, cell = needer[order], owner[order], cell[order]
-    keys = needer * pset.num_patches + owner
-    starts = np.nonzero(np.diff(keys, prepend=keys[0] - 1))[0]
-    bounds = np.append(starts, len(keys))
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        p, q = int(needer[s]), int(owner[s])
-        out[p][q] = np.unique(cell[s:e])
-    return out

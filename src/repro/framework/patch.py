@@ -2,7 +2,8 @@
 
 A *patch* is a well-defined subdomain of the mesh (Sec. II-B of the
 paper): a contiguous collection of cells with complete knowledge of its
-own mesh entities and, through ghost cells, of its neighbourhood.  A
+own mesh entities.  Its neighbourhood is the faces it shares with other
+patches, read from the interface table (:mod:`.connectivity`).  A
 :class:`PatchSet` is the global decomposition: every cell belongs to
 exactly one patch and every patch to exactly one process.
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import ReproError
+from .._util import ReproError, check_count
 from ..mesh.box import Box
 from ..mesh.structured import StructuredMesh
 from ..mesh.unstructured import UnstructuredMesh
@@ -95,6 +96,9 @@ class PatchSet:
         curve: str = "hilbert",
     ) -> "PatchSet":
         """JAxMIN-style structured decomposition (fixed boxes + SFC ranks)."""
+        check_count("nprocs", nprocs, "process count")
+        for i, s in enumerate(patch_shape):
+            check_count(f"patch_shape[{i}]", s, "patch extent")
         boxes = patchify_structured(mesh, patch_shape)
         if nprocs > len(boxes):
             raise ReproError(
@@ -125,6 +129,8 @@ class PatchSet:
         seed: int = 0,
     ) -> "PatchSet":
         """JSNT-U-style decomposition into ~``patch_size``-cell patches."""
+        check_count("nprocs", nprocs, "process count")
+        check_count("patch_size", patch_size, "patch size")
         dec = decompose_unstructured(
             mesh, patch_size, nprocs, method=method, seed=seed
         )

@@ -89,11 +89,6 @@ class StructuredMesh:
     def multi_index(self, lin: int) -> tuple[int, ...]:
         return self.domain_box.multi_index(lin)
 
-    def cell_center(self, idx: Sequence[int]) -> tuple[float, ...]:
-        return tuple(
-            o + (i + 0.5) * s for o, i, s in zip(self.origin, idx, self.spacing)
-        )
-
     def cell_centers(self) -> np.ndarray:
         """(num_cells, ndim) array of cell centers in C order."""
         axes = [

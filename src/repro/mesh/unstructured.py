@@ -242,11 +242,6 @@ class UnstructuredMesh:
 
     # -- queries ----------------------------------------------------------------
 
-    def outward_normal(self, cell: int, local_face: int) -> np.ndarray:
-        """Outward unit normal of ``local_face`` of ``cell``."""
-        fid = self.cell_faces[cell, local_face]
-        return self.face_normals[fid] * self.cell_face_signs[cell, local_face]
-
     def adjacency_graph(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell adjacency as CSR ``(indptr, indices)`` over interior faces."""
         interior = self.face_cells[self.face_cells[:, 1] >= 0]

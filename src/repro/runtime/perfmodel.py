@@ -39,10 +39,6 @@ class SweepModelPrediction:
     critical_path_patches: int
     total_vertices: int
 
-    @property
-    def pipeline_bound(self) -> bool:
-        return self.pipeline_term > self.work_term
-
 
 class SweepPerformanceModel:
     """Analytic model over a sweep topology.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .._util import ReproError
+from .._util import ReproError, check_count
 from ..sweep.sweep_program import check_grain
 
 __all__ = [
@@ -101,15 +101,17 @@ class JobSpec:
             raise ReproError(f"unknown mesh kind {self.kind!r}")
         if self.mode not in MODES:
             raise ReproError(f"unknown scheduler mode {self.mode!r}")
-        if self.size < 2:
+        if check_count("size", self.size, "mesh size") < 2:
             raise ReproError("mesh size must be >= 2")
-        if self.patch < 1:
-            raise ReproError("patch parameter must be >= 1")
+        check_count("patch", self.patch, "patch parameter")
         check_grain(self.grain)
-        if self.sn < 2 or self.sn % 2:
+        if check_count("sn", self.sn, "quadrature order") % 2:
             raise ReproError("sn must be a positive even quadrature order")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ReproError("job deadline must be positive")
+        # ``not > 0`` also refuses NaN, which compares false both ways.
+        if self.deadline is not None and not self.deadline > 0:
+            raise ReproError(
+                f"job deadline must be positive; got deadline={self.deadline!r}"
+            )
 
     # -- content identity -------------------------------------------------------
 

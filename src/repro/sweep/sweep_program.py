@@ -18,11 +18,10 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from collections.abc import Callable
 from dataclasses import replace
-from numbers import Integral
 
 import numpy as np
 
-from .._util import ReproError
+from .._util import check_count
 from ..core.patch_program import PatchProgram
 from ..core.stream import ProgramId, Stream
 from .dag import PatchAngleGraph, heap_keys
@@ -34,11 +33,7 @@ def check_grain(grain: int) -> int:
     """The clustering grain, refused where it enters a program or solver:
     a positive integer (not a bool - a run pops ``grain`` vertices, and
     a fractional budget never counts down to zero)."""
-    if isinstance(grain, bool) or not isinstance(grain, Integral) or grain <= 0:
-        raise ReproError(
-            f"clustering grain must be positive and integral; got grain={grain!r}"
-        )
-    return grain
+    return check_count("grain", grain, "clustering grain")
 
 
 class SweepPatchProgram(PatchProgram):

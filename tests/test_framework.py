@@ -1,23 +1,12 @@
-"""Tests for the patch framework: patches, connectivity, halos, BSP."""
+"""Tests for the patch framework: patch sets and connectivity tables."""
+
+import re
 
 import numpy as np
 import pytest
 
 from repro._util import ReproError
-from repro.framework import (
-    BSPExecutor,
-    CellField,
-    InitializeComponent,
-    NumericalComponent,
-    PatchField,
-    PatchSet,
-    ReductionComponent,
-    build_boundary,
-    build_interfaces,
-    ghost_maps,
-    halo_exchange,
-    patch_adjacency,
-)
+from repro.framework import PatchSet, build_boundary, build_interfaces
 from repro.mesh import cube_structured
 
 
@@ -56,6 +45,47 @@ class TestPatchSet:
     def test_too_many_procs_rejected(self, cube8):
         with pytest.raises(ReproError):
             PatchSet.from_structured(cube8, (8, 8, 8), nprocs=2)
+
+    @pytest.mark.parametrize(
+        "shape, nprocs, name",
+        [
+            ((4, 4, 4), 2.5, "nprocs=2.5"),
+            ((4, 4, 4), True, "nprocs=True"),
+            ((4, 4.0, 4), 2, "patch_shape[1]=4.0"),
+            ((4, 4, True), 2, "patch_shape[2]=True"),
+        ],
+    )
+    def test_structured_counts_must_be_positive_integers(
+        self, cube8, shape, nprocs, name
+    ):
+        """Unrefused, nprocs=2.5 builds 3 procs and nprocs=True one."""
+        with pytest.raises(ReproError, match=re.escape(name)):
+            PatchSet.from_structured(cube8, shape, nprocs=nprocs)
+
+    @pytest.mark.parametrize(
+        "size, nprocs, name",
+        [
+            (50, 2.5, "nprocs=2.5"),
+            (50, True, "nprocs=True"),
+            (50.0, 2, "patch_size=50.0"),
+            (1.5, 2, "patch_size=1.5"),
+        ],
+    )
+    def test_unstructured_counts_must_be_positive_integers(
+        self, disk, size, nprocs, name
+    ):
+        """Unrefused, a fractional nprocs divides by zero and a float
+        patch_size raises a bare TypeError in the partitioner."""
+        with pytest.raises(ReproError, match=re.escape(name)):
+            PatchSet.from_unstructured(disk, size, nprocs=nprocs)
+
+    def test_numpy_integer_counts_pass(self, cube8, disk):
+        ps = PatchSet.from_structured(
+            cube8, tuple(np.int64(4) for _ in range(3)), nprocs=np.int64(2)
+        )
+        assert ps.num_procs == 2
+        ps = PatchSet.from_unstructured(disk, np.int32(50), nprocs=np.int64(2))
+        assert ps.num_procs == 2
 
     @pytest.mark.parametrize("method", ["rcb", "multilevel"])
     def test_unstructured_methods(self, disk, method):
@@ -101,173 +131,3 @@ class TestInterfaces:
         mi_b = np.array(np.unravel_index(it.cell_b, cube8.shape)).T
         assert np.all(np.abs(mi_a - mi_b).sum(axis=1) == 1)
 
-
-class TestPatchConnectivity:
-    def test_adjacency_symmetric(self, cube8_patches):
-        adj = patch_adjacency(cube8_patches)
-        for p, nbrs in adj.items():
-            for q in nbrs:
-                assert p in adj[int(q)]
-
-    def test_structured_adjacency_count(self, cube8_patches):
-        # 2x2x2 patch lattice: every patch has exactly 3 face neighbours.
-        adj = patch_adjacency(cube8_patches)
-        assert all(len(v) == 3 for v in adj.values())
-
-    def test_ghost_maps_cells_owned_by_neighbor(self, disk_patches):
-        gm = ghost_maps(disk_patches)
-        for p, per_nbr in gm.items():
-            for q, cells in per_nbr.items():
-                assert np.all(disk_patches.cell_patch[cells] == q)
-
-    def test_ghost_maps_are_face_adjacent(self, cube8_patches):
-        gm = ghost_maps(cube8_patches)
-        mesh = cube8_patches.mesh
-        for p, per_nbr in gm.items():
-            own = set(cube8_patches.patches[p].cells.tolist())
-            for cells in per_nbr.values():
-                for c in cells:
-                    mi = np.array(np.unravel_index(int(c), mesh.shape))
-                    touch = False
-                    for ax in range(3):
-                        for d in (-1, 1):
-                            nb = mi.copy()
-                            nb[ax] += d
-                            if (
-                                np.all(nb >= 0)
-                                and np.all(nb < mesh.shape)
-                                and int(np.ravel_multi_index(nb, mesh.shape))
-                                in own
-                            ):
-                                touch = True
-                    assert touch
-
-
-class TestFields:
-    def test_cellfield_patch_roundtrip(self, cube8_patches):
-        f = CellField.zeros(cube8_patches)
-        vals = np.arange(cube8_patches.patches[1].num_cells, dtype=float)
-        f.set_patch(1, vals)
-        np.testing.assert_array_equal(f.patch_view(1), vals)
-
-    def test_patchfield_global_roundtrip(self, disk_patches):
-        f = PatchField(disk_patches)
-        data = np.arange(disk_patches.mesh.num_cells, dtype=float)
-        f.from_global(data)
-        np.testing.assert_array_equal(f.to_global(), data)
-
-    def test_patchfield_groups(self, disk_patches):
-        f = PatchField(disk_patches, groups=3)
-        data = np.random.default_rng(0).random(
-            (disk_patches.mesh.num_cells, 3)
-        )
-        f.from_global(data)
-        np.testing.assert_array_equal(f.to_global(), data)
-
-    def test_ghost_slot_unknown_cell_raises(self, disk_patches):
-        f = PatchField(disk_patches)
-        own = disk_patches.patches[0].cells[0]
-        with pytest.raises(ReproError):
-            f.ghost_slot(0, int(own))
-
-
-class TestHaloExchange:
-    def test_ghosts_match_owner_values(self, cube8_patches):
-        f = PatchField(cube8_patches)
-        data = np.random.default_rng(1).random(cube8_patches.mesh.num_cells)
-        f.from_global(data)
-        stats = halo_exchange(f)
-        for p in cube8_patches.patches:
-            gc = f.ghost_cells[p.id]
-            np.testing.assert_array_equal(f.ghost[p.id], data[gc])
-        assert stats.messages > 0
-        assert stats.bytes == stats.values * 8
-
-    def test_inter_proc_subset(self, cube8_patches):
-        f = PatchField(cube8_patches)
-        stats = halo_exchange(f)
-        assert 0 < stats.inter_proc_messages <= stats.messages
-        assert stats.inter_proc_bytes <= stats.bytes
-
-    def test_value_accessor(self, cube8_patches):
-        f = PatchField(cube8_patches)
-        data = np.arange(cube8_patches.mesh.num_cells, dtype=float)
-        f.from_global(data)
-        halo_exchange(f)
-        gm = ghost_maps(cube8_patches)
-        p = 0
-        some_q = next(iter(gm[p]))
-        ghost_cell = int(gm[p][some_q][0])
-        assert f.value(p, ghost_cell) == data[ghost_cell]
-        own_cell = int(cube8_patches.patches[p].cells[5])
-        assert f.value(p, own_cell) == data[own_cell]
-
-
-class TestBSPComponents:
-    def test_initialize_component(self, disk_patches):
-        f = PatchField(disk_patches)
-        InitializeComponent(lambda c: c[:, 0] ** 2).apply(f)
-        g = f.to_global()
-        np.testing.assert_allclose(
-            g, disk_patches.mesh.cell_centroids[:, 0] ** 2
-        )
-
-    def test_reduction(self, disk_patches):
-        f = PatchField(disk_patches)
-        f.from_global(np.full(disk_patches.mesh.num_cells, 2.0))
-        assert ReductionComponent("sum").apply(f) == pytest.approx(
-            2.0 * disk_patches.mesh.num_cells
-        )
-        assert ReductionComponent("max").apply(f) == 2.0
-        with pytest.raises(ReproError):
-            ReductionComponent("median")
-
-    def test_jacobi_smoothing_converges_to_constant(self, cube8_patches):
-        """BSP Jacobi averaging over mesh neighbours flattens any field."""
-        pset = cube8_patches
-        it = build_interfaces(pset.mesh)
-        nbrs: dict[int, list[int]] = {}
-        for a, b in zip(it.cell_a.tolist(), it.cell_b.tolist()):
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-
-        def kernel(patch, local, gcells, ghost):
-            slot = {int(c): i for i, c in enumerate(gcells)}
-            out = np.empty_like(local)
-            for i, c in enumerate(patch.cells):
-                acc, cnt = local[i], 1
-                for nb in nbrs[int(c)]:
-                    if pset.cell_patch[nb] == patch.id:
-                        acc += local[pset.cell_local[nb]]
-                    else:
-                        acc += ghost[slot[nb]]
-                    cnt += 1
-                out[i] = acc / cnt
-            return out
-
-        f = PatchField(pset)
-        InitializeComponent(lambda c: c[:, 0]).apply(f)
-        mean_before = f.to_global().mean()
-        rep = BSPExecutor(tol=1e-7, max_steps=5000).run(
-            NumericalComponent(kernel), f
-        )
-        g = f.to_global()
-        assert rep.converged
-        assert g.max() - g.min() < 1e-4
-        # Jacobi averaging with uniform-degree preserves... only checks
-        # the mean stays in the initial range.
-        assert g.mean() == pytest.approx(mean_before, abs=1.0)
-
-    def test_bsp_kernel_shape_violation(self, disk_patches):
-        f = PatchField(disk_patches)
-        comp = NumericalComponent(lambda p, l, gc, g: np.zeros(3))
-        with pytest.raises(ReproError):
-            comp.apply_superstep(f)
-
-    def test_bsp_non_convergence_reported(self, disk_patches):
-        f = PatchField(disk_patches)
-        InitializeComponent(lambda c: c[:, 0]).apply(f)
-        comp = NumericalComponent(lambda p, l, gc, g: l + 1.0)  # diverges
-        rep = BSPExecutor(tol=1e-12, max_steps=5).run(comp, f)
-        assert not rep.converged
-        assert rep.supersteps == 5

@@ -78,6 +78,30 @@ class TestJobSpec:
         with pytest.raises(ReproError, match="grain"):
             JobSpec(tenant="t", grain=grain)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("size", 8.5),
+            ("patch", 2.5),
+            ("patch", 2.0),
+            ("sn", 4.0),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        """Unrefused, size=8.5 runs silently, patch=2.5 and sn=4.0 raise
+        a bare TypeError inside the executor (outside the service's
+        failure taxonomy), and patch=2.0 hashes apart from patch=2, so
+        identical jobs are neither coalesced nor cached."""
+        with pytest.raises(ReproError, match=f"{field}={value!r}"):
+            JobSpec(tenant="t", **{field: value})
+
+    def test_nan_deadline_is_refused_and_inf_is_no_budget(self):
+        # NaN compares false against every budget check: it would
+        # silently disable the deadline.
+        with pytest.raises(ReproError, match="deadline=nan"):
+            JobSpec(tenant="t", deadline=float("nan"))
+        assert JobSpec(tenant="t", deadline=float("inf")).deadline == float("inf")
+
     def test_key_ignores_tenant_and_deadline(self):
         a = _spec("alice", deadline=1e-3)
         b = _spec("bob", deadline=9e-3)
