@@ -2,29 +2,21 @@
 
 Subcommands::
 
-    lint [PATHS...] [--json | --sarif] [--rules] [--cache FILE]
+    lint [PATHS...] [--json | --sarif] [--rules]
         Run the determinism/DES/protocol/durability lint rules over
         Python sources (default: src/).  Everything named is linked
         into one program (a single file is a one-module program):
         call graph, fixed-point effect inference, then one rule per
         id reporting the direct sites and every call site that
-        reaches one, with the chain.  ``--cache FILE`` keeps a
-        content-hash incremental cache: unchanged modules are neither
-        re-parsed nor re-checked.  Exit 1 on findings, 2 on a missing
-        path or a source that cannot be parsed
+        reaches one, with the chain.  Exit 1 on findings, 2 on a
+        missing path or a source that cannot be parsed
         (``path:line: cannot parse: ...`` on stderr).
-
-    effects NAME... [--json] [--dump FILE]
-        Explain a function's inferred effect set: direct and
-        transitive atoms with the call-propagation chain down to each
-        direct site.  NAME matches a qualified name, a suffix, or a
-        substring.  ``--dump FILE`` writes the whole effects database
-        as JSON (the nightly artifact) - NAMEs become optional.
 
     check-trace FILES... [--json]
         Replay happens-before record streams (written by
         ``dump_hb_json`` or a benchmark's ``--check-hb``) through the
-        vector-clock checker.  Exit 1 on races.
+        vector-clock checker.  Exit 1 on races, 2 on a file that is
+        missing or not an HB trace (one line on stderr).
 """
 
 from __future__ import annotations
@@ -34,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import SourceError, render, render_sarif
+from .engine import SourceError, lint_paths, render, render_sarif
 from .hb import check_trace, load_hb_json
 from .rules import rule_table
 
@@ -48,73 +40,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             for r in rows:
                 print(f"{r['id']:10s} {r['title']}")
         return 0
-    from .engine import lint_paths
-
     paths = args.paths or ["src"]
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
         print(f"no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    violations = lint_paths(paths, cache=args.cache)
+    violations = lint_paths(paths)
     if args.sarif:
         print(render_sarif(violations))
     else:
         print(render(violations, as_json=args.json))
     return 1 if violations else 0
-
-
-def _cmd_effects(args: argparse.Namespace) -> int:
-    from .effects import effect_db
-    from .engine import LintEngine
-
-    mods = LintEngine(rules=[]).load_modules(args.paths or ["src"])
-    if not mods:
-        print("no modules found", file=sys.stderr)
-        return 1
-    db = effect_db(mods[0].program)
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            json.dump(db.to_dict(), fh, indent=1, sort_keys=True)
-        print(f"effects database -> {args.dump}")
-        if not args.names:
-            return 0
-    if not args.names:
-        print("name one or more functions (or use --dump)", file=sys.stderr)
-        return 1
-    status = 0
-    payload = []
-    for name in args.names:
-        matches = db.lookup(name)
-        if not matches:
-            if args.json:
-                payload.append({"query": name, "matches": []})
-            else:
-                print(f"{name}: no matching function")
-            status = 1
-            continue
-        for q in matches:
-            if args.json:
-                payload.append({
-                    "query": name,
-                    "function": q,
-                    "effects": [
-                        {
-                            "atom": list(eff.atom),
-                            "line": eff.line,
-                            "direct": eff.direct,
-                            "chain": list(eff.chain),
-                        }
-                        for _, eff in sorted(
-                            db.of(q).items(),
-                            key=lambda kv: (kv[0][0], str(kv[0][1:])),
-                        )
-                    ],
-                })
-            else:
-                print(db.explain(q))
-    if args.json:
-        print(json.dumps({"results": payload}, indent=1))
-    return status
 
 
 def _cmd_check_trace(args: argparse.Namespace) -> int:
@@ -172,29 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     p_lint.add_argument(
         "--rules", action="store_true", help="list the shipped rules"
     )
-    p_lint.add_argument(
-        "--cache", metavar="FILE", default=None,
-        help="content-hash incremental cache file",
-    )
     p_lint.set_defaults(fn=_cmd_lint)
-
-    p_eff = sub.add_parser(
-        "effects", help="explain inferred effect sets"
-    )
-    p_eff.add_argument(
-        "names", nargs="*",
-        help="function names (qualified, suffix, or substring)",
-    )
-    p_eff.add_argument(
-        "--paths", nargs="*", default=None,
-        help="files/dirs to analyze (default: src)",
-    )
-    p_eff.add_argument("--json", action="store_true")
-    p_eff.add_argument(
-        "--dump", metavar="FILE", default=None,
-        help="write the whole effects database as JSON",
-    )
-    p_eff.set_defaults(fn=_cmd_effects)
 
     p_hb = sub.add_parser(
         "check-trace", help="happens-before check recorded HB traces"

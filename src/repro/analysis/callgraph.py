@@ -8,7 +8,7 @@ every effect site and supplies the whole-program view in two phases:
 
 **Phase 1 - per-module extraction** (:func:`extract_summary`): each
 :class:`~repro.analysis.engine.ModuleInfo` is reduced to a
-JSON-serializable :class:`ModuleSummary` - function definitions with
+:class:`ModuleSummary` - function definitions with
 their *direct* effect sites and raw call descriptors, class
 definitions with their base refs, attribute types and method sets,
 plus the event-kind pushes / pop-dispatch comparisons and ``hb_*``
@@ -17,8 +17,7 @@ scanned function (module level, class bodies, methods of nested
 classes) belong to a ``<module>`` pseudo-function, so a top-level
 ``t = time.time()`` is a site like any other.  Everything
 cross-module is left symbolic (absolute dotted refs resolved from the
-import table); nothing in a summary depends on any other module,
-which is what makes summaries cacheable per content digest.
+import table); nothing in a summary depends on any other module.
 
 **Link phase** (:class:`Program`): all summaries are joined into one
 program - class hierarchy (linearized base-class order), def-site
@@ -118,23 +117,6 @@ class CallSite:
     param_args: tuple[tuple[int, int], ...] = ()  # (position, caller param idx)
     report_args: tuple[int, ...] = ()  # positions receiving a report base
 
-    def to_list(self) -> list:
-        return [
-            self.line, self.kind, list(self.target),
-            list(self.self_args),
-            [list(p) for p in self.param_args],
-            list(self.report_args),
-        ]
-
-    @staticmethod
-    def from_list(raw: list) -> "CallSite":
-        return CallSite(
-            line=raw[0], kind=raw[1], target=tuple(raw[2]),
-            self_args=tuple(raw[3]),
-            param_args=tuple(tuple(p) for p in raw[4]),
-            report_args=tuple(raw[5]),
-        )
-
 
 class Site(NamedTuple):
     """One direct occurrence of an effect atom."""
@@ -167,25 +149,6 @@ class FunctionSummary:
     def qname(self) -> str:
         return f"{self.module}.{self.name}"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "params": list(self.params),
-            "is_callback": self.is_callback,
-            "atoms": [[list(s.atom), *s[1:]] for s in self.atoms],
-            "calls": [c.to_list() for c in self.calls],
-        }
-
-    @staticmethod
-    def from_dict(d: dict, module: str, path: str) -> "FunctionSummary":
-        return FunctionSummary(
-            name=d["name"], module=module, path=path, line=d["line"],
-            params=tuple(d["params"]), is_callback=d["is_callback"],
-            atoms=[Site(tuple(a), *rest) for a, *rest in d["atoms"]],
-            calls=[CallSite.from_list(c) for c in d["calls"]],
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -207,38 +170,13 @@ class ClassSummary:
     def qname(self) -> str:
         return f"{self.module}.{self.name}"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "attr_types": dict(self.attr_types),
-            "methods": list(self.methods),
-            "transient_attrs": list(self.transient_attrs),
-            "has_state_dict": self.has_state_dict,
-        }
-
-    @staticmethod
-    def from_dict(d: dict, module: str, path: str) -> "ClassSummary":
-        return ClassSummary(
-            name=d["name"], module=module, path=path, line=d["line"],
-            bases=tuple(d["bases"]), attr_types=dict(d["attr_types"]),
-            methods=tuple(d["methods"]),
-            transient_attrs=tuple(d["transient_attrs"]),
-            has_state_dict=d["has_state_dict"],
-        )
-
 
 @dataclass
 class ModuleSummary:
-    """Phase-1 digest of one module: everything the link phase needs."""
+    """Phase-1 summary of one module: everything the link phase needs."""
 
     module: str
     path: str
-    digest: str
-    is_package: bool
-    #: absolute module names this module imports (cache invalidation).
-    deps: tuple[str, ...] = ()
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
     #: event kinds pushed into a simulator/service heap: [(kind, line)]
@@ -252,69 +190,6 @@ class ModuleSummary:
     #: module-level function flows to a class via the call graph, so
     #: the pragma must be honored at the helper site too).
     transient_attrs: tuple[str, ...] = ()
-    #: line -> suppressed rule ids (mirrors ModuleInfo for cached runs)
-    suppressions: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    #: (start, end, rules) def/class-header blocks (cached runs too)
-    suppression_blocks: list[tuple[int, int, tuple[str, ...]]] = field(
-        default_factory=list
-    )
-
-    def suppressed(self, rule: str, line: int) -> bool:
-        """Same semantics as ModuleInfo.suppressed, off the summary."""
-        allowed = self.suppressions.get(line, ())
-        if rule in allowed or "*" in allowed:
-            return True
-        for start, end, rules in self.suppression_blocks:
-            if start <= line <= end and (rule in rules or "*" in rules):
-                return True
-        return False
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "digest": self.digest,
-            "is_package": self.is_package,
-            "deps": list(self.deps),
-            "functions": [f.to_dict() for f in self.functions.values()],
-            "classes": [c.to_dict() for c in self.classes.values()],
-            "pushed": [list(p) for p in self.pushed],
-            "handled": [list(p) for p in self.handled],
-            "hb_emits": [list(p) for p in self.hb_emits],
-            "transient_attrs": list(self.transient_attrs),
-            "suppressions": {
-                str(k): list(v) for k, v in self.suppressions.items()
-            },
-            "suppression_blocks": [
-                [s, e, list(r)] for s, e, r in self.suppression_blocks
-            ],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModuleSummary":
-        module, path = d["module"], d["path"]
-        fns = [FunctionSummary.from_dict(f, module, path)
-               for f in d["functions"]]
-        classes = [ClassSummary.from_dict(c, module, path)
-                   for c in d["classes"]]
-        return ModuleSummary(
-            module=module, path=path, digest=d["digest"],
-            is_package=d["is_package"], deps=tuple(d["deps"]),
-            functions={f.name: f for f in fns},
-            classes={c.name: c for c in classes},
-            pushed=[(k, ln) for k, ln in d["pushed"]],
-            handled=[(k, ln) for k, ln in d["handled"]],
-            hb_emits=[(k, ln) for k, ln in d["hb_emits"]],
-            transient_attrs=tuple(d.get("transient_attrs", ())),
-            suppressions={
-                int(k): tuple(v) for k, v in d["suppressions"].items()
-            },
-            suppression_blocks=[
-                (s, e, tuple(r)) for s, e, r in d.get(
-                    "suppression_blocks", ()
-                )
-            ],
-        )
 
 
 # -- phase 1: extraction ---------------------------------------------------------------
@@ -327,7 +202,6 @@ class _Imports:
         self.package = module if is_package else module.rpartition(".")[0]
         self.modules: dict[str, str] = {}  # alias -> absolute module
         self.symbols: dict[str, str] = {}  # name  -> absolute dotted ref
-        self.deps: set[str] = set()
 
     def _resolve_relative(self, level: int, target: str | None) -> str | None:
         if level == 0:
@@ -344,7 +218,6 @@ class _Imports:
     def add(self, node: ast.Import | ast.ImportFrom) -> None:
         if isinstance(node, ast.Import):
             for alias in node.names:
-                self.deps.add(alias.name)
                 name = alias.asname or alias.name.split(".")[0]
                 self.modules[name] = (
                     alias.name if alias.asname else alias.name.split(".")[0]
@@ -355,14 +228,10 @@ class _Imports:
         base = self._resolve_relative(node.level, node.module)
         if base is None:
             return
-        self.deps.add(base)
         for alias in node.names:
             if alias.name == "*":
                 continue
             self.symbols[alias.asname or alias.name] = f"{base}.{alias.name}"
-            # `from pkg import submodule` depends on the submodule too;
-            # non-module symbols add a dep no file matches (harmless).
-            self.deps.add(f"{base}.{alias.name}")
 
     def resolve(self, name: str) -> str | None:
         """Absolute dotted ref for a top-level name, if imported."""
@@ -784,9 +653,8 @@ def _class_attr_types(
 
 
 def extract_summary(mod: ModuleInfo) -> ModuleSummary:
-    """Phase 1: reduce one parsed module to its cacheable summary."""
-    is_package = mod.path.endswith("__init__.py")
-    imports = _Imports(mod.module, is_package)
+    """Phase 1: reduce one parsed module to its summary."""
+    imports = _Imports(mod.module, mod.path.endswith("__init__.py"))
     toplevel: set[str] = set()
     local_classes: set[str] = set()
     for node in mod.tree.body:
@@ -803,21 +671,7 @@ def extract_summary(mod: ModuleInfo) -> ModuleSummary:
         ):
             imports.add(node)
 
-    summary = ModuleSummary(
-        module=mod.module,
-        path=mod.path,
-        digest=mod.digest,
-        is_package=is_package,
-        deps=tuple(sorted(imports.deps)),
-        suppressions={
-            ln: tuple(sorted(rules))
-            for ln, rules in mod.suppressions.items()
-        },
-        suppression_blocks=[
-            (s, e, tuple(sorted(r)))
-            for s, e, r in mod.suppression_blocks
-        ],
-    )
+    summary = ModuleSummary(module=mod.module, path=mod.path)
 
     module_transient: set[str] = set()
     scanned: set[int] = set()  # ids of the defs that got their own scope
@@ -996,11 +850,6 @@ class Program:
             mod, _, name = ref.rpartition(".")
             for cref, cls in self.classes.items():
                 if cls.name == name and cref.startswith(mod.split(".")[0]):
-                    if mod in self.modules and name in {
-                        s.rpartition(".")[2]
-                        for s in self.modules[mod].deps
-                    }:
-                        pass
                     init = self.resolve_method(cref, "__init__")
                     if init and self._unique_class_name(name):
                         return (init,)

@@ -21,8 +21,8 @@ function carries the effects of everything it can reach:
   through its helper methods.
 
 Every inferred effect carries a provenance chain - the call path from
-the carrying function down to the direct site - rendered by the
-``effects`` CLI command and embedded in every propagated finding.
+the carrying function down to the direct site - embedded in every
+propagated finding (the ``via:`` line).
 
 Termination: the atom space is finite (direct atoms, plus param
 remappings bounded by each function's arity), effects only grow, and
@@ -39,21 +39,6 @@ __all__ = ["Effect", "EffectDB", "EXTERNAL_KINDS", "effect_db"]
 
 #: Atom kinds that propagate through *every* resolved call edge.
 EXTERNAL_KINDS = frozenset({"wall", "rng", "io", "sink", "wire", "counter"})
-
-#: Atom kinds surfaced by the ``effects`` explain command, with the
-#: rule family each one feeds.
-KIND_LABELS = {
-    "wall": ("wall-clock read", "DET001"),
-    "rng": ("unseeded RNG", "DET002"),
-    "io": ("real I/O / host blocking", "DES001"),
-    "sink": ("event-sink push", "DET003"),
-    "wire": ("wire-kind push outside transport", "PROTO001"),
-    "counter": ("report-counter write", "PROTO002"),
-    "cparam": ("counter write on a parameter", "PROTO002"),
-    "swrite": ("self-state mutation", "PERSIST002"),
-    "sread": ("self-state read", "PERSIST002"),
-    "pwrite": ("parameter-state mutation", "PERSIST002"),
-}
 
 
 @dataclass(frozen=True)
@@ -250,70 +235,3 @@ class EffectDB:
             if summary is not None:
                 out.update(summary.transient_attrs)
         return out
-
-    # -- explain (the `effects` CLI command) -----------------------------------------
-
-    def lookup(self, name: str) -> list[str]:
-        """qnames matching ``name`` (exact, suffix, or substring)."""
-        if name in self.effects:
-            return [name]
-        suffix = [
-            q for q in sorted(self.effects)
-            if q.endswith("." + name) or q.split(".")[-1] == name
-        ]
-        if suffix:
-            return suffix
-        return [q for q in sorted(self.effects) if name in q]
-
-    def explain(self, qname: str) -> str:
-        fn = self.program.functions.get(qname)
-        if fn is None:
-            return f"{qname}: unknown function"
-        lines = [f"{qname} ({fn.path}:{fn.line})"]
-        if fn.is_callback:
-            lines.append("  [simulated callback: runs in virtual time]")
-        table = self.of(qname)
-        if not table:
-            lines.append("  effect-free")
-            return "\n".join(lines)
-        by_kind: dict[str, list[Effect]] = {}
-        for atom, eff in table.items():
-            by_kind.setdefault(atom[0], []).append(eff)
-        for kind in KIND_LABELS:
-            effs = by_kind.get(kind)
-            if not effs:
-                continue
-            label, rule = KIND_LABELS[kind]
-            lines.append(f"  {kind} ({label}, {rule}):")
-            for eff in sorted(effs, key=lambda e: (e.atom, e.line)):
-                detail = ", ".join(str(x) for x in eff.atom[1:])
-                origin = "direct" if eff.direct else f"{len(eff.chain) - 1} hop(s)"
-                lines.append(f"    {detail}  [{origin}]")
-                if not eff.direct:
-                    for i, entry in enumerate(eff.chain):
-                        lines.append(f"      {'  ' * i}-> {entry}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        """JSON form of the whole database (the nightly artifact)."""
-        out: dict[str, list[dict]] = {}
-        for q in sorted(self.effects):
-            table = self.effects[q]
-            if not table:
-                continue
-            out[q] = [
-                {
-                    "atom": list(eff.atom),
-                    "line": eff.line,
-                    "chain": list(eff.chain),
-                }
-                for _, eff in sorted(
-                    table.items(), key=lambda kv: (kv[0][0], str(kv[0][1:]))
-                )
-            ]
-        return {
-            "functions": len(self.effects),
-            "with_effects": len(out),
-            "unresolved_dynamic": self.program.unresolved_dynamic,
-            "effects": out,
-        }

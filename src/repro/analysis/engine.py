@@ -38,7 +38,6 @@ Two more pragmas::
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import json
 import re
@@ -51,7 +50,7 @@ from typing import TYPE_CHECKING, Any
 from .._util import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .callgraph import ModuleSummary, Program
+    from .callgraph import Program
     from .rules import Rule
 
 __all__ = [
@@ -116,18 +115,6 @@ class Violation:
             "chain": list(self.chain),
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "Violation":
-        return Violation(
-            rule=d["rule"],
-            path=d["path"],
-            line=int(d["line"]),
-            col=int(d["col"]),
-            message=d["message"],
-            hint=d["hint"],
-            chain=tuple(d.get("chain", ())),
-        )
-
 
 @dataclass
 class ModuleInfo:
@@ -147,8 +134,6 @@ class ModuleInfo:
     )
     #: lines carrying a ``# repro: transient`` pragma (PERSIST002).
     transient_lines: frozenset[int] = frozenset()
-    #: sha256 of the source text (incremental-cache identity).
-    digest: str = ""
     #: the program this module was linked into, set by the engine
     #: before any rule runs (None only on a bare ``load_module``).
     program: "Program | None" = None
@@ -288,7 +273,6 @@ def load_module(path: str | Path) -> ModuleInfo:
         suppressions=suppressions,
         suppression_blocks=_suppression_blocks(tree, suppressions),
         transient_lines=transient,
-        digest=hashlib.sha256(source.encode()).hexdigest(),
     )
 
 
@@ -302,8 +286,7 @@ class LintEngine:
     One driver, :meth:`lint_files`: parse, summarize, link everything
     into one :class:`~repro.analysis.callgraph.Program`, run fixed-point
     effect inference over its call graph, then the module-scope and
-    program-scope rules.  The incremental cache calls the same driver
-    with the summaries and findings it wants reused.
+    program-scope rules.
     """
 
     def __init__(self, rules: "list[Rule] | None" = None):
@@ -334,20 +317,15 @@ class LintEngine:
         self.link_program(mods)
         return mods
 
-    def link_program(
-        self,
-        mods: list[ModuleInfo],
-        reused: "Iterable[ModuleSummary]" = (),
-    ) -> "Program":
-        """Summarize ``mods``, link them (plus the ``reused`` summaries
-        of modules not re-parsed) into a Program with its effect
+    def link_program(self, mods: list[ModuleInfo]) -> "Program":
+        """Summarize ``mods``, link them into a Program with its effect
         database, and attach it to each module."""
         from .callgraph import Program, extract_summary
         from .effects import effect_db
 
         for mod in mods:
             mod.summary = extract_summary(mod)
-        program = Program([m.summary for m in mods] + list(reused))
+        program = Program([m.summary for m in mods])
         effect_db(program)
         for mod in mods:
             mod.program = program
@@ -370,9 +348,12 @@ class LintEngine:
         out.sort(key=_sort_key)
         return out
 
-    def lint_program(self, program: "Program") -> list[Violation]:
-        """Program-scope rule pass (PROTO004-style whole-program checks)."""
-        by_path = {s.path: s for s in program.modules.values()}
+    def lint_program(
+        self, program: "Program", mods: list[ModuleInfo]
+    ) -> list[Violation]:
+        """Program-scope rule pass (PROTO004-style whole-program checks),
+        filtered through the suppressions of the linked ``mods``."""
+        by_path = {m.path: m for m in mods}
         out: list[Violation] = []
         for rule in self.rules:
             if rule.scope != "program":
@@ -385,23 +366,14 @@ class LintEngine:
         return out
 
     def lint_files(
-        self,
-        files: Iterable[str | Path],
-        reuse: "dict[str, tuple[ModuleSummary, list[Violation]]] | None" = None,
+        self, files: Iterable[str | Path]
     ) -> tuple[list[ModuleInfo], dict[str, list[Violation]], list[Violation]]:
         """The driver: ``(parsed modules, findings by path, program
-        findings)`` for ``files``.
-
-        A file whose path is in ``reuse`` is not parsed: its summary
-        joins the program link and its findings are taken verbatim.
-        """
-        reuse = reuse or {}
-        mods = [load_module(f) for f in files if str(f) not in reuse]
-        program = self.link_program(mods, [s for s, _ in reuse.values()])
-        findings = {p: vs for p, (_, vs) in reuse.items()}
-        for mod in mods:
-            findings[mod.path] = self.lint_module(mod)
-        return mods, findings, self.lint_program(program)
+        findings)`` for ``files``."""
+        mods = [load_module(f) for f in files]
+        program = self.link_program(mods)
+        findings = {mod.path: self.lint_module(mod) for mod in mods}
+        return mods, findings, self.lint_program(program, mods)
 
     def lint_paths(self, paths: list[str | Path]) -> list[Violation]:
         _, findings, out = self.lint_files(self.collect_files(paths))
@@ -412,21 +384,9 @@ class LintEngine:
 
 
 def lint_paths(
-    paths: list[str | Path],
-    rules: "list[Rule] | None" = None,
-    cache: "str | Path | None" = None,
+    paths: list[str | Path], rules: "list[Rule] | None" = None
 ) -> list[Violation]:
-    """Convenience wrapper: lint ``paths`` with ``rules`` (default all).
-
-    ``cache`` names an incremental-cache file (see
-    :mod:`repro.analysis.cache`): unchanged modules reuse their cached
-    findings; only the reverse-dependency cone of edited modules is
-    re-analyzed.  Results are byte-identical to a cold run.
-    """
-    if cache is not None:
-        from .cache import cached_lint
-
-        return cached_lint(paths, cache, rules=rules)
+    """Convenience wrapper: lint ``paths`` with ``rules`` (default all)."""
     return LintEngine(rules).lint_paths(paths)
 
 

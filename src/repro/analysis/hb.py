@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 from ..runtime.checker import CTL, HbChecker, HbRace, SanitizerError
+from .engine import SourceError
 
 __all__ = [
     "CTL",
@@ -64,10 +65,18 @@ def dump_hb_json(events, path: str) -> int:
 
 
 def load_hb_json(path: str) -> list[tuple[float, str, tuple]]:
-    """Load a trace written by :func:`dump_hb_json` (or hand-crafted)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    events = doc["events"] if isinstance(doc, dict) else doc
-    return [
-        (float(e["t"]), str(e["kind"]), tuple(e["detail"])) for e in events
-    ]
+    """Load a trace written by :func:`dump_hb_json` (or hand-crafted).
+
+    Raises :class:`~repro.analysis.engine.SourceError` when the file is
+    unreadable, is not JSON, or does not hold HB records.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        events = doc["events"] if isinstance(doc, dict) else doc
+        return [
+            (float(e["t"]), str(e["kind"]), tuple(e["detail"]))
+            for e in events
+        ]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SourceError(str(path), 1, f"{type(exc).__name__}: {exc}") from exc

@@ -144,6 +144,31 @@ def test_cli_check_trace_exit_codes(capsys):
     assert "concurrent-commit" in capsys.readouterr().out
 
 
+#: file name -> contents (None: the file does not exist).
+BAD_TRACES = {
+    "missing.json": None,
+    "not_json.json": "not json {",
+    "no_events.json": '{"a": 1}',
+    "bad_record.json": "[[1, 2]]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TRACES))
+def test_cli_check_trace_bad_file_exits_2_with_one_line(
+    tmp_path, capsys, name
+):
+    from repro.analysis.__main__ import main
+
+    f = tmp_path / name
+    if BAD_TRACES[name] is not None:
+        f.write_text(BAD_TRACES[name])
+    assert main(["check-trace", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"{f}:1: cannot parse: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 # -- synthetic unit streams: one per race kind -----------------------------------
 
 

@@ -260,37 +260,19 @@ class TestUnparsableSource:
         assert err.value.message
         assert str(err.value).startswith(f"{f}:{line}: cannot parse: ")
 
-    @pytest.mark.parametrize("cached", [False, True])
     @pytest.mark.parametrize("case", sorted(UNPARSABLE))
-    def test_cli_exits_2_with_one_line(self, tmp_path, capsys, case, cached):
+    def test_cli_exits_2_with_one_line(self, tmp_path, capsys, case):
         from repro.analysis.__main__ import main
 
         blob, line = UNPARSABLE[case]
         (tmp_path / "ok.py").write_text("x = 1\n")
         f = tmp_path / "bad.py"
         f.write_bytes(blob)
-        cache = tmp_path / "cache.json"
-        argv = ["lint", str(tmp_path)]
-        if cached:
-            argv += ["--cache", str(cache)]
-        assert main(argv) == 2
+        assert main(["lint", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert err.startswith(f"{f}:{line}: cannot parse: ")
         assert len(err.strip().splitlines()) == 1
-        assert not cache.exists(), "no cache entry for an unparsable run"
-
-    def test_unparsable_edit_keeps_the_previous_cache(self, tmp_path):
-        from repro.analysis.__main__ import main
-
-        f = tmp_path / "m.py"
-        f.write_text("x = 1\n")
-        cache = tmp_path / "cache.json"
-        assert main(["lint", str(f), "--cache", str(cache)]) == 0
-        before = cache.read_text()
-        f.write_text("x = (\n")
-        assert main(["lint", str(f), "--cache", str(cache)]) == 2
-        assert cache.read_text() == before
 
 
 # -- the shipped repo lints clean (the CI gate, in-process) ----------------------
