@@ -159,12 +159,11 @@ class ParticleTraceProgram(PatchProgram):
         self._pending: list[Particle] = list(seeds or [])
         self._out: list[Stream] = []
         self.finished: list[Particle] = []
-        self._last = {"vertices": 0, "edges": 0, "remote_items": 0,
-                      "input_items": 0, "streams": 0}
+        self._crossings = self._inputs = 0  # this execution's counters
 
     def input(self, stream: Stream) -> None:
         self._pending.extend(stream.payload)
-        self._last["input_items"] += len(stream.payload)
+        self._inputs += len(stream.payload)
 
     def compute(self) -> None:
         ship: dict[int, list[Particle]] = {}
@@ -179,9 +178,7 @@ class ParticleTraceProgram(PatchProgram):
             else:
                 dst = int(self.pset.cell_patch[p.cell])
                 ship.setdefault(dst, []).append(p)
-        remote_items = 0
         for dst, parts in ship.items():
-            remote_items += len(parts)
             self._out.append(
                 Stream(
                     src=self.id,
@@ -191,13 +188,7 @@ class ParticleTraceProgram(PatchProgram):
                     nbytes=len(parts) * 64,  # pos + dir + bookkeeping
                 )
             )
-        self._last = {
-            "vertices": crossings,  # kernel work ~ cell crossings
-            "edges": crossings,
-            "remote_items": remote_items,
-            "input_items": self._last["input_items"],
-            "streams": len(ship),
-        }
+        self._crossings = crossings
 
     def output(self) -> Stream | None:
         if self._out:
@@ -210,10 +201,11 @@ class ParticleTraceProgram(PatchProgram):
     def remaining_workload(self) -> int | None:
         return None  # unknown a priori: exercises consensus termination
 
-    def last_run_counters(self) -> dict[str, int]:
-        out = dict(self._last)
-        self._last = {"vertices": 0, "edges": 0, "remote_items": 0,
-                      "input_items": 0, "streams": 0}
+    def run_counters(self) -> tuple[int, int, int, int]:
+        # Kernel work, edges and pops all ~ cell crossings.
+        c = self._crossings
+        out = (c, c, c, self._inputs)
+        self._crossings = self._inputs = 0
         return out
 
 

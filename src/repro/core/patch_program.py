@@ -155,13 +155,16 @@ class PatchProgram(ABC):
     # -- cost-model hooks (all zero-cost by default) -------------------------------
     #
     # The DES runtime charges virtual time based on what a run actually
-    # did; programs report the raw work counters of their *last* run
-    # (e.g. vertices solved, edges relaxed, stream items packed) and the
-    # runtime's CostModel maps them to virtual seconds.
+    # did; a program reports the raw work counters of the execution it
+    # is in and the runtime's CostModel maps them to virtual seconds.
 
-    def last_run_counters(self) -> dict[str, int]:
-        """Raw work counters for the most recent run."""
-        return {}
+    def run_counters(self) -> tuple[int, int, int, int]:
+        """``(vertices, edges, pops, input_items)`` of the current
+        execution - vertices solved, dependency edges relaxed,
+        ready-queue pops, stream items consumed - reset to zero by
+        the call.  The runtime reads them once per execution, after
+        ``compute``."""
+        return (0, 0, 0, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}{self.id!r}"

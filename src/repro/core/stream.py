@@ -47,7 +47,7 @@ class ProgramId:
         return f"({self.patch},{self.task})"
 
 
-@dataclass
+@dataclass(slots=True)
 class Stream:
     """A routable message between two patch-programs.
 

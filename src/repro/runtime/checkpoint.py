@@ -26,8 +26,10 @@ __all__ = ["HostKilled", "SNAPSHOT_VERSION"]
 #: frames carry their own wire version; this one tracks the *schema*
 #: of the state dict assembled here).  Version 2: program contexts are
 #: the programs' own ``state_dict()`` (mutable core only) instead of a
-#: deep copy of their attributes.
-SNAPSHOT_VERSION = 2
+#: deep copy of their attributes.  Version 3: simulator heap entries
+#: carry their kind and data (no slabs), and sweep program contexts
+#: hold no run counters.
+SNAPSHOT_VERSION = 3
 
 
 class HostKilled(ReproError):

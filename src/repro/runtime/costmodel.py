@@ -34,6 +34,9 @@ CATEGORIES = (
     "kernel", "graph_op", "pack", "unpack", "sched", "comm", "recovery", "idle"
 )
 
+#: The fields of a run's counters tuple, in order.
+_COUNTERS = ("vertices", "edges", "pops", "input_items")
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -62,20 +65,24 @@ class CostModel:
             raise ReproError(f"cost model groups={self.groups!r} must be an int >= 1")
 
     def run_cost_parts(
-        self, counters: dict[str, int], remote_streams: int, remote_items: int
+        self, who: object, counters: tuple[int, int, int, int],
+        remote_streams: int, remote_items: int,
     ) -> tuple[float, float, float, float]:
-        """``(kernel, graph_op, pack, fixed)`` of one worker run.
+        """``(kernel, graph_op, pack, fixed)`` of one worker run of
+        program ``who`` that reported ``counters = (vertices, edges,
+        pops, input_items)`` (:meth:`PatchProgram.run_counters`).
 
-        The tuple form of :meth:`run_cost` (which wraps it): the
-        scheduler's hot path sums the four parts directly instead of
-        building and re-iterating a dict per execution.
+        The one place counters become time, so the one place they are
+        refused: a negative or NaN counter would run a core's timeline
+        backwards (or poison it) without a word.
         """
-        v = counters.get("vertices", 0)
-        e = counters.get("edges", 0)
-        inp = counters.get("input_items", 0)
-        # Ready-queue pops default to one per vertex; coarsened-graph
-        # programs pop whole clusters and report the coarse count.
-        pops = counters.get("pops", v)
+        v, e, pops, inp = counters
+        if not (v >= 0 and e >= 0 and pops >= 0 and inp >= 0):
+            name, x = next((n, x) for n, x in zip(_COUNTERS, counters) if not x >= 0)
+            raise ReproError(
+                f"program {who!r} reported run counter {name}={x!r}; "
+                "counters must be >= 0"
+            )
         return (
             v * self.t_vertex * self.groups,
             e * self.t_edge + pops * self.t_pop + inp * self.t_input_item,
@@ -83,20 +90,6 @@ class CostModel:
             + remote_items * self.t_pack_item * self.groups,
             self.t_exec_fixed,
         )
-
-    def run_cost(
-        self, counters: dict[str, int], remote_streams: int, remote_items: int
-    ) -> dict[str, float]:
-        """Virtual-time breakdown of one worker run of a patch-program."""
-        kernel, graph_op, pack, fixed = self.run_cost_parts(
-            counters, remote_streams, remote_items
-        )
-        return {
-            "kernel": kernel,
-            "graph_op": graph_op,
-            "pack": pack,
-            "fixed": fixed,
-        }
 
     def unpack_cost(self, streams: int, items: int) -> float:
         return (

@@ -57,14 +57,15 @@ class Breakdown:
                 pack: float, sched: float) -> None:
         """Fused hot-path form of four :meth:`add` calls for one run.
 
-        Per-category accumulation is identical to four ``add`` calls;
+        Per-category accumulation is identical to four ``add`` calls
+        (the four categories are seeded, so they are indexed directly);
         the per-core busy total folds the four parts in one update.
         """
         by = self.by_category
-        by["kernel"] = by.get("kernel", 0.0) + kernel
-        by["graph_op"] = by.get("graph_op", 0.0) + graph_op
-        by["pack"] = by.get("pack", 0.0) + pack
-        by["sched"] = by.get("sched", 0.0) + sched
+        by["kernel"] += kernel
+        by["graph_op"] += graph_op
+        by["pack"] += pack
+        by["sched"] += sched
         cb = self.core_busy
         # Fold the parts one at a time: the identical left-to-right
         # float sequence as four separate ``add`` calls.

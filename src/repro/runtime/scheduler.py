@@ -413,27 +413,35 @@ class Scheduler:
             box.clear()
         prog.compute()
         outputs = prog.drain_outputs()
-        counters = prog.last_run_counters()
-        report.vertices_solved += counters.get("vertices", 0)
+        counters = prog.run_counters()
+        pid = st.pids[i]
         index_of = self.router.index_of
         proc_idx = self.router.proc_idx
         remote_streams = remote_items = 0
         for s in outputs:
             di = s.dsti
             if di < 0:
-                di = index_of[s.dst]
+                # First routing of a fresh stream: refuse what the
+                # serial engine refuses (sweep programs pass ``self.id``).
+                if s.src is not pid and s.src != pid:
+                    raise ReproError(
+                        f"program {pid!r} emitted a stream claiming src {s.src!r}"
+                    )
+                di = index_of.get(s.dst, -1)
+                if di < 0:
+                    raise ReproError(f"stream to unknown program {s.dst!r}")
                 s.dsti = di
             if proc_idx[di] != p:
                 remote_streams += 1
                 remote_items += s.items
         cm = self.cm
         kernel, graph_op, pack, fixed = cm.run_cost_parts(
-            counters, remote_streams, remote_items
+            pid, counters, remote_streams, remote_items
         )
+        report.vertices_solved += counters[0]
         t_sched = cm.t_sched
-        # Left-to-right sum in the parts' (dict-insertion) order, then
-        # the queue pop / dispatch charge: the same float-accumulation
-        # sequence as ``sum(run_cost(...).values()) + t_sched``.
+        # Left-to-right sum of the parts, then the queue pop / dispatch
+        # charge (BSPSweepRuntime folds the same parts with ``sum``).
         duration = kernel + graph_op + pack + fixed + t_sched
         wres = self.workers[p][w]
         core = wres.core

@@ -240,8 +240,7 @@ class Simulator:
     __slots__ = ("_events", "_seq", "live", "makespan", "_progress",
                  "trace_hook", "trace_fields", "note_hook",
                  "last_progress", "_prev_progress", "_wd_horizon",
-                 "_wd_snapshot", "_slab_kind", "_slab_data",
-                 "_free", "_kind_ids", "_kind_names", "_progress_mask",
+                 "_wd_snapshot", "_kind_ids", "_kind_names", "_progress_mask",
                  "_wd_mask", "_pop_counts", "peak_heap", "_sealed",
                  "_turn_t", "_turn_batch")
 
@@ -264,15 +263,11 @@ class Simulator:
         self._prev_progress = 0.0  # previous value (for retraction)
         self._wd_horizon = 0.0  # 0 = watchdog disarmed
         self._wd_snapshot: Callable[[float], StallReport | None] | None = None
-        # Slab storage: heap entries are scalar 3-tuples (t, seq, slot);
-        # kind/data live in struct-of-arrays slabs indexed by slot, and
-        # popped slots are recycled through the free list.  Event kinds
+        # Heap entries are ``(t, seq, kind id, data)``: ``seq`` is unique,
+        # so comparisons never reach the kind or the data.  Event kinds
         # are interned to dense integer ids, and everything known per
         # kind (progress / watchdog masks, counts) is a list indexed
         # by that id.
-        self._slab_kind: list[int] = []
-        self._slab_data: list[Any] = []
-        self._free: list[int] = []
         self._kind_ids: dict[str, int] = {}
         self._kind_names: list[str] = []
         self._progress_mask: list[bool] = []
@@ -285,7 +280,7 @@ class Simulator:
         # being dispatched the heap holds no events at that time, so a
         # push at exactly ``_turn_t`` would be popped next in push order
         # anyway - it joins the in-flight batch without touching the
-        # heap or the slab.
+        # heap.
         self._turn_t = -1.0
         self._turn_batch: list | None = None
 
@@ -401,17 +396,7 @@ class Simulator:
             self._turn_batch.append((kid, data))
             return
         self._seq += 1
-        seq = self._seq
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._slab_kind[slot] = kid
-            self._slab_data[slot] = data
-        else:
-            slot = len(self._slab_kind)
-            self._slab_kind.append(kid)
-            self._slab_data.append(data)
-        heapq.heappush(self._events, (t, seq, slot))
+        heapq.heappush(self._events, (t, self._seq, kid, data))
 
     def pop(self) -> tuple[float, str, Any]:
         """Pop and account the earliest event (one-at-a-time API)."""
@@ -419,11 +404,7 @@ class Simulator:
         n = len(events)
         if n > self.peak_heap:
             self.peak_heap = n
-        t, _, slot = _heappop(events)
-        kid = self._slab_kind[slot]
-        data = self._slab_data[slot]
-        self._slab_data[slot] = None
-        self._free.append(slot)
+        t, _, kid, data = _heappop(events)
         self._pop_counts[kid] += 1
         self.account(t, kid, data)
         return t, self._kind_names[kid], data
@@ -446,19 +427,15 @@ class Simulator:
         n = len(events)
         if n > self.peak_heap:
             self.peak_heap = n
-        slab_data = self._slab_data
         counts = self._pop_counts
-        t0, _, slot = _heappop(events)
+        t0, _, kid, data = _heappop(events)
         batch: list[tuple[int, Any]] = []
         while True:
-            kid = self._slab_kind[slot]
             counts[kid] += 1
-            batch.append((kid, slab_data[slot]))
-            slab_data[slot] = None
-            self._free.append(slot)
+            batch.append((kid, data))
             if not events or events[0][0] != t0:
                 break
-            _, _, slot = _heappop(events)
+            _, _, kid, data = _heappop(events)
         self._turn_t = t0
         self._turn_batch = batch
         return t0, batch
@@ -513,10 +490,9 @@ class Simulator:
     def state_dict(self) -> dict:
         """Codec-ready view of the heap, clock and interning tables.
 
-        The heap list and the slabs are captured *verbatim* (heap
-        entries are tuples, slab payloads are the live event data):
-        restoring them re-establishes the exact pop order, tie-break
-        sequences included.  ``kind_names`` is the id mapping itself -
+        The heap list is captured *verbatim* (entries are tuples holding
+        the live event data): restoring it re-establishes the exact pop
+        order, tie-break sequences included.  ``kind_names`` is the id mapping itself -
         its order must round-trip bit-for-bit.  Only taken between
         batches (the turnaround scratch is always idle then).
         """
@@ -527,9 +503,6 @@ class Simulator:
             "makespan": self.makespan,
             "last_progress": self.last_progress,
             "prev_progress": self._prev_progress,
-            "slab_kind": list(self._slab_kind),
-            "slab_data": list(self._slab_data),
-            "free": list(self._free),
             "kind_names": list(self._kind_names),
             "pop_counts": list(self._pop_counts),
             "peak_heap": self.peak_heap,
@@ -556,9 +529,6 @@ class Simulator:
         self.makespan = d["makespan"]
         self.last_progress = d["last_progress"]
         self._prev_progress = d["prev_progress"]
-        self._slab_kind = list(d["slab_kind"])
-        self._slab_data = list(d["slab_data"])
-        self._free = list(d["free"])
         self._pop_counts = list(d["pop_counts"])
         self.peak_heap = d["peak_heap"]
         self._turn_t = -1.0

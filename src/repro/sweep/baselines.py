@@ -276,16 +276,13 @@ class BSPSweepRuntime:
                 inbox[pid].clear()
                 # Run the program to exhaustion within the super-step
                 # (BSP: no mid-step delivery can wake anyone else).
-                step_counters = {"vertices": 0, "edges": 0, "input_items": 0,
-                                 "pops": 0}
+                v = e = pops = inp = 0
                 own_streams: list[Stream] = []
                 while True:
                     prog.compute()
-                    c = prog.last_run_counters()
+                    cv, ce, cpops, cinp = prog.run_counters()
                     executions += 1
-                    for k in ("vertices", "edges", "input_items"):
-                        step_counters[k] += c.get(k, 0)
-                    step_counters["pops"] += c.get("pops", c.get("vertices", 0))
+                    v, e, pops, inp = v + cv, e + ce, pops + cpops, inp + cinp
                     while (s := prog.output()) is not None:
                         own_streams.append(s)
                     if prog.vote_to_halt():
@@ -294,12 +291,10 @@ class BSPSweepRuntime:
                 remote_streams = [
                     s for s in own_streams if proc_of[s.dst] != p
                 ]
-                cost = cm.run_cost(
-                    step_counters,
-                    remote_streams=len(remote_streams),
-                    remote_items=sum(s.items for s in remote_streams),
-                )
-                proc_time[p] += sum(cost.values())
+                proc_time[p] += sum(cm.run_cost_parts(
+                    pid, (v, e, pops, inp), len(remote_streams),
+                    sum(s.items for s in remote_streams),
+                ))
             # Deliver all streams for the next step.
             for s in pending:
                 inbox[s.dst].append(s)

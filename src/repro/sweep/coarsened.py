@@ -124,6 +124,8 @@ def build_coarsened(
     # Every remote coarse edge is one more upwind edge of its target.
     for key, targets in incoming.items():
         np.add.at(out[key].init_counts, np.concatenate(targets), 1)
+    for cg in out.values():  # no priorities: clusters pop in index order
+        cg.set_keys(np.arange(cg.n_local))
     return out
 
 
@@ -176,11 +178,11 @@ class CoarsenedSweepProgram(SweepPatchProgram):
             static_priority=static_priority, bytes_per_item=bytes_per_item,
             angle=cg.angle,
         )
-        self._pops = 0
 
     def _solve(self, popped, angle: int) -> int:
+        # The run reports the cells as its vertices, and the clusters
+        # as its pops: bookkeeping is per coarse pop, the saving.
         g = self.graph
-        self._pops = len(popped)  # repro: transient - read back within the same execution
         starts = g.cluster_ptr[popped]
         sizes = g.cluster_ptr[1:][popped] - starts
         if self.solve_fn is not None:
@@ -189,20 +191,13 @@ class CoarsenedSweepProgram(SweepPatchProgram):
 
     def _collect(self) -> tuple:
         """A stream carries the DAG edges its coarse edges bundle."""
-        popped, outs, edges, _ = super()._collect()
+        popped, outs, edges = super()._collect()
         g = self.graph
         starts = g.dr_indptr[popped]
         j = multi_slice(starts, g.dr_indptr[1:][popped] - starts)
         items = np.bincount(g.dr_patch[j], g.dr_items[j]).astype(np.int64)
         outs = [(q, payload, items.item(q)) for q, payload, _ in outs]
-        return popped, outs, edges, int(items.sum())
+        return popped, outs, edges
 
     def remaining_workload(self) -> int:
         return self.graph.n_vertices - self._solved
-
-    def last_run_counters(self) -> dict[str, int]:
-        out = super().last_run_counters()
-        if out["vertices"]:
-            # Bookkeeping is per coarse pop: this is the saving.
-            out["pops"] = self._pops
-        return out

@@ -18,6 +18,7 @@ angle of the set, sweep iteration, energy group and runtime backend.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -275,8 +276,7 @@ class PatchAngleGraph:
     dr_local: np.ndarray
     vertex_prio: np.ndarray | None = None  # set by the priority module
     # Encoded ready-heap keys ``int(prio[v]) * n_local + v`` (same
-    # order as the (prio, v) pair; see SweepPatchProgram.init), set
-    # alongside ``vertex_prio`` by the batched priority pass.
+    # order as the (prio, v) pair), installed by :meth:`set_keys`.
     vertex_keys: np.ndarray | None = None
 
     # The topology's interned stream destinations, one ``{patch:
@@ -289,6 +289,13 @@ class PatchAngleGraph:
     # and the lazily-built Python-list adjacency (hot-loop form).
     tasks: dict = field(default_factory=dict, init=False, repr=False)
     _flat_cache: tuple | None = field(default=None, init=False, repr=False)
+    # Every program's start state, ``(keys, counts, sources)``: see
+    # :meth:`set_keys`.
+    start: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.vertex_keys is not None:  # a ``dataclasses.replace`` copy
+            self.set_keys(self.vertex_keys)
 
     @property
     def num_local_edges(self) -> int:
@@ -301,6 +308,26 @@ class PatchAngleGraph:
     @property
     def source_vertices(self) -> np.ndarray:
         return np.nonzero(self.init_counts == 0)[0]
+
+    def set_keys(self, keys: np.ndarray) -> None:
+        """Install the ready-heap keys and the start table derived from
+        them, and clear the whole-patch tasks (new keys, new pop order).
+
+        ``start = (keys, counts, sources)``: the keys as a compact
+        ``array('q')`` (shared by every program over the graph), the
+        initial in-degrees as a list and the keys of the local sources,
+        sorted (a valid heap) - so a program's ``init()`` copies two
+        lists and calls no numpy.  Called by the batched priority pass,
+        the coarsened build and a keyed graph's ``__post_init__``; a
+        graph without keys cannot start a program."""
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        self.vertex_keys = keys
+        self.start = (
+            array("q", keys.tobytes()),
+            self.init_counts.tolist(),
+            np.sort(keys[self.init_counts == 0]).tolist(),
+        )
+        self.tasks.clear()
 
     def boundary_vertices(self) -> np.ndarray:
         """Local vertices with at least one remote downwind edge."""

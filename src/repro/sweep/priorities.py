@@ -162,8 +162,9 @@ def batched_vertex_priorities(
     graphs: list[PatchAngleGraph], strategy: str
 ) -> None:
     """Set ``vertex_prio`` / ``vertex_keys`` (read-only: a graph is
-    shared by its angle set) on every graph in one vectorized pass, and
-    clear the whole-patch tasks recorded under the old keys.
+    shared by its angle set) on every graph in one vectorized pass;
+    :meth:`~repro.sweep.dag.PatchAngleGraph.set_keys` builds each
+    graph's start table and clears the tasks recorded under old keys.
 
     The per-graph propagation loops of :func:`vertex_priorities` become
     a single level-synchronous relaxation over the *disjoint union* of
@@ -181,8 +182,6 @@ def batched_vertex_priorities(
     graphs = list({id(g): g for g in graphs}.values())
     if not graphs:
         return
-    for g in graphs:
-        g.tasks.clear()  # new keys, new pop order
     ns = np.array([g.n_local for g in graphs], dtype=np.int64)
     offs = np.zeros(len(ns) + 1, dtype=np.int64)
     np.cumsum(ns, out=offs[1:])
@@ -195,7 +194,7 @@ def batched_vertex_priorities(
         zeros.flags.writeable = varr.flags.writeable = False
         for g, a, b in zip(graphs, offs[:-1], offs[1:]):
             g.vertex_prio = zeros[a:b]
-            g.vertex_keys = varr[a:b]
+            g.set_keys(varr[a:b])
         return
 
     # Disjoint union in global numbering (graph-major, CSR source order).
@@ -242,7 +241,7 @@ def batched_vertex_priorities(
     val.flags.writeable = keys.flags.writeable = False
     for g, a, b in zip(graphs, offs[:-1], offs[1:]):
         g.vertex_prio = val[a:b]
-        g.vertex_keys = keys[a:b]
+        g.set_keys(keys[a:b])
 
 
 # -- patch level -----------------------------------------------------------------------

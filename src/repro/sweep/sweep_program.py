@@ -21,10 +21,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .._util import check_count
+from .._util import ReproError, check_count
 from ..core.patch_program import PatchProgram
 from ..core.stream import ProgramId, Stream
-from .dag import PatchAngleGraph, heap_keys
+from .dag import PatchAngleGraph
 
 __all__ = ["SweepPatchProgram", "check_grain"]
 
@@ -78,36 +78,29 @@ class SweepPatchProgram(PatchProgram):
         self._heap: list = []
         self._outstreams: list[Stream] = []
         self._solved = 0
-        self._last = {"vertices": 0, "edges": 0, "remote_items": 0,
-                      "input_items": 0, "streams": 0}
+        # The current execution's work counters (see run_counters).
+        self._vertices = self._edges = self._pops = self._inputs = 0
 
     # -- Listing 1 interface ------------------------------------------------------
 
-    def _bind_graph(self) -> None:
-        """(Re)build what derives from the shared graph alone: the
-        heap keys (:func:`heap_keys` - small ints, far cheaper to sift
-        than ``(prio, v)`` pairs; pushing ``keys[v]`` never allocates).
-        Static for the program's lifetime, so snapshots leave them out
-        and ``load_state_dict`` rebuilds them."""
-        g = self.graph
-        keys = g.vertex_keys
-        if keys is None:
-            keys = heap_keys(g.vertex_prio, g.n_local)
-        self._keys = keys.tolist()  # repro: transient - pure function of the graph
-
     def init(self) -> None:
-        self._bind_graph()
-        g = self.graph
-        keys = self._keys
-        self._counts = g.init_counts.tolist()
-        self._heap = [keys[v] for v in np.nonzero(g.init_counts == 0)[0]]
-        self._heap.sort()
+        # The graph's start table (PatchAngleGraph.set_keys): the heap
+        # keys - small ints, far cheaper to sift than ``(prio, v)``
+        # pairs - are shared, counters and ready heap copied.
+        start = self.graph.start
+        if start is None:
+            raise ReproError(
+                f"sweep graph of patch {self.graph.patch} has no vertex keys "
+                "(apply priorities to its topology first)"
+            )
+        keys, counts, sources = start
+        self._keys = keys  # repro: transient - pure function of the graph
+        self._counts = counts[:]
+        self._heap = sources[:]
         self._solved = 0
         self._outstreams = []
         self.clusters = []
         self._applied = {}
-        self._last = {"vertices": 0, "edges": 0, "remote_items": 0,
-                      "input_items": 0, "streams": 0}
 
     def input(self, stream: Stream) -> None:
         counts = self._counts
@@ -133,14 +126,11 @@ class SweepPatchProgram(PatchProgram):
                 counts[v] = c
                 if not c:
                     heappush(heap, keys[v])
-        self._last["input_items"] += n
+        self._inputs += n
 
     def compute(self) -> None:
         heap = self._heap
         if not heap:
-            self._last = {"vertices": 0, "edges": 0, "remote_items": 0,
-                          "input_items": self._last["input_items"],
-                          "streams": 0}
             return
         g = self.graph
         n = g.n_local
@@ -154,14 +144,14 @@ class SweepPatchProgram(PatchProgram):
                  and sum(self._counts) == g.num_local_edges)
         task = g.tasks.get(self.resilient_input) if whole else None
         if task is None:
-            popped, outs, edges, remote_items = self._collect()
+            popped, outs, edges = self._collect()
             if whole:
                 for _, payload, _ in outs:
                     payload.flags.writeable = False  # shared from here on
                 g.tasks[self.resilient_input] = (
-                    np.asarray(popped, dtype=np.int32), outs, edges, remote_items)
+                    np.asarray(popped, dtype=np.int32), outs, edges)
         else:
-            popped, outs, edges, remote_items = task
+            popped, outs, edges = task
             self._counts = [0] * n  # the pop loop's end state
             self._heap = []
 
@@ -185,13 +175,7 @@ class SweepPatchProgram(PatchProgram):
                 Stream(src=src, dst=dst, payload=payload, items=items,
                        nbytes=items * per_item)
             )
-        self._last = {
-            "vertices": nverts,
-            "edges": edges,
-            "remote_items": remote_items,
-            "input_items": self._last["input_items"],
-            "streams": len(outs),
-        }
+        self._vertices, self._edges, self._pops = nverts, edges, len(popped)
 
     def _solve(self, popped, angle: int) -> int:
         """Hand one run's vertices to the solve callback, in pop order,
@@ -202,8 +186,8 @@ class SweepPatchProgram(PatchProgram):
 
     def _collect(self) -> tuple:
         """Listing 1's collect loop: pop up to ``grain`` ready vertices.
-        Returns ``(popped, [(target patch, payload, items)...], edges,
-        remote_items)``, targets in first-encounter order."""
+        Returns ``(popped, [(target patch, payload, items)...], edges)``,
+        targets in first-encounter order."""
         heap = self._heap
         lptr, ltgt, rptr, rpat, rloc = self.graph.adjacency_flat()
         counts = self._counts
@@ -212,7 +196,6 @@ class SweepPatchProgram(PatchProgram):
         append = popped.append
         out: dict[int, list[int]] = {}
         edges = 0
-        remote_items = 0
         n = self.graph.n_local
         budget = self.grain
         while heap and budget:
@@ -248,10 +231,9 @@ class SweepPatchProgram(PatchProgram):
                     dp = p
                 items.append((rloc[j], j) if resilient else rloc[j])
             edges += re - rs
-            remote_items += re - rs
         outs = [(p, np.asarray(items, dtype=np.int64), len(items))
                 for p, items in out.items()]
-        return popped, outs, edges, remote_items
+        return popped, outs, edges
 
     def output(self) -> Stream | None:
         if self._outstreams:
@@ -273,20 +255,23 @@ class SweepPatchProgram(PatchProgram):
     def state_dict(self) -> dict:
         """The mutable local context (Listing 1) as flat copies.
 
-        The graph, the constructor arguments and everything
-        :meth:`_bind_graph` derives from them stay out: a restore
-        target is a program built over the same graph.  Copies are one
-        level deep - heap keys, edge ids and recorded clusters are
-        never mutated once stored - so capture costs a few C-level list
-        copies, and the snapshot shares nothing the program mutates.
+        The graph, the constructor arguments and the key table shared
+        from the graph's start table stay out: a restore target is a
+        program built over the same graph.  Run counters are read in
+        the execution that produced them, so they are zero at every
+        capture and stay out too.  Copies are one level deep - heap
+        keys, edge ids and recorded clusters are never mutated once
+        stored - so capture costs a few C-level list copies, and the
+        snapshot shares nothing the program mutates.
 
         A spent program - whole graph swept, nothing buffered, nothing
         to remember - is the empty dict: it never runs again, and its
         context is a function of the graph.
         """
+        assert not (self._vertices or self._edges or self._pops
+                    or self._inputs), "run counters outlived their execution"
         if not (self.remaining_workload() or self._heap or self._outstreams
-                or self._applied or self.clusters or any(self._counts)
-                or any(self._last.values())):
+                or self._applied or self.clusters or any(self._counts)):
             return {}
         return {
             "counts": self._counts[:],
@@ -294,26 +279,23 @@ class SweepPatchProgram(PatchProgram):
             "solved": self._solved,
             "outstreams": [replace(s) for s in self._outstreams],
             "applied": {p: sorted(e) for p, e in self._applied.items()},
-            "last": dict(self._last),
             "clusters": self.clusters[:],
         }
 
     def load_state_dict(self, d: dict) -> None:
         """Inverse of :meth:`state_dict`; ``d`` is left untouched (it
         may be loaded again after a second failure)."""
+        self.init()
         if not d:  # spent: every vertex solved, every counter at zero
-            self.init()
             self._counts = [0] * self.graph.n_local
             self._heap = []
             self._solved = self.remaining_workload()  # of a fresh program: all
             return
-        self._bind_graph()
         self._counts = d["counts"][:]
         self._heap = d["heap"][:]
         self._solved = d["solved"]
         self._outstreams = [replace(s) for s in d["outstreams"]]
         self._applied = {p: set(e) for p, e in d["applied"].items()}
-        self._last = dict(d["last"])
         self.clusters = d["clusters"][:]
 
     def remaining_workload(self) -> int:
@@ -329,10 +311,8 @@ class SweepPatchProgram(PatchProgram):
                 p -= 1e-3 * g.vertex_prio.item(self._heap[0] % g.n_local)
         return p
 
-    def last_run_counters(self) -> dict[str, int]:
-        # Hand the live dict over and start a fresh one: the caller
-        # reads it before the next input/compute can touch ``_last``.
-        out = self._last
-        self._last = {"vertices": 0, "edges": 0, "remote_items": 0,
-                      "input_items": 0, "streams": 0}
+    def run_counters(self) -> tuple[int, int, int, int]:
+        out = (self._vertices, self._edges, self._pops, self._inputs)
+        # Read in the execution that produced them, so never captured.
+        self._vertices = self._edges = self._pops = self._inputs = 0  # repro: transient
         return out

@@ -315,15 +315,12 @@ class TestEffectsOnShippedRepo:
 
     @pytest.mark.parametrize("qname, core, rebuilt", [
         ("repro.sweep.sweep_program.SweepPatchProgram",
-         {"_counts", "_heap", "_solved", "_outstreams", "_applied", "_last",
-          "clusters"},
-         {"_keys"}),
-        # The coarse program inherits its capture; its one attribute
-        # of its own is per-execution scratch.
+         {"_counts", "_heap", "_solved", "_outstreams", "_applied", "clusters"},
+         {"_keys", "_vertices", "_edges", "_pops", "_inputs"}),
+        # The coarse program inherits its capture and adds no state.
         ("repro.sweep.coarsened.CoarsenedSweepProgram",
-         {"_counts", "_heap", "_solved", "_outstreams", "_applied", "_last",
-          "clusters"},
-         {"_keys", "_pops"}),
+         {"_counts", "_heap", "_solved", "_outstreams", "_applied", "clusters"},
+         {"_keys", "_vertices", "_edges", "_pops", "_inputs"}),
     ])
     def test_sweep_programs_are_checked_state_dict_owners(
         self, src_db, qname, core, rebuilt

@@ -169,7 +169,7 @@ class TestCGExecution:
                         pending[index[o.dst]].append(o)
                         trace.append((i, o.dst, o.payload.tolist(), o.items))
                     trace.append(
-                        (i, p.last_run_counters(), p.remaining_workload()))
+                        (i, p.run_counters(), p.remaining_workload()))
             return trace
 
         progs, _ = s.build_coarsened_programs(cgs, compute=False)
@@ -181,7 +181,7 @@ class TestCGExecution:
         snaps = [p.checkpoint() for p in progs]
         assert "state_dict" not in vars(CoarsenedSweepProgram)
         assert all(set(d) == {"counts", "heap", "solved", "outstreams",
-                              "applied", "last", "clusters"} for d in snaps if d)
+                              "applied", "clusters"} for d in snaps if d)
         assert any(snaps)
         frozen = encode(snaps)
         at_cut = [list(b) for b in pending]
@@ -270,7 +270,7 @@ class ListOfListsProgram:
         self.counts = cg.init_counts.tolist()
         self.heap = sorted(c for c, k in enumerate(self.counts) if k == 0)
         self.solved = self.input_items = 0
-        self.last = dict(vertices=0, edges=0, remote_items=0, input_items=0, streams=0)
+        self.last = (0, 0, 0, 0)
 
     def input(self, stream):
         for c in stream.payload.tolist():
@@ -296,11 +296,7 @@ class ListOfListsProgram:
                 edges += 1
         nverts = sum(self.sizes[c] for c in popped)
         self.solved += nverts
-        self.last = dict(vertices=nverts, edges=edges,
-                         remote_items=sum(out_items.values()),
-                         input_items=self.input_items, streams=len(out))
-        if popped:
-            self.last["pops"] = len(popped)
+        self.last = (nverts, edges, len(popped), self.input_items)
         self.input_items = 0
         return [(q, cvs, out_items[q], out_items[q] * self.per_item)
                 for q, cvs in out.items()]
@@ -352,7 +348,7 @@ def test_subclass_equals_the_list_of_lists_interpreter(
             (ProgramId(q, a), cvs, items, nbytes) for q, cvs, items, nbytes in want]
         assert all(s.src == ProgramId(p, a) and s.payload.dtype == np.int64
                    for s in got)
-        assert prog.last_run_counters() == ref.last
+        assert prog.run_counters() == ref.last
         same_state()
 
     same_state()

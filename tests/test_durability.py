@@ -258,11 +258,12 @@ def test_v1_runtime_snapshot_is_refused():
     from repro._util import ReproError
     from repro.runtime import SNAPSHOT_VERSION
 
-    assert SNAPSHOT_VERSION == 2
+    assert SNAPSHOT_VERSION == 3
     f = _factory("structured-hybrid-clean")
     rt, progs, pp, _app = f()
-    with pytest.raises(ReproError, match="unsupported snapshot version 1"):
-        rt.restore(progs, pp, {"version": 1})
+    for old in (1, 2):  # 2: slab heap entries and program run counters
+        with pytest.raises(ReproError, match=f"unsupported snapshot version {old}"):
+            rt.restore(progs, pp, {"version": old})
 
 
 # -- capture cost: counted, not timed ---------------------------------------------

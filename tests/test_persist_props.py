@@ -206,7 +206,7 @@ def _drive(progs, pending, rng, steps):
         trace.append((
             i, before, p.priority(), p.clusters[ran:],
             [(s.dst, s.payload.tolist(), s.items, s.nbytes) for s in outs],
-            p.last_run_counters(), p.remaining_workload(),
+            p.run_counters(), p.remaining_workload(),
         ))
     return trace
 

@@ -1,9 +1,12 @@
 """Tests for the DES runtime: cluster model, cost model, scheduling."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro._util import ReproError
+from repro.core import PatchProgram, ProgramId, SerialEngine, Stream
 from repro.framework import PatchSet
 from repro.mesh import cube_structured
 from repro.runtime import (
@@ -60,27 +63,86 @@ class TestMachine:
 class TestCostModel:
     def test_run_cost_categories(self):
         cm = CostModel()
-        c = cm.run_cost(
-            {"vertices": 10, "edges": 40, "input_items": 5},
-            remote_streams=2,
-            remote_items=8,
+        kernel, graph_op, pack, fixed = cm.run_cost_parts(
+            "p", (10, 40, 10, 5), remote_streams=2, remote_items=8,
         )
-        assert c["kernel"] == pytest.approx(10 * cm.t_vertex)
-        assert c["pack"] == pytest.approx(
+        assert kernel == pytest.approx(10 * cm.t_vertex)
+        assert pack == pytest.approx(
             2 * cm.t_pack_fixed + 8 * cm.t_pack_item
         )
-        assert c["graph_op"] > 0
+        assert graph_op > 0
+        assert fixed == cm.t_exec_fixed
 
     def test_groups_scale_kernel(self):
-        c1 = CostModel(groups=1).run_cost({"vertices": 10}, 0, 0)
-        c4 = CostModel(groups=4).run_cost({"vertices": 10}, 0, 0)
-        assert c4["kernel"] == pytest.approx(4 * c1["kernel"])
+        c1 = CostModel(groups=1).run_cost_parts("p", (10, 0, 10, 0), 0, 0)
+        c4 = CostModel(groups=4).run_cost_parts("p", (10, 0, 10, 0), 0, 0)
+        assert c4[0] == pytest.approx(4 * c1[0])
 
     def test_pops_override(self):
         cm = CostModel()
-        base = cm.run_cost({"vertices": 100, "edges": 0}, 0, 0)
-        coarse = cm.run_cost({"vertices": 100, "edges": 0, "pops": 2}, 0, 0)
-        assert coarse["graph_op"] < base["graph_op"]
+        base = cm.run_cost_parts("p", (100, 0, 100, 0), 0, 0)
+        coarse = cm.run_cost_parts("p", (100, 0, 2, 0), 0, 0)
+        assert coarse[1] < base[1]
+
+
+class _Reporting(PatchProgram):
+    """Runs twice, reporting ``counters`` each time; its first run may
+    emit one stream ``(src, dst)``."""
+
+    def __init__(self, patch, counters=(0, 0, 0, 0), emit=None):
+        super().__init__(patch, 0)
+        self.counters, self.emit, self.runs, self.out = counters, emit, 0, []
+
+    def input(self, stream):
+        pass
+
+    def compute(self):
+        if self.emit is not None and not self.runs:
+            src, dst = self.emit
+            self.out.append(Stream(src=ProgramId(*src), dst=ProgramId(*dst)))
+        self.runs += 1
+
+    def output(self):
+        return self.out.pop(0) if self.out else None
+
+    def vote_to_halt(self):
+        return self.runs >= 2
+
+    def run_counters(self):
+        return self.counters
+
+
+@pytest.mark.parametrize("counters, named", [
+    ((-1000, 0, 0, 0), "vertices=-1000"),
+    ((10, float("nan"), 10, 0), "edges=nan"),
+    ((10, 0, 10, -3), "input_items=-3"),
+])
+def test_negative_or_nan_run_counters_are_refused(counters, named):
+    """Counters become virtual time in one place; a negative one would
+    run the timeline backwards and a NaN poison it, without a word."""
+    rt = DataDrivenRuntime(12)
+    with pytest.raises(ReproError, match=re.escape(f"program (0,0) reported run counter {named}")):
+        rt.run([_Reporting(0, counters)], np.zeros(1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("engine", ["serial", "des"])
+@pytest.mark.parametrize("emit, error", [
+    (((0, 0), (7, 0)), "stream to unknown program (7,0)"),
+    (((1, 0), (1, 0)), "program (0,0) emitted a stream claiming src (1,0)"),
+], ids=["unknown-dst", "forged-src"])
+def test_bad_streams_are_refused_alike_by_both_engines(engine, emit, error):
+    """A stream to nobody, or one claiming another program's ``src``
+    (the key of transport sequence numbers and resilient dedup), is
+    the same named error on the serial engine and the DES."""
+    progs = [_Reporting(0, emit=emit), _Reporting(1)]
+    with pytest.raises(ReproError, match=re.escape(error)):
+        if engine == "serial":
+            eng = SerialEngine()
+            for prog in progs:
+                eng.add_program(prog)
+            eng.run()
+        else:
+            DataDrivenRuntime(12).run(progs, np.zeros(2, dtype=np.int64))
 
 
 def _des_setup(cores=16, nprocs=None, machine=None, patch_shape=(4, 4, 4),

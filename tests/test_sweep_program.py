@@ -177,11 +177,11 @@ class TestProgramMechanics:
         topo, progs = _programs(small_pset, level_symmetric(2), grain=1000)
         eng, _ = _run(progs)
         # After the run, counters were consumed by nobody (serial engine
-        # ignores them): last_run_counters drains.
-        c1 = progs[0].last_run_counters()
-        c2 = progs[0].last_run_counters()
-        assert c1["vertices"] > 0
-        assert c2["vertices"] == 0
+        # ignores them): run_counters drains.
+        c1 = progs[0].run_counters()
+        c2 = progs[0].run_counters()
+        assert c1[0] > 0
+        assert c2 == (0, 0, 0, 0)
 
     def test_dynamic_priority_uses_heap_head(self, small_pset):
         topo = SweepTopology(small_pset, level_symmetric(2))

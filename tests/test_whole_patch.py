@@ -29,7 +29,7 @@ from repro.persist.snapshot import FluxArrayState
 from repro.runtime import CrashFault, DataDrivenRuntime, FaultPlan
 from repro.sweep import SweepTopology, apply_priorities, level_symmetric
 from repro.sweep import sweep_program as sp
-from repro.sweep.dag import PatchAngleGraph, csr_by_source
+from repro.sweep.dag import PatchAngleGraph, csr_by_source, heap_keys
 from repro.sweep.sweep_program import SweepPatchProgram
 
 # -- (a) program level: warm store == empty store, after every run ---------------
@@ -92,8 +92,7 @@ def _graph(sc) -> PatchAngleGraph:
         g.vertex_prio = vals / 4 + 0.125
     elif sc["prio"] != "none":
         g.vertex_prio = vals
-        if sc["prio"] == "keys":  # as the batched priority pass leaves it
-            g.vertex_keys = vals.astype(np.int64) * n + np.arange(n)
+    g.set_keys(heap_keys(g.vertex_prio, n))  # "keys" and "int" encode alike
     return g
 
 
@@ -126,13 +125,14 @@ def _drive(prog, streams, eager) -> list:
 
     def run():
         prog.compute()
+        counters = prog.run_counters()  # read in the execution, as the runtime does
         before = encode(prog.state_dict())
         emitted = [
             (s.src, s.dst, s.payload.dtype.str, s.payload.shape,
              s.payload.tobytes(), s.items, s.nbytes)
             for s in prog.drain_outputs()
         ]
-        seen.append((emitted, prog.last_run_counters(), prog.vote_to_halt(),
+        seen.append((emitted, counters, prog.vote_to_halt(),
                      prog.priority(), before, encode(prog.state_dict())))
 
     prog.init()
@@ -429,9 +429,9 @@ def test_tasks_are_small_beside_the_csr_tables():
     assert len(tasks) == 2 * 8 * 8
     task_bytes = sum(
         order.nbytes + sum(payload.nbytes for _, payload, _ in outs)
-        for order, outs, _, _ in tasks.values()
+        for order, outs, _ in tasks.values()
     )
-    assert all(items == len(payload) for _, outs, _, _ in tasks.values()
+    assert all(items == len(payload) for _, outs, _ in tasks.values()
                for _, payload, items in outs)  # a fine edge is one item
     per_key = sum(map(_table_bytes, topo.graphs.values()))
     held = sum(_table_bytes(topo.graph(p, a))
