@@ -4,7 +4,8 @@ approach for parallel sweeps on large-scale meshes* (Yan et al.).
 The package implements the paper's full stack in Python:
 
 * :mod:`repro.mesh`      - structured & unstructured meshes + generators
-* :mod:`repro.partition` - SFC / RCB / multilevel graph decomposition
+* :mod:`repro.partition` - SFC (structured) and RCB (unstructured)
+  decomposition
 * :mod:`repro.framework` - patches, patch sets and face tables (JAxMIN)
 * :mod:`repro.core`      - the patch-centric data-driven abstraction
 * :mod:`repro.runtime`   - DES-simulated MPI+threads cluster runtime
@@ -24,7 +25,6 @@ Quickstart::
 
 from .apps import JSNTS, JSNTU, JSNTApp, make_kobayashi_solver, trace_particles
 from .core import (
-    MisraMarkerRing,
     PatchProgram,
     ProgramId,
     ProgramState,
@@ -88,7 +88,6 @@ __all__ = [
     "Stream",
     "SerialEngine",
     "WorkloadTracker",
-    "MisraMarkerRing",
     "Box",
     "StructuredMesh",
     "UnstructuredMesh",

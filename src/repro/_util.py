@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 from numbers import Integral
 
 import numpy as np
 
 __all__ = [
     "as_int_array",
-    "as_float_array",
     "check",
     "check_count",
-    "pairwise",
     "prod",
     "ReproError",
 ]
@@ -52,24 +49,9 @@ def as_int_array(a, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_float_array(a, ndim: int | None = None) -> np.ndarray:
-    """Convert ``a`` to a contiguous float64 array, optionally checking rank."""
-    arr = np.ascontiguousarray(a, dtype=np.float64)
-    if ndim is not None and arr.ndim != ndim:
-        raise ReproError(f"expected {ndim}-d float array, got shape {arr.shape}")
-    return arr
-
-
 def prod(seq: Iterable[int]) -> int:
     """Integer product of a sequence (empty product is 1)."""
     out = 1
     for s in seq:
         out *= int(s)
     return out
-
-
-def pairwise(seq: Sequence) -> Iterator[tuple]:
-    """Yield consecutive pairs ``(seq[i], seq[i+1])``."""
-    a, b = itertools.tee(seq)
-    next(b, None)
-    return zip(a, b)

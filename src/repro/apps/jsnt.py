@@ -156,13 +156,10 @@ class JSNTU:
         groups: int,
         quadrature: Quadrature | None,
         strategy: str,
-        method: str,
         name: str,
     ) -> JSNTApp:
         nprocs = machine.layout(total_cores, mode).nprocs
-        pset = PatchSet.from_unstructured(
-            mesh, patch_size, nprocs=nprocs, method=method
-        )
+        pset = PatchSet.from_unstructured(mesh, patch_size, nprocs=nprocs)
         quad = quadrature if quadrature is not None else level_symmetric(4)
         mm = cls._materials(mesh, groups)
         q = np.zeros((mesh.num_cells, groups))
@@ -186,13 +183,12 @@ class JSNTU:
         groups: int = 4,
         quadrature: Quadrature | None = None,
         strategy: str = "slbd+slbd",
-        method: str = "rcb",
         seed: int = 0,
     ) -> JSNTApp:
         mesh = ball_tet_mesh(resolution, seed=seed)
         return cls._build(
             mesh, total_cores, mode, machine, patch_size, grain, groups,
-            quadrature, strategy, method, f"jsnt-u-ball{resolution}",
+            quadrature, strategy, f"jsnt-u-ball{resolution}",
         )
 
     @classmethod
@@ -207,10 +203,9 @@ class JSNTU:
         groups: int = 4,
         quadrature: Quadrature | None = None,
         strategy: str = "slbd+slbd",
-        method: str = "rcb",
     ) -> JSNTApp:
         mesh = reactor_mesh_2d(resolution)
         return cls._build(
             mesh, total_cores, mode, machine, patch_size, grain, groups,
-            quadrature, strategy, method, f"jsnt-u-reactor{resolution}",
+            quadrature, strategy, f"jsnt-u-reactor{resolution}",
         )

@@ -3,7 +3,7 @@
 from .engine import EngineStats, SerialEngine
 from .patch_program import PatchProgram, ProgramState
 from .stream import ProgramId, Stream
-from .termination import MisraMarkerRing, WorkloadTracker
+from .termination import WorkloadTracker
 
 __all__ = [
     "ProgramId",
@@ -13,5 +13,4 @@ __all__ = [
     "SerialEngine",
     "EngineStats",
     "WorkloadTracker",
-    "MisraMarkerRing",
 ]

@@ -9,22 +9,18 @@ Two mechanisms, as in the paper:
   workers, and the process only joins distributed negotiation when its
   committed workload is zero.
 
-* :class:`MisraMarkerRing` - the general consensus protocol [14]: a
-  marker circulates a ring of processes; a process is *black* if it
-  has sent or received an application message since the marker last
-  visited.  The marker must complete a full circuit of white, idle
-  processes for termination to be declared.  The DES runtime drives
-  this through the event API below; tests drive it manually.
+* :func:`consensus_hops` - the general consensus protocol [14],
+  Misra's marker ring, as the closed-form hop count the DES runtime
+  charges when a run ends quiescent under ``termination="consensus"``
+  (the negotiation cost the fast path avoids).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .._util import ReproError
 from .patch_program import ProgramState
 
-__all__ = ["WorkloadTracker", "MisraMarkerRing", "verify_quiescent"]
+__all__ = ["WorkloadTracker", "consensus_hops", "verify_quiescent"]
 
 
 class WorkloadTracker:
@@ -59,10 +55,6 @@ class WorkloadTracker:
             self._remaining[key] = int(remaining)
         return True
 
-    def epoch_of(self, key) -> int | None:
-        """Latest committed epoch of ``key`` (None before any commit)."""
-        return self._epoch.get(key)
-
     def total(self) -> int:
         return sum(self._remaining.values())
 
@@ -86,89 +78,25 @@ class WorkloadTracker:
         self._epoch = dict(d["epoch"])
 
 
-@dataclass
-class MisraMarkerRing:
-    """Misra's marker algorithm on a logical ring of ``nprocs`` processes.
+def consensus_hops(nprocs: int) -> int:
+    """Marker hops Misra's consensus [14] needs to certify termination
+    of ``nprocs`` processes that are all idle already: ``2n - 1``.
 
-    The caller reports application-level events (`on_send`, `on_receive`,
-    `on_idle`, `on_busy`); `step()` advances the marker by one hop when
-    the holding process is idle, and returns True once the marker has
-    seen ``nprocs`` consecutive white idle processes.  ``hops`` counts
-    marker messages, the negotiation cost the paper's fast path avoids.
+    A marker circulates a ring of processes; a process is *black* if
+    it has sent or received an application message since the marker
+    last visited it, and termination is declared once the marker has
+    made ``n`` consecutive visits to white, idle processes.  The charge
+    is paid after quiescence, so no process is busy or messaging while
+    the marker moves.  Every process starts black (nothing is known of
+    its past): the first circuit, ``n`` hops, whitens all ``n`` and
+    counts no clean visit.  The marker is then back at process 0, now
+    white - the first clean visit - and ``n - 1`` more white hops make
+    the ``n`` clean visits, the last of which declares termination
+    without a further hop.  Total ``n + (n - 1)``.
     """
-
-    nprocs: int
-    holder: int = 0
-    hops: int = 0
-    rounds_clean: int = 0
-    finished: bool = False
-    _black: list = field(default_factory=list)
-    _idle: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.nprocs <= 0:
-            raise ReproError("nprocs must be positive")
-        self._black = [True] * self.nprocs  # start conservative
-        self._idle = [False] * self.nprocs
-
-    # -- application events ----------------------------------------------------
-
-    def on_send(self, proc: int) -> None:
-        self._black[proc] = True
-
-    def on_receive(self, proc: int) -> None:
-        self._black[proc] = True
-        self._idle[proc] = False
-
-    def on_busy(self, proc: int) -> None:
-        self._idle[proc] = False
-
-    def on_idle(self, proc: int) -> None:
-        self._idle[proc] = True
-
-    # -- marker movement -----------------------------------------------------------
-
-    def step(self) -> bool:
-        """Advance the marker one hop if possible; True when terminated."""
-        if self.finished:
-            return True
-        p = self.holder
-        if not self._idle[p]:
-            return False  # marker waits until the holder quiesces
-        if self._black[p]:
-            self.rounds_clean = 0
-            self._black[p] = False  # whiten and restart the count
-        else:
-            self.rounds_clean += 1
-        if self.rounds_clean >= self.nprocs:
-            self.finished = True
-            return True
-        self.holder = (p + 1) % self.nprocs
-        self.hops += 1
-        return False
-
-    @classmethod
-    def all_idle_hops(cls, nprocs: int) -> int:
-        """Hops the marker needs to certify termination when every
-        process is already idle (the quiesced-cluster negotiation)."""
-        ring = cls(nprocs)
-        for p in range(nprocs):
-            ring.on_idle(p)
-        return ring.run_to_completion()
-
-    def run_to_completion(self, max_hops: int = 10_000_000) -> int:
-        """Drive the marker until termination, assuming no further events.
-
-        Returns the number of hops used.  Raises if the system cannot
-        terminate (some process never idles).
-        """
-        if not all(self._idle):
-            raise ReproError("cannot complete: some process is busy")
-        start = self.hops
-        while not self.step():
-            if self.hops - start > max_hops:
-                raise ReproError("marker did not converge")
-        return self.hops - start
+    if nprocs <= 0:
+        raise ReproError("nprocs must be positive")
+    return 2 * nprocs - 1
 
 
 def verify_quiescent(pids, progs, states, tracker: WorkloadTracker) -> None:

@@ -68,9 +68,6 @@ class PatchSet:
     def patch_proc(self) -> np.ndarray:
         return np.array([p.proc for p in self.patches], dtype=np.int64)
 
-    def patches_of_proc(self, proc: int) -> list[Patch]:
-        return [p for p in self.patches if p.proc == proc]
-
     def validate(self) -> None:
         """Check the patch cover: every cell in exactly one patch."""
         seen = np.zeros(self.mesh.num_cells, dtype=np.int64)
@@ -125,15 +122,9 @@ class PatchSet:
         mesh: UnstructuredMesh,
         patch_size: int,
         nprocs: int = 1,
-        method: str = "rcb",
-        seed: int = 0,
     ) -> "PatchSet":
         """JSNT-U-style decomposition into ~``patch_size``-cell patches."""
-        check_count("nprocs", nprocs, "process count")
-        check_count("patch_size", patch_size, "patch size")
-        dec = decompose_unstructured(
-            mesh, patch_size, nprocs, method=method, seed=seed
-        )
+        dec = decompose_unstructured(mesh, patch_size, nprocs)
         cell_patch = dec.cell_patch
         cell_local = np.empty(mesh.num_cells, dtype=np.int64)
         patches = []

@@ -56,12 +56,6 @@ class Box:
     def contains(self, idx: Sequence[int]) -> bool:
         return all(l <= i < h for i, l, h in zip(idx, self.lo, self.hi))
 
-    def contains_box(self, other: "Box") -> bool:
-        return all(
-            sl <= ol and oh <= sh
-            for sl, ol, oh, sh in zip(self.lo, other.lo, other.hi, self.hi)
-        )
-
     # -- constructive operations ------------------------------------------
 
     def intersection(self, other: "Box") -> "Box":
@@ -84,9 +78,6 @@ class Box:
             tuple(l - g for l, g in zip(self.lo, n)),
             tuple(h + g for h, g in zip(self.hi, n)),
         )
-
-    def clip(self, bounds: "Box") -> "Box":
-        return self.intersection(bounds)
 
     # -- indexing ----------------------------------------------------------
 

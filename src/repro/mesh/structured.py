@@ -98,14 +98,6 @@ class StructuredMesh:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def neighbor(self, idx: Sequence[int], axis: int, direction: int):
-        """Neighbor multi-index along ``axis`` (+1/-1), or None off-domain."""
-        out = list(idx)
-        out[axis] += direction
-        if 0 <= out[axis] < self.shape[axis]:
-            return tuple(out)
-        return None
-
     # -- materials ----------------------------------------------------------
 
     def assign_materials(
@@ -119,17 +111,6 @@ class StructuredMesh:
 
     def material_flat(self) -> np.ndarray:
         return self.materials.reshape(-1)
-
-    # -- conversions ---------------------------------------------------------
-
-    def node_coordinates(self) -> np.ndarray:
-        """(num_nodes, ndim) array of node coordinates in C order."""
-        axes = [
-            self.origin[d] + np.arange(self.shape[d] + 1) * self.spacing[d]
-            for d in range(self.ndim)
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -242,17 +242,6 @@ class UnstructuredMesh:
 
     # -- queries ----------------------------------------------------------------
 
-    def adjacency_graph(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell adjacency as CSR ``(indptr, indices)`` over interior faces."""
-        interior = self.face_cells[self.face_cells[:, 1] >= 0]
-        both = np.concatenate([interior, interior[:, ::-1]], axis=0)
-        order = np.argsort(both[:, 0], kind="stable")
-        both = both[order]
-        indptr = np.searchsorted(
-            both[:, 0], np.arange(self.num_cells + 1), side="left"
-        )
-        return indptr.astype(np.int64), both[:, 1].copy()
-
     def assign_materials(self, fn: Callable[[np.ndarray], np.ndarray]) -> None:
         """Set material ids from ``fn(cell_centroids) -> ids``."""
         ids = np.asarray(fn(self.cell_centroids), dtype=np.int64)

@@ -1,17 +1,9 @@
-"""Domain decomposition: space-filling curves, RCB and graph partitioners.
+"""Domain decomposition: space-filling curves and RCB.
 
-System S4 in DESIGN.md - the stand-in for METIS/Chaco (unstructured)
+System S4 in DESIGN.md - RCB in place of METIS/Chaco (unstructured)
 and Morton/Hilbert SFC assignment (structured).
 """
 
-from .graph import (
-    CSRGraph,
-    edge_cut,
-    greedy_partition,
-    multilevel_partition,
-    part_weights,
-    spectral_bisection,
-)
 from .rcb import rcb_partition
 from .sfc import (
     chunk_by_weight,
@@ -25,12 +17,6 @@ from .structured import assign_patches_sfc, patchify_structured
 from .unstructured import UnstructuredDecomposition, decompose_unstructured
 
 __all__ = [
-    "CSRGraph",
-    "edge_cut",
-    "part_weights",
-    "greedy_partition",
-    "spectral_bisection",
-    "multilevel_partition",
     "rcb_partition",
     "morton_encode",
     "morton_decode",

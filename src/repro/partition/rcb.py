@@ -30,6 +30,8 @@ def rcb_partition(
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ReproError("points must be (n, dim)")
+    if not np.all(np.isfinite(points)):
+        raise ReproError("points must be finite")
     n = len(points)
     if nparts <= 0:
         raise ReproError("nparts must be positive")
@@ -41,8 +43,9 @@ def rcb_partition(
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,):
             raise ReproError("weights must have one entry per point")
-        if np.any(weights < 0):
-            raise ReproError("weights must be non-negative")
+        # Written so NaN fails too: NaN < 0 is False.
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ReproError("weights must be finite and non-negative")
 
     out = np.zeros(n, dtype=np.int64)
     _rcb(points, weights, np.arange(n), nparts, 0, out)

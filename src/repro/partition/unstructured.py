@@ -3,8 +3,7 @@
 The paper's JSNT-U experiments decompose unstructured meshes into
 patches of roughly ``patch_size`` cells (default 500) and distribute
 patches across processes.  This module provides that two-level
-decomposition with a choice of partitioners (RCB by default; the
-multilevel graph partitioner for METIS-like quality).
+decomposition with recursive coordinate bisection at both levels.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import ReproError
+from .._util import ReproError, check_count
 from ..mesh.unstructured import UnstructuredMesh
-from .graph import CSRGraph, greedy_partition, multilevel_partition
 from .rcb import rcb_partition
 
 __all__ = ["UnstructuredDecomposition", "decompose_unstructured"]
@@ -36,30 +34,21 @@ class UnstructuredDecomposition:
     def num_patches(self) -> int:
         return len(self.patch_proc)
 
-    def patch_cells(self, patch: int) -> np.ndarray:
-        return np.nonzero(self.cell_patch == patch)[0]
-
-    def patches_of_proc(self, proc: int) -> np.ndarray:
-        return np.nonzero(self.patch_proc == proc)[0]
-
 
 def decompose_unstructured(
     mesh: UnstructuredMesh,
     patch_size: int,
     nprocs: int,
-    method: str = "rcb",
-    seed: int = 0,
 ) -> UnstructuredDecomposition:
     """Cut ``mesh`` into patches of about ``patch_size`` cells on ``nprocs``.
 
-    ``method`` selects the cell->patch partitioner: ``"rcb"`` (fast,
-    geometric), ``"multilevel"`` (METIS-like) or ``"greedy"`` (BFS
-    growing).  Patches are then distributed to ranks with RCB over
-    patch centroids, which keeps each rank's patches spatially compact
-    the way SFC assignment does for structured meshes.
+    Cells are cut into patches by RCB over cell centroids.  Patches are
+    then distributed to ranks with RCB over patch centroids, which
+    keeps each rank's patches spatially compact the way SFC assignment
+    does for structured meshes.
     """
-    if patch_size <= 0:
-        raise ReproError("patch_size must be positive")
+    check_count("nprocs", nprocs, "process count")
+    check_count("patch_size", patch_size, "patch size")
     ncells = mesh.num_cells
     npatches = max(nprocs, (ncells + patch_size - 1) // patch_size)
     if npatches > ncells:
@@ -67,18 +56,7 @@ def decompose_unstructured(
             f"mesh of {ncells} cells cannot host {npatches} non-empty patches"
         )
 
-    if method == "rcb":
-        cell_patch = rcb_partition(mesh.cell_centroids, npatches)
-    elif method in ("multilevel", "greedy"):
-        indptr, indices = mesh.adjacency_graph()
-        g = CSRGraph.from_adjacency(indptr, indices)
-        cell_patch = (
-            multilevel_partition(g, npatches, seed=seed)
-            if method == "multilevel"
-            else greedy_partition(g, npatches, seed=seed)
-        )
-    else:
-        raise ReproError(f"unknown decomposition method {method!r}")
+    cell_patch = rcb_partition(mesh.cell_centroids, npatches)
 
     # Patch centroids and weights for the patch->proc level.
     sums = np.zeros((npatches, mesh.ndim))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .._util import ReproError
 from ..core.patch_program import PatchProgram
-from ..core.termination import MisraMarkerRing, WorkloadTracker, verify_quiescent
+from ..core.termination import WorkloadTracker, consensus_hops, verify_quiescent
 from .checkpoint import (
     SNAPSHOT_VERSION, HostKilled, assemble_state, check_persist, restore_into,
 )
@@ -238,9 +238,7 @@ class DataDrivenRuntime:
             report.sanitizer_checks = ctx.checker.records
         makespan = ctx.sim.makespan
         if self.termination == "consensus":
-            hops = MisraMarkerRing.all_idle_hops(
-                ctx.router.nprocs - len(ctx.router.dead)
-            )
+            hops = consensus_hops(ctx.router.nprocs - len(ctx.router.dead))
             report.termination_hops = hops
             report.termination_time = hops * self.machine.latency_inter
             makespan += report.termination_time

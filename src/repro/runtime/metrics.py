@@ -201,10 +201,6 @@ class RunReport:
     promotions: int = 0  # demotions reversed after healthy probes
     rebalanced_patches: int = 0  # patches pulled back to rejoined ranks
 
-    @property
-    def core_seconds(self) -> float:
-        return self.makespan * self.total_cores
-
     def overhead_fraction(self) -> float:
         """graph-op + pack/unpack share of total core time (Fig. 16's
         'overhead introduced by JSweep')."""

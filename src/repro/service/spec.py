@@ -87,7 +87,7 @@ class JobSpec:
     patch: int = 2  # cells/axis per patch (structured) or target size
     grain: int = 16  # vertex-clustering grain
     sn: int = 2  # quadrature order (level-symmetric)
-    seed: int = 0  # seed of the run (fault plans, decomposition)
+    seed: int = 0  # enters key() only; the executor never reads it
     deadline: float | None = None  # virtual-seconds budget; None = config default
     #: Tenant-supplied chaos: a FaultPlan the job's DES run is armed
     #: with.  One tenant's faults live and die inside its own runs -

@@ -19,7 +19,6 @@ angle of the set, sweep iteration, energy group and runtime backend.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "directed_edges",
     "angle_sets",
     "check_acyclic",
-    "break_cycles",
     "multi_slice",
     "csr_by_source",
     "kahn_fronts",
@@ -95,69 +93,6 @@ def check_acyclic(num_vertices: int, u: np.ndarray, v: np.ndarray) -> bool:
     except ReproError:
         return False
     return True
-
-
-def break_cycles(
-    num_vertices: int, u: np.ndarray, v: np.ndarray,
-    weight: np.ndarray | None = None,
-) -> np.ndarray:
-    """Boolean keep-mask removing a feedback edge set, making (u, v) a DAG.
-
-    Severely distorted meshes can induce dependency *cycles* for some
-    directions; production sweepers (e.g. Pautz [20]) break them and
-    treat the severed dependencies with lagged (previous-iteration)
-    flux.  The heuristic here peels Kahn-ready vertices and, when the
-    peel stalls, drops the lightest in-edge of the stalled vertex with
-    the smallest in-degree - cheap and effective for the near-acyclic
-    graphs distorted meshes produce.
-    """
-    m = len(u)
-    keep = np.ones(m, dtype=bool)
-    if weight is None:
-        weight = np.ones(m)
-    # Adjacency: per vertex, outgoing and incoming edge ids.
-    order = np.argsort(u, kind="stable")
-    out_ptr = np.searchsorted(u[order], np.arange(num_vertices + 1))
-    order_in = np.argsort(v, kind="stable")
-    in_ptr = np.searchsorted(v[order_in], np.arange(num_vertices + 1))
-
-    indeg = np.bincount(v, minlength=num_vertices).astype(np.int64)
-    done = np.zeros(num_vertices, dtype=bool)
-    q = deque(np.nonzero(indeg == 0)[0].tolist())
-    remaining = num_vertices
-    while remaining:
-        while q:
-            x = q.popleft()
-            if done[x]:
-                continue
-            done[x] = True
-            remaining -= 1
-            for k in range(out_ptr[x], out_ptr[x + 1]):
-                e = order[k]
-                if not keep[e]:
-                    continue
-                w = v[e]
-                indeg[w] -= 1
-                if indeg[w] == 0 and not done[w]:
-                    q.append(int(w))
-        if remaining == 0:
-            break
-        # Stalled: every remaining vertex is on a cycle.  Cut the
-        # lightest live in-edge of the minimum-in-degree vertex.
-        alive = np.nonzero(~done & (indeg > 0))[0]
-        x = alive[np.argmin(indeg[alive])]
-        best_e, best_w = -1, np.inf
-        for k in range(in_ptr[x], in_ptr[x + 1]):
-            e = order_in[k]
-            if keep[e] and not done[u[e]] and weight[e] < best_w:
-                best_e, best_w = int(e), float(weight[e])
-        if best_e < 0:
-            raise ReproError("cycle breaking failed to find an edge to cut")
-        keep[best_e] = False
-        indeg[x] -= 1
-        if indeg[x] == 0:
-            q.append(int(x))
-    return keep
 
 
 def multi_slice(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -385,17 +320,12 @@ class SweepTopology:
         interfaces: InterfaceTable | None = None,
         tol: float = 1e-12,
         validate: bool = False,
-        on_cycle: str = "error",
     ):
-        if on_cycle not in ("error", "break"):
-            raise ReproError(f"unknown on_cycle policy {on_cycle!r}")
         self.pset = pset
         self.quadrature = quadrature
         self.interfaces = (
             interfaces if interfaces is not None else build_interfaces(pset.mesh)
         )
-        self.on_cycle = on_cycle
-        self.broken_edges = 0  # dependencies severed by cycle breaking
         self.graphs: dict[tuple[int, int], PatchAngleGraph] = {}
         self.patch_dag: dict[int, np.ndarray] = {}  # angle -> (m, 2) patch edges
         # angle -> {patch: ProgramId}: interned stream destinations.
@@ -445,22 +375,11 @@ class SweepTopology:
             u, v = directed_edges(
                 self.interfaces, self.quadrature.directions[angles[0]], tol
             )
-            if (validate or self.on_cycle == "break") and not check_acyclic(
-                ncells, u, v
-            ):
-                if self.on_cycle == "break":
-                    # Distorted-mesh escape hatch (Pautz-style): sever a
-                    # feedback edge set; the severed dependencies are
-                    # treated with lagged flux by the iteration.
-                    keep = break_cycles(ncells, u, v)
-                    self.broken_edges += int((~keep).sum()) * len(angles)
-                    u, v = u[keep], v[keep]
-                else:
-                    raise ReproError(
-                        f"sweep graph for angles {angles} is cyclic; mesh is "
-                        "too distorted for a single-direction sweep (pass "
-                        "on_cycle='break' to sever feedback edges)"
-                    )
+            if validate and not check_acyclic(ncells, u, v):
+                raise ReproError(
+                    f"sweep graph for angles {angles} is cyclic; mesh is "
+                    "too distorted for a single-direction sweep"
+                )
             pu, pv = cell_patch[u], cell_patch[v]
             lu, lv = cell_local[u], cell_local[v]
 

@@ -105,7 +105,6 @@ class SnSolver:
         boundary_flux: float = 0.0,
         grain: int = 64,
         strategy: PriorityStrategy | str = "slbd+slbd",
-        validate_dag: bool = False,
         reflecting: bool = False,
     ):
         self.pset = pset
@@ -132,7 +131,6 @@ class SnSolver:
             if isinstance(strategy, str)
             else strategy
         )
-        self.validate_dag = validate_dag
 
         self.interfaces = build_interfaces(self.mesh)
         self.boundary = build_boundary(self.mesh)
@@ -229,7 +227,6 @@ class SnSolver:
                 self.pset,
                 self.quadrature,
                 interfaces=self.interfaces,
-                validate=self.validate_dag,
             )
             self._static_prio = apply_priorities(self._topology, self.strategy)
         return self._topology

@@ -106,7 +106,6 @@ def test_sets_partition_the_angles_in_first_angle_order(case):
 def test_shared_tables_equal_the_single_angle_build(case):
     s, _, singles = case
     topo = s.topology
-    assert topo.broken_edges == 0
     assert list(topo.graphs) == [  # angle-major keys: the program order
         (p, a) for a in range(topo.num_angles)
         for p in range(topo.pset.num_patches)
@@ -181,33 +180,6 @@ def test_plan_sets_are_the_kernels_grouped_by_index_tables(case, monkeypatch):
     plan = fresh.sweep_plan()
     assert len(peels) == len(sets)
     assert len(plan.levels) == max(len(lv) for lv in peels)
-
-
-# -- (d) cycle breaking counts per angle ----------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["kobayashi", "warped"])
-def test_broken_edges_are_the_per_angle_sum(monkeypatch, name):
-    s = CASES[name][0]()
-    real = dagmod.directed_edges
-
-    def with_a_two_cycle(interfaces, direction, tol=1e-12):
-        u, v = real(interfaces, direction, tol)
-        return np.concatenate([u, [0, 1]]), np.concatenate([v, [1, 0]])
-
-    monkeypatch.setattr(dagmod, "directed_edges", with_a_two_cycle)
-    q = s.quadrature
-    topo = SweepTopology(s.pset, q, interfaces=s.interfaces, on_cycle="break")
-    singles = [
-        SweepTopology(
-            s.pset, Quadrature(q.directions[a:a + 1], q.weights[a:a + 1]),
-            interfaces=s.interfaces, on_cycle="break",
-        )
-        for a in range(q.num_angles)
-    ]
-    assert topo.broken_edges == sum(t.broken_edges for t in singles)
-    assert topo.broken_edges >= q.num_angles
-    assert all(_same_tables(topo, a, t, 0) for a, t in enumerate(singles))
 
 
 # -- (e) object counts ------------------------------------------------------------------

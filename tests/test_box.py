@@ -36,12 +36,6 @@ class TestBoxBasics:
         assert not b.contains((3, 0))
         assert not b.contains((-1, 0))
 
-    def test_contains_box(self):
-        outer = Box((0, 0), (10, 10))
-        inner = Box((2, 3), (5, 7))
-        assert outer.contains_box(inner)
-        assert not inner.contains_box(outer)
-
     def test_frozen(self):
         b = Box((0,), (1,))
         with pytest.raises(Exception):
@@ -65,7 +59,7 @@ class TestBoxOps:
     def test_grow_scalar_and_clip(self):
         b = Box((2, 2), (4, 4)).grow(1)
         assert b == Box((1, 1), (5, 5))
-        assert b.clip(Box((0, 0), (4, 4))) == Box((1, 1), (4, 4))
+        assert b.intersection(Box((0, 0), (4, 4))) == Box((1, 1), (4, 4))
 
     def test_grow_per_axis(self):
         assert Box((2, 2), (4, 4)).grow((0, 2)) == Box((2, 0), (4, 6))

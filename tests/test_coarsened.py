@@ -212,9 +212,7 @@ def test_theorem1_property(grain, seed):
     """Theorem 1 as a property: any grain, any decomposition seed,
     the derived coarsened graph is acyclic."""
     mesh = disk_tri_mesh(6)
-    pset = PatchSet.from_unstructured(
-        mesh, 20 + seed, nprocs=2, method="rcb"
-    )
+    pset = PatchSet.from_unstructured(mesh, 20 + seed, nprocs=2)
     s = make_solver(pset, sn=2, grain=grain)
     cgs = s.record_coarsened()
     assert coarsened_is_acyclic(cgs)

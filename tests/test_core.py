@@ -1,13 +1,9 @@
 """Tests for the patch-centric data-driven abstraction (repro.core)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro._util import ReproError
 from repro.core import (
-    MisraMarkerRing,
     PatchProgram,
     ProgramId,
     ProgramState,
@@ -15,6 +11,7 @@ from repro.core import (
     Stream,
     WorkloadTracker,
 )
+from repro.core.termination import consensus_hops
 
 
 class Relay(PatchProgram):
@@ -248,73 +245,6 @@ class TestWorkloadTracker:
         assert t.pending_keys() == ["x"]
 
 
-class TestMisraMarker:
-    def test_simple_termination(self):
-        ring = MisraMarkerRing(3)
-        for p in range(3):
-            ring.on_idle(p)
-        hops = ring.run_to_completion()
-        # All start black: whitening pass + clean round.
-        assert ring.finished
-        assert hops >= 3
-
-    def test_busy_process_blocks_marker(self):
-        ring = MisraMarkerRing(2)
-        ring.on_idle(0)
-        ring.on_busy(1)
-        assert not ring.step()  # holder 0 idle, advances or whitens
-        # Run a few steps; must never finish while 1 is busy.
-        for _ in range(10):
-            assert not ring.step()
-        assert not ring.finished
-
-    def test_message_blackens(self):
-        ring = MisraMarkerRing(2)
-        for p in range(2):
-            ring.on_idle(p)
-        # Whiten both with a couple of steps first.
-        ring.step()
-        ring.step()
-        ring.on_receive(0)  # also marks busy
-        assert not ring.finished
-        ring.on_idle(0)
-        ring.run_to_completion()
-        assert ring.finished
-
-    def test_run_to_completion_requires_idle(self):
-        ring = MisraMarkerRing(2)
-        ring.on_idle(0)
-        with pytest.raises(ReproError):
-            ring.run_to_completion()
-
-    def test_single_process(self):
-        ring = MisraMarkerRing(1)
-        ring.on_idle(0)
-        ring.run_to_completion()
-        assert ring.finished
-
-
-@given(n=st.integers(1, 12), events=st.integers(0, 30), seed=st.integers(0, 999))
-@settings(max_examples=40, deadline=None)
-def test_marker_always_terminates_once_quiet(n, events, seed):
-    """Property: after arbitrary send/receive activity, once every
-    process idles the marker terminates in a bounded number of hops."""
-    rng = np.random.default_rng(seed)
-    ring = MisraMarkerRing(n)
-    for _ in range(events):
-        p = int(rng.integers(n))
-        if rng.random() < 0.5:
-            ring.on_send(p)
-        else:
-            ring.on_receive(p)
-        ring.step()
-    for p in range(n):
-        ring.on_idle(p)
-    hops = ring.run_to_completion()
-    assert ring.finished
-    assert hops <= 2 * n + 1
-
-
 class TestWorkloadTrackerEpochs:
     """Idempotent commits under re-execution (crash recovery)."""
 
@@ -340,85 +270,32 @@ class TestWorkloadTrackerEpochs:
         t.commit("a", 0, epoch=1)
         assert t.is_done()
 
-    def test_epoch_of(self):
-        t = WorkloadTracker()
-        assert t.epoch_of("a") is None
-        t.commit("a", 1, epoch=3)
-        assert t.epoch_of("a") == 3
-        t.commit("a", 1, epoch=2)  # ignored
-        assert t.epoch_of("a") == 3
+
+def _marker_walk(n):
+    """Misra's marker on a ring of ``n`` idle processes, all black at
+    the start, stepped one visit at a time: hops until ``n``
+    consecutive clean (white) visits."""
+    black = [True] * n
+    holder = hops = clean = 0
+    while True:
+        if black[holder]:
+            black[holder] = False
+            clean = 0
+        else:
+            clean += 1
+        if clean == n:
+            return hops
+        holder = (holder + 1) % n
+        hops += 1
 
 
-class TestMisraMarkerUnderFaults:
-    """The ring must stay sound when messages are duplicated, retried
-    or reordered - every duplicate delivery blackens the receiver, so
-    termination can only be delayed, never declared early."""
-
-    def test_duplicate_receive_after_whitening_forces_extra_round(self):
-        ring = MisraMarkerRing(2)
-        for p in range(2):
-            ring.on_idle(p)
-        ring.step()
-        ring.step()  # both whitened by now
-        ring.on_receive(1)  # late duplicate (retransmission) arrives
-        ring.on_idle(1)
-        hops_before = ring.hops
-        assert not ring.finished
-        ring.run_to_completion()
-        assert ring.finished
-        assert ring.hops > hops_before  # the dup cost at least one hop
-
-    def test_duplicates_never_terminate_early(self):
-        ring = MisraMarkerRing(3)
-        for p in range(3):
-            ring.on_idle(p)
-        # A retry storm: the same logical message delivered repeatedly
-        # to proc 2 while the marker circulates.
-        for _ in range(10):
-            ring.on_receive(2)
-            assert not ring.step()  # proc 2 is black: no clean circuit
-            ring.on_idle(2)
-        assert not ring.finished  # still black from the last duplicate
-        ring.run_to_completion()
-        assert ring.finished
-
-    def test_reordered_send_receive_pairs(self):
-        """Acks/data arriving out of order: receive reported before the
-        matching send event is observed locally."""
-        ring = MisraMarkerRing(2)
-        for p in range(2):
-            ring.on_idle(p)
-        ring.on_receive(1)  # arrival observed first
-        ring.on_send(0)  # ... then the send
-        for p in range(2):
-            ring.on_idle(p)
-        ring.run_to_completion()
-        assert ring.finished
+@pytest.mark.parametrize("n", range(1, 9))
+def test_consensus_hops_closed_form(n):
+    """One circuit of ``n`` hops whitens every process, ``n - 1`` more
+    make ``n`` clean visits."""
+    assert consensus_hops(n) == _marker_walk(n) == 2 * n - 1
 
 
-@given(n=st.integers(2, 8), msgs=st.integers(0, 20), seed=st.integers(0, 999))
-@settings(max_examples=40, deadline=None)
-def test_marker_sound_under_duplication_and_reordering(n, msgs, seed):
-    """Property: deliver every message 1-3 times in shuffled order with
-    marker steps interleaved; termination is reached once quiet and is
-    never declared while a delivery is still outstanding."""
-    rng = np.random.default_rng(seed)
-    ring = MisraMarkerRing(n)
-    deliveries = []
-    for _ in range(msgs):
-        src, dst = int(rng.integers(n)), int(rng.integers(n))
-        copies = int(rng.integers(1, 4))  # retries / injected duplicates
-        deliveries.extend([(src, dst)] * copies)
-    order = rng.permutation(len(deliveries)) if deliveries else []
-    for i in order:
-        src, dst = deliveries[int(i)]
-        ring.on_send(src)
-        ring.on_receive(dst)
-        ring.step()  # marker circulates between deliveries
-        ring.on_idle(dst)
-        ring.on_idle(src)
-    for p in range(n):
-        ring.on_idle(p)
-    hops = ring.run_to_completion()
-    assert ring.finished
-    assert hops <= 2 * n + 1
+def test_consensus_hops_needs_a_process():
+    with pytest.raises(ReproError):
+        consensus_hops(0)

@@ -1,4 +1,4 @@
-"""Tests for cycle breaking, topological levels and the vectorized kernel."""
+"""Tests for topological levels and the vectorized kernel."""
 
 import numpy as np
 import pytest
@@ -11,69 +11,14 @@ from repro.sweep import (
     Material,
     MaterialMap,
     SnSolver,
-    check_acyclic,
     directed_edges,
     level_symmetric,
 )
 from repro.sweep.dag import (
-    break_cycles,
     condensation_fronts,
     heap_keys,
     topological_levels,
 )
-
-
-class TestBreakCycles:
-    def test_acyclic_untouched(self):
-        u = np.array([0, 1, 2])
-        v = np.array([1, 2, 3])
-        keep = break_cycles(4, u, v)
-        assert keep.all()
-
-    def test_simple_cycle_cut_once(self):
-        u = np.array([0, 1, 2])
-        v = np.array([1, 2, 0])
-        keep = break_cycles(3, u, v)
-        assert keep.sum() == 2
-        assert check_acyclic(3, u[keep], v[keep])
-
-    def test_two_disjoint_cycles(self):
-        u = np.array([0, 1, 2, 3])
-        v = np.array([1, 0, 3, 2])
-        keep = break_cycles(4, u, v)
-        assert keep.sum() == 2
-        assert check_acyclic(4, u[keep], v[keep])
-
-    def test_weights_prefer_light_edges(self):
-        # Cycle 0->1->2->0 where edge 2->0 is the lightest.
-        u = np.array([0, 1, 2])
-        v = np.array([1, 2, 0])
-        w = np.array([10.0, 10.0, 1.0])
-        keep = break_cycles(3, u, v, weight=w)
-        assert not keep[2]
-        assert keep[0] and keep[1]
-
-    def test_figure_eight(self):
-        # Two cycles sharing vertex 0.
-        u = np.array([0, 1, 0, 2])
-        v = np.array([1, 0, 2, 0])
-        keep = break_cycles(3, u, v)
-        assert check_acyclic(3, u[keep], v[keep])
-        assert keep.sum() >= 2
-
-
-@given(n=st.integers(2, 20), m=st.integers(1, 60), seed=st.integers(0, 500))
-@settings(max_examples=60, deadline=None)
-def test_break_cycles_always_yields_dag(n, m, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.integers(0, n, m)
-    v = rng.integers(0, n, m)
-    mask = u != v  # no self loops
-    u, v = u[mask], v[mask]
-    if len(u) == 0:
-        return
-    keep = break_cycles(n, u, v)
-    assert check_acyclic(n, u[keep], v[keep])
 
 
 def _levels_by_scalar_peel(n, u, v):

@@ -34,14 +34,6 @@ class TestPatchSet:
         )
         np.testing.assert_array_equal(p.cells, lin)
 
-    def test_patches_of_proc_partition(self, cube8_patches):
-        all_ids = set()
-        for proc in range(cube8_patches.num_procs):
-            for p in cube8_patches.patches_of_proc(proc):
-                assert p.proc == proc
-                all_ids.add(p.id)
-        assert all_ids == {p.id for p in cube8_patches.patches}
-
     def test_too_many_procs_rejected(self, cube8):
         with pytest.raises(ReproError):
             PatchSet.from_structured(cube8, (8, 8, 8), nprocs=2)
@@ -87,9 +79,8 @@ class TestPatchSet:
         ps = PatchSet.from_unstructured(disk, np.int32(50), nprocs=np.int64(2))
         assert ps.num_procs == 2
 
-    @pytest.mark.parametrize("method", ["rcb", "multilevel"])
-    def test_unstructured_methods(self, disk, method):
-        ps = PatchSet.from_unstructured(disk, 50, nprocs=2, method=method)
+    def test_unstructured_validates(self, disk):
+        ps = PatchSet.from_unstructured(disk, 50, nprocs=2)
         ps.validate()
 
 

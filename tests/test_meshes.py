@@ -54,12 +54,6 @@ class TestStructuredMesh:
         np.testing.assert_allclose(centers[0], [0.5, 1.0])
         np.testing.assert_allclose(centers[-1], [1.5, 3.0])
 
-    def test_neighbor(self):
-        m = StructuredMesh(shape=(3, 3))
-        assert m.neighbor((0, 0), 0, 1) == (1, 0)
-        assert m.neighbor((0, 0), 0, -1) is None
-        assert m.neighbor((2, 2), 1, 1) is None
-
     def test_assign_materials(self):
         m = cube_structured(4)
         m.assign_materials(lambda c: (c[:, 0] > 0.5).astype(int))
@@ -69,12 +63,6 @@ class TestStructuredMesh:
     def test_material_shape_mismatch(self):
         with pytest.raises(ReproError):
             StructuredMesh(shape=(2, 2), materials=np.zeros((3, 3)))
-
-    def test_node_coordinates(self):
-        m = box_structured((2, 2), (1.0, 1.0))
-        nodes = m.node_coordinates()
-        assert nodes.shape == (9, 2)
-        assert nodes.max() == 1.0
 
 
 class TestUnstructuredInvariants:
@@ -129,17 +117,6 @@ class TestUnstructuredInvariants:
 
     def test_boundary_face_count_positive(self, mesh):
         assert len(mesh.boundary_faces) > 0
-
-    def test_adjacency_graph_symmetric(self, mesh):
-        indptr, indices = mesh.adjacency_graph()
-        assert indptr[-1] == len(indices)
-        # Every edge appears in both directions.
-        edges = set()
-        for v in range(mesh.num_cells):
-            for u in indices[indptr[v] : indptr[v + 1]]:
-                edges.add((v, int(u)))
-        for v, u in edges:
-            assert (u, v) in edges
 
 
 class TestGenerators:

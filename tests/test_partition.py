@@ -1,6 +1,7 @@
-"""Tests for the partition package: SFC, RCB and graph partitioners."""
+"""Tests for the partition package: SFC and RCB."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,23 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import ReproError
-from repro.mesh import cube_structured, reactor_mesh_2d
+from repro.mesh import cube_structured, disk_tri_mesh, reactor_mesh_2d
 from repro.partition import (
-    CSRGraph,
     assign_patches_sfc,
     chunk_by_weight,
     decompose_unstructured,
-    edge_cut,
-    greedy_partition,
     hilbert_decode,
     hilbert_encode,
     morton_decode,
     morton_encode,
-    multilevel_partition,
     patchify_structured,
     rcb_partition,
     sfc_order,
-    spectral_bisection,
 )
 from repro.mesh.box import box_union_covers
 
@@ -183,6 +179,25 @@ class TestRCB:
         with pytest.raises(ReproError):
             rcb_partition(pts, 2, weights=np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_weights_must_be_finite_and_non_negative(self, bad):
+        """Unrefused, NaN weights split a 226-cell disk into parts of
+        1, 1, 1 and 223 cells."""
+        pts = disk_tri_mesh(6).cell_centroids
+        w = np.ones(len(pts))
+        w[::2] = bad
+        with pytest.raises(ReproError, match="finite and non-negative"):
+            rcb_partition(pts, 4, weights=w)
+        with pytest.raises(ReproError, match="finite and non-negative"):
+            rcb_partition(pts, 4, weights=np.full(len(pts), bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_points_must_be_finite(self, bad):
+        pts = disk_tri_mesh(6).cell_centroids.copy()
+        pts[3, 1] = bad
+        with pytest.raises(ReproError, match="points must be finite"):
+            rcb_partition(pts, 4)
+
 
 @given(
     n=st.integers(8, 120),
@@ -200,66 +215,6 @@ def test_rcb_covers_all_points(n, nparts, dim, seed):
     counts = np.bincount(part, minlength=nparts)
     assert np.all(counts > 0)
     assert counts.sum() == n
-
-
-def _mesh_graph(mesh):
-    indptr, indices = mesh.adjacency_graph()
-    return CSRGraph.from_adjacency(indptr, indices)
-
-
-class TestGraphPartitioning:
-    @pytest.fixture(scope="class")
-    def graph(self):
-        return _mesh_graph(reactor_mesh_2d(14))
-
-    @pytest.mark.parametrize("nparts", [2, 5, 8])
-    def test_greedy_covers_balanced(self, graph, nparts):
-        part = greedy_partition(graph, nparts)
-        counts = np.bincount(part, minlength=nparts)
-        assert np.all(counts > 0)
-        n = graph.num_vertices
-        assert counts.max() < 2.0 * n / nparts
-
-    @pytest.mark.parametrize("nparts", [2, 5, 8])
-    def test_multilevel_covers_balanced(self, graph, nparts):
-        part = multilevel_partition(graph, nparts)
-        counts = np.bincount(part, minlength=nparts)
-        assert np.all(counts > 0)
-        n = graph.num_vertices
-        assert counts.max() < 2.0 * n / nparts
-
-    def test_multilevel_beats_random_cut(self, graph):
-        rng = np.random.default_rng(0)
-        rand = rng.integers(0, 8, graph.num_vertices)
-        ml = multilevel_partition(graph, 8)
-        assert edge_cut(graph, ml) < 0.5 * edge_cut(graph, rand)
-
-    def test_spectral_bisection_balanced(self, graph):
-        half = spectral_bisection(graph)
-        counts = np.bincount(half, minlength=2)
-        assert np.all(counts > 0)
-        assert counts.max() / counts.min() < 1.5
-
-    def test_spectral_respects_fraction(self, graph):
-        part = spectral_bisection(graph, frac=0.25)
-        f = (part == 0).mean()
-        assert 0.1 < f < 0.45
-
-    def test_edge_cut_zero_for_single_part(self, graph):
-        part = np.zeros(graph.num_vertices, dtype=np.int64)
-        assert edge_cut(graph, part) == 0.0
-
-    def test_too_many_parts(self, graph):
-        with pytest.raises(ReproError):
-            multilevel_partition(graph, graph.num_vertices + 1)
-
-    def test_disconnected_graph_greedy(self):
-        # Two disjoint paths of 4 vertices.
-        indptr = np.array([0, 1, 3, 5, 6, 7, 9, 11, 12])
-        indices = np.array([1, 0, 2, 1, 3, 2, 5, 4, 6, 5, 7, 6])
-        g = CSRGraph.from_adjacency(indptr, indices)
-        part = greedy_partition(g, 2)
-        assert np.bincount(part, minlength=2).min() > 0
 
 
 class TestStructuredDecomposition:
@@ -291,10 +246,9 @@ class TestStructuredDecomposition:
 
 
 class TestUnstructuredDecomposition:
-    @pytest.mark.parametrize("method", ["rcb", "greedy", "multilevel"])
-    def test_all_methods(self, method):
+    def test_covers_cells_and_procs(self):
         mesh = reactor_mesh_2d(12)
-        dec = decompose_unstructured(mesh, 80, 3, method=method)
+        dec = decompose_unstructured(mesh, 80, 3)
         sizes = np.bincount(dec.cell_patch)
         assert np.all(sizes > 0)
         assert sizes.sum() == mesh.num_cells
@@ -313,10 +267,16 @@ class TestUnstructuredDecomposition:
         dec = decompose_unstructured(mesh, mesh.num_cells, 4)
         assert dec.num_patches >= 4
 
-    def test_unknown_method(self):
-        mesh = reactor_mesh_2d(12)
-        with pytest.raises(ReproError):
-            decompose_unstructured(mesh, 50, 2, method="magic")
+    @pytest.mark.parametrize(
+        "size, nprocs, name",
+        [(2.5, 2, "patch_size=2.5"), (50, 0, "nprocs=0"),
+         (0, 2, "patch_size=0"), (50, 1.5, "nprocs=1.5")],
+    )
+    def test_counts_refused_where_they_enter(self, size, nprocs, name):
+        """Unrefused, a fractional patch size raises a bare TypeError in
+        ``np.zeros`` and ``nprocs=0`` surfaces as RCB's ``nparts``."""
+        with pytest.raises(ReproError, match=re.escape(name)):
+            decompose_unstructured(disk_tri_mesh(6), size, nprocs)
 
     def test_sfc_order_on_centroid_lattice(self):
         pts = np.array(list(itertools.product(range(4), repeat=2)))

@@ -242,9 +242,9 @@ class TestDESExecution:
         r2 = DataDrivenRuntime(
             16, machine=machine, termination="consensus"
         ).run(progs2, pset.patch_proc)
-        assert r2.termination_hops > 0
+        assert r2.termination_hops == 7  # 2n - 1 marker hops, n = 4 procs
+        assert r2.termination_time == r2.termination_hops * machine.latency_inter
         assert r2.makespan > r1.makespan - 1e-12
-        assert r2.termination_time > 0
 
     def test_layout_mismatch_rejected(self):
         machine, pset, s = _des_setup()  # 4 procs
