@@ -34,6 +34,8 @@ def check_count(name: str, value, what: str):
     Counts are refused where they enter, not deep in the code that
     loops over, rounds or hashes them.
     """
+    if value.__class__ is int and value > 0:  # the common case, no ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral) or value <= 0:
         raise ReproError(
             f"{what} must be positive and integral; got {name}={value!r}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import ReproError
+from .._util import ReproError, check_count
 from ..framework.patch import PatchSet
 from ..mesh.generators import ball_tet_mesh, reactor_mesh_2d
 from ..runtime.cluster import Machine, TIANHE2
@@ -158,6 +158,7 @@ class JSNTU:
         strategy: str,
         name: str,
     ) -> JSNTApp:
+        check_count("groups", groups, "energy group count")
         nprocs = machine.layout(total_cores, mode).nprocs
         pset = PatchSet.from_unstructured(mesh, patch_size, nprocs=nprocs)
         quad = quadrature if quadrature is not None else level_symmetric(4)

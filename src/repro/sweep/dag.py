@@ -107,22 +107,30 @@ def multi_slice(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def kahn_fronts(
     num_vertices: int, indptr: np.ndarray, target: np.ndarray, what: str
-) -> tuple[np.ndarray, int]:
-    """Kahn front index of every vertex of the CSR digraph, and the
-    number of fronts; every predecessor of a front-``L`` vertex sits in
-    a front ``< L``.  One vectorized peel per front.  Raises
-    ``"<what> is cyclic"`` when the peel cannot reach every vertex.
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Kahn fronts of the CSR digraph: ``(front_of, order, bounds)``
+    with ``front_of[v]`` vertex ``v``'s front, ``order`` the vertices
+    front by front (ascending ids within a front, so it equals the
+    stable argsort of ``front_of``) and front ``L`` at
+    ``order[bounds[L]:bounds[L + 1]]``; every predecessor of a
+    front-``L`` vertex sits in a front ``< L``.  One vectorized peel
+    per front.  Raises ``"<what> is cyclic"`` when the peel cannot
+    reach every vertex.
     """
     n = num_vertices
     deg = np.diff(indptr)
     indeg = np.bincount(target, minlength=n)
     front_of = np.zeros(n, dtype=np.int64)
+    order = np.empty(n, dtype=np.int64)
+    bounds = [0]
     ready = np.zeros(n, dtype=bool)
     cur = np.nonzero(indeg == 0)[0]
-    seen, front = 0, 0
+    seen = 0
     while cur.size:
-        front_of[cur] = front
+        front_of[cur] = len(bounds) - 1
+        order[seen : seen + cur.size] = cur
         seen += cur.size
+        bounds.append(seen)
         t = target[multi_slice(indptr[cur], deg[cur])]
         if t.size == 0:
             break
@@ -132,10 +140,9 @@ def kahn_fronts(
         ready[t[indeg[t] == 0]] = True
         cur = np.nonzero(ready)[0]
         ready[cur] = False
-        front += 1
     if seen != n:
         raise ReproError(f"{what} is cyclic")
-    return front_of, front + 1 if n else 0
+    return front_of, order, bounds
 
 
 def topological_levels(
@@ -148,11 +155,9 @@ def topological_levels(
     what the level-vectorized kernel path exploits.  Raises on cycles.
     """
     indptr, target = csr_by_source(u, num_vertices, v)
-    front_of, nfronts = kahn_fronts(
+    _, order, bounds = kahn_fronts(
         num_vertices, indptr, target, "topological_levels: graph"
     )
-    order = np.argsort(front_of, kind="stable")
-    bounds = np.searchsorted(front_of[order], np.arange(nfronts + 1))
     return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -175,7 +180,7 @@ def condensation_fronts(
     ck = np.unique(cu[cross].astype(np.int64) * ncomp + cv[cross])
     cedges = np.stack([ck // ncomp, ck % ncomp], axis=1)
     src, dst = (cedges[:, 1], cedges[:, 0]) if reverse else (cedges[:, 0], cedges[:, 1])
-    front, _ = kahn_fronts(ncomp, *csr_by_source(src, ncomp, dst), "condensation")
+    front, _, _ = kahn_fronts(ncomp, *csr_by_source(src, ncomp, dst), "condensation")
     return comp, front, cedges
 
 
@@ -353,7 +358,7 @@ class SweepTopology:
         ncells = pset.mesh.num_cells
         cell_patch = pset.cell_patch
         cell_local = pset.cell_local
-        patch_sizes = np.array([p.num_cells for p in pset.patches])
+        patch_sizes = [p.num_cells for p in pset.patches]
         npat = pset.num_patches
         # One global stable sort per angle set on the composite
         # (patch, local) key replaces a pair of per-patch argsorts:
@@ -361,7 +366,7 @@ class SweepTopology:
         # exactly the (patch, src_local, original-order) edge order the
         # old per-patch ``csr_by_source`` produced, so every CSR array
         # is bitwise identical.
-        stride = int(patch_sizes.max()) + 1 if npat else 1
+        stride = max(patch_sizes) + 1 if npat else 1
 
         # Keys go in in angle order, then the sets fill them: the order
         # of ``graphs`` is the order programs are built in.
@@ -401,41 +406,37 @@ class SweepTopology:
                 pv * stride + lv, minlength=npat * stride
             ).astype(np.int64)
 
-            # All edges in (src patch, src local, original) order.
-            order = np.argsort(pu * stride + lu, kind="stable")
-            pu_s = pu[order]
-            lu_s = lu[order]
-            lv_o = lv[order]
-            pv_o = pv[order]
-            local = pu_s == pv_o
-            remote = ~local
-            l_lu, l_lv = lu_s[local], lv_o[local]
-            r_lu, r_pv, r_lv = lu_s[remote], pv_o[remote], lv_o[remote]
-            lb = np.searchsorted(pu_s[local], np.arange(npat + 1))
-            rb = np.searchsorted(pu_s[remote], np.arange(npat + 1))
+            # All edges in (src patch, src local, original) order, and
+            # every patch's row pointers at once (``Patcher`` layout):
+            # ``ptr[p * stride + i]`` counts the edges before (p, i), so
+            # patch ``p``'s CSR is ``ptr[s0:s0+n+1] - ptr[s0]``.
+            key = pu * stride + lu
+            order = np.argsort(key, kind="stable")
+            lo, ro = order[~cross[order]], order[cross[order]]
+            l_lv, r_pv, r_lv = lv[lo], pv[ro], lv[ro]
+            lptr, rptr = (
+                np.concatenate(([0], np.cumsum(
+                    np.bincount(key[m], minlength=npat * stride))))
+                for m in (~cross, cross)
+            )
+            lb, rb = lptr[::stride].tolist(), rptr[::stride].tolist()
+            lrel = lptr[:-1] - np.repeat(lptr[:-1:stride], stride)
+            rrel = rptr[:-1] - np.repeat(rptr[:-1:stride], stride)
+            for table in (counts_all, l_lv, r_pv, r_lv, lrel, rrel):
+                table.flags.writeable = False  # shared by the set's angles
 
-            for p in range(npat):
-                nloc = int(patch_sizes[p])
-                counts = counts_all[p * stride : p * stride + nloc].copy()
-                ls, le = lb[p], lb[p + 1]
-                rs, re = rb[p], rb[p + 1]
+            for p, nloc in enumerate(patch_sizes):
+                s0 = p * stride
                 g = PatchAngleGraph(
                     patch=p,
                     n_local=nloc,
-                    init_counts=counts,
-                    dl_indptr=np.searchsorted(
-                        l_lu[ls:le], np.arange(nloc + 1)
-                    ).astype(np.int64),
-                    dl_target=l_lv[ls:le],
-                    dr_indptr=np.searchsorted(
-                        r_lu[rs:re], np.arange(nloc + 1)
-                    ).astype(np.int64),
-                    dr_patch=r_pv[rs:re],
-                    dr_local=r_lv[rs:re],
+                    init_counts=counts_all[s0 : s0 + nloc],
+                    dl_indptr=lrel[s0 : s0 + nloc + 1],
+                    dl_target=l_lv[lb[p] : lb[p + 1]],
+                    dr_indptr=rrel[s0 : s0 + nloc + 1],
+                    dr_patch=r_pv[rb[p] : rb[p + 1]],
+                    dr_local=r_lv[rb[p] : rb[p + 1]],
                     dst_ids=self.dst_ids,
                 )
-                for table in (g.init_counts, g.dl_indptr, g.dl_target,
-                              g.dr_indptr, g.dr_patch, g.dr_local):
-                    table.flags.writeable = False  # shared by the set's angles
                 for a in angles:
                     self.graphs[(p, a)] = g

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import ReproError
-from .dag import PatchAngleGraph, SweepTopology, condensation_fronts, kahn_fronts
+from .dag import (
+    PatchAngleGraph, SweepTopology, condensation_fronts, kahn_fronts, multi_slice,
+)
 
 __all__ = [
     "PriorityStrategy",
@@ -189,33 +191,32 @@ def batched_vertex_priorities(
     # Vertex index within each graph, over the whole union: the fifo
     # heap key, and the tie-break term of every other strategy's key.
     varr = np.arange(n, dtype=np.int64) - np.repeat(offs[:-1], ns)
+    bounds = offs.tolist()
     if strategy == "fifo":
         zeros = np.zeros(n)
         zeros.flags.writeable = varr.flags.writeable = False
-        for g, a, b in zip(graphs, offs[:-1], offs[1:]):
+        for g, a, b in zip(graphs, bounds, bounds[1:]):
             g.vertex_prio = zeros[a:b]
             g.set_keys(varr[a:b])
         return
 
     # Disjoint union in global numbering (graph-major, CSR source order).
-    deg = np.concatenate([np.diff(g.dl_indptr) for g in graphs])
+    lm = [len(g.dl_target) for g in graphs]
+    indptr = _union_indptr([g.dl_indptr for g in graphs], lm, ns)
     tgt = np.concatenate([g.dl_target for g in graphs])
-    tgt = tgt + np.repeat(offs[:-1], [len(g.dl_target) for g in graphs])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
+    tgt = tgt + np.repeat(offs[:-1], lm)
 
-    # Kahn fronts, peeled across every graph simultaneously.
-    front_of, nfronts = kahn_fronts(
+    # Kahn fronts, peeled across every graph simultaneously; the edges
+    # grouped by their source's front (source id, then CSR position:
+    # the order of a stable argsort by front).
+    _, order, fronts = kahn_fronts(
         n, indptr, tgt, "patch-local sweep subgraph"
     )
-
-    # Edges grouped by their source's front.
-    esrc = np.repeat(np.arange(n, dtype=np.int64), deg)
-    eorder = np.argsort(front_of[esrc], kind="stable")
-    esrc, etgt = esrc[eorder], tgt[eorder]
-    ebounds = np.searchsorted(
-        front_of[esrc], np.arange(nfronts + 1)
-    )
+    deg = np.diff(indptr)[order]
+    etgt = tgt[multi_slice(indptr[order], deg)]
+    esrc = np.repeat(order, deg)
+    ebounds = np.concatenate(([0], np.cumsum(deg)))[fronts].tolist()
+    nfronts = len(fronts) - 1
 
     if strategy == "bfs":
         val = np.zeros(n)
@@ -230,8 +231,10 @@ def batched_vertex_priorities(
         val = -val
     else:  # slbd
         val = np.full(n, _FAR)
-        rdeg = np.concatenate([np.diff(g.dr_indptr) for g in graphs])
-        val[rdeg > 0] = 0.0
+        rptr = _union_indptr(
+            [g.dr_indptr for g in graphs], [len(g.dr_local) for g in graphs], ns
+        )
+        val[rptr[1:] > rptr[:-1]] = 0.0  # a remote downwind edge
         for f in range(nfronts - 1, -1, -1):  # backward: pull distances
             s, e = ebounds[f], ebounds[f + 1]
             np.minimum.at(val, esrc[s:e], val[etgt[s:e]] + 1.0)
@@ -239,9 +242,21 @@ def batched_vertex_priorities(
     # exact ``_FAR`` sentinel), so the encoded heap key is exact.
     keys = val.astype(np.int64) * np.repeat(ns, ns) + varr
     val.flags.writeable = keys.flags.writeable = False
-    for g, a, b in zip(graphs, offs[:-1], offs[1:]):
+    for g, a, b in zip(graphs, bounds, bounds[1:]):
         g.vertex_prio = val[a:b]
         g.set_keys(keys[a:b])
+
+
+def _union_indptr(
+    ptrs: list[np.ndarray], sizes: list[int], ns: np.ndarray
+) -> np.ndarray:
+    """Row pointers of the disjoint union of CSR tables ``ptrs`` (``ns``
+    rows and ``sizes`` entries each): one concatenate plus each table's
+    entry offset."""
+    off = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=off[1:])
+    starts = np.concatenate([p[:-1] for p in ptrs]) + np.repeat(off[:-1], ns)
+    return np.append(starts, off[-1])
 
 
 # -- patch level -----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import ReproError
+from .._util import ReproError, check_count
 
 __all__ = ["Quadrature", "level_symmetric", "product_quadrature"]
 
@@ -180,8 +180,8 @@ def product_quadrature(n_polar: int, n_azim: int) -> Quadrature:
     directions.  Use for arbitrary angle counts (e.g. the 320-direction
     Kobayashi configuration: 8 polar x 40 azimuthal).
     """
-    if n_polar <= 0 or n_azim <= 0:
-        raise ReproError("quadrature sizes must be positive")
+    check_count("n_polar", n_polar, "polar quadrature size")
+    check_count("n_azim", n_azim, "azimuthal quadrature size")
     xi, wp = np.polynomial.legendre.leggauss(n_polar)
     phis = (np.arange(n_azim) + 0.5) * (2.0 * np.pi / n_azim)
     wa = 2.0 * np.pi / n_azim

@@ -167,6 +167,17 @@ class TestJSNTApps:
         assert res.converged
         assert np.all(res.phi >= 0)
 
+    @pytest.mark.parametrize("build", ["ball", "reactor"])
+    @pytest.mark.parametrize("groups", [0, -1, 2.5, True])
+    def test_jsntu_refuses_a_bad_group_count(self, build, groups):
+        """A bad ``groups`` is named where it enters, not an
+        ``IndexError`` / numpy error from the source array."""
+        with pytest.raises(ReproError, match=r"energy group count.*groups="):
+            getattr(JSNTU, build)(
+                4, total_cores=4, machine=Machine(cores_per_proc=4),
+                patch_size=60, groups=groups,
+            )
+
     def test_jsntu_mpi_only_mode(self):
         machine = Machine(cores_per_proc=4)
         app = JSNTU.reactor(

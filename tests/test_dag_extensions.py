@@ -16,7 +16,9 @@ from repro.sweep import (
 )
 from repro.sweep.dag import (
     condensation_fronts,
+    csr_by_source,
     heap_keys,
+    kahn_fronts,
     topological_levels,
 )
 
@@ -41,9 +43,7 @@ def _levels_by_scalar_peel(n, u, v):
     return levels
 
 
-@given(n=st.integers(0, 25), m=st.integers(0, 80), seed=st.integers(0, 500))
-@settings(max_examples=60, deadline=None)
-def test_levels_equal_the_scalar_peel_on_random_dags(n, m, seed):
+def _random_dag(n, m, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, max(n, 1), m if n > 1 else 0)
     b = rng.integers(0, max(n, 1), len(a))
@@ -51,10 +51,29 @@ def test_levels_equal_the_scalar_peel_on_random_dags(n, m, seed):
     keep = a != b
     a, b = a[keep], b[keep]
     forward = rank[a] < rank[b]
-    u, v = np.where(forward, a, b), np.where(forward, b, a)
+    return np.where(forward, a, b), np.where(forward, b, a)
+
+
+@given(n=st.integers(0, 25), m=st.integers(0, 80), seed=st.integers(0, 500))
+@settings(max_examples=60, deadline=None)
+def test_levels_equal_the_scalar_peel_on_random_dags(n, m, seed):
+    u, v = _random_dag(n, m, seed)
     levels = topological_levels(n, u, v)
     assert [l.tolist() for l in levels] == _levels_by_scalar_peel(n, u, v)
     assert all(l.dtype == np.int64 for l in levels)
+
+
+@given(n=st.integers(0, 40), m=st.integers(0, 120), seed=st.integers(0, 500))
+@settings(max_examples=60, deadline=None)
+def test_kahn_order_is_the_stable_argsort_of_the_fronts(n, m, seed):
+    """The order and bounds the peel hands back are what a stable
+    argsort of the front indices and its searchsorted bounds give."""
+    u, v = _random_dag(n, m, seed)
+    front_of, order, bounds = kahn_fronts(n, *csr_by_source(u, n, v), "g")
+    want = np.argsort(front_of, kind="stable")
+    assert order.dtype == want.dtype and np.array_equal(order, want)
+    nfronts = int(front_of.max()) + 1 if n else 0
+    assert bounds == np.searchsorted(front_of[want], np.arange(nfronts + 1)).tolist()
 
 
 class TestTopologicalLevels:

@@ -5,7 +5,8 @@ import pytest
 
 from repro._util import ReproError
 from repro.framework import PatchSet
-from repro.mesh import cube_structured, disk_tri_mesh
+from repro.apps import kobayashi_mesh
+from repro.mesh import cube_structured, disk_tri_mesh, reactor_mesh_2d
 from repro.sweep import (
     ANGLE_FACTOR,
     PriorityStrategy,
@@ -31,6 +32,16 @@ def disk_topo():
     mesh = disk_tri_mesh(7)
     pset = PatchSet.from_unstructured(mesh, 30, nprocs=2)
     return SweepTopology(pset, level_symmetric(2))
+
+
+@pytest.fixture(scope="module")
+def uneven_topos():
+    """Kobayashi with uneven patches (10 = 4 + 4 + 2 = 3 * 3 + 1 = 5 + 5)
+    and the 2-D reactor."""
+    koba = PatchSet.from_structured(kobayashi_mesh(10), (4, 3, 5), nprocs=2)
+    reactor = PatchSet.from_unstructured(reactor_mesh_2d(6), 40, nprocs=2)
+    return (SweepTopology(koba, level_symmetric(4)),
+            SweepTopology(reactor, level_symmetric(4)))
 
 
 class TestStrategyParsing:
@@ -91,11 +102,11 @@ class TestVertexPriorities:
 
     @pytest.mark.parametrize("strategy", ["fifo", "bfs", "ldcp", "slbd"])
     def test_batched_pass_equals_the_per_graph_loops(
-        self, topo, disk_topo, strategy
+        self, topo, disk_topo, uneven_topos, strategy
     ):
         """One Kahn-front peel over the union of all subgraphs sets
         what the scalar per-graph recurrences compute, bit for bit."""
-        for t in (topo, disk_topo):
+        for t in (topo, disk_topo, *uneven_topos):
             graphs = list(t.graphs.values())
             batched_vertex_priorities(graphs, strategy)
             for g in graphs:

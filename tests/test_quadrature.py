@@ -78,6 +78,17 @@ class TestProductQuadrature:
         with pytest.raises(ReproError):
             product_quadrature(0, 4)
 
+    @pytest.mark.parametrize(
+        "sizes, name",
+        [((1.5, 4), "n_polar"), ((2.0, 4), "n_polar"), ((True, 4), "n_polar"),
+         ((2, 2.0), "n_azim"), ((2, -1), "n_azim")],
+    )
+    def test_sizes_must_be_positive_integers(self, sizes, name):
+        """A fractional, float or bool size is refused by name, not
+        deep in ``leggauss`` or as a quadrature called ``P2x2.0``."""
+        with pytest.raises(ReproError, match=f"quadrature size.*{name}="):
+            product_quadrature(*sizes)
+
 
 class TestQuadratureValidation:
     def test_non_unit_directions_rejected(self):
