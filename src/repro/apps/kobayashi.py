@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._util import ReproError
+from .._util import ReproError, check_count
 from ..framework.patch import PatchSet
 from ..mesh.structured import StructuredMesh
 from ..sweep.materials import Material, MaterialMap
@@ -71,6 +71,7 @@ def kobayashi_region(centers: np.ndarray, problem: int = 3) -> np.ndarray:
 
 def kobayashi_mesh(n: int, problem: int = 3) -> StructuredMesh:
     """Cubic mesh with ``n`` cells per axis over the 60 cm domain."""
+    check_count("n", n, "Kobayashi cells per axis")
     if n < 6:
         raise ReproError("need at least 6 cells per axis to resolve regions")
     h = KOBAYASHI_DOMAIN / n

@@ -24,7 +24,7 @@ import itertools
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .._util import ReproError
+from .._util import ReproError, check_count
 from .structured import StructuredMesh
 from .unstructured import UnstructuredMesh
 
@@ -171,6 +171,7 @@ def ball_tet_mesh(
     spiral, and the triangulation is a scipy Delaunay with a sliver
     filter.
     """
+    check_count("resolution", resolution, "ball mesh resolution")
     if resolution < 2:
         raise ReproError("resolution must be >= 2")
     h = 2.0 * radius / resolution
@@ -208,6 +209,7 @@ def _ring_points(radius: float, spacing: float) -> np.ndarray:
 
 def disk_tri_mesh(resolution: int, radius: float = 1.0) -> UnstructuredMesh:
     """Triangulated disk; ``resolution`` rings of cells."""
+    check_count("resolution", resolution, "disk mesh resolution")
     if resolution < 2:
         raise ReproError("resolution must be >= 2")
     spacing = radius / resolution
@@ -237,6 +239,7 @@ def reactor_mesh_2d(
     care about - irregular connectivity and heterogeneous materials -
     at tractable size (see DESIGN.md substitution log).
     """
+    check_count("resolution", resolution, "reactor mesh resolution")
     if resolution < 4:
         raise ReproError("resolution must be >= 4")
     spacing = vessel_radius / resolution

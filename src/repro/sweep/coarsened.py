@@ -189,9 +189,9 @@ class CoarsenedSweepProgram(SweepPatchProgram):
             super()._solve(g.cluster_cells[multi_slice(starts, sizes)], angle)
         return int(sizes.sum())
 
-    def _collect(self) -> tuple:
+    def _collect(self, whole: bool) -> tuple:
         """A stream carries the DAG edges its coarse edges bundle."""
-        popped, outs, edges = super()._collect()
+        popped, outs, edges = super()._collect(whole)
         g = self.graph
         starts = g.dr_indptr[popped]
         j = multi_slice(starts, g.dr_indptr[1:][popped] - starts)

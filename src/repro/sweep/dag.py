@@ -204,7 +204,8 @@ def heap_keys(prio: np.ndarray | None, n: int) -> np.ndarray:
 class PatchAngleGraph:
     """Dependency subgraph of one (patch, angle set): Listing 1's
     topology.  A topology maps every ``(patch, angle)`` of the set to
-    this one object, so its tables are read-only."""
+    this one object, so its tables are read-only (and int32: their
+    values are patch-local)."""
 
     patch: int
     n_local: int
@@ -226,7 +227,7 @@ class PatchAngleGraph:
     # Derived from the tables above, so never carried over by
     # ``dataclasses.replace``: the recorded whole-patch task per
     # ``resilient`` flag (DESIGN.md 12.3; the priority pass clears it)
-    # and the lazily-built Python-list adjacency (hot-loop form).
+    # and the Python-list adjacency kept for partial runs (hot-loop form).
     tasks: dict = field(default_factory=dict, init=False, repr=False)
     _flat_cache: tuple | None = field(default=None, init=False, repr=False)
     # Every program's start state, ``(keys, counts, sources)``: see
@@ -274,7 +275,7 @@ class PatchAngleGraph:
         deg = np.diff(self.dr_indptr)
         return np.nonzero(deg > 0)[0]
 
-    def adjacency_flat(self):
+    def adjacency_flat(self, keep: bool = True):
         """Flat-CSR adjacency as plain Python lists (the collect loop's
         working form): ``(lptr, ltgt, rptr, rpat, rloc)``.
 
@@ -284,18 +285,23 @@ class PatchAngleGraph:
         - unique per source program and identical across
         re-executions, which is what lets a receiver discard duplicate
         dependency notifications exactly (the fault-tolerant runtime's
-        idempotent-delivery contract).  Cached on the graph because
-        topology outlives any one sweep.
+        idempotent-delivery contract).  With ``keep`` the lists are
+        cached on the graph, for the partial runs that read them again
+        and again; a whole-patch recording run passes ``keep=False``,
+        since every later whole-patch run replays its task instead.
         """
-        if self._flat_cache is None:
-            self._flat_cache = (
+        flat = self._flat_cache
+        if flat is None:
+            flat = (
                 self.dl_indptr.tolist(),
                 self.dl_target.tolist(),
                 self.dr_indptr.tolist(),
                 self.dr_patch.tolist(),
                 self.dr_local.tolist(),
             )
-        return self._flat_cache
+            if keep:
+                self._flat_cache = flat
+        return flat
 
 
 def csr_by_source(
@@ -306,6 +312,26 @@ def csr_by_source(
     ss = src_local[order]
     indptr = np.searchsorted(ss, np.arange(n_local + 1)).astype(np.int64)
     return (indptr, *(p[order] for p in payloads))
+
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _int32_tables(top: int, *tables: np.ndarray) -> list[np.ndarray]:
+    """``tables`` as read-only int32 copies (shared by an angle set's
+    graphs); ``top`` bounds every value they hold, and past int32 the
+    build is refused rather than wrapped."""
+    if top > _INT32_MAX:
+        raise ReproError(
+            f"sweep topology value {top} does not fit the int32 patch-local "
+            "tables; split the mesh into smaller patches"
+        )
+    out = []
+    for table in tables:
+        table = table.astype(np.int32)
+        table.flags.writeable = False
+        out.append(table)
+    return out
 
 
 class SweepTopology:
@@ -402,9 +428,7 @@ class SweepTopology:
             self.patch_dag.update(dict.fromkeys(angles, pairs))  # one per set
 
             # In-degree counts of every patch in one global bincount.
-            counts_all = np.bincount(
-                pv * stride + lv, minlength=npat * stride
-            ).astype(np.int64)
+            counts_all = np.bincount(pv * stride + lv, minlength=npat * stride)
 
             # All edges in (src patch, src local, original) order, and
             # every patch's row pointers at once (``Patcher`` layout):
@@ -422,8 +446,15 @@ class SweepTopology:
             lb, rb = lptr[::stride].tolist(), rptr[::stride].tolist()
             lrel = lptr[:-1] - np.repeat(lptr[:-1:stride], stride)
             rrel = rptr[:-1] - np.repeat(rptr[:-1:stride], stride)
-            for table in (counts_all, l_lv, r_pv, r_lv, lrel, rrel):
-                table.flags.writeable = False  # shared by the set's angles
+            # Every value is patch-local - a count or row pointer within
+            # one patch, a local id below the largest patch size
+            # (``stride - 1``), a patch id below ``npat`` - so the
+            # tables are kept at int32.
+            counts_all, lrel, rrel, l_lv, r_pv, r_lv = _int32_tables(
+                max(int(counts_all.max(initial=0)), int(lrel.max(initial=0)),
+                    int(rrel.max(initial=0)), stride - 2, npat - 1),
+                counts_all, lrel, rrel, l_lv, r_pv, r_lv,
+            )
 
             for p, nloc in enumerate(patch_sizes):
                 s0 = p * stride

@@ -80,6 +80,7 @@ def level_symmetric(n: int) -> Quadrature:
 
     ``n`` must be an even order with a tabulated first level (2..16).
     """
+    check_count("n", n, "level-symmetric order")
     if n not in _LQN_MU1:
         raise ReproError(
             f"S{n} not available; choose from {sorted(_LQN_MU1)} "

@@ -144,7 +144,7 @@ class SweepPatchProgram(PatchProgram):
                  and sum(self._counts) == g.num_local_edges)
         task = g.tasks.get(self.resilient_input) if whole else None
         if task is None:
-            popped, outs, edges = self._collect()
+            popped, outs, edges = self._collect(whole)
             if whole:
                 for _, payload, _ in outs:
                     payload.flags.writeable = False  # shared from here on
@@ -184,12 +184,14 @@ class SweepPatchProgram(PatchProgram):
             self.solve_fn(self.cells_global[popped], angle)
         return len(popped)
 
-    def _collect(self) -> tuple:
+    def _collect(self, whole: bool) -> tuple:
         """Listing 1's collect loop: pop up to ``grain`` ready vertices.
         Returns ``(popped, [(target patch, payload, items)...], edges)``,
-        targets in first-encounter order."""
+        targets in first-encounter order.  A ``whole``-patch run is
+        recorded and never loops again, so it leaves no adjacency lists
+        on the graph."""
         heap = self._heap
-        lptr, ltgt, rptr, rpat, rloc = self.graph.adjacency_flat()
+        lptr, ltgt, rptr, rpat, rloc = self.graph.adjacency_flat(keep=not whole)
         counts = self._counts
         keys = self._keys
         popped: list[int] = []

@@ -81,6 +81,15 @@ class TestKobayashiGeometry:
         with pytest.raises(ReproError):
             kobayashi_mesh(4)
 
+    @pytest.mark.parametrize("n", [8.5, 12.0, True])
+    def test_cells_per_axis_must_be_an_integer(self, n):
+        """A fractional ``n`` would build ``int(n)`` cells of spacing
+        ``60 / n``, covering less than the domain."""
+        with pytest.raises(ReproError, match=r"cells per axis.*n="):
+            kobayashi_mesh(n)
+        with pytest.raises(ReproError, match=r"cells per axis.*n="):
+            JSNTS.kobayashi(n, patch_shape=(4, 4, 4))
+
 
 class TestKobayashiSolve:
     def test_flux_decays_into_shield(self):
@@ -177,6 +186,15 @@ class TestJSNTApps:
                 4, total_cores=4, machine=Machine(cores_per_proc=4),
                 patch_size=60, groups=groups,
             )
+
+    @pytest.mark.parametrize("build, resolution", [
+        ("ball", 2.5), ("ball", 4.0), ("ball", True),
+        ("reactor", 4.5), ("reactor", 6.0), ("reactor", False),
+    ])
+    def test_jsntu_refuses_a_bad_resolution(self, build, resolution):
+        with pytest.raises(ReproError, match=r"mesh resolution.*resolution="):
+            getattr(JSNTU, build)(resolution, total_cores=4,
+                                  machine=Machine(cores_per_proc=4))
 
     def test_jsntu_mpi_only_mode(self):
         machine = Machine(cores_per_proc=4)

@@ -176,6 +176,12 @@ class TestGenerators:
         with pytest.raises(ReproError):
             reactor_mesh_2d(2)
 
+    @pytest.mark.parametrize("gen", [ball_tet_mesh, disk_tri_mesh, reactor_mesh_2d])
+    @pytest.mark.parametrize("resolution", [4.5, 6.0, True])
+    def test_generators_refuse_a_non_integer_resolution(self, gen, resolution):
+        with pytest.raises(ReproError, match=r"mesh resolution.*resolution="):
+            gen(resolution)
+
 
 class TestUnstructuredValidation:
     def test_bad_cell_indices(self):

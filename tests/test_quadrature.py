@@ -57,6 +57,13 @@ class TestLevelSymmetric:
         with pytest.raises(ReproError):
             level_symmetric(3)
 
+    @pytest.mark.parametrize("n", [2.0, 4.5, True, 0, -4])
+    def test_order_must_be_a_positive_integer(self, n):
+        """Refused by name, not as a ``TypeError`` from ``range`` or
+        as "STrue not available"."""
+        with pytest.raises(ReproError, match=r"level-symmetric order.*n="):
+            level_symmetric(n)
+
 
 class TestProductQuadrature:
     def test_count_and_normalization(self):

@@ -17,10 +17,11 @@ TABLES = ("init_counts", "dl_indptr", "dl_target", "dr_indptr", "dr_patch", "dr_
 
 
 def _group(src, n, *payloads):
-    """One patch's CSR: a stable sort by source, rows by searchsorted."""
+    """One patch's int32 CSR: a stable sort by source, rows by
+    searchsorted."""
     order = np.argsort(src, kind="stable")
-    indptr = np.searchsorted(src[order], np.arange(n + 1)).astype(np.int64)
-    return (indptr, *(p[order] for p in payloads))
+    indptr = np.searchsorted(src[order], np.arange(n + 1)).astype(np.int32)
+    return (indptr, *(p[order].astype(np.int32) for p in payloads))
 
 
 def reference_topology(pset, quad, tol=1e-12):
@@ -38,7 +39,7 @@ def reference_topology(pset, quad, tol=1e-12):
             n = patch.num_cells
             loc, rem = (pu == p) & ~cross, (pu == p) & cross
             tables = (
-                np.bincount(lv[pv == p], minlength=n).astype(np.int64),
+                np.bincount(lv[pv == p], minlength=n).astype(np.int32),
                 *_group(lu[loc], n, lv[loc]),
                 *_group(lu[rem], n, pv[rem], lv[rem]),
             )

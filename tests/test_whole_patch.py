@@ -291,16 +291,24 @@ def test_second_sweep_touches_neither_heap_nor_adjacency(monkeypatch):
     assert second.vertices_solved == 8 ** 3 * QUAD.num_angles
 
 
-def test_first_sweep_builds_one_adjacency_per_task():
-    """Already inside sweep 1 the other angles of an octant replay."""
+def test_first_sweep_builds_one_adjacency_per_task(monkeypatch):
+    """Already inside sweep 1 the other angles of an octant replay; the
+    recording run builds its graph's adjacency lists and keeps none."""
+    built = []
+    real = PatchAngleGraph.adjacency_flat
+
+    def adjacency_flat(self, keep=True):
+        built.append((id(self), keep))
+        return real(self, keep)
+
+    monkeypatch.setattr(PatchAngleGraph, "adjacency_flat", adjacency_flat)
     app = _koba(24)
     app.sweep_report(24)
     topo = app.solver.topology
-    built = sum(topo.graph(p, a)._flat_cache is not None
-                for p, a, _ in _recorded(topo))
-    assert built == len(_recorded(topo)) == len(topo.graphs) // 3
-    assert built == sum(g._flat_cache is not None
-                        for g in topo.graphs.values()) // 3
+    recorded = {id(topo.graph(p, a)) for p, a, _ in _recorded(topo)}
+    assert len(recorded) == len(_recorded(topo)) == len(topo.graphs) // 3
+    assert sorted(built) == sorted((g, False) for g in recorded)
+    assert all(g._flat_cache is None for g in topo.graphs.values())
 
 
 @pytest.mark.parametrize("build", [
@@ -415,9 +423,15 @@ def test_reapplied_priorities_clear_the_recorded_tasks(topo):
 # -- (e) memory guard ------------------------------------------------------------------
 
 
+def _tables(g: PatchAngleGraph) -> tuple:
+    return (g.init_counts, g.dl_indptr, g.dl_target,
+            g.dr_indptr, g.dr_patch, g.dr_local)
+
+
 def _table_bytes(g: PatchAngleGraph) -> int:
-    return sum(t.nbytes for t in (g.init_counts, g.dl_indptr, g.dl_target,
-                                  g.dr_indptr, g.dr_patch, g.dr_local))
+    """The tables' size at 8 bytes per entry: the width the bound below
+    was set at, before the tables became int32."""
+    return 8 * sum(t.size for t in _tables(g))
 
 
 def test_tasks_are_small_beside_the_csr_tables():
@@ -437,10 +451,13 @@ def test_tasks_are_small_beside_the_csr_tables():
     held = sum(_table_bytes(topo.graph(p, a))
                for p, a in {key[:2] for key in tasks})
     assert all(order.dtype == np.int32 for order, *_ in tasks.values())
-    # PR 17's bound, in bytes unchanged: a quarter of the tables at one
-    # graph per key.  The sets now hold each table once (a third of
-    # that on S4), so beside what is really held the two payload shapes
-    # together weigh more - still well under half.
+    # The bound in bytes as first set, at 8 bytes per table entry: a
+    # quarter of the tables at one graph per key.  The sets hold each
+    # table once (a third of that on S4), so beside what is really held
+    # the two payload shapes together weigh more - still well under
+    # half.  The tables themselves are int32, so they weigh half that.
     assert held * 3 == per_key
+    assert 2 * sum(t.nbytes for g in topo.graphs.values()
+                   for t in _tables(g)) == per_key
     assert task_bytes <= 0.25 * per_key
     assert task_bytes <= 0.4 * held
