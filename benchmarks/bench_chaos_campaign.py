@@ -20,9 +20,9 @@ Run standalone (used by CI as a smoke job)::
 
 ``--seeds N`` sizes the campaign (default 50; smoke uses 10),
 ``--json PATH`` writes the per-campaign JSON summary, ``--adaptive``
-arms every adaptive-resilience feature (RTT-estimated RTO, hedging,
-speculation, backpressure, demotion) on every case - against the same
-oracle, since adaptivity must never cost exactness.  ``--flapping``
+arms both adaptive-resilience switches (RTT-estimated RTO and
+degraded-mode demotion) on every case - against the same oracle,
+since adaptivity must never cost exactness.  ``--flapping``
 extends the fault space with crash-restart-crash sequences and
 ``--membership`` arms the elastic-membership subsystem (heartbeat
 detection instead of the oracle, incarnation fencing, restart/rejoin -
@@ -41,9 +41,8 @@ from _common import bench_args, print_series
 FULL_SEEDS = 50
 SMOKE_SEEDS = 10
 
-#: The campaign's adaptive preset: everything on, with an inbox window
-#: tight enough that flow control actually parks sends at this scale.
-ADAPTIVE = AdaptiveConfig.all_on(inbox_credits=4)
+#: The campaign's adaptive preset: both switches on.
+ADAPTIVE = AdaptiveConfig(adaptive_rto=True, demotion=True)
 
 
 def run_chaos_campaign(seeds: int = FULL_SEEDS, intensity: float = 0.5,
@@ -107,8 +106,7 @@ def check(res, adaptive: bool = False, flapping: bool = False,
         for c in res.cases:
             for k, v in c.adaptive.items():
                 tot[k] = tot.get(k, 0) + v
-        for key in ("rtt_samples", "hedged_sends", "speculative_launches",
-                    "backpressure_stalls"):
+        for key in ("rtt_samples", "demotions"):
             assert tot.get(key, 0) > 0, f"adaptive campaign never hit {key}"
     if membership:
         # Detection ran oracle-free; with flapping, ranks came back.
@@ -164,9 +162,8 @@ if __name__ == "__main__":
             ap.add_argument("--intensity", type=float, default=0.5,
                             help="fault-space intensity in (0, 1]"),
             ap.add_argument("--adaptive", action="store_true",
-                            help="arm all adaptive-resilience features "
-                                 "(adaptive RTO, hedging, speculation, "
-                                 "backpressure, demotion)"),
+                            help="arm both adaptive-resilience switches "
+                                 "(adaptive RTO, demotion)"),
             ap.add_argument("--flapping", action="store_true",
                             help="extend the fault space with crash-"
                                  "restart-crash (flapping) sequences"),

@@ -25,7 +25,7 @@ This package enforces both statically:
   traces through the runtime's one run checker
   (:class:`repro.runtime.checker.HbChecker`, a vector-clock
   happens-before checker whose online mode is the ``sanitize=True``
-  invariant sanitizer), collecting every commit/migration/speculation
+  invariant sanitizer), collecting every commit/migration/delivery
   race instead of raising at the first.
 
 Run both from the CLI::

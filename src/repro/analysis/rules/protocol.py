@@ -79,8 +79,6 @@ COUNTER_OWNERS: dict[str, str] = {
     "corruptions": "repro.runtime.transport",
     "nacks": "repro.runtime.transport",
     "rtt_samples": "repro.runtime.transport",
-    "hedged_sends": "repro.runtime.transport",
-    "backpressure_stalls": "repro.runtime.transport",
     "forwards": "repro.runtime.transport",
     # scheduler-owned: the dispatch/execution plane
     "executions": "repro.runtime.scheduler",
@@ -88,9 +86,6 @@ COUNTER_OWNERS: dict[str, str] = {
     "stream_items": "repro.runtime.scheduler",
     "vertices_solved": "repro.runtime.scheduler",
     "reexecutions": "repro.runtime.scheduler",
-    "speculative_launches": "repro.runtime.scheduler",
-    "speculative_wins": "repro.runtime.scheduler",
-    "speculative_wasted": "repro.runtime.scheduler",
     # recovery-owned: the resilience plane
     "checkpoints": "repro.runtime.recovery",
     "crashes": "repro.runtime.recovery",

@@ -95,8 +95,7 @@ def report_fingerprint(report, flux: np.ndarray | None = None) -> str:
         "events", "executions", "messages", "message_bytes", "local_streams",
         "stream_items", "vertices_solved", "drops", "duplicates", "retries",
         "timeouts", "reexecutions", "checkpoints", "crashes", "nacks",
-        "corruptions", "hedged_sends", "speculative_launches", "demotions",
-        "forwards", "backpressure_stalls",
+        "corruptions", "demotions", "forwards",
     ):
         parts.append(f"{f}={getattr(report, f)}")
     h = hashlib.sha256("|".join(parts).encode())

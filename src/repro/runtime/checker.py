@@ -22,10 +22,7 @@ happens-before edge:
 * a restart announcement names a process that actually crashed
   (``restart-without-crash``);
 * two same-epoch commits to one program from different processes are
-  happens-before ordered unless they are the two legs of a
-  speculative first-completion-wins pair (``concurrent-commit``);
-* a speculated serial commits at most once, and the commit is the
-  trace-first completion (``double-commit`` / ``late-commit``).
+  happens-before ordered (``concurrent-commit``).
 
 **Online mode** (``HbChecker(run=(router, st))``, armed by
 ``DataDrivenRuntime(sanitize=True)``) also checks each record against
@@ -39,15 +36,12 @@ The happens-before model: every simulated process is a node, plus one
 ``"ctl"`` node for the failure-control plane (crash detection,
 failover orchestration, health probes).  Each record ticks its node's
 clock component; ``hb_recv`` joins the sender's clock at send time,
-``hb_requeue`` joins the control plane's clock at migration time, and
-a backup completion joins the primary's clock at speculation-launch
-time.  Record vocabulary (all fields JSON-scalar; bracketed trailing
+and ``hb_requeue`` joins the control plane's clock at migration time.
+Record vocabulary (all fields JSON-scalar; bracketed trailing
 fields are optional, so older traces still load)::
 
     hb_send     (wid, src_proc, dst_proc, uid)   physical copy launched
     hb_recv     (wid, proc, delivered, uid, [dsti, inc_proc, inc])
-    hb_spec     (serial, src_proc, dst_proc)     backup execution booked
-    hb_complete (pid, proc, serial, is_backup, committed)
     hb_commit   (pid, proc, epoch, serial, [remaining])
     hb_crash    (proc,)                          crash detected   [ctl]
     hb_demote   (proc,)                          demotion decided [ctl]
@@ -130,8 +124,6 @@ class HbChecker:
         self._delivered_uids: dict[Any, float] = {}
         #: pid -> (epoch, remaining) of the latest non-stale commit
         self._remaining: dict[str, tuple[int, Any]] = {}
-        #: serial -> (launcher clock snapshot, launching proc)
-        self._spec: dict[Any, tuple[Clock, Any]] = {}
         self._migrations: dict[tuple[str, int], tuple[Clock, float]] = {}
         self._failed_procs: set[Any] = set()  # crashed, demoted or suspected
         self._rejoined: set[Any] = set()  # rebalance targets (rejoin/promote)
@@ -141,8 +133,6 @@ class HbChecker:
         self._rejoin_anchor: dict[Any, tuple[Clock, float, int]] = {}
         #: (pid, epoch) -> {proc: last commit} for concurrency checks
         self._last_commit: dict[tuple[str, int], dict[Any, _Commit]] = {}
-        #: serial -> list of (time, committed, pid, proc, is_backup)
-        self._completes: dict[Any, list[tuple]] = {}
         self.races: list[HbRace] = []
         self.records = 0
 
@@ -229,37 +219,10 @@ class HbChecker:
             if inc is not None and proc in r.fenced:
                 self._race("delivery-on-fenced-proc", t, what, f"delivered on fenced proc {proc}")
 
-    def _on_spec(self, t: float, serial, src_proc, dst_proc) -> None:
-        self._tick(src_proc)
-        self._spec[serial] = (self._snap(src_proc), src_proc)
-
-    def _on_complete(
-        self, t: float, pid, proc, serial, is_backup, committed
-    ) -> None:
-        launch = self._spec.get(serial)
-        if is_backup and launch is not None:
-            # The backup inherited the primary's inputs at launch time.
-            self._join(proc, launch[0])
-        self._tick(proc)
-        if is_backup and committed and launch is not None:
-            # First-completion-wins handoff: the owning (launching)
-            # process observes the backup's result - the program is
-            # requeued on the owner, so later runs there happen-after
-            # this completion.
-            self._join(launch[1], self._snap(proc))
-        self._completes.setdefault(serial, []).append(
-            (t, bool(committed), pid, proc, bool(is_backup))
-        )
-
     def _on_commit(self, t: float, pid, proc, epoch, serial,
                    remaining=None) -> None:
         self._tick(proc)
         vc = self._snap(proc)
-        launch = self._spec.get(serial)
-        if launch is not None and launch[1] != proc:
-            # A winning backup's commit is part of the result handoff:
-            # the owner observes it before re-running the program.
-            self._join(launch[1], vc)
         commit = _Commit(pid, proc, int(epoch), serial, t, vc)
         if remaining is not None:
             ep0, rem0 = self._remaining.get(pid, (commit.epoch, remaining))
@@ -298,9 +261,8 @@ class HbChecker:
                 )
         peers = self._last_commit.setdefault((pid, commit.epoch), {})
         for other_proc, prev_commit in peers.items():
-            if other_proc == proc or prev_commit.serial == serial:
-                continue  # same node is trace-ordered; same serial is
-                # the speculative pair, policed by first-wins below
+            if other_proc == proc:
+                continue  # same node: trace order is happens-before
             if not _leq(prev_commit.vc, vc):
                 self._race(
                     "concurrent-commit", t, pid,
@@ -402,28 +364,6 @@ class HbChecker:
     # -- end-of-run checks ----------------------------------------------------------
 
     def finish(self) -> list[HbRace]:
-        for serial, comps in self._completes.items():
-            if len(comps) < 2 and serial not in self._spec:
-                continue
-            committed = [c for c in comps if c[1]]
-            if len(committed) > 1:
-                t, _, pid, proc, _ = committed[1]
-                self._race(
-                    "double-commit", t, pid,
-                    f"speculated serial {serial} of {pid} committed "
-                    f"{len(committed)} times (second on proc {proc}): "
-                    "first-completion-wins broken",
-                )
-            if committed and comps and committed[0] is not comps[0]:
-                t, _, pid, proc, is_backup = committed[0]
-                leg = "backup" if is_backup else "primary"
-                self._race(
-                    "late-commit", t, pid,
-                    f"speculated serial {serial} of {pid}: the {leg} "
-                    f"completion on proc {proc} committed at t={t:.6g} "
-                    "although it was not the first completion - "
-                    "first-completion-wins resolved the race backwards",
-                )
         if self.run is not None:
             self._check_edges(dict(zip(self.run[1].pids, self.run[1].progs)))
         return self.races

@@ -28,8 +28,10 @@ __all__ = ["HostKilled", "SNAPSHOT_VERSION"]
 #: the programs' own ``state_dict()`` (mutable core only) instead of a
 #: deep copy of their attributes.  Version 3: simulator heap entries
 #: carry their kind and data (no slabs), and sweep program contexts
-#: hold no run counters.
-SNAPSHOT_VERSION = 3
+#: hold no run counters.  Version 4: the scheduler and transport state
+#: lose the fields of the removed backup-execution and flow-control
+#: mechanisms, and run-end events carry one field less.
+SNAPSHOT_VERSION = 4
 
 
 class HostKilled(ReproError):

@@ -27,7 +27,6 @@ _EVENT_LAYER = {
     "ack": "transport",
     "nack": "transport",
     "timer": "transport",
-    "hedge": "transport",
     "crash": "recovery",
     "failover": "recovery",
     "ckpt": "recovery",
@@ -179,11 +178,6 @@ class RunReport:
 
     # -- adaptive-resilience counters (all zero when AdaptiveConfig off) --
     rtt_samples: int = 0  # clean (Karn-admissible) RTT measurements
-    hedged_sends: int = 0  # speculative extra copies of tail messages
-    speculative_launches: int = 0  # backup executions booked
-    speculative_wins: int = 0  # backups that completed before the primary
-    speculative_wasted: int = 0  # backups discarded (primary finished first)
-    backpressure_stalls: int = 0  # sends parked by exhausted inbox credits
     demotions: int = 0  # slow-but-alive procs rebalanced away
     forwards: int = 0  # in-flight messages forwarded to a program's new owner
 
@@ -239,19 +233,8 @@ class RunReport:
         """The adaptive-resilience counters in one dict."""
         return {
             "rtt_samples": self.rtt_samples,
-            "hedged_sends": self.hedged_sends,
-            "speculative_launches": self.speculative_launches,
-            "speculative_wins": self.speculative_wins,
-            "speculative_wasted": self.speculative_wasted,
-            "backpressure_stalls": self.backpressure_stalls,
             "demotions": self.demotions,
             "forwards": self.forwards,
-            "backpressure_time": self.breakdown.by_category.get(
-                "backpressure", 0.0
-            ),
-            "speculation_time": self.breakdown.by_category.get(
-                "speculation", 0.0
-            ),
         }
 
     def membership_summary(self) -> dict[str, float]:
@@ -329,11 +312,7 @@ class RunReport:
     def format_breakdown(self, label: str = "") -> str:
         rows = self.avg_seconds_per_core()
         parts = [f"{label} makespan={self.makespan:.4f}s"]
-        # Dynamic categories (e.g. backpressure/speculation) only exist
-        # when something was booked under them; show them after the
-        # canonical Fig. 16 stack.
-        extra = sorted(set(self.breakdown.by_category) - set(CATEGORIES))
-        for c in (*CATEGORIES, *extra):
+        for c in CATEGORIES:
             parts.append(f"  {c:>12}: {rows[c]:.4f}s ({self.breakdown.fractions()[c] * 100:5.1f}%)")
         return "\n".join(parts)
 
@@ -390,4 +369,4 @@ def trace_fields(kind: str, data, pids=None) -> tuple:
         return data, None, None
     if kind == "hback":
         return data[0], None, None
-    return None, None, None  # ack, nack, timer, hedge, hbeat, health
+    return None, None, None  # ack, nack, timer, hbeat, health

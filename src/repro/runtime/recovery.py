@@ -31,7 +31,9 @@ median for ``DEMOTION_PATIENCE`` consecutive probes is demoted - its
 patches migrate to healthy survivors through the identical
 checkpoint-restore + delivery-log-replay + send-re-arm path, while the
 process itself stays alive to ack, forward in-flight streams, and
-serve as a target of last resort.
+serve as a target of last resort.  Only the membership plane's
+healthy-probe streak re-promotes a demoted process: with membership
+off, a demotion lasts for the rest of the run.
 
 Elastic membership (opt-in via :attr:`~repro.runtime.faults.
 RecoveryConfig.membership`; DESIGN.md §14) replaces the

@@ -28,21 +28,14 @@ transport (remote emissions of completed runs).  The recovery layer,
 when armed, is attached afterwards via :attr:`Scheduler.recovery` so
 completed runs are marked dirty for incremental checkpointing.
 
-Straggler mitigation (opt-in via :class:`~repro.runtime.faults.
-AdaptiveConfig.speculation`): every booked run's scaled duration feeds
-a sliding window; a run whose duration exceeds ``SPEC_FACTOR`` times
-the window's ``SPEC_PERCENTILE`` is treated as straggling and a backup
-execution is booked on the fastest other process with an idle worker.
-Both completions carry the same *serial*; the first to finish commits
-(through the epoch-keyed idempotent machinery) and the loser is
-discarded, so results stay bitwise-exact.  The backup's core time is
-booked under the dynamic ``speculation`` breakdown category.
+Degraded-mode demotion (opt-in via :class:`~repro.runtime.faults.
+AdaptiveConfig.demotion`) reads :attr:`Scheduler.proc_slow_ewma`, an
+EWMA of each process's observed slowdown fed by every booked run.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -53,7 +46,6 @@ from ..core.termination import WorkloadTracker
 from .._util import ReproError
 from .cluster import Layout
 from .costmodel import CostModel
-from .faults import SPEC_FACTOR, SPEC_MIN_SAMPLES, SPEC_PERCENTILE
 from .metrics import Breakdown, RunReport
 from .router import Router
 from .simulator import KindRow, Resource, Simulator
@@ -188,13 +180,6 @@ def make_policy(mode: str) -> SchedulerPolicy:
     raise ReproError(f"unknown runtime mode {mode!r}")
 
 
-def _percentile(values, q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    s = sorted(values)
-    k = max(1, -(-len(s) * q // 100))  # ceil without importing math
-    return s[int(k) - 1]
-
-
 class Scheduler:
     """Shared-queue dispatch and worker-side program execution."""
 
@@ -233,13 +218,9 @@ class Scheduler:
         # Queue/run membership over dense program indices (see RunState).
         self.queued: set[int] = set()
         self.running: set[int] = set()
-        # -- adaptive straggler machinery (dormant when ``adaptive`` is
-        # None or speculation/demotion are off) --------------------------
-        self.acfg = adaptive
         self._run_serial = 0  # unique id per booked execution
-        self._spec: set[int] = set()  # serials with a backup in flight
-        self._done: set[int] = set()  # speculated serials already landed
-        self._recent: deque[float] = deque(maxlen=128)  # scaled durations
+        #: Whether booked runs feed :attr:`proc_slow_ewma` (demotion on).
+        self.track_slow = adaptive is not None and adaptive.demotion
         #: EWMA of each process's observed slowdown factor; the
         #: recovery layer's health probe reads this for demotion.
         self.proc_slow_ewma: list[float] = [1.0] * nprocs
@@ -457,92 +438,17 @@ class Scheduler:
         report.executions += 1
         self._run_serial += 1
         serial = self._run_serial
-        self.sim.push_id(
-            end, self._k_run_end, (p, w, i, outputs, serial, False, ep)
-        )
-        a = self.acfg
-        if a is not None and (a.speculation or a.demotion):
+        self.sim.push_id(end, self._k_run_end, (p, w, i, outputs, serial, ep))
+        if self.track_slow:
             # Slowdown telemetry: cheap EWMA per process, fed to the
             # recovery layer's health probe for demotion decisions.
             self.proc_slow_ewma[p] = 0.8 * self.proc_slow_ewma[p] + 0.2 * sf
-        if a is not None and a.speculation:
-            self._maybe_speculate(
-                p, i, outputs, serial, ep, duration, duration * sf, end, now
-            )
-            self._recent.append(duration * sf)
-
-    def _maybe_speculate(
-        self, p, i, outputs, serial, ep, duration, scaled, end, now
-    ) -> None:
-        """Book a backup execution when this run looks like a straggler.
-
-        The detector compares the run's scaled duration against a
-        percentile of the recent-durations window; mitigation re-books
-        the *same* outputs on the fastest other healthy process with an
-        idle worker, but only when the backup's projected finish beats
-        the primary's.  First completion wins (see :meth:`complete`).
-        """
-        if len(self._recent) < SPEC_MIN_SAMPLES:
-            return
-        if scaled <= SPEC_FACTOR * _percentile(self._recent, SPEC_PERCENTILE):
-            return
-        best = None
-        for q in range(self.router.nprocs):
-            if q == p or q in self.router.dead or q in self.router.demoted:
-                continue
-            if not self.idle_workers[q]:
-                continue
-            sf_q = self.slow(q, now)
-            if best is None or sf_q < best[1]:
-                best = (q, sf_q)
-        if best is None:
-            return
-        q, sf_q = best
-        wres = self.workers[q][self.idle_workers[q][-1]]
-        if max(now, wres.free) + duration * sf_q >= end:
-            return  # the backup would not finish before the primary
-        w_q = self.idle_workers[q].pop()
-        _, end_q = wres.book(now, duration * sf_q)
-        self.bd.add(wres.core, "speculation", duration * sf_q)
-        self.report.speculative_launches += 1
-        self._spec.add(serial)
-        if self.sim.note_hook is not None:
-            self.sim.note(now, "hb_spec", (serial, p, q))
-        self.sim.push(
-            end_q, "run_end", (q, w_q, i, outputs, serial, True, ep)
-        )
 
     def complete(self, data: tuple, now: float) -> None:
-        """Finish one run: route emissions, commit workload, requeue.
-
-        For a speculated run both the primary and its backup arrive
-        here under the same serial: the first completion commits, the
-        second only frees its worker (its outputs are byte-identical,
-        so dropping them is safe and keeps results bitwise-exact).
-        """
-        p, w, i, outputs, serial, is_backup, ep = data
+        """Finish one run: route emissions, commit workload, requeue."""
+        p, w, i, outputs, serial, ep = data
         st = self.st
         note = self.sim.note_hook is not None
-        if serial in self._spec:
-            if serial in self._done:
-                # The race's loser: the winner already routed/committed.
-                if is_backup:
-                    self.report.speculative_wasted += 1
-                if note:
-                    self.sim.note(
-                        now, "hb_complete",
-                        (str(st.pids[i]), p, serial, is_backup, False),
-                    )
-                self.release(p, w, now)
-                return
-            self._done.add(serial)
-            if is_backup:
-                self.report.speculative_wins += 1
-        if note:
-            self.sim.note(
-                now, "hb_complete",
-                (str(st.pids[i]), p, serial, is_backup, True),
-            )
         prog = st.progs[i]
         unit = self.unit_slow
         proc_idx = self.router.proc_idx
@@ -603,7 +509,7 @@ class Scheduler:
         The shared priority queues and the LIFO idle pools are captured
         *verbatim* (a heap is just a list with the heap invariant; the
         idle pools' order decides which worker runs next), while the
-        membership-only queue/run/speculation sets are sorted.  Resource
+        membership-only queue/run sets are sorted.  Resource
         timelines reduce to their ``free`` horizon - bookings in the
         past are immutable history already folded into the breakdown.
         """
@@ -615,9 +521,6 @@ class Scheduler:
             "queued": sorted(self.queued),
             "running": sorted(self.running),
             "run_serial": self._run_serial,
-            "spec": sorted(self._spec),
-            "done": sorted(self._done),
-            "recent": list(self._recent),
             "proc_slow_ewma": list(self.proc_slow_ewma),
         }
 
@@ -635,9 +538,6 @@ class Scheduler:
         self.queued = set(d["queued"])
         self.running = set(d["running"])
         self._run_serial = int(d["run_serial"])
-        self._spec = set(d["spec"])
-        self._done = set(d["done"])
-        self._recent = deque(d["recent"], maxlen=128)
         self.proc_slow_ewma = [float(x) for x in d["proc_slow_ewma"]]
 
     # -- reporting -----------------------------------------------------------------

@@ -32,22 +32,16 @@ Adaptive extensions (opt-in via :class:`~repro.runtime.faults.
 AdaptiveConfig`, all rng-neutral when off):
 
 * **per-link RTT estimation** - every clean ack (never a retransmitted
-  or hedged message: Karn's rule) feeds a Jacobson SRTT/RTTVAR
+  or failover-re-armed send: Karn's rule) feeds a Jacobson SRTT/RTTVAR
   estimator for its ``(src proc, dst proc)`` link, and new sends arm
   ``clamp(SRTT + RTO_K*RTTVAR, MIN_RTO, MAX_RTO)`` instead of the fixed
-  ``ACK_TIMEOUT``;
-* **hedged retransmits** - a message still unacked after a fraction of
-  its RTO gets one speculative extra copy (receiver dedup makes it
-  invisible; tail latency is cut without waiting for the full timer);
-* **credit-based flow control** - each destination process grants
-  ``inbox_credits`` in-flight inbound messages; a send finding the
-  window full parks until an arrival frees a credit, and the stall
-  time is booked under the ``backpressure`` breakdown category;
-* **forwarding** - an in-flight message that arrives at a process
-  which no longer owns the destination program (an ownership move by
-  degraded-mode demotion raced the wire) is forwarded to the current
-  owner instead of being mis-delivered; the ack travels only from the
-  final arrival.
+  ``ACK_TIMEOUT``.
+
+Forwarding is always on: an in-flight message that arrives at a
+process which no longer owns the destination program (demotion or a
+membership suspicion moved it while the message was on the wire) is
+forwarded to the current owner instead of being mis-delivered; the ack
+travels only from the final arrival.
 
 Whether fixed or adaptive, a retransmit timeout never escalates past
 ``MAX_RTO``: unbounded exponential backoff would let a
@@ -71,8 +65,8 @@ from .._util import ReproError
 from ..core.stream import ProgramId, Stream
 from .cluster import Layout, Machine
 from .faults import (
-    ACK_TIMEOUT, BACKOFF, HEDGE_FACTOR, MAX_RETRIES, MAX_RTO, MIN_RTO,
-    RTO_K, RTTVAR_GAIN, SRTT_GAIN, FaultInjector, RecoveryConfig,
+    ACK_TIMEOUT, BACKOFF, MAX_RETRIES, MAX_RTO, MIN_RTO, RTO_K, RTTVAR_GAIN,
+    SRTT_GAIN, FaultInjector, RecoveryConfig,
 )
 from .metrics import RunReport
 from .router import Router
@@ -108,9 +102,8 @@ class RttEstimator:
     RFC 6298 shape: the first sample seeds ``SRTT = R, RTTVAR = R/2``;
     subsequent samples blend with gains ``SRTT_GAIN`` (alpha) and
     ``RTTVAR_GAIN`` (beta).  Karn's rule is enforced by the *caller*:
-    only acks of never-retransmitted, never-hedged messages may be
-    sampled, since an ack of an ambiguous send cannot be matched to a
-    transmission.
+    only acks of sends transmitted exactly once may be sampled, since an
+    ack of an ambiguous send cannot be matched to a transmission.
     """
 
     __slots__ = ("srtt", "rttvar", "samples")
@@ -157,7 +150,7 @@ class PendingSend:
 
     __slots__ = (
         "stream", "src_pid", "retries", "timeout", "attempt",
-        "sent_at", "link", "hedged", "parked",
+        "sent_at", "link",
     )
 
     def __init__(self, stream: Stream, src_pid: ProgramId, timeout: float):
@@ -168,8 +161,6 @@ class PendingSend:
         self.attempt = 0  # bumped on every (re)arm; lazily cancels timers
         self.sent_at: float | None = None  # first-copy launch time (RTT)
         self.link: tuple[int, int] | None = None  # (src proc, dst proc)
-        self.hedged = False  # a speculative extra copy went out (Karn)
-        self.parked: float | None = None  # backpressure park time, if parked
 
 
 class Transport:
@@ -192,7 +183,11 @@ class Transport:
         self.report = report
         self.inj = injector
         self.rcfg = rcfg
-        self.acfg = rcfg.adaptive if rcfg is not None else None
+        #: Per-link RTT estimation arms new sends (AdaptiveConfig).
+        self.adaptive_rto = (
+            rcfg is not None and rcfg.adaptive is not None
+            and rcfg.adaptive.adaptive_rto
+        )
         # Elastic membership (DESIGN.md §14): when armed, every
         # reliable send is tagged (sender proc, incarnation) and
         # receivers fence traffic from a previous life.
@@ -219,10 +214,6 @@ class Transport:
         self.pending: dict[tuple, PendingSend] = {}  # uid -> un-acked send
         self.seen: set[tuple] = set()  # uids already delivered (dup discard)
         self.rtt: dict[tuple[int, int], RttEstimator] = {}  # per link
-        # Credit-based flow control state (only touched when armed):
-        self._credit_used: dict[int, int] = {}  # dst proc -> in-flight count
-        self._charged: dict[tuple, int] = {}  # uid -> dst proc holding credit
-        self._parked: list[tuple] = []  # FIFO of uids awaiting a credit
 
     @property
     def reliable(self) -> bool:
@@ -235,15 +226,13 @@ class Transport:
             KindRow("ack", self.on_ack, control=True),
             KindRow("nack", self.on_nack, control=True),
             KindRow("timer", self.on_timer, control=True),
-            KindRow("hedge", self.on_hedge, control=True),
         ]
 
     def _initial_rto(self, src_proc: int, dst_proc: int) -> float:
         """First-arm timeout of a fresh send: the link's estimated RTO
         when adaptive and warmed up, the fixed ``ACK_TIMEOUT`` otherwise
         (``MAX_RTO`` caps both; ``ACK_TIMEOUT <= MAX_RTO``)."""
-        a = self.acfg
-        if a is not None and a.adaptive_rto:
+        if self.adaptive_rto:
             est = self.rtt.get((src_proc, dst_proc))
             if est is not None and est.srtt is not None:
                 return est.rto(MIN_RTO, MAX_RTO)
@@ -256,7 +245,7 @@ class Transport:
         """Schedule one physical ``msg_arrive`` copy.
 
         Every copy that goes on the wire - first transmission,
-        retransmit, hedge, duplicate, corrupt clone, forward hop -
+        retransmit, duplicate, corrupt clone, forward hop -
         passes through here, gets a transport-local wire id, and (when
         tracing) emits the ``hb_send`` record that lets the
         happens-before checker pair it with its arrival.
@@ -298,42 +287,10 @@ class Transport:
         s.checksum = stream_checksum(s)
         ps = PendingSend(s, src_pid, self._initial_rto(src_proc, dst_proc))
         ps.link = (src_proc, dst_proc)
-        self.pending[s.uid] = ps
-        a = self.acfg
-        if (
-            a is not None
-            and a.backpressure
-            and self._credit_used.get(dst_proc, 0) >= a.inbox_credits
-        ):
-            # Destination inbox window full: park until an arrival over
-            # there frees a credit.  No timer is armed while parked -
-            # the message is not on the wire yet.
-            ps.parked = now
-            self._parked.append(s.uid)
-            self.report.backpressure_stalls += 1
-            return
-        self._launch(ps, now)
-
-    def _launch(self, ps: PendingSend, now: float) -> None:
-        """First transmission of a tracked send: charge the flow-control
-        credit, stamp the RTT clock, arm the ack timer and (optionally)
-        the hedge timer."""
-        s = ps.stream
-        a = self.acfg
-        if a is not None and a.backpressure:
-            dst_proc = self.router.proc_of[s.dst]
-            self._charged[s.uid] = dst_proc
-            self._credit_used[dst_proc] = (
-                self._credit_used.get(dst_proc, 0) + 1
-            )
         ps.sent_at = now
+        self.pending[s.uid] = ps
         self.transmit(ps, now)
         self.sim.push_id(now + ps.timeout, self._k_timer, (s.uid, ps.attempt))
-        if a is not None and a.hedging:
-            self.sim.push(
-                now + HEDGE_FACTOR * ps.timeout,
-                "hedge", (s.uid, ps.attempt),
-            )
 
     def transmit(self, ps: PendingSend, now: float) -> None:
         """Put one (re)transmission of an un-acked stream on the wire."""
@@ -391,19 +348,17 @@ class Transport:
         ps = self.pending.pop(uid, None)
         if ps is None:
             return
-        a = self.acfg
         if (
-            a is not None
-            and a.adaptive_rto
+            self.adaptive_rto
             and ps.retries == 0
-            and not ps.hedged
             and ps.sent_at is not None
             and ps.link is not None
         ):
             # Karn's rule: only a message that was transmitted exactly
-            # once yields an unambiguous RTT sample.  Retransmitted or
-            # hedged sends have two copies in flight - the ack cannot
-            # be matched to either, so they never feed the estimator.
+            # once yields an unambiguous RTT sample.  A retransmitted
+            # send has two copies in flight and a failover-re-armed one
+            # lost its launch time - the ack cannot be matched to a
+            # transmission, so neither feeds the estimator.
             est = self.rtt.get(ps.link)
             if est is None:
                 est = self.rtt[ps.link] = RttEstimator()
@@ -411,30 +366,13 @@ class Transport:
             self.report.rtt_samples += 1
 
     def on_hedge(self, data: tuple, now: float) -> None:
-        """Hedge-timer expiry: if the send is still unacked and still on
-        its first attempt, launch one speculative extra copy.
+        """No-op: no event kind routes here.
 
-        The receiver's uid dedup makes the copy invisible; the only
-        cost is wire traffic.  A hedged send is marked so its eventual
-        ack is excluded from RTT sampling (Karn's rule) and never
-        hedged again.
+        The extra-copy retransmit this handled was removed; the name
+        stays only because the performance ledger's span tracer
+        (``benchmarks/ledger/tracing.py``) wraps it as a transport
+        entry point.
         """
-        uid, attempt = data
-        ps = self.pending.get(uid)
-        if (
-            ps is None or ps.attempt != attempt
-            or ps.retries > 0 or ps.hedged or ps.parked is not None
-        ):
-            return  # acked, retransmitted, re-armed or parked meanwhile
-        s = ps.stream
-        if (
-            self.router.proc_of[s.src] in self.router.dead
-            or self.router.proc_of[s.dst] in self.router.dead
-        ):
-            return  # failover machinery owns this message now
-        ps.hedged = True
-        self.report.hedged_sends += 1
-        self.transmit(ps, now)
 
     def on_timer(self, data: tuple, now: float) -> None:
         """Ack-timeout expiry: retransmit with backoff, or hold/skip."""
@@ -533,13 +471,6 @@ class Transport:
                 t = self.machine.control_time(proc, src_proc, self.layout)
                 self.sim.push_id(now + t, self._k_nack, uid)
             return False
-        # A verified arrival frees its flow-control credit (dups and
-        # forwarded hops release at most once: the charge map pops).
-        if self._charged:
-            dst_proc = self._charged.pop(uid, None)
-            if dst_proc is not None:
-                self._credit_used[dst_proc] -= 1
-                self._drain_parked(now)
         # Incarnation fence: traffic stamped by a previous life of the
         # sending process is stale - its send was either dropped at
         # failover or re-armed under the live incarnation, so this copy
@@ -552,7 +483,7 @@ class Transport:
         owner = self.router.proc_of[s.dst]
         if owner != proc and uid not in self.seen:
             # Ownership moved while the message was in flight (a
-            # degraded-mode demotion raced the wire): forward to the
+            # demotion or suspicion raced the wire): forward to the
             # current owner and stay silent - the ack travels only from
             # the final arrival, so the sender keeps retrying until the
             # stream truly lands.
@@ -575,34 +506,6 @@ class Transport:
         self.seen.add(uid)
         self._note_recv(now, wid, proc, True, s)
         return True
-
-    def _drain_parked(self, now: float) -> None:
-        """Launch parked sends, oldest first, while credits allow.
-
-        The stall (park duration) is booked under the dynamic
-        ``backpressure`` breakdown category against the sender's
-        network plane, so flow control shows up in the Fig. 16 stack
-        instead of silently inflating idle time.
-        """
-        if not self._parked:
-            return
-        still: list[tuple] = []
-        for uid in self._parked:
-            ps = self.pending.get(uid)
-            if ps is None or ps.parked is None:
-                continue  # dropped at failover, or already launched
-            dst_proc = self.router.proc_of[ps.stream.dst]
-            if self._credit_used.get(dst_proc, 0) >= self.acfg.inbox_credits:
-                still.append(uid)
-                continue
-            stalled = now - ps.parked
-            if stalled > 0 and ps.link is not None:
-                self.report.breakdown.add(
-                    ("net", ps.link[0]), "backpressure", stalled
-                )
-            ps.parked = None
-            self._launch(ps, now)
-        self._parked = still
 
     # -- checkpoint/failover support -----------------------------------------------
 
@@ -638,7 +541,6 @@ class Transport:
                 )
                 ps.attempt += 1
                 ps.sent_at = None  # Karn: a re-armed send is ambiguous
-                ps.parked = None  # failover overrides flow control
                 if self.membership:
                     # Restamp under the new owner's live incarnation:
                     # left stale, every retransmit would be fenced at
@@ -654,7 +556,7 @@ class Transport:
         """Codec-ready reliable-delivery state.
 
         ``pending`` keeps its insertion order (``rearm_after_failover``
-        iterates it), as does the parked FIFO; ``seen`` is
+        iterates it); ``seen`` is
         membership-only and serialized sorted.  :class:`PendingSend`
         and :class:`RttEstimator` flatten to plain dicts/tuples and are
         reconstructed on load.
@@ -671,16 +573,11 @@ class Transport:
                     "attempt": ps.attempt,
                     "sent_at": ps.sent_at,
                     "link": ps.link,
-                    "hedged": ps.hedged,
-                    "parked": ps.parked,
                 }
                 for uid, ps in self.pending.items()
             },
             "seen": sorted(self.seen),
             "rtt": {link: est.state() for link, est in self.rtt.items()},
-            "credit_used": dict(self._credit_used),
-            "charged": dict(self._charged),
-            "parked": list(self._parked),
         }
 
     def load_state_dict(self, d: dict) -> None:
@@ -693,17 +590,12 @@ class Transport:
             ps.attempt = pd["attempt"]
             ps.sent_at = pd["sent_at"]
             ps.link = pd["link"]
-            ps.hedged = pd["hedged"]
-            ps.parked = pd["parked"]
             pending[uid] = ps
         self.pending = pending
         self.seen = set(d["seen"])
         self.rtt = {
             link: RttEstimator.from_state(s) for link, s in d["rtt"].items()
         }
-        self._credit_used = dict(d["credit_used"])
-        self._charged = dict(d["charged"])
-        self._parked = list(d["parked"])
 
     # -- liveness diagnosis -------------------------------------------------------
 
@@ -731,12 +623,7 @@ class Transport:
             cut = (
                 inj.cut_window(src_p, dst_p, t) if inj is not None else None
             )
-            if ps.parked is not None:
-                reason = (
-                    f"parked by flow control (proc {dst_p} inbox "
-                    f"credits exhausted)"
-                )
-            elif cut is not None:
+            if cut is not None:
                 reason = f"link {src_p}->{dst_p} partitioned" + (
                     f" until t={cut.end:.6f}s" if cut.heals
                     else " (never heals)"

@@ -11,7 +11,7 @@ package is that layer:
   :class:`JobResult`, the closed failure taxonomy, structured
   :class:`JobRejected` load-shed;
 * :mod:`~repro.service.admission` - bounded per-tenant credits plus a
-  global backlog bound (the PR 4 backpressure idea, one layer up);
+  global backlog bound (credit-based backpressure on jobs);
 * :mod:`~repro.service.breaker` - per-tenant circuit breakers
   (closed -> open -> half-open) that quarantine failing tenants;
 * :mod:`~repro.service.executor` - the *only* module that touches the

@@ -1,13 +1,11 @@
 """Admission control: bounded per-tenant queues and load shedding.
 
-The PR 4 credit/backpressure machinery, lifted one layer up.  On the
-message plane, each destination process grants ``inbox_credits``
-in-flight messages and an over-window send *parks* until a credit
-frees.  On the job plane a tenant holds ``tenant_slots`` credits - one
-per admitted-but-not-terminal job - but an over-capacity submission
-cannot park: the submitter is an open-loop client, and unbounded
-queuing is exactly the failure mode admission control exists to
-prevent.  So instead of parking, the submission is *shed* with a
+Credit-based backpressure on the job plane.  A tenant holds
+``tenant_slots`` credits - one per admitted-but-not-terminal job - and
+an over-capacity submission cannot wait for one: the submitter is an
+open-loop client, and unbounded queuing is exactly the failure mode
+admission control exists to prevent.  So instead of waiting, the
+submission is *shed* with a
 structured :class:`~repro.service.spec.JobRejected` carrying a
 ``retry_after`` hint sized from the backlog it would have waited
 behind, and a compliant retry normally finds a free credit.

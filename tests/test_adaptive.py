@@ -1,5 +1,5 @@
 """Adaptive-resilience tests: RTT estimation with Karn's rule, capped
-adaptive RTO, hedging, speculation, backpressure, demotion.
+adaptive RTO, and degraded-mode demotion.
 
 Two tiers: Hypothesis properties pin the estimator and timer algebra
 (the RTO clamp holds for *any* sample sequence; Karn's rule excludes
@@ -37,7 +37,6 @@ from repro.runtime.faults import (
     ACK_TIMEOUT, BACKOFF, MAX_RETRIES, MAX_RTO, MIN_RTO,
 )
 from repro.runtime.metrics import Breakdown
-from repro.runtime.scheduler import _percentile
 from repro.runtime.transport import RttEstimator
 
 
@@ -119,18 +118,19 @@ def test_estimator_state_round_trips():
 @settings(max_examples=60, deadline=None)
 def test_karn_rule_excludes_every_ambiguous_ack(flags, rtt):
     """Only acks of exactly-once transmissions reach the estimator: a
-    retransmitted or hedged send has two copies in flight, and its ack
-    cannot be matched to either."""
+    retransmitted send has two copies in flight and a failover-re-armed
+    one lost its launch time, so neither ack can be matched to a
+    transmission."""
     _, tr = _transport(RecoveryConfig(adaptive=ADAPTIVE_RTO))
     clean = 0
-    for retransmitted, hedged in flags:
+    for retransmitted, rearmed in flags:
         s = _send(tr, now=0.0)
         ps = tr.pending[s.uid]
         if retransmitted:
             ps.retries = 1
-        if hedged:
-            ps.hedged = True
-        clean += not (retransmitted or hedged)
+        if rearmed:
+            ps.sent_at = None  # what rearm_after_failover does
+        clean += not (retransmitted or rearmed)
         tr.on_ack(s.uid, rtt)
     assert tr.report.rtt_samples == clean
     est = tr.rtt.get((0, 1))
@@ -182,11 +182,14 @@ def test_backoff_never_escalates_past_max_rto():
 
 
 def test_config_validation():
-    with pytest.raises(ReproError, match="inbox_credits"):
-        AdaptiveConfig(inbox_credits=0)
-    on = AdaptiveConfig.all_on(inbox_credits=4)
-    assert on.adaptive_rto and on.hedging and on.speculation
-    assert on.backpressure and on.demotion and on.inbox_credits == 4
+    """The switches are bools: a truthy string or int would silently
+    arm a mechanism the caller meant to describe, not enable."""
+    off = AdaptiveConfig()
+    assert not off.adaptive_rto and not off.demotion
+    for name in ("adaptive_rto", "demotion"):
+        for bad in ("no", 1, None):
+            with pytest.raises(ReproError, match=name):
+                AdaptiveConfig(**{name: bad})
 
 
 def test_demotion_requires_resilient_programs():
@@ -202,12 +205,6 @@ def test_demotion_requires_resilient_programs():
         rt.run(progs, pset.patch_proc)
 
 
-def test_nearest_rank_percentile():
-    assert _percentile([3.0, 1.0, 2.0], 50.0) == 2.0
-    assert _percentile([3.0, 1.0, 2.0], 100.0) == 3.0
-    assert _percentile([5.0], 90.0) == 5.0
-
-
 # -- integration: the adaptive stack is invisible to the numerics ----------------
 
 
@@ -215,71 +212,33 @@ def test_nearest_rank_percentile():
     ("structured", "hybrid"), ("unstructured", "mpi_only"),
 ])
 def test_adaptive_stack_is_bitwise_exact_under_chaos(kind, mode):
-    """Speculation, hedging, adaptive RTO, backpressure and demotion
-    all armed, on a seeded random fault plan: the flux must still be
-    bitwise-identical to the fault-free reference."""
-    acfg = AdaptiveConfig.all_on(inbox_credits=2)
+    """Adaptive RTO and demotion both armed, on a seeded random fault
+    plan: the flux must still be bitwise-identical to the fault-free
+    reference."""
+    acfg = AdaptiveConfig(adaptive_rto=True, demotion=True)
     res = run_case(kind, mode, seed=5, adaptive=acfg)
     assert res.ok and res.exact and not res.stalled, res.error
 
 
-def test_speculation_fires_and_wins_on_stragglers():
+def test_demotion_cuts_makespan_on_a_slow_but_alive_rank():
+    """The regime demotion is for: one rank 3x slow for the whole run,
+    with no losses.  Retransmit timers never fire, so adaptive RTO
+    alone changes nothing; demoting the rank moves its patches to
+    healthy ranks and cuts the makespan, at bitwise-identical flux."""
     from tests.test_chaos import _reference_phi, _run
 
-    plan = FaultPlan(
-        stragglers=(StragglerWindow(0, 0.0, 9e-4, 5.0),
-                    StragglerWindow(3, 1e-4, 9e-4, 4.0)),
-        p_drop=0.05, seed=7,
+    plan = FaultPlan(stragglers=(StragglerWindow(1, 0.0, 5e-2, 3.0),))
+    rto = RecoveryConfig(adaptive=ADAPTIVE_RTO)
+    demote = RecoveryConfig(
+        adaptive=AdaptiveConfig(adaptive_rto=True, demotion=True)
     )
-    acfg = AdaptiveConfig(adaptive_rto=True, hedging=True, speculation=True)
-    rep, phi = _run(plan, recovery=RecoveryConfig(adaptive=acfg))
-    a = rep.adaptive_summary()
-    assert a["rtt_samples"] > 0
-    assert a["hedged_sends"] > 0
-    assert a["speculative_launches"] >= a["speculative_wins"] > 0
-    np.testing.assert_array_equal(phi, _reference_phi())
-
-
-def test_backpressure_stalls_are_booked():
-    from tests.test_chaos import _reference_phi, _run
-
-    acfg = AdaptiveConfig(backpressure=True, inbox_credits=1)
-    rep, phi = _run(
-        FaultPlan(p_drop=0.02, seed=3),
-        recovery=RecoveryConfig(adaptive=acfg),
-    )
-    a = rep.adaptive_summary()
-    assert a["backpressure_stalls"] > 0
-    assert a["backpressure_time"] > 0  # visible in the breakdown stack
-    np.testing.assert_array_equal(phi, _reference_phi())
-
-
-def test_parked_sends_drain_fifo_per_destination():
-    """Flow control must be fair: when arrivals free inbox credits, the
-    parked backlog drains strictly oldest-first, even while newer sends
-    keep arriving and parking in between the receives."""
-    acfg = AdaptiveConfig(backpressure=True, inbox_credits=1)
-    sim, tr = _transport(RecoveryConfig(adaptive=acfg))
-    # One credit: the first send launches, the next two park in order.
-    a, b, c = (_send(tr, now=i * 1e-6) for i in range(3))
-    assert tr.pending[a.uid].parked is None
-    assert tr._parked == [b.uid, c.uid]
-    # A verified arrival frees the credit and launches the *oldest*
-    # parked send only.
-    assert tr.receive(a, 1, 3e-6)
-    assert tr.pending[b.uid].parked is None
-    assert tr.pending[c.uid].parked is not None
-    # Credit churn: fresh sends must queue behind the existing backlog,
-    # never jump it.
-    d, e = (_send(tr, now=4e-6 + i * 1e-6) for i in range(2))
-    assert tr._parked == [c.uid, d.uid, e.uid]
-    for launched, arriving in ((c, b), (d, c), (e, d)):
-        assert tr.receive(arriving, 1, 6e-6)
-        assert tr.pending[launched.uid].parked is None, (
-            "drain skipped the head of the parked queue"
-        )
-    assert tr._parked == []
-    assert tr.report.backpressure_stalls == 4
+    rep_rto, phi_rto = _run(plan, recovery=rto)
+    rep_dem, phi_dem = _run(plan, recovery=demote)
+    assert rep_rto.demotions == 0
+    assert rep_dem.demotions == 1
+    assert rep_dem.makespan < 0.8 * rep_rto.makespan
+    np.testing.assert_array_equal(phi_dem, _reference_phi())
+    np.testing.assert_array_equal(phi_rto, _reference_phi())
 
 
 def test_all_off_config_is_event_identical_to_none():

@@ -74,7 +74,8 @@ def _factory(name):
         rt = DataDrivenRuntime(
             cores, machine=machine, mode=mode, faults=plan,
             recovery=(
-                RecoveryConfig(adaptive=AdaptiveConfig.all_on())
+                RecoveryConfig(adaptive=AdaptiveConfig(
+                    adaptive_rto=True, demotion=True))
                 if adaptive else None
             ),
         )
@@ -254,14 +255,17 @@ def test_snapshot_rejects_foreign_configuration(tmp_path):
 
 def test_v1_runtime_snapshot_is_refused():
     """Schema version 1 held deep-copied program attributes; a snapshot
-    stamped with it is refused up front, never half-loaded."""
+    stamped with it (or any older version) is refused up front, never
+    half-loaded."""
     from repro._util import ReproError
     from repro.runtime import SNAPSHOT_VERSION
 
-    assert SNAPSHOT_VERSION == 3
+    assert SNAPSHOT_VERSION == 4
     f = _factory("structured-hybrid-clean")
     rt, progs, pp, _app = f()
-    for old in (1, 2):  # 2: slab heap entries and program run counters
+    # 2: slab heap entries and program run counters; 3: speculation
+    # sets, flow-control credits and a backup flag on run-end events.
+    for old in (1, 2, 3):
         with pytest.raises(ReproError, match=f"unsupported snapshot version {old}"):
             rt.restore(progs, pp, {"version": old})
 

@@ -73,10 +73,10 @@ VARIANTS = {
         ChaosSpace(flapping=True),
         {"recovery": RecoveryConfig(membership=True)},
     ),
-    "speculation": (
+    "adaptive": (
         ChaosSpace(),
         {"recovery": RecoveryConfig(adaptive=AdaptiveConfig(
-            adaptive_rto=True, hedging=True, speculation=True))},
+            adaptive_rto=True, demotion=True))},
     ),
 }
 
@@ -211,7 +211,7 @@ class TestKindTable:
         with pytest.raises(ReproError, match="'bogus' has no registered"):
             ctx.sim.push(0.0, "bogus", None)
 
-    def test_sixteen_kinds_each_with_one_owner(self):
+    def test_fifteen_kinds_each_with_one_owner(self):
         rt, progs, pset = _tiny(recovery=RecoveryConfig())
         ctx = rt._compose(progs, pset.patch_proc)
         handlers, control, stale = ctx.table
@@ -219,9 +219,9 @@ class TestKindTable:
         for layer in (ctx.sched, ctx.transport, ctx.rec):
             for row in layer.kinds():
                 owners.setdefault(row.kind, []).append(type(layer).__name__)
-        assert len(owners) == len(handlers) == 16
+        assert len(owners) == len(handlers) == 15
         assert all(len(v) == 1 for v in owners.values())
-        assert sum(control) == 7  # ack nack timer hedge hbeat hback restart
+        assert sum(control) == 6  # ack nack timer hbeat hback restart
 
 
 def test_run_and_resume_reach_the_same_loop(monkeypatch, tmp_path):

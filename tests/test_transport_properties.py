@@ -2,14 +2,14 @@
 
 Where :mod:`tests.test_adaptive` pins the estimator *math* (RTO clamp,
 RFC 6298 seeding) by setting Karn flags directly, these properties
-drive the actual control-plane handlers - :meth:`Transport.on_ack`,
-:meth:`Transport.on_timer`, :meth:`Transport.on_hedge` - with
-adversarial event streams: duplicated acks, acks reordered against
-their own retransmit timers, stale timers arriving after the ack, and
-arbitrary interleavings across messages.  The invariant under every
-ordering is the same: exactly the unambiguous acks (first ack of a
-never-retransmitted, never-hedged send) feed the estimator, and a
-stale control event is a no-op, never a crash or a double count.
+drive the actual control-plane handlers - :meth:`Transport.on_ack`
+and :meth:`Transport.on_timer` - with adversarial event streams:
+duplicated acks, acks reordered against their own retransmit timers,
+stale timers arriving after the ack, and arbitrary interleavings
+across messages.  The invariant under every ordering is the same:
+exactly the unambiguous acks (first ack of a never-retransmitted send)
+feed the estimator, and a stale control event is a no-op, never a
+crash or a double count.
 """
 
 from hypothesis import given, settings
@@ -44,20 +44,18 @@ def test_duplicated_acks_sample_exactly_once(dups, rtt):
 
 @given(rtt=st.floats(1e-6, 1e-4), lateness=st.floats(1e-6, 1e-2))
 @settings(max_examples=50, deadline=None)
-def test_stale_timer_and_hedge_after_ack_are_inert(rtt, lateness):
+def test_stale_timer_after_ack_is_inert(rtt, lateness):
     """Ack first, timer later (the reordering the attempt counter
-    exists for): the expired timer and hedge are lazily cancelled -
-    no timeout, no retry, no hedge is booked."""
+    exists for): the expired timer is lazily cancelled - no timeout
+    and no retry is booked."""
     tr = _tr()
     s = _send(tr, now=0.0)
     ps = tr.pending[s.uid]
     attempt = ps.attempt
     tr.on_ack(s.uid, rtt)
     tr.on_timer((s.uid, attempt), rtt + lateness)
-    tr.on_hedge((s.uid, attempt), rtt + lateness)
     assert tr.report.timeouts == 0
     assert tr.report.retries == 0
-    assert tr.report.hedged_sends == 0
     assert tr.report.rtt_samples == 1
 
 
@@ -80,7 +78,7 @@ def test_superseded_attempt_timer_is_inert():
 
 @given(
     plans=st.lists(
-        st.lists(st.sampled_from(["timer", "hedge", "dup_ack"]), max_size=3),
+        st.lists(st.sampled_from(["timer", "dup_ack"]), max_size=3),
         min_size=1,
         max_size=12,
     ),
@@ -88,10 +86,10 @@ def test_superseded_attempt_timer_is_inert():
 )
 @settings(max_examples=80, deadline=None)
 def test_interleaved_streams_sample_only_unambiguous_acks(plans, rtt):
-    """For every message, run an arbitrary prefix of timer expiries,
-    hedge expiries and duplicated acks before the ack itself.  However
-    the copies interleave, the estimator sees exactly the messages
-    whose ack was unambiguous (no retransmission, no hedge copy)."""
+    """For every message, run an arbitrary prefix of timer expiries and
+    duplicated acks before the ack itself.  However the copies
+    interleave, the estimator sees exactly the messages whose ack was
+    unambiguous (no retransmission)."""
     tr = _tr()
     clean = 0
     for i, prefix in enumerate(plans):
@@ -101,12 +99,9 @@ def test_interleaved_streams_sample_only_unambiguous_acks(plans, rtt):
         for ev in prefix:
             if ev == "timer":
                 tr.on_timer((s.uid, ps.attempt), t0 + rtt / 2)
-            elif ev == "hedge":
-                tr.on_hedge((s.uid, ps.attempt), t0 + rtt / 2)
             else:  # premature duplicate ack: consumes the send
                 tr.on_ack(s.uid, t0 + rtt)
-        ambiguous = ps.retries > 0 or ps.hedged
-        if not ambiguous:
+        if ps.retries == 0:
             clean += 1
         tr.on_ack(s.uid, t0 + rtt)  # duplicate if a dup_ack already hit
     assert tr.report.rtt_samples == clean
@@ -135,21 +130,6 @@ def test_ack_order_across_messages_never_changes_sample_count(n, rtt, data):
         tr.on_ack(uid, t0 + rtt)
     assert tr.report.rtt_samples == n
     assert tr.rtt[(0, 1)].samples == n
-
-
-def test_hedge_after_retransmit_does_not_fire():
-    """Karn interaction of the two ambiguity sources: a retransmitted
-    send is already ambiguous, so the hedge path refuses to add a third
-    copy (and the eventual ack still never samples)."""
-    tr = _tr()
-    s = _send(tr, now=0.0)
-    ps = tr.pending[s.uid]
-    tr.on_timer((s.uid, ps.attempt), 1e-4)  # retransmit
-    tr.on_hedge((s.uid, ps.attempt), 1.5e-4)
-    assert not ps.hedged
-    assert tr.report.hedged_sends == 0
-    tr.on_ack(s.uid, 2e-4)
-    assert tr.report.rtt_samples == 0
 
 
 # -- estimator stability under a steady link -------------------------------------
