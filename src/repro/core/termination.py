@@ -17,8 +17,13 @@ Two mechanisms, as in the paper:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .._util import ReproError
 from .patch_program import ProgramState
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from .engine import RunState
 
 __all__ = ["WorkloadTracker", "consensus_hops", "verify_quiescent"]
 
@@ -99,22 +104,21 @@ def consensus_hops(nprocs: int) -> int:
     return 2 * nprocs - 1
 
 
-def verify_quiescent(pids, progs, states, tracker: WorkloadTracker) -> None:
-    """Post-run invariant: quiescence must mean *completion*.
-
-    ``pids``, ``progs`` and ``states`` are parallel sequences (the
-    runtime's dense-index program arrays).  Every program must be
-    INACTIVE with zero remaining workload, and the shared workload
-    ledger drained - an empty event heap with any of these violated
-    means the run silently lost work.
+def verify_quiescent(st: RunState, tracker: WorkloadTracker | None = None) -> None:
+    """Post-run invariant of every executor: quiescence must mean
+    *completion*.  Every program must be INACTIVE with an empty inbox
+    and zero remaining workload, and the workload ledger (DES only)
+    drained - a run that ends otherwise silently lost work.
     """
-    for pid, prog, state in zip(pids, progs, states):
+    for pid, prog, state, box in zip(st.pids, st.progs, st.state, st.inbox):
         if state is not ProgramState.INACTIVE:
             raise ReproError(f"{pid!r} still active at quiescence")
+        if box:
+            raise ReproError(f"{pid!r} has {len(box)} undelivered streams")
         rem = prog.remaining_workload()
         if rem is not None and rem != 0:
             raise ReproError(f"{pid!r} finished with {rem} work remaining")
-    if not tracker.is_done():
+    if tracker is not None and not tracker.is_done():
         raise ReproError(
             f"workload tracker not drained: {tracker.pending_keys()!r}"
         )

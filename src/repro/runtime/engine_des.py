@@ -1,11 +1,12 @@
 """Discrete-event-simulated data-driven runtime (Sec. IV): the
 composition root over the layered simulator substrate.
 
-Executes patch-programs with the exact semantics of the serial engine,
-but on a simulated multicore cluster (master thread routing streams,
-worker threads executing programs, per Fig. 8).  Because the *real*
-algorithm runs, every schedule-level phenomenon of the paper emerges
-rather than being modeled; only the time axis is synthetic (DESIGN.md).
+Executes patch-programs with the serial engine's run step
+(``repro.core.engine``), but on a simulated multicore cluster (master
+thread routing streams, worker threads executing programs, per Fig. 8).
+Because the *real* algorithm runs, every schedule-level phenomenon of
+the paper emerges rather than being modeled; only the time axis is
+synthetic (DESIGN.md).
 The machinery lives in layers, each documented in its own module:
 ``simulator`` < ``router`` < ``transport`` < ``scheduler`` <
 ``recovery``, with the one master event loop in ``loop`` and the
@@ -25,6 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .._util import ReproError
+from ..core.engine import RunState
 from ..core.patch_program import PatchProgram
 from ..core.termination import WorkloadTracker, consensus_hops, verify_quiescent
 from .checkpoint import (
@@ -38,7 +40,7 @@ from .loop import run_loop
 from .metrics import Breakdown, DeadlineExceeded, RunReport, trace_fields
 from .recovery import RecoveryManager
 from .router import Router
-from .scheduler import RunState, Scheduler, make_policy
+from .scheduler import Scheduler, make_policy
 from .simulator import Simulator
 from .transport import Transport
 
@@ -104,6 +106,9 @@ class DataDrivenRuntime:
         what lets :meth:`restore` load a snapshot into it.
         """
         lay = self.layout
+        st = RunState()
+        for prog in programs:
+            st.add(prog)  # refuses duplicate ids
         router = Router(programs, patch_proc, lay.nprocs)
         plan, rcfg = self.faults, self.recovery
         if plan is not None:
@@ -125,9 +130,6 @@ class DataDrivenRuntime:
                 "resilient_input (build sweep programs with resilient=True)")
         bd = Breakdown()
         report = RunReport(makespan=0.0, breakdown=bd, total_cores=lay.total_cores)
-        st = RunState()
-        for prog in programs:
-            st.add(prog)
         # One note hook: the trace buffer, the online run checker, or both.
         checker = HbChecker(run=(router, st)) if self.sanitize else None
         hooks = [h for h in (report.hb_events.append if self.trace else None,
@@ -232,7 +234,7 @@ class DataDrivenRuntime:
     def _finish(self, ctx: SimpleNamespace) -> RunReport:
         """Post-run checks, termination negotiation, final accounting."""
         st, report = ctx.st, ctx.report
-        verify_quiescent(st.pids, st.progs, st.state, ctx.tracker)
+        verify_quiescent(st, ctx.tracker)
         if ctx.checker is not None:
             ctx.checker.finish()
             report.sanitizer_checks = ctx.checker.records

@@ -63,6 +63,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .._util import ReproError
+from ..core.engine import RunState
 from ..core.patch_program import ProgramState
 from ..core.stream import ProgramId, Stream
 from .faults import (
@@ -74,7 +75,7 @@ from .faults import (
 )
 from .metrics import Breakdown, RunReport
 from .router import Router
-from .scheduler import RunState, Scheduler
+from .scheduler import Scheduler
 from .simulator import KindRow, Simulator
 from .transport import RttEstimator, Transport
 

@@ -24,8 +24,8 @@ On rejoin, :meth:`rebalance_to` pulls patches back under a bounded
 move budget.
 
 Construction validates the user-supplied ``patch_proc`` table outright
-(shape, range, program coverage, duplicates) so malformed route tables
-fail fast rather than obscurely mid-simulation.
+(:func:`check_patch_proc`), so malformed route tables fail fast
+rather than obscurely mid-simulation.
 
 This layer sits directly above :mod:`repro.runtime.simulator` and
 knows nothing about transport, scheduling or recovery policy.
@@ -40,35 +40,43 @@ import numpy as np
 from .._util import ReproError
 from ..core.stream import ProgramId
 
-__all__ = ["Router"]
+__all__ = ["Router", "check_patch_proc"]
+
+
+def check_patch_proc(programs: Sequence, patch_proc, nprocs: int) -> np.ndarray:
+    """The user's patch -> process table as an array, refused unless it
+    is 1-D, non-empty, within ``[0, nprocs)`` and covers every patch
+    (the DES router and the BSP baseline both call this)."""
+    if len(programs) == 0:
+        raise ReproError("no programs to run")
+    patch_proc = np.asarray(patch_proc)
+    if patch_proc.ndim != 1:
+        raise ReproError("patch_proc must be a one-dimensional array")
+    if patch_proc.size == 0:
+        raise ReproError("patch_proc is empty")
+    if int(patch_proc.min()) < 0:
+        raise ReproError(
+            f"patch_proc contains negative process id {int(patch_proc.min())}"
+        )
+    if int(patch_proc.max()) >= nprocs:
+        raise ReproError(
+            f"patch_proc references proc {int(np.max(patch_proc))} but the "
+            f"layout has only {nprocs} processes"
+        )
+    for prog in programs:
+        if not 0 <= prog.id.patch < patch_proc.size:
+            raise ReproError(
+                f"program {prog.id!r} references a patch outside "
+                f"patch_proc (length {patch_proc.size})"
+            )
+    return patch_proc
 
 
 class Router:
     """Program/patch owner map with crash-driven re-assignment."""
 
     def __init__(self, programs: Sequence, patch_proc: np.ndarray, nprocs: int):
-        if len(programs) == 0:
-            raise ReproError("no programs to run")
-        patch_proc = np.asarray(patch_proc)
-        if patch_proc.ndim != 1:
-            raise ReproError("patch_proc must be a one-dimensional array")
-        if patch_proc.size == 0:
-            raise ReproError("patch_proc is empty")
-        if int(patch_proc.min()) < 0:
-            raise ReproError(
-                f"patch_proc contains negative process id {int(patch_proc.min())}"
-            )
-        if int(patch_proc.max()) >= nprocs:
-            raise ReproError(
-                f"patch_proc references proc {int(np.max(patch_proc))} but the "
-                f"layout has only {nprocs} processes"
-            )
-        for prog in programs:
-            if not 0 <= prog.id.patch < patch_proc.size:
-                raise ReproError(
-                    f"program {prog.id!r} references a patch outside "
-                    f"patch_proc (length {patch_proc.size})"
-                )
+        patch_proc = check_patch_proc(programs, patch_proc, nprocs)
         self.nprocs = nprocs
         self.proc_of: dict[ProgramId, int] = {}  # the route table
         # Interned program ids: every program gets a dense index at
@@ -81,9 +89,7 @@ class Router:
         #: as a flat array over interned indices (the hot-path view;
         #: kept in sync by :meth:`reassign`).
         self.proc_idx: list[int] = []
-        for prog in programs:
-            if prog.id in self.proc_of:
-                raise ReproError(f"duplicate program {prog.id!r}")
+        for prog in programs:  # ids unique: the run state refuses duplicates
             p = int(patch_proc[prog.id.patch])
             self.proc_of[prog.id] = p
             self.index_of[prog.id] = len(self.pids)

@@ -28,6 +28,11 @@ transport (remote emissions of completed runs).  The recovery layer,
 when armed, is attached afterwards via :attr:`Scheduler.recovery` so
 completed runs are marked dirty for incremental checkpointing.
 
+A run itself is :func:`repro.core.engine.run_step` over the shared
+``RunState`` (re-exported here), its fresh streams pass ``admit``, as
+on the serial engine and BSP; the scheduler adds when a run starts,
+what it costs, where its streams go and the workload commit.
+
 Degraded-mode demotion (opt-in via :class:`~repro.runtime.faults.
 AdaptiveConfig.demotion`) reads :attr:`Scheduler.proc_slow_ewma`, an
 EWMA of each process's observed slowdown fed by every booked run.
@@ -37,11 +42,10 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..core.patch_program import PatchProgram, ProgramState
-from ..core.stream import ProgramId, Stream
+from ..core.engine import RunState, admit, run_step
+from ..core.patch_program import ProgramState
 from ..core.termination import WorkloadTracker
 from .._util import ReproError
 from .cluster import Layout
@@ -62,74 +66,6 @@ __all__ = [
     "make_policy",
     "Scheduler",
 ]
-
-
-@dataclass
-class RunState:
-    """Shared per-run program-execution state (Alg. 1's bookkeeping).
-
-    All fields are parallel arrays over the *dense program index*
-    minted by :meth:`add` in registration order - the same order the
-    :class:`~repro.runtime.router.Router` interns ``index_of``, so the
-    scheduler, router and transport agree on every index.  Hot-path
-    bookkeeping (state machine, inboxes, epochs) is therefore flat list
-    indexing; ``index`` maps a :class:`ProgramId` back to its slot for
-    cold-path callers (recovery, requeue handling, reports).
-    """
-
-    pids: list[ProgramId] = field(default_factory=list)
-    index: dict[ProgramId, int] = field(default_factory=dict)
-    progs: list[PatchProgram] = field(default_factory=list)
-    state: list[ProgramState] = field(default_factory=list)
-    inbox: list[list[Stream]] = field(default_factory=list)
-    inited: list[bool] = field(default_factory=list)
-    epoch: list[int] = field(default_factory=list)  # bumped on failover
-
-    def add(self, prog: PatchProgram) -> None:
-        self.index[prog.id] = len(self.pids)
-        self.pids.append(prog.id)
-        self.progs.append(prog)
-        self.state.append(ProgramState.ACTIVE)
-        self.inbox.append([])
-        self.inited.append(False)
-        self.epoch.append(0)
-
-    # -- durability (snapshot/restore) ---------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Codec-ready execution state, program contexts included.
-
-        Each initialized program contributes its ``checkpoint()`` -
-        for the sweep programs their ``state_dict()``: the mutable core
-        as flat lists, ``{}`` once spent - exactly like the recovery
-        layer's in-sim checkpoints; never-initialized programs are in
-        their pristine constructed state and contribute ``None``.
-        ``pids`` rides along purely as a restore-time consistency check.
-        """
-        return {
-            "pids": list(self.pids),
-            "state": [s.value for s in self.state],
-            "inbox": [list(b) for b in self.inbox],
-            "inited": list(self.inited),
-            "epoch": [int(e) for e in self.epoch],
-            "progs": [
-                (p.checkpoint() if self.inited[i] else None)
-                for i, p in enumerate(self.progs)
-            ],
-        }
-
-    def load_state_dict(self, d: dict) -> None:
-        if list(d["pids"]) != self.pids:
-            raise ReproError(
-                "snapshot program set does not match this composition"
-            )
-        self.state = [ProgramState(v) for v in d["state"]]
-        self.inbox = [list(b) for b in d["inbox"]]
-        self.inited = [bool(v) for v in d["inited"]]
-        self.epoch = [int(e) for e in d["epoch"]]
-        for prog, snap, inited in zip(self.progs, d["progs"], self.inited):
-            if inited and snap is not None:
-                prog.restore(snap)
 
 
 class SchedulerPolicy:
@@ -375,43 +311,25 @@ class Scheduler:
     # -- worker-side execution (Alg. 1 inner loop) ---------------------------------
 
     def execute(self, data: tuple, now: float) -> None:
-        """Run one program on its assigned worker; books virtual time."""
+        """Run one program on its assigned worker (one
+        :func:`~repro.core.engine.run_step`); books virtual time."""
         p, w, i, ep = data
         st = self.st
-        prog = st.progs[i]
         unit = self.unit_slow
         sf = 1.0 if unit else self.slow(p, now)
         report = self.report
         if ep > 0:
             report.reexecutions += 1
-        if not st.inited[i]:
-            prog.init()
-            st.inited[i] = True
-        box = st.inbox[i]
-        if box:
-            for s in box:
-                prog.input(s)
-            box.clear()
-        prog.compute()
-        outputs = prog.drain_outputs()
-        counters = prog.run_counters()
+        outputs = run_step(st, i)
+        counters = st.progs[i].run_counters()
         pid = st.pids[i]
         index_of = self.router.index_of
         proc_idx = self.router.proc_idx
         remote_streams = remote_items = 0
         for s in outputs:
             di = s.dsti
-            if di < 0:
-                # First routing of a fresh stream: refuse what the
-                # serial engine refuses (sweep programs pass ``self.id``).
-                if s.src is not pid and s.src != pid:
-                    raise ReproError(
-                        f"program {pid!r} emitted a stream claiming src {s.src!r}"
-                    )
-                di = index_of.get(s.dst, -1)
-                if di < 0:
-                    raise ReproError(f"stream to unknown program {s.dst!r}")
-                s.dsti = di
+            if di < 0:  # first routing of a fresh stream
+                di = admit(pid, s, index_of)
             if proc_idx[di] != p:
                 remote_streams += 1
                 remote_items += s.items

@@ -356,9 +356,9 @@ class Transport:
         ):
             # Karn's rule: only a message that was transmitted exactly
             # once yields an unambiguous RTT sample.  A retransmitted
-            # send has two copies in flight and a failover-re-armed one
-            # lost its launch time - the ack cannot be matched to a
-            # transmission, so neither feeds the estimator.
+            # send has two copies in flight, a NACKed or failover-re-armed
+            # one lost its launch time - the ack cannot be matched to a
+            # transmission, so none of them feeds the estimator.
             est = self.rtt.get(ps.link)
             if est is None:
                 est = self.rtt[ps.link] = RttEstimator()
@@ -410,7 +410,8 @@ class Transport:
 
         Corruption is a transient wire fault, not an unreachable peer,
         so a NACKed retransmission does not burn the retry budget; the
-        ack timer stays armed as the backstop for a lost NACK.
+        ack timer stays armed as the backstop for a lost NACK.  Karn:
+        its ack would span two copies, so it is no RTT sample.
         """
         ps = self.pending.get(uid)
         if ps is None:
@@ -418,6 +419,7 @@ class Transport:
         s = ps.stream
         if self.router.proc_of[s.src] in self.router.dead:
             return  # sender's owner crashed; failover re-arms
+        ps.sent_at = None
         ps.attempt += 1
         self.transmit(ps, now)
         self.sim.push_id(now + ps.timeout, self._k_timer, (uid, ps.attempt))

@@ -12,6 +12,8 @@
   deliver the produced face data.  The number of super-steps equals the
   patch-graph critical path, and every step pays barrier plus
   max-process compute time - the inefficiency that motivates JSweep.
+  Runs, admission, ``patch_proc`` checks and the end-of-run check are
+  the serial engine's and the DES runtime's (``repro.core.engine``).
 
 Both baselines run on the shared DES substrate
 (:mod:`repro.runtime.simulator`) with the same latency/bandwidth
@@ -28,10 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import ReproError
-from ..core.patch_program import PatchProgram
+from ..core.engine import RunState, admit, run_step
+from ..core.patch_program import PatchProgram, ProgramState
 from ..core.stream import Stream
+from ..core.termination import verify_quiescent
 from ..runtime.cluster import Machine, TIANHE2
 from ..runtime.costmodel import CostModel
+from ..runtime.router import check_patch_proc
 from ..runtime.simulator import Resource, Simulator
 
 __all__ = ["KBASchedule", "KBAResult", "BSPSweepRuntime", "BSPSweepResult"]
@@ -215,7 +220,9 @@ class BSPSweepRuntime:
     work that is currently ready (unbounded grain would be unfair to
     neither side - programs keep their configured grain semantics by
     running to exhaustion within the step), then a global barrier, then
-    streams produced this step are delivered for the next one.
+    streams produced this step are delivered for the next one.  Within
+    a step programs run in ``(patch, str(task))`` order; a halt makes
+    a program INACTIVE, a delivery ACTIVE (Fig. 7).
     """
 
     def __init__(
@@ -232,14 +239,14 @@ class BSPSweepRuntime:
         lay = self.layout
         cm = self.cost
         nprocs = lay.nprocs
-        if int(np.max(patch_proc)) >= nprocs:
-            raise ReproError("patch_proc inconsistent with layout")
-        proc_of = {p.id: int(patch_proc[p.id.patch]) for p in programs}
-        progs = {p.id: p for p in programs}
-        inbox: dict = {p.id: [] for p in programs}
-        active = set(progs)
-        for p in programs:
-            p.init()
+        patch_proc = check_patch_proc(programs, patch_proc, nprocs)
+        st = RunState()
+        for prog in programs:
+            st.add(prog)
+        pids = st.pids
+        proc = [int(patch_proc[pid.patch]) for pid in pids]
+        order = [(pid.patch, str(pid.task)) for pid in pids]  # within a step
+        active = set(range(len(pids)))
 
         time_total = 0.0
         compute_total = 0.0
@@ -256,9 +263,8 @@ class BSPSweepRuntime:
         # dispatch concurrency to model).
         sim = Simulator()
         procs_res = [Resource(("bsp", p)) for p in range(nprocs)]
-        if active:
-            # Single-kind loop: each pop is the next BSP super-step.
-            sim.push(0.0, "superstep", None)  # repro: allow[PROTO004]
+        # Single-kind loop: each pop is the next BSP super-step.
+        sim.push(0.0, "superstep", None)  # repro: allow[PROTO004]
         while sim:
             now, _, _ = sim.pop()
             steps += 1
@@ -266,40 +272,39 @@ class BSPSweepRuntime:
             send_bytes = np.zeros(nprocs)
             recv_bytes = np.zeros(nprocs)
             msgs = 0
-            pending: list[Stream] = []
-            next_active = set()
-            for pid in sorted(active, key=lambda x: (x.patch, str(x.task))):
-                prog = progs[pid]
-                p = proc_of[pid]
-                for s in inbox[pid]:
-                    prog.input(s)
-                inbox[pid].clear()
+            pending: list[tuple[int, int, Stream]] = []
+            for i in sorted(active, key=order.__getitem__):
+                prog = st.progs[i]
+                p = proc[i]
                 # Run the program to exhaustion within the super-step
                 # (BSP: no mid-step delivery can wake anyone else).
                 v = e = pops = inp = 0
-                own_streams: list[Stream] = []
+                remote_streams = remote_items = 0
                 while True:
-                    prog.compute()
+                    outputs = run_step(st, i)
                     cv, ce, cpops, cinp = prog.run_counters()
                     executions += 1
                     v, e, pops, inp = v + cv, e + ce, pops + cpops, inp + cinp
-                    while (s := prog.output()) is not None:
-                        own_streams.append(s)
+                    for s in outputs:
+                        di = s.dsti if s.dsti >= 0 else admit(pids[i], s, st.index)
+                        pending.append((p, di, s))
+                        if proc[di] != p:
+                            remote_streams += 1
+                            remote_items += s.items
                     if prog.vote_to_halt():
                         break
-                pending.extend(own_streams)
-                remote_streams = [
-                    s for s in own_streams if proc_of[s.dst] != p
-                ]
+                st.state[i] = ProgramState.INACTIVE
                 proc_time[p] += sum(cm.run_cost_parts(
-                    pid, (v, e, pops, inp), len(remote_streams),
-                    sum(s.items for s in remote_streams),
+                    pids[i], (v, e, pops, inp), remote_streams, remote_items,
                 ))
-            # Deliver all streams for the next step.
-            for s in pending:
-                inbox[s.dst].append(s)
-                next_active.add(s.dst)
-                sp, dp = proc_of[s.src], proc_of[s.dst]
+            # Deliver all streams for the next step (Fig. 7: a delivery
+            # activates its target).
+            active = set()
+            for sp, di, s in pending:
+                st.inbox[di].append(s)
+                st.state[di] = ProgramState.ACTIVE
+                active.add(di)
+                dp = proc[di]
                 if sp != dp:
                     msgs += 1
                     send_bytes[sp] += s.nbytes
@@ -322,15 +327,10 @@ class BSPSweepRuntime:
             idle_core_seconds += float(
                 (step_compute - per_proc).sum() * lay.workers_per_proc
             )
-            active = next_active
             if active:
                 sim.push(end, "superstep", None)
 
-        # Final verification: every program must have completed its work.
-        for pid, prog in progs.items():
-            rem = prog.remaining_workload()
-            if rem is not None and rem != 0:
-                raise ReproError(f"BSP sweep finished with {rem} work at {pid!r}")
+        verify_quiescent(st)
         return BSPSweepResult(
             time=time_total,
             supersteps=steps,

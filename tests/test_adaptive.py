@@ -147,6 +147,18 @@ def test_failover_rearm_is_karn_ambiguous():
     assert tr.report.rtt_samples == 0
 
 
+def test_nacked_send_is_karn_ambiguous():
+    """A corrupted copy NACKed at 10 us and the retransmit acked at
+    20 us: the ack spans the corrupt copy, the NACK and the retransmit,
+    so it must not be sampled (it used to feed one 20 us sample)."""
+    _, tr = _transport(RecoveryConfig(adaptive=ADAPTIVE_RTO))
+    s = _send(tr, now=0.0)
+    tr.on_nack(s.uid, 1e-5)
+    tr.on_ack(s.uid, 2e-5)
+    assert tr.report.rtt_samples == 0
+    assert (0, 1) not in tr.rtt
+
+
 def test_warmed_estimator_arms_new_sends():
     _, tr = _transport(RecoveryConfig(adaptive=ADAPTIVE_RTO))
     s = _send(tr)

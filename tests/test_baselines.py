@@ -124,6 +124,20 @@ class TestBSPSweep:
         with pytest.raises(ReproError):
             BSPSweepRuntime(16, machine=machine).run(progs, pset.patch_proc)
 
+    @pytest.mark.parametrize("table, named", [
+        (lambda pp: np.concatenate([[-1], pp[1:]]), "negative process id -1"),
+        (lambda pp: pp[:1], "references a patch outside patch_proc"),
+        (lambda pp: np.stack([pp, pp], axis=1), "one-dimensional"),
+    ], ids=["negative", "short", "two-dimensional"])
+    def test_malformed_patch_proc_refused(self, table, named):
+        """The DES router's route-table checks hold on BSP too: a
+        negative id used to book patch 0 on the last process, a short
+        table raised a bare IndexError and a 2-D one a TypeError."""
+        machine, pset, s = _bsp_setup()
+        progs, _ = s.build_programs(compute=False)
+        with pytest.raises(ReproError, match=named):
+            BSPSweepRuntime(16, machine=machine).run(progs, table(pset.patch_proc))
+
     def test_idle_fraction_bounded(self):
         machine, pset, s = _bsp_setup()
         progs, _ = s.build_programs(compute=False)

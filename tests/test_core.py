@@ -1,6 +1,11 @@
 """Tests for the patch-centric data-driven abstraction (repro.core)."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro._util import ReproError
 from repro.core import (
@@ -96,8 +101,7 @@ class TestSerialEngine:
     def test_stream_to_unknown_program_rejected(self):
         eng = SerialEngine()
         eng.add_program(Relay(0, nxt=99))
-        progs = eng.programs[ProgramId(0, "relay")]
-        progs.hops = 1
+        eng.st.progs[0].hops = 1
         with pytest.raises(ReproError):
             eng.run()
 
@@ -177,6 +181,41 @@ class TestSerialEngine:
         with pytest.raises(ReproError):
             eng.run()
 
+    class Thrice(PatchProgram):
+        """Needs exactly three runs: votes to halt after the third."""
+
+        def __init__(self):
+            super().__init__(0, "thrice")
+            self.runs = 0
+
+        def input(self, s):
+            pass
+
+        def compute(self):
+            self.runs += 1
+
+        def output(self):
+            return None
+
+        def vote_to_halt(self):
+            return self.runs >= 3
+
+    def test_max_executions_is_an_exact_budget(self):
+        """``max_executions=N`` allows N runs, not N + 1."""
+        eng = SerialEngine(max_executions=2)
+        eng.add_program(self.Thrice())
+        with pytest.raises(ReproError, match="max_executions"):
+            eng.run()
+        assert eng.stats.executions == 2
+        eng = SerialEngine(max_executions=3)
+        eng.add_program(self.Thrice())
+        assert eng.run().executions == 3
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, float("nan")])
+    def test_max_executions_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ReproError, match="max_executions"):
+            SerialEngine(max_executions=bad)
+
     def test_remaining_workload_enforced(self):
         class Sloppy(Relay):
             def remaining_workload(self):
@@ -221,6 +260,23 @@ class TestSerialEngine:
         eng.add_program(p)
         eng.run()
         assert p.rounds == 3
+
+
+def test_programs_are_run_only_by_run_step():
+    """Alg. 1's step exists once: no executor in the package calls a
+    program's ``compute`` or ``input`` outside ``core.engine.run_step``."""
+    callers = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("compute", "input")):
+                    callers.add((path.name, fn.name))
+    assert callers == {("engine.py", "run_step")}
 
 
 class TestWorkloadTracker:

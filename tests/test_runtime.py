@@ -16,6 +16,7 @@ from repro.runtime import (
     Machine,
     TIANHE2,
 )
+from repro.sweep.baselines import BSPSweepRuntime
 from tests.conftest import make_solver
 
 
@@ -125,15 +126,16 @@ def test_negative_or_nan_run_counters_are_refused(counters, named):
         rt.run([_Reporting(0, counters)], np.zeros(1, dtype=np.int64))
 
 
-@pytest.mark.parametrize("engine", ["serial", "des"])
+@pytest.mark.parametrize("engine", ["serial", "des", "bsp"])
 @pytest.mark.parametrize("emit, error", [
     (((0, 0), (7, 0)), "stream to unknown program (7,0)"),
     (((1, 0), (1, 0)), "program (0,0) emitted a stream claiming src (1,0)"),
 ], ids=["unknown-dst", "forged-src"])
-def test_bad_streams_are_refused_alike_by_both_engines(engine, emit, error):
+def test_bad_streams_are_refused_alike_by_every_engine(engine, emit, error):
     """A stream to nobody, or one claiming another program's ``src``
     (the key of transport sequence numbers and resilient dedup), is
-    the same named error on the serial engine and the DES."""
+    the same named error on the serial engine, the DES and the BSP
+    baseline: all three admit a fresh stream through one function."""
     progs = [_Reporting(0, emit=emit), _Reporting(1)]
     with pytest.raises(ReproError, match=re.escape(error)):
         if engine == "serial":
@@ -141,8 +143,10 @@ def test_bad_streams_are_refused_alike_by_both_engines(engine, emit, error):
             for prog in progs:
                 eng.add_program(prog)
             eng.run()
-        else:
+        elif engine == "des":
             DataDrivenRuntime(12).run(progs, np.zeros(2, dtype=np.int64))
+        else:
+            BSPSweepRuntime(12).run(progs, np.zeros(2, dtype=np.int64))
 
 
 def _des_setup(cores=16, nprocs=None, machine=None, patch_shape=(4, 4, 4),
