@@ -19,8 +19,8 @@ package is that layer:
   rule PROTO003 enforces this), with content-addressed scenario
   caching;
 * :mod:`~repro.service.service` - the event loop: fair-share
-  dispatch, deadlines, transient-failure retry with seeded jittered
-  backoff, exactly-once commit, graceful degradation under overload;
+  dispatch, deadlines, immediate retry of worker-crashed attempts,
+  exactly-once commit, graceful degradation under overload;
 * :mod:`~repro.service.chaos` - seeded adversarial traffic campaigns
   holding all of the above to one oracle.
 

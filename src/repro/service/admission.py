@@ -28,26 +28,26 @@ decisions replay bit-for-bit.
 
 from __future__ import annotations
 
-from .._util import ReproError
+from .._util import ReproError, check_count
 from .spec import JobRejected, RejectReason
 
 __all__ = ["AdmissionController"]
+
+#: Virtual seconds one job is estimated to hold a slot: the unit of
+#: every ``retry_after`` hint and of a crashed attempt's burned slice.
+EST_JOB_TIME = 1e-3
 
 
 class AdmissionController:
     """Credit-gated front door of the service."""
 
-    def __init__(self, tenant_slots: int, global_slots: int,
-                 est_job_time: float):
-        if tenant_slots < 1:
-            raise ReproError("tenant_slots must be >= 1")
+    def __init__(self, tenant_slots: int, global_slots: int):
+        check_count("tenant_slots", tenant_slots, "per-tenant credits")
+        check_count("global_slots", global_slots, "global backlog bound")
         if global_slots < tenant_slots:
             raise ReproError("global_slots must be >= tenant_slots")
-        if est_job_time <= 0:
-            raise ReproError("est_job_time must be positive")
         self.tenant_slots = tenant_slots
         self.global_slots = global_slots
-        self.est_job_time = est_job_time
         #: tenant -> live (admitted, not yet terminal) job count: the
         #: credit ledger.  Insertion-ordered, never iterated as a set.
         self.held: dict[str, int] = {}
@@ -102,13 +102,7 @@ class AdmissionController:
         shed submission takes to drain at one estimated job time per
         slot-equivalent.  Intentionally conservative (a compliant
         retry should normally land in capacity, not bounce again)."""
-        return max(1, backlog) * self.est_job_time
+        return max(1, backlog) * EST_JOB_TIME
 
     def shed(self) -> int:
         return self.shed_tenant + self.shed_global
-
-    def shed_rate(self) -> float:
-        """Fraction of submissions shed (the overload SLO metric)."""
-        if self.submissions == 0:
-            return 0.0
-        return self.shed() / self.submissions

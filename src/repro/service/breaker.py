@@ -12,9 +12,9 @@ breaker cuts that off at the submission door:
   are rejected outright (``BREAKER_OPEN``, ``retry_after`` = time to
   half-open) for ``open_for`` virtual seconds; already-admitted jobs
   keep running - the breaker sheds *new* load, it never cancels work;
-* **half-open** - after the cool-down, up to ``probes`` submissions
-  are admitted as canaries; a success closes the breaker, a failure
-  re-opens it for another full ``open_for`` window.
+* **half-open** - after the cool-down, one submission is admitted as
+  a canary; its success closes the breaker, its failure re-opens it
+  for another full ``open_for`` window.
 
 All transitions are driven by the service's virtual clock and the
 job outcome stream - no randomness, no wall time - so breaker behavior
@@ -23,7 +23,7 @@ replays bit-for-bit with the rest of the service.
 
 from __future__ import annotations
 
-from .._util import ReproError
+from .._util import ReproError, check_count
 
 __all__ = ["CircuitBreaker"]
 
@@ -35,21 +35,20 @@ HALF_OPEN = "half-open"
 class CircuitBreaker:
     """Failure-rate gate for one tenant."""
 
-    def __init__(self, threshold: int = 3, open_for: float = 10e-3,
-                 probes: int = 1):
-        if threshold < 1:
-            raise ReproError("breaker threshold must be >= 1")
-        if open_for <= 0:
-            raise ReproError("breaker open_for must be positive")
-        if probes < 1:
-            raise ReproError("breaker probes must be >= 1")
+    def __init__(self, threshold: int = 3, open_for: float = 10e-3):
+        check_count("breaker_threshold", threshold, "breaker threshold")
+        # ``not > 0`` also refuses NaN, which would never half-open.
+        if not open_for > 0:
+            raise ReproError(
+                f"breaker open_for must be positive; got "
+                f"breaker_open_for={open_for!r}"
+            )
         self.threshold = threshold
         self.open_for = open_for
-        self.probes = probes
         self.state = CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0.0  # virtual time the breaker last opened
-        self.probes_out = 0  # canaries admitted while half-open
+        self.probe_out = False  # the half-open canary is admitted
         self.trips = 0  # times the breaker opened (observability)
 
     # -- queries ----------------------------------------------------------------
@@ -58,22 +57,19 @@ class CircuitBreaker:
         """Lazy open -> half-open transition on the virtual clock."""
         if self.state == OPEN and now >= self.opened_at + self.open_for:
             self.state = HALF_OPEN
-            self.probes_out = 0
+            self.probe_out = False
 
     def allow(self, now: float) -> bool:
         """May a new submission from this tenant be admitted at ``now``?
 
-        Half-open admits at most ``probes`` canaries until one of them
-        reaches a terminal outcome.
+        Half-open admits one canary until it reaches a terminal outcome.
         """
         self._refresh(now)
         if self.state == CLOSED:
             return True
-        if self.state == HALF_OPEN:
-            if self.probes_out < self.probes:
-                self.probes_out += 1
-                return True
-            return False
+        if self.state == HALF_OPEN and not self.probe_out:
+            self.probe_out = True
+            return True
         return False
 
     def retry_after(self, now: float) -> float:
@@ -81,7 +77,7 @@ class CircuitBreaker:
         self._refresh(now)
         if self.state == OPEN:
             return max(self.opened_at + self.open_for - now, 0.0)
-        # Half-open with all probes out: retry after one probe's worth
+        # Half-open with the probe out: retry after one probe's worth
         # of estimated turnaround; the caller may substitute better.
         return self.open_for / 2.0
 
@@ -92,7 +88,6 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         if self.state == HALF_OPEN:
             self.state = CLOSED  # the canary came back alive
-            self.probes_out = 0
 
     def on_failure(self, now: float) -> None:
         self._refresh(now)
@@ -103,5 +98,4 @@ class CircuitBreaker:
         ):
             self.state = OPEN
             self.opened_at = now
-            self.probes_out = 0
             self.trips += 1

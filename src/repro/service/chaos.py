@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import ReproError
+from .._util import check_count
 from ..chaos import ChaosSpace, random_fault_plan
 from ..runtime import FaultPlan, LinkPartition
 from .executor import JobExecutor
@@ -49,28 +49,26 @@ __all__ = [
 ]
 
 
+#: The sampled traffic space of every campaign cell: open-loop bursts
+#: over a few tenants, a poison share whose plans can never finish, a
+#: recoverable-chaos share, racing duplicates and a flaky worker pool.
+TENANTS = 3
+BURSTS = 3  # open-loop arrival bursts
+BURST_GAP = 4e-3  # virtual seconds between burst starts
+BURST_WIDTH = 0.5e-3  # arrivals spread inside one burst
+POISON_FRAC = 0.15  # specs whose plan can never finish
+CHAOS_FRAC = 0.25  # specs under recoverable runtime chaos
+DUP_FRAC = 0.2  # extra duplicate submissions appended
+
+
 @dataclass(frozen=True)
 class ServiceChaosSpace:
-    """The sampled traffic space of one campaign."""
+    """The size of one campaign cell."""
 
-    tenants: int = 3
     jobs: int = 24  # submissions per case (before duplicates)
-    bursts: int = 3  # open-loop arrival bursts
-    burst_gap: float = 4e-3  # virtual seconds between burst starts
-    burst_width: float = 0.5e-3  # arrivals spread inside one burst
-    poison_frac: float = 0.15  # specs whose plan can never finish
-    chaos_frac: float = 0.25  # specs under recoverable runtime chaos
-    dup_frac: float = 0.2  # extra duplicate submissions appended
-    worker_crash_rate: float = 0.25
 
     def __post_init__(self):
-        if self.tenants < 1 or self.jobs < 1 or self.bursts < 1:
-            raise ReproError("tenants, jobs and bursts must be >= 1")
-        for frac in (self.poison_frac, self.chaos_frac, self.dup_frac):
-            if not (0.0 <= frac <= 1.0):
-                raise ReproError("chaos fractions must be in [0, 1]")
-        if not (0.0 <= self.worker_crash_rate < 1.0):
-            raise ReproError("worker_crash_rate must be in [0, 1)")
+        check_count("jobs", self.jobs, "submissions per case")
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ def random_service_workload(
         workers=2,
         tenant_slots=4,
         global_slots=8,
-        worker_crash_rate=space.worker_crash_rate,
+        worker_crash_rate=0.25,  # a flaky worker pool
         breaker_threshold=2,
         breaker_open_for=6e-3,
         degrade_at=0.5,
@@ -117,16 +115,14 @@ def random_service_workload(
     arrivals: list[tuple[float, JobSpec]] = []
     poison: set[str] = set()
     for j in range(space.jobs):
-        burst = int(rng.integers(0, space.bursts))
-        at = burst * space.burst_gap + float(
-            rng.uniform(0.0, space.burst_width)
-        )
-        tenant = f"tenant-{int(rng.integers(0, space.tenants))}"
+        burst = int(rng.integers(0, BURSTS))
+        at = burst * BURST_GAP + float(rng.uniform(0.0, BURST_WIDTH))
+        tenant = f"tenant-{int(rng.integers(0, TENANTS))}"
         draw = float(rng.random())
         faults = None
-        if draw < space.poison_frac:
+        if draw < POISON_FRAC:
             faults = _poison_plan(int(rng.integers(0, 2**31)))
-        elif draw < space.poison_frac + space.chaos_frac:
+        elif draw < POISON_FRAC + CHAOS_FRAC:
             # nprocs=4: the hybrid 16-core layout of the default spec.
             faults = random_fault_plan(
                 int(rng.integers(0, 2**20)), 4, chaos_space
@@ -137,21 +133,21 @@ def random_service_workload(
             patch=int(rng.choice((2, 4))),
             faults=faults,
         )
-        if draw < space.poison_frac:
+        if draw < POISON_FRAC:
             poison.add(spec.key())
         arrivals.append((at, spec))
     # Explicit duplicate submissions: same spec, possibly other tenant,
     # arriving later - must coalesce or hit the result cache.
-    for _ in range(int(space.dup_frac * space.jobs)):
+    for _ in range(int(DUP_FRAC * space.jobs)):
         at, spec = arrivals[int(rng.integers(0, space.jobs))]
         dup = JobSpec(
-            tenant=f"tenant-{int(rng.integers(0, space.tenants))}",
+            tenant=f"tenant-{int(rng.integers(0, TENANTS))}",
             kind=spec.kind, mode=spec.mode, size=spec.size,
             patch=spec.patch, grain=spec.grain, sn=spec.sn,
             seed=spec.seed, faults=spec.faults,
         )
         arrivals.append(
-            (at + float(rng.uniform(0.0, space.burst_gap)), dup)
+            (at + float(rng.uniform(0.0, BURST_GAP)), dup)
         )
     arrivals.sort(key=lambda x: x[0])
     return ServiceWorkload(
@@ -260,9 +256,8 @@ def run_service_case(
     seed: int,
     space: ServiceChaosSpace = ServiceChaosSpace(),
     executor: JobExecutor | None = None,
-    check_determinism: bool = True,
 ) -> ServiceCaseResult:
-    """One campaign cell: generate, run, check, optionally replay.
+    """One campaign cell: generate, run, check, replay.
 
     Passing a shared ``executor`` reuses scenario builds across cells
     (identity caching is per-scenario, not per-service); the replay
@@ -272,12 +267,10 @@ def run_service_case(
     workload = random_service_workload(seed, space)
     svc = _run_once(workload, executor)
     violations = check_service_invariants(svc, workload)
-    deterministic = True
-    if check_determinism:
-        replay = _run_once(workload, executor)
-        deterministic = _fingerprint(svc) == _fingerprint(replay)
-        if not deterministic:
-            violations.append("replay diverged from first run")
+    replay = _run_once(workload, executor)
+    deterministic = _fingerprint(svc) == _fingerprint(replay)
+    if not deterministic:
+        violations.append("replay diverged from first run")
     return ServiceCaseResult(
         seed=seed, ok=not violations, violations=violations,
         deterministic=deterministic, metrics=svc.metrics(),
@@ -287,7 +280,6 @@ def run_service_case(
 def run_service_campaign(
     seeds,
     space: ServiceChaosSpace = ServiceChaosSpace(),
-    check_determinism: bool = True,
 ) -> dict:
     """Run cells for all ``seeds`` with one shared executor.
 
@@ -296,10 +288,7 @@ def run_service_campaign(
     alone.
     """
     executor = JobExecutor()
-    cases = [
-        run_service_case(s, space, executor, check_determinism)
-        for s in seeds
-    ]
+    cases = [run_service_case(s, space, executor) for s in seeds]
     agg: dict[str, float] = {}
     for c in cases:
         m = c.metrics

@@ -42,6 +42,13 @@ from .spec import JobSpec
 
 __all__ = ["AttemptOutcome", "JobExecutor"]
 
+#: Watchdog horizon armed on fault-bearing runs: a stalled job is
+#: *diagnosed* (StallReport) after this much progress-free virtual
+#: time instead of spinning against its deadline.
+WATCHDOG_HORIZON = 5e-3
+#: Distinct scenarios kept built; the oldest is evicted first.
+SCENARIO_CACHE_SIZE = 32
+
 
 @dataclass
 class AttemptOutcome:
@@ -72,23 +79,13 @@ class _Scenario:
 class JobExecutor:
     """Builds scenarios (cached) and runs attempts on the runtime."""
 
-    def __init__(self, watchdog_horizon: float = 5e-3,
-                 scenario_cache_size: int = 32, trace: bool = False):
-        if watchdog_horizon <= 0:
-            raise ReproError("watchdog_horizon must be positive")
-        if scenario_cache_size < 1:
-            raise ReproError("scenario_cache_size must be >= 1")
+    def __init__(self, trace: bool = False):
         #: Arm event/HB tracing on every attempt's runtime.  Each clean
         #: attempt's :class:`RunReport` is handed to :attr:`on_report`
         #: (when set) so a harness can export Chrome traces or replay
         #: the happens-before checker per job.
         self.trace = trace
         self.on_report = None  # callable(spec, report) | None
-        #: Watchdog horizon armed on fault-bearing runs: a stalled job
-        #: is *diagnosed* (StallReport) after this much progress-free
-        #: virtual time instead of spinning against its deadline.
-        self.watchdog_horizon = watchdog_horizon
-        self.cache_size = scenario_cache_size
         self._scenarios: dict[tuple, _Scenario] = {}
         self.scenario_builds = 0  # cache misses (observability)
         self.scenario_hits = 0
@@ -104,7 +101,7 @@ class JobExecutor:
             return sc
         sc = self._build(spec)
         self.scenario_builds += 1
-        if len(self._scenarios) >= self.cache_size:
+        if len(self._scenarios) >= SCENARIO_CACHE_SIZE:
             # FIFO eviction: drop the oldest scenario (insertion order).
             oldest = next(iter(self._scenarios))
             del self._scenarios[oldest]
@@ -160,7 +157,7 @@ class JobExecutor:
             )
         faulty = spec.faults is not None
         recovery = (
-            RecoveryConfig(watchdog_horizon=self.watchdog_horizon)
+            RecoveryConfig(watchdog_horizon=WATCHDOG_HORIZON)
             if faulty else None
         )
         try:

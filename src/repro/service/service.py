@@ -2,31 +2,31 @@
 
 ``SweepService`` is itself a small discrete-event simulation, one
 level above the cluster DES: its clock is service virtual time, its
-events are job submissions, attempt completions and retry timers, and
-each *attempt* advances the clock by exactly the virtual makespan the
+events are job submissions and attempt completions, and each
+*attempt* advances the clock by exactly the virtual makespan the
 cluster DES reports (a job occupies its worker slot for as long as the
 simulated cluster would have computed).  Everything - admission,
-backoff jitter, worker-pool crash draws, breaker transitions - is
-driven by one seeded generator and the event order, so an entire
-multi-tenant day of traffic replays bit-for-bit from
-``(ServiceConfig, workload)``.
+worker-pool crash draws, breaker transitions - is driven by one seeded
+generator and the event order, so an entire multi-tenant day of
+traffic replays bit-for-bit from ``(ServiceConfig, workload)``.
 
 Life of a job::
 
     submit --> cache? ----------------------------> cached JobResult
-        \\-> breaker gate -> admission credits -> (maybe demote)
+        \\-> admission credits -> breaker gate -> (maybe demote)
              -> tenant ready queue -> fair-share dispatch
              -> JobExecutor attempt -> ok? commit exactly once
-                                    -> transient? backoff+jitter retry
+                                    -> worker crash? back to its queue
                                     -> terminal failure (taxonomy)
 
 Retry policy is deliberately narrow: only *transient* failures - a
 worker-pool crash, which exists above the deterministic cluster DES -
-are retried.  Deadline overruns, watchdog stalls, and structured
-runtime errors are deterministic functions of the spec; retrying them
-verbatim would burn capacity to reproduce the same failure, so they
-fail fast (and feed the tenant's circuit breaker, which is how a
-poison spec gets quarantined).
+are retried, at once and up to ``MAX_ATTEMPTS`` attempts in all.
+Deadline overruns, watchdog stalls, and structured runtime errors are
+deterministic functions of the spec; retrying them verbatim would burn
+capacity to reproduce the same failure, so they fail fast (and feed
+the tenant's circuit breaker, which is how a poison spec gets
+quarantined).
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
-from .._util import ReproError
+from .._util import ReproError, check_count
 from ..persist.wal import WriteAheadLog, replay_wal
-from .admission import AdmissionController
+from .admission import EST_JOB_TIME, AdmissionController
 from .breaker import CircuitBreaker
 from .executor import AttemptOutcome, JobExecutor
 from .spec import (
@@ -55,60 +56,56 @@ from .spec import (
 __all__ = ["ServiceConfig", "SweepService"]
 
 
+#: Attempts per job, the first included; only worker crashes retry.
+MAX_ATTEMPTS = 3
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tuning knobs of one service instance (all virtual-time)."""
+    """Settable values of one service instance (all virtual-time)."""
 
     workers: int = 4  # concurrent executor slots (cluster slices)
     tenant_slots: int = 4  # live jobs one tenant may hold
     global_slots: int = 16  # service-wide backlog bound
-    est_job_time: float = 1e-3  # retry_after sizing unit
     default_deadline: float = 5e-3  # per-attempt budget when spec has none
-    max_attempts: int = 3  # transient-failure retry budget
-    backoff_base: float = 0.5e-3  # first retry delay
-    backoff_factor: float = 2.0  # exponential growth
-    jitter_frac: float = 0.1  # +/- fraction of the delay, seeded
-    breaker_threshold: int = 3
-    breaker_open_for: float = 10e-3
-    breaker_probes: int = 1
+    breaker_threshold: int = 3  # consecutive failures that open a breaker
+    breaker_open_for: float = 10e-3  # cool-down before the half-open probe
     #: Demote new jobs once the backlog exceeds this fraction of
     #: ``global_slots``; 1.0 disables degradation (backlog can never
-    #: exceed the bound itself).
+    #: exceed the bound itself).  Once degraded, full fidelity resumes
+    #: only after the backlog drains to :attr:`recover_at` (hysteresis:
+    #: a backlog hovering around ``degrade_at`` must not flap between
+    #: fidelities).
     degrade_at: float = 0.75
-    #: Capacity recovery: once degraded, full-fidelity service resumes
-    #: only after the backlog falls back to this fraction of
-    #: ``global_slots`` (hysteresis - a backlog hovering around
-    #: ``degrade_at`` must not flap between fidelities).  ``None``
-    #: defaults to two thirds of ``degrade_at``.
-    recover_at: float | None = None
-    demote_grain: int = 64  # degraded clustering grain (coarser)
-    demote_patch: int = 4  # degraded patch parameter (fewer, larger)
-    watchdog_horizon: float = 2e-3  # stall diagnosis on fault-bearing runs
     worker_crash_rate: float = 0.0  # P(attempt dies with its pool worker)
-    seed: int = 0  # jitter + crash draws
+    seed: int = 0  # crash draws
+    #: The demoted configuration: coarser clustering grain, fewer and
+    #: larger patches (a spec never gets finer, see JobSpec.demoted).
+    demote_grain: ClassVar[int] = 64
+    demote_patch: ClassVar[int] = 4
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ReproError("service needs at least one worker slot")
-        if self.max_attempts < 1:
-            raise ReproError("max_attempts must be >= 1")
-        if self.backoff_base <= 0 or self.backoff_factor < 1:
-            raise ReproError("backoff must be positive and non-shrinking")
-        if not (0.0 <= self.jitter_frac < 1.0):
-            raise ReproError("jitter_frac must be in [0, 1)")
+        check_count("workers", self.workers, "worker slots")
+        # The credit and breaker bounds are checked by the classes that
+        # use them; building one of each here refuses a bad config at
+        # construction instead of at its first submission.
+        AdmissionController(self.tenant_slots, self.global_slots)
+        CircuitBreaker(self.breaker_threshold, self.breaker_open_for)
+        # ``not > 0`` also refuses NaN; inf is a valid "no budget".
+        if not self.default_deadline > 0:
+            raise ReproError(
+                f"default_deadline must be positive; got "
+                f"default_deadline={self.default_deadline!r}"
+            )
         if not (0.0 < self.degrade_at <= 1.0):
             raise ReproError("degrade_at must be in (0, 1]")
-        if self.recover_at is None:
-            object.__setattr__(self, "recover_at", self.degrade_at * 2 / 3)
-        if not (0.0 < self.recover_at <= self.degrade_at):
-            raise ReproError(
-                "recover_at must be in (0, degrade_at]: the recovery "
-                "watermark sits at or below the overload watermark"
-            )
         if not (0.0 <= self.worker_crash_rate < 1.0):
             raise ReproError("worker_crash_rate must be in [0, 1)")
-        if self.default_deadline <= 0:
-            raise ReproError("default_deadline must be positive")
+
+    @property
+    def recover_at(self) -> float:
+        """The recovery watermark: two thirds of ``degrade_at``."""
+        return self.degrade_at * 2 / 3
 
 
 def _spec_fields(spec: JobSpec) -> dict:
@@ -143,12 +140,9 @@ class SweepService:
         #: effect, so a restarted service can replay the journal and
         #: re-admit in-flight jobs (:meth:`recover`).
         self.wal = wal
-        self.executor = (
-            executor if executor is not None
-            else JobExecutor(watchdog_horizon=config.watchdog_horizon)
-        )
+        self.executor = executor if executor is not None else JobExecutor()
         self.admission = AdmissionController(
-            config.tenant_slots, config.global_slots, config.est_job_time
+            config.tenant_slots, config.global_slots
         )
         self.breakers: dict[str, CircuitBreaker] = {}
         self._rng = np.random.default_rng(config.seed)
@@ -210,8 +204,6 @@ class SweepService:
             self.now, _, kind, payload = heapq.heappop(self._events)
             if kind == "submit":
                 self._on_submit(payload)
-            elif kind == "retry":
-                self._enqueue(payload)
             elif kind == "finish":
                 job, outcome = payload
                 self._on_finish(job, outcome)
@@ -276,42 +268,36 @@ class SweepService:
         re-admitted onto the event plane.  The returned service has the
         (truncated) journal re-attached and is ready for
         :meth:`run_until_idle`.
+
+        The clock resumes at the last record that took effect; a submit
+        record (journaled when queued, maybe for a future arrival) does
+        not move it, and its submission re-arrives at ``max(at, now)``.
+        The degradation latch starts clear and latches the live way.
         """
         records, good = replay_wal(wal_path)
         svc = cls(config, executor=executor)  # wal attached after replay
         # (key, tenant)-FIFO matching: each terminal-ish record settles
         # the oldest outstanding submission of its content + tenant.
-        submits: list[list] = []  # [spec, settled?]
+        submits: list[list] = []  # [at, spec, settled?]
         buckets: dict[tuple, deque] = {}
         max_id = -1
-        # Re-derive the degradation latch from the journal: the running
-        # submitted-minus-settled backlog crosses the same watermarks
-        # the live service latched on, so a restarted service resumes
-        # at the fidelity it crashed at.
-        backlog = 0
 
         def settle(key: str, tenant: str) -> None:
-            nonlocal backlog
             q = buckets.get((key, tenant))
             if q:
-                submits[q.popleft()][1] = True
-                backlog -= 1
-                if backlog <= config.recover_at * config.global_slots:
-                    svc.degraded = False
+                submits[q.popleft()][2] = True
 
         for rec in records:
-            svc.now = max(svc.now, float(rec["at"]))
             t = rec["type"]
             if t == "submit":
                 spec = JobSpec(**rec["spec"])
                 buckets.setdefault(
                     (spec.key(), spec.tenant), deque()
                 ).append(len(submits))
-                submits.append([spec, False])
-                backlog += 1
-                if backlog > config.degrade_at * config.global_slots:
-                    svc.degraded = True
-            elif t == "attempt":
+                submits.append([float(rec["at"]), spec, False])
+                continue
+            svc.now = max(svc.now, float(rec["at"]))
+            if t == "attempt":
                 max_id = max(max_id, int(rec["job_id"]))
             elif t == "commit":
                 r = JobResult.from_dict(rec["result"])
@@ -335,9 +321,9 @@ class SweepService:
         # Re-attach the journal first truncating the torn tail, then
         # re-admit in-flight submissions *without* re-journaling them -
         # their submit records are already in the intact prefix.
-        for spec, settled in submits:
+        for at, spec, settled in submits:
             if not settled:
-                svc._push(svc.now, "submit", spec)
+                svc._push(max(at, svc.now), "submit", spec)
         svc.wal = WriteAheadLog(wal_path, fsync=fsync, truncate_to=good)
         return svc
 
@@ -350,8 +336,7 @@ class SweepService:
         br = self.breakers.get(tenant)
         if br is None:
             br = CircuitBreaker(
-                self.cfg.breaker_threshold, self.cfg.breaker_open_for,
-                self.cfg.breaker_probes,
+                self.cfg.breaker_threshold, self.cfg.breaker_open_for
             )
             self.breakers[tenant] = br
         return br
@@ -497,8 +482,7 @@ class SweepService:
             # ran (nothing to replay), the slot is held for the partial
             # slice the worker burned before dying.
             self.worker_crashes += 1
-            burned = float(
-                self._rng.uniform(0.2, 0.9)) * self.cfg.est_job_time
+            burned = float(self._rng.uniform(0.2, 0.9)) * EST_JOB_TIME
             outcome = AttemptOutcome(
                 status="crash", duration=burned,
                 detail="worker pool member crashed mid-attempt",
@@ -518,17 +502,10 @@ class SweepService:
         if outcome.status == "ok":
             self._commit(job, outcome)
             return
-        if outcome.status == "crash" and (
-            job.result.attempts < self.cfg.max_attempts
-        ):
-            delay = self.cfg.backoff_base * (
-                self.cfg.backoff_factor ** (job.result.attempts - 1)
-            )
-            if self.cfg.jitter_frac > 0.0:
-                delay *= 1.0 + self.cfg.jitter_frac * float(
-                    self._rng.uniform(-1.0, 1.0)
-                )
-            self._push(self.now + delay, "retry", job)
+        if outcome.status == "crash" and job.result.attempts < MAX_ATTEMPTS:
+            # A crash is the pool's fault, not the spec's: the job goes
+            # straight back to its tenant's queue, keeping its credit.
+            self._enqueue(job)
             return
         self._fail(job, outcome)
 

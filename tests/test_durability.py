@@ -468,6 +468,52 @@ def test_service_wal_journals_rejections(tmp_path):
     ) == len(svc2.committed) > 0
 
 
+def test_service_wal_replay_does_not_latch_degradation(tmp_path):
+    """Replay must not count journaled submissions that were shed or
+    never admitted into a backlog: with ``degrade_at=1.0`` (degradation
+    off) the recovered service stays at full fidelity, as the live one
+    would have."""
+    wal_path = tmp_path / "service.wal"
+    cfg = ServiceConfig(workers=1, tenant_slots=2, global_slots=2,
+                        degrade_at=1.0)
+    svc = SweepService(cfg, executor=JobExecutor(),
+                       wal=WriteAheadLog(wal_path, fsync=False))
+    for tenant in ("a", "b", "c"):
+        svc.submit(JobSpec(tenant=tenant, seed=ord(tenant)), at=0.0)
+    svc.run_until_idle(max_events=3)  # a runs, b queues, c is shed
+    assert not svc.degraded and len(svc.rejections) == 1
+    svc2 = SweepService.recover(cfg, wal_path, executor=JobExecutor(),
+                                fsync=False)
+    assert not svc2.degraded
+    results = svc2.run_until_idle()
+    assert [r.status for r in results] == [JobStatus.COMPLETED] * 2
+    assert not any(r.demoted for r in results) and svc2.demotions == 0
+
+
+def test_service_wal_replay_resumes_the_clock_of_the_last_effect(tmp_path):
+    """Submissions are journaled when queued, with future arrival
+    times; the replayed clock must come from records that took effect,
+    and a submission that had not arrived at the cut must arrive at its
+    own time, not at the last journaled arrival."""
+    wal_path = tmp_path / "service.wal"
+    cfg = ServiceConfig(workers=2, tenant_slots=8, global_slots=64, seed=5)
+    subs = _submissions()
+    svc = SweepService(cfg, executor=JobExecutor(),
+                       wal=WriteAheadLog(wal_path, fsync=False))
+    for at, spec in subs:
+        svc.submit(spec, at=at)
+    svc.run_until_idle(max_events=3)
+    assert svc.results == []  # nothing settled before the cut
+    svc2 = SweepService.recover(cfg, wal_path, executor=JobExecutor(),
+                                fsync=False)
+    resumed = svc2.now
+    assert resumed <= svc.now < subs[-1][0]
+    results = svc2.run_until_idle()
+    assert sorted(r.submitted for r in results) == sorted(
+        max(at, resumed) for at, _ in subs
+    )
+
+
 def test_service_wal_clean_replay_matches_uninterrupted(tmp_path):
     """A full (never-killed) campaign replayed from its journal carries
     the same committed store - the WAL is a faithful history."""

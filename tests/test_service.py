@@ -27,6 +27,7 @@ from repro.service import (
     SweepService,
 )
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.service.service import MAX_ATTEMPTS
 from repro.sweep.solver import OrderRecord
 
 
@@ -130,12 +131,41 @@ class TestJobSpec:
         assert "retry in" in str(r)
 
 
+# -- service config --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("breaker_open_for", float("nan")),
+        ("global_slots", float("nan")),
+        ("default_deadline", float("nan")),
+        ("workers", 2.5),
+        ("workers", True),
+        ("tenant_slots", 2.5),
+        ("breaker_threshold", 1.5),
+    ],
+)
+def test_config_refuses_nan_and_fractional_values(field, value):
+    """NaN compares false against every bound, so a NaN
+    ``breaker_open_for`` quarantined a tenant forever and a NaN
+    ``global_slots`` or ``default_deadline`` passed for a budget; a
+    fractional or bool count is no count."""
+    with pytest.raises(ReproError, match=f"{field}="):
+        ServiceConfig(**{field: value})
+
+
+def test_config_takes_inf_as_no_budget():
+    cfg = ServiceConfig(default_deadline=math.inf, breaker_open_for=math.inf)
+    assert cfg.default_deadline == cfg.breaker_open_for == math.inf
+
+
 # -- admission credits -----------------------------------------------------------
 
 
 class TestAdmission:
     def test_tenant_bound_sheds_with_hint(self):
-        ac = AdmissionController(2, 8, est_job_time=1e-3)
+        ac = AdmissionController(2, 8)
         ac.admit("a", 0.0)
         ac.admit("a", 0.0)
         with pytest.raises(JobRejected) as ei:
@@ -146,17 +176,17 @@ class TestAdmission:
         ac.admit("b", 0.0)
 
     def test_global_bound_sheds_everyone(self):
-        ac = AdmissionController(2, 3, est_job_time=1e-3)
+        ac = AdmissionController(2, 3)
         ac.admit("a", 0.0)
         ac.admit("a", 0.0)
         ac.admit("b", 0.0)
         with pytest.raises(JobRejected) as ei:
             ac.admit("c", 0.0)
         assert ei.value.reason == RejectReason.SERVICE_OVERLOADED
-        assert ac.shed() == 1 and ac.shed_rate() == 0.25
+        assert ac.shed() == 1 and ac.submissions == 4
 
     def test_release_frees_capacity_and_guards_underflow(self):
-        ac = AdmissionController(1, 8, est_job_time=1e-3)
+        ac = AdmissionController(1, 8)
         ac.admit("a", 0.0)
         ac.release("a")
         ac.admit("a", 1.0)  # credit came back
@@ -183,7 +213,7 @@ class TestBreaker:
         assert br.retry_after(5.5) == pytest.approx(0.5)
 
     def test_half_open_probe_closes_on_success(self):
-        br = CircuitBreaker(threshold=1, open_for=1.0, probes=1)
+        br = CircuitBreaker(threshold=1, open_for=1.0)
         br.on_failure(0.0)
         assert br.allow(1.0)  # cool-down elapsed: one canary admitted
         assert br.state == HALF_OPEN
@@ -285,23 +315,23 @@ class TestService:
         hit = res[-1]
         assert hit.cached and hit.latency == 0.0 and svc.cache_hits == 1
 
-    def test_worker_crash_retries_with_backoff(self, executor):
-        # seed chosen so the first draws crash, later ones don't.
-        svc = _service(executor, workers=1, worker_crash_rate=0.6,
-                       seed=2, max_attempts=5)
+    def test_worker_crash_is_retried_to_completion(self, executor):
+        # seed chosen so the first two draws crash and the third, the
+        # last attempt of the budget, does not.
+        svc = _service(executor, workers=1, worker_crash_rate=0.6, seed=6)
         svc.submit(_spec(seed=32), at=0.0)
         res = svc.run_until_idle()
-        assert res[0].status == JobStatus.COMPLETED
-        assert res[0].attempts > 1 and svc.worker_crashes >= 1
+        assert res[0].status == JobStatus.COMPLETED and res[0].exact
+        assert res[0].attempts == MAX_ATTEMPTS and svc.worker_crashes == 2
 
     def test_retry_budget_exhaustion_fails_structured(self, executor):
         svc = _service(executor, workers=1, worker_crash_rate=0.999,
-                       seed=0, max_attempts=3)
+                       seed=0)
         svc.submit(_spec(seed=33), at=0.0)
         res = svc.run_until_idle()
         assert res[0].status == JobStatus.FAILED
         assert res[0].reason == FailureReason.WORKER_CRASH
-        assert res[0].attempts == 3
+        assert res[0].attempts == MAX_ATTEMPTS
 
     def test_deadline_failure_is_terminal_not_retried(self, executor):
         svc = _service(executor, default_deadline=5e-5)  # < makespan
@@ -338,12 +368,12 @@ class TestService:
         assert rej["tenant"] == "evil" and rej["retry_after"] > 0
 
     def test_degradation_past_watermark(self, executor):
-        # demote_patch stays at the spec's own patch: the size=4 mesh
-        # cannot split into 4x4x4-cell patches across 4 processes.
+        # size=8: the demoted 4x4x4-cell patches need a mesh that
+        # splits into at least one patch per process (4).
         svc = _service(executor, workers=1, degrade_at=0.25,
-                       tenant_slots=8, global_slots=8, demote_patch=2)
+                       tenant_slots=8, global_slots=8)
         for i in range(6):
-            svc.submit(_spec(seed=40 + i), at=0.0)
+            svc.submit(_spec(seed=40 + i, size=8), at=0.0)
         res = svc.run_until_idle()
         demoted = [r for r in res if r.demoted]
         assert demoted and all("grain" in r.demote_note for r in demoted)
