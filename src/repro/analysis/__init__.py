@@ -13,14 +13,13 @@ on two properties the dynamic test tiers can only sample:
 This package enforces both statically:
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` - a
-  custom lint engine with repo-specific determinism (DET), DES,
-  protocol (PROTO) and durability (PERSIST) rules, one class per id,
+  custom lint engine with repo-specific determinism (DET), protocol
+  (PROTO) and durability (PERSIST) rules, one class per id,
   ``# repro: allow[RULE]`` suppressions and machine-readable output.
-  Every lint is whole-program: :mod:`repro.analysis.callgraph`
-  summarizes and links what it is given (a single file is a
-  one-module program), :mod:`repro.analysis.effects` infers each
-  function's transitive effects, and a rule reports the direct site
-  and every call site that reaches one;
+  Each rule reports the sites it sees in one module; PERSIST002 alone
+  links the modules, through :mod:`repro.analysis.callgraph` (class
+  hierarchy plus same-receiver ``self.m()`` calls), to check that a
+  class's run-time state is in its ``state_dict``;
 * :mod:`repro.analysis.hb` - offline replay of recorded ``hb_*``
   traces through the runtime's one run checker
   (:class:`repro.runtime.checker.HbChecker`, a vector-clock

@@ -2,21 +2,20 @@
 
 Subcommands::
 
-    lint [PATHS...] [--json | --sarif] [--rules]
-        Run the determinism/DES/protocol/durability lint rules over
-        Python sources (default: src/).  Everything named is linked
-        into one program (a single file is a one-module program):
-        call graph, fixed-point effect inference, then one rule per
-        id reporting the direct sites and every call site that
-        reaches one, with the chain.  Exit 1 on findings, 2 on a
-        missing path or a source that cannot be parsed
+    lint [PATHS...] [--json] [--rules]
+        Run the determinism/protocol/durability lint rules over Python
+        sources (default: src/).  Each rule reports the sites it sees
+        in one module; PERSIST002 resolves a class's methods over the
+        class hierarchy of everything named.  Exit 1 on findings, 2 on
+        a missing path or a source that cannot be parsed
         (``path:line: cannot parse: ...`` on stderr).
 
     check-trace FILES... [--json]
         Replay happens-before record streams (written by
         ``dump_hb_json`` or a benchmark's ``--check-hb``) through the
         vector-clock checker.  Exit 1 on races, 2 on a file that is
-        missing or not an HB trace (one line on stderr).
+        missing or not an HB trace, or holds an ``hb_*`` record kind
+        the checker does not know (one line on stderr).
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import SourceError, lint_paths, render, render_sarif
+from .._util import ReproError
+from .engine import SourceError, lint_paths, render
 from .hb import check_trace, load_hb_json
 from .rules import rule_table
 
@@ -46,10 +46,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
     violations = lint_paths(paths)
-    if args.sarif:
-        print(render_sarif(violations))
-    else:
-        print(render(violations, as_json=args.json))
+    print(render(violations, as_json=args.json))
     return 1 if violations else 0
 
 
@@ -57,7 +54,11 @@ def _cmd_check_trace(args: argparse.Namespace) -> int:
     results = []
     total = 0
     for path in args.files:
-        races = check_trace(load_hb_json(path))
+        records = load_hb_json(path)
+        try:
+            races = check_trace(records)
+        except ReproError as exc:  # an hb_* kind the checker lacks
+            raise SourceError(path, 1, str(exc)) from exc
         total += len(races)
         results.append((path, races))
     if args.json:
@@ -101,10 +102,6 @@ def main(argv: list[str] | None = None) -> int:
     p_lint = sub.add_parser("lint", help="run the lint rules")
     p_lint.add_argument("paths", nargs="*", help="files/dirs (default: src)")
     p_lint.add_argument("--json", action="store_true")
-    p_lint.add_argument(
-        "--sarif", action="store_true",
-        help="emit SARIF 2.1.0 (GitHub code scanning)",
-    )
     p_lint.add_argument(
         "--rules", action="store_true", help="list the shipped rules"
     )

@@ -1,18 +1,14 @@
 """The lint engine: file loading, suppression parsing, rule dispatch.
 
-The engine is deliberately small: it turns each Python file into a
-:class:`ModuleInfo` (source, AST, comment-level suppressions, logical
-module name), summarizes and links everything it was given into one
-program - call graph plus fixed-point effect database, see
-:mod:`repro.analysis.callgraph` / :mod:`repro.analysis.effects`; a
-single file is a one-module program - hands each module to every
-rule, and filters the returned :class:`Violation`\\ s against the
+The engine turns each Python file into a :class:`ModuleInfo` (source,
+AST, comment-level suppressions, logical module name), links the
+class summaries of everything it was given into one
+:class:`~repro.analysis.callgraph.Program` (the class hierarchy
+PERSIST002 resolves methods over), hands each module to every rule,
+and filters the returned :class:`Violation`\\ s against the
 ``# repro: allow[RULE]`` suppressions.  Rules live in
 :mod:`repro.analysis.rules` and know nothing about files or comments.
-
-Every file is parsed exactly once per run: the engine loads all
-:class:`ModuleInfo` objects up front and shares the AST and the
-linked program across all rules.
+Every file is parsed exactly once per run.
 
 Suppression syntax::
 
@@ -42,15 +38,15 @@ import io
 import json
 import re
 import tokenize
-from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from .._util import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .callgraph import Program
+    from .callgraph import ModuleSummary, Program
     from .rules import Rule
 
 __all__ = [
@@ -58,10 +54,10 @@ __all__ = [
     "ModuleInfo",
     "SourceError",
     "LintEngine",
+    "dotted_name",
     "lint_paths",
     "load_module",
     "render",
-    "render_sarif",
 ]
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9*,\s]+)\]")
@@ -81,10 +77,10 @@ def parse_count() -> int:
 class Violation:
     """One rule finding, with enough context to act on it.
 
-    ``chain`` is populated when the finding is a call site an effect
-    propagated to: the path from the flagged call down to the direct
-    effect site (each entry ``"qualified.name (file:line)"``).  A
-    finding at the direct site itself has an empty chain.
+    ``chain`` is set on a PERSIST002 finding whose write sits in a
+    helper: the call path from the class's method down to the write
+    (each entry ``"qualified.name (file:line)"``).  A finding at the
+    write itself has an empty chain.
     """
 
     rule: str
@@ -137,8 +133,27 @@ class ModuleInfo:
     #: the program this module was linked into, set by the engine
     #: before any rule runs (None only on a bare ``load_module``).
     program: "Program | None" = None
-    #: this module's phase-1 summary, set together with ``program``.
+    #: this module's class summary, set together with ``program``.
     summary: "ModuleSummary | None" = None
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree, walked once and shared by the rules."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def calls(self) -> list[tuple[ast.Call, str | None]]:
+        """Every call with its dotted callee name (see :func:`dotted_name`)."""
+        return [
+            (n, dotted_name(n.func)) for n in self.nodes
+            if isinstance(n, ast.Call)
+        ]
+
+    @cached_property
+    def functions(self) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+        """Every function and method in the module, nested ones included."""
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+        return [n for n in self.nodes if isinstance(n, defs)]
 
     def suppressed(self, rule: str, line: int) -> bool:
         allowed = self.suppressions.get(line, ())
@@ -148,6 +163,18 @@ class ModuleInfo:
             if start <= line <= end and (rule in rules or "*" in rules):
                 return True
         return False
+
+
+def dotted_name(node: ast.expr) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 def _logical_module(path: Path) -> str:
@@ -166,6 +193,8 @@ def _scan_comments(
     suppressions: dict[int, set[str]] = {}
     module: str | None = None
     transient: set[int] = set()
+    if "repro:" not in source:  # no pragma: skip the tokenizer
+        return suppressions, module, frozenset(transient)
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except tokenize.TokenError:
@@ -281,13 +310,10 @@ def _sort_key(v: Violation) -> tuple:
 
 
 class LintEngine:
-    """Run a rule set over files and directories.
-
-    One driver, :meth:`lint_files`: parse, summarize, link everything
-    into one :class:`~repro.analysis.callgraph.Program`, run fixed-point
-    effect inference over its call graph, then the module-scope and
-    program-scope rules.
-    """
+    """Run a rule set over files and directories: parse every file
+    once, link the class summaries into one
+    :class:`~repro.analysis.callgraph.Program`, then run each rule on
+    each module."""
 
     def __init__(self, rules: "list[Rule] | None" = None):
         if rules is None:
@@ -309,78 +335,34 @@ class LintEngine:
                 files.append(p)
         return files
 
-    # -- loading / program linkage ---------------------------------------------------
-
     def load_modules(self, paths: list[str | Path]) -> list[ModuleInfo]:
         """Parse every file once and link them into one program."""
-        mods = [load_module(f) for f in self.collect_files(paths)]
-        self.link_program(mods)
-        return mods
-
-    def link_program(self, mods: list[ModuleInfo]) -> "Program":
-        """Summarize ``mods``, link them into a Program with its effect
-        database, and attach it to each module."""
         from .callgraph import Program, extract_summary
-        from .effects import effect_db
 
+        mods = [load_module(f) for f in self.collect_files(paths)]
         for mod in mods:
             mod.summary = extract_summary(mod)
         program = Program([m.summary for m in mods])
-        effect_db(program)
         for mod in mods:
             mod.program = program
-        return program
+        return mods
 
-    # -- linting ---------------------------------------------------------------------
+    def lint_module(self, mod: ModuleInfo) -> list[Violation]:
+        """Every rule over one linked module, suppressions applied."""
+        out = [
+            v for rule in self.rules for v in rule.check(mod)
+            if not mod.suppressed(v.rule, v.line)
+        ]
+        out.sort(key=_sort_key)
+        return out
+
+    def lint_paths(self, paths: list[str | Path]) -> list[Violation]:
+        out = [v for m in self.load_modules(paths) for v in self.lint_module(m)]
+        out.sort(key=_sort_key)
+        return out
 
     def lint_file(self, path: str | Path) -> list[Violation]:
         return self.lint_paths([path])
-
-    def lint_module(self, mod: ModuleInfo) -> list[Violation]:
-        """Module-scope rule pass over one linked module."""
-        out: list[Violation] = []
-        for rule in self.rules:
-            if rule.scope != "module":
-                continue
-            for v in rule.check(mod):
-                if not mod.suppressed(v.rule, v.line):
-                    out.append(v)
-        out.sort(key=_sort_key)
-        return out
-
-    def lint_program(
-        self, program: "Program", mods: list[ModuleInfo]
-    ) -> list[Violation]:
-        """Program-scope rule pass (PROTO004-style whole-program checks),
-        filtered through the suppressions of the linked ``mods``."""
-        by_path = {m.path: m for m in mods}
-        out: list[Violation] = []
-        for rule in self.rules:
-            if rule.scope != "program":
-                continue
-            for v in rule.check_program(program):
-                owner = by_path.get(v.path)
-                if owner is None or not owner.suppressed(v.rule, v.line):
-                    out.append(v)
-        out.sort(key=_sort_key)
-        return out
-
-    def lint_files(
-        self, files: Iterable[str | Path]
-    ) -> tuple[list[ModuleInfo], dict[str, list[Violation]], list[Violation]]:
-        """The driver: ``(parsed modules, findings by path, program
-        findings)`` for ``files``."""
-        mods = [load_module(f) for f in files]
-        program = self.link_program(mods)
-        findings = {mod.path: self.lint_module(mod) for mod in mods}
-        return mods, findings, self.lint_program(program, mods)
-
-    def lint_paths(self, paths: list[str | Path]) -> list[Violation]:
-        _, findings, out = self.lint_files(self.collect_files(paths))
-        for vs in findings.values():
-            out.extend(vs)
-        out.sort(key=_sort_key)
-        return out
 
 
 def lint_paths(
@@ -403,69 +385,3 @@ def render(violations: list[Violation], as_json: bool = False) -> str:
     lines = [v.format() for v in violations]
     lines.append(f"repro.analysis: {len(violations)} violation(s)")
     return "\n".join(lines)
-
-
-def render_sarif(
-    violations: list[Violation], rules: "list[Rule] | None" = None
-) -> str:
-    """SARIF 2.1.0 rendering (GitHub code-scanning annotations).
-
-    One run, one result per violation; rule metadata (title + fix
-    hint) rides in the driver's rule table so the annotations carry
-    the hint text inline.
-    """
-    if rules is None:
-        from .rules import ALL_RULES
-
-        rules = ALL_RULES
-    rule_meta = [
-        {
-            "id": r.id,
-            "name": r.__class__.__name__,
-            "shortDescription": {"text": r.title},
-            "help": {"text": r.hint},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for r in rules
-    ]
-    index = {r.id: i for i, r in enumerate(rules)}
-    results: list[dict[str, Any]] = []
-    for v in violations:
-        message = v.message
-        if v.chain:
-            message += " [via: " + " -> ".join(v.chain) + "]"
-        results.append({
-            "ruleId": v.rule,
-            "ruleIndex": index.get(v.rule, -1),
-            "level": "error",
-            "message": {"text": message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": v.path.replace("\\", "/"),
-                    },
-                    "region": {
-                        "startLine": v.line,
-                        "startColumn": max(v.col + 1, 1),
-                    },
-                },
-            }],
-        })
-    doc = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro.analysis",
-                    "informationUri": "https://example.invalid/repro",
-                    "rules": rule_meta,
-                },
-            },
-            "results": results,
-        }],
-    }
-    return json.dumps(doc, indent=1)

@@ -1,21 +1,16 @@
 """Rule registry: every shipped lint rule, one class per id.
 
 Adding a rule: subclass :class:`~repro.analysis.rules.base.Rule` in a
-module here, give it an ``id``/``title``/``hint``, and append one
-instance to :data:`ALL_RULES`.  A rule about an *effect* (something a
-function does and its callers inherit) is written once: teach the
-summary scanner in :mod:`repro.analysis.callgraph` the new atom, then
-subclass :class:`~repro.analysis.rules.base.EffectRule` with the
-atom's ``kind`` - direct sites and every propagated call site are
-reported by the same object.  Fixture coverage is enforced by
-``tests/test_analysis_lint.py`` - each rule ships one triple: a
-triggering fixture, a clean fixture, and a suppression fixture.
+module here, give it an ``id``/``title``/``hint`` and a ``check`` over
+one module, and append one instance to :data:`ALL_RULES`.  Fixture
+coverage is enforced by ``tests/test_analysis_lint.py`` - each rule
+ships one triple: a triggering fixture, a clean fixture, and a
+suppression fixture.
 """
 
 from __future__ import annotations
 
-from .base import EffectRule, Rule
-from .des import CallbackIoRule
+from .base import Rule
 from .determinism import (
     ClockReadRule,
     IdentitySortKeyRule,
@@ -23,34 +18,16 @@ from .determinism import (
     SetIterationOrderRule,
 )
 from .persist import SnapshotCodecRule, SnapshotCompletenessRule
-from .protocol import (
-    COUNTER_OWNERS,
-    SERVICE_FACADE_ALLOWED,
-    CounterWriteRule,
-    EventProtocolRule,
-    ServiceFacadeRule,
-    WireBypassRule,
-)
+from .protocol import WireBypassRule
 
-__all__ = [
-    "ALL_RULES",
-    "COUNTER_OWNERS",
-    "SERVICE_FACADE_ALLOWED",
-    "EffectRule",
-    "Rule",
-    "rule_table",
-]
+__all__ = ["ALL_RULES", "Rule", "rule_table"]
 
 ALL_RULES: list[Rule] = [
     ClockReadRule(),
     RngDrawRule(),
     SetIterationOrderRule(),
     IdentitySortKeyRule(),
-    CallbackIoRule(),
     WireBypassRule(),
-    CounterWriteRule(),
-    ServiceFacadeRule(),
-    EventProtocolRule(),
     SnapshotCodecRule(),
     SnapshotCompletenessRule(),
 ]

@@ -6,9 +6,10 @@ These encode the repo's core contract: a run is a pure function of
 leak into event ordering or numerics breaks golden fingerprints,
 chaos-campaign replay, and bitwise-exact recovery.
 
-DET001-DET003 read the whole-program effect database: each flags the
-direct site and every call site that reaches one through helpers,
-with the chain.  DET004 has no effect atom and stays a plain AST walk.
+Each rule is a walk of one module's AST and reports the direct site
+only.  A caller of a function holding a finding is not flagged: the
+site is fixed or blessed (``# repro: allow[RULE]``) where it is, and a
+blessed site makes no caller impure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import ast
 from collections.abc import Iterator
 
 from ..engine import ModuleInfo, Violation
-from .base import EffectRule, Rule, dotted_name, walk_functions
+from .base import Rule, dotted_name
 
 __all__ = [
     "ClockReadRule",
@@ -48,7 +49,7 @@ _WALL_CLOCK = {
 }
 
 
-class ClockReadRule(EffectRule):
+class ClockReadRule(Rule):
     """DET001: wall-clock reads inside the simulation package."""
 
     id = "DET001"
@@ -57,19 +58,14 @@ class ClockReadRule(EffectRule):
         "virtual time comes from the Simulator's event clock; pass `now` "
         "down from the event loop instead of reading the host clock "
         "(timestamps for reports belong in the caller, outside src/repro)"
-        " - a deliberate read is blessed once, at the direct site, with "
-        "`# repro: allow[DET001]`, which clears every caller"
+        " - a deliberate read is blessed at its site with "
+        "`# repro: allow[DET001]`"
     )
-    kind = "wall"
 
-    def direct(self, mod, fn, site):
-        return f"wall-clock read `{site.atom[1]}()`"
-
-    def reached(self, eff):
-        return (
-            f"call reaches wall-clock read `{eff.atom[1]}()` "
-            f"({len(eff.chain) - 1} hop(s) away)"
-        )
+    def check(self, mod: ModuleInfo) -> Iterator[Violation]:
+        for node, name in mod.calls:
+            if name in _WALL_CLOCK:
+                yield self.violation(mod, node, f"wall-clock read `{name}()`")
 
 
 #: Module-level RNG entry points of `random` (global, unseeded state).
@@ -97,7 +93,7 @@ _SEEDABLE = {
 }
 
 
-class RngDrawRule(EffectRule):
+class RngDrawRule(Rule):
     """DET002: RNG draws that do not flow from an explicit seed."""
 
     id = "DET002"
@@ -107,21 +103,30 @@ class RngDrawRule(EffectRule):
         "`rng = np.random.default_rng(seed)` threaded through as a "
         "parameter (see FaultInjector / random_fault_plan)"
     )
-    kind = "rng"
 
-    def direct(self, mod, fn, site):
-        api = site.atom[1]
-        if site.note == "seedless":
-            return f"`{api}()` without a seed draws entropy from the OS"
-        if site.note == "global":
-            return f"global-state RNG call `{api}()`"
-        return f"legacy numpy global RNG call `{api}()`"
-
-    def reached(self, eff):
-        return (
-            f"call reaches unseeded RNG `{eff.atom[1]}()` "
-            f"({len(eff.chain) - 1} hop(s) away)"
-        )
+    def check(self, mod: ModuleInfo) -> Iterator[Violation]:
+        for node, name in mod.calls:
+            if name is None:
+                continue
+            norm = name.replace("np.", "numpy.", 1)
+            if norm in _SEEDABLE:
+                if not node.args and not node.keywords:
+                    yield self.violation(
+                        mod, node,
+                        f"`{name}()` without a seed draws entropy from the OS",
+                    )
+            elif name.startswith("random.") and (
+                name.split(".", 1)[1] in _GLOBAL_RANDOM
+            ):
+                yield self.violation(
+                    mod, node, f"global-state RNG call `{name}()`"
+                )
+            elif norm.startswith("numpy.random.") and (
+                norm.rsplit(".", 1)[1] in _NUMPY_GLOBAL
+            ):
+                yield self.violation(
+                    mod, node, f"legacy numpy global RNG call `{name}()`"
+                )
 
 
 #: Call names that feed the event-ordered machinery: the simulator
@@ -175,11 +180,12 @@ def _set_expr(node: ast.expr, set_names: set[str],
 
 
 def _collect_set_names(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+    fn: ast.FunctionDef | ast.AsyncFunctionDef, nodes: list[ast.AST]
 ) -> set[str]:
-    """Local names provably bound to sets (or set-keyed dicts)."""
+    """Local names provably bound to sets (or set-keyed dicts);
+    ``nodes`` is ``fn`` walked."""
     names: set[str] = set()
-    for node in ast.walk(fn):
+    for node in nodes:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             tgt = node.targets[0]
             if isinstance(tgt, ast.Name) and _binds_set(node.value):
@@ -217,10 +223,10 @@ def _set_annotation(ann: ast.expr) -> bool:
                     "typing.Set", "typing.FrozenSet")
 
 
-def _collect_set_attrs(tree: ast.Module) -> set[str]:
+def _collect_set_attrs(mod: ModuleInfo) -> set[str]:
     """``self.x`` attributes assigned a set in any ``__init__``."""
     attrs: set[str] = set()
-    for node in ast.walk(tree):
+    for node in mod.nodes:
         if isinstance(node, ast.FunctionDef) and node.name == "__init__":
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
@@ -250,11 +256,9 @@ class SetIterationOrderRule(Rule):
     of str-bearing keys depend on ``PYTHONHASHSEED``: a loop over a
     set whose body schedules events, sends messages, or pushes onto
     shared queues makes *event order* a function of the interpreter's
-    hash seed.  The loop body is searched for a sink site first, then
-    each call in it is resolved through the program call graph and the
-    effect database is asked whether the target reaches one.  Wrapping
-    the iterable in ``sorted(...)`` normalizes the order and silences
-    the rule.
+    hash seed.  The loop body itself is searched for a sink call; a
+    helper the body calls is not followed.  Wrapping the iterable in
+    ``sorted(...)`` normalizes the order and silences the rule.
     """
 
     id = "DET003"
@@ -266,61 +270,48 @@ class SetIterationOrderRule(Rule):
     )
 
     def check(self, mod: ModuleInfo) -> Iterator[Violation]:
-        sinks = sorted(
-            (site.line, site.col, site.atom[1])
-            for fn in mod.summary.functions.values()
-            for site in fn.atoms
-            if site.atom[0] == "sink"
-        )
-        set_attrs = _collect_set_attrs(mod.tree)
-        for fn in walk_functions(mod.tree):
-            set_names = _collect_set_names(fn)
-            for node in ast.walk(fn):
-                if not isinstance(node, (ast.For, ast.AsyncFor)):
-                    continue
-                if _is_sorted_wrapped(node.iter):
-                    continue
+        set_attrs: set[str] | None = None
+        for fn in mod.functions:
+            nodes = list(ast.walk(fn))
+            loops = [
+                n for n in nodes if isinstance(n, (ast.For, ast.AsyncFor))
+                and not _is_sorted_wrapped(n.iter)
+            ]
+            if not loops:
+                continue
+            if set_attrs is None:
+                set_attrs = _collect_set_attrs(mod)
+            set_names = _collect_set_names(fn, nodes)
+            for node in loops:
                 why = _set_expr(node.iter, set_names, set_attrs)
                 if why is None:
                     continue
-                hit = self._reach(node.body, mod, sinks)
-                if hit is None:
-                    continue
-                sink, chain = hit
-                yield Violation(
-                    self.id, mod.path, node.lineno, node.col_offset,
-                    f"iteration over {why} reaches event sink "
-                    f"`{sink}` - event order now depends on "
-                    "PYTHONHASHSEED",
-                    self.hint, chain=chain,
-                )
+                sink = _first_sink(node.body, mod)
+                if sink is not None:
+                    yield self.violation(
+                        mod, node,
+                        f"iteration over {why} reaches event sink "
+                        f"`{sink}` - event order now depends on "
+                        "PYTHONHASHSEED",
+                    )
 
-    @staticmethod
-    def _reach(
-        body: list[ast.stmt],
-        mod: ModuleInfo,
-        sinks: list[tuple[int, int, str]],
-    ) -> tuple[str, tuple[str, ...]] | None:
-        """How ``body`` reaches a sink: (description, chain) or None."""
-        lo = (body[0].lineno, body[0].col_offset)
-        hi = (body[-1].end_lineno, body[-1].end_col_offset)
-        for line, col, name in sinks:
-            if lo <= (line, col) < hi:
-                return name, ()
-        program = mod.program
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                for target in program.calls_at.get(
-                    (mod.path, node.lineno), ()
-                ):
-                    for eff in program.effects.with_kind(target, "sink"):
-                        if eff.direct:  # one hop: name it inline
-                            short = target.rpartition(".")[2]
-                            return f"{short}() -> {eff.atom[1]}", ()
-                        return f"{eff.atom[1]}` through `{target}", eff.chain
-        return None
+
+def _first_sink(body: list[ast.stmt], mod: ModuleInfo) -> str | None:
+    """Name of the first unblessed event-sink call in ``body``."""
+    hits = []
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None
+            )
+            if name in _EVENT_SINKS and not mod.suppressed(
+                "DET003", node.lineno
+            ):
+                hits.append((node.lineno, node.col_offset, name))
+    return min(hits)[2] if hits else None
 
 
 class IdentitySortKeyRule(Rule):
@@ -334,9 +325,7 @@ class IdentitySortKeyRule(Rule):
     )
 
     def check(self, mod: ModuleInfo) -> Iterator[Violation]:
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node, _ in mod.calls:
             name = None
             if isinstance(node.func, ast.Name):
                 name = node.func.id

@@ -17,9 +17,10 @@ PERSIST001's scope: every module under ``repro.persist``, plus every
 feed the snapshot stream by contract).
 
 PERSIST002 asks the complementary question - is every piece of
-run-time state *in* the stream? - and answers it from the effect
-database: a class's transitive ``self.*`` writes against what its
-``state_dict`` / ``load_state_dict`` pair covers.
+run-time state *in* the stream? - and answers it from the linked class
+summaries (:mod:`repro.analysis.callgraph`): a class's ``self.*``
+writes, through same-receiver calls, against what its ``state_dict`` /
+``load_state_dict`` pair covers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import ast
 from collections.abc import Iterator
 
 from ..engine import ModuleInfo, Violation
-from .base import Rule, dotted_name, walk_functions
+from .base import Rule, dotted_name
 from .determinism import (
     _collect_set_attrs,
     _collect_set_names,
@@ -61,23 +62,27 @@ class SnapshotCodecRule(Rule):
 
     def check(self, mod: ModuleInfo) -> Iterator[Violation]:
         in_persist = mod.module.startswith("repro.persist")
-        set_attrs = _collect_set_attrs(mod.tree)
+        fns = [
+            fn for fn in mod.functions if in_persist or fn.name in _STATE_FNS
+        ]
+        if not fns and not in_persist:
+            return
+        set_attrs = _collect_set_attrs(mod)
         seen: set[tuple] = set()  # nested functions are walked twice
         if in_persist:
             # Whole-module sweep for banned serializers (module level
             # included); iterations are checked per function below so
             # provably-set local names are known.
             yield from self._dedup(
-                self._check_scope(mod, mod.tree, set(), set_attrs,
+                self._check_scope(mod, mod.nodes, set(), set_attrs,
                                   iterations=False),
                 seen,
             )
-        for fn in walk_functions(mod.tree):
-            if not (in_persist or fn.name in _STATE_FNS):
-                continue
+        for fn in fns:
+            nodes = list(ast.walk(fn))
             yield from self._dedup(
                 self._check_scope(
-                    mod, fn, _collect_set_names(fn), set_attrs,
+                    mod, nodes, _collect_set_names(fn, nodes), set_attrs,
                     calls=not in_persist,
                 ),
                 seen,
@@ -96,13 +101,13 @@ class SnapshotCodecRule(Rule):
     def _check_scope(
         self,
         mod: ModuleInfo,
-        root: ast.AST,
+        nodes: list[ast.AST],
         set_names: set[str],
         set_attrs: set[str],
         calls: bool = True,
         iterations: bool = True,
     ) -> Iterator[Violation]:
-        for node in ast.walk(root):
+        for node in nodes:
             if not iterations and not isinstance(node, ast.Call):
                 continue
             if calls and isinstance(node, ast.Call):
@@ -148,12 +153,14 @@ class SnapshotCodecRule(Rule):
 class SnapshotCompletenessRule(Rule):
     """PERSIST002: mutable state outside the state_dict round trip.
 
-    For every class shipping ``state_dict``, each ``self.*`` attribute
-    assigned in any (hierarchy- and call-graph-resolved) method body
-    outside ``__init__`` must be read by ``state_dict`` or written by
-    ``load_state_dict`` - or carry a ``# repro: transient`` pragma on
-    an assignment line.  Anything else is run-time state a PR 8
-    kill-resume silently drops.
+    For every class that has ``state_dict`` (its own or inherited),
+    each ``self.*`` attribute assigned in a method body outside
+    ``__init__`` - directly, through ``self.m()`` calls resolved on the
+    class's MRO, or in a module-level helper handed ``self`` - must be
+    read by ``state_dict`` or written by ``load_state_dict``, or carry
+    a ``# repro: transient`` pragma on an assignment line.  Anything
+    else is run-time state a kill-resume silently drops.  An attribute
+    a base class already leaves uncovered is reported at the base.
     """
 
     id = "PERSIST002"
@@ -166,31 +173,28 @@ class SnapshotCompletenessRule(Rule):
     )
 
     def check(self, mod: ModuleInfo) -> Iterator[Violation]:
-        db = mod.program.effects
+        program = mod.program
         for cls in mod.summary.classes.values():
-            if not cls.has_state_dict:
+            missing = program.uncovered(cls.qname)
+            if not missing:
                 continue
-            covered = db.class_covered(cls.qname)
-            transient = db.class_transient(cls.qname)
-            writes = db.class_swrites(cls.qname)
-            for attr in sorted(writes):
-                if attr in covered or attr in transient:
-                    continue
-                if attr.startswith("__"):
-                    continue  # name-mangled internals: not restorable state
-                eff = writes[attr]
-                path, line = eff.origin
-                anchored_here = path == mod.path
+            inherited: set[str] = set()
+            for base in program.mro(cls.qname)[1:]:
+                inherited.update(program.uncovered(base.qname))
+            for attr in sorted(missing.keys() - inherited):
+                chain = missing[attr]
+                origin, line = chain[-1]
+                here = origin.path == mod.path
                 yield Violation(
                     rule=self.id,
                     path=mod.path,
-                    line=line if anchored_here else cls.line,
+                    line=line if here else cls.line,
                     col=0,
                     message=(
                         f"`{cls.name}.{attr}` is assigned outside __init__ "
                         "but not covered by state_dict/load_state_dict"
                     ),
                     hint=self.hint,
-                    chain=eff.chain if not eff.direct or not anchored_here
-                    else (),
+                    chain=tuple(fn.entry(ln) for fn, ln in chain)
+                    if len(chain) > 1 or not here else (),
                 )

@@ -161,11 +161,17 @@ class HbChecker:
     # -- record ingestion -----------------------------------------------------------
 
     def feed(self, time: float, kind: str, detail: tuple) -> None:
-        handler = getattr(self, "_on_" + kind[3:], None) if kind.startswith(
-            "hb_"
-        ) else None
+        """Check one record; a note that is not ``hb_*`` is ignored, an
+        ``hb_*`` kind with no ``_on_*`` handler is refused (its
+        invariants would go unchecked)."""
+        if not kind.startswith("hb_"):
+            return
+        handler = getattr(self, "_on_" + kind[3:], None)
         if handler is None:
-            return  # not an HB record: ignore
+            raise ReproError(
+                f"unknown happens-before record kind {kind!r} at "
+                f"t={time:.6g}: the checker has no _on_{kind[3:]} handler"
+            )
         self.records += 1
         handler(time, *detail)
 

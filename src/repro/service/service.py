@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -176,6 +177,8 @@ class SweepService:
 
     def submit(self, spec: JobSpec, at: float = 0.0) -> None:
         """Enqueue a submission event at service time ``at``."""
+        if not math.isfinite(at):
+            raise ReproError(f"cannot submit at {at!r}: time must be finite")
         if at < self.now:
             raise ReproError(
                 f"cannot submit at {at:.6f}s: service time is {self.now:.6f}s"
@@ -218,9 +221,18 @@ class SweepService:
         for r in self.results:
             if r.status == JobStatus.FAILED:
                 by_reason[r.reason] = by_reason.get(r.reason, 0) + 1
+        # A breaker rejection passed admit() before giving its credit
+        # back: the admission controller counts it, but it is shed.
+        breaker_open = sum(
+            1 for r in self.rejections
+            if r["reason"] == RejectReason.BREAKER_OPEN
+        )
         return {
             "submissions": self.admission.submissions + self.cache_hits,
-            "admitted": self.admission.submissions - self.admission.shed(),
+            "admitted": (
+                self.admission.submissions - self.admission.shed()
+                - breaker_open
+            ),
             "completed": sum(
                 1 for r in self.results if r.status == JobStatus.COMPLETED
             ),
@@ -228,10 +240,7 @@ class SweepService:
             "shed": {
                 RejectReason.TENANT_QUEUE_FULL: self.admission.shed_tenant,
                 RejectReason.SERVICE_OVERLOADED: self.admission.shed_global,
-                RejectReason.BREAKER_OPEN: sum(
-                    1 for r in self.rejections
-                    if r["reason"] == RejectReason.BREAKER_OPEN
-                ),
+                RejectReason.BREAKER_OPEN: breaker_open,
             },
             "shed_rate": (
                 len(self.rejections)

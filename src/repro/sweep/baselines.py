@@ -148,7 +148,7 @@ class KBASchedule:
                                 if deps == 0:
                                     # Single-kind loop: every pop below
                                     # consumes a 'task', no dispatch.
-                                    sim.push(0.0, "task", key)  # repro: allow[PROTO004]
+                                    sim.push(0.0, "task", key)
             num_tasks += len(remaining)
 
             def release(key, t):
@@ -264,7 +264,7 @@ class BSPSweepRuntime:
         sim = Simulator()
         procs_res = [Resource(("bsp", p)) for p in range(nprocs)]
         # Single-kind loop: each pop is the next BSP super-step.
-        sim.push(0.0, "superstep", None)  # repro: allow[PROTO004]
+        sim.push(0.0, "superstep", None)
         while sim:
             now, _, _ = sim.pop()
             steps += 1

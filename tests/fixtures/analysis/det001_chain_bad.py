@@ -1,7 +1,7 @@
 # repro: module=repro.runtime.chainclock
-"""Interprocedural DET001: a wall-clock read two helpers deep.  The
-single-file rule flags the direct site; the transitive re-host flags
-`helper` and `caller` with the propagation chain."""
+"""DET001 reports the direct site only: the wall-clock read in `_stamp`
+is flagged, while `helper` and `caller`, which reach it through calls,
+are not (fixing or blessing the read clears them too)."""
 
 import time
 

@@ -1,6 +1,6 @@
 # repro: module=repro.runtime.chainclockok
-"""Blessing the direct site kills the atom before it propagates: one
-suppression at the source clears the entire caller cone."""
+"""Blessing the direct site is the whole fix: DET001 reports no
+caller, so one suppression at the source leaves nothing to flag."""
 
 import time
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro._util import ReproError
 from repro.analysis import check_report, check_trace, dump_hb_json, load_hb_json
 from repro.runtime.checker import CTL, HbChecker, _leq
 from repro.runtime import DataDrivenRuntime
@@ -147,6 +148,18 @@ def test_cli_check_trace_bad_file_exits_2_with_one_line(
     assert len(err.strip().splitlines()) == 1
 
 
+def test_cli_check_trace_unknown_record_kind_exits_2(tmp_path, capsys):
+    from repro.analysis.__main__ import main
+
+    f = tmp_path / "bogus.json"
+    f.write_text('[{"t": 1e-6, "kind": "hb_bogus", "detail": [0]}]')
+    assert main(["check-trace", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"{f}:1: cannot parse: ") and "hb_bogus" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # -- synthetic unit streams: one per race kind -----------------------------------
 
 
@@ -244,6 +257,14 @@ class TestClockModel:
         chk.feed(1e-6, "run_end", ())
         chk.feed(2e-6, "msg_arrive", ())
         assert chk.records == 0 and chk.finish() == []
+
+    def test_unknown_hb_record_kind_is_refused(self):
+        """An ``hb_*`` kind with no handler would leave its invariants
+        unchecked: the checker refuses it instead of skipping it."""
+        chk = HbChecker()
+        with pytest.raises(ReproError, match="'hb_bogus'"):
+            chk.feed(1e-6, "hb_bogus", (0,))
+        assert chk.records == 0
 
     def test_control_plane_is_a_clock_node(self):
         chk = HbChecker()

@@ -1,7 +1,7 @@
 """The lint engine: every rule demonstrated on golden fixtures (and
-every fixture's findings pinned row by row), the suppression syntax,
-the module pragma, unparsable sources, and the meta-check that the
-shipped repo itself lints clean."""
+every fixture's findings pinned row by row), direct-site reporting,
+the suppression syntax, the module pragma, unparsable sources, and the
+meta-check that the shipped repo itself lints clean."""
 
 import json
 from pathlib import Path
@@ -9,12 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import LintEngine, Violation
-from repro.analysis.engine import (
-    SourceError,
-    load_module,
-    render,
-    render_sarif,
-)
+from repro.analysis.engine import SourceError, load_module, render
 from repro.analysis.rules import ALL_RULES, rule_table
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
@@ -28,11 +23,7 @@ FIXTURE_STEM = {
     "DET002": "det002",
     "DET003": "det003",
     "DET004": "det004",
-    "DES001": "des001",
     "PROTO001": "proto001",
-    "PROTO002": "proto002",
-    "PROTO003": "proto003",
-    "PROTO004": "proto004",
     "PERSIST001": "persist001",
     "PERSIST002": "persist002",
 }
@@ -67,12 +58,6 @@ class TestRulesTrigger:
     def test_suppression_silences_the_rule(self, rule_id):
         assert _lint(f"{FIXTURE_STEM[rule_id]}_suppressed.py") == []
 
-    def test_det003_interprocedural_one_hop(self):
-        vs = _lint("det003_hop_bad.py")
-        assert [v.rule for v in vs] == ["DET003"]
-        # The message names the call chain into the sink.
-        assert "_kick" in vs[0].message and "push" in vs[0].message
-
     def test_violations_carry_hint_and_position(self):
         vs = _lint("det001_bad.py")
         assert vs, "expected findings"
@@ -81,18 +66,7 @@ class TestRulesTrigger:
             assert str(FIXTURES / "det001_bad.py") == v.path
 
 
-# -- same findings as the two lint hostings this engine replaced -----------------
-
-#: Pusher-only fixtures: linted alone they contain no dispatch site, so
-#: PROTO004's closed-world "pushed but unhandled" half has nothing to
-#: check.  expected_findings.json was recorded from the old engine
-#: (union of its single-file and whole-program passes) with exactly
-#: these files' PROTO004 rows dropped.
-PUSHER_ONLY = {
-    "det003_bad.py", "det003_clean.py", "det003_hop_bad.py",
-    "det003_suppressed.py", "proto001_bad.py", "proto001_clean.py",
-    "proto001_suppressed.py",
-}
+# -- every fixture's findings, pinned row by row ---------------------------------
 
 EXPECTED = json.loads((FIXTURES / "expected_findings.json").read_text())
 
@@ -102,7 +76,6 @@ class TestSameFindings:
         assert sorted(EXPECTED) == sorted(
             f.name for f in FIXTURES.glob("*.py")
         )
-        assert PUSHER_ONLY <= set(EXPECTED)
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_fixture_findings_reproduced_exactly(self, name):
@@ -111,10 +84,6 @@ class TestSameFindings:
             for v in _lint(name)
         )
         assert got == EXPECTED[name]
-
-    @pytest.mark.parametrize("name", sorted(PUSHER_ONLY))
-    def test_pusher_only_fixture_has_no_proto004(self, name):
-        assert "PROTO004" not in {v.rule for v in _lint(name)}
 
     def test_module_and_class_body_sites_are_seen(self, tmp_path):
         f = tmp_path / "top.py"
@@ -139,7 +108,7 @@ class TestSameFindings:
         )
         assert [v.line for v in LintEngine().lint_file(f)] == [3, 4]
 
-    def test_direct_site_and_caller_come_from_one_rule(self, tmp_path):
+    def test_only_the_direct_site_is_reported(self, tmp_path):
         f = tmp_path / "pair.py"
         f.write_text(
             "import time\n"
@@ -148,20 +117,27 @@ class TestSameFindings:
             "def caller():\n"
             "    return stamp()\n"
         )
-        rules = [r for r in ALL_RULES if r.id == "DET001"]
-        assert len(rules) == 1
-        vs = LintEngine(rules).lint_file(f)
-        assert [(v.line, len(v.chain)) for v in vs] == [(3, 0), (5, 2)]
-        assert vs[0].col == 11 and "1 hop(s) away" in vs[1].message
+        vs = LintEngine().lint_file(f)
+        assert [(v.rule, v.line, v.col, v.chain) for v in vs] == [
+            ("DET001", 3, 11, ()),
+        ]
 
-    def test_sarif_default_table_indexes_every_result(self):
-        vs = [v for name in EXPECTED for v in _lint(name)]
-        assert {v.rule for v in vs} == set(RULE_IDS)
-        doc = json.loads(render_sarif(vs))
-        table = doc["runs"][0]["tool"]["driver"]["rules"]
-        for r in doc["runs"][0]["results"]:
-            assert r["ruleIndex"] >= 0
-            assert table[r["ruleIndex"]]["id"] == r["ruleId"]
+    def test_loop_body_is_searched_but_helpers_are_not(self, tmp_path):
+        f = tmp_path / "loops.py"
+        f.write_text(
+            "def _kick(sim, p):\n"
+            "    sim.push(0.0, 'kick', p)\n"
+            "def direct(sim):\n"
+            "    for p in {1, 2}:\n"
+            "        if p:\n"
+            "            sim.push(0.0, 'kick', p)\n"
+            "def through_helper(sim):\n"
+            "    for p in {1, 2}:\n"
+            "        _kick(sim, p)\n"
+        )
+        vs = LintEngine().lint_file(f)
+        assert [(v.rule, v.line) for v in vs] == [("DET003", 4)]
+        assert "event sink `push`" in vs[0].message
 
 
 # -- engine mechanics ------------------------------------------------------------
@@ -193,8 +169,8 @@ class TestEngine:
         assert [v.rule for v in LintEngine().lint_file(f)] == ["DET001"]
 
     def test_module_pragma_overrides_path_module(self):
-        mod = load_module(FIXTURES / "proto002_bad.py")
-        assert mod.module == "repro.runtime.scheduler"
+        mod = load_module(FIXTURES / "persist002_bad.py")
+        assert mod.module == "repro.runtime.badwindow"
 
     def test_logical_module_inferred_from_src_path(self):
         mod = load_module(SRC / "runtime" / "transport.py")
@@ -282,8 +258,8 @@ def test_shipped_repo_lints_clean():
     """Clean, and not by way of new pragmas: the comment-level
     suppressions and transient marks in ``src`` are counted."""
     eng = LintEngine()
-    mods, by_path, vs = eng.lint_files(eng.collect_files([SRC]))
-    vs = vs + [v for found in by_path.values() for v in found]
+    mods = eng.load_modules([SRC])
+    vs = [v for m in mods for v in eng.lint_module(m)]
     assert vs == [], "\n" + render(vs)
-    assert sum(len(m.suppressions) for m in mods) == 2
-    assert sum(len(m.transient_lines) for m in mods) == 9
+    assert sum(len(m.suppressions) for m in mods) == 0
+    assert sum(len(m.transient_lines) for m in mods) == 8

@@ -2,7 +2,8 @@
 
 Guards the decomposition of the DES runtime into its layer stack
 (simulator < router < transport < scheduler < recovery < engine_des):
-the import DAG must stay acyclic bottom-up, the scheduler policies own
+the import DAG must stay acyclic bottom-up, the service reaches the
+runtime through its facade only, the scheduler policies own
 their core layouts (no resource aliasing), and the simulator's trace
 hook feeds the Chrome-trace exporter.
 """
@@ -38,6 +39,19 @@ RUNTIME_DIR = (
     pathlib.Path(__file__).resolve().parent.parent
     / "src" / "repro" / "runtime"
 )
+
+#: What ``repro.service`` may import from the runtime facade: the entry
+#: point, its structured exceptions and pure data/config types.  The
+#: rest of the facade (Simulator, Transport, Router, Scheduler,
+#: FaultInjector, policies, the run checker, ...) is an internal layer
+#: whose invariants the DataDrivenRuntime composition root owns.
+SERVICE_FACADE_ALLOWED = frozenset({
+    "DataDrivenRuntime", "DeadlineExceeded", "Machine", "Layout",
+    "TIANHE2", "RecoveryConfig", "AdaptiveConfig", "FaultPlan",
+    "CrashFault", "StragglerWindow", "LinkPartition", "StallError",
+    "StallReport", "WaitEdge", "RunReport", "Breakdown",
+    "SweepPerformanceModel", "SweepModelPrediction", "CostModel",
+})
 
 
 def _runtime_imports(module: str) -> set[str]:
@@ -79,6 +93,23 @@ class TestLayering:
             assert ast.get_docstring(ast.parse(path.read_text())), (
                 f"{module} lacks a module docstring"
             )
+
+    def test_service_uses_only_the_runtime_facade(self):
+        for path in sorted((RUNTIME_DIR.parent / "service").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        assert not alias.name.startswith("repro.runtime."), (
+                            path.name, alias.name)
+                elif isinstance(node, ast.ImportFrom):
+                    prefix = ("", "repro.service.", "repro.")[node.level]
+                    target = prefix + (node.module or "")
+                    assert not target.startswith("repro.runtime."), (
+                        path.name, target)
+                    if target == "repro.runtime":
+                        extra = {a.name for a in node.names}
+                        extra -= SERVICE_FACADE_ALLOWED
+                        assert not extra, (path.name, sorted(extra))
 
     def test_engine_is_a_thin_composition_root(self):
         n = len((RUNTIME_DIR / "engine_des.py").read_text().splitlines())

@@ -367,6 +367,21 @@ class TestService:
         assert rej["reason"] == RejectReason.BREAKER_OPEN
         assert rej["tenant"] == "evil" and rej["retry_after"] > 0
 
+    def test_breaker_rejection_is_not_admitted(self, executor):
+        """A breaker rejection holds a credit only for the check: it is
+        reported shed, never admitted."""
+        svc = _service(executor, breaker_threshold=2,
+                       breaker_open_for=50e-3)
+        svc.submit(_spec("evil", seed=36, faults=_poison()), at=0.0)
+        svc.submit(_spec("evil", seed=37, faults=_poison()), at=5e-3)
+        svc.submit(_spec("good", seed=38), at=12e-3)
+        svc.submit(_spec("evil", seed=39), at=12e-3)
+        res = svc.run_until_idle()
+        m = svc.metrics()
+        assert m["submissions"] == 4
+        assert m["shed"][RejectReason.BREAKER_OPEN] == 1
+        assert m["admitted"] == len(res) == 3
+
     def test_degradation_past_watermark(self, executor):
         # size=8: the demoted 4x4x4-cell patches need a mesh that
         # splits into at least one patch per process (4).
@@ -403,6 +418,13 @@ class TestService:
         svc.run_until_idle()
         with pytest.raises(ReproError, match="service time"):
             svc.submit(_spec(seed=61), at=0.0)
+
+    @pytest.mark.parametrize("at", [math.nan, math.inf])
+    def test_submit_at_a_non_finite_time_rejected(self, executor, at):
+        svc = _service(executor)
+        with pytest.raises(ReproError, match="finite"):
+            svc.submit(_spec(seed=62), at=at)
+        assert svc.run_until_idle() == [] and svc.now == 0.0
 
     def test_metrics_ledger_balances(self, executor):
         svc = _service(executor, tenant_slots=2, global_slots=4)
