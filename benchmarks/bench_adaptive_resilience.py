@@ -1,22 +1,21 @@
-"""Adaptive resilience: does adaptivity buy virtual time? (robustness)
+"""Adaptive resilience: does demotion buy virtual time? (robustness)
 
-Head-to-head on identical seeded fault plans: the fixed-RTO baseline
-(every retransmit timer at ``faults.ACK_TIMEOUT``) vs the two adaptive
-switches - RTT-estimated RTO, then that plus degraded-mode demotion.
-Three plan families, one per regime a switch is designed for:
+Head-to-head on identical seeded fault plans: the RTT-estimated
+retransmit timer every reliable run uses (``rto``) vs the same plus
+degraded-mode demotion (``rto+demotion``,
+``RecoveryConfig(demotion=True)``).  Three plan families:
 
 * **straggler-heavy** - long multiplicative slowdown windows on two
-  processes over a lossy wire; the RTT estimator should stop the lossy
-  wire from paying the full fixed timeout per drop;
-* **partition-heavy** - timed directed link partitions plus drops; the
-  adaptive RTO recovers faster once a partition heals because its
-  timers track the real round-trip instead of a worst-case constant;
+  processes over a lossy wire; the retransmit path stays hot, and a
+  transient straggler is where demotion can lose;
+* **partition-heavy** - timed directed link partitions plus drops;
+  every loss is recovered through the retransmit timers;
 * **slow-but-alive** - one process 3x slow for the whole run, no
   losses: no timer ever fires, so only demotion can help, by moving
   the slow process's patches to healthy ones.
 
 Every run is held to the same oracle as the chaos campaign: flux
-bitwise-identical to the fault-free reference.  Adaptivity that
+bitwise-identical to the fault-free reference.  A migration that
 changes a single bit is a bug, not a trade-off.
 
 Run standalone::
@@ -34,7 +33,6 @@ import numpy as np
 
 from repro.chaos import build_scenario
 from repro.runtime import (
-    AdaptiveConfig,
     DataDrivenRuntime,
     FaultPlan,
     LinkPartition,
@@ -50,14 +48,8 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 #: Virtual-time window the fault plans land in (the chaos horizon).
 HZ = 1e-3
 
-#: The three contenders.  Same RecoveryConfig everywhere, so the only
-#: difference is the adaptive layer's dose.
-CONFIGS = (
-    ("fixed-rto", None),
-    ("adaptive-rto", AdaptiveConfig(adaptive_rto=True)),
-    ("adaptive-rto+demotion", AdaptiveConfig(adaptive_rto=True,
-                                             demotion=True)),
-)
+#: The two contenders: config label -> ``RecoveryConfig.demotion``.
+CONFIGS = (("rto", False), ("rto+demotion", True))
 
 
 def straggler_plan(nprocs: int, seed: int = 11) -> FaultPlan:
@@ -101,14 +93,15 @@ def run_matrix(trace_dir: str | None = None, hb=None) -> list[dict]:
         reference, _, _ = solver.sweep_once(mode="fast")
         for plan_name, make_plan in PLANS:
             plan = make_plan(nprocs)
-            for cfg_name, acfg in CONFIGS:
+            for cfg_name, demotion in CONFIGS:
                 progs, faces = solver.build_programs(resilient=True)
                 rt = DataDrivenRuntime(
                     cores, machine=machine, mode=mode, faults=plan,
-                    recovery=RecoveryConfig(adaptive=acfg),
+                    recovery=RecoveryConfig(demotion=demotion),
                     trace=trace_dir is not None or hb is not None,
                 )
                 rep = rt.run(progs, pset.patch_proc)
+                counters = rep.fault_summary()
                 phi, _ = solver.accumulate(faces)
                 exact = bool(
                     phi.tobytes()
@@ -121,7 +114,9 @@ def run_matrix(trace_dir: str | None = None, hb=None) -> list[dict]:
                     "makespan": rep.makespan,
                     "exact": exact,
                     "retries": rep.retries,
-                    "adaptive": rep.adaptive_summary(),
+                    "adaptive": {
+                        k: counters[k] for k in ("rtt_samples", "demotions", "forwards")
+                    },
                 }
                 rows.append(row)
                 if trace_dir is not None:
@@ -148,7 +143,7 @@ def report(rows: list[dict]) -> None:
             a.get("demotions", 0),
         ])
     print_series(
-        "Adaptive resilience - fixed vs adaptive RTO vs +demotion "
+        "Adaptive resilience - RTT-estimated RTO vs +demotion "
         "(same seeded faults, bitwise-exact oracle)",
         ["scenario", "plan", "config", "makespan", "exact", "retries",
          "rtt-samples", "demotions"],
@@ -164,32 +159,22 @@ def _makespan(rows: list[dict], scenario: str, plan: str, config: str):
 
 
 def check(rows: list[dict]) -> None:
-    # Zero correctness deviations, ever: adaptivity must be invisible
+    # Zero correctness deviations, ever: a migration must be invisible
     # to the flux.
     bad = [r for r in rows if not r["exact"]]
     assert not bad, f"{len(bad)} runs deviated from the reference flux"
     # The estimator warmed up wherever the wire loses messages.
-    lossy = [r for r in rows
-             if r["config"] != "fixed-rto" and r["plan"] != "slow_alive"]
-    assert all(r["adaptive"].get("rtt_samples", 0) > 0 for r in lossy)
+    lossy = [r for r in rows if r["plan"] != "slow_alive"]
+    assert all(r["adaptive"]["rtt_samples"] > 0 for r in lossy)
+    # Demotion earns its place in its regime: it beats the timer alone
+    # on a slow-but-alive rank.
     for kind, mode in SCENARIOS:
         sc = f"{kind}-{mode}"
-        # Each switch earns its place in its own regime: adaptive RTO
-        # beats the fixed timer on every lossy plan ...
-        for plan in ("straggler", "partition"):
-            fixed = _makespan(rows, sc, plan, "fixed-rto")
-            rto = _makespan(rows, sc, plan, "adaptive-rto")
-            assert rto < fixed, (
-                f"{sc}/{plan}: adaptive-rto {rto:.6f}s is not below "
-                f"fixed-rto {fixed:.6f}s"
-            )
-        # ... and demotion beats adaptive RTO alone on a slow-but-alive
-        # rank.
-        rto = _makespan(rows, sc, "slow_alive", "adaptive-rto")
-        dem = _makespan(rows, sc, "slow_alive", "adaptive-rto+demotion")
+        rto = _makespan(rows, sc, "slow_alive", "rto")
+        dem = _makespan(rows, sc, "slow_alive", "rto+demotion")
         assert dem < rto, (
-            f"{sc}/slow_alive: adaptive-rto+demotion {dem:.6f}s is not "
-            f"below adaptive-rto {rto:.6f}s"
+            f"{sc}/slow_alive: rto+demotion {dem:.6f}s is not "
+            f"below rto {rto:.6f}s"
         )
 
 
@@ -210,10 +195,10 @@ if pytest is not None:
 
 if __name__ == "__main__":
     args = bench_args(
-        "Adaptive resilience: fixed vs adaptive RTO vs +demotion on "
+        "Adaptive resilience: RTT-estimated RTO vs +demotion on "
         "seeded straggler-, partition-heavy and slow-but-alive fault "
-        "plans, asserting bitwise-exact flux and a makespan win for "
-        "each switch in its regime",
+        "plans, asserting bitwise-exact flux and a slow-but-alive "
+        "makespan win for demotion",
         extra=lambda ap: (
             ap.add_argument("--json", metavar="PATH", default=JSON_PATH,
                             help="where to write the JSON summary"),
@@ -231,10 +216,7 @@ if __name__ == "__main__":
         return sum(r["makespan"] for r in rows
                    if (r["plan"], r["config"]) == (plan, config))
 
-    rto_gain = 100.0 * (1.0 - total("straggler", "adaptive-rto")
-                        / total("straggler", "fixed-rto"))
-    dem_gain = 100.0 * (1.0 - total("slow_alive", "adaptive-rto+demotion")
-                        / total("slow_alive", "adaptive-rto"))
-    print(f"adaptive resilience: OK (straggler makespan -{rto_gain:.1f}% "
-          f"vs fixed RTO, slow-but-alive -{dem_gain:.1f}% with demotion, "
-          "all runs bitwise-exact)")
+    dem_gain = 100.0 * (1.0 - total("slow_alive", "rto+demotion")
+                        / total("slow_alive", "rto"))
+    print(f"adaptive resilience: OK (slow-but-alive makespan "
+          f"-{dem_gain:.1f}% with demotion, all runs bitwise-exact)")

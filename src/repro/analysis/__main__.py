@@ -15,7 +15,8 @@ Subcommands::
         ``dump_hb_json`` or a benchmark's ``--check-hb``) through the
         vector-clock checker.  Exit 1 on races, 2 on a file that is
         missing or not an HB trace, or holds an ``hb_*`` record kind
-        the checker does not know (one line on stderr).
+        the checker does not know or a record with the wrong number of
+        fields (one line on stderr).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _cmd_check_trace(args: argparse.Namespace) -> int:
         records = load_hb_json(path)
         try:
             races = check_trace(records)
-        except ReproError as exc:  # an hb_* kind the checker lacks
+        except ReproError as exc:  # an unknown or malformed hb_* record
             raise SourceError(path, 1, str(exc)) from exc
         total += len(races)
         results.append((path, races))

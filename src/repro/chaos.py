@@ -44,7 +44,6 @@ from ._util import ReproError
 from .framework import PatchSet
 from .mesh import cube_structured, disk_tri_mesh
 from .runtime import (
-    AdaptiveConfig,
     CrashFault,
     DataDrivenRuntime,
     FaultPlan,
@@ -246,7 +245,6 @@ class CaseResult:
     races: int = 0  # happens-before races (only when hb-checking)
     makespan: float = 0.0
     faults: dict = field(default_factory=dict)  # RunReport.fault_summary()
-    adaptive: dict = field(default_factory=dict)  # adaptive_summary() if armed
     membership: dict = field(default_factory=dict)  # membership_summary() if armed
     plan: dict = field(default_factory=dict)  # plan size per fault class
 
@@ -286,7 +284,7 @@ def run_case(
     space: ChaosSpace = ChaosSpace(),
     size: int = 8,
     sanitize: bool = True,
-    adaptive: AdaptiveConfig | None = None,
+    demotion: bool = False,
     hb=None,
     membership: bool = False,
     _scenario=None,
@@ -295,9 +293,9 @@ def run_case(
     """Run one campaign cell against the order check and the
     bitwise-exactness oracle; an order violation fails the cell.
 
-    ``adaptive`` arms the adaptive-resilience layer for the run - the
-    oracle is unchanged (the whole point: adaptivity must not cost
-    exactness).  ``hb`` (``None`` | ``True`` | directory) arms event
+    ``demotion`` arms degraded-mode demotion for the run - the oracle
+    is unchanged (the whole point: migrating a slow rank's patches
+    must not cost exactness).  ``hb`` (``None`` | ``True`` | directory) arms event
     tracing and holds the completed run to the happens-before checker
     on top of the flux oracle - any race fails the cell.
     ``membership`` arms the elastic-membership subsystem: crashes are
@@ -320,8 +318,8 @@ def run_case(
         cores, machine=machine, mode=mode, faults=plan,
         sanitize=sanitize, trace=hb is not None,
         recovery=(
-            RecoveryConfig(adaptive=adaptive, membership=membership)
-            if adaptive is not None or membership else None
+            RecoveryConfig(membership=membership, demotion=demotion)
+            if membership or demotion else None
         ),
     )
     try:
@@ -346,8 +344,6 @@ def run_case(
             res.error = f"{res.races} happens-before race(s)"
     res.makespan = rep.makespan
     res.faults = rep.fault_summary()
-    if adaptive is not None:
-        res.adaptive = rep.adaptive_summary()
     if membership:
         res.membership = rep.membership_summary()
     return res
@@ -408,7 +404,7 @@ def run_campaign(
     space: ChaosSpace = ChaosSpace(),
     size: int = 8,
     sanitize: bool = True,
-    adaptive: AdaptiveConfig | None = None,
+    demotion: bool = False,
     hb=None,
     membership: bool = False,
     progress=None,
@@ -416,8 +412,8 @@ def run_campaign(
     """Run the full (kind, mode, seed) matrix; never raises on a case.
 
     Scenario meshes and fault-free references are built once per
-    (kind, mode) cell and shared across seeds.  ``adaptive`` arms the
-    adaptive-resilience layer on every case (same oracle); ``hb`` arms
+    (kind, mode) cell and shared across seeds.  ``demotion`` arms
+    degraded-mode demotion on every case (same oracle); ``hb`` arms
     the happens-before checker on every case; ``membership`` arms the
     elastic-membership subsystem on every case (see :func:`run_case`).
     ``progress``, when given, is called with each finished
@@ -430,7 +426,7 @@ def run_campaign(
             reference, _, _ = scenario[3].sweep_once()
             for seed in seeds:
                 case = run_case(
-                    kind, mode, int(seed), space, size, sanitize, adaptive,
+                    kind, mode, int(seed), space, size, sanitize, demotion,
                     hb=hb, membership=membership,
                     _scenario=scenario, _reference=reference,
                 )

@@ -24,7 +24,6 @@ from .engine_des import (
     HostKilled,
 )
 from .faults import (
-    AdaptiveConfig,
     CrashFault,
     FaultInjector,
     FaultPlan,
@@ -65,7 +64,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "RecoveryConfig",
-    "AdaptiveConfig",
     "SweepPerformanceModel",
     "SweepModelPrediction",
     "Simulator",

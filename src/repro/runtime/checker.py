@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Any
 
 from .._util import ReproError
@@ -79,6 +80,17 @@ Clock = dict  # node -> int
 def _leq(a: Clock, b: Clock) -> bool:
     """``a`` happens-before-or-equals ``b`` componentwise."""
     return all(v <= b.get(k, 0) for k, v in a.items())
+
+
+@cache
+def _fields(handler) -> tuple[int, int, str]:
+    """Fewest and most detail fields an ``_on_*`` handler takes, and
+    their names as the record vocabulary writes them."""
+    code = handler.__code__
+    names = code.co_varnames[2:code.co_argcount]  # after (self, t)
+    lo = len(names) - len(handler.__defaults__ or ())
+    shown = ", ".join(names[:lo] + tuple(f"[{n}]" for n in names[lo:]))
+    return lo, len(names), f"({shown})"
 
 
 class SanitizerError(ReproError):
@@ -162,8 +174,8 @@ class HbChecker:
 
     def feed(self, time: float, kind: str, detail: tuple) -> None:
         """Check one record; a note that is not ``hb_*`` is ignored, an
-        ``hb_*`` kind with no ``_on_*`` handler is refused (its
-        invariants would go unchecked)."""
+        ``hb_*`` kind with no ``_on_*`` handler or with the wrong number
+        of fields is refused (its invariants would go unchecked)."""
         if not kind.startswith("hb_"):
             return
         handler = getattr(self, "_on_" + kind[3:], None)
@@ -171,6 +183,12 @@ class HbChecker:
             raise ReproError(
                 f"unknown happens-before record kind {kind!r} at "
                 f"t={time:.6g}: the checker has no _on_{kind[3:]} handler"
+            )
+        lo, hi, shown = _fields(handler.__func__)
+        if not lo <= len(detail) <= hi:
+            raise ReproError(
+                f"happens-before record {kind!r} at t={time:.6g} has "
+                f"{len(detail)} field(s); expected {shown}"
             )
         self.records += 1
         handler(time, *detail)

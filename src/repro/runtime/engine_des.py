@@ -116,11 +116,11 @@ class DataDrivenRuntime:
             plan.validate(lay.nprocs, horizon=wd)
         inj = FaultInjector(plan) if plan is not None else None
         ft = rcfg is not None  # ack/retry + checkpoint/failover machinery on
-        acfg = rcfg.adaptive if ft else None
+        demotion = ft and rcfg.demotion
         # Failover, demotion and rejoin replay streams into migrated
         # programs: with any of them armed, input must be idempotent.
         need = ("crash recovery" if plan is not None and plan.crashes else
-                "degraded-mode demotion" if acfg is not None and acfg.demotion
+                "degraded-mode demotion" if demotion
                 else "elastic membership" if ft and rcfg.membership else None)
         bad = [p for p in programs if not p.resilient_input] if need else []
         if bad:
@@ -145,7 +145,7 @@ class DataDrivenRuntime:
         transport = Transport(sim, router, self.machine, lay, report, injector=inj, rcfg=rcfg)
         sched = Scheduler(
             sim, router, make_policy(self.mode), lay, st,
-            self.cost, report, bd, slow, transport, tracker, adaptive=acfg,
+            self.cost, report, bd, slow, transport, tracker, demotion=demotion,
         )
         # No injector: slowdown hook is 1.0; skip per-run calls/scalings.
         sched.unit_slow = inj is None

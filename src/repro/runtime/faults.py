@@ -9,11 +9,12 @@ subset of surviving neighbours - transient straggler windows, timed
 directed network partitions, message drop/duplication/corruption
 probabilities), a :class:`FaultInjector` realizes the plan
 deterministically from a seed, and a :class:`RecoveryConfig` arms
-the runtime's countermeasures (per-message acks with timeout/backoff
-retransmission, per-stream checksums with NACK-driven retransmit,
-periodic lightweight checkpoints, crash detection and dynamic owner
-re-assignment, and the no-progress liveness watchdog).  Their tuning
-values have one value each and are the named module constants below.
+the runtime's countermeasures (per-message acks with RTT-estimated
+timeout/backoff retransmission, per-stream checksums with NACK-driven
+retransmit, periodic lightweight checkpoints, crash detection and
+dynamic owner re-assignment, opt-in demotion of slow ranks, and the
+no-progress liveness watchdog).  Their tuning values have one value
+each and are the named module constants below.
 
 Everything is expressed in *virtual* seconds of the simulated cluster,
 and every random draw comes from one seeded generator consumed in
@@ -38,7 +39,6 @@ __all__ = [
     "LinkPartition",
     "FaultPlan",
     "FaultInjector",
-    "AdaptiveConfig",
     "RecoveryConfig",
 ]
 
@@ -441,15 +441,15 @@ class FaultInjector:
 
 
 # -- resilience constants ----------------------------------------------------------
-# Each tuning value of the recovery, adaptive and membership machinery
+# Each tuning value of the recovery, demotion and membership machinery
 # has one value in use (DESIGN.md §7 tabulates them).
 
-# retransmit
-ACK_TIMEOUT = 120e-6  # s, first retransmit timeout of a fresh send
+# retransmit: one per-link RTT estimator (Jacobson/Karn, RFC 6298
+# shape) whose cold start, before a link's first clean ack, is ACK_TIMEOUT
+ACK_TIMEOUT = 120e-6  # s, first timeout of a send on a link with no RTT sample
 BACKOFF = 2.0  # timeout multiplier per retry
 MAX_RTO = 10e-3  # s, cap on any backed-off or estimated timeout
 MAX_RETRIES = 10  # retries per message; the next timeout raises
-# adaptive RTO (Jacobson/Karn, RFC 6298 shape)
 SRTT_GAIN = 0.125  # alpha: SRTT update weight
 RTTVAR_GAIN = 0.25  # beta: RTTVAR update weight
 RTO_K = 4.0  # RTO = SRTT + RTO_K * RTTVAR (also the suspicion timeout's K)
@@ -476,43 +476,6 @@ REBALANCE_BUDGET = 8  # patches pulled back per rejoin
 
 
 @dataclass(frozen=True)
-class AdaptiveConfig:
-    """Opt-in adaptive resilience features (all off by default).
-
-    The paper's runtime has no adaptive resilience; these two switches
-    are extensions of this reproduction, each kept because it moves a
-    committed makespan (``BENCH_adaptive_resilience.json``, DESIGN.md
-    §9).  Each is rng-neutral when off (the golden fingerprints are
-    unchanged):
-
-    * **adaptive RTO** - per-link Jacobson RTT estimation (SRTT/RTTVAR
-      with Karn's rule: no sample from a retransmitted or
-      failover-re-armed send) replacing the fixed ``ACK_TIMEOUT`` with
-      ``clamp(SRTT + RTO_K * RTTVAR, MIN_RTO, MAX_RTO)``;
-    * **demotion** - periodic health checks (``DEMOTION_*``) over
-      per-process observed slowdown; a persistently-slow-but-alive
-      process has its patches rebalanced away through the
-      crash-failover path without being declared dead (it keeps
-      routing/forwarding its in-flight traffic).  Requires resilient
-      programs, like crash recovery.
-
-    Every detection input is observed runtime behavior (RTT samples,
-    booked durations), never the fault plan itself.
-    """
-
-    adaptive_rto: bool = False
-    demotion: bool = False
-
-    def __post_init__(self):
-        for name in ("adaptive_rto", "demotion"):
-            if not isinstance(getattr(self, name), bool):
-                raise ReproError(
-                    f"AdaptiveConfig.{name} must be a bool; "
-                    f"got {getattr(self, name)!r}"
-                )
-
-
-@dataclass(frozen=True)
 class RecoveryConfig:
     """Switches of the runtime's fault-tolerance machinery.
 
@@ -529,7 +492,19 @@ class RecoveryConfig:
     blocked dependencies instead of spinning.  Must comfortably exceed
     any expected partition-heal window; 0 disables the watchdog.
 
-    ``adaptive`` opts into the :class:`AdaptiveConfig` features.
+    Retransmit timers are always RTT-estimated: each fresh send arms
+    its link's ``clamp(SRTT + RTO_K * RTTVAR, MIN_RTO, MAX_RTO)``, or
+    ``ACK_TIMEOUT`` while the link has no clean (Karn-admissible) ack
+    yet, and backs off by ``BACKOFF`` per retry up to ``MAX_RTO``.
+
+    ``demotion`` arms degraded-mode demotion: periodic health checks
+    (``DEMOTION_*``) over per-process observed slowdown; a
+    persistently-slow-but-alive process has its patches rebalanced
+    away through the crash-failover path without being declared dead
+    (it keeps routing/forwarding its in-flight traffic).  Requires
+    resilient programs, like crash recovery.  It is opt-in because it
+    wins on a slow-but-alive rank but loses on a transient straggler
+    (``BENCH_adaptive_resilience.json``, DESIGN.md §9).
 
     ``membership`` arms elastic membership (DESIGN.md §14): heartbeat
     failure detection, incarnation fencing and rank restart/rejoin.
@@ -556,8 +531,8 @@ class RecoveryConfig:
     """
 
     watchdog_horizon: float = 20e-3  # no-progress stall horizon; 0 = off
-    adaptive: AdaptiveConfig | None = None  # opt-in adaptive features
     membership: bool = False  # elastic membership (§14)
+    demotion: bool = False  # degraded-mode demotion of slow ranks (§9)
 
     def __post_init__(self):
         h = self.watchdog_horizon
@@ -568,6 +543,14 @@ class RecoveryConfig:
                 "watchdog_horizon must be a non-negative number of "
                 f"seconds (0 = off); got {h!r}"
             )
+        for name in ("membership", "demotion"):
+            # A truthy string or int would silently arm a mechanism
+            # the caller meant to describe, not enable.
+            if not isinstance(getattr(self, name), bool):
+                raise ReproError(
+                    f"RecoveryConfig.{name} must be a bool; "
+                    f"got {getattr(self, name)!r}"
+                )
         if self.membership and 0 < self.watchdog_horizon <= MAX_TIMEOUT:
             raise ReproError(
                 "watchdog_horizon must exceed the membership suspicion "

@@ -175,10 +175,8 @@ class RunReport:
     nacks: int = 0  # checksum-mismatch rejections (fast retransmit)
     cascade_crashes: int = 0  # crashes induced by a cascading CrashFault
     sanitizer_checks: int = 0  # hb records the online checker consumed (sanitize=True)
-
-    # -- adaptive-resilience counters (all zero when AdaptiveConfig off) --
     rtt_samples: int = 0  # clean (Karn-admissible) RTT measurements
-    demotions: int = 0  # slow-but-alive procs rebalanced away
+    demotions: int = 0  # slow-but-alive procs rebalanced away (demotion on)
     forwards: int = 0  # in-flight messages forwarded to a program's new owner
 
     # -- durability counters (zero when snapshotting is off) -------------
@@ -226,15 +224,10 @@ class RunReport:
             "corruptions": self.corruptions,
             "nacks": self.nacks,
             "cascade_crashes": self.cascade_crashes,
-            "recovery_time": self.breakdown.by_category.get("recovery", 0.0),
-        }
-
-    def adaptive_summary(self) -> dict[str, float]:
-        """The adaptive-resilience counters in one dict."""
-        return {
             "rtt_samples": self.rtt_samples,
             "demotions": self.demotions,
             "forwards": self.forwards,
+            "recovery_time": self.breakdown.by_category.get("recovery", 0.0),
         }
 
     def membership_summary(self) -> dict[str, float]:

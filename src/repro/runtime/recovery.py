@@ -22,8 +22,8 @@ remote-edge ids).  Since sweep kernels write each cell by assignment
 from fixed upwind values, re-executed vertices recompute bit-identical
 results: a recovered run matches the fault-free numerics exactly.
 
-Degraded-mode demotion (opt-in via :class:`~repro.runtime.faults.
-AdaptiveConfig.demotion`) reuses the same migration machinery without
+Degraded-mode demotion (opt-in via :attr:`~repro.runtime.faults.
+RecoveryConfig.demotion`) reuses the same migration machinery without
 declaring a crash: a periodic health probe compares each live owning
 process's observed-slowdown EWMA (fed by the scheduler) against the
 median of its peers; a process exceeding ``DEMOTION_FACTOR`` times the
@@ -157,8 +157,7 @@ class RecoveryManager:
         heartbeat tick, when elastic membership is on)."""
         for p in range(self.router.nprocs):
             self.sim.push(CHECKPOINT_INTERVAL, "ckpt", p)
-        a = self.rcfg.adaptive
-        if a is not None and a.demotion:
+        if self.rcfg.demotion:
             self.sim.push(DEMOTION_INTERVAL, "health", None)
         if self.membership:
             self.sim.push(HEARTBEAT_INTERVAL, "hbeat", None)
@@ -390,11 +389,9 @@ class RecoveryManager:
         tick slack plus the probe-reply RTO (estimator-driven once
         warmed up, the ``MIN_TIMEOUT`` floor before the first sample)."""
         est = self._hb_rtt.get(p)
-        if est is not None and est.srtt is not None:
-            rto = est.rto(MIN_TIMEOUT, MAX_TIMEOUT)
-        else:
-            rto = MIN_TIMEOUT
-        return HEARTBEAT_INTERVAL + rto
+        if est is None:
+            return HEARTBEAT_INTERVAL + MIN_TIMEOUT
+        return HEARTBEAT_INTERVAL + est.rto(MIN_TIMEOUT, MAX_TIMEOUT, MIN_TIMEOUT)
 
     def on_hbeat(self, _data: None, now: float) -> None:
         """One heartbeat tick: probe every live proc, sweep for silence.

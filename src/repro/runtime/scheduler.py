@@ -33,8 +33,8 @@ A run itself is :func:`repro.core.engine.run_step` over the shared
 on the serial engine and BSP; the scheduler adds when a run starts,
 what it costs, where its streams go and the workload commit.
 
-Degraded-mode demotion (opt-in via :class:`~repro.runtime.faults.
-AdaptiveConfig.demotion`) reads :attr:`Scheduler.proc_slow_ewma`, an
+Degraded-mode demotion (opt-in via :attr:`~repro.runtime.faults.
+RecoveryConfig.demotion`) reads :attr:`Scheduler.proc_slow_ewma`, an
 EWMA of each process's observed slowdown fed by every booked run.
 """
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from typing import TYPE_CHECKING
 
 from ..core.engine import RunState, admit, run_step
 from ..core.patch_program import ProgramState
@@ -54,9 +53,6 @@ from .metrics import Breakdown, RunReport
 from .router import Router
 from .simulator import KindRow, Resource, Simulator
 from .transport import Transport
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from .faults import AdaptiveConfig
 
 __all__ = [
     "RunState",
@@ -132,7 +128,7 @@ class Scheduler:
         slow: Callable[[int, float], float],
         transport: Transport,
         tracker: WorkloadTracker,
-        adaptive: AdaptiveConfig | None = None,
+        demotion: bool = False,
     ) -> None:
         self.sim = sim
         self.router = router
@@ -156,7 +152,7 @@ class Scheduler:
         self.running: set[int] = set()
         self._run_serial = 0  # unique id per booked execution
         #: Whether booked runs feed :attr:`proc_slow_ewma` (demotion on).
-        self.track_slow = adaptive is not None and adaptive.demotion
+        self.track_slow = demotion
         #: EWMA of each process's observed slowdown factor; the
         #: recovery layer's health probe reads this for demotion.
         self.proc_slow_ewma: list[float] = [1.0] * nprocs

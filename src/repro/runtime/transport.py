@@ -28,14 +28,12 @@ set *is* the run's wait-for state, so :meth:`Transport.stall_snapshot`
 renders it as a :class:`~repro.runtime.simulator.StallReport` naming
 every blocked dependency, the lost ones, and any wait-for cycle.
 
-Adaptive extensions (opt-in via :class:`~repro.runtime.faults.
-AdaptiveConfig`, all rng-neutral when off):
-
-* **per-link RTT estimation** - every clean ack (never a retransmitted
-  or failover-re-armed send: Karn's rule) feeds a Jacobson SRTT/RTTVAR
-  estimator for its ``(src proc, dst proc)`` link, and new sends arm
-  ``clamp(SRTT + RTO_K*RTTVAR, MIN_RTO, MAX_RTO)`` instead of the fixed
-  ``ACK_TIMEOUT``.
+One retransmit timer: every clean ack (never a retransmitted, NACKed
+or failover-re-armed send: Karn's rule) feeds a Jacobson SRTT/RTTVAR
+estimator for its ``(src proc, dst proc)`` link, and a fresh send arms
+``clamp(SRTT + RTO_K*RTTVAR, MIN_RTO, MAX_RTO)`` once its link has a
+sample.  Before that the estimator is cold and the send arms
+``ACK_TIMEOUT``.
 
 Forwarding is always on: an in-flight message that arrives at a
 process which no longer owns the destination program (demotion or a
@@ -43,7 +41,7 @@ membership suspicion moved it while the message was on the wire) is
 forwarded to the current owner instead of being mis-delivered; the ack
 travels only from the final arrival.
 
-Whether fixed or adaptive, a retransmit timeout never escalates past
+Cold or warm, a retransmit timeout never escalates past
 ``MAX_RTO``: unbounded exponential backoff would let a
 long partition push a single timer past the watchdog horizon.
 
@@ -127,10 +125,11 @@ class RttEstimator:
             self.srtt = (1.0 - SRTT_GAIN) * self.srtt + SRTT_GAIN * r
         self.samples += 1
 
-    def rto(self, lo: float, hi: float) -> float:
-        """``clamp(SRTT + RTO_K * RTTVAR, lo, hi)``."""
+    def rto(self, lo: float, hi: float, cold: float) -> float:
+        """``clamp(SRTT + RTO_K * RTTVAR, lo, hi)`` once sampled;
+        ``cold`` before the first sample."""
         if self.srtt is None:
-            raise ReproError("RTO requested before any RTT sample")
+            return cold
         return min(max(self.srtt + RTO_K * self.rttvar, lo), hi)
 
     def state(self) -> tuple:
@@ -183,11 +182,6 @@ class Transport:
         self.report = report
         self.inj = injector
         self.rcfg = rcfg
-        #: Per-link RTT estimation arms new sends (AdaptiveConfig).
-        self.adaptive_rto = (
-            rcfg is not None and rcfg.adaptive is not None
-            and rcfg.adaptive.adaptive_rto
-        )
         # Elastic membership (DESIGN.md §14): when armed, every
         # reliable send is tagged (sender proc, incarnation) and
         # receivers fence traffic from a previous life.
@@ -215,10 +209,6 @@ class Transport:
         self.seen: set[tuple] = set()  # uids already delivered (dup discard)
         self.rtt: dict[tuple[int, int], RttEstimator] = {}  # per link
 
-    @property
-    def reliable(self) -> bool:
-        return self.rcfg is not None
-
     def kinds(self) -> list[KindRow]:
         """The reliable-delivery control plane's rows of the kind table
         (``msg_arrive`` is pushed here but owned by the scheduler)."""
@@ -229,14 +219,12 @@ class Transport:
         ]
 
     def _initial_rto(self, src_proc: int, dst_proc: int) -> float:
-        """First-arm timeout of a fresh send: the link's estimated RTO
-        when adaptive and warmed up, the fixed ``ACK_TIMEOUT`` otherwise
-        (``MAX_RTO`` caps both; ``ACK_TIMEOUT <= MAX_RTO``)."""
-        if self.adaptive_rto:
-            est = self.rtt.get((src_proc, dst_proc))
-            if est is not None and est.srtt is not None:
-                return est.rto(MIN_RTO, MAX_RTO)
-        return ACK_TIMEOUT
+        """First-arm timeout of a send: the link's estimated RTO, or
+        the cold ``ACK_TIMEOUT`` before its first sample."""
+        est = self.rtt.get((src_proc, dst_proc))
+        if est is None:
+            return ACK_TIMEOUT
+        return est.rto(MIN_RTO, MAX_RTO, ACK_TIMEOUT)
 
     # -- send path ----------------------------------------------------------------
 
@@ -348,12 +336,7 @@ class Transport:
         ps = self.pending.pop(uid, None)
         if ps is None:
             return
-        if (
-            self.adaptive_rto
-            and ps.retries == 0
-            and ps.sent_at is not None
-            and ps.link is not None
-        ):
+        if ps.retries == 0 and ps.sent_at is not None:
             # Karn's rule: only a message that was transmitted exactly
             # once yields an unambiguous RTT sample.  A retransmitted
             # send has two copies in flight, a NACKed or failover-re-armed

@@ -1,17 +1,18 @@
-"""Adaptive-resilience tests: RTT estimation with Karn's rule, capped
-adaptive RTO, and degraded-mode demotion.
+"""Adaptive-resilience tests: the one retransmit timer (RTT estimation
+with Karn's rule, ``ACK_TIMEOUT`` as its cold start, capped backoff)
+and degraded-mode demotion.
 
 Two tiers: Hypothesis properties pin the estimator and timer algebra
 (the RTO clamp holds for *any* sample sequence; Karn's rule excludes
-*every* ambiguous ack), and integration runs hold the whole adaptive
-stack to the chaos oracle - flux bitwise-identical to the fault-free
-reference, because adaptivity that changes a bit is a bug.  A final
-neutrality test pins the opt-in contract: an all-off
-:class:`AdaptiveConfig` must be event-for-event identical to no config
-at all.
+*every* ambiguous ack), and integration runs hold demotion to the
+chaos oracle - flux bitwise-identical to the fault-free reference,
+because a migration that changes a bit is a bug - and to its
+committed ``BENCH_adaptive_resilience.json`` row.
 """
 
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from repro._util import ReproError
 from repro.chaos import run_case
 from repro.core.stream import ProgramId, Stream
 from repro.runtime import (
-    AdaptiveConfig,
     DataDrivenRuntime,
     FaultPlan,
     Machine,
@@ -33,8 +33,9 @@ from repro.runtime import (
     StragglerWindow,
     Transport,
 )
+from repro.chaos import build_scenario
 from repro.runtime.faults import (
-    ACK_TIMEOUT, BACKOFF, MAX_RETRIES, MAX_RTO, MIN_RTO,
+    ACK_TIMEOUT, BACKOFF, MAX_RETRIES, MAX_RTO, MIN_RTO, RTO_K,
 )
 from repro.runtime.metrics import Breakdown
 from repro.runtime.transport import RttEstimator
@@ -67,9 +68,6 @@ def _send(tr, now=0.0):
     return s
 
 
-ADAPTIVE_RTO = AdaptiveConfig(adaptive_rto=True)
-
-
 # -- estimator properties --------------------------------------------------------
 
 
@@ -79,18 +77,18 @@ def test_rto_always_within_configured_bounds(samples):
     est = RttEstimator()
     for r in samples:
         est.sample(r)
-        assert MIN_RTO <= est.rto(MIN_RTO, MAX_RTO) <= MAX_RTO
+        assert MIN_RTO <= est.rto(MIN_RTO, MAX_RTO, ACK_TIMEOUT) <= MAX_RTO
         # SRTT is a convex combination of the samples seen so far.
         assert min(samples) <= est.srtt <= max(samples)
 
 
 def test_first_sample_seeds_rfc6298(rtt=4e-6):
     est = RttEstimator()
+    assert est.rto(0.0, 1.0, cold=0.5) == 0.5  # no sample yet: cold value
     est.sample(rtt)
     assert est.srtt == rtt
     assert est.rttvar == rtt / 2
-    with pytest.raises(ReproError):
-        RttEstimator().rto(0.0, 1.0)
+    assert est.rto(0.0, 1.0, cold=0.5) == rtt + RTO_K * rtt / 2
 
 
 def test_estimator_state_round_trips():
@@ -106,7 +104,9 @@ def test_estimator_state_round_trips():
     est.sample(7e-6)
     twin.sample(7e-6)
     assert twin.state() == est.state()
-    assert twin.rto(MIN_RTO, MAX_RTO) == est.rto(MIN_RTO, MAX_RTO)
+    assert twin.rto(MIN_RTO, MAX_RTO, ACK_TIMEOUT) == est.rto(
+        MIN_RTO, MAX_RTO, ACK_TIMEOUT
+    )
 
 
 @given(
@@ -121,7 +121,7 @@ def test_karn_rule_excludes_every_ambiguous_ack(flags, rtt):
     retransmitted send has two copies in flight and a failover-re-armed
     one lost its launch time, so neither ack can be matched to a
     transmission."""
-    _, tr = _transport(RecoveryConfig(adaptive=ADAPTIVE_RTO))
+    _, tr = _transport(RecoveryConfig())
     clean = 0
     for retransmitted, rearmed in flags:
         s = _send(tr, now=0.0)
@@ -139,38 +139,73 @@ def test_karn_rule_excludes_every_ambiguous_ack(flags, rtt):
 
 def test_failover_rearm_is_karn_ambiguous():
     """A send re-armed by failover lost its launch timestamp, so its
-    eventual ack must never be sampled."""
-    _, tr = _transport(RecoveryConfig(adaptive=ADAPTIVE_RTO))
+    eventual ack must never be sampled: the link stays cold and the
+    next send still arms ``ACK_TIMEOUT``."""
+    from repro.runtime.recovery import Checkpoint
+
+    _, tr = _transport(RecoveryConfig())
     s = _send(tr)
-    tr.pending[s.uid].sent_at = None  # what rearm_after_failover does
-    tr.on_ack(s.uid, 5e-6)
+    ck = Checkpoint(state=None, inbox=[], pending={s.uid: s})
+    tr.rearm_after_failover({s.src}, {s.src: ck}, 1e-5)
+    assert tr.pending[s.uid].sent_at is None
+    assert tr.pending[s.uid].timeout == ACK_TIMEOUT  # re-armed cold
+    tr.on_ack(s.uid, 2e-5)
     assert tr.report.rtt_samples == 0
+    assert tr.pending == {} and (0, 1) not in tr.rtt
+    assert tr.pending[_send(tr).uid].timeout == ACK_TIMEOUT
 
 
 def test_nacked_send_is_karn_ambiguous():
     """A corrupted copy NACKed at 10 us and the retransmit acked at
     20 us: the ack spans the corrupt copy, the NACK and the retransmit,
     so it must not be sampled (it used to feed one 20 us sample)."""
-    _, tr = _transport(RecoveryConfig(adaptive=ADAPTIVE_RTO))
+    _, tr = _transport(RecoveryConfig())
     s = _send(tr, now=0.0)
     tr.on_nack(s.uid, 1e-5)
     tr.on_ack(s.uid, 2e-5)
     assert tr.report.rtt_samples == 0
     assert (0, 1) not in tr.rtt
+    assert tr.pending[_send(tr).uid].timeout == ACK_TIMEOUT  # still cold
+
+
+def test_first_send_on_a_cold_link_arms_ack_timeout():
+    """Every reliable run has the estimator; before a link's first
+    clean ack it is cold and a fresh send arms ``ACK_TIMEOUT``."""
+    sim, tr = _transport(RecoveryConfig())
+    s = _send(tr)
+    assert tr.pending[s.uid].timeout == ACK_TIMEOUT
+    assert (0, 1) not in tr.rtt
+    timers = [ev for ev in sim._events if ev[2] == tr._k_timer]
+    assert [ev[0] for ev in timers] == [ACK_TIMEOUT]
 
 
 def test_warmed_estimator_arms_new_sends():
-    _, tr = _transport(RecoveryConfig(adaptive=ADAPTIVE_RTO))
+    _, tr = _transport(RecoveryConfig())
     s = _send(tr)
     tr.on_ack(s.uid, 5e-6)  # SRTT=5us, RTTVAR=2.5us -> RTO=MIN_RTO clamp
-    expect = tr.rtt[(0, 1)].rto(MIN_RTO, MAX_RTO)
+    expect = tr.rtt[(0, 1)].rto(MIN_RTO, MAX_RTO, ACK_TIMEOUT)
     s2 = _send(tr)
     assert tr.pending[s2.uid].timeout == expect
     assert expect == MIN_RTO  # 15us raw estimate clamps up to MIN_RTO
 
 
+def test_send_after_one_clean_ack_arms_the_estimators_clamp():
+    """One clean 30 us ack: SRTT=30us, RTTVAR=15us, so the next send
+    arms the unclamped ``SRTT + RTO_K * RTTVAR`` = 90 us, not the cold
+    120 us; a 5 ms sample clamps to ``MAX_RTO``."""
+    _, tr = _transport(RecoveryConfig())
+    s = _send(tr, now=0.0)
+    tr.on_ack(s.uid, 30e-6)
+    assert tr.report.rtt_samples == 1
+    assert tr.pending[_send(tr).uid].timeout == 30e-6 + RTO_K * 15e-6
+    _, tr = _transport(RecoveryConfig())
+    s = _send(tr, now=0.0)
+    tr.on_ack(s.uid, 5e-3)
+    assert tr.pending[_send(tr).uid].timeout == MAX_RTO
+
+
 def test_backoff_never_escalates_past_max_rto():
-    """The fixed timer's whole schedule: MAX_RETRIES retransmits, the
+    """A cold link's whole timer schedule: MAX_RETRIES retransmits, the
     k-th re-arming ``min(ACK_TIMEOUT * BACKOFF**k, MAX_RTO)``, then the
     next expiry declares the message undeliverable, naming it."""
     _, tr = _transport(RecoveryConfig())
@@ -196,12 +231,12 @@ def test_backoff_never_escalates_past_max_rto():
 def test_config_validation():
     """The switches are bools: a truthy string or int would silently
     arm a mechanism the caller meant to describe, not enable."""
-    off = AdaptiveConfig()
-    assert not off.adaptive_rto and not off.demotion
-    for name in ("adaptive_rto", "demotion"):
+    off = RecoveryConfig()
+    assert not off.membership and not off.demotion
+    for name in ("membership", "demotion"):
         for bad in ("no", 1, None):
             with pytest.raises(ReproError, match=name):
-                AdaptiveConfig(**{name: bad})
+                RecoveryConfig(**{name: bad})
 
 
 def test_demotion_requires_resilient_programs():
@@ -211,39 +246,36 @@ def test_demotion_requires_resilient_programs():
     progs, _ = solver.build_programs(resilient=False)
     rt = DataDrivenRuntime(
         16, machine=machine,
-        recovery=RecoveryConfig(adaptive=AdaptiveConfig(demotion=True)),
+        recovery=RecoveryConfig(demotion=True),
     )
     with pytest.raises(ReproError, match="resilient"):
         rt.run(progs, pset.patch_proc)
 
 
-# -- integration: the adaptive stack is invisible to the numerics ----------------
+# -- integration: demotion is invisible to the numerics --------------------------
 
 
 @pytest.mark.parametrize("kind,mode", [
     ("structured", "hybrid"), ("unstructured", "mpi_only"),
 ])
 def test_adaptive_stack_is_bitwise_exact_under_chaos(kind, mode):
-    """Adaptive RTO and demotion both armed, on a seeded random fault
-    plan: the flux must still be bitwise-identical to the fault-free
-    reference."""
-    acfg = AdaptiveConfig(adaptive_rto=True, demotion=True)
-    res = run_case(kind, mode, seed=5, adaptive=acfg)
+    """Demotion armed over the RTT-estimated timer, on a seeded random
+    fault plan: the flux must still be bitwise-identical to the
+    fault-free reference."""
+    res = run_case(kind, mode, seed=5, demotion=True)
     assert res.ok and res.exact and not res.stalled, res.error
 
 
 def test_demotion_cuts_makespan_on_a_slow_but_alive_rank():
     """The regime demotion is for: one rank 3x slow for the whole run,
-    with no losses.  Retransmit timers never fire, so adaptive RTO
-    alone changes nothing; demoting the rank moves its patches to
-    healthy ranks and cuts the makespan, at bitwise-identical flux."""
+    with no losses.  Retransmit timers never fire, so the timer alone
+    changes nothing; demoting the rank moves its patches to healthy
+    ranks and cuts the makespan, at bitwise-identical flux."""
     from tests.test_chaos import _reference_phi, _run
 
     plan = FaultPlan(stragglers=(StragglerWindow(1, 0.0, 5e-2, 3.0),))
-    rto = RecoveryConfig(adaptive=ADAPTIVE_RTO)
-    demote = RecoveryConfig(
-        adaptive=AdaptiveConfig(adaptive_rto=True, demotion=True)
-    )
+    rto = RecoveryConfig()
+    demote = RecoveryConfig(demotion=True)
     rep_rto, phi_rto = _run(plan, recovery=rto)
     rep_dem, phi_dem = _run(plan, recovery=demote)
     assert rep_rto.demotions == 0
@@ -253,19 +285,38 @@ def test_demotion_cuts_makespan_on_a_slow_but_alive_rank():
     np.testing.assert_array_equal(phi_rto, _reference_phi())
 
 
-def test_all_off_config_is_event_identical_to_none():
-    """The opt-in contract: AdaptiveConfig() (everything off) must not
-    perturb a single event - same makespan, same flux, no adaptive
-    counters - versus running with no adaptive config at all."""
-    from tests.test_chaos import _reference_phi, _run
-
-    plan = FaultPlan(p_drop=0.05, p_duplicate=0.03, seed=11)
-    rep_none, phi_none = _run(plan)
-    rep_off, phi_off = _run(
-        plan, recovery=RecoveryConfig(adaptive=AdaptiveConfig())
+def test_demotion_run_equals_its_committed_straggler_row():
+    """``RecoveryConfig(demotion=True)`` on the committed straggler plan
+    (``benchmarks/bench_adaptive_resilience.py``'s ``straggler_plan``)
+    reproduces its ``rto+demotion`` row of
+    ``BENCH_adaptive_resilience.json`` exactly: the plan where demotion
+    loses, unstructured-mpi_only."""
+    rows = json.loads(
+        (Path(__file__).parents[1] / "BENCH_adaptive_resilience.json")
+        .read_text()
+    )["rows"]
+    row = next(
+        r for r in rows
+        if (r["scenario"], r["plan"], r["config"])
+        == ("unstructured-mpi_only", "straggler", "rto+demotion")
     )
-    assert rep_off.makespan == rep_none.makespan
-    assert rep_off.events == rep_none.events
-    assert all(v == 0 for v in rep_off.adaptive_summary().values())
-    np.testing.assert_array_equal(phi_off, phi_none)
-    np.testing.assert_array_equal(phi_off, _reference_phi())
+    machine, cores, pset, solver = build_scenario("unstructured", "mpi_only")
+    nprocs = machine.layout(cores, "mpi_only").nprocs
+    hz = 1e-3
+    plan = FaultPlan(
+        stragglers=tuple(
+            StragglerWindow(p, 0.05 * hz * (i + 1), 0.9 * hz, 4.0 + i)
+            for i, p in enumerate((0, nprocs - 1))
+        ),
+        p_drop=0.06, seed=11,
+    )
+    progs, _ = solver.build_programs(resilient=True)
+    rep = DataDrivenRuntime(
+        cores, machine=machine, mode="mpi_only", faults=plan,
+        recovery=RecoveryConfig(demotion=True),
+    ).run(progs, pset.patch_proc)
+    assert rep.makespan == row["makespan"]
+    assert rep.retries == row["retries"]
+    fs = rep.fault_summary()
+    assert {k: fs[k] for k in row["adaptive"]} == row["adaptive"]
+    assert row["adaptive"]["demotions"] == 1

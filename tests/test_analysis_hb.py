@@ -9,6 +9,7 @@ runtime.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -66,17 +67,16 @@ def test_golden_scenario_is_race_free(name):
 
 
 def test_adaptive_all_on_run_is_race_free():
-    """Every adaptive switch armed - adaptive RTO and demotion
-    migrations - layered on stragglers and drops."""
-    from repro.runtime import AdaptiveConfig, FaultPlan, RecoveryConfig, StragglerWindow
+    """Demotion armed - its migrations layered on the RTT-estimated
+    retransmit timer, stragglers and drops."""
+    from repro.runtime import FaultPlan, RecoveryConfig, StragglerWindow
     from tests.test_chaos import _run
 
     plan = FaultPlan(
         stragglers=(StragglerWindow(1, 0.0, 9e-4, 6.0),),
         p_drop=0.03, seed=3,
     )
-    acfg = AdaptiveConfig(adaptive_rto=True, demotion=True)
-    rep, _ = _run(plan, recovery=RecoveryConfig(adaptive=acfg), trace=True)
+    rep, _ = _run(plan, recovery=RecoveryConfig(demotion=True), trace=True)
     assert rep.demotions > 0
     races = check_report(rep)
     assert races == [], "\n".join(r.format() for r in races)
@@ -157,6 +157,19 @@ def test_cli_check_trace_unknown_record_kind_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.startswith(f"{f}:1: cannot parse: ") and "hb_bogus" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_check_trace_wrong_field_count_exits_2(tmp_path, capsys):
+    from repro.analysis.__main__ import main
+
+    f = tmp_path / "short.json"
+    f.write_text('[{"t": 1e-6, "kind": "hb_send", "detail": []}]')
+    assert main(["check-trace", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"{f}:1: cannot parse: ")
+    assert "'hb_send'" in err and "(wid, src_proc, dst_proc, [uid])" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -264,6 +277,19 @@ class TestClockModel:
         chk = HbChecker()
         with pytest.raises(ReproError, match="'hb_bogus'"):
             chk.feed(1e-6, "hb_bogus", (0,))
+        assert chk.records == 0
+
+    @pytest.mark.parametrize("kind,detail", [
+        ("hb_send", ()), ("hb_crash", (0, 1)), ("hb_recv", (1, 0)),
+    ])
+    def test_wrong_field_count_is_refused(self, kind, detail):
+        """A known kind with too few or too many fields is refused by
+        name with its expected fields, not a TypeError from the
+        handler call."""
+        chk = HbChecker()
+        with pytest.raises(ReproError, match=re.escape(repr(kind))) as err:
+            chk.feed(1e-6, kind, detail)
+        assert "expected (" in str(err.value)
         assert chk.records == 0
 
     def test_control_plane_is_a_clock_node(self):

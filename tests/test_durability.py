@@ -14,7 +14,7 @@ The durability contract of ``repro.persist``:
 
 The kill-resume matrix below runs 30 seeded host crashes across six
 runtime cells (structured/unstructured x hybrid/mpi_only x
-clean/faulty, plus the all-on adaptive configuration) at five cut
+clean/faulty, plus the demotion-armed "adaptive" cell) at five cut
 fractions each - the ISSUE's ">= 25 seeded kill-resume runs".
 Reference fingerprints (uninterrupted, snapshotting off) are computed
 once per cell and cached for the module.
@@ -28,7 +28,7 @@ import pytest
 from repro.persist import SnapshotManager, kill_and_resume, report_fingerprint
 from repro.persist.snapshot import FluxArrayState
 from repro.runtime import (
-    AdaptiveConfig, DataDrivenRuntime, HostKilled, Machine, RecoveryConfig,
+    DataDrivenRuntime, HostKilled, Machine, RecoveryConfig,
 )
 from repro.runtime.metrics import Breakdown, RunReport
 from repro.service import (
@@ -37,7 +37,7 @@ from repro.service import (
 )
 from tests.test_golden_fixtures import _fault_plan, _machine, _solver
 
-#: cell name -> (mesh kind, runtime mode, faults on, adaptive on)
+#: cell name -> (mesh kind, runtime mode, faults on, demotion on)
 CELLS = {
     "structured-hybrid-clean": ("structured", "hybrid", False, False),
     "structured-hybrid-faulty": ("structured", "hybrid", True, False),
@@ -62,7 +62,7 @@ def _factory(name):
     kill.  ``factory.extra`` carries the latest (solver, faces) pair so
     the test can accumulate flux after the run.
     """
-    kind, mode, faulty, adaptive = CELLS[name]
+    kind, mode, faulty, demotion = CELLS[name]
     machine = _machine()
     cores = 16 if mode == "hybrid" else 8
     nprocs = machine.layout(cores, mode).nprocs
@@ -74,9 +74,7 @@ def _factory(name):
         rt = DataDrivenRuntime(
             cores, machine=machine, mode=mode, faults=plan,
             recovery=(
-                RecoveryConfig(adaptive=AdaptiveConfig(
-                    adaptive_rto=True, demotion=True))
-                if adaptive else None
+                RecoveryConfig(demotion=True) if demotion else None
             ),
         )
         factory.extra = (s, faces)

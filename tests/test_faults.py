@@ -18,7 +18,6 @@ from repro._util import ReproError
 from repro.framework import PatchSet
 from repro.mesh import cube_structured
 from repro.runtime import (
-    AdaptiveConfig,
     CrashFault,
     DataDrivenRuntime,
     FaultInjector,
@@ -196,23 +195,20 @@ class TestRecoveryConfig:
         assert faults.REBALANCE_BUDGET >= 0
 
     def test_settable_surface(self):
-        """Five settable values: three recovery fields, two adaptive
-        switches, and no second way into the adaptive config."""
+        """Three settable values, all on the recovery config, and no
+        second way into them."""
         assert [f.name for f in dataclasses.fields(RecoveryConfig)] == [
-            "watchdog_horizon", "adaptive", "membership",
-        ]
-        assert [f.name for f in dataclasses.fields(AdaptiveConfig)] == [
-            "adaptive_rto", "demotion",
+            "watchdog_horizon", "membership", "demotion",
         ]
         params = inspect.signature(DataDrivenRuntime.__init__).parameters
-        assert "adaptive" not in params
+        assert "demotion" not in params
         assert "recovery" in params
 
     @pytest.mark.parametrize("mechanism,kw", [
         ("crash recovery",
          {"faults": FaultPlan(crashes=(CrashFault(1, 1e-4),))}),
         ("degraded-mode demotion",
-         {"recovery": RecoveryConfig(adaptive=AdaptiveConfig(demotion=True))}),
+         {"recovery": RecoveryConfig(demotion=True)}),
         ("elastic membership", {"recovery": RecoveryConfig(membership=True)}),
     ], ids=["crash", "demotion", "membership"])
     def test_migrations_name_the_first_non_resilient_program(
@@ -463,9 +459,11 @@ class TestFaultTolerantRun:
         assert set(summary) == {
             "drops", "duplicates", "retries", "timeouts", "reexecutions",
             "checkpoints", "crashes", "failover_time", "partition_drops",
-            "corruptions", "nacks", "cascade_crashes", "recovery_time",
+            "corruptions", "nacks", "cascade_crashes", "rtt_samples",
+            "demotions", "forwards", "recovery_time",
         }
         assert summary["crashes"] == 1
+        assert summary["rtt_samples"] > 0  # every reliable run samples
         assert summary["recovery_time"] > 0
 
     # -- plan validation against the layout --------------------------------------

@@ -17,7 +17,6 @@ from repro.chaos import ChaosSpace, build_scenario, random_fault_plan
 from repro.core.stream import Stream
 from repro.persist import report_fingerprint
 from repro.runtime import (
-    AdaptiveConfig,
     DataDrivenRuntime,
     DeadlineExceeded,
     RecoveryConfig,
@@ -73,10 +72,9 @@ VARIANTS = {
         ChaosSpace(flapping=True),
         {"recovery": RecoveryConfig(membership=True)},
     ),
-    "adaptive": (
+    "demotion": (
         ChaosSpace(),
-        {"recovery": RecoveryConfig(adaptive=AdaptiveConfig(
-            adaptive_rto=True, demotion=True))},
+        {"recovery": RecoveryConfig(demotion=True)},
     ),
 }
 

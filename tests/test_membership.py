@@ -18,7 +18,6 @@ from repro.analysis.hb import check_report
 from repro.chaos import ChaosSpace, random_fault_plan, run_campaign
 from repro.core.stream import ProgramId, Stream
 from repro.runtime import (
-    AdaptiveConfig,
     CrashFault,
     DataDrivenRuntime,
     FaultPlan,
@@ -342,9 +341,7 @@ class TestRestartRejoin:
         plan = FaultPlan(
             stragglers=(StragglerWindow(2, 30e-6, 300e-6, 8.0),), seed=5
         )
-        rcfg = RecoveryConfig(
-            membership=True, adaptive=AdaptiveConfig(demotion=True)
-        )
+        rcfg = RecoveryConfig(membership=True, demotion=True)
         rep, phi = _run(plan, recovery=rcfg, trace=True)
         assert_array_equal(phi, ref)
         m = rep.membership_summary()
@@ -393,7 +390,7 @@ class TestWatchdogRearm:
             stragglers=(StragglerWindow(0, 0.0, 1.2e-3, 12.0),), seed=9
         )
         rep, phi = _run(plan, recovery=RecoveryConfig(
-            watchdog_horizon=1.5e-3, adaptive=AdaptiveConfig(demotion=True),
+            watchdog_horizon=1.5e-3, demotion=True,
         ))
         assert_array_equal(phi, ref)
 

@@ -47,7 +47,7 @@ RUNTIME_DIR = (
 #: whose invariants the DataDrivenRuntime composition root owns.
 SERVICE_FACADE_ALLOWED = frozenset({
     "DataDrivenRuntime", "DeadlineExceeded", "Machine", "Layout",
-    "TIANHE2", "RecoveryConfig", "AdaptiveConfig", "FaultPlan",
+    "TIANHE2", "RecoveryConfig", "FaultPlan",
     "CrashFault", "StragglerWindow", "LinkPartition", "StallError",
     "StallReport", "WaitEdge", "RunReport", "Breakdown",
     "SweepPerformanceModel", "SweepModelPrediction", "CostModel",

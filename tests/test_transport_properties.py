@@ -15,14 +15,12 @@ crash or a double count.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import AdaptiveConfig, RecoveryConfig
+from repro.runtime import RecoveryConfig
 from tests.test_adaptive import _send, _transport
-
-ADAPTIVE_RTO = AdaptiveConfig(adaptive_rto=True)
 
 
 def _tr():
-    _, tr = _transport(RecoveryConfig(adaptive=ADAPTIVE_RTO))
+    _, tr = _transport(RecoveryConfig())
     return tr
 
 
@@ -148,7 +146,7 @@ def test_constant_rtt_stream_converges_monotonically(r, n):
     for _ in range(n):
         est.sample(r)
         assert est.srtt == r
-        rto = est.rto(0.0, float("inf"))
+        rto = est.rto(0.0, float("inf"), cold=0.0)
         if prev is not None:
             assert rto <= prev
         prev = rto
