@@ -197,34 +197,38 @@ def random_fault_plan(
 # -- scenario construction (mirrors the golden-fixture matrix) ------------------
 
 
-def _make_solver(pset: PatchSet, sn: int, grain: int) -> SnSolver:
-    mesh = pset.mesh
-    mm = MaterialMap.uniform(
-        Material.isotropic(1.0, 0.5), mesh.num_cells
-    )
-    q = np.ones((mesh.num_cells, 1))
-    return SnSolver(pset, level_symmetric(sn), mm, q, grain=grain)
-
-
-def build_scenario(kind: str, mode: str, size: int = 8):
+def build_scenario(kind: str, mode: str, size: int = 8,
+                   patch: int | None = None, sn: int | None = None,
+                   grain: int = 16):
     """(machine, cores, pset, solver) of one campaign cell.
 
     Tiny meshes on the 4-core machine model: the point is interleaving
-    coverage, not scale, and a campaign runs hundreds of these.
+    coverage, not scale, and a campaign runs hundreds of these.  The
+    material is a uniform isotropic scatterer (sigma_t = 1, c = 0.5)
+    under a unit source.  ``patch`` is the cells per axis of a
+    structured patch or the target cell count of an unstructured one;
+    it and the level-symmetric order ``sn`` default per kind (4 and
+    S2 structured, 20 and S4 unstructured).
     """
+    if kind not in ("structured", "unstructured"):
+        raise ReproError(f"unknown chaos scenario kind {kind!r}")
+    structured = kind == "structured"
+    if patch is None:
+        patch = 4 if structured else 20
+    if sn is None:
+        sn = 2 if structured else 4
     machine = Machine(cores_per_proc=4)
     cores = 16 if mode == "hybrid" else 8
     nprocs = machine.layout(cores, mode).nprocs
-    if kind == "structured":
+    if structured:
         mesh = cube_structured(size, length=4.0)
-        pset = PatchSet.from_structured(mesh, (4, 4, 4), nprocs=nprocs)
-        solver = _make_solver(pset, sn=2, grain=16)
-    elif kind == "unstructured":
-        mesh = disk_tri_mesh(size)
-        pset = PatchSet.from_unstructured(mesh, 20, nprocs=nprocs)
-        solver = _make_solver(pset, sn=4, grain=16)
+        pset = PatchSet.from_structured(mesh, (patch,) * 3, nprocs=nprocs)
     else:
-        raise ReproError(f"unknown chaos scenario kind {kind!r}")
+        mesh = disk_tri_mesh(size)
+        pset = PatchSet.from_unstructured(mesh, patch, nprocs=nprocs)
+    mm = MaterialMap.uniform(Material.isotropic(1.0, 0.5), mesh.num_cells)
+    q = np.ones((mesh.num_cells, 1))
+    solver = SnSolver(pset, level_symmetric(sn), mm, q, grain=grain)
     return machine, cores, pset, solver
 
 

@@ -53,7 +53,6 @@ fields are optional, so older traces still load)::
     hb_restart  (proc,)                          crashed proc came back [ctl]
     hb_xfer     (proc, inc, nprogs)              state transfer begun   [ctl]
     hb_rejoin   (proc, inc)                      incarnation live again [ctl]
-    hb_promote  (proc,)                          demotion reversed      [ctl]
 
 ``dsti`` is the destination program's dense index and ``(inc_proc,
 inc)`` the sender's incarnation tag (None with membership off).
@@ -138,7 +137,7 @@ class HbChecker:
         self._remaining: dict[str, tuple[int, Any]] = {}
         self._migrations: dict[tuple[str, int], tuple[Clock, float]] = {}
         self._failed_procs: set[Any] = set()  # crashed, demoted or suspected
-        self._rejoined: set[Any] = set()  # rebalance targets (rejoin/promote)
+        self._rejoined: set[Any] = set()  # rebalance targets (rejoined procs)
         #: (proc, inc) -> (state-transfer clock, time)
         self._xfers: dict[tuple[Any, int], tuple[Clock, float]] = {}
         #: proc -> (transfer clock, time, inc) of the latest rejoin
@@ -375,13 +374,6 @@ class HbChecker:
             )
         else:
             self._rejoin_anchor[proc] = (xfer[0], t, int(inc))
-        self._rejoined.add(proc)
-        self._failed_procs.discard(proc)
-
-    def _on_promote(self, t: float, proc) -> None:
-        # A promoted proc never lost state: no transfer anchor, but it
-        # becomes a legitimate rebalance target and is healthy again.
-        self._tick(CTL)
         self._rejoined.add(proc)
         self._failed_procs.discard(proc)
 

@@ -30,8 +30,10 @@ __all__ = ["HostKilled", "SNAPSHOT_VERSION"]
 #: carry their kind and data (no slabs), and sweep program contexts
 #: hold no run counters.  Version 4: the scheduler and transport state
 #: lose the fields of the removed backup-execution and flow-control
-#: mechanisms, and run-end events carry one field less.
-SNAPSHOT_VERSION = 4
+#: mechanisms, and run-end events carry one field less.  Version 5:
+#: the run report loses the counter of demotions undone by healthy
+#: probes (a demotion now lasts for the rest of the run).
+SNAPSHOT_VERSION = 5
 
 
 class HostKilled(ReproError):

@@ -471,7 +471,7 @@ HEARTBEAT_INTERVAL = 60e-6  # s, probe period
 MIN_TIMEOUT = 250e-6  # s, suspicion-timeout floor
 MAX_TIMEOUT = 5e-3  # s, suspicion-timeout cap
 PROBE_COST = 8e-6  # s, per-reply cost on the probed rank
-REJOIN_PROBES = 2  # healthy-probe streak to rejoin / re-promote
+REJOIN_PROBES = 2  # healthy-probe streak for a fenced proc to rejoin
 REBALANCE_BUDGET = 8  # patches pulled back per rejoin
 
 
@@ -502,9 +502,11 @@ class RecoveryConfig:
     persistently-slow-but-alive process has its patches rebalanced
     away through the crash-failover path without being declared dead
     (it keeps routing/forwarding its in-flight traffic).  Requires
-    resilient programs, like crash recovery.  It is opt-in because it
-    wins on a slow-but-alive rank but loses on a transient straggler
-    (``BENCH_adaptive_resilience.json``, DESIGN.md §9).
+    resilient programs, like crash recovery.  A demotion lasts for the
+    rest of the run, with or without membership, so ``DEMOTION_MAX``
+    caps demotions per run.  It is opt-in because it wins on a
+    slow-but-alive rank but loses on a transient straggler
+    (``BENCH_resilience.json``, DESIGN.md §9).
 
     ``membership`` arms elastic membership (DESIGN.md §14): heartbeat
     failure detection, incarnation fencing and rank restart/rejoin.
@@ -521,8 +523,9 @@ class RecoveryConfig:
     drained through the failover path) but keeps routing; when its
     probes come back healthy ``REJOIN_PROBES`` times in a row it
     rejoins with the new incarnation and pulls up to
-    ``REBALANCE_BUDGET`` patches back.  Demoted procs re-promote
-    through the same healthy-probe streak.  Every probe reply costs
+    ``REBALANCE_BUDGET`` patches back.  A healthy streak never ends a
+    demotion: a probe reply measures reachability, not speed, and a
+    slow rank answers in time.  Every probe reply costs
     ``PROBE_COST`` on the probed rank (scaled by active straggler
     windows), which is what makes a hard straggler's replies late
     enough to suspect.  Detection reads observed behavior (probe reply

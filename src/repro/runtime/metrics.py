@@ -190,7 +190,6 @@ class RunReport:
     fenced_messages: int = 0  # arrivals rejected as a stale incarnation
     restarts: int = 0  # planned rank restarts that came back
     rejoins: int = 0  # ranks re-admitted (restart or cleared suspicion)
-    promotions: int = 0  # demotions reversed after healthy probes
     rebalanced_patches: int = 0  # patches pulled back to rejoined ranks
 
     def overhead_fraction(self) -> float:
@@ -239,7 +238,6 @@ class RunReport:
             "fenced_messages": self.fenced_messages,
             "restarts": self.restarts,
             "rejoins": self.rejoins,
-            "promotions": self.promotions,
             "rebalanced_patches": self.rebalanced_patches,
         }
 

@@ -31,9 +31,8 @@ median for ``DEMOTION_PATIENCE`` consecutive probes is demoted - its
 patches migrate to healthy survivors through the identical
 checkpoint-restore + delivery-log-replay + send-re-arm path, while the
 process itself stays alive to ack, forward in-flight streams, and
-serve as a target of last resort.  Only the membership plane's
-healthy-probe streak re-promotes a demoted process: with membership
-off, a demotion lasts for the rest of the run.
+serve as a target of last resort.  A demotion lasts for the rest of
+the run, membership or not, so ``DEMOTION_MAX`` caps demotions per run.
 
 Elastic membership (opt-in via :attr:`~repro.runtime.faults.
 RecoveryConfig.membership`; DESIGN.md §14) replaces the
@@ -48,8 +47,9 @@ falsely-suspected straggler keeps replying, rejoins after a healthy
 probe streak, and pulls patches back under a bounded rebalance budget.
 Planned restarts (``CrashFault.restart_after``) announce a new
 incarnation and catch up via snapshot state transfer + delivery-log
-anti-entropy before rebalancing.  Demoted processes re-promote through
-the same healthy-probe streak.
+anti-entropy before rebalancing.  A healthy streak never ends a
+demotion: probe replies measure reachability, and a slow rank answers
+in time.
 
 Sits above every other runtime layer: it drives the router's owner
 re-assignment, the transport's send re-arming, and the scheduler's
@@ -445,7 +445,8 @@ class RecoveryManager:
             self._migrate(moved, p, now)
 
     def on_hback(self, data: tuple, now: float) -> None:
-        """A probe reply: feed the estimator, advance rejoin streaks."""
+        """A probe reply: feed the estimator, advance a fenced proc's
+        rejoin streak."""
         p, sent_at = data
         self._last_heard[p] = now
         r = now - sent_at
@@ -457,15 +458,12 @@ class RecoveryManager:
             return  # job finished: keep liveness fresh, skip rejoins
         if p in self.router.dead:
             return  # died after replying; the silence will out
-        if p in self.router.fenced or p in self.router.demoted:
+        if p in self.router.fenced:
             self._probes[p] = (
                 self._probes.get(p, 0) + 1 if r <= MIN_TIMEOUT else 0
             )
             if self._probes[p] >= REJOIN_PROBES:
-                if p in self.router.fenced:
-                    self._rejoin(p, now)
-                else:
-                    self._promote(p, now)
+                self._rejoin(p, now)
 
     def _rejoin(self, p: int, now: float) -> None:
         """Re-admit ``p`` under a new incarnation.
@@ -485,19 +483,6 @@ class RecoveryManager:
         self._suspected.discard(p)
         self._probes.pop(p, None)
         self._last_heard[p] = now
-        self._rebalance(p, now)
-
-    def _promote(self, p: int, now: float) -> None:
-        """Reverse a demotion after a healthy probe streak."""
-        self.sim.note(now, "hb_promote", (p,))
-        self.router.promote(p)
-        self.report.promotions += 1
-        self._probes.pop(p, None)
-        self._strikes.pop(p, None)
-        self._rebalance(p, now)
-
-    def _rebalance(self, p: int, now: float) -> None:
-        """Pull patches back to a re-admitted rank (bounded budget)."""
         moved, srcs = self.router.rebalance_to(p, REBALANCE_BUDGET)
         if moved:
             self.report.rebalanced_patches += len({pid.patch for pid in moved})

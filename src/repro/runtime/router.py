@@ -157,15 +157,11 @@ class Router:
         self.dead.add(proc)
 
     def demote(self, proc: int) -> None:
-        """Mark a live process degraded (no crash: it stays reachable)."""
+        """Mark a live process degraded for the rest of the run (no
+        crash: it stays reachable)."""
         if proc in self.dead:
             raise ReproError(f"cannot demote dead proc {proc}")
         self.demoted.add(proc)
-
-    def promote(self, proc: int) -> None:
-        """Reverse a demotion: the process is healthy again and becomes
-        an eligible re-assignment/rebalance target."""
-        self.demoted.discard(proc)
 
     # -- elastic membership (incarnations; DESIGN.md §14) ----------------------------
 
@@ -227,7 +223,7 @@ class Router:
     def rebalance_to(
         self, proc: int, budget: int
     ) -> tuple[list[ProgramId], dict[ProgramId, int]]:
-        """Pull patches back to a rejoined/re-promoted process.
+        """Pull patches back to a rejoined process.
 
         Moves up to ``budget`` *patches* (with all their resident
         programs) from the currently most-loaded healthy donors to

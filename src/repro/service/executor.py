@@ -23,13 +23,13 @@ the executor never lets a runtime exception escape unclassified.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .._util import ReproError
+from ..chaos import build_scenario
 from ..framework import PatchSet
-from ..mesh import cube_structured, disk_tri_mesh
 from ..runtime import (
     DataDrivenRuntime,
     DeadlineExceeded,
@@ -37,7 +37,7 @@ from ..runtime import (
     RecoveryConfig,
     StallError,
 )
-from ..sweep import Material, MaterialMap, SnSolver, level_symmetric
+from ..sweep import SnSolver
 from .spec import JobSpec
 
 __all__ = ["AttemptOutcome", "JobExecutor"]
@@ -61,7 +61,6 @@ class AttemptOutcome:
     exact: bool | None = None  # flux bitwise-equal to fault-free reference
     detail: str = ""
     stall: dict | None = None  # StallReport.to_dict() on "stall"
-    counters: dict = field(default_factory=dict)  # RunReport.fault_summary()
 
 
 @dataclass
@@ -109,25 +108,9 @@ class JobExecutor:
         return sc
 
     def _build(self, spec: JobSpec) -> _Scenario:
-        machine = Machine(cores_per_proc=4)
-        cores = 16 if spec.mode == "hybrid" else 8
-        nprocs = machine.layout(cores, spec.mode).nprocs
-        if spec.kind == "structured":
-            mesh = cube_structured(spec.size, length=4.0)
-            pset = PatchSet.from_structured(
-                mesh, (spec.patch,) * 3, nprocs=nprocs
-            )
-        else:
-            mesh = disk_tri_mesh(spec.size)
-            pset = PatchSet.from_unstructured(
-                mesh, spec.patch, nprocs=nprocs
-            )
-        mm = MaterialMap.uniform(
-            Material.isotropic(1.0, 0.5), mesh.num_cells
-        )
-        q = np.ones((mesh.num_cells, 1))
-        solver = SnSolver(
-            pset, level_symmetric(spec.sn), mm, q, grain=spec.grain
+        machine, cores, pset, solver = build_scenario(
+            spec.kind, spec.mode, spec.size,
+            patch=spec.patch, sn=spec.sn, grain=spec.grain,
         )
         phi, _, _ = solver.sweep_once()
         ref = np.ascontiguousarray(phi).tobytes()
@@ -174,7 +157,6 @@ class JobExecutor:
                 duration=e.deadline,  # the full slice was consumed
                 makespan=e.report.makespan,
                 detail=str(e),
-                counters=e.report.fault_summary(),
             )
         except StallError as e:
             return AttemptOutcome(
@@ -192,14 +174,13 @@ class JobExecutor:
             )
         if self.on_report is not None:
             self.on_report(spec, rep)
-        counters = rep.fault_summary() if faulty else {}
         try:
             phi, _ = sc.solver.accumulate(record)
         except ReproError as e:
             # The run finished but solved out of order: no flux to trust.
             return AttemptOutcome(
                 status="ok", duration=rep.makespan, makespan=rep.makespan,
-                exact=False, detail=str(e), counters=counters,
+                exact=False, detail=str(e),
             )
         blob = np.ascontiguousarray(phi).tobytes()
         return AttemptOutcome(
@@ -208,5 +189,4 @@ class JobExecutor:
             makespan=rep.makespan,
             flux_crc=zlib.crc32(blob),
             exact=blob == sc.reference,
-            counters=counters,
         )

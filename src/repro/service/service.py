@@ -537,7 +537,6 @@ class SweepService:
         r.makespan = outcome.makespan
         r.flux_crc = outcome.flux_crc
         r.exact = outcome.exact
-        r.fault_counters = dict(outcome.counters)
         if self.wal is not None:
             # Journal the commit before installing it: replay treats a
             # journaled commit as authoritative, so the content hash
@@ -557,7 +556,6 @@ class SweepService:
         r.finished = self.now
         r.makespan = outcome.makespan
         r.stall = outcome.stall
-        r.fault_counters = dict(outcome.counters)
         self._settle(job, success=False)
 
     def _settle(self, job: _Job, success: bool) -> None:

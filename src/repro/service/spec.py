@@ -21,7 +21,7 @@ it is pure data.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .._util import ReproError, check_count
 from ..sweep.sweep_program import check_grain
@@ -203,7 +203,6 @@ class JobResult:
     demoted: bool = False  # executed under the degraded config
     demote_note: str = ""  # what the degraded config was
     stall: dict | None = None  # StallReport.to_dict() on STALL failures
-    fault_counters: dict = field(default_factory=dict)  # RunReport summary
 
     @property
     def latency(self) -> float:
@@ -212,9 +211,10 @@ class JobResult:
 
     @staticmethod
     def from_dict(d: dict) -> "JobResult":
-        """Rebuild a result from its :meth:`to_dict` form (WAL replay)."""
+        """Rebuild a result from its :meth:`to_dict` form (WAL replay).
+        An older journal's ``fault_counters`` key is ignored."""
         d = dict(d)
-        d["fault_counters"] = dict(d.get("fault_counters") or {})
+        d.pop("fault_counters", None)
         return JobResult(**d)
 
     def to_dict(self) -> dict:
@@ -236,5 +236,4 @@ class JobResult:
             "demoted": self.demoted,
             "demote_note": self.demote_note,
             "stall": self.stall,
-            "fault_counters": dict(self.fault_counters),
         }

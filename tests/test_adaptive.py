@@ -7,7 +7,7 @@ Two tiers: Hypothesis properties pin the estimator and timer algebra
 *every* ambiguous ack), and integration runs hold demotion to the
 chaos oracle - flux bitwise-identical to the fault-free reference,
 because a migration that changes a bit is a bug - and to its
-committed ``BENCH_adaptive_resilience.json`` row.
+committed ``BENCH_resilience.json`` row.
 """
 
 import json
@@ -287,18 +287,16 @@ def test_demotion_cuts_makespan_on_a_slow_but_alive_rank():
 
 def test_demotion_run_equals_its_committed_straggler_row():
     """``RecoveryConfig(demotion=True)`` on the committed straggler plan
-    (``benchmarks/bench_adaptive_resilience.py``'s ``straggler_plan``)
-    reproduces its ``rto+demotion`` row of
-    ``BENCH_adaptive_resilience.json`` exactly: the plan where demotion
-    loses, unstructured-mpi_only."""
+    (``benchmarks/bench_resilience.py``'s ``straggler_plan``)
+    reproduces its ``demotion`` row of ``BENCH_resilience.json``
+    exactly: the plan where demotion loses, unstructured-mpi_only."""
     rows = json.loads(
-        (Path(__file__).parents[1] / "BENCH_adaptive_resilience.json")
-        .read_text()
+        (Path(__file__).parents[1] / "BENCH_resilience.json").read_text()
     )["rows"]
     row = next(
         r for r in rows
         if (r["scenario"], r["plan"], r["config"])
-        == ("unstructured-mpi_only", "straggler", "rto+demotion")
+        == ("unstructured-mpi_only", "straggler", "demotion")
     )
     machine, cores, pset, solver = build_scenario("unstructured", "mpi_only")
     nprocs = machine.layout(cores, "mpi_only").nprocs
@@ -317,6 +315,5 @@ def test_demotion_run_equals_its_committed_straggler_row():
     ).run(progs, pset.patch_proc)
     assert rep.makespan == row["makespan"]
     assert rep.retries == row["retries"]
-    fs = rep.fault_summary()
-    assert {k: fs[k] for k in row["adaptive"]} == row["adaptive"]
-    assert row["adaptive"]["demotions"] == 1
+    assert {k: getattr(rep, k) for k in row["counters"]} == row["counters"]
+    assert row["counters"]["demotions"] == 1

@@ -273,10 +273,13 @@ class TestClockModel:
 
     def test_unknown_hb_record_kind_is_refused(self):
         """An ``hb_*`` kind with no handler would leave its invariants
-        unchecked: the checker refuses it instead of skipping it."""
+        unchecked: the checker refuses it instead of skipping it -
+        including ``hb_promote``, whose record (a demotion undone by
+        healthy probes) the runtime no longer writes."""
         chk = HbChecker()
-        with pytest.raises(ReproError, match="'hb_bogus'"):
-            chk.feed(1e-6, "hb_bogus", (0,))
+        for kind in ("hb_bogus", "hb_promote"):
+            with pytest.raises(ReproError, match=repr(kind)):
+                chk.feed(1e-6, kind, (0,))
         assert chk.records == 0
 
     @pytest.mark.parametrize("kind,detail", [
