@@ -33,12 +33,11 @@ KOBA_ANGLES = (2, 12)
 
 
 def koba_app(n: int, cores: int, patch: int = 6, grain: int = 1000,
-             strategy: str = "slbd+slbd", mode: str = "hybrid"):
+             strategy: str = "slbd+slbd"):
     """JSNT-S Kobayashi application at scaled size."""
     return JSNTS.kobayashi(
         n,
         total_cores=cores,
-        mode=mode,
         machine=MACHINE,
         patch_shape=(patch, patch, patch),
         quadrature=product_quadrature(*KOBA_ANGLES),
@@ -49,12 +48,11 @@ def koba_app(n: int, cores: int, patch: int = 6, grain: int = 1000,
 
 def ball_app(resolution: int, cores: int, patch_size: int = 500,
              grain: int = 64, strategy: str = "slbd+slbd",
-             mode: str = "hybrid", groups: int = 1):
+             groups: int = 1):
     """JSNT-U ball application (paper defaults: S4, patch 500, grain 64)."""
     return JSNTU.ball(
         resolution,
         total_cores=cores,
-        mode=mode,
         machine=MACHINE,
         patch_size=patch_size,
         grain=grain,
@@ -65,12 +63,11 @@ def ball_app(resolution: int, cores: int, patch_size: int = 500,
 
 def reactor_app(resolution: int, cores: int, patch_size: int = 500,
                 grain: int = 64, strategy: str = "slbd+slbd",
-                mode: str = "hybrid", groups: int = 1):
+                groups: int = 1):
     """JSNT-U reactor application."""
     return JSNTU.reactor(
         resolution,
         total_cores=cores,
-        mode=mode,
         machine=MACHINE,
         patch_size=patch_size,
         grain=grain,

@@ -28,22 +28,17 @@ CORES = [24, 48, 96, 192]
 def run_bsp_ablation():
     mesh = cube_structured(20, length=20.0)
     mm = MaterialMap.uniform(Material.isotropic(1.0, 0.5), mesh.num_cells)
+    pset = PatchSet.from_structured(mesh, (4, 4, 4))
+    solver = SnSolver(
+        pset, level_symmetric(4), mm, np.ones((mesh.num_cells, 1)), grain=64,
+    )
     rows = []
     for cores in CORES:
-        nprocs = MACHINE.layout(cores, "hybrid").nprocs
-        pset = PatchSet.from_structured(mesh, (4, 4, 4), nprocs=nprocs)
-        solver = SnSolver(
-            pset, level_symmetric(4), mm, np.ones((mesh.num_cells, 1)),
-            grain=64,
-        )
+        patch_proc = pset.assign(MACHINE.layout(cores).nprocs)
         progs, _ = solver.build_programs(compute=False)
-        dd = DataDrivenRuntime(cores, machine=MACHINE).run(
-            progs, pset.patch_proc
-        )
+        dd = DataDrivenRuntime(cores, machine=MACHINE).run(progs, patch_proc)
         progs2, _ = solver.build_programs(compute=False)
-        bsp = BSPSweepRuntime(cores, machine=MACHINE).run(
-            progs2, pset.patch_proc
-        )
+        bsp = BSPSweepRuntime(cores, machine=MACHINE).run(progs2, patch_proc)
         rows.append([cores, bsp.time * 1e3, dd.makespan * 1e3,
                      bsp.time / dd.makespan, bsp.supersteps])
     return rows

@@ -24,18 +24,19 @@ def run_fig09b() -> dict[str, list[float]]:
     mesh = cube_structured(24, length=24.0)
     mm = MaterialMap.uniform(Material.isotropic(1.0, 0.5), mesh.num_cells)
     out: dict[str, list[float]] = {s: [] for s in STRATEGIES}
+    pset = PatchSet.from_structured(mesh, (6, 6, 6))
+    solvers = {
+        strat: SnSolver(
+            pset, level_symmetric(2), mm,
+            np.ones((mesh.num_cells, 1)), strategy=strat, grain=100,
+        )
+        for strat in STRATEGIES
+    }
     for cores in CORES:
-        nprocs = MACHINE.layout(cores, "hybrid").nprocs
-        pset = PatchSet.from_structured(mesh, (6, 6, 6), nprocs=nprocs)
-        for strat in STRATEGIES:
-            solver = SnSolver(
-                pset, level_symmetric(2), mm,
-                np.ones((mesh.num_cells, 1)), strategy=strat, grain=100,
-            )
+        patch_proc = pset.assign(MACHINE.layout(cores).nprocs)
+        for strat, solver in solvers.items():
             programs, _ = solver.build_programs(compute=False)
-            rep = DataDrivenRuntime(cores, machine=MACHINE).run(
-                programs, pset.patch_proc
-            )
+            rep = DataDrivenRuntime(cores, machine=MACHINE).run(programs, patch_proc)
             out[strat].append(rep.makespan * 1e3)
     return out
 

@@ -25,8 +25,8 @@ def _strong_scaling(
     rows = []
     base = None
     traced = trace_dir is not None or hb is not None
+    app = koba_app(n, cores_list[0], patch=patch)
     for cores in cores_list:
-        app = koba_app(n, cores, patch=patch)
         label = f"fig12-koba{n}-c{cores}"
         if snap_every:
             rep = snapshot_cadence_run(

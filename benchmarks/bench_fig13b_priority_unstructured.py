@@ -22,11 +22,14 @@ GROUPS = 4
 
 def run_fig13b() -> dict[str, list[float]]:
     out: dict[str, list[float]] = {s: [] for s in STRATEGIES}
+    apps = {
+        strat: reactor_app(
+            26, CORES[0], patch_size=120, groups=GROUPS, strategy=strat
+        )
+        for strat in STRATEGIES
+    }
     for cores in CORES:
-        for strat in STRATEGIES:
-            app = reactor_app(
-                26, cores, patch_size=120, groups=GROUPS, strategy=strat
-            )
+        for strat, app in apps.items():
             rep = app.sweep_report(cores, cost=CostModel(groups=GROUPS))
             out[strat].append(rep.makespan * 1e3)
     return out

@@ -24,11 +24,9 @@ def _strong(resolution: int, cores_list: list[int], patch_size: int,
             trace_dir=None, hb=None, snap_every=None, snap_stats=None):
     rows = []
     base = None
-    ncells = None
     traced = trace_dir is not None or hb is not None
+    app = ball_app(resolution, cores_list[0], patch_size=patch_size)
     for cores in cores_list:
-        app = ball_app(resolution, cores, patch_size=patch_size)
-        ncells = app.solver.mesh.num_cells
         label = f"fig14-ball{resolution}-c{cores}"
         if snap_every:
             rep = snapshot_cadence_run(
@@ -46,7 +44,7 @@ def _strong(resolution: int, cores_list: list[int], patch_size: int,
         sp = base[1] / rep.makespan
         eff = sp * base[0] / cores
         rows.append([cores, rep.makespan * 1e3, sp, eff, rep.idle_fraction()])
-    return ncells, rows
+    return app.solver.mesh.num_cells, rows
 
 
 def run_fig14a():

@@ -35,8 +35,8 @@ N = 20
 def run_fig16(trace_dir: str | None = None, hb=None):
     rows = []
     reports = []
+    app = koba_app(N, CORES[0], patch=5, grain=64)
     for cores in CORES:
-        app = koba_app(N, cores, patch=5, grain=64)
         rep = app.sweep_report(cores, coarsened=False,
                                trace=trace_dir is not None or hb is not None)
         if trace_dir is not None:

@@ -24,12 +24,11 @@ BALL_CORES = [24, 48, 96, 192]
 
 def run_fig17a():
     rows = []
+    # patch 4^3 on a 24^3 mesh: 216 patches, enough for 192 ranks.
+    app = koba_app(24, KOBA_CORES[0], patch=4)
     for cores in KOBA_CORES:
-        # patch 4^3 on a 24^3 mesh: 216 patches, enough for 192 ranks.
-        hybrid = koba_app(24, cores, patch=4).sweep_report(cores)
-        mpi = koba_app(24, cores, patch=4, mode="mpi_only").sweep_report(
-            cores, mode="mpi_only"
-        )
+        hybrid = app.sweep_report(cores)
+        mpi = app.sweep_report(cores, mode="mpi_only")
         rows.append([cores, mpi.makespan * 1e3, hybrid.makespan * 1e3,
                      mpi.makespan / hybrid.makespan])
     return rows
@@ -37,11 +36,10 @@ def run_fig17a():
 
 def run_fig17b():
     rows = []
+    app = ball_app(14, BALL_CORES[0], patch_size=50)
     for cores in BALL_CORES:
-        hybrid = ball_app(14, cores, patch_size=50).sweep_report(cores)
-        mpi = ball_app(14, cores, patch_size=50, mode="mpi_only").sweep_report(
-            cores, mode="mpi_only"
-        )
+        hybrid = app.sweep_report(cores)
+        mpi = app.sweep_report(cores, mode="mpi_only")
         rows.append([cores, mpi.makespan * 1e3, hybrid.makespan * 1e3,
                      mpi.makespan / hybrid.makespan])
     return rows

@@ -40,7 +40,6 @@ def run_table1():
     # --- JSweep on the structured Kobayashi problem (16x) -----------
     a = koba_app(24, 24, patch=6)
     r0 = a.sweep_report(24)
-    a = koba_app(24, 384, patch=6)
     r1 = a.sweep_report(384)
     js_eff = (r0.makespan / r1.makespan) * (24 / 384)
     rows.append(["JSweep", "Kobayashi", "89.6%", 384, 24,
@@ -48,19 +47,17 @@ def run_table1():
 
     # --- PSD-b analogue: hand-parallelized MPI-only sphere sweep ----
     # (8x cores, as the paper's 1,024 vs 128.)
-    b0 = ball_app(14, 24, patch_size=50, mode="mpi_only")
-    p0 = b0.sweep_report(24, mode="mpi_only")
-    b1 = ball_app(14, 192, patch_size=50, mode="mpi_only")
-    p1 = b1.sweep_report(192, mode="mpi_only")
+    b = ball_app(14, 24, patch_size=50)
+    p0 = b.sweep_report(24, mode="mpi_only")
+    p1 = b.sweep_report(192, mode="mpi_only")
     psd_eff = (p0.makespan / p1.makespan) * (24 / 192)
     rows.append(["PSD-b", "sphere S4", "88%", 192, 24,
                  f"{psd_eff * 100:.1f}%"])
 
     # --- JSweep on the sphere (8x) -----------------------------------
-    s0 = ball_app(14, 24, patch_size=120)
-    q0 = s0.sweep_report(24)
-    s1 = ball_app(14, 192, patch_size=120)
-    q1 = s1.sweep_report(192)
+    s = ball_app(14, 24, patch_size=120)
+    q0 = s.sweep_report(24)
+    q1 = s.sweep_report(192)
     jsb_eff = (q0.makespan / q1.makespan) * (24 / 192)
     rows.append(["JSweep", "sphere S4", "66%", 192, 24,
                  f"{jsb_eff * 100:.1f}%"])

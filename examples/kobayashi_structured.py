@@ -42,17 +42,11 @@ def main() -> None:
         phi = result.phi[mesh.linear_index((i, j, i)), 0]
         print(f"  y={y:5.1f}  phi={phi:10.4e}")
 
-    # Miniature strong-scaling study (shape of Fig. 12).
+    # Miniature strong-scaling study (shape of Fig. 12): the same app
+    # swept at every core count; only the patch -> process map changes.
     print("\nstrong scaling (one sweep, coarsened graph, simulated cores):")
     base_time = None
     for cores in (24, 48, 96, 192):
-        app = JSNTS.kobayashi(
-            n,
-            total_cores=cores,
-            machine=machine,
-            patch_shape=(6, 6, 6),
-            quadrature=product_quadrature(2, 12),
-        )
         rep = app.sweep_report(cores, coarsened=True)
         if base_time is None:
             base_time = rep.makespan * cores

@@ -17,10 +17,12 @@ The package implements the paper's full stack in Python:
 Quickstart::
 
     from repro import JSNTS
-    app = JSNTS.kobayashi(20, total_cores=24)
+    app = JSNTS.kobayashi(20, total_cores=24, patch_shape=(5, 5, 5))
     result = app.solve(tol=1e-6)          # physics (source iteration)
-    report = app.sweep_report(24)         # simulated parallel sweep
-    print(report.format_breakdown())
+    for cores in (24, 48, 96):            # one app, every core count
+        report = app.sweep_report(cores)  # simulated parallel sweep
+        print(cores, report.makespan)
+    print(app.sweep_report(48, mode="mpi_only").format_breakdown())
 """
 
 from .apps import JSNTS, JSNTU, JSNTApp, make_kobayashi_solver, trace_particles

@@ -8,8 +8,8 @@ together with the paper's default configurations, and expose the two
 study types the evaluation section runs:
 
 * ``solve(...)``       - converge the physics (source iteration),
-* ``sweep_report(...)``- one sweep under the DES runtime at a given
-  simulated core count, returning the performance report.
+* ``sweep_report(...)``- one sweep under the DES runtime at any
+  simulated core count and mode, returning the performance report.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import ReproError, check_count
+from .._util import check_count
 from ..framework.patch import PatchSet
 from ..mesh.generators import ball_tet_mesh, reactor_mesh_2d
 from ..runtime.cluster import Machine, TIANHE2
@@ -62,8 +62,8 @@ class JSNTApp:
     ) -> RunReport:
         """One full sweep under the DES runtime at ``total_cores``.
 
-        The patch set must have been built for the matching process
-        count (use :meth:`procs_for`).  With ``coarsened`` the sweep
+        Patches go to the processes of the ``mode`` layout by
+        :meth:`PatchSet.assign`.  With ``coarsened`` the sweep
         first records clusters, builds CG, and times the CG sweep -
         the steady-state regime the paper reports.  With ``trace`` the
         report carries a structured event trace (see
@@ -71,12 +71,7 @@ class JSNTApp:
         snapshot manager (see :mod:`repro.persist`) snapshotting the
         runtime on its event cadence.
         """
-        lay = self.machine.layout(total_cores, mode)
-        if self.pset.num_procs != lay.nprocs:
-            raise ReproError(
-                f"patch set was decomposed for {self.pset.num_procs} procs "
-                f"but {total_cores} cores in mode {mode!r} need {lay.nprocs}"
-            )
+        patch_proc = self.pset.assign(self.machine.layout(total_cores, mode).nprocs)
         if coarsened:
             cgs = self.solver.record_coarsened(grain=grain)
             programs, _ = self.solver.build_coarsened_programs(cgs, compute=False)
@@ -90,10 +85,7 @@ class JSNTApp:
             termination=termination,
             trace=trace,
         )
-        return rt.run(programs, self.pset.patch_proc, persist=persist)
-
-    def procs_for(self, total_cores: int, mode: str = "hybrid") -> int:
-        return self.machine.layout(total_cores, mode).nprocs
+        return rt.run(programs, patch_proc, persist=persist)
 
 
 class JSNTS:
@@ -103,7 +95,6 @@ class JSNTS:
     def kobayashi(
         n: int,
         total_cores: int = 12,
-        mode: str = "hybrid",
         machine: Machine = TIANHE2,
         patch_shape: tuple[int, int, int] = (20, 20, 20),
         quadrature: Quadrature | None = None,
@@ -112,7 +103,7 @@ class JSNTS:
         problem: int = 3,
         scattering: bool = True,
     ) -> JSNTApp:
-        nprocs = machine.layout(total_cores, mode).nprocs
+        nprocs = machine.layout(total_cores).nprocs
         solver = make_kobayashi_solver(
             n,
             patch_shape=patch_shape,
@@ -149,7 +140,6 @@ class JSNTU:
         cls,
         mesh,
         total_cores: int,
-        mode: str,
         machine: Machine,
         patch_size: int,
         grain: int,
@@ -159,7 +149,7 @@ class JSNTU:
         name: str,
     ) -> JSNTApp:
         check_count("groups", groups, "energy group count")
-        nprocs = machine.layout(total_cores, mode).nprocs
+        nprocs = machine.layout(total_cores).nprocs
         pset = PatchSet.from_unstructured(mesh, patch_size, nprocs=nprocs)
         quad = quadrature if quadrature is not None else level_symmetric(4)
         mm = cls._materials(mesh, groups)
@@ -177,7 +167,6 @@ class JSNTU:
         cls,
         resolution: int,
         total_cores: int = 12,
-        mode: str = "hybrid",
         machine: Machine = TIANHE2,
         patch_size: int = 500,
         grain: int = 64,
@@ -188,7 +177,7 @@ class JSNTU:
     ) -> JSNTApp:
         mesh = ball_tet_mesh(resolution, seed=seed)
         return cls._build(
-            mesh, total_cores, mode, machine, patch_size, grain, groups,
+            mesh, total_cores, machine, patch_size, grain, groups,
             quadrature, strategy, f"jsnt-u-ball{resolution}",
         )
 
@@ -197,7 +186,6 @@ class JSNTU:
         cls,
         resolution: int,
         total_cores: int = 12,
-        mode: str = "hybrid",
         machine: Machine = TIANHE2,
         patch_size: int = 500,
         grain: int = 64,
@@ -207,6 +195,6 @@ class JSNTU:
     ) -> JSNTApp:
         mesh = reactor_mesh_2d(resolution)
         return cls._build(
-            mesh, total_cores, mode, machine, patch_size, grain, groups,
+            mesh, total_cores, machine, patch_size, grain, groups,
             quadrature, strategy, f"jsnt-u-reactor{resolution}",
         )

@@ -14,7 +14,7 @@ from .sfc import (
     sfc_order,
 )
 from .structured import assign_patches_sfc, patchify_structured
-from .unstructured import UnstructuredDecomposition, decompose_unstructured
+from .unstructured import UnstructuredDecomposition, assign_patches_rcb, decompose_unstructured
 
 __all__ = [
     "rcb_partition",
@@ -27,5 +27,6 @@ __all__ = [
     "assign_patches_sfc",
     "patchify_structured",
     "UnstructuredDecomposition",
+    "assign_patches_rcb",
     "decompose_unstructured",
 ]

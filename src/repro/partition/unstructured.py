@@ -16,7 +16,7 @@ from .._util import ReproError, check_count
 from ..mesh.unstructured import UnstructuredMesh
 from .rcb import rcb_partition
 
-__all__ = ["UnstructuredDecomposition", "decompose_unstructured"]
+__all__ = ["UnstructuredDecomposition", "assign_patches_rcb", "decompose_unstructured"]
 
 
 @dataclass
@@ -57,17 +57,19 @@ def decompose_unstructured(
         )
 
     cell_patch = rcb_partition(mesh.cell_centroids, npatches)
+    patch_proc = assign_patches_rcb(mesh, cell_patch, nprocs)
+    return UnstructuredDecomposition(cell_patch=cell_patch, patch_proc=patch_proc)
 
-    # Patch centroids and weights for the patch->proc level.
+
+def assign_patches_rcb(
+    mesh: UnstructuredMesh, cell_patch: np.ndarray, nprocs: int
+) -> np.ndarray:
+    """Assign patches to ``nprocs`` ranks by RCB over patch centroids,
+    weighted by patch cell count."""
+    npatches = int(cell_patch.max()) + 1
     sums = np.zeros((npatches, mesh.ndim))
     np.add.at(sums, cell_patch, mesh.cell_centroids)
     counts = np.bincount(cell_patch, minlength=npatches).astype(np.float64)
     if np.any(counts == 0):
         raise ReproError("partitioner produced an empty patch")
-    centroids = sums / counts[:, None]
-    patch_proc = (
-        np.zeros(npatches, dtype=np.int64)
-        if nprocs == 1
-        else rcb_partition(centroids, nprocs, weights=counts)
-    )
-    return UnstructuredDecomposition(cell_patch=cell_patch, patch_proc=patch_proc)
+    return rcb_partition(sums / counts[:, None], nprocs, weights=counts)

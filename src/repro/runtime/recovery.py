@@ -229,17 +229,14 @@ class RecoveryManager:
         self.crash_time = {int(p): float(t) for p, t in d["crash_time"].items()}
         self.cascaded = set(d["cascaded"])
         self._strikes = {int(p): int(n) for p, n in d["strikes"].items()}
-        self._last_heard = {
-            int(p): float(t) for p, t in d.get("last_heard", {}).items()
-        } or {p: 0.0 for p in range(self.router.nprocs)}
+        self._last_heard = {int(p): float(t) for p, t in d["last_heard"].items()}
         self._hb_rtt = {
-            int(p): RttEstimator.from_state(s)
-            for p, s in d.get("hb_rtt", {}).items()
+            int(p): RttEstimator.from_state(s) for p, s in d["hb_rtt"].items()
         }
-        self._suspected = set(d.get("suspected", ()))
-        self._probes = {int(p): int(n) for p, n in d.get("probes", {}).items()}
-        self._undetected = set(d.get("undetected", ()))
-        self._pending_restart = int(d.get("pending_restart", 0))
+        self._suspected = set(d["suspected"])
+        self._probes = {int(p): int(n) for p, n in d["probes"].items()}
+        self._undetected = set(d["undetected"])
+        self._pending_restart = int(d["pending_restart"])
 
     # -- event handlers ------------------------------------------------------------
 

@@ -139,8 +139,8 @@ class Router:
         self.owned = {int(p): list(v) for p, v in d["owned"].items()}
         self.dead = set(d["dead"])
         self.demoted = set(d["demoted"])
-        self.inc = [int(x) for x in d.get("inc", [0] * self.nprocs)]
-        self.fenced = set(d.get("fenced", ()))
+        self.inc = [int(x) for x in d["inc"]]
+        self.fenced = set(d["fenced"])
 
     def alive(self) -> list[int]:
         return [q for q in range(self.nprocs) if q not in self.dead]

@@ -17,7 +17,8 @@ from repro.apps import (
 from repro.apps.kobayashi import MAT_SHIELD, MAT_SOURCE, MAT_VOID
 from repro.framework import PatchSet
 from repro.mesh import disk_tri_mesh
-from repro.runtime import Machine
+from repro.persist import report_fingerprint
+from repro.runtime import DataDrivenRuntime, Machine
 
 
 class TestKobayashiGeometry:
@@ -151,14 +152,6 @@ class TestJSNTApps:
         cg = app.sweep_report(8, coarsened=True)
         assert cg.executions < dag.executions
 
-    def test_layout_mismatch_detected(self):
-        machine = Machine(cores_per_proc=4)
-        app = JSNTS.kobayashi(
-            12, total_cores=8, machine=machine, patch_shape=(4, 4, 4)
-        )
-        with pytest.raises(ReproError):
-            app.sweep_report(16)
-
     def test_jsntu_reactor(self):
         machine = Machine(cores_per_proc=4)
         app = JSNTU.reactor(
@@ -199,11 +192,52 @@ class TestJSNTApps:
     def test_jsntu_mpi_only_mode(self):
         machine = Machine(cores_per_proc=4)
         app = JSNTU.reactor(
-            12, total_cores=8, mode="mpi_only", machine=machine,
-            patch_size=60, groups=1,
+            12, total_cores=8, machine=machine, patch_size=60, groups=1,
         )
         rep = app.sweep_report(8, mode="mpi_only")
         assert rep.total_cores == 8
+
+
+M4 = Machine(cores_per_proc=4)
+
+#: One mesh per family, 16 patches each, whatever the core count.
+APPS = {
+    "koba": lambda cores: JSNTS.kobayashi(
+        8, total_cores=cores, machine=M4, patch_shape=(2, 4, 4)),
+    "ball": lambda cores: JSNTU.ball(
+        5, total_cores=cores, machine=M4, patch_size=30, groups=1),
+    "reactor": lambda cores: JSNTU.reactor(
+        12, total_cores=cores, machine=M4, patch_size=60, groups=1),
+}
+
+
+@pytest.mark.parametrize("mode, cores", [
+    ("hybrid", 16), ("hybrid", 64), ("mpi_only", 4), ("mpi_only", 16),
+])
+@pytest.mark.parametrize("build", sorted(APPS))
+def test_one_app_sweeps_every_core_count(build, mode, cores):
+    """An app built at 8 cores and swept at N reports exactly what a
+    fresh app built for N's process count reports on its own stored
+    patch -> process map."""
+    app = APPS[build](8)
+    assert app.pset.num_patches == 16
+    rep = app.sweep_report(cores, mode=mode)
+    nprocs = M4.layout(cores, mode).nprocs
+    fresh = APPS[build](nprocs * M4.cores_per_proc)
+    np.testing.assert_array_equal(fresh.pset.patch_proc, app.pset.assign(nprocs))
+    programs, _ = fresh.solver.build_programs(compute=False)
+    ref = DataDrivenRuntime(cores, machine=M4, mode=mode).run(
+        programs, fresh.pset.patch_proc)
+    assert rep.makespan.hex() == ref.makespan.hex()
+    assert report_fingerprint(rep) == report_fingerprint(ref)
+
+
+@pytest.mark.parametrize("mode, cores", [("hybrid", 68), ("mpi_only", 17)])
+@pytest.mark.parametrize("build", sorted(APPS))
+def test_more_procs_than_patches_is_refused(build, mode, cores):
+    app = APPS[build](8)
+    with pytest.raises(ReproError, match="17 procs but only 16 patches"):
+        app.sweep_report(cores, mode=mode)
 
 
 class TestParticleTrace:
@@ -253,7 +287,6 @@ class TestParticleTrace:
         """The trace component is runtime-agnostic (same PatchProgram
         contract), including the consensus-termination path."""
         from repro.apps.particle_trace import Particle, ParticleTraceProgram
-        from repro.runtime import DataDrivenRuntime
 
         mesh = disk_tri_mesh(8)
         machine = Machine(cores_per_proc=4)

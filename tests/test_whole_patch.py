@@ -178,10 +178,13 @@ MODES = [("hybrid", 12), ("hybrid", 24), ("hybrid", 48),
          ("mpi_only", 2), ("mpi_only", 4), ("mpi_only", 8)]
 
 
-def _koba(cores, mode="hybrid"):
+def _koba():
     """Kobayashi 8^3 in 4^3 patches: 8 patches x 24 angles, patch <= grain."""
-    return JSNTS.kobayashi(8, total_cores=cores, mode=mode,
-                           patch_shape=(4, 4, 4), quadrature=QUAD)
+    return JSNTS.kobayashi(8, patch_shape=(4, 4, 4), quadrature=QUAD)
+
+
+def _patch_proc(app, cores, mode="hybrid"):
+    return app.pset.assign(app.machine.layout(cores, mode).nprocs)
 
 
 def _recorded(topo) -> dict:
@@ -200,14 +203,14 @@ def _sweep(app, cores, mode="hybrid", resilient=False, faults=None):
     s = app.solver
     progs, faces = s.build_programs(record_clusters=True, resilient=resilient)
     rt = DataDrivenRuntime(cores, machine=app.machine, mode=mode, faults=faults)
-    rep = rt.run(progs, app.pset.patch_proc)
+    rep = rt.run(progs, _patch_proc(app, cores, mode))
     phi, _ = s.accumulate(faces)
     return rep, phi, [p.clusters for p in progs]
 
 
 @pytest.mark.parametrize("mode, cores", MODES)
 def test_replaying_sweep_report_equals_recording_one(mode, cores):
-    app = _koba(cores, mode)
+    app = _koba()
     first = app.sweep_report(cores, mode=mode)
     assert len(_recorded(app.solver.topology)) == 8 * 8  # patches x octants
     second = app.sweep_report(cores, mode=mode)
@@ -218,7 +221,7 @@ def test_replaying_sweep_report_equals_recording_one(mode, cores):
 @pytest.mark.parametrize("resilient", [False, True])
 @pytest.mark.parametrize("mode, cores", [("hybrid", 48), ("mpi_only", 8)])
 def test_replayed_flux_and_clusters_equal_recorded(mode, cores, resilient):
-    app = _koba(cores, mode)
+    app = _koba()
     ref = app.solver.sweep_once(mode="fast-level")[0]
     plan = None
     if resilient:
@@ -239,14 +242,14 @@ def test_kill_and_resume_cut_after_replayed_runs(frac, tmp_path):
     """The restarted process rebuilds its programs over the warm
     topology: the runs before the cut and after it are all replays."""
     cores = 24
-    app = _koba(cores)
+    app = _koba()
     cold, phi_cold, _ = _sweep(app, cores)  # records
 
     def factory():
         progs, faces = app.solver.build_programs()
         factory.faces = faces
         return (DataDrivenRuntime(cores, machine=app.machine), progs,
-                app.pset.patch_proc, FluxArrayState(faces))
+                _patch_proc(app, cores), FluxArrayState(faces))
 
     rep, _mgr, killed = kill_and_resume(
         factory, kill_at=int(frac * cold.events),
@@ -261,7 +264,7 @@ def test_kill_and_resume_cut_after_replayed_runs(frac, tmp_path):
 
 
 def test_second_sweep_touches_neither_heap_nor_adjacency(monkeypatch):
-    app = _koba(24)
+    app = _koba()
     first = app.sweep_report(24)
     inside = []
     real_compute = SweepPatchProgram.compute
@@ -302,7 +305,7 @@ def test_first_sweep_builds_one_adjacency_per_task(monkeypatch):
         return real(self, keep)
 
     monkeypatch.setattr(PatchAngleGraph, "adjacency_flat", adjacency_flat)
-    app = _koba(24)
+    app = _koba()
     app.sweep_report(24)
     topo = app.solver.topology
     recorded = {id(topo.graph(p, a)) for p, a, _ in _recorded(topo)}
@@ -316,7 +319,7 @@ def test_first_sweep_builds_one_adjacency_per_task(monkeypatch):
                         groups=1), None),
     lambda: (JSNTU.reactor(10, total_cores=12, patch_size=120, grain=64,
                            groups=1), None),
-    lambda: (_koba(12), 63),  # one short of the 64-cell patches
+    lambda: (_koba(), 63),  # one short of the 64-cell patches
 ], ids=["ball", "reactor", "grain<n_local"])
 def test_patches_larger_than_the_grain_record_nothing(build):
     app, grain = build()
@@ -435,7 +438,7 @@ def _table_bytes(g: PatchAngleGraph) -> int:
 
 
 def test_tasks_are_small_beside_the_csr_tables():
-    app = _koba(24)
+    app = _koba()
     _sweep(app, 24)
     _sweep(app, 24, resilient=True)  # both payload shapes recorded
     topo = app.solver.topology
