@@ -7,7 +7,8 @@ scenario matrix, with the invariant sanitizer armed on every run.
 
 Every cell is held to the bitwise-exactness oracle: the faulty run's
 flux must equal the fault-free reference byte for byte, and the run
-must terminate watchdog-clean (no :class:`StallReport`).  Anything
+must terminate without a stall (no send un-acked past the give-up age,
+no :class:`StallError`).  Anything
 less is a recovery bug, not a degraded result.
 
 Seed-reproducibility contract: a cell's fault plan is a pure function
@@ -88,11 +89,11 @@ def report(res) -> None:
 def check(res, demotion: bool = False, flapping: bool = False,
           membership: bool = False) -> None:
     # The headline robustness claim: every seeded fault mix recovers to
-    # bitwise-exact flux, with zero watchdog stalls.
+    # bitwise-exact flux, with zero stalls.
     assert res.passed == res.total, (
         f"{res.total - res.passed} of {res.total} chaos cases failed"
     )
-    assert res.stalls == 0, f"{res.stalls} watchdog stalls"
+    assert res.stalls == 0, f"{res.stalls} stalls"
     # The campaign actually exercised the fault machinery.
     agg = res.summary()["fault_totals"]
     assert agg.get("crashes", 0) > 0

@@ -14,7 +14,7 @@ the invariant sanitizer armed, and hold every run to the strongest
 available oracles: an **exact sweep order** (every cell solved, each
 after its upwind cells - :meth:`~repro.sweep.SnSolver.accumulate`),
 **bitwise-identical flux** to the fault-free reference and
-watchdog-clean termination.
+stall-free termination.
 
 Seed-reproducibility contract: the plan for campaign cell ``(seed,
 nprocs)`` is a pure function of those two integers -
@@ -26,10 +26,11 @@ replays exactly, on any machine, from its number alone.
 Generated plans always leave at least one survivor: explicit crashes
 and cascade caps are drawn against a shared death budget of
 ``nprocs - 1``, so a campaign never trips the total-loss guard.
-Partition windows are drawn well below the watchdog horizon and the
-retry budget, so every generated plan is recoverable by construction -
-an unrecoverable plan (e.g. a never-healing partition) is a *test* of
-the watchdog, not a campaign member.
+Partition windows are drawn well below the give-up age
+(``RecoveryConfig.watchdog_horizon``), so every generated plan is
+recoverable by construction - an unrecoverable plan (e.g. a
+never-healing partition) is a *test* of the give-up rule, not a
+campaign member.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def random_fault_plan(
     Deaths (explicit crashes plus cascade caps) are drawn against a
     shared budget of ``nprocs - 1``, guaranteeing survivors; partition
     heal windows stay a couple of retry backoffs long, far below the
-    watchdog horizon, so every generated plan is recoverable.
+    give-up age, so every generated plan is recoverable.
     """
     rng = np.random.default_rng((seed, nprocs))
     hz = space.horizon
@@ -244,8 +245,8 @@ class CaseResult:
     seed: int
     ok: bool  # completed AND bitwise-exact
     exact: bool  # flux bitwise-identical to the fault-free reference
-    stalled: bool  # watchdog raised a StallReport
-    error: str = ""  # non-stall failure (sanitizer, undeliverable, ...)
+    stalled: bool  # a send gave up: StallError with its StallReport
+    error: str = ""  # non-stall failure (sanitizer, order check, ...)
     races: int = 0  # happens-before races (only when hb-checking)
     makespan: float = 0.0
     faults: dict = field(default_factory=dict)  # RunReport.fault_summary()

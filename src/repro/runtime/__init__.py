@@ -36,15 +36,14 @@ from .perfmodel import SweepModelPrediction, SweepPerformanceModel
 from .checker import SanitizerError
 from .router import Router
 from .scheduler import HybridPolicy, MpiOnlyPolicy, Scheduler, SchedulerPolicy
-from .simulator import (
-    Resource,
-    Simulator,
+from .simulator import Resource, Simulator, TraceEvent
+from .transport import (
     StallError,
     StallReport,
-    TraceEvent,
+    Transport,
     WaitEdge,
+    stream_checksum,
 )
-from .transport import Transport, stream_checksum
 
 __all__ = [
     "Machine",

@@ -32,8 +32,10 @@ __all__ = ["HostKilled", "SNAPSHOT_VERSION"]
 #: lose the fields of the removed backup-execution and flow-control
 #: mechanisms, and run-end events carry one field less.  Version 5:
 #: the run report loses the counter of demotions undone by healthy
-#: probes (a demotion now lasts for the rest of the run).
-SNAPSHOT_VERSION = 5
+#: probes (a demotion now lasts for the rest of the run).  Version 6:
+#: the simulator loses its two progress-clock fields and each pending
+#: send gains ``armed_at``.
+SNAPSHOT_VERSION = 6
 
 
 class HostKilled(ReproError):

@@ -89,8 +89,6 @@ class DataDrivenRuntime:
         ``deadline`` an optional virtual-time budget; ``persist`` an
         optional snapshot manager (see :mod:`repro.persist`).
         """
-        if deadline is not None and deadline <= 0:
-            raise ReproError("run deadline must be positive")
         check_persist(self, persist)
         ctx = self._compose(programs, patch_proc, persist)
         self._seed(ctx)
@@ -152,8 +150,6 @@ class DataDrivenRuntime:
         rec = RecoveryManager(
             sim, router, transport, sched, rcfg, report, bd, st, slow
         ) if ft else None
-        if ft and rcfg.watchdog_horizon > 0:
-            sim.arm_watchdog(rcfg.watchdog_horizon, transport.stall_snapshot)
         # One row per event kind, read off the layer *instances* (bound
         # handlers pick up class-level instrumentation in force).
         layers = (sched, transport, rec) if ft else (sched, transport)
@@ -182,6 +178,9 @@ class DataDrivenRuntime:
 
     def _drive(self, ctx: SimpleNamespace, deadline: float | None) -> RunReport:
         """Run the one master loop over a seeded or restored context."""
+        # ``not >`` also refuses NaN, which no clock would ever pass.
+        if deadline is not None and not deadline > 0:
+            raise ReproError(f"run deadline must be positive; got {deadline!r}")
         self._ctx = ctx
         try:
             late = run_loop(self, ctx, deadline)

@@ -13,7 +13,7 @@ the runtime's countermeasures (per-message acks with RTT-estimated
 timeout/backoff retransmission, per-stream checksums with NACK-driven
 retransmit, periodic lightweight checkpoints, crash detection and
 dynamic owner re-assignment, opt-in demotion of slow ranks, and the
-no-progress liveness watchdog).  Their tuning values have one value
+give-up age that ends a run whose send stays un-acked).  Their tuning values have one value
 each and are the named module constants below.
 
 Everything is expressed in *virtual* seconds of the simulated cluster,
@@ -144,7 +144,7 @@ class LinkPartition:
     failure signal and recovers only through ack-timeout retransmission
     once the partition heals.  ``end`` may be ``math.inf`` for a
     partition that never heals (the canonical unrecoverable-stall
-    scenario caught by the liveness watchdog).  Cut both directions by
+    scenario the give-up age turns into a ``StallError``).  Cut both directions by
     listing both ``(src, dst)`` and ``(dst, src)``.
     """
 
@@ -264,9 +264,9 @@ class FaultPlan:
         Whether the programs can survive the plan's crashes is checked
         by ``DataDrivenRuntime._compose`` (every armed migration needs
         resilient programs).  ``horizon``, when given, is the run's
-        armed watchdog horizon: a straggler or partition window that
-        only *starts* at or beyond it is almost certainly a
-        misconfigured plan - the run either quiesces or is declared
+        give-up age (``RecoveryConfig.watchdog_horizon``): a straggler
+        or partition window that only *starts* at or beyond it is
+        almost certainly a misconfigured plan - the run either quiesces or is declared
         stalled before the fault ever fires, so the scenario silently
         tests nothing.  Such windows draw a :class:`UserWarning` (not
         an error: a long run that keeps progressing past the horizon
@@ -278,11 +278,11 @@ class FaultPlan:
                     f"straggler window targets proc {w.proc} but the "
                     f"layout has only {nprocs} processes"
                 )
-            if horizon is not None and horizon > 0 and w.start >= horizon:
+            if horizon is not None and w.start >= horizon:
                 warnings.warn(
                     f"straggler window on proc {w.proc} starts at "
-                    f"t={w.start:.6f}s, at or beyond the watchdog "
-                    f"horizon ({horizon:.6f}s): if the run quiesces or "
+                    f"t={w.start:.6f}s, at or beyond the give-up "
+                    f"age ({horizon:.6f}s): if the run quiesces or "
                     "stalls first, the fault silently never fires",
                     stacklevel=2,
                 )
@@ -292,11 +292,11 @@ class FaultPlan:
                     f"partition cuts link {cut.src}->{cut.dst} but the "
                     f"layout has only {nprocs} processes"
                 )
-            if horizon is not None and horizon > 0 and cut.start >= horizon:
+            if horizon is not None and cut.start >= horizon:
                 warnings.warn(
                     f"partition of link {cut.src}->{cut.dst} starts at "
-                    f"t={cut.start:.6f}s, at or beyond the watchdog "
-                    f"horizon ({horizon:.6f}s): if the run quiesces or "
+                    f"t={cut.start:.6f}s, at or beyond the give-up "
+                    f"age ({horizon:.6f}s): if the run quiesces or "
                     "stalls first, the fault silently never fires",
                     stacklevel=2,
                 )
@@ -355,7 +355,7 @@ class FaultInjector:
 
     def cut_window(self, src: int, dst: int, now: float) -> LinkPartition | None:
         """The active partition window on ``src -> dst``, if any (used
-        by the stall watchdog to name lost edges)."""
+        by the stall report to name lost edges)."""
         for cut in self._cuts.get((src, dst), ()):
             if cut.start <= now < cut.end:
                 return cut
@@ -449,7 +449,6 @@ class FaultInjector:
 ACK_TIMEOUT = 120e-6  # s, first timeout of a send on a link with no RTT sample
 BACKOFF = 2.0  # timeout multiplier per retry
 MAX_RTO = 10e-3  # s, cap on any backed-off or estimated timeout
-MAX_RETRIES = 10  # retries per message; the next timeout raises
 SRTT_GAIN = 0.125  # alpha: SRTT update weight
 RTTVAR_GAIN = 0.25  # beta: RTTVAR update weight
 RTO_K = 4.0  # RTO = SRTT + RTO_K * RTTVAR (also the suspicion timeout's K)
@@ -485,12 +484,14 @@ class RecoveryConfig:
     the ``recovery`` breakdown category, so the overhead of resilience
     is visible in the Fig. 16-style accounting.
 
-    ``watchdog_horizon`` arms the liveness watchdog: if retransmit
-    timers are still circulating but no progress event has been
-    processed for this many virtual seconds, the run raises a
-    structured :class:`~repro.runtime.simulator.StallError` naming the
-    blocked dependencies instead of spinning.  Must comfortably exceed
-    any expected partition-heal window; 0 disables the watchdog.
+    ``watchdog_horizon`` is the give-up age of a reliable send: a send
+    still un-acked when one of its timers fires more than this many
+    virtual seconds after it was armed (sent, or re-armed by failover)
+    ends the run with a structured
+    :class:`~repro.runtime.transport.StallError` naming the blocked
+    dependencies instead of retrying forever.  A finite number > 0
+    that must comfortably exceed any expected partition-heal window;
+    there is no retry count and no "off" value.
 
     Retransmit timers are always RTT-estimated: each fresh send arms
     its link's ``clamp(SRTT + RTO_K * RTTVAR, MIN_RTO, MAX_RTO)``, or
@@ -533,18 +534,19 @@ class RecoveryConfig:
     event-free and draw-free, so golden fingerprints are unchanged.
     """
 
-    watchdog_horizon: float = 20e-3  # no-progress stall horizon; 0 = off
+    watchdog_horizon: float = 20e-3  # give-up age of an un-acked send
     membership: bool = False  # elastic membership (§14)
     demotion: bool = False  # degraded-mode demotion of slow ranks (§9)
 
     def __post_init__(self):
         h = self.watchdog_horizon
-        # A NaN horizon compares false against every clock and silently
-        # disarms the watchdog; ``True`` would read as one second.
-        if isinstance(h, bool) or not isinstance(h, Real) or not (h >= 0):
+        # A NaN horizon compares false against every age and an
+        # infinite one never gives up: either would let an unreachable
+        # send retry forever.  ``True`` would read as one second.
+        if isinstance(h, bool) or not isinstance(h, Real) or not (0 < h < math.inf):
             raise ReproError(
-                "watchdog_horizon must be a non-negative number of "
-                f"seconds (0 = off); got {h!r}"
+                "watchdog_horizon must be a finite number of seconds > 0; "
+                f"got {h!r}"
             )
         for name in ("membership", "demotion"):
             # A truthy string or int would silently arm a mechanism
@@ -554,7 +556,7 @@ class RecoveryConfig:
                     f"RecoveryConfig.{name} must be a bool; "
                     f"got {getattr(self, name)!r}"
                 )
-        if self.membership and 0 < self.watchdog_horizon <= MAX_TIMEOUT:
+        if self.membership and self.watchdog_horizon <= MAX_TIMEOUT:
             raise ReproError(
                 "watchdog_horizon must exceed the membership suspicion "
                 f"cap MAX_TIMEOUT={MAX_TIMEOUT}s: heartbeat detection "

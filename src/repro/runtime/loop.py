@@ -12,11 +12,11 @@ traced, resumed - takes this function, so arming any of them is
 observation-free by construction.  Whole same-timestamp batches are
 drained per iteration; that is exact because the events of a batch are
 accounted and filtered *at dispatch*, in pop order, so handlers,
-staleness predicates, ``quiescent()`` and the liveness watchdog see
-the counters one-at-a-time popping would have shown them (DESIGN.md
-§12.2).  Snapshot cadence, the injected host kill and the deadline are
-checked between batches: the cut always falls between two handler
-executions with the turnaround scratch idle.
+staleness predicates and ``quiescent()`` see the counters one-at-a-time
+popping would have shown them (DESIGN.md §12.2).  Snapshot cadence,
+the injected host kill and the deadline are checked between batches:
+the cut always falls between two handler executions with the
+turnaround scratch idle.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ def run_loop(rt, ctx: SimpleNamespace, deadline: float | None) -> float | None:
     """Drive ``ctx`` to quiescence (or an injected host kill).
 
     Returns ``None`` once the heap has drained, or - when the next
-    batch lies past ``deadline`` - its virtual time, with that batch
-    still on the heap (not popped, counted or traced).  The engine owns
-    the final ``RunReport`` accounting either way.
+    batch lies past ``deadline`` and the run has not finished - its
+    virtual time, with that batch still on the heap (not popped,
+    counted or traced).  The engine owns the final ``RunReport``
+    accounting either way.
     """
     sim, report, persist = ctx.sim, ctx.report, ctx.persist
     handlers, control, stale = ctx.table
@@ -60,8 +61,12 @@ def run_loop(rt, ctx: SimpleNamespace, deadline: float | None) -> float | None:
                     next_snap = popped + persist.every
                 if persist.kill_at is not None and popped >= persist.kill_at:
                     raise HostKilled(popped)
-            if deadline is not None and sim.peek_time() > deadline:
-                # Batches pop in time order: first past the budget ends the run.
+            if deadline is not None and sim.peek_time() > deadline and not (
+                ctx.ft and ctx.rec.quiescent() and ctx.tracker.is_done()
+            ):
+                # Batches pop in time order: first past the budget ends
+                # the run - unless the run has finished, and what is left
+                # (checkpoints, lazily cancelled timers) cannot move it.
                 return sim.peek_time()
             now, batch = pop_batch()
             # NB: the same-time turnaround may grow ``batch`` mid-flight;
@@ -85,7 +90,7 @@ def run_loop(rt, ctx: SimpleNamespace, deadline: float | None) -> float | None:
                 for kid, data in batch:
                     handlers[kid](data, now)
                 n = len(batch)
-                sim.settle(now, n)
+                sim.live -= n  # only progress kinds fire here
                 if now > sim.makespan:
                     sim.makespan = now
                 events += n

@@ -263,8 +263,7 @@ class Scheduler:
         acks and unpacks it, then hands it to the program."""
         p, s, wid = data
         if not self.transport.receive(s, p, now, wid):
-            self.sim.retract_progress()  # nothing was delivered
-            return
+            return  # corrupt, fenced, forwarded or duplicate copy
         dur = self.cm.unpack_cost(1, s.items)
         if not self.unit_slow:
             dur *= self.slow(p, now)

@@ -45,9 +45,6 @@ __all__ = [
     "Simulator",
     "KindRow",
     "TraceEvent",
-    "WaitEdge",
-    "StallReport",
-    "StallError",
 ]
 
 
@@ -85,126 +82,6 @@ class TraceEvent:
     detail: tuple | None = None
 
 
-@dataclass(frozen=True)
-class WaitEdge:
-    """One blocked dependency in a stall's wait-for graph: ``waiter``
-    cannot make progress until ``holder`` supplies the named stream."""
-
-    waiter: str  # destination program id (who is starved)
-    holder: str  # source program id (who owes the stream)
-    src_proc: int
-    dst_proc: int
-    retries: int
-    reason: str  # e.g. "link 0->1 partitioned (never heals)"
-
-    def to_dict(self) -> dict:
-        return {
-            "waiter": self.waiter,
-            "holder": self.holder,
-            "src_proc": self.src_proc,
-            "dst_proc": self.dst_proc,
-            "retries": self.retries,
-            "reason": self.reason,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "WaitEdge":
-        return WaitEdge(
-            waiter=d["waiter"],
-            holder=d["holder"],
-            src_proc=int(d["src_proc"]),
-            dst_proc=int(d["dst_proc"]),
-            retries=int(d["retries"]),
-            reason=d["reason"],
-        )
-
-
-@dataclass(frozen=True)
-class StallReport:
-    """Structured diagnosis of a no-progress stall.
-
-    Produced by the liveness watchdog when retransmit timers keep
-    circulating but nothing useful has committed for a full horizon:
-    the wait-for graph snapshot names who is blocked on whom and why,
-    plus any dependency cycle found in it.
-    """
-
-    now: float  # virtual time of detection
-    last_progress: float  # virtual time of the last progress event
-    horizon: float  # configured no-progress horizon
-    #: events still on the heap at detection (same-timestamp siblings
-    #: of the tripping timer are in flight, not counted)
-    pending_events: int
-    waiting: tuple[WaitEdge, ...] = ()
-    lost: tuple[WaitEdge, ...] = ()  # edges that can never be satisfied
-    cycle: tuple[str, ...] = ()  # program ids forming a wait cycle
-
-    def describe(self) -> str:
-        lines = [
-            f"no progress for {self.now - self.last_progress:.6f}s of "
-            f"virtual time (horizon {self.horizon:.6f}s) at t="
-            f"{self.now:.6f}s with {self.pending_events} pending events"
-        ]
-        for e in self.lost:
-            lines.append(
-                f"  LOST  {e.waiter} <- {e.holder} "
-                f"(proc {e.src_proc}->{e.dst_proc}, {e.retries} retries): "
-                f"{e.reason}"
-            )
-        for e in self.waiting:
-            if e not in self.lost:
-                lines.append(
-                    f"  WAIT  {e.waiter} <- {e.holder} "
-                    f"(proc {e.src_proc}->{e.dst_proc}, {e.retries} "
-                    f"retries): {e.reason}"
-                )
-        if self.cycle:
-            lines.append("  CYCLE " + " -> ".join(self.cycle))
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        """JSON-ready view of the report (``math.inf`` survives the
-        round-trip because JSON's ``Infinity`` literal does).
-
-        Consumers that only render text keep :meth:`describe`; the
-        service layer and trace tooling attach this dict to job
-        failures and exported traces instead of exception prose.
-        """
-        return {
-            "now": self.now,
-            "last_progress": self.last_progress,
-            "horizon": self.horizon,
-            "pending_events": self.pending_events,
-            "waiting": [e.to_dict() for e in self.waiting],
-            "lost": [e.to_dict() for e in self.lost],
-            "cycle": list(self.cycle),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "StallReport":
-        return StallReport(
-            now=float(d["now"]),
-            last_progress=float(d["last_progress"]),
-            horizon=float(d["horizon"]),
-            pending_events=int(d["pending_events"]),
-            waiting=tuple(WaitEdge.from_dict(e) for e in d["waiting"]),
-            lost=tuple(WaitEdge.from_dict(e) for e in d["lost"]),
-            cycle=tuple(d["cycle"]),
-        )
-
-
-class StallError(ReproError):
-    """Raised by the watchdog instead of letting a wedged run spin."""
-
-    def __init__(self, report: StallReport):
-        self.report = report
-        super().__init__("liveness watchdog: " + report.describe())
-
-
-#: The control kind the liveness watchdog listens to (retransmit timers).
-_WATCHED_KIND = "timer"
-
-
 class KindRow(NamedTuple):
     """One row of the event-kind table, handed over by the owning layer."""
 
@@ -225,23 +102,12 @@ class Simulator:
     :meth:`declare`); :attr:`live` counts how many of them are
     outstanding, which lets higher layers recognize quiescence (e.g.
     checkpoint/crash events scheduled after a job finished are inert).
-
-    :meth:`arm_watchdog` adds a virtual-time liveness check on top of
-    the same counters: when a retransmit ``timer`` is dispatched with
-    *zero* progress events outstanding and more than ``horizon``
-    virtual seconds since the last progress event was processed, the
-    run has stopped doing useful work while the control plane keeps
-    spinning - the watchdog asks the owning layer for a wait-for
-    snapshot and raises :class:`StallError` if the snapshot confirms a
-    genuine stall (a ``None`` snapshot means the timers are stale and
-    the heap will drain; the watchdog stays quiet).
     """
 
     __slots__ = ("_events", "_seq", "live", "makespan", "_progress",
                  "trace_hook", "trace_fields", "note_hook",
-                 "last_progress", "_prev_progress", "_wd_horizon",
-                 "_wd_snapshot", "_kind_ids", "_kind_names", "_progress_mask",
-                 "_wd_mask", "_pop_counts", "peak_heap", "_sealed",
+                 "_kind_ids", "_kind_names", "_progress_mask",
+                 "_pop_counts", "peak_heap", "_sealed",
                  "_turn_t", "_turn_batch")
 
     def __init__(
@@ -259,19 +125,13 @@ class Simulator:
         self.trace_hook = trace_hook
         self.trace_fields = trace_fields
         self.note_hook = note_hook
-        self.last_progress = 0.0  # virtual time of last progress event
-        self._prev_progress = 0.0  # previous value (for retraction)
-        self._wd_horizon = 0.0  # 0 = watchdog disarmed
-        self._wd_snapshot: Callable[[float], StallReport | None] | None = None
         # Heap entries are ``(t, seq, kind id, data)``: ``seq`` is unique,
         # so comparisons never reach the kind or the data.  Event kinds
         # are interned to dense integer ids, and everything known per
-        # kind (progress / watchdog masks, counts) is a list indexed
-        # by that id.
+        # kind (progress mask, counts) is a list indexed by that id.
         self._kind_ids: dict[str, int] = {}
         self._kind_names: list[str] = []
         self._progress_mask: list[bool] = []
-        self._wd_mask: list[bool] = []
         self._pop_counts: list[int] = []
         self._sealed = False  # True: the kind vocabulary is closed
         self.peak_heap = 0  # high-water heap occupancy (perf_summary)
@@ -283,23 +143,6 @@ class Simulator:
         # heap.
         self._turn_t = -1.0
         self._turn_batch: list | None = None
-
-    def arm_watchdog(
-        self,
-        horizon: float,
-        snapshot: Callable[[float], StallReport | None],
-    ) -> None:
-        """Arm the no-progress detector.
-
-        ``snapshot(now)`` is called on suspicion; it must return a
-        :class:`StallReport` to confirm the stall (raised wrapped in
-        :class:`StallError`) or ``None`` to wave it off.
-        """
-        # Watchdog config is re-armed by the composition root on every
-        # run (engine_des), restore included; the snapshot hook is a
-        # bound callback and cannot round-trip through a codec anyway.
-        self._wd_horizon = horizon  # repro: transient
-        self._wd_snapshot = snapshot  # repro: transient
 
     def kind_id(self, kind: str) -> int:
         """Intern an event kind, minting a dense id on first sight.
@@ -318,7 +161,6 @@ class Simulator:
             self._kind_ids[kind] = kid
             self._kind_names.append(kind)
             self._progress_mask.append(kind in self._progress)
-            self._wd_mask.append(kind == _WATCHED_KIND)
             self._pop_counts.append(0)
         return kid
 
@@ -345,7 +187,7 @@ class Simulator:
         for kind in table:
             self.kind_id(kind)
         # Re-established by the composition root on every compose,
-        # restore included, like the watchdog arming above.
+        # restore included.
         self._progress = frozenset(k for k, r in table.items() if r.progress)  # repro: transient
         self._progress_mask = [k in self._progress for k in self._kind_names]
         self._sealed = True  # repro: transient
@@ -421,7 +263,8 @@ class Simulator:
         timestamp - the interleaving is identical to one-at-a-time
         :meth:`pop`.  Only pop counts are taken here; the caller
         accounts each event as it dispatches it (:meth:`account`, or
-        :meth:`settle` in bulk).
+        in bulk by lowering :attr:`live` when nothing observes it
+        mid-batch).
         """
         events = self._events
         n = len(events)
@@ -447,39 +290,17 @@ class Simulator:
 
     def account(self, t: float, kid: int, data: Any) -> None:
         """Account one popped event as it is dispatched, in pop order:
-        quiescence counter and progress clock (or, for a ``timer``, the
-        liveness check), then the trace hook - so handlers, staleness
-        filters and the watchdog observe what one-at-a-time popping
-        would show them, however the event left the heap."""
+        the quiescence counter, then the trace hook - so handlers and
+        staleness filters observe what one-at-a-time popping would show
+        them, however the event left the heap."""
         if self._progress_mask[kid]:
             self.live -= 1
-            self._prev_progress = self.last_progress
-            self.last_progress = t
-        elif (
-            self._wd_horizon > 0.0
-            and self._wd_mask[kid]
-            and self.live == 0
-            and t - self.last_progress > self._wd_horizon
-        ):
-            # Control plane still ticking, data plane silent past the
-            # horizon: suspect a stall and ask the owner to confirm.
-            report = self._wd_snapshot(t)
-            if report is not None:
-                raise StallError(report)
         if self.trace_hook is not None:
             proc = core = program = None
             kind = self._kind_names[kid]
             if self.trace_fields is not None:
                 proc, core, program = self.trace_fields(kind, data)
             self.trace_hook(TraceEvent(t, kind, proc, core, program))
-
-    def settle(self, t: float, n: int) -> None:
-        """Bulk :meth:`account` of ``n`` dispatched *progress* events,
-        for runs where nothing observes the counters mid-batch and only
-        progress kinds fire (no recovery layer, no trace hook)."""
-        self.live -= n
-        self._prev_progress = t if n > 1 else self.last_progress
-        self.last_progress = t
 
     def peek_time(self) -> float:
         """Virtual time of the earliest pending event (heap non-empty)."""
@@ -501,8 +322,6 @@ class Simulator:
             "seq": self._seq,
             "live": self.live,
             "makespan": self.makespan,
-            "last_progress": self.last_progress,
-            "prev_progress": self._prev_progress,
             "kind_names": list(self._kind_names),
             "pop_counts": list(self._pop_counts),
             "peak_heap": self.peak_heap,
@@ -522,13 +341,10 @@ class Simulator:
         self._kind_names = names
         self._kind_ids = {k: i for i, k in enumerate(names)}
         self._progress_mask = [k in self._progress for k in names]
-        self._wd_mask = [k == _WATCHED_KIND for k in names]
         self._events = list(d["events"])
         self._seq = d["seq"]
         self.live = d["live"]
         self.makespan = d["makespan"]
-        self.last_progress = d["last_progress"]
-        self._prev_progress = d["prev_progress"]
         self._pop_counts = list(d["pop_counts"])
         self.peak_heap = d["peak_heap"]
         self._turn_t = -1.0
@@ -541,18 +357,6 @@ class Simulator:
             for k, c in zip(self._kind_names, self._pop_counts)
             if c
         }
-
-    def retract_progress(self) -> None:
-        """Undo the last accounted event's progress stamp.
-
-        Called by the owning layer when a dispatched progress-kind event
-        turns out to be no progress at all - a duplicate, corrupted or
-        mis-routed delivery that was discarded.  Without the retraction
-        a livelock (e.g. retransmissions endlessly re-delivering an
-        already-seen message whose acks are black-holed) refreshes the
-        progress clock on every retry and the watchdog never fires.
-        """
-        self.last_progress = self._prev_progress
 
     def observe(self, t: float) -> None:
         """Advance the virtual clock's high-water mark (the makespan)."""

@@ -20,20 +20,24 @@ itself be dropped or black-holed.
 Reliable sends carry an end-to-end CRC32 over header and payload;
 a receiver that recomputes a mismatching checksum NACKs the message
 instead of acking it, and the sender retransmits immediately (fast
-retransmit, not burning the retry budget - corruption is transient,
-unlike an unreachable peer).
-
-The transport also owns the liveness watchdog's diagnosis: its pending
-set *is* the run's wait-for state, so :meth:`Transport.stall_snapshot`
-renders it as a :class:`~repro.runtime.simulator.StallReport` naming
-every blocked dependency, the lost ones, and any wait-for cycle.
+retransmit: corruption is transient, unlike an unreachable peer).
 
 One retransmit timer: every clean ack (never a retransmitted, NACKed
 or failover-re-armed send: Karn's rule) feeds a Jacobson SRTT/RTTVAR
 estimator for its ``(src proc, dst proc)`` link, and a fresh send arms
 ``clamp(SRTT + RTO_K*RTTVAR, MIN_RTO, MAX_RTO)`` once its link has a
 sample.  Before that the estimator is cold and the send arms
-``ACK_TIMEOUT``.
+``ACK_TIMEOUT``.  Cold or warm, backoff never escalates past
+``MAX_RTO``, so a healed link is retried within ``MAX_RTO``.
+
+One give-up rule (a user timeout, RFC 5482): a send still un-acked
+when one of its timers fires more than ``watchdog_horizon`` after it
+was armed ends the run with :class:`StallError`.  The pending set *is*
+the run's wait-for state, so :meth:`Transport.stall_snapshot` renders
+it as a :class:`StallReport` naming every blocked dependency, the lost
+ones, and any wait-for cycle.  Every send is armed by a progress
+event, so this one rule also catches a run whose data plane has gone
+silent.
 
 Forwarding is always on: an in-flight message that arrives at a
 process which no longer owns the destination program (demotion or a
@@ -41,21 +45,17 @@ membership suspicion moved it while the message was on the wire) is
 forwarded to the current owner instead of being mis-delivered; the ack
 travels only from the final arrival.
 
-Cold or warm, a retransmit timeout never escalates past
-``MAX_RTO``: unbounded exponential backoff would let a
-long partition push a single timer past the watchdog horizon.
-
 Sits above :mod:`repro.runtime.simulator` (events, timers) and
 :mod:`repro.runtime.router` (current owner of source and destination
 programs; crashed-process checks).  It knows nothing about scheduling
 or checkpoint policy - failover hands it the checkpointed un-acked
 sends to re-arm, as data.
 """
-
 from __future__ import annotations
 
 import dataclasses
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,14 +63,133 @@ from .._util import ReproError
 from ..core.stream import ProgramId, Stream
 from .cluster import Layout, Machine
 from .faults import (
-    ACK_TIMEOUT, BACKOFF, MAX_RETRIES, MAX_RTO, MIN_RTO, RTO_K, RTTVAR_GAIN,
-    SRTT_GAIN, FaultInjector, RecoveryConfig,
+    ACK_TIMEOUT, BACKOFF, MAX_RTO, MIN_RTO, RTO_K, RTTVAR_GAIN, SRTT_GAIN,
+    FaultInjector, RecoveryConfig,
 )
 from .metrics import RunReport
 from .router import Router
-from .simulator import KindRow, Simulator, StallReport, WaitEdge
+from .simulator import KindRow, Simulator
 
-__all__ = ["PendingSend", "RttEstimator", "Transport", "stream_checksum"]
+__all__ = [
+    "PendingSend", "RttEstimator", "StallError", "StallReport", "Transport",
+    "WaitEdge", "stream_checksum",
+]
+
+
+@dataclass(frozen=True)
+class WaitEdge:
+    """One blocked dependency in a stall's wait-for graph: ``waiter``
+    cannot make progress until ``holder`` supplies the named stream."""
+
+    waiter: str  # destination program id (who is starved)
+    holder: str  # source program id (who owes the stream)
+    src_proc: int
+    dst_proc: int
+    retries: int
+    reason: str  # e.g. "link 0->1 partitioned (never heals)"
+
+    def to_dict(self) -> dict:
+        return {
+            "waiter": self.waiter,
+            "holder": self.holder,
+            "src_proc": self.src_proc,
+            "dst_proc": self.dst_proc,
+            "retries": self.retries,
+            "reason": self.reason,
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> WaitEdge:
+        return WaitEdge(
+            waiter=d["waiter"],
+            holder=d["holder"],
+            src_proc=int(d["src_proc"]),
+            dst_proc=int(d["dst_proc"]),
+            retries=int(d["retries"]),
+            reason=d["reason"],
+        )
+
+
+@dataclass(frozen=True)
+class StallReport:
+    """Structured diagnosis of a stall.
+
+    Produced when a reliable send has stayed un-acked past the
+    horizon: the wait-for graph snapshot names who is blocked on whom
+    and why, plus any dependency cycle found in it.
+    """
+
+    now: float  # virtual time of detection
+    since: float  # virtual time the oldest blocked send was armed
+    horizon: float  # the give-up age (RecoveryConfig.watchdog_horizon)
+    #: events still on the heap at detection (same-timestamp siblings
+    #: of the tripping timer are in flight, not counted)
+    pending_events: int
+    waiting: tuple[WaitEdge, ...] = ()
+    lost: tuple[WaitEdge, ...] = ()  # edges that can never be satisfied
+    cycle: tuple[str, ...] = ()  # program ids forming a wait cycle
+
+    def describe(self) -> str:
+        lines = [
+            f"a send un-acked for {self.now - self.since:.6f}s of "
+            f"virtual time (horizon {self.horizon:.6f}s) at t="
+            f"{self.now:.6f}s with {self.pending_events} pending events"
+        ]
+        for e in self.lost:
+            lines.append(
+                f"  LOST  {e.waiter} <- {e.holder} "
+                f"(proc {e.src_proc}->{e.dst_proc}, {e.retries} retries): "
+                f"{e.reason}"
+            )
+        for e in self.waiting:
+            if e not in self.lost:
+                lines.append(
+                    f"  WAIT  {e.waiter} <- {e.holder} "
+                    f"(proc {e.src_proc}->{e.dst_proc}, {e.retries} "
+                    f"retries): {e.reason}"
+                )
+        if self.cycle:
+            lines.append("  CYCLE " + " -> ".join(self.cycle))
+        return "\n".join(lines)
+
+    def to_dict(self) -> dict:
+        """JSON-ready view of the report (``math.inf`` survives the
+        round-trip because JSON's ``Infinity`` literal does).
+
+        Consumers that only render text keep :meth:`describe`; the
+        service layer and trace tooling attach this dict to job
+        failures and exported traces instead of exception prose.
+        """
+        return {
+            "now": self.now,
+            "since": self.since,
+            "horizon": self.horizon,
+            "pending_events": self.pending_events,
+            "waiting": [e.to_dict() for e in self.waiting],
+            "lost": [e.to_dict() for e in self.lost],
+            "cycle": list(self.cycle),
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> StallReport:
+        return StallReport(
+            now=float(d["now"]),
+            since=float(d["since"]),
+            horizon=float(d["horizon"]),
+            pending_events=int(d["pending_events"]),
+            waiting=tuple(WaitEdge.from_dict(e) for e in d["waiting"]),
+            lost=tuple(WaitEdge.from_dict(e) for e in d["lost"]),
+            cycle=tuple(d["cycle"]),
+        )
+
+
+class StallError(ReproError):
+    """Raised when a reliable send stays un-acked past the horizon,
+    instead of letting a wedged run retry forever."""
+
+    def __init__(self, report: StallReport):
+        self.report = report
+        super().__init__("stalled: " + report.describe())
 
 
 def stream_checksum(s: Stream) -> int:
@@ -149,10 +268,11 @@ class PendingSend:
 
     __slots__ = (
         "stream", "src_pid", "retries", "timeout", "attempt",
-        "sent_at", "link",
+        "sent_at", "link", "armed_at",
     )
 
-    def __init__(self, stream: Stream, src_pid: ProgramId, timeout: float):
+    def __init__(self, stream: Stream, src_pid: ProgramId, timeout: float,
+                 armed_at: float):
         self.stream = stream
         self.src_pid = src_pid
         self.retries = 0
@@ -160,6 +280,7 @@ class PendingSend:
         self.attempt = 0  # bumped on every (re)arm; lazily cancels timers
         self.sent_at: float | None = None  # first-copy launch time (RTT)
         self.link: tuple[int, int] | None = None  # (src proc, dst proc)
+        self.armed_at = armed_at  # send or failover re-arm time (give-up age)
 
 
 class Transport:
@@ -273,7 +394,7 @@ class Transport:
         if self.membership:
             s.inc = (src_proc, self.router.inc[src_proc])
         s.checksum = stream_checksum(s)
-        ps = PendingSend(s, src_pid, self._initial_rto(src_proc, dst_proc))
+        ps = PendingSend(s, src_pid, self._initial_rto(src_proc, dst_proc), now)
         ps.link = (src_proc, dst_proc)
         ps.sent_at = now
         self.pending[s.uid] = ps
@@ -288,7 +409,7 @@ class Transport:
         if self.inj is not None and self.inj.link_cut(src_p, dst_p, now):
             # Partitioned link: silent black hole, no fate draw.  The
             # sender learns nothing; its ack timer retransmits until
-            # the partition heals (or the watchdog names the cut).
+            # the partition heals (or the give-up age names the cut).
             self.report.partition_drops += 1
             return
         wire = self.machine.message_time(src_p, dst_p, s.nbytes, self.layout)
@@ -358,7 +479,8 @@ class Transport:
         """
 
     def on_timer(self, data: tuple, now: float) -> None:
-        """Ack-timeout expiry: retransmit with backoff, or hold/skip."""
+        """Ack-timeout expiry: give up past the horizon, else retransmit
+        with backoff, or hold/skip."""
         uid, attempt = data
         ps = self.pending.get(uid)
         if ps is None or ps.attempt != attempt:
@@ -367,23 +489,20 @@ class Transport:
         s = ps.stream
         if self.router.proc_of[s.src] in self.router.dead:
             return  # sender's owner crashed; failover re-arms
+        if now - ps.armed_at > self.rcfg.watchdog_horizon:
+            raise StallError(self.stall_snapshot(now))
         if self.router.proc_of[s.dst] in self.router.dead:
-            # Destination is down: hold the message (without burning
-            # retries) until failover re-routes it.
+            # Destination is down: hold the message (without counting
+            # a retry) until failover re-routes it.
             ps.attempt += 1
             self.sim.push_id(now + ps.timeout, self._k_timer, (uid, ps.attempt))
             return
-        if ps.retries >= MAX_RETRIES:
-            raise ReproError(
-                f"message {uid!r} undeliverable after {MAX_RETRIES} retries"
-            )
         ps.retries += 1
         ps.attempt += 1
         self.report.retries += 1
         self.transmit(ps, now)
-        # Exponential backoff, capped: an uncapped doubling under a
-        # long partition would arm a timer beyond the watchdog horizon
-        # and the run would be declared stalled instead of recovering.
+        # Exponential backoff, capped: a healed link is retried within
+        # MAX_RTO, long before the send's give-up age.
         ps.timeout = min(ps.timeout * BACKOFF, MAX_RTO)
         self.sim.push_id(now + ps.timeout, self._k_timer, (uid, ps.attempt))
 
@@ -392,7 +511,7 @@ class Transport:
         immediately (fast retransmit).
 
         Corruption is a transient wire fault, not an unreachable peer,
-        so a NACKed retransmission does not burn the retry budget; the
+        so a NACKed retransmission is not counted as a retry; the
         ack timer stays armed as the backstop for a lost NACK.  Karn:
         its ack would span two copies, so it is no RTT sample.
         """
@@ -526,10 +645,11 @@ class Transport:
                 )
                 ps.attempt += 1
                 ps.sent_at = None  # Karn: a re-armed send is ambiguous
+                ps.armed_at = now
                 if self.membership:
                     # Restamp under the new owner's live incarnation:
                     # left stale, every retransmit would be fenced at
-                    # the receiver and the retry budget would burn out.
+                    # the receiver until the send gave up.
                     sp = self.router.proc_of[s.src]
                     s.inc = (sp, self.router.inc[sp])
                 self.transmit(ps, now)
@@ -558,6 +678,7 @@ class Transport:
                     "attempt": ps.attempt,
                     "sent_at": ps.sent_at,
                     "link": ps.link,
+                    "armed_at": ps.armed_at,
                 }
                 for uid, ps in self.pending.items()
             },
@@ -570,7 +691,9 @@ class Transport:
         self._wire_seq = d["wire_seq"]
         pending: dict[tuple, PendingSend] = {}
         for uid, pd in d["pending"].items():
-            ps = PendingSend(pd["stream"], pd["src_pid"], pd["timeout"])
+            ps = PendingSend(
+                pd["stream"], pd["src_pid"], pd["timeout"], pd["armed_at"]
+            )
             ps.retries = pd["retries"]
             ps.attempt = pd["attempt"]
             ps.sent_at = pd["sent_at"]
@@ -584,19 +707,16 @@ class Transport:
 
     # -- liveness diagnosis -------------------------------------------------------
 
-    def stall_snapshot(self, t: float) -> StallReport | None:
-        """Wait-for snapshot for the liveness watchdog.
+    def stall_snapshot(self, t: float) -> StallReport:
+        """Wait-for snapshot of a stall (at least one send pending).
 
-        Called when retransmit timers keep circulating with no progress
-        event processed for a full horizon.  Returns ``None`` when no
-        sends are outstanding (stale timers; the heap will drain), else
-        a :class:`StallReport` naming every blocked dependency - who is
-        starved, who owes the stream, and why it cannot arrive
-        (partitioned link, dead peer, or plain ack starvation) - plus
-        any wait-for cycle among the blocked programs.
+        Called by :meth:`on_timer` when a send has stayed un-acked past
+        the horizon.  The :class:`StallReport` names every blocked
+        dependency - who is starved, who owes the stream, and why it
+        cannot arrive (partitioned link, dead peer, or plain ack
+        starvation) - plus any wait-for cycle among the blocked
+        programs.
         """
-        if not self.pending:
-            return None
         router, inj = self.router, self.inj
         waiting: list[WaitEdge] = []
         lost: list[WaitEdge] = []
@@ -630,7 +750,7 @@ class Transport:
             holders.setdefault(edge.waiter, set()).add(edge.holder)
         return StallReport(
             now=t,
-            last_progress=self.sim.last_progress,
+            since=min(ps.armed_at for ps in self.pending.values()),
             horizon=self.rcfg.watchdog_horizon,
             pending_events=len(self.sim),
             waiting=tuple(waiting),

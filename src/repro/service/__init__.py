@@ -15,9 +15,9 @@ package is that layer:
 * :mod:`~repro.service.breaker` - per-tenant circuit breakers
   (closed -> open -> half-open) that quarantine failing tenants;
 * :mod:`~repro.service.executor` - the *only* module that touches the
-  runtime, strictly through the ``DataDrivenRuntime`` facade (lint
-  rule PROTO003 enforces this), with content-addressed scenario
-  caching;
+  runtime, strictly through the ``DataDrivenRuntime`` facade
+  (``tests/test_runtime_layers.py::TestLayering::test_service_uses_only_the_runtime_facade``
+  enforces this), with content-addressed scenario caching;
 * :mod:`~repro.service.service` - the event loop: fair-share
   dispatch, deadlines, immediate retry of worker-crashed attempts,
   exactly-once commit, graceful degradation under overload;

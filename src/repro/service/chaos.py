@@ -4,7 +4,7 @@ The runtime chaos campaign (:mod:`repro.chaos`) attacks the cluster
 *inside* one run.  This module attacks the layer above: open-loop
 arrival bursts that overrun admission, a worker pool that keeps
 crashing attempts, poison specs whose fault plans can never finish
-(they stall until the watchdog diagnoses them), and duplicate
+(they stall until a send's give-up age diagnoses them), and duplicate
 submissions racing their originals - all from one seed, so a failing
 campaign cell replays exactly.
 
@@ -83,7 +83,7 @@ class ServiceWorkload:
 def _poison_plan(seed: int) -> FaultPlan:
     """A fault plan that can never finish: the 0<->1 link stays
     partitioned for longer than any run survives, so every delivery
-    retry bounces until the liveness watchdog diagnoses the stall."""
+    retry bounces until the send's give-up age diagnoses the stall."""
     return FaultPlan(
         partitions=(LinkPartition(0, 1, 0.0, math.inf),), seed=seed
     )

@@ -3,8 +3,9 @@
 The executor is the service's only contact with the runtime, and it
 talks exclusively to the *facade*: ``DataDrivenRuntime`` in, structured
 exceptions and a ``RunReport`` out.  It never reaches into transport,
-scheduler, router or recovery internals - the PROTO003 lint rule pins
-that boundary to the module graph.
+scheduler, router or recovery internals -
+``tests/test_runtime_layers.py::TestLayering::test_service_uses_only_the_runtime_facade``
+pins that boundary to the module graph.
 
 Two caches make the service cheap at traffic:
 
@@ -42,9 +43,9 @@ from .spec import JobSpec
 
 __all__ = ["AttemptOutcome", "JobExecutor"]
 
-#: Watchdog horizon armed on fault-bearing runs: a stalled job is
-#: *diagnosed* (StallReport) after this much progress-free virtual
-#: time instead of spinning against its deadline.
+#: Give-up age armed on fault-bearing runs: a job with a send un-acked
+#: this long is *diagnosed* (StallReport) instead of retrying against
+#: its deadline.
 WATCHDOG_HORIZON = 5e-3
 #: Distinct scenarios kept built; the oldest is evicted first.
 SCENARIO_CACHE_SIZE = 32
@@ -128,7 +129,7 @@ class JobExecutor:
         flux checksum and the exactness verdict against the fault-free
         reference (a run that solved out of order is ``ok`` and not
         exact, the violation its detail); a budget overrun yields ``deadline`` with the
-        consumed slice; a watchdog stall yields ``stall`` with the
+        consumed slice; a stall yields ``stall`` with the
         serialized :class:`~repro.runtime.StallReport`; any other
         structured runtime failure yields ``error``.
         """
@@ -163,11 +164,11 @@ class JobExecutor:
                 status="stall",
                 duration=min(e.report.now, deadline)
                 if deadline is not None else e.report.now,
-                detail="liveness watchdog confirmed a stall",
+                detail="a send stayed un-acked past the give-up age",
                 stall=e.report.to_dict(),
             )
         except ReproError as e:
-            # Undeliverable messages, plan/layout mismatches, sanitizer
+            # Plan/layout mismatches, refused programs, sanitizer
             # trips: structured failure, zero slice beyond the report.
             return AttemptOutcome(
                 status="error", duration=0.0, detail=str(e)

@@ -22,7 +22,7 @@ Life of a job::
 Retry policy is deliberately narrow: only *transient* failures - a
 worker-pool crash, which exists above the deterministic cluster DES -
 are retried, at once and up to ``MAX_ATTEMPTS`` attempts in all.
-Deadline overruns, watchdog stalls, and structured runtime errors are
+Deadline overruns, stalls, and structured runtime errors are
 deterministic functions of the spec; retrying them verbatim would burn
 capacity to reproduce the same failure, so they fail fast (and feed
 the tenant's circuit breaker, which is how a poison spec gets

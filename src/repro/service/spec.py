@@ -56,7 +56,7 @@ class FailureReason:
     """
 
     DEADLINE = "deadline"  # virtual-time budget exhausted, run cancelled
-    STALL = "stall"  # liveness watchdog raised (StallReport attached)
+    STALL = "stall"  # a send gave up: StallError (StallReport attached)
     WORKER_CRASH = "worker-crash"  # retry budget exhausted on pool crashes
     RUNTIME_ERROR = "runtime-error"  # structured runtime failure (ReproError)
     INVALID = "invalid-spec"  # rejected by validation at execution time

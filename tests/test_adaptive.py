@@ -1,6 +1,6 @@
 """Adaptive-resilience tests: the one retransmit timer (RTT estimation
-with Karn's rule, ``ACK_TIMEOUT`` as its cold start, capped backoff)
-and degraded-mode demotion.
+with Karn's rule, ``ACK_TIMEOUT`` as its cold start, capped backoff),
+the one give-up age it runs under, and degraded-mode demotion.
 
 Two tiers: Hypothesis properties pin the estimator and timer algebra
 (the RTO clamp holds for *any* sample sequence; Karn's rule excludes
@@ -11,7 +11,7 @@ committed ``BENCH_resilience.json`` row.
 """
 
 import json
-import re
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +24,21 @@ from repro.chaos import run_case
 from repro.core.stream import ProgramId, Stream
 from repro.runtime import (
     DataDrivenRuntime,
+    FaultInjector,
     FaultPlan,
+    LinkPartition,
     Machine,
     RecoveryConfig,
     Router,
     RunReport,
     Simulator,
+    StallError,
     StragglerWindow,
     Transport,
 )
 from repro.chaos import build_scenario
 from repro.runtime.faults import (
-    ACK_TIMEOUT, BACKOFF, MAX_RETRIES, MAX_RTO, MIN_RTO, RTO_K,
+    ACK_TIMEOUT, BACKOFF, MAX_RTO, MIN_RTO, RTO_K,
 )
 from repro.runtime.metrics import Breakdown
 from repro.runtime.transport import RttEstimator
@@ -53,12 +56,13 @@ def _mini_router(nprocs=2):
     return Router(progs, np.arange(nprocs), nprocs)
 
 
-def _transport(rcfg):
+def _transport(rcfg, injector=None):
     machine = Machine(cores_per_proc=4)
     layout = machine.layout(8, "hybrid")  # 2 procs
     sim = Simulator(frozenset({"msg_arrive"}))
     report = RunReport(makespan=0.0, breakdown=Breakdown(), total_cores=8)
-    tr = Transport(sim, _mini_router(), machine, layout, report, rcfg=rcfg)
+    tr = Transport(sim, _mini_router(), machine, layout, report,
+                   injector=injector, rcfg=rcfg)
     return sim, tr
 
 
@@ -205,24 +209,66 @@ def test_send_after_one_clean_ack_arms_the_estimators_clamp():
 
 
 def test_backoff_never_escalates_past_max_rto():
-    """A cold link's whole timer schedule: MAX_RETRIES retransmits, the
-    k-th re-arming ``min(ACK_TIMEOUT * BACKOFF**k, MAX_RTO)``, then the
-    next expiry declares the message undeliverable, naming it."""
+    """A cold link's whole timer schedule: the k-th retransmit re-arms
+    ``min(ACK_TIMEOUT * BACKOFF**k, MAX_RTO)``, and the first expiry
+    more than the horizon after the send gives up, naming it."""
+    horizon = RecoveryConfig().watchdog_horizon
     _, tr = _transport(RecoveryConfig())
     s = _send(tr)
     ps = tr.pending[s.uid]
     assert ps.timeout == ACK_TIMEOUT
-    now = 0.0
-    for k in range(1, MAX_RETRIES + 1):
+    now, k = 0.0, 0
+    while now + ps.timeout <= horizon:
         now += ps.timeout
         tr.on_timer((s.uid, ps.attempt), now)
+        k += 1
         assert ps.timeout == min(ACK_TIMEOUT * BACKOFF**k, MAX_RTO)
     assert ps.timeout == MAX_RTO  # the cap was reached, not just approached
-    assert tr.report.retries == MAX_RETRIES
-    with pytest.raises(ReproError, match=re.escape(
-        f"message {s.uid!r} undeliverable after {MAX_RETRIES} retries"
-    )):
+    assert tr.report.retries == k == 7
+    with pytest.raises(StallError) as ei:
         tr.on_timer((s.uid, ps.attempt), now + ps.timeout)
+    rep = ei.value.report
+    assert rep.now == now + MAX_RTO and rep.since == 0.0
+    assert [(e.holder, e.waiter, e.retries) for e in rep.waiting] == [
+        (str(s.src), str(s.dst), k)
+    ]
+
+
+def _give_up(sim, tr):
+    """Drive a cut link's timers off the heap until its send gives up."""
+    with pytest.raises(StallError) as ei:
+        while sim:
+            t, kind, data = sim.pop()
+            assert kind == "timer"  # the cut black-holes every copy
+            tr.on_timer(data, t)
+    return ei.value.report
+
+
+@given(r=st.floats(1e-7, 1e-2), t0=st.floats(0.0, 1e-3))
+@settings(max_examples=60, deadline=None)
+def test_a_cut_gives_up_at_one_age_on_warm_and_cold_links(r, t0):
+    """The same never-healing cut gives up within one ``MAX_RTO`` of
+    the same virtual time whatever the link's first RTO: one RTT
+    sample ``r`` warms it anywhere from ``MIN_RTO`` to ``MAX_RTO``, a
+    cold link starts at ``ACK_TIMEOUT``.  Counting retries instead gave
+    up 30.2 ms after the send on a warm link and 55.2 ms on a cold one."""
+    horizon = RecoveryConfig().watchdog_horizon
+    ulp = 1e-12
+    cut = FaultPlan(partitions=(LinkPartition(0, 1, 0.0, math.inf),))
+    ends = {}
+    for warm in (False, True):
+        sim, tr = _transport(RecoveryConfig(), FaultInjector(cut))
+        if warm:
+            tr.rtt[(0, 1)] = est = RttEstimator()
+            est.sample(r)
+        _send(tr, now=t0)
+        rep = _give_up(sim, tr)
+        # ``ulp``: the schedule is a float sum, and a timer due exactly
+        # at the horizon may land a rounding step either side of it.
+        assert horizon < rep.now - t0 <= horizon + MAX_RTO + ulp
+        assert rep.since == t0 and "never heals" in rep.lost[0].reason
+        ends[warm] = rep.now
+    assert abs(ends[True] - ends[False]) <= MAX_RTO + ulp
 
 
 # -- config validation -----------------------------------------------------------

@@ -216,7 +216,7 @@ class TestEffectsOnShippedRepo:
         q = "repro.runtime.simulator.Simulator"
         assert "_events" in src_program.covered(q)
         transient = src_program.transient(q)
-        assert {"_wd_horizon", "_wd_snapshot", "_sealed"} <= transient
+        assert {"_progress", "_sealed"} <= transient
 
     @pytest.mark.parametrize("qname, core, rebuilt", [
         ("repro.sweep.sweep_program.SweepPatchProgram",

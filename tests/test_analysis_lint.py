@@ -262,4 +262,4 @@ def test_shipped_repo_lints_clean():
     vs = [v for m in mods for v in eng.lint_module(m)]
     assert vs == [], "\n" + render(vs)
     assert sum(len(m.suppressions) for m in mods) == 0
-    assert sum(len(m.transient_lines) for m in mods) == 8
+    assert sum(len(m.transient_lines) for m in mods) == 6

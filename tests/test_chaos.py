@@ -1,5 +1,5 @@
-"""Chaos-engine tests: partitions, corruption, cascades, watchdog,
-the online run checker (sanitizer), and the seeded campaign driver.
+"""Chaos-engine tests: partitions, corruption, cascades, the give-up
+age of an un-acked send, the online run checker (sanitizer), and the seeded campaign driver.
 
 The oracle everywhere is the strongest one available: a recoverable
 faulty run must produce *bitwise-identical* flux to the fault-free
@@ -49,7 +49,7 @@ from repro.runtime import (
     stream_checksum,
 )
 from repro.runtime.checker import HbChecker
-from repro.runtime.faults import ACK_TIMEOUT
+from repro.runtime.faults import ACK_TIMEOUT, MAX_RTO
 from repro.runtime.metrics import Breakdown
 from repro.runtime.recovery import Checkpoint, RecoveryManager
 from repro.runtime.scheduler import RunState
@@ -176,19 +176,11 @@ class TestLinkPartitions:
         edge = report.lost[0]
         assert edge.src_proc == 0 and edge.dst_proc == 1
         assert "never heals" in edge.reason
-        assert report.now - report.last_progress > report.horizon
-        assert "partitioned" in str(ei.value)
-
-    def test_watchdog_disabled_by_zero_horizon(self):
-        # With the watchdog off, the same wedge runs the retry budget
-        # to exhaustion instead - proving the watchdog is what turns
-        # the hang into a diagnosis.
-        plan = FaultPlan(
-            partitions=(LinkPartition(0, 1, 50e-6, math.inf),), seed=3
+        # The oldest send gave up at its first timer past the horizon.
+        assert report.horizon < report.now - report.since <= (
+            report.horizon + MAX_RTO
         )
-        with pytest.raises(ReproError, match="undeliverable") as ei:
-            _run(plan, recovery=RecoveryConfig(watchdog_horizon=0.0))
-        assert not isinstance(ei.value, StallError)
+        assert "partitioned" in str(ei.value)
 
 
 # -- payload corruption ----------------------------------------------------------
@@ -257,49 +249,64 @@ class TestCascades:
         assert before == after  # rng untouched: old plans replay bit-exactly
 
 
-# -- liveness watchdog (simulator-level) -----------------------------------------
+# -- the give-up age (transport-level) -------------------------------------------
 
 
 class TestWatchdog:
-    def test_fires_only_past_horizon_with_no_live_work(self):
-        calls = []
-        sim = Simulator(frozenset({"work"}))
-        sim.arm_watchdog(1.0, lambda t: calls.append(t) or None)
-        sim.push(0.0, "work", None)
-        sim.push(0.5, "timer", None)
-        sim.push(2.0, "timer", None)
-        sim.pop()  # work at t=0: progress observed
-        sim.pop()  # timer at 0.5: within horizon, quiet
-        assert calls == []
-        sim.pop()  # timer at 2.0: past horizon, live==0 -> suspect
-        assert calls == [2.0]
+    """A send un-acked past the horizon gives up; nothing else does."""
 
-    def test_quiet_while_progress_outstanding(self):
-        calls = []
-        sim = Simulator(frozenset({"work"}))
-        sim.arm_watchdog(1.0, lambda t: calls.append(t) or None)
-        sim.push(5.0, "work", None)  # outstanding progress: live == 1
-        sim.push(3.0, "timer", None)
-        sim.pop()  # timer at 3.0, but live work pending
-        assert calls == []
+    H = 1e-3
 
-    def test_snapshot_confirmation_raises(self):
-        from repro.runtime import StallReport
+    def _sent(self, **plan):
+        tr = _transport(
+            RecoveryConfig(watchdog_horizon=self.H),
+            FaultInjector(FaultPlan(**plan)) if plan else None,
+        )
+        s = Stream(src=ProgramId(0, 0), dst=ProgramId(1, 0), nbytes=64)
+        tr.send(s, s.src, 0, 0.0, 0, 1)
+        return tr, s, tr.pending[s.uid]
 
-        rep = StallReport(now=2.0, last_progress=0.0, horizon=1.0,
-                          pending_events=1)
-        sim = Simulator(frozenset({"work"}))
-        sim.arm_watchdog(1.0, lambda t: rep)
-        sim.push(2.0, "timer", None)
+    def test_gives_up_only_past_the_horizon(self):
+        tr, s, ps = self._sent()
+        tr.on_timer((s.uid, ps.attempt), self.H)  # age == horizon: retry
+        assert tr.report.retries == 1
+        with pytest.raises(StallError):
+            tr.on_timer((s.uid, ps.attempt), self.H + 1e-9)
+
+    def test_acked_or_superseded_timer_never_gives_up(self):
+        tr, s, ps = self._sent()
+        tr.on_timer((s.uid, ps.attempt - 1), 10 * self.H)  # superseded
+        tr.on_ack(s.uid, 2e-6)
+        tr.on_timer((s.uid, ps.attempt), 10 * self.H)  # lazily cancelled
+        assert tr.report.timeouts == 0 and not tr.pending
+
+    def test_give_up_raises_the_wait_for_snapshot(self):
+        tr, s, ps = self._sent(
+            partitions=(LinkPartition(0, 1, 0.0, math.inf),)
+        )
+        now = 2 * self.H
         with pytest.raises(StallError) as ei:
-            sim.pop()
-        assert ei.value.report is rep
+            tr.on_timer((s.uid, ps.attempt), now)
+        rep = ei.value.report
+        assert rep == tr.stall_snapshot(now)
+        assert (rep.now, rep.since, rep.horizon) == (now, 0.0, self.H)
+        assert rep.lost == rep.waiting and len(rep.lost) == 1
+        assert "never heals" in rep.lost[0].reason
+        assert tr.report.partition_drops == 1  # the first copy only
 
-    def test_unwatched_kinds_never_trigger(self):
-        sim = Simulator(frozenset({"work"}))
-        sim.arm_watchdog(1.0, lambda t: pytest.fail("must not be called"))
-        sim.push(50.0, "ack", None)
-        sim.pop()
+    def test_dead_sender_never_gives_up_but_a_dead_receiver_does(self):
+        # A dead sender's sends wait for failover to re-arm them; a
+        # dead receiver's are held, and count toward the give-up age.
+        tr, s, ps = self._sent()
+        tr.router.dead.add(0)
+        tr.on_timer((s.uid, ps.attempt), 10 * self.H)
+        assert s.uid in tr.pending
+        tr.router.dead.clear()
+        tr.router.dead.add(1)
+        tr.on_timer((s.uid, ps.attempt), self.H / 2)  # held, not retried
+        assert tr.report.retries == 0
+        with pytest.raises(StallError, match="receiver proc 1 is dead"):
+            tr.on_timer((s.uid, ps.attempt), 2 * self.H)
 
     def test_stall_report_json_round_trip(self):
         """StallReport/WaitEdge survive a full JSON round-trip - the
@@ -321,7 +328,7 @@ class TestWatchdog:
             retries=2, reason="upstream starved",
         )
         rep = StallReport(
-            now=3.5e-3, last_progress=1.5e-3, horizon=2e-3,
+            now=3.5e-3, since=1.5e-3, horizon=2e-3,
             pending_events=11, waiting=(waiting, lost), lost=(lost,),
             cycle=("P3.0", "P1.0", "P3.0"),
         )
@@ -345,6 +352,16 @@ def _mini_router(nprocs=2):
 
     progs = [_Prog(0), _Prog(1)]
     return Router(progs, np.arange(nprocs), nprocs)
+
+
+def _transport(rcfg, injector=None):
+    """A bare 2-proc transport (8 cores of 4) on a fresh simulator."""
+    machine = Machine(cores_per_proc=4)
+    layout = machine.layout(8, "hybrid")
+    sim = Simulator(frozenset({"msg_arrive"}))
+    report = RunReport(makespan=0.0, breakdown=Breakdown(), total_cores=8)
+    return Transport(sim, _mini_router(), machine, layout, report,
+                     injector=injector, rcfg=rcfg)
 
 
 def online_checker(router):
@@ -547,13 +564,8 @@ def test_restored_run_cannot_be_sanitized():
 
 class TestRearmAfterFailover:
     def _transport(self):
-        machine = Machine(cores_per_proc=4)
-        layout = machine.layout(8, "hybrid")  # 2 procs
-        sim = Simulator(frozenset({"msg_arrive"}))
-        report = RunReport(makespan=0.0, breakdown=Breakdown(), total_cores=8)
-        tr = Transport(sim, _mini_router(), machine, layout, report,
-                       rcfg=RecoveryConfig())
-        return sim, tr
+        tr = _transport(RecoveryConfig())
+        return tr.sim, tr
 
     def test_checkpointed_sends_reset_and_retransmit(self):
         sim, tr = self._transport()
@@ -567,7 +579,8 @@ class TestRearmAfterFailover:
         ck = {pid: Checkpoint(state=None, inbox=[], pending={s.uid: s})}
         tr.rearm_after_failover({pid}, ck, now=1e-3)
         assert s.uid in tr.pending
-        assert ps.retries == 0  # retry budget restarts with the new owner
+        assert ps.retries == 0  # retry count restarts with the new owner
+        assert ps.armed_at == 1e-3  # and so does the give-up age
         assert ps.timeout == ACK_TIMEOUT  # backoff reset
         assert ps.attempt == attempt + 1  # stale timers lazily cancelled
         assert len(sim) == events_before + 2  # fresh msg_arrive + timer

@@ -19,6 +19,7 @@ from repro.persist import report_fingerprint
 from repro.runtime import (
     DataDrivenRuntime,
     DeadlineExceeded,
+    FaultPlan,
     RecoveryConfig,
     Simulator,
     StallError,
@@ -34,7 +35,9 @@ def reference_loop(rt, ctx, deadline=None):
     sim, report = ctx.sim, ctx.report
     handlers, control, stale = ctx.table
     while sim:
-        if deadline is not None and sim.peek_time() > deadline:
+        if deadline is not None and sim.peek_time() > deadline and not (
+            ctx.ft and ctx.rec.quiescent() and ctx.tracker.is_done()
+        ):
             return sim.peek_time()
         now, kind, data = sim.pop()
         kid = sim.kind_id(kind)
@@ -100,7 +103,7 @@ def _observe(driver, kind, mode, variant, seed, deadline, trace):
         rep = driver(rt, progs, pset.patch_proc, deadline)
     except StallError as e:
         r = e.report
-        return ("stall", r.now, r.last_progress, r.waiting, r.lost, r.cycle)
+        return ("stall", r.now, r.since, r.waiting, r.lost, r.cycle)
     phi, _ = solver.accumulate(faces)
     return (
         report_fingerprint(rep, phi), rep.event_counts,
@@ -125,9 +128,10 @@ def test_batch_drain_matches_one_at_a_time(
 
 
 def _stalled_context():
-    """A wedged reliable run, hand-built: one send is still un-acked,
-    and a *duplicate* of an already-delivered stream arrives at exactly
-    the timestamp of its retransmit timer, far past the horizon."""
+    """A wedged reliable run, hand-built: one send, armed at t=0, is
+    still un-acked, and a *duplicate* of an already-delivered stream
+    arrives at exactly the timestamp of its retransmit timer, far past
+    the horizon."""
     machine, cores, pset, solver = _scenario("structured", "hybrid")
     progs, _ = solver.build_programs(resilient=True)
     rt = DataDrivenRuntime(
@@ -141,7 +145,7 @@ def _stalled_context():
     seen = Stream(src, dst, seq=0)
     ctx.transport.seen.add(seen.uid)
     lost = Stream(src, dst, seq=1)
-    ctx.transport.pending[lost.uid] = PendingSend(lost, src, 1e-3)
+    ctx.transport.pending[lost.uid] = PendingSend(lost, src, 1e-3, 0.0)
     t = 5e-3
     ctx.sim.push(t, "msg_arrive", (proc_of[dst], seen, None))
     ctx.sim.push(t, "timer", (lost.uid, 0))
@@ -151,13 +155,13 @@ def _stalled_context():
 @pytest.mark.parametrize("loop", [run_loop, reference_loop])
 def test_discarded_arrival_then_timer_at_one_timestamp_stalls(loop):
     """The discarded duplicate is a progress *kind* but no progress:
-    ``retract_progress`` must still let the timer behind it - drained
-    in the same batch - trip the watchdog, at the identical time."""
+    the timer behind it - drained in the same batch - still gives up
+    on the old send, at the identical time from either loop."""
     rt, ctx, t = _stalled_context()
     with pytest.raises(StallError) as ei:
         loop(rt, ctx, None)
     rep = ei.value.report
-    assert (rep.now, rep.last_progress) == (t, 0.0)
+    assert (rep.now, rep.since) == (t, 0.0)
     assert [e.reason for e in rep.waiting] == ["awaiting ack"]
     # events and the pop coordinate are current when the stall unwinds
     assert ctx.report.events == 1
@@ -186,6 +190,37 @@ def test_deadline_report_carries_perf_accounting():
     assert len(rep.trace_events) == rep.events
     assert max(ev.time for ev in rep.trace_events) <= deadline
     assert rep.perf_summary()["event_counts"] == rep.event_counts
+
+
+@pytest.mark.parametrize("driver", [_shipped, _reference])
+def test_a_finished_run_is_not_cut_by_its_leftovers(driver):
+    """A run whose last delivery lands before the deadline returns its
+    normal report, even when inert events it leaves behind (a
+    checkpoint at 0.8 ms here, or a lazily cancelled timer) lie past
+    the deadline - they used to report it overrun, fully solved."""
+    machine, cores, pset, solver = _scenario("structured", "hybrid")
+    plan = FaultPlan(p_drop=0.05, p_duplicate=0.05, seed=7)
+
+    def run(deadline):
+        progs, _ = solver.build_programs(resilient=True)
+        rt = DataDrivenRuntime(
+            cores, machine=machine, faults=plan,
+            recovery=RecoveryConfig(watchdog_horizon=5e-3),
+        )
+        return driver(rt, progs, pset.patch_proc, deadline)
+
+    ref = run(None)
+    assert ref.event_counts["ckpt"] > 0
+    for deadline in (ref.makespan, 0.755e-3):
+        assert report_fingerprint(run(deadline)) == report_fingerprint(ref)
+
+
+@pytest.mark.parametrize("deadline", [float("nan"), 0.0, -1e-3])
+def test_a_deadline_that_is_not_positive_is_refused(deadline):
+    """NaN passes ``deadline <= 0`` and then never cancels the run."""
+    rt, progs, pset = _tiny()
+    with pytest.raises(ReproError, match="deadline must be positive"):
+        rt.run(progs, pset.patch_proc, deadline=deadline)
 
 
 def _rows(*kinds):

@@ -28,11 +28,11 @@ from repro.runtime import (
     SanitizerError,
     Simulator,
     StallError,
-    StallReport,
     StragglerWindow,
     Transport,
 )
 from repro.runtime.metrics import Breakdown
+from repro.runtime.recovery import Checkpoint
 from tests.test_chaos import _reference_phi, _run, _setup, deliver, online_checker
 
 CORES = 16  # 4 procs x (1 master + 3 workers) on the small machine
@@ -59,7 +59,7 @@ class TestMembershipFlag:
     def test_watchdog_must_outlast_suspicion(self):
         with pytest.raises(ReproError, match="watchdog"):
             RecoveryConfig(watchdog_horizon=1e-3, membership=True)
-        RecoveryConfig(watchdog_horizon=0.0, membership=True)  # off: fine
+        RecoveryConfig(watchdog_horizon=5.1e-3, membership=True)
 
     def test_membership_requires_resilient_programs(self):
         machine, pset, solver = _setup()
@@ -363,41 +363,40 @@ class TestRestartRejoin:
             assert check_report(rep) == []
 
 
-# -- watchdog interaction (satellite: re-arm after demotion migration) -----------
+# -- the give-up age across a demotion migration -------------------------------
 
 
 class TestWatchdogRearm:
-    def _stall_report(self, sim):
-        return lambda now: StallReport(
-            now=now, last_progress=sim.last_progress,
-            horizon=1e-3, pending_events=len(sim),
-        )
+    """A demotion migrates through the failover path, whose re-arm of
+    the moved programs' checkpointed sends restarts their give-up age."""
 
-    def test_demotion_migration_refreshes_progress_clock(self):
-        sim = Simulator(frozenset({"deliver", "requeue"}))
-        sim.arm_watchdog(1e-3, self._stall_report(sim))
-        sim.push(0.0, "deliver", None)
-        # The demotion migration's requeue is a progress event: the
-        # timer at 1.5ms sits within one horizon of it.
-        sim.push(0.8e-3, "requeue", None)
-        sim.push(1.5e-3, "timer", None)
-        while sim:
-            sim.pop()  # must not raise
+    H = RecoveryConfig().watchdog_horizon
 
-    def test_without_requeue_the_same_timer_trips(self):
-        sim = Simulator(frozenset({"deliver", "requeue"}))
-        sim.arm_watchdog(1e-3, self._stall_report(sim))
-        sim.push(0.0, "deliver", None)
-        sim.push(1.5e-3, "timer", None)
+    def _sent(self):
+        _, _, tr = _mtransport(membership=False)
+        pid = ProgramId(0, 0)
+        s = Stream(src=pid, dst=ProgramId(1, 0), nbytes=64)
+        tr.send(s, pid, 0, 0.0, 0, 1)
+        return tr, pid, s
+
+    def test_failover_rearm_restarts_the_give_up_age(self):
+        tr, pid, s = self._sent()
+        ck = {pid: Checkpoint(state=None, inbox=[], pending={s.uid: s})}
+        tr.rearm_after_failover({pid}, ck, now=0.8 * self.H)
+        ps = tr.pending[s.uid]
+        tr.on_timer((s.uid, ps.attempt), 1.5 * self.H)  # must not raise
+        assert tr.report.retries == 1
+
+    def test_without_rearm_the_same_timer_gives_up(self):
+        tr, pid, s = self._sent()
+        ps = tr.pending[s.uid]
         with pytest.raises(StallError):
-            while sim:
-                sim.pop()
+            tr.on_timer((s.uid, ps.attempt), 1.5 * self.H)
 
     def test_run_with_demotion_and_tight_watchdog_completes(self):
         # Integration regression: a severe straggler under a tight
-        # watchdog horizon - the demotion migration must re-arm the
-        # liveness clock, or the post-demotion catch-up would be
-        # declared a stall.
+        # give-up age - a slow-but-alive rank still acks, so the run
+        # completes through the demotion instead of stalling.
         ref = _reference_phi()
         plan = FaultPlan(
             stragglers=(StragglerWindow(0, 0.0, 1.2e-3, 12.0),), seed=9

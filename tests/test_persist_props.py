@@ -323,7 +323,7 @@ def test_simulator_restore_pops_identically(sched):
     got = _drain(restored, rounds)
     want = _drain(ref, rounds)
     assert got == want
-    for attr in ("live", "makespan", "last_progress", "peak_heap"):
+    for attr in ("live", "makespan", "peak_heap"):
         assert getattr(restored, attr) == getattr(ref, attr)
     assert restored.event_counts() == ref.event_counts()
     assert restored.next_seq() == ref.next_seq()
