@@ -15,6 +15,9 @@ configurable resolution:
   structured quads with smoothly warped geometry), the case the paper
   highlights where KBA breaks down but the data-driven approach works.
 * :func:`disk_tri_mesh` - 2-D triangulated disk.
+
+The Delaunay generators import ``scipy.spatial`` where they call it,
+so a process that builds only structured meshes loads no scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .._util import ReproError, check_count
 from .structured import StructuredMesh
@@ -186,6 +188,8 @@ def ball_tet_mesh(
     surface = fibonacci_sphere(n_surface, radius)
     points = np.concatenate([interior, surface], axis=0)
 
+    from scipy.spatial import Delaunay
+
     tri = Delaunay(points)
     cells = tri.simplices.astype(np.int64)
     p = [points[cells[:, i]] for i in range(4)]
@@ -217,6 +221,9 @@ def disk_tri_mesh(resolution: int, radius: float = 1.0) -> UnstructuredMesh:
     for i in range(1, resolution + 1):
         pts.append(_ring_points(i * spacing, spacing))
     points = np.concatenate(pts, axis=0)
+
+    from scipy.spatial import Delaunay
+
     tri = Delaunay(points)
     return UnstructuredMesh(
         points=points, cells=tri.simplices.astype(np.int64), cell_type="tri"
@@ -257,6 +264,9 @@ def reactor_mesh_2d(
     for rr in sorted(set(radii)):
         pts.append(_ring_points(rr, spacing))
     points = np.concatenate(pts, axis=0)
+
+    from scipy.spatial import Delaunay
+
     tri = Delaunay(points)
     cells = tri.simplices.astype(np.int64)
     mesh = UnstructuredMesh(points=points, cells=cells, cell_type="tri")

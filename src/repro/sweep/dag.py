@@ -22,8 +22,6 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .._util import ReproError
 from ..framework.connectivity import InterfaceTable, build_interfaces
@@ -38,6 +36,7 @@ __all__ = [
     "csr_by_source",
     "kahn_fronts",
     "topological_levels",
+    "strong_components",
     "condensation_fronts",
     "heap_keys",
     "PatchAngleGraph",
@@ -161,20 +160,73 @@ def topological_levels(
     return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def strong_components(
+    num_vertices: int, indptr: np.ndarray, target: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Strongly connected components of the CSR digraph: ``(ncomp,
+    comp)`` with ``comp[v]`` vertex ``v``'s component, numbered sinks
+    first (the order Tarjan's algorithm closes them in).
+
+    Tarjan's algorithm with an explicit call stack (no recursion limit)
+    over Python lists: the patch digraphs it serves have at most a few
+    thousand vertices, condensed once per angle set.  A vertex is on
+    Tarjan's stack exactly while it is visited and has no component.
+    """
+    n = num_vertices
+    ptr, tgt = indptr.tolist(), target.tolist()
+    nxt = ptr[:-1]  # each vertex's next unexplored edge
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    count = ncomp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        call = [root]
+        while call:
+            v = call[-1]
+            i = nxt[v]
+            if i < ptr[v + 1]:
+                nxt[v] = i + 1
+                w = tgt[i]
+                if index[w] < 0:  # tree edge: descend
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    call.append(w)
+                elif comp[w] < 0 and index[w] < low[v]:  # w on the stack
+                    low[v] = index[w]
+                continue
+            call.pop()
+            if call and low[v] < low[call[-1]]:
+                low[call[-1]] = low[v]
+            if low[v] == index[v]:  # v roots a component: pop it
+                w = -1
+                while w != v:
+                    w = stack.pop()
+                    comp[w] = ncomp
+                ncomp += 1
+    return ncomp, np.array(comp, dtype=np.int64)
+
+
 def condensation_fronts(
     num_vertices: int, edges: np.ndarray, reverse: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Strongly connected components of a (possibly cyclic) digraph and
-    the Kahn fronts of its condensation: ``(comp, front, cedges)`` with
-    ``comp[v]`` the component of vertex ``v``, ``front[c]`` component
-    ``c``'s longest distance from a source (from a sink with
-    ``reverse``) and ``cedges`` the distinct ``(m, 2)`` component edges.
+    """Strongly connected components of a (possibly cyclic) digraph
+    (:func:`strong_components`) and the Kahn fronts of its
+    condensation: ``(comp, front, cedges)`` with ``comp[v]`` the
+    component of vertex ``v``, ``front[c]`` component ``c``'s longest
+    distance from a source (from a sink with ``reverse``) and
+    ``cedges`` the distinct ``(m, 2)`` component edges.  Component
+    labels are arbitrary; every caller reads them only through
+    ``comp``, ``front`` and ``cedges``.
     """
     u, v = edges[:, 0], edges[:, 1]
-    ncomp, comp = connected_components(
-        csr_matrix((np.ones(len(u)), (u, v)), shape=(num_vertices, num_vertices)),
-        connection="strong",
-    )
+    ncomp, comp = strong_components(num_vertices, *csr_by_source(u, num_vertices, v))
     cu, cv = comp[u], comp[v]
     cross = cu != cv
     ck = np.unique(cu[cross].astype(np.int64) * ncomp + cv[cross])
@@ -258,15 +310,20 @@ class PatchAngleGraph:
         ``array('q')`` (shared by every program over the graph), the
         initial in-degrees as a list and the keys of the local sources,
         sorted (a valid heap) - so a program's ``init()`` copies two
-        lists and calls no numpy.  Called by the batched priority pass,
-        the coarsened build and a keyed graph's ``__post_init__``; a
-        graph without keys cannot start a program."""
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        self.vertex_keys = keys
+        lists and calls no numpy.  ``vertex_keys`` is a read-only view
+        of that same ``array('q')``, so the graph holds its keys once
+        and the caller's ``keys`` are not kept.  Called by the batched
+        priority pass, the coarsened build and a keyed graph's
+        ``__post_init__``; a graph without keys cannot start a
+        program."""
+        held = array("q", np.ascontiguousarray(keys, dtype=np.int64).tobytes())
+        view = np.frombuffer(held, dtype=np.int64)
+        view.flags.writeable = False
+        self.vertex_keys = view
         self.start = (
-            array("q", keys.tobytes()),
+            held,
             self.init_counts.tolist(),
-            np.sort(keys[self.init_counts == 0]).tolist(),
+            np.sort(view[self.init_counts == 0]).tolist(),
         )
         self.tasks.clear()
 

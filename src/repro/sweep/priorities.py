@@ -194,7 +194,7 @@ def batched_vertex_priorities(
     bounds = offs.tolist()
     if strategy == "fifo":
         zeros = np.zeros(n)
-        zeros.flags.writeable = varr.flags.writeable = False
+        zeros.flags.writeable = False
         for g, a, b in zip(graphs, bounds, bounds[1:]):
             g.vertex_prio = zeros[a:b]
             g.set_keys(varr[a:b])
@@ -241,7 +241,7 @@ def batched_vertex_priorities(
     # Every strategy above yields integer-valued float64 (incl. the
     # exact ``_FAR`` sentinel), so the encoded heap key is exact.
     keys = val.astype(np.int64) * np.repeat(ns, ns) + varr
-    val.flags.writeable = keys.flags.writeable = False
+    val.flags.writeable = False
     for g, a, b in zip(graphs, bounds, bounds[1:]):
         g.vertex_prio = val[a:b]
         g.set_keys(keys[a:b])

@@ -19,6 +19,7 @@ from repro.sweep.dag import (
     csr_by_source,
     heap_keys,
     kahn_fronts,
+    strong_components,
     topological_levels,
 )
 
@@ -139,6 +140,64 @@ class TestCondensationFronts:
         comp, front, cedges = condensation_fronts(3, np.zeros((0, 2), dtype=np.int64))
         assert sorted(comp.tolist()) == [0, 1, 2] and not front.any()
         assert cedges.shape == (0, 2)
+
+
+@st.composite
+def _digraphs(draw):
+    """A random digraph on up to 60 vertices: self-loops, duplicate
+    edges, isolated vertices and the empty edge set all occur."""
+    n = draw(st.integers(0, 60))
+    if n == 0:
+        return 0, np.zeros((0, 2), dtype=np.int64)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    return n, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@given(graph=_digraphs())
+@settings(max_examples=200, deadline=None)
+def test_components_partition_the_vertices_as_scipy_does(graph):
+    """The SCC partition is scipy's strong ``connected_components``
+    (labels may differ), and the fronts and ``cedges`` describe the
+    condensation: distinct cross-component edges, each raising the
+    front from the sources (lowering it with ``reverse``) by at least
+    one, and every front the longest such distance."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n, edges = graph
+    comp, front, cedges = condensation_fronts(n, edges)
+    _, want = connected_components(
+        csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n)),
+        connection="strong",
+    )
+    assert comp.dtype == np.int64 and len(comp) == n
+    same = comp[:, None] == comp[None, :]
+    assert np.array_equal(same, want[:, None] == want[None, :])
+    ncomp = len(front)
+    assert sorted(set(comp.tolist())) == list(range(ncomp))
+
+    cross = {(int(comp[u]), int(comp[v])) for u, v in edges.tolist()
+             if comp[u] != comp[v]}
+    assert sorted(map(tuple, cedges.tolist())) == sorted(cross)
+    assert cedges.shape == (len(cross), 2)
+    _, back, back_edges = condensation_fronts(n, edges, reverse=True)
+    assert np.array_equal(back_edges, cedges)
+    for depth, a, b in ((front, 0, 1), (back, 1, 0)):
+        best = np.zeros(ncomp, dtype=np.int64)
+        for e in cedges:
+            assert depth[e[b]] >= depth[e[a]] + 1
+            best[e[b]] = max(best[e[b]], depth[e[a]] + 1)
+        assert np.array_equal(depth, best)
+
+
+def test_a_long_cycle_is_one_component():
+    """The component search keeps its own stack: a cycle longer than
+    Python's recursion limit is one component."""
+    n = 5000
+    u = np.arange(n)
+    ncomp, comp = strong_components(n, *csr_by_source(u, n, (u + 1) % n))
+    assert ncomp == 1 and not comp.any()
 
 
 class TestHeapKeys:
