@@ -62,6 +62,7 @@ __all__ = [
     "CampaignResult",
     "random_fault_plan",
     "build_scenario",
+    "scenario_cores",
     "run_case",
     "run_campaign",
 ]
@@ -198,6 +199,11 @@ def random_fault_plan(
 # -- scenario construction (mirrors the golden-fixture matrix) ------------------
 
 
+def scenario_cores(mode: str) -> int:
+    """Simulated cores of a campaign cell (4 per process)."""
+    return 16 if mode == "hybrid" else 8
+
+
 def build_scenario(kind: str, mode: str, size: int = 8,
                    patch: int | None = None, sn: int | None = None,
                    grain: int = 16):
@@ -219,7 +225,7 @@ def build_scenario(kind: str, mode: str, size: int = 8,
     if sn is None:
         sn = 2 if structured else 4
     machine = Machine(cores_per_proc=4)
-    cores = 16 if mode == "hybrid" else 8
+    cores = scenario_cores(mode)
     nprocs = machine.layout(cores, mode).nprocs
     if structured:
         mesh = cube_structured(size, length=4.0)

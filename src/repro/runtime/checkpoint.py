@@ -34,8 +34,9 @@ __all__ = ["HostKilled", "SNAPSHOT_VERSION"]
 #: the run report loses the counter of demotions undone by healthy
 #: probes (a demotion now lasts for the rest of the run).  Version 6:
 #: the simulator loses its two progress-clock fields and each pending
-#: send gains ``armed_at``.
-SNAPSHOT_VERSION = 6
+#: send gains ``armed_at``.  Version 7: sweep stream payloads are
+#: tuples of ints (or of ``(vertex, edge_id)`` pairs), not ndarrays.
+SNAPSHOT_VERSION = 7
 
 
 class HostKilled(ReproError):

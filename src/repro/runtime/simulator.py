@@ -19,10 +19,11 @@ tie-breaking is globally deterministic across all queues of a run.
 Every kind is interned to a dense id.  A composed run declares its
 whole vocabulary up front (each layer above describes the kinds it
 owns as :class:`KindRow` rows) and the simulator then refuses kinds
-nobody declared.  The master loop (:mod:`repro.runtime.loop`) drains
-same-timestamp batches with :meth:`Simulator.pop_batch` and dispatches
-by id; :meth:`Simulator.pop` is the one-event-at-a-time API of the
-BSP/KBA baselines and of the reference interpreters in the tests.
+nobody declared.  The master loop (:mod:`repro.runtime.loop`) pops
+``(t, seq, kind id, data)`` entries straight off the heap, one per
+event, and dispatches by id; :meth:`Simulator.pop` is the same pop
+behind a named-kind API, for the BSP/KBA baselines and the reference
+interpreters in the tests.
 
 The optional trace hook fires once per dispatched event with a
 structured :class:`TraceEvent`; the ``trace_fields`` callable (supplied
@@ -32,8 +33,7 @@ program fields from each event's opaque data.
 
 from __future__ import annotations
 
-import heapq
-from heapq import heappop as _heappop
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 from typing import Any, NamedTuple
@@ -107,8 +107,7 @@ class Simulator:
     __slots__ = ("_events", "_seq", "live", "makespan", "_progress",
                  "trace_hook", "trace_fields", "note_hook",
                  "_kind_ids", "_kind_names", "_progress_mask",
-                 "_pop_counts", "peak_heap", "_sealed",
-                 "_turn_t", "_turn_batch")
+                 "_pop_counts", "peak_heap", "_sealed")
 
     def __init__(
         self,
@@ -135,14 +134,6 @@ class Simulator:
         self._pop_counts: list[int] = []
         self._sealed = False  # True: the kind vocabulary is closed
         self.peak_heap = 0  # high-water heap occupancy (perf_summary)
-        # Same-time turnaround (armed by pop_batch, cleared by
-        # end_batch): while the batch for timestamp ``_turn_t`` is
-        # being dispatched the heap holds no events at that time, so a
-        # push at exactly ``_turn_t`` would be popped next in push order
-        # anyway - it joins the in-flight batch without touching the
-        # heap.
-        self._turn_t = -1.0
-        self._turn_batch: list | None = None
 
     def kind_id(self, kind: str) -> int:
         """Intern an event kind, minting a dense id on first sight.
@@ -230,15 +221,8 @@ class Simulator:
         """
         if self._progress_mask[kid]:
             self.live += 1
-        if t == self._turn_t:
-            # Turnaround: join the in-flight same-timestamp batch in
-            # push order (== the order heap tie-breaking would yield;
-            # skipping a sequence tick renumbers but never reorders).
-            self._pop_counts[kid] += 1
-            self._turn_batch.append((kid, data))
-            return
         self._seq += 1
-        heapq.heappush(self._events, (t, self._seq, kid, data))
+        heappush(self._events, (t, self._seq, kid, data))
 
     def pop(self) -> tuple[float, str, Any]:
         """Pop and account the earliest event (one-at-a-time API)."""
@@ -246,53 +230,15 @@ class Simulator:
         n = len(events)
         if n > self.peak_heap:
             self.peak_heap = n
-        t, _, kid, data = _heappop(events)
+        t, _, kid, data = heappop(events)
         self._pop_counts[kid] += 1
         self.account(t, kid, data)
         return t, self._kind_names[kid], data
 
-    def pop_batch(self) -> tuple[float, list[tuple[int, Any]]]:
-        """Drain every event sharing the earliest timestamp (hot path).
-
-        Returns ``(t, [(kind_id, data), ...])`` in exact pop order and
-        arms the same-time turnaround: until :meth:`end_batch`, a push
-        at exactly ``t`` is appended to the returned list.  Safe to
-        batch because events pushed while the batch is being
-        *dispatched* carry strictly larger sequence numbers, so they
-        sort after every event already drained here even at the same
-        timestamp - the interleaving is identical to one-at-a-time
-        :meth:`pop`.  Only pop counts are taken here; the caller
-        accounts each event as it dispatches it (:meth:`account`, or
-        in bulk by lowering :attr:`live` when nothing observes it
-        mid-batch).
-        """
-        events = self._events
-        n = len(events)
-        if n > self.peak_heap:
-            self.peak_heap = n
-        counts = self._pop_counts
-        t0, _, kid, data = _heappop(events)
-        batch: list[tuple[int, Any]] = []
-        while True:
-            counts[kid] += 1
-            batch.append((kid, data))
-            if not events or events[0][0] != t0:
-                break
-            _, _, kid, data = _heappop(events)
-        self._turn_t = t0
-        self._turn_batch = batch
-        return t0, batch
-
-    def end_batch(self) -> None:
-        """Disarm the turnaround (the in-flight batch is dispatched)."""
-        self._turn_t = -1.0
-        self._turn_batch = None
-
     def account(self, t: float, kid: int, data: Any) -> None:
-        """Account one popped event as it is dispatched, in pop order:
-        the quiescence counter, then the trace hook - so handlers and
-        staleness filters observe what one-at-a-time popping would show
-        them, however the event left the heap."""
+        """Account one popped event as it is dispatched: the quiescence
+        counter, then the trace hook - so handlers and staleness
+        filters observe the counters of every event before them."""
         if self._progress_mask[kid]:
             self.live -= 1
         if self.trace_hook is not None:
@@ -302,10 +248,6 @@ class Simulator:
                 proc, core, program = self.trace_fields(kind, data)
             self.trace_hook(TraceEvent(t, kind, proc, core, program))
 
-    def peek_time(self) -> float:
-        """Virtual time of the earliest pending event (heap non-empty)."""
-        return self._events[0][0]
-
     # -- durability (snapshot/restore) ---------------------------------------------
 
     def state_dict(self) -> dict:
@@ -314,8 +256,7 @@ class Simulator:
         The heap list is captured *verbatim* (entries are tuples holding
         the live event data): restoring it re-establishes the exact pop
         order, tie-break sequences included.  ``kind_names`` is the id mapping itself -
-        its order must round-trip bit-for-bit.  Only taken between
-        batches (the turnaround scratch is always idle then).
+        its order must round-trip bit-for-bit.
         """
         return {
             "events": list(self._events),
@@ -347,8 +288,6 @@ class Simulator:
         self.makespan = d["makespan"]
         self._pop_counts = list(d["pop_counts"])
         self.peak_heap = d["peak_heap"]
-        self._turn_t = -1.0
-        self._turn_batch = None
 
     def event_counts(self) -> dict[str, int]:
         """Events processed so far, by kind (perf accounting)."""

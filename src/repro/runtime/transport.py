@@ -55,7 +55,9 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -192,21 +194,35 @@ class StallError(ReproError):
         super().__init__("stalled: " + report.describe())
 
 
+def _payload_image(p) -> bytes | None:
+    """The bytes a payload crosses the wire as: an ndarray's, or for a
+    tuple of ints or of int pairs (a sweep stream) those of the equal
+    int64 array; ``None`` for an opaque payload."""
+    if isinstance(p, np.ndarray):
+        return np.ascontiguousarray(p).tobytes()
+    if p.__class__ is tuple:
+        flat = chain.from_iterable(p) if p and p[0].__class__ is tuple else p
+        try:
+            return array("q", flat).tobytes()
+        except (TypeError, OverflowError):
+            return None
+    return None
+
+
 def stream_checksum(s: Stream) -> int:
     """End-to-end CRC32 of one stream: header fields plus payload bytes.
 
-    ndarray payloads hash their raw bytes (so an in-flight bit flip is
-    always caught); opaque payloads hash their repr, which is stable
-    within a run.
+    ndarray and int-tuple payloads hash their wire image (so an
+    in-flight bit flip is always caught); opaque payloads hash their
+    repr, which is stable within a run.
     """
     crc = zlib.crc32(
         repr((s.src, s.dst, s.seq, s.epoch, s.items, s.nbytes)).encode()
     )
     p = s.payload
-    if isinstance(p, np.ndarray):
-        crc = zlib.crc32(np.ascontiguousarray(p).tobytes(), crc)
-    elif isinstance(p, (bytes, bytearray)):
-        crc = zlib.crc32(bytes(p), crc)
+    image = _payload_image(p)
+    if image is not None:
+        crc = zlib.crc32(image, crc)
     elif p is not None:
         crc = zlib.crc32(repr(p).encode(), crc)
     return crc
@@ -432,20 +448,25 @@ class Transport:
         """A copy of ``s`` with one seeded in-flight bit flipped.
 
         The clone carries the *original* checksum, so the receiver's
-        recomputation genuinely mismatches.  ndarray payloads get the
-        flip in their byte image; opaque payloads model the flip as
-        hitting the checksum word itself (same observable: mismatch).
-        The tracked :class:`PendingSend` keeps the pristine stream, so
-        retransmissions are clean.
+        recomputation genuinely mismatches.  ndarray and int-tuple
+        payloads get the flip in their byte image; opaque payloads
+        model the flip as hitting the checksum word itself (same
+        observable: mismatch).  The tracked :class:`PendingSend` keeps
+        the pristine stream, so retransmissions are clean.
         """
-        byte, bit = self.inj.corrupt_position(
-            s.payload.nbytes if isinstance(s.payload, np.ndarray) else 4
-        )
         p = s.payload
-        if isinstance(p, np.ndarray) and p.nbytes > 0:
-            buf = bytearray(np.ascontiguousarray(p).tobytes())
+        image = _payload_image(p)
+        byte, bit = self.inj.corrupt_position(
+            4 if image is None else len(image)
+        )
+        if image:
+            buf = bytearray(image)
             buf[byte] ^= 1 << bit
-            bad = np.frombuffer(bytes(buf), dtype=p.dtype).reshape(p.shape)
+            if isinstance(p, np.ndarray):
+                bad = np.frombuffer(bytes(buf), dtype=p.dtype).reshape(p.shape)
+            else:  # rebuild the tuple, pairs as pairs
+                it = iter(array("q", buf).tolist())
+                bad = tuple(zip(it, it)) if p[0].__class__ is tuple else tuple(it)
             return dataclasses.replace(s, payload=bad)
         return dataclasses.replace(
             s, checksum=s.checksum ^ (1 << ((byte * 8 + bit) % 32))

@@ -11,9 +11,9 @@ Two caches make the service cheap at traffic:
 
 * **scenario cache** - mesh, patch decomposition, sweep DAG,
   priorities and the fault-free reference flux are pure functions of
-  :meth:`JobSpec.scenario_fields`; they are built once per distinct
-  scenario and shared across every job and tenant that names it (the
-  content-hash artifact caching of ROADMAP item 3);
+  :meth:`JobSpec.build_fields`; they are built once per distinct
+  scenario and shared across every job, tenant and mode that names it
+  (the content-hash artifact caching of ROADMAP item 3);
 * the **result cache** lives one layer up in the service proper,
   keyed by the full content hash - the executor only computes.
 
@@ -24,12 +24,12 @@ the executor never lets a runtime exception escape unclassified.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .._util import ReproError
-from ..chaos import build_scenario
+from ..chaos import build_scenario, scenario_cores
 from ..framework import PatchSet
 from ..runtime import (
     DataDrivenRuntime,
@@ -66,14 +66,22 @@ class AttemptOutcome:
 
 @dataclass
 class _Scenario:
-    """One cached scenario: everything derivable from scenario_fields."""
+    """One cached scenario: everything derivable from build_fields."""
 
     machine: Machine
-    cores: int
     pset: PatchSet
     solver: SnSolver
     reference: bytes  # fault-free flux, raw bytes
     reference_crc: int
+    procs: dict = field(default_factory=dict)  # mode -> patch_proc
+
+    def layout(self, mode: str) -> tuple[int, np.ndarray]:
+        """Cores and patch -> process map of a run in ``mode``."""
+        cores = scenario_cores(mode)
+        if mode not in self.procs:
+            nprocs = self.machine.layout(cores, mode).nprocs
+            self.procs[mode] = self.pset.assign(nprocs)
+        return cores, self.procs[mode]
 
 
 class JobExecutor:
@@ -93,32 +101,40 @@ class JobExecutor:
     # -- scenario construction --------------------------------------------------
 
     def scenario(self, spec: JobSpec) -> _Scenario:
-        """The cached scenario for ``spec`` (built on first use)."""
-        key = spec.scenario_fields()
-        sc = self._scenarios.get(key)
-        if sc is not None:
-            self.scenario_hits += 1
-            return sc
-        sc = self._build(spec)
-        self.scenario_builds += 1
-        if len(self._scenarios) >= SCENARIO_CACHE_SIZE:
-            # FIFO eviction: drop the oldest scenario (insertion order).
-            oldest = next(iter(self._scenarios))
-            del self._scenarios[oldest]
-        self._scenarios[key] = sc
+        """The cached scenario for ``spec`` (built on first use).
+
+        Built under the ``hybrid`` layout: its 4 processes are the
+        smallest patch-count floor a mode puts on an unstructured
+        decomposition, and a mode with more processes than that build
+        has patches gets its own build under its own floor.
+        """
+        builds = self.scenario_builds
+        key = spec.build_fields()
+        sc = self._scenarios.get(key) or self._build(key, spec, "hybrid")
+        mode = spec.mode
+        if sc.machine.layout(scenario_cores(mode), mode).nprocs > sc.pset.num_patches:
+            key += (mode,)
+            sc = self._scenarios.get(key) or self._build(key, spec, mode)
+        self.scenario_hits += self.scenario_builds == builds
         return sc
 
-    def _build(self, spec: JobSpec) -> _Scenario:
-        machine, cores, pset, solver = build_scenario(
-            spec.kind, spec.mode, spec.size,
+    def _build(self, key: tuple, spec: JobSpec, mode: str) -> _Scenario:
+        machine, _, pset, solver = build_scenario(
+            spec.kind, mode, spec.size,
             patch=spec.patch, sn=spec.sn, grain=spec.grain,
         )
         phi, _, _ = solver.sweep_once()
         ref = np.ascontiguousarray(phi).tobytes()
-        return _Scenario(
-            machine=machine, cores=cores, pset=pset, solver=solver,
+        if len(self._scenarios) >= SCENARIO_CACHE_SIZE:
+            # FIFO eviction: drop the oldest scenario (insertion order).
+            del self._scenarios[next(iter(self._scenarios))]
+        sc = self._scenarios[key] = _Scenario(
+            machine=machine, pset=pset, solver=solver,
             reference=ref, reference_crc=zlib.crc32(ref),
+            procs={mode: pset.patch_proc},
         )
+        self.scenario_builds += 1
+        return sc
 
     # -- attempt execution ------------------------------------------------------
 
@@ -146,12 +162,13 @@ class JobExecutor:
         )
         try:
             progs, record = sc.solver.build_programs(resilient=faulty)
+            cores, procs = sc.layout(spec.mode)
             rt = DataDrivenRuntime(
-                sc.cores, machine=sc.machine, mode=spec.mode,
+                cores, machine=sc.machine, mode=spec.mode,
                 faults=spec.faults, recovery=recovery,
                 trace=self.trace,
             )
-            rep = rt.run(progs, sc.pset.patch_proc, deadline=deadline)
+            rep = rt.run(progs, procs, deadline=deadline)
         except DeadlineExceeded as e:
             return AttemptOutcome(
                 status="deadline",

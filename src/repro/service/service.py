@@ -409,7 +409,7 @@ class SweepService:
             exec_spec = spec.demoted(
                 self.cfg.demote_grain, self.cfg.demote_patch
             )
-            if exec_spec.scenario_fields() != spec.scenario_fields():
+            if exec_spec.build_fields() != spec.build_fields():
                 self.demotions += 1
                 result.demoted = True
                 result.demote_note = (

@@ -115,20 +115,21 @@ class JobSpec:
 
     # -- content identity -------------------------------------------------------
 
-    def scenario_fields(self) -> tuple:
+    def build_fields(self) -> tuple:
         """The fields that determine the *built* scenario (mesh +
-        partition + quadrature + scheduler).  Everything expensive the
+        partition + quadrature + grain).  Everything expensive the
         executor derives - mesh, patch set, sweep DAG, priorities,
-        reference flux - is a pure function of these."""
-        return (self.kind, self.mode, self.size, self.patch,
-                self.grain, self.sn)
+        reference flux - is a pure function of these; the mode only
+        picks the process layout a run maps the patches onto."""
+        return (self.kind, self.size, self.patch, self.grain, self.sn)
 
     def key(self) -> str:
         """Content hash of (mesh, partition, quadrature, scheduler,
         seed): the idempotency key of exactly-once commit and of the
         result cache.  Tenant-supplied faults are part of the content -
         the same sweep under different chaos is a different run."""
-        ident = (self.scenario_fields(), self.seed, _plan_fields(self.faults))
+        ident = ((self.kind, self.mode, self.size, self.patch, self.grain,
+                  self.sn), self.seed, _plan_fields(self.faults))
         return hashlib.sha256(repr(ident).encode()).hexdigest()[:16]
 
     def demoted(self, grain: int, patch: int) -> "JobSpec":

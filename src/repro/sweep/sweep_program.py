@@ -56,7 +56,11 @@ class SweepPatchProgram(PatchProgram):
         super().__init__(graph.patch, angle)
         self.grain = check_grain(grain)
         self.graph = graph  # shared by the angles of its set
-        self._dst_ids = graph.dst_ids.setdefault(angle, {})
+        # The angle's interned ids: this program's own id is the one
+        # its upwind neighbours stamp on their streams, so every route
+        # lookup of this id hits the dict by identity.
+        ids = self._dst_ids = graph.dst_ids.setdefault(angle, {})
+        self.id = ids.setdefault(graph.patch, self.id)
         self.cells_global = cells_global
         self.solve_fn = solve_fn
         self.static_priority = static_priority
@@ -107,9 +111,10 @@ class SweepPatchProgram(PatchProgram):
         keys = self._keys
         heap = self._heap
         n = 0
+        payload = stream.payload
         if self.resilient_input:
             applied = self._applied.setdefault(stream.src.patch, set())
-            for v, e in stream.payload.tolist():
+            for v, e in payload:
                 n += 1
                 if e in applied:
                     continue  # duplicate delivery (retry or replay)
@@ -119,7 +124,6 @@ class SweepPatchProgram(PatchProgram):
                 if not c:
                     heappush(heap, keys[v])
         else:
-            payload = stream.payload.tolist()
             n = len(payload)
             for v in payload:
                 c = counts[v] - 1
@@ -145,9 +149,7 @@ class SweepPatchProgram(PatchProgram):
         task = g.tasks.get(self.resilient_input) if whole else None
         if task is None:
             popped, outs, edges = self._collect(whole)
-            if whole:
-                for _, payload, _ in outs:
-                    payload.flags.writeable = False  # shared from here on
+            if whole:  # tuple payloads: shareable as they are
                 g.tasks[self.resilient_input] = (
                     np.asarray(popped, dtype=np.int32), outs, edges)
         else:
@@ -187,7 +189,9 @@ class SweepPatchProgram(PatchProgram):
     def _collect(self, whole: bool) -> tuple:
         """Listing 1's collect loop: pop up to ``grain`` ready vertices.
         Returns ``(popped, [(target patch, payload, items)...], edges)``,
-        targets in first-encounter order.  A ``whole``-patch run is
+        targets in first-encounter order; a payload is a tuple of
+        target-local vertex ids, or of ``(vertex, edge_id)`` pairs when
+        resilient.  A ``whole``-patch run is
         recorded and never loops again, so it leaves no adjacency lists
         on the graph."""
         heap = self._heap
@@ -233,8 +237,7 @@ class SweepPatchProgram(PatchProgram):
                     dp = p
                 items.append((rloc[j], j) if resilient else rloc[j])
             edges += re - rs
-        outs = [(p, np.asarray(items, dtype=np.int64), len(items))
-                for p, items in out.items()]
+        outs = [(p, tuple(items), len(items)) for p, items in out.items()]
         return popped, outs, edges
 
     def output(self) -> Stream | None:

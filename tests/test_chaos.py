@@ -207,6 +207,54 @@ class TestCorruption:
         assert stream_checksum(flipped) != flipped.checksum
         assert stream_checksum(s) == s.checksum
 
+    @pytest.mark.parametrize("items", [(3, 0, 7, 2), ((3, 11), (0, 12), (7, 13))])
+    def test_int_tuple_checksums_as_its_int64_image(self, items):
+        """A sweep stream's tuple payload - vertex ids, or (vertex,
+        edge_id) pairs - is checksummed as the equal int64 ndarray
+        (shape ``(k,)`` or ``(k, 2)``), and one flipped item shows."""
+        arr = np.asarray(items, dtype=np.int64)
+
+        def crc(payload):
+            return stream_checksum(Stream(
+                src=ProgramId(0, 0), dst=ProgramId(1, 0), payload=payload,
+                items=len(items), nbytes=8 * len(items), seq=0))
+
+        assert crc(items) == crc(arr)
+        flipped = arr.copy()
+        flipped.flat[1] ^= 1 << 40
+        bad = tuple(map(tuple, flipped.tolist())) if arr.ndim == 2 \
+            else tuple(flipped.tolist())
+        assert crc(bad) == crc(flipped) != crc(items)
+
+    @pytest.mark.parametrize("items", [(3, 0, 7, 2), ((3, 11), (0, 12), (7, 13))])
+    def test_corrupt_clone_of_a_tuple_payload_is_nacked(self, items):
+        """The in-flight flip lands in the tuple's int64 image: the
+        clone is a tuple of the same shape, and its receiver NACKs it."""
+        class _Prog:
+            def __init__(self, patch):
+                self.id = ProgramId(patch, 0)
+
+        machine = Machine(cores_per_proc=4)
+        sim = Simulator(frozenset({"msg_arrive"}))
+        report = RunReport(makespan=0.0, breakdown=Breakdown(), total_cores=8)
+        router = Router([_Prog(0), _Prog(1)], np.arange(2), 2)
+        tr = Transport(
+            sim, router, machine, machine.layout(8, "hybrid"), report,
+            injector=FaultInjector(FaultPlan(p_corrupt=0.99, seed=3)),
+            rcfg=RecoveryConfig(),
+        )
+        s = Stream(src=ProgramId(0, 0), dst=ProgramId(1, 0), payload=items,
+                   items=len(items), nbytes=8 * len(items))
+        tr.send(s, s.src, 0, 0.0, 0, 1)
+        assert report.corruptions == 1
+        t, kind, (proc, clone, _wid) = sim.pop()
+        assert kind == "msg_arrive" and proc == 1
+        assert type(clone.payload) is tuple and clone.payload != items
+        assert np.shape(clone.payload) == np.shape(items)
+        assert s.payload is items  # the tracked send stays pristine
+        assert not tr.receive(clone, proc, t)
+        assert report.nacks == 1
+
     def test_checksum_covers_header(self):
         pid = ProgramId(0, 0)
         a = Stream(src=pid, dst=ProgramId(1, 0), seq=0, epoch=0)

@@ -258,14 +258,15 @@ def test_v1_runtime_snapshot_is_refused():
     from repro._util import ReproError
     from repro.runtime import SNAPSHOT_VERSION
 
-    assert SNAPSHOT_VERSION == 6
+    assert SNAPSHOT_VERSION == 7
     f = _factory("structured-hybrid-clean")
     rt, progs, pp, _app = f()
     # 2: slab heap entries and program run counters; 3: speculation
     # sets, flow-control credits and a backup flag on run-end events;
     # 4: a run report with a counter of undone demotions; 5: a
-    # simulator progress clock and pending sends without ``armed_at``.
-    for old in (1, 2, 3, 4, 5):
+    # simulator progress clock and pending sends without ``armed_at``;
+    # 6: ndarray sweep stream payloads.
+    for old in (1, 2, 3, 4, 5, 6):
         with pytest.raises(ReproError, match=f"unsupported snapshot version {old}"):
             rt.restore(progs, pp, {"version": old})
 

@@ -1,18 +1,21 @@
 """The one master loop against a one-at-a-time reference interpreter.
 
-``runtime/loop.py`` drains whole same-timestamp batches in every run
-mode - faults, deadlines, snapshots, traces included.  The oracle here
-drives the *same* composed handler table with ``Simulator.pop()``, one
-event at a time and with the same-time turnaround never armed, which is
-the semantics the batch drain has to reproduce bit for bit.  It
-replaces the cross-loop equivalence the golden fixtures used to carry
-implicitly while two hand-maintained loops existed.
+``runtime/loop.py`` pops one event per iteration straight off the heap
+in every run mode - faults, deadlines, snapshots, traces included - and
+settles the counters nothing reads mid-run in bulk.  The oracle here
+drives the *same* composed handler table with ``Simulator.pop()`` and
+per-event accounting, which is the semantics the shipped loop has to
+reproduce bit for bit.  It replaces the cross-loop equivalence the
+golden fixtures used to carry implicitly while two hand-maintained
+loops existed.  The last two tests count what the loop costs per event:
+heap pops, and numpy round trips of stream payloads.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._util import ReproError
+from repro.apps import JSNTU
 from repro.chaos import ChaosSpace, build_scenario, random_fault_plan
 from repro.core.stream import Stream
 from repro.persist import report_fingerprint
@@ -20,6 +23,7 @@ from repro.runtime import (
     DataDrivenRuntime,
     DeadlineExceeded,
     FaultPlan,
+    Machine,
     RecoveryConfig,
     Simulator,
     StallError,
@@ -35,10 +39,10 @@ def reference_loop(rt, ctx, deadline=None):
     sim, report = ctx.sim, ctx.report
     handlers, control, stale = ctx.table
     while sim:
-        if deadline is not None and sim.peek_time() > deadline and not (
+        if deadline is not None and sim._events[0][0] > deadline and not (
             ctx.ft and ctx.rec.quiescent() and ctx.tracker.is_done()
         ):
-            return sim.peek_time()
+            return sim._events[0][0]
         now, kind, data = sim.pop()
         kid = sim.kind_id(kind)
         if control[kid]:
@@ -155,7 +159,7 @@ def _stalled_context():
 @pytest.mark.parametrize("loop", [run_loop, reference_loop])
 def test_discarded_arrival_then_timer_at_one_timestamp_stalls(loop):
     """The discarded duplicate is a progress *kind* but no progress:
-    the timer behind it - drained in the same batch - still gives up
+    the timer behind it - popped at the same timestamp - still gives up
     on the old send, at the identical time from either loop."""
     rt, ctx, t = _stalled_context()
     with pytest.raises(StallError) as ei:
@@ -284,3 +288,70 @@ def test_run_and_resume_reach_the_same_loop(monkeypatch, tmp_path):
         (False, None, False, False), (False, 1e3, False, True),
         (True, 1e3, True, False), (True, None, False, False),
     ]
+
+
+# -- per-event cost guards: counted, not timed -----------------------------------
+
+
+def _ball_app():
+    return JSNTU.ball(5, total_cores=24, machine=Machine(cores_per_proc=12),
+                      patch_size=60, grain=16, groups=1)
+
+
+def test_warm_scheduling_runs_call_no_array_round_trip(monkeypatch):
+    """Sweep streams carry plain-int tuples: once each graph's list
+    adjacency is built (five ``tolist`` per graph, on its first partial
+    run), a scheduling-only ball sweep calls no ``np.asarray``,
+    ``np.array`` or ``ndarray.tolist`` from end to end of its loop."""
+    from tests.test_start_tables import _numpy_calls
+
+    seen = []
+
+    def profiled(rt, ctx, deadline):
+        out = []
+        seen.append(_numpy_calls(lambda: out.append(run_loop(rt, ctx, deadline))))
+        return out[0]
+
+    monkeypatch.setattr(engine_des, "run_loop", profiled)
+    app = _ball_app()
+    cold = app.sweep_report(24)
+    warm = app.sweep_report(24)
+    assert warm.executions == cold.executions > 0
+    graphs = app.solver.topology.graphs.values()
+    lists = sum(g._flat_cache is not None for g in {id(g): g for g in graphs}.values())
+    assert lists > 0 and seen[0].count("tolist") == 5 * lists
+    assert not {"asarray", "array"} & set(seen[0])
+    assert not {"asarray", "array", "tolist"} & set(seen[1])
+
+
+@pytest.mark.parametrize("variant", ["clean", "lossy"])
+def test_run_loop_pops_each_event_exactly_once(monkeypatch, variant):
+    """One heap pop per event, in every mode: every pushed event leaves
+    the heap through exactly one ``heappop`` of the loop, and the pop
+    counts are the report's event counts."""
+    from repro.runtime import loop
+
+    pops, pushes = [0], [0]
+    real_pop, real_push = loop.heappop, Simulator.push_id
+
+    def pop(heap):
+        pops[0] += 1
+        return real_pop(heap)
+
+    def push_id(self, t, kid, data):
+        pushes[0] += 1
+        real_push(self, t, kid, data)
+
+    monkeypatch.setattr(loop, "heappop", pop)
+    monkeypatch.setattr(Simulator, "push_id", push_id)
+    if variant == "clean":
+        rep = _ball_app().sweep_report(24)
+    else:
+        machine, cores, pset, solver = _scenario("unstructured", "hybrid")
+        space, kw = VARIANTS[variant]
+        plan = random_fault_plan(5, machine.layout(cores, "hybrid").nprocs, space)
+        progs, _ = solver.build_programs(resilient=True)
+        rep = DataDrivenRuntime(cores, machine=machine, faults=plan, **kw).run(
+            progs, pset.patch_proc)
+        assert rep.drops + rep.duplicates > 0
+    assert pops[0] == pushes[0] == sum(rep.event_counts.values()) > 0

@@ -14,7 +14,7 @@ The layers of the contract, each under randomized inputs:
 * a simulator snapshot taken between events at *any* cut point loads
   into a fresh simulator that pops the exact remaining sequence the
   never-snapshotted reference pops - tied timestamps, shared tie-break
-  sequences, recycled slab slots, and same-time turnaround batches
+  sequences, recycled slab slots, and pushes at the time just popped
   included;
 * a full runtime kill-resume at a random cut is bitwise-identical to
   the uninterrupted run (the property form of the golden-matrix
@@ -205,7 +205,7 @@ def _drive(progs, pending, rng, steps):
             pending[index[s.dst]].append(s)
         trace.append((
             i, before, p.priority(), p.clusters[ran:],
-            [(s.dst, s.payload.tolist(), s.items, s.nbytes) for s in outs],
+            [(s.dst, s.payload, s.items, s.nbytes) for s in outs],
             p.run_counters(), p.remaining_workload(),
         ))
     return trace
@@ -264,8 +264,8 @@ def test_spent_program_state_is_the_empty_dict_and_restores_halted():
 
 # -- simulator snapshot/restore at random cut points -----------------------------
 
-# A small delta pool makes timestamp ties (and same-time turnaround
-# joins at delta 0.0) common rather than exceptional.
+# A small delta pool makes timestamp ties (and pushes at the time just
+# popped, at delta 0.0) common rather than exceptional.
 DELTAS = (0.0, 0.25, 1.0, 3.0)
 KINDS = ("advance", "aux")
 PROGRESS = frozenset(("advance",))
@@ -331,10 +331,10 @@ def test_simulator_restore_pops_identically(sched):
 
 @given(sched=_schedules(), joins=st.lists(st.sampled_from(KINDS), max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_turnaround_batches_after_restore(sched, joins):
-    """Same-time turnaround: after a restore, ``pop_batch`` plus pushes
-    landing at exactly the in-flight batch's timestamp behaves as on
-    the never-snapshotted simulator."""
+def test_tied_pops_after_restore_come_out_in_push_order(sched, joins):
+    """After a restore, pushes at exactly the time just popped queue
+    behind every restored tie, and everything pops in ``(t, push
+    order)``, as on the never-snapshotted simulator."""
     pre, cut, _rounds = sched
     ref = Simulator(progress_kinds=PROGRESS)
     _push(ref, 0.0, pre, 0)
@@ -343,17 +343,20 @@ def test_turnaround_batches_after_restore(sched, joins):
     restored = Simulator(progress_kinds=PROGRESS)
     restored.load_state_dict(decode(encode(ref.state_dict())))
 
-    def batch_with_joins(sim):
-        t0, batch = sim.pop_batch()
+    def pop_with_joins(sim):
+        out = [sim.pop()]
+        t0 = out[0][0]
         for j, kind in enumerate(joins):
-            sim.push(t0, kind, 9000 + j)  # joins the in-flight batch
-        names = [(sim._kind_names[kid], data) for kid, data in batch]
-        rest = []
+            sim.push(t0, kind, 9000 + j)  # same time, later push
         while sim:
-            rest.append(sim.pop())
-        return t0, names, rest
+            out.append(sim.pop())
+        return out
 
-    assert batch_with_joins(restored) == batch_with_joins(ref)
+    got = pop_with_joins(restored)
+    assert got == pop_with_joins(ref)
+    # Data are push indices: ``pre`` pushed 0.., the joins 9000.. after.
+    order = [(t, data) for t, _, data in got]
+    assert order == sorted(order)
 
 
 # -- full-runtime random-cut resume (property form) ------------------------------

@@ -13,7 +13,8 @@ import math
 import pytest
 
 from repro._util import ReproError
-from repro.runtime import FaultPlan, LinkPartition
+from repro.chaos import build_scenario
+from repro.runtime import DataDrivenRuntime, FaultPlan, LinkPartition
 from repro.service import (
     AdmissionController,
     CircuitBreaker,
@@ -243,7 +244,34 @@ class TestExecutor:
         before = executor.scenario_builds
         executor.execute(_spec(seed=7), None)
         executor.execute(_spec(seed=8), None)
-        assert executor.scenario_builds == before  # same scenario_fields
+        assert executor.scenario_builds == before  # same build_fields
+
+    @pytest.mark.parametrize("kind, size, patch, builds", [
+        ("structured", 8, 2, 1),
+        ("unstructured", 4, 10, 1),  # 11 patches: no mode's floor binds
+        ("unstructured", 4, 20, 2),  # 6 patches: MPI-only's 8 procs bind
+    ])
+    def test_modes_share_one_scenario_build(self, kind, size, patch, builds):
+        """Hybrid and MPI-only jobs on one mesh differ only in their
+        process layout, so they share one build - unless the MPI-only
+        process count is a patch-count floor the shared build lacks.
+        Each run equals a build for its own mode, and the two jobs keep
+        distinct idempotency keys."""
+        ex = JobExecutor()
+        specs = [_spec(kind=kind, size=size, patch=patch, mode=m)
+                 for m in ("hybrid", "mpi_only")]
+        assert specs[0].key() != specs[1].key()
+        outs = [ex.execute(s, None) for s in specs]
+        assert (ex.scenario_builds, ex.scenario_hits) == (builds, 2 - builds)
+        for spec, o in zip(specs, outs):
+            assert o.status == "ok" and o.exact is True
+            machine, cores, pset, solver = build_scenario(
+                kind, spec.mode, size, patch=patch, sn=spec.sn,
+                grain=spec.grain)
+            progs, _ = solver.build_programs()
+            rep = DataDrivenRuntime(cores, machine=machine, mode=spec.mode) \
+                .run(progs, pset.patch_proc)
+            assert rep.makespan.hex() == o.makespan.hex()
 
     def test_deadline_cancels_with_consumed_slice(self, executor):
         full = executor.execute(_spec(), None).makespan

@@ -1,16 +1,13 @@
 """Property tests: the slab event heap is observationally identical
 to a plain ``heapq`` of ``(t, seq, kind, data)`` tuples.
 
-The simulator stores events in struct-of-arrays slabs with recycled
-slots, interns kinds to dense ids, drains same-timestamp batches in
-one call, and lets pushes landing at exactly the in-flight batch's
-timestamp join it without touching the heap (same-time turnaround).
-Every one of those mechanics is an *optimization* of the reference
-semantics - pop strictly by ``(t, seq)``, sequence numbers handed out
-one per push (or per :meth:`next_seq` consumer) - so randomized
-schedules with timestamp ties, interleaved external sequence
-consumers, and mid-batch pushes must pop in exactly the reference
-order, payload for payload.
+The simulator interns kinds to dense ids and keeps per-kind counters
+beside its heap; neither may change the reference semantics - pop
+strictly by ``(t, seq)``, sequence numbers handed out one per push (or
+per :meth:`next_seq` consumer) - so randomized schedules with
+timestamp ties, interleaved external sequence consumers, and pushes at
+exactly the time being popped must pop in exactly the reference
+order, payload for payload, and ties in push order.
 """
 
 import heapq
@@ -21,7 +18,7 @@ from hypothesis import strategies as st
 from repro.runtime.simulator import Simulator
 
 # Small delta pool so schedules collide on identical timestamps often;
-# 0.0 lands mid-batch pushes on the in-flight batch's own time.
+# 0.0 lands a push at exactly the time just popped.
 DELTAS = (0.0, 0.25, 1.0, 3.0)
 KINDS = ("advance", "aux")  # progress / non-progress
 PROGRESS = frozenset(("advance",))
@@ -90,36 +87,34 @@ def test_single_pop_matches_reference(sched):
 
 @given(sched=schedules())
 @settings(max_examples=80, deadline=None)
-def test_pop_batch_matches_reference(sched):
-    """Batch drains, including same-time turnaround joins, pop in
-    reference order: mid-batch pushes carry strictly larger sequence
-    numbers, so they sort after every drained event even at the same
-    timestamp."""
+def test_tied_pops_come_out_in_push_order(sched):
+    """Pops come out in ``(t, push order)``: ties at one timestamp -
+    pushes landing at exactly the time being popped included - leave
+    in the order they were pushed, whatever sequence numbers external
+    queues burned in between."""
     pre, rounds = sched
     sim = Simulator(progress_kinds=PROGRESS)
-    ref = RefHeap()
-    n = _push_both(sim, ref, 0.0, pre, 0)
+
+    def push(now, ops, n):
+        for delta, kind, burn in ops:
+            if burn:
+                sim.next_seq()  # an external queue's tie-break
+            sim.push(now + delta, kind, n)  # data is the push index
+            n += 1
+        return n
+
+    n = push(0.0, pre, 0)
     rit = iter(rounds)
-    sim_order, ref_order = [], []
-    names = sim._kind_names
+    order = []
     while sim:
-        t0, batch = sim.pop_batch()
-        # Mid-batch pushes: a 0.0 delta lands at exactly t0 and must
-        # join the in-flight batch (the list grows in push order).
-        n = _push_both(sim, ref, t0, next(rit, []), n)
-        sim_order.extend((t0, names[kid], data) for kid, data in batch)
-        # The drain only counts pops: the caller accounts each event
-        # as it dispatches it.
-        for kid, data in batch:
-            sim.account(t0, kid, data)
-        sim.end_batch()
-        while ref.h and ref.h[0][0] == t0:
-            rt, _, rkind, rdata = heapq.heappop(ref.h)
-            ref_order.append((rt, rkind, rdata))
-    assert sim_order == ref_order
-    assert not ref.h
+        t, _, data = sim.pop()
+        order.append((t, data))
+        # A 0.0 delta lands at exactly ``t``, behind every queued tie.
+        n = push(t, next(rit, []), n)
+    assert order == sorted(order)
+    assert len(order) == n
     assert sim.live == 0
-    assert sum(sim.event_counts().values()) == len(sim_order)
+    assert sum(sim.event_counts().values()) == n
 
 
 @given(sched=schedules())
